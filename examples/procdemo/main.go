@@ -14,17 +14,20 @@
 // segment offsets; waiting on either side is a futex word inside the
 // segment — no pipe, no socket, no copy on the payload path.
 //
-// Two phases per child, both zero-copy end to end:
+// Two phases per child, both zero-copy end to end and both moving a
+// window of records in chunks of up to 16 (mpf/xproc.go):
 //
-//	down  the parent commits loans through a circuit, receives its
-//	      own views back, and publishes each payload window to the
-//	      child, which verifies the bytes in place and acknowledges;
-//	up    the parent offers unfilled loan windows; the child writes
-//	      the payload in place across the process boundary, and the
-//	      parent commits and verifies through a receive view.
+//	down  the parent commits a batch of loans through a circuit,
+//	      harvests its own views back, and publishes the payload
+//	      windows to the child, which verifies the bytes in place and
+//	      acknowledges each run of records with one ring push;
+//	up    the parent offers a batch of unfilled loan windows; the
+//	      child writes the payloads in place across the process
+//	      boundary, and the parent commits the batch and verifies it
+//	      through the harvested views.
 //
 // The run exits nonzero unless: every round trip verified, the copy
-// ledger shows zero payload copies (and every message on the
+// ledger shows zero payload copies (and every message on the batched
 // loan/view planes), every child exited cleanly and detached its
 // slot, and the final segment unmap returned no error. CI's
 // cross-process smoke leg runs exactly this binary.
@@ -170,16 +173,16 @@ func runParent(children, msgs, size int) error {
 	st := srv.Facility().Stats()
 	fmt.Printf("procdemo: %d cross-process round trips in %v (%.0f msgs/s)\n",
 		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds())
-	fmt.Printf("  ledger: loan sends %d, view receives %d, payload copies in/out %d/%d\n",
-		st.LoanSends, st.ViewReceives, st.PayloadCopiesIn, st.PayloadCopiesOut)
+	fmt.Printf("  ledger: batched loan sends %d, harvested views %d, payload copies in/out %d/%d\n",
+		st.LoanBatchSends, st.HarvestedViews, st.PayloadCopiesIn, st.PayloadCopiesOut)
 
 	if st.PayloadCopiesIn != 0 || st.PayloadCopiesOut != 0 {
 		srv.Close()
 		return fmt.Errorf("copy ledger not clean: in=%d out=%d", st.PayloadCopiesIn, st.PayloadCopiesOut)
 	}
-	if st.LoanSends != total || st.ViewReceives != total {
+	if st.LoanBatchSends != total || st.HarvestedViews != total {
 		srv.Close()
-		return fmt.Errorf("ledger counted loans=%d views=%d, want %d each", st.LoanSends, st.ViewReceives, total)
+		return fmt.Errorf("ledger counted batched loans=%d harvested views=%d, want %d each", st.LoanBatchSends, st.HarvestedViews, total)
 	}
 	if err := srv.Close(); err != nil {
 		return fmt.Errorf("segment unmap: %w", err)

@@ -42,6 +42,11 @@ var ErrRingClosed = errors.New("shm: descriptor ring closed")
 // ErrRingTimeout is returned when a bounded Pop or Push expires.
 var ErrRingTimeout = errors.New("shm: descriptor ring wait timed out")
 
+// ErrRingCorrupt is returned when the ring's indices are further apart
+// than its capacity: a peer scribbled on them, or died half-way through
+// something no protocol step does.
+var ErrRingCorrupt = errors.New("shm: descriptor ring indices corrupt")
+
 const (
 	// ringMagic is "MPRS": bumped from "MPRR" when the NotifyWords grew
 	// to two cache lines each, so a stale-layout attach fails loudly at
@@ -138,10 +143,30 @@ func AttachRing(seg *Segment, base int64) (*XRing, error) {
 // Cap returns the ring capacity in records.
 func (r *XRing) Cap() int { return int(r.mask + 1) }
 
+// cursors loads the consumer and producer indices and bounds their
+// distance. Either index is a word the peer process can write, so it is
+// not trusted: a distance beyond the capacity is no state the protocol
+// can reach, and the caller gets ErrRingCorrupt instead of being
+// walked through up to 2³² garbage records. Head is read first, so the
+// owner of either index sees an exact distance and anybody else a
+// conservative one.
+func (r *XRing) cursors() (head, tail uint32, err error) {
+	head = r.seg.Atomic32(r.base + ringOffHead).Load()
+	tail = r.seg.Atomic32(r.base + ringOffTail).Load()
+	if tail-head > r.mask+1 {
+		return head, tail, fmt.Errorf("%w: head %d, tail %d, capacity %d", ErrRingCorrupt, head, tail, r.mask+1)
+	}
+	return head, tail, nil
+}
+
 // Len returns the number of records currently queued (advisory: the
-// peer moves concurrently).
+// peer moves concurrently), never more than the capacity.
 func (r *XRing) Len() int {
-	return int(r.seg.Atomic32(r.base+ringOffTail).Load() - r.seg.Atomic32(r.base+ringOffHead).Load())
+	head, tail, err := r.cursors()
+	if err != nil {
+		return r.Cap()
+	}
+	return int(tail - head)
 }
 
 // Closed reports whether either side has closed the ring.
@@ -176,19 +201,17 @@ func getRecord(b []byte) Record {
 	}
 }
 
-// TryPush publishes rec if space is available, reporting whether it
-// did. Publishing is a record store followed by a release store of
-// tail and one Post.
-func (r *XRing) TryPush(rec Record) (bool, error) {
-	return r.tryPushN([]Record{rec})
-}
-
-func (r *XRing) tryPushN(recs []Record) (bool, error) {
+// tryPush publishes all of recs if they fit, reporting whether it did:
+// the record stores, a release store of tail and one Post however many
+// records.
+func (r *XRing) tryPush(recs []Record) (bool, error) {
 	if r.Closed() {
 		return false, ErrRingClosed
 	}
-	tail := r.seg.Atomic32(r.base + ringOffTail).Load()
-	head := r.seg.Atomic32(r.base + ringOffHead).Load()
+	head, tail, err := r.cursors()
+	if err != nil {
+		return false, err
+	}
 	if tail-head+uint32(len(recs)) > r.mask+1 {
 		return false, nil
 	}
@@ -203,81 +226,31 @@ func (r *XRing) tryPushN(recs []Record) (bool, error) {
 	return true, nil
 }
 
-// Push publishes rec, blocking while the ring is full (spin then
-// futex-wait on the space word). A zero deadline waits forever;
-// ErrRingTimeout reports expiry, ErrRingClosed a closed ring.
-func (r *XRing) Push(rec Record, deadline time.Time) error {
-	return r.PushBatch([]Record{rec}, deadline)
-}
-
-// PushBatch publishes all of recs in one ring transaction: one tail
-// store and one wake however many records — the cross-process
-// counterpart of the LoanBatch/SendBatch amortisation. The batch must
-// fit the ring's capacity.
-func (r *XRing) PushBatch(recs []Record, deadline time.Time) error {
-	if len(recs) == 0 {
-		return nil
+// tryPop consumes up to len(dst) of the oldest records, returning how
+// many: the record loads, one store of head and one Post of the space
+// word however long the run. A closed ring reports ErrRingClosed once
+// it is empty.
+func (r *XRing) tryPop(dst []Record) (int, error) {
+	head, tail, err := r.cursors()
+	if err != nil {
+		return 0, err
 	}
-	if len(recs) > r.Cap() {
-		return fmt.Errorf("shm: batch of %d records exceeds ring capacity %d", len(recs), r.Cap())
-	}
-	for {
-		ok, err := r.tryPushN(recs)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
-		seen := r.spc.Load()
-		// Re-check after reading the token: a Post between the failed
-		// try and the Load is not missable now.
-		if ok, err := r.tryPushN(recs); err != nil || ok {
-			return err
-		}
-		if _, ok := r.spc.Wait(seen, deadline); !ok {
-			return ErrRingTimeout
-		}
-	}
-}
-
-// TryPop consumes the oldest record if one is available.
-func (r *XRing) TryPop() (Record, bool, error) {
-	head := r.seg.Atomic32(r.base + ringOffHead).Load()
-	tail := r.seg.Atomic32(r.base + ringOffTail).Load()
-	if head == tail {
+	n := int(tail - head)
+	if n == 0 {
 		if r.Closed() {
-			return Record{}, false, ErrRingClosed
+			return 0, ErrRingClosed
 		}
-		return Record{}, false, nil
+		return 0, nil
 	}
-	rec := getRecord(r.recSlot(head))
-	r.seg.Atomic32(r.base + ringOffHead).Store(head + 1)
+	if n > len(dst) {
+		n = len(dst)
+	}
+	for i := range dst[:n] {
+		dst[i] = getRecord(r.recSlot(head + uint32(i)))
+	}
+	r.seg.Atomic32(r.base + ringOffHead).Store(head + uint32(n))
 	r.spc.Post()
-	return rec, true, nil
-}
-
-// Pop consumes the oldest record, blocking while the ring is empty
-// (spin then futex-wait on the data word). A zero deadline waits
-// forever. A closed ring drains its queued records first, then
-// reports ErrRingClosed.
-func (r *XRing) Pop(deadline time.Time) (Record, error) {
-	for {
-		rec, ok, err := r.TryPop()
-		if err != nil {
-			return Record{}, err
-		}
-		if ok {
-			return rec, nil
-		}
-		seen := r.data.Load()
-		if rec, ok, err := r.TryPop(); err != nil || ok {
-			return rec, err
-		}
-		if _, ok := r.data.Wait(seen, deadline); !ok {
-			return Record{}, ErrRingTimeout
-		}
-	}
+	return n, nil
 }
 
 // abortProbeSlice bounds each futex park inside an abortable wait so
@@ -286,69 +259,123 @@ func (r *XRing) Pop(deadline time.Time) (Record, error) {
 // the slice only matters while genuinely blocked on a silent peer).
 const abortProbeSlice = 10 * time.Millisecond
 
-// PopAbort is Pop with a liveness hook: while blocked on an empty
-// ring, abort is probed at least every abortProbeSlice; a non-nil
-// return (typically ErrPeerDead) ends the wait with that error. The
-// probe only runs on the slow path — a non-empty ring never calls it.
-func (r *XRing) PopAbort(deadline time.Time, abort func() error) (Record, error) {
-	for {
-		rec, ok, err := r.TryPop()
-		if err != nil {
-			return Record{}, err
-		}
-		if ok {
-			return rec, nil
-		}
-		seen := r.data.Load()
-		if rec, ok, err := r.TryPop(); err != nil || ok {
-			return rec, err
-		}
+// park is the slow path shared by every blocking push and pop: wait
+// for w to move past seen. Without an abort probe it parks until the
+// deadline (zero = forever); with one, the probe runs first — a
+// non-nil return, typically ErrPeerDead, ends the wait with that
+// error — and each park lasts at most abortProbeSlice. The caller
+// retries its operation on nil.
+func park(w *NotifyWord, seen uint32, deadline time.Time, abort func() error) error {
+	until := deadline
+	if abort != nil {
 		if err := abort(); err != nil {
-			return Record{}, err
-		}
-		if _, ok := r.data.Wait(seen, r.probeDeadline(deadline)); !ok {
-			if !deadline.IsZero() && !time.Now().Before(deadline) {
-				return Record{}, ErrRingTimeout
-			}
-		}
-	}
-}
-
-// PushAbort is Push with the same liveness hook as PopAbort: a
-// producer blocked on a full ring whose consumer died stops waiting as
-// soon as the abort callback says so.
-func (r *XRing) PushAbort(rec Record, deadline time.Time, abort func() error) error {
-	for {
-		ok, err := r.TryPush(rec)
-		if err != nil {
 			return err
 		}
-		if ok {
-			return nil
+		if slice := time.Now().Add(abortProbeSlice); deadline.IsZero() || slice.Before(deadline) {
+			until = slice
+		}
+	}
+	if _, ok := w.Wait(seen, until); !ok && !deadline.IsZero() && !time.Now().Before(deadline) {
+		return ErrRingTimeout
+	}
+	return nil
+}
+
+// PushBatchAbort publishes all of recs in one ring transaction — one
+// tail store and one wake however many records, the cross-process
+// counterpart of the LoanBatch/SendBatch amortisation — blocking while
+// they do not fit (spin, then futex-wait on the space word). The batch
+// must fit the ring's capacity. A zero deadline waits forever;
+// ErrRingTimeout reports expiry, ErrRingClosed a closed ring,
+// ErrRingCorrupt cursors no run of the protocol produces. abort, when
+// not nil, is the liveness hook of a producer whose consumer may die:
+// it is probed at least every abortProbeSlice while blocked, never on
+// the fast path.
+func (r *XRing) PushBatchAbort(recs []Record, deadline time.Time, abort func() error) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	if len(recs) > r.Cap() {
+		return fmt.Errorf("shm: batch of %d records exceeds ring capacity %d", len(recs), r.Cap())
+	}
+	for {
+		if ok, err := r.tryPush(recs); err != nil || ok {
+			return err
 		}
 		seen := r.spc.Load()
-		if ok, err := r.TryPush(rec); err != nil || ok {
+		// Re-check after reading the token: a Post between the failed
+		// try and the Load is not missable now.
+		if ok, err := r.tryPush(recs); err != nil || ok {
 			return err
 		}
-		if err := abort(); err != nil {
+		if err := park(r.spc, seen, deadline, abort); err != nil {
 			return err
-		}
-		if _, ok := r.spc.Wait(seen, r.probeDeadline(deadline)); !ok {
-			if !deadline.IsZero() && !time.Now().Before(deadline) {
-				return ErrRingTimeout
-			}
 		}
 	}
 }
 
-// probeDeadline slices an overall deadline into abort-probe-sized
-// parks: the nearer of now+abortProbeSlice and the real deadline.
-func (r *XRing) probeDeadline(deadline time.Time) time.Time {
-	slice := time.Now().Add(abortProbeSlice)
-	if deadline.IsZero() || slice.Before(deadline) {
-		return slice
+// PopBatchAbort consumes the oldest queued records into dst, blocking
+// while the ring is empty (spin, then futex-wait on the data word) and
+// returning as soon as there is at least one: however long the run, it
+// costs one head store and one Post of the space word. Deadline and
+// abort are PushBatchAbort's. A closed ring drains its queued records
+// first, then reports ErrRingClosed.
+func (r *XRing) PopBatchAbort(dst []Record, deadline time.Time, abort func() error) (int, error) {
+	if len(dst) == 0 {
+		return 0, nil
 	}
-	return deadline
+	for {
+		if n, err := r.tryPop(dst); err != nil || n > 0 {
+			return n, err
+		}
+		seen := r.data.Load()
+		if n, err := r.tryPop(dst); err != nil || n > 0 {
+			return n, err
+		}
+		if err := park(r.data, seen, deadline, abort); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// PopBatch is the non-blocking PopBatchAbort: it consumes what is
+// queued, up to len(dst) records, and returns 0 for an empty ring.
+func (r *XRing) PopBatch(dst []Record) (int, error) { return r.tryPop(dst) }
+
+// TryPush publishes rec if space is available, reporting whether it
+// did.
+func (r *XRing) TryPush(rec Record) (bool, error) { return r.tryPush([]Record{rec}) }
+
+// TryPop consumes the oldest record if one is available.
+func (r *XRing) TryPop() (Record, bool, error) {
+	var one [1]Record
+	n, err := r.tryPop(one[:])
+	return one[0], n == 1, err
+}
+
+// Push is PushBatchAbort for one record and no liveness hook.
+func (r *XRing) Push(rec Record, deadline time.Time) error {
+	return r.PushBatchAbort([]Record{rec}, deadline, nil)
+}
+
+// PushBatch is PushBatchAbort without a liveness hook.
+func (r *XRing) PushBatch(recs []Record, deadline time.Time) error {
+	return r.PushBatchAbort(recs, deadline, nil)
+}
+
+// PushAbort is PushBatchAbort for one record.
+func (r *XRing) PushAbort(rec Record, deadline time.Time, abort func() error) error {
+	return r.PushBatchAbort([]Record{rec}, deadline, abort)
+}
+
+// Pop is PopAbort without a liveness hook.
+func (r *XRing) Pop(deadline time.Time) (Record, error) { return r.PopAbort(deadline, nil) }
+
+// PopAbort is PopBatchAbort for one record.
+func (r *XRing) PopAbort(deadline time.Time, abort func() error) (Record, error) {
+	var one [1]Record
+	_, err := r.PopBatchAbort(one[:], deadline, abort)
+	return one[0], err
 }
 
 // WaitStats returns the waiter counters of this handle's two notify

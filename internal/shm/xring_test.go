@@ -212,3 +212,146 @@ func TestRingAbortableWaits(t *testing.T) {
 		t.Fatalf("PopAbort deadline: %v", err)
 	}
 }
+
+// TestRingPopBatch covers the run pop: a batch larger than what is
+// queued takes what there is, a shorter one leaves the rest, runs
+// straddle the index wrap-around, an empty ring gives 0 without error
+// and a closed one drains before it reports the close.
+func TestRingPopBatch(t *testing.T) {
+	prod, cons := ringPair(t, 4)
+	dst := make([]Record, 8)
+	if n, err := cons.PopBatch(dst); n != 0 || err != nil {
+		t.Fatalf("PopBatch on an empty ring = %d, %v", n, err)
+	}
+	next := int64(0)
+	push := func(k int) {
+		t.Helper()
+		recs := make([]Record, k)
+		for i := range recs {
+			recs[i] = Record{Off: next + int64(i), Word: uint16(next) + uint16(i)}
+		}
+		if err := prod.PushBatch(recs, time.Now().Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		next += int64(k)
+	}
+	want := int64(0)
+	pop := func(buf []Record, n int) {
+		t.Helper()
+		got, err := cons.PopBatchAbort(buf, time.Now().Add(time.Second), nil)
+		if err != nil || got != n {
+			t.Fatalf("PopBatchAbort = %d, %v, want %d records", got, err, n)
+		}
+		for _, rec := range buf[:got] {
+			if rec.Off != want || rec.Word != uint16(want) {
+				t.Fatalf("popped %+v, want Off %d", rec, want)
+			}
+			want++
+		}
+	}
+	// Twelve rounds of three on a ring of four: every run but the first
+	// straddles the 2-bit index wrap.
+	for round := 0; round < 12; round++ {
+		push(3)
+		pop(dst, 3) // batch larger than queued
+	}
+	push(4)
+	pop(dst[:3], 3) // batch smaller than queued
+	if cons.Len() != 1 {
+		t.Fatalf("Len = %d after a short pop, want 1", cons.Len())
+	}
+	push(2)
+	prod.Close()
+	pop(dst, 3) // a closed ring drains first
+	if n, err := cons.PopBatch(dst); n != 0 || !errors.Is(err, ErrRingClosed) {
+		t.Fatalf("PopBatch after the drain = %d, %v, want closed", n, err)
+	}
+	if n, err := cons.PopBatchAbort(dst, time.Time{}, nil); n != 0 || !errors.Is(err, ErrRingClosed) {
+		t.Fatalf("PopBatchAbort after the drain = %d, %v, want closed", n, err)
+	}
+}
+
+// TestRingBatchAbort: the batch forms carry the liveness hook. A full
+// ring whose consumer is dead and an empty one whose producer is dead
+// end the wait with the probe's error, and a batch that fits never
+// consults it.
+func TestRingBatchAbort(t *testing.T) {
+	prod, cons := ringPair(t, 4)
+	dead := errors.New("peer dead")
+	never := func() error {
+		t.Error("abort probed on the fast path")
+		return nil
+	}
+	if err := prod.PushBatchAbort(make([]Record, 3), time.Time{}, never); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cons.PopBatchAbort(make([]Record, 2), time.Time{}, never); n != 2 || err != nil {
+		t.Fatalf("PopBatchAbort with data = %d, %v", n, err)
+	}
+	start := time.Now()
+	if err := prod.PushBatchAbort(make([]Record, 4), time.Now().Add(10*time.Second), func() error { return dead }); !errors.Is(err, dead) {
+		t.Fatalf("PushBatchAbort into a full ring with a dead consumer: %v", err)
+	}
+	cons.TryPop()
+	if _, err := cons.PopBatchAbort(make([]Record, 2), time.Now().Add(10*time.Second), func() error { return dead }); !errors.Is(err, dead) {
+		t.Fatalf("PopBatchAbort on an empty ring with a dead producer: %v", err)
+	}
+	if time.Since(start) > time.Second {
+		t.Fatalf("aborts took %v", time.Since(start))
+	}
+	if err := prod.PushBatchAbort(make([]Record, 5), time.Time{}, never); err == nil {
+		t.Fatal("oversized batch accepted")
+	}
+}
+
+// TestRingScribbledCursors plays the peer that writes garbage into the
+// index words it can reach. Whatever it stores, neither side may walk
+// more records than the ring holds: the consumer of a wild tail and the
+// producer facing a wild head get ErrRingCorrupt, and Len stays within
+// the capacity.
+func TestRingScribbledCursors(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		head, tail uint32
+	}{
+		{"wild tail", 0, 1 << 31},
+		{"tail one past the capacity", 3, 8},
+		{"wild head", 77, 2},
+		{"head past tail across the wrap", 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prod, cons := ringPair(t, 4)
+			prod.TryPush(Record{Off: 1})
+			cons.seg.Atomic32(cons.base + ringOffHead).Store(tc.head)
+			cons.seg.Atomic32(cons.base + ringOffTail).Store(tc.tail)
+
+			if _, ok, err := cons.TryPop(); ok || !errors.Is(err, ErrRingCorrupt) {
+				t.Fatalf("TryPop = %v, %v, want ErrRingCorrupt", ok, err)
+			}
+			if n, err := cons.PopBatch(make([]Record, 8)); n != 0 || !errors.Is(err, ErrRingCorrupt) {
+				t.Fatalf("PopBatch = %d, %v, want ErrRingCorrupt", n, err)
+			}
+			if _, err := cons.PopAbort(time.Now().Add(time.Second), func() error { return nil }); !errors.Is(err, ErrRingCorrupt) {
+				t.Fatalf("PopAbort = %v, want ErrRingCorrupt", err)
+			}
+			if ok, err := prod.TryPush(Record{}); ok || !errors.Is(err, ErrRingCorrupt) {
+				t.Fatalf("TryPush = %v, %v, want ErrRingCorrupt", ok, err)
+			}
+			if err := prod.PushBatchAbort(make([]Record, 2), time.Now().Add(time.Second), nil); !errors.Is(err, ErrRingCorrupt) {
+				t.Fatalf("PushBatchAbort = %v, want ErrRingCorrupt", err)
+			}
+			if n := cons.Len(); n < 0 || n > cons.Cap() {
+				t.Fatalf("Len = %d on a ring of %d", n, cons.Cap())
+			}
+		})
+	}
+
+	// The boundary is legal: a full ring is tail − head == capacity.
+	prod, cons := ringPair(t, 4)
+	if err := prod.PushBatch(make([]Record, 4), time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cons.PopBatch(make([]Record, 8)); n != 4 || err != nil {
+		t.Fatalf("PopBatch of a full ring = %d, %v", n, err)
+	}
+}

@@ -79,10 +79,10 @@ func (s *ProcServer) ReclaimSlot(slot int, gen uint32) (ReclaimReport, bool) {
 	// incarnation; the snapshot is ours to tear down.
 	b := &s.bridges[slot]
 	b.mu.Lock()
-	send, recv := b.send, b.recv
-	down, up := b.down, b.up
-	b.send, b.recv, b.down, b.up, b.gen = nil, nil, nil, nil, 0
+	conn := b.conn
+	b.conn = bridgeConn{}
 	b.mu.Unlock()
+	down, up := conn.down, conn.up
 
 	// The bridge may never have opened (death before first traffic);
 	// the rings always exist in the table.
@@ -115,16 +115,13 @@ func (s *ProcServer) ReclaimSlot(slot int, gen uint32) (ReclaimReport, bool) {
 	// reclaim path (restoring their blocks and credit), pinned state is
 	// orphan-restored. Snapshot the ledger first so the refund is
 	// attributable to this death.
-	if recv != nil {
+	if conn.recv != nil {
 		if info, ok := s.fac.Circuit(fmt.Sprintf("xproc-%d", slot)); ok {
 			rep.Credits = uint64(info.CreditUsed)
 			rep.Views += uint64(info.QueuedMsgs)
 		}
-		recv.Close()
 	}
-	if send != nil {
-		send.Close()
-	}
+	conn.closeCircuit()
 
 	// Fresh rings for the next claimant, then — and only then — the
 	// slot itself returns to the pool.

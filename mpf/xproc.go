@@ -15,16 +15,52 @@ package mpf
 //
 // The division of labour (DESIGN.md §15): the server owns the arena
 // allocator and every LNVC descriptor; children are raw segment peers.
-// A bridge goroutine per child translates between the facility's
-// zero-copy plane and the child's rings:
+// A bridge per child translates between the facility's batched
+// zero-copy plane and the child's rings. Both directions are the same
+// sliding-window loop (runBridge), moving chunks of up to maxChunk
+// records:
 //
-//	down:  Loan → fill → Commit → ReceiveView → ring VIEW record →
-//	       child reads payload in place, ACKs → Release
-//	up:    Loan → ring LOAN record → child fills payload in place,
-//	       FILLED → Commit → ReceiveView → verify → Release
+//	down:  LoanBatch → fill → CommitAll → WaitViews → one PushBatch of
+//	       VIEW records → the child verifies each payload in place and
+//	       answers the run with one PushBatch of ACKs → ReleaseViews
+//	up:    LoanBatch → one PushBatch of LOAN records → the child fills
+//	       each window in place and answers with FILLED records →
+//	       CommitAll → WaitViews → verify → ReleaseViews
 //
 // Both directions move every payload byte through the circuit exactly
-// once with zero copies on either side of the boundary.
+// once with zero copies on either side of the boundary, and both pay
+// the arena transaction, the circuit lock, the ring's index store and
+// the futex wake once per chunk, not once per message.
+//
+// The window W — how many records a call keeps in flight — is derived,
+// not configured (ProcServer.window): the least of the call's message
+// count, the ring capacity, the circuit's credit budget and this
+// bridge's share of the arena, arena/(2·Children), the last two in
+// messages. The share is what makes the loop deadlock-free: a bridge
+// allocates a chunk only while chunk + in flight ≤ W, so all the
+// bridges together never pin more than half the arena and none can
+// park in the allocator holding what another is waiting for. For the
+// same reason pushes never wait for ring space and loans never wait
+// for credit. Chunks are W split evenly into the fewest pieces of at
+// most maxChunk, so that any W > maxChunk keeps at least two in flight
+// and the child works on one while the bridge prepares the next.
+//
+// The bridge issues chunks while the window has room, polling the reply
+// ring without blocking in between, and blocks only when the window is
+// full or everything is issued. Replies retire strictly in order: each
+// must echo the window of the oldest record in flight, so a reply
+// names nothing but what is loaned or pinned to this slot right now.
+// A chunk's views are released (down) or its loans committed, read
+// back and verified (up) when its last reply arrives. A call for one
+// message is a window of one: LOAN or VIEW, then FILLED or ACK, the
+// same records in the same order a stop-and-wait bridge exchanges.
+//
+// Nothing a peer can write is trusted: ring indices further apart than
+// the capacity (shm.ErrRingCorrupt) and replies of the wrong kind or
+// for the wrong window declare the peer dead — the bridge reclaims the
+// slot itself and returns ErrPeerDead. On every failure each chunk in
+// flight is resolved exactly once (AbortAll, ReleaseViews) before the
+// call returns.
 //
 // Crash robustness (DESIGN.md §17): every ring record's Tag carries
 // the slot's attach generation in its high byte, so records from a
@@ -127,25 +163,22 @@ type ProcServer struct {
 	bridges  []bridgeState
 }
 
-// bridgeState is one slot's server-side bridge: the facility
-// connections, ring handles and the attach generation they were bound
-// to. The mutex serialises lazy open (bridge) against teardown
-// (ReclaimSlot); the traffic loops work on value snapshots
-// (bridgeConn) so a concurrent reclaim can reset the state without
-// racing them.
+// bridgeState is one slot's server-side bridge. The mutex serialises
+// lazy open (bridge) against teardown (ReclaimSlot); the traffic loops
+// work on a value snapshot of conn so a concurrent reclaim can reset
+// the state without racing them.
 type bridgeState struct {
 	mu   sync.Mutex
-	send *SendConn
-	recv *RecvConn
-	down *shm.XRing
-	up   *shm.XRing
-	gen  uint32
+	conn bridgeConn // zero until opened, and again once reclaimed
 }
 
-// bridgeConn is the immutable per-use snapshot of a bridge.
+// bridgeConn is one incarnation's bridge: both ends of the loop-back
+// circuit, the selector the receive end is harvested through, the ring
+// handles and the attach generation they were bound to.
 type bridgeConn struct {
 	send *SendConn
 	recv *RecvConn
+	sel  *Selector
 	down *shm.XRing
 	up   *shm.XRing
 	gen  uint32
@@ -274,20 +307,20 @@ func (s *ProcServer) SpawnEnv(n int, bin string, args []string, envFor func(i in
 	return g, nil
 }
 
-// bridge lazily opens slot i's facility connections and ring handles,
-// first waiting (bounded) for a peer to claim the slot so the bridge
+// bridge lazily opens slot i's facility connections, the selector the
+// receive end is harvested through and the ring handles, first waiting
+// (bounded) for a peer to claim the slot so the bridge
 // binds to a definite attach generation. Bridge pid i+1 holds both
 // ends of circuit "xproc-i": the loop-back shape means every payload
 // crosses the circuit queue exactly once in each phase.
 func (s *ProcServer) bridge(slot int) (bridgeConn, error) {
 	b := &s.bridges[slot]
 	b.mu.Lock()
-	if b.send != nil {
-		c := bridgeConn{send: b.send, recv: b.recv, down: b.down, up: b.up, gen: b.gen}
-		b.mu.Unlock()
+	c := b.conn
+	b.mu.Unlock()
+	if c.send != nil {
 		return c, nil
 	}
-	b.mu.Unlock()
 
 	// Wait for the peer to claim the slot: the generation the bridge
 	// captures must be the incarnation it will talk to, not a guess
@@ -299,34 +332,47 @@ func (s *ProcServer) bridge(slot int) (bridgeConn, error) {
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.send != nil { // raced with another opener
-		return bridgeConn{send: b.send, recv: b.recv, down: b.down, up: b.up, gen: b.gen}, nil
+	if b.conn.send != nil { // raced with another opener
+		return b.conn, nil
 	}
 	p, err := s.fac.Process(slot + 1)
 	if err != nil {
 		return bridgeConn{}, err
 	}
 	name := fmt.Sprintf("xproc-%d", slot)
-	send, err := p.OpenSend(name)
-	if err != nil {
+	c = bridgeConn{gen: gen}
+	if c.send, err = p.OpenSend(name); err != nil {
 		return bridgeConn{}, err
 	}
-	recv, err := p.OpenReceive(name, FCFS)
-	if err != nil {
-		send.Close()
-		return bridgeConn{}, err
+	if c.recv, err = p.OpenReceive(name, FCFS); err == nil {
+		if c.sel, err = p.NewSelector(); err == nil {
+			err = c.sel.Add(c.recv)
+		}
 	}
-	down, err := s.table.DownRing(slot)
 	if err == nil {
-		b.up, err = s.table.UpRing(slot)
+		if c.down, err = s.table.DownRing(slot); err == nil {
+			c.up, err = s.table.UpRing(slot)
+		}
 	}
 	if err != nil {
-		send.Close()
-		recv.Close()
+		c.closeCircuit()
 		return bridgeConn{}, err
 	}
-	b.send, b.recv, b.down, b.gen = send, recv, down, gen
-	return bridgeConn{send: b.send, recv: b.recv, down: b.down, up: b.up, gen: b.gen}, nil
+	b.conn = c
+	return c, nil
+}
+
+// closeCircuit closes whatever of the loop-back circuit is open.
+func (c bridgeConn) closeCircuit() {
+	if c.sel != nil {
+		c.sel.Close()
+	}
+	if c.recv != nil {
+		c.recv.Close()
+	}
+	if c.send != nil {
+		c.send.Close()
+	}
 }
 
 // waitClaim polls slot until a peer holds it attached, returning the
@@ -383,22 +429,69 @@ func fillPattern(b []byte, slot, seq int) {
 	}
 }
 
-// contiguousLoan takes a loan whose payload is one contiguous span —
-// the demo and benchmark protocol ships single-window records. Span
-// mode with uniform message sizes cannot fragment below span
-// granularity, so this does not fail in steady state.
-func contiguousLoan(sc *SendConn, n int) (*Loan, []byte, error) {
-	ln, err := sc.Loan(n)
-	if err != nil {
-		return nil, nil, err
+// maxChunk is the most records the bridge issues, and the worker
+// answers, in one step: one LoanBatch, one CommitAll, one harvest, one
+// ring push and at most one futex wake are shared by this many
+// messages.
+const maxChunk = 16
+
+// window derives how many records one bridge call keeps in flight: the
+// least of what the call moves, what a ring holds, what the circuit's
+// credit budget covers and this bridge's share of the arena — half of
+// it split over the slots, so that every bridge holding a full window
+// still leaves the allocator able to serve each one's next chunk.
+// Never less than one: a message too big for its share is a window of
+// one and reports its own error.
+func (s *ProcServer) window(msgs, size int) int {
+	arena := s.fac.c.Arena()
+	per := arena.BlocksFor(size)
+	w := min(msgs, s.table.RingCap(), arena.NumBlocks()/(2*len(s.bridges))/per)
+	if budget := s.fac.c.Config().CreditBlocks; budget > 0 {
+		w = min(w, budget/per)
 	}
-	buf, ok := ln.Bytes()
-	if !ok {
-		ln.Abort()
-		return nil, nil, errors.New("mpf: loan payload fragmented; use span mode with uniform sizes")
-	}
-	return ln, buf, nil
+	return max(w, 1)
 }
+
+// chunk is one issue step of the window: the records of one LoanBatch,
+// which travel, are answered and retire together.
+type chunk struct {
+	lb    *LoanBatch   // the payload windows until circulate commits them
+	views []*View      // the same windows, pinned, once circulate has run
+	recs  []shm.Record // as pushed; replies are matched against them in order
+	got   int          // replies matched so far
+}
+
+// drop resolves whatever the chunk still holds. Both halves are no-ops
+// on what is already resolved, so every path — retired, failed half
+// issued, abandoned in flight — ends here exactly once per resource.
+func (c *chunk) drop() {
+	c.lb.AbortAll()
+	ReleaseViews(c.views)
+}
+
+// circulate sends the chunk through the loop-back circuit: one
+// CommitAll, then one harvest claiming every message back as a pinned
+// view (a commit to the bridge's own circuit is queued in full by the
+// time it returns, so the loop runs once).
+func (b bridgeConn) circulate(c *chunk) error {
+	if err := c.lb.CommitAll(); err != nil {
+		return err
+	}
+	for len(c.views) < len(c.recs) {
+		vs, err := b.sel.WaitViewsDeadline(len(c.recs)-len(c.views), xprocDeadline)
+		c.views = append(c.views, vs...)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// errFragmented: the protocol ships each payload as one record, so it
+// must be one contiguous span. Span mode with uniform message sizes
+// cannot fragment below span granularity, so this does not occur in
+// steady state.
+var errFragmented = errors.New("mpf: payload fragmented; use span mode with uniform sizes")
 
 // deadErr folds teardown-shaped failures onto ErrPeerDead when the
 // abort probe confirms the incarnation is gone. A reclaim racing a
@@ -416,20 +509,18 @@ func deadErr(err error, abort func() error) error {
 	return err
 }
 
-// popFor pops from the ring until a record of this bridge's generation
-// arrives, discarding stale-generation leftovers from reclaimed
-// incarnations (defense in depth: reclamation reformats the rings, so
-// stale records require a zombie producer racing the reclaim).
-func (b bridgeConn) popFor(r *shm.XRing, abort func() error) (shm.Record, error) {
-	for {
-		rec, err := r.PopAbort(time.Now().Add(xprocDeadline), abort)
-		if err != nil {
-			return shm.Record{}, err
-		}
-		if xtagGen(rec.Tag) == uint8(b.gen) {
-			return rec, nil
-		}
+// peerErr is deadErr for a bridge call on one incarnation. Ring state
+// that no run of the protocol produces — indices out of bounds, a
+// reply of the wrong kind or for the wrong window — comes from a peer
+// that is writing garbage: the bridge declares it dead and reclaims
+// the slot itself, and the caller sees ErrPeerDead as for any other
+// death.
+func (s *ProcServer) peerErr(err error, slot int, gen uint32) error {
+	if errors.Is(err, shm.ErrRingCorrupt) {
+		s.ReclaimSlot(slot, gen)
+		return fmt.Errorf("mpf: slot %d gen %d: %v: %w", slot, gen, err, ErrPeerDead)
 	}
+	return deadErr(err, s.slotAbort(slot, gen))
 }
 
 // BridgeDown runs the down phase for one slot: msgs messages of size
@@ -437,53 +528,7 @@ func (b bridgeConn) popFor(r *shm.XRing, abort func() error) (shm.Record, error)
 // VIEW records, acknowledged, released. Returns the number of payload
 // round trips completed.
 func (s *ProcServer) BridgeDown(slot, msgs, size int) (int, error) {
-	b, err := s.bridge(slot)
-	if err != nil {
-		return 0, err
-	}
-	abort := s.slotAbort(slot, b.gen)
-	done := 0
-	for seq := 0; seq < msgs; seq++ {
-		ln, buf, err := contiguousLoan(b.send, size)
-		if err != nil {
-			return done, deadErr(err, abort)
-		}
-		fillPattern(buf, slot, seq)
-		sum := xsum(buf)
-		if err := ln.Commit(); err != nil {
-			return done, deadErr(err, abort)
-		}
-		v, err := b.recv.ReceiveViewDeadline(xprocDeadline)
-		if err != nil {
-			return done, deadErr(err, abort)
-		}
-		pay, ok := v.Bytes()
-		if !ok {
-			v.Release()
-			return done, errors.New("mpf: view fragmented in span mode")
-		}
-		off, ok := s.seg.OffsetOf(pay)
-		if !ok {
-			v.Release()
-			return done, errors.New("mpf: view payload does not alias the shared segment")
-		}
-		rec := shm.Record{Off: off, Len: int32(len(pay)), Tag: xtag(XTagView, b.gen), Word: sum}
-		if err := b.down.PushAbort(rec, time.Now().Add(xprocDeadline), abort); err != nil {
-			v.Release()
-			return done, deadErr(err, abort)
-		}
-		ack, err := b.popFor(b.up, abort)
-		v.Release()
-		if err != nil {
-			return done, deadErr(err, abort)
-		}
-		if xtagKind(ack.Tag) != XTagAck || ack.Word != sum {
-			return done, fmt.Errorf("mpf: slot %d seq %d: child acked tag %d sum %#x, want tag %d sum %#x",
-				slot, seq, xtagKind(ack.Tag), ack.Word, XTagAck, sum)
-		}
-		done++
-	}
-	return done, nil
+	return s.runBridge(slot, msgs, size, false)
 }
 
 // BridgeUp runs the up phase for one slot: msgs loans offered to the
@@ -491,53 +536,173 @@ func (s *ProcServer) BridgeDown(slot, msgs, size int) (int, error) {
 // verified through the receive view. Returns the round trips
 // completed.
 func (s *ProcServer) BridgeUp(slot, msgs, size int) (int, error) {
+	return s.runBridge(slot, msgs, size, true)
+}
+
+// runBridge is the one send/retire loop of both phases (the protocol
+// comment at the top of the file). done counts round trips verified in
+// order: acknowledged records going down, committed and checksummed
+// ones coming up.
+func (s *ProcServer) runBridge(slot, msgs, size int, up bool) (done int, err error) {
 	b, err := s.bridge(slot)
 	if err != nil {
 		return 0, err
 	}
 	abort := s.slotAbort(slot, b.gen)
-	done := 0
-	for seq := 0; seq < msgs; seq++ {
-		ln, buf, err := contiguousLoan(b.send, size)
+	w := s.window(msgs, size)
+	per := w / ((w + maxChunk - 1) / maxChunk) // W in the fewest equal chunks of at most maxChunk
+	var ns [maxChunk]int
+	for i := range ns[:per] {
+		ns[i] = size
+	}
+	var replies [maxChunk]shm.Record
+	var flight []*chunk // issued and not yet retired, oldest first
+	defer func() {
+		for _, c := range flight {
+			c.drop()
+		}
+		err = s.peerErr(err, slot, b.gen)
+	}()
+
+	for issued, inflight := 0, 0; done < msgs; {
+		k := min(per, msgs-issued)
+		room := k > 0 && inflight+k <= w
+		if room {
+			lb, err := b.send.LoanBatch(ns[:k])
+			if err != nil {
+				return done, err
+			}
+			c := &chunk{lb: lb, recs: make([]shm.Record, k)}
+			flight = append(flight, c)
+			if err := s.issue(b, c, slot, issued, up, abort); err != nil {
+				return done, err
+			}
+			issued += k
+			inflight += k
+		}
+
+		// Replies: whatever is there while the window still has room,
+		// at least one once it is full or everything is issued.
+		var n int
+		if room {
+			n, err = b.up.PopBatch(replies[:])
+		} else {
+			n, err = b.up.PopBatchAbort(replies[:], time.Now().Add(xprocDeadline), abort)
+		}
 		if err != nil {
-			return done, deadErr(err, abort)
+			return done, err
 		}
-		off, ok := s.seg.OffsetOf(buf)
-		if !ok {
-			ln.Abort()
-			return done, errors.New("mpf: loan payload does not alias the shared segment")
+		for _, rec := range replies[:n] {
+			if xtagGen(rec.Tag) != uint8(b.gen) {
+				// A leftover of a reclaimed incarnation (defense in
+				// depth: reclamation reformats the rings, so this takes
+				// a zombie producer racing the reclaim).
+				continue
+			}
+			if len(flight) == 0 {
+				return done, fmt.Errorf("mpf: slot %d: reply tag %d with nothing in flight: %w",
+					slot, xtagKind(rec.Tag), shm.ErrRingCorrupt)
+			}
+			c := flight[0]
+			if err := c.match(rec, slot, up); err != nil {
+				return done, err
+			}
+			if !up {
+				done++
+			}
+			if c.got < len(c.recs) {
+				continue
+			}
+			if up {
+				if err := b.land(c, slot); err != nil {
+					return done, err
+				}
+				done += len(c.recs)
+			}
+			c.drop()
+			flight = flight[1:]
+			inflight -= len(c.recs)
 		}
-		rec := shm.Record{Off: off, Len: int32(len(buf)), Tag: xtag(XTagLoan, b.gen), Word: uint16(seq)}
-		if err := b.down.PushAbort(rec, time.Now().Add(xprocDeadline), abort); err != nil {
-			ln.Abort()
-			return done, deadErr(err, abort)
-		}
-		filled, err := b.popFor(b.up, abort)
-		if err != nil {
-			ln.Abort()
-			return done, deadErr(err, abort)
-		}
-		if xtagKind(filled.Tag) != XTagFilled {
-			ln.Abort()
-			return done, fmt.Errorf("mpf: slot %d seq %d: child sent tag %d, want FILLED", slot, seq, xtagKind(filled.Tag))
-		}
-		if err := ln.Commit(); err != nil {
-			return done, deadErr(err, abort)
-		}
-		v, err := b.recv.ReceiveViewDeadline(xprocDeadline)
-		if err != nil {
-			return done, deadErr(err, abort)
-		}
-		pay, _ := v.Bytes()
-		sum := xsum(pay)
-		v.Release()
-		if sum != filled.Word {
-			return done, fmt.Errorf("mpf: slot %d seq %d: child-filled payload sums %#x, child said %#x",
-				slot, seq, sum, filled.Word)
-		}
-		done++
 	}
 	return done, nil
+}
+
+// issue fills in and pushes one chunk's records. Down, the bridge
+// writes and checksums the payloads, circulates them and exports the
+// pinned views; up, it exports the unfilled loan windows.
+func (s *ProcServer) issue(b bridgeConn, c *chunk, slot, seq int, up bool, abort func() error) error {
+	kind := XTagLoan
+	if !up {
+		kind = XTagView
+		for i := range c.recs {
+			buf, ok := c.lb.Bytes(i)
+			if !ok {
+				return errFragmented
+			}
+			fillPattern(buf, slot, seq+i)
+			c.recs[i].Word = xsum(buf)
+		}
+		if err := b.circulate(c); err != nil {
+			return err
+		}
+	}
+	for i := range c.recs {
+		var pay []byte
+		var ok bool
+		if up {
+			pay, ok = c.lb.Bytes(i)
+			c.recs[i].Word = uint16(seq + i)
+		} else {
+			pay, ok = c.views[i].Bytes()
+		}
+		if !ok {
+			return errFragmented
+		}
+		off, ok := s.seg.OffsetOf(pay)
+		if !ok {
+			return errors.New("mpf: payload does not alias the shared segment")
+		}
+		c.recs[i].Off, c.recs[i].Len, c.recs[i].Tag = off, int32(len(pay)), xtag(kind, b.gen)
+	}
+	return b.down.PushBatchAbort(c.recs, time.Now().Add(xprocDeadline), abort)
+}
+
+// match retires the chunk's next record against a reply. Replies come
+// in the order the records went out and echo their window, so anything
+// else — another kind, another window, a changed ACK word — is not the
+// protocol: ErrRingCorrupt. A FILLED reply's word is the child's own
+// checksum, kept for land to verify.
+func (c *chunk) match(rec shm.Record, slot int, up bool) error {
+	want := c.recs[c.got]
+	if up {
+		want.Tag = xtag(XTagFilled, uint32(xtagGen(want.Tag)))
+		want.Word = rec.Word
+	} else {
+		want.Tag = xtag(XTagAck, uint32(xtagGen(want.Tag)))
+	}
+	if rec != want {
+		return fmt.Errorf("mpf: slot %d: child replied %+v to %+v: %w", slot, rec, c.recs[c.got], shm.ErrRingCorrupt)
+	}
+	c.recs[c.got].Word = rec.Word
+	c.got++
+	return nil
+}
+
+// land finishes an up chunk once every window is reported filled:
+// circulate it and check what arrives through the views against the
+// checksums the child reported.
+func (b bridgeConn) land(c *chunk, slot int) error {
+	if err := b.circulate(c); err != nil {
+		return err
+	}
+	for i, v := range c.views {
+		pay, _ := v.Bytes()
+		if sum := xsum(pay); sum != c.recs[i].Word {
+			return fmt.Errorf("mpf: slot %d: child-filled payload at %d sums %#x, child said %#x",
+				slot, c.recs[i].Off, sum, c.recs[i].Word)
+		}
+	}
+	return nil
 }
 
 // RingWaitStats sums the waiter counters of every bridge's ring
@@ -554,17 +719,14 @@ func (s *ProcServer) RingWaitStats() shm.WaitStats {
 	for i := range s.bridges {
 		b := &s.bridges[i]
 		b.mu.Lock()
-		down, up := b.down, b.up
+		down, up := b.conn.down, b.conn.up
 		b.mu.Unlock()
-		if down != nil {
-			data, space := down.WaitStats()
-			add(data)
-			add(space)
-		}
-		if up != nil {
-			data, space := up.WaitStats()
-			add(data)
-			add(space)
+		for _, r := range []*shm.XRing{down, up} {
+			if r != nil {
+				data, space := r.WaitStats()
+				add(data)
+				add(space)
+			}
 		}
 	}
 	return total
@@ -576,9 +738,9 @@ func (s *ProcServer) FinishSlot(slot int) error {
 	if err != nil {
 		return err
 	}
-	abort := s.slotAbort(slot, b.gen)
-	return deadErr(b.down.PushAbort(shm.Record{Tag: xtag(XTagDone, b.gen)},
-		time.Now().Add(xprocDeadline), abort), abort)
+	err = b.down.PushAbort(shm.Record{Tag: xtag(XTagDone, b.gen)},
+		time.Now().Add(xprocDeadline), s.slotAbort(slot, b.gen))
+	return s.peerErr(err, slot, b.gen)
 }
 
 // Close shuts the facility down and unmaps the segment. The returned
@@ -695,51 +857,57 @@ func (c *ProcClient) payload(rec shm.Record) ([]byte, error) {
 
 // Serve runs the worker loop: VIEW records are verified in place and
 // acknowledged, LOAN records filled in place, until a DONE record
-// arrives. Records tagged with a different attach generation are
-// discarded (stale leftovers of a dead predecessor). It returns after
-// detaching the slot; the caller still owns Close.
+// arrives. The worker takes what is queued, up to maxChunk records, in
+// one ring pop and answers the run with one ring push; every reply
+// echoes the window it answers, which is how the bridge matches it.
+// Records tagged with a different attach generation are discarded
+// (stale leftovers of a dead predecessor). It returns after detaching
+// the slot; the caller still owns Close.
 func (c *ProcClient) Serve() error {
 	defer c.table.Detach(c.slot)
+	var in, out [maxChunk]shm.Record
 	for {
-		rec, err := c.down.PopAbort(time.Now().Add(xprocDeadline), c.abort)
+		n, err := c.down.PopBatchAbort(in[:], time.Now().Add(xprocDeadline), c.abort)
 		if err != nil {
 			return fmt.Errorf("mpf: slot %d worker: %w", c.slot, err)
 		}
-		if xtagGen(rec.Tag) != uint8(c.gen) {
-			continue
+		replies, finished := out[:0], false
+		for _, rec := range in[:n] {
+			if xtagGen(rec.Tag) != uint8(c.gen) {
+				continue
+			}
+			kind := xtagKind(rec.Tag)
+			if kind == XTagDone {
+				finished = true
+				break
+			}
+			if kind != XTagView && kind != XTagLoan {
+				return fmt.Errorf("mpf: slot %d: unknown record tag %d", c.slot, kind)
+			}
+			pay, err := c.payload(rec)
+			if err != nil {
+				return err
+			}
+			if kind == XTagView {
+				if sum := xsum(pay); sum != rec.Word {
+					return fmt.Errorf("mpf: slot %d: payload at %d sums %#x, parent said %#x",
+						c.slot, rec.Off, sum, rec.Word)
+				}
+				faultpoint.Hit("child-ack")
+				rec.Tag = xtag(XTagAck, c.gen)
+			} else {
+				faultpoint.Hit("child-fill")
+				fillPattern(pay, c.slot, int(rec.Word)|1<<20) // distinct from down-phase patterns
+				rec.Tag, rec.Word = xtag(XTagFilled, c.gen), xsum(pay)
+			}
+			replies = append(replies, rec)
 		}
-		switch xtagKind(rec.Tag) {
-		case XTagDone:
+		if err := c.up.PushBatchAbort(replies, time.Now().Add(xprocDeadline), c.abort); err != nil {
+			return err
+		}
+		c.served += len(replies)
+		if finished {
 			return nil
-		case XTagView:
-			pay, err := c.payload(rec)
-			if err != nil {
-				return err
-			}
-			if sum := xsum(pay); sum != rec.Word {
-				return fmt.Errorf("mpf: slot %d: payload at %d sums %#x, parent said %#x",
-					c.slot, rec.Off, sum, rec.Word)
-			}
-			faultpoint.Hit("child-ack")
-			ack := shm.Record{Tag: xtag(XTagAck, c.gen), Word: rec.Word}
-			if err := c.up.PushAbort(ack, time.Now().Add(xprocDeadline), c.abort); err != nil {
-				return err
-			}
-			c.served++
-		case XTagLoan:
-			pay, err := c.payload(rec)
-			if err != nil {
-				return err
-			}
-			faultpoint.Hit("child-fill")
-			fillPattern(pay, c.slot, int(rec.Word)|1<<20) // distinct from down-phase patterns
-			filled := shm.Record{Tag: xtag(XTagFilled, c.gen), Word: xsum(pay)}
-			if err := c.up.PushAbort(filled, time.Now().Add(xprocDeadline), c.abort); err != nil {
-				return err
-			}
-			c.served++
-		default:
-			return fmt.Errorf("mpf: slot %d: unknown record tag %d", c.slot, xtagKind(rec.Tag))
 		}
 	}
 }

@@ -104,14 +104,14 @@ func TestProcServeAttachRoundTrip(t *testing.T) {
 	}
 
 	// The whole exchange crossed the process boundary by reference:
-	// the ledger must show every message on the zero-copy planes and
-	// not one payload byte copied.
+	// the ledger must show every message on the batched zero-copy
+	// planes and not one payload byte copied.
 	st := srv.Facility().Stats()
 	if st.PayloadCopiesIn != 0 || st.PayloadCopiesOut != 0 {
 		t.Fatalf("payload copies: in=%d out=%d, want 0/0", st.PayloadCopiesIn, st.PayloadCopiesOut)
 	}
-	if want := uint64(2 * 2 * msgs); st.LoanSends != want || st.ViewReceives != want {
-		t.Fatalf("ledger: loans=%d views=%d, want %d each", st.LoanSends, st.ViewReceives, want)
+	if want := uint64(2 * 2 * msgs); st.LoanBatchSends != want || st.HarvestedViews != want {
+		t.Fatalf("ledger: batched loans=%d harvested views=%d, want %d each", st.LoanBatchSends, st.HarvestedViews, want)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("server close (unmap): %v", err)
@@ -144,8 +144,9 @@ func TestProcAttachStaleGeneration(t *testing.T) {
 
 // TestProcReclaimSlot kills a child (in spirit) mid-round-trip: the
 // "child" pops a VIEW record and then vanishes without acking or
-// detaching. The bridge is parked waiting for the ack with a pinned
-// view and debited credit; ReclaimSlot must unpark it with ErrPeerDead,
+// detaching. The bridge is parked waiting for the acks with its window
+// of views pinned and credit debited; ReclaimSlot must unpark it with
+// ErrPeerDead,
 // restore every pin and credit block, reformat the rings and free the
 // slot — after which a second incarnation attaches and completes a full
 // workload over the same slot.
@@ -176,7 +177,8 @@ func TestProcReclaimSlot(t *testing.T) {
 	defer cl.Close()
 	gen := cl.Gen()
 
-	// The bridge pushes one VIEW and parks for the ack.
+	// The bridge pushes its window of VIEWs (all 5: the credit budget
+	// covers them) and parks for the acks.
 	bridgeErr := make(chan error, 1)
 	go func() {
 		_, err := srv.BridgeDown(0, 5, 256)
