@@ -302,30 +302,42 @@ func TuningFalseSharing(iters int) (packedNs, paddedNs float64) {
 // apart, starting from a 64-byte-aligned base so 1 word of gap means
 // provably the same cache line and 8 words provably distinct lines —
 // a struct of two adjacent fields could legitimately straddle a line
-// boundary and measure nothing.
+// boundary and measure nothing. Each goroutine pins its thread to a CPU
+// of its own where the platform allows, and the two rendezvous on their
+// processors before either starts: left to float, the kernel can stack
+// both threads on one CPU for longer than the millisecond a run lasts,
+// and two runs that never overlapped share no line whatever the layout.
+// The figure is the slower goroutine's time per increment.
 func falseSharingNs(iters, gapWords int) float64 {
 	buf := make([]uint64, 16+gapWords)
 	base := 0
 	for uintptr(unsafe.Pointer(&buf[base]))%64 != 0 {
 		base++
 	}
-	words := []*uint64{&buf[base], &buf[base+gapWords]}
+	words := [2]*uint64{&buf[base], &buf[base+gapWords]}
+	rendezvous := runtime.GOMAXPROCS(0) >= len(words)
+	var onCPU atomic.Int32
+	var elapsed [len(words)]time.Duration
 	var wg sync.WaitGroup
-	gate := make(chan struct{})
 	wg.Add(len(words))
-	for _, w := range words {
-		go func(w *uint64) {
+	for g, w := range words {
+		go func(g int, w *uint64) {
 			defer wg.Done()
-			<-gate
+			if restore, err := affinity.PinThread(g); err == nil {
+				defer restore()
+			}
+			onCPU.Add(1)
+			for rendezvous && onCPU.Load() < int32(len(words)) {
+			}
+			start := time.Now()
 			for i := 0; i < iters; i++ {
 				atomic.AddUint64(w, 1)
 			}
-		}(w)
+			elapsed[g] = time.Since(start)
+		}(g, w)
 	}
-	start := time.Now()
-	close(gate)
 	wg.Wait()
-	return float64(time.Since(start).Nanoseconds()) / float64(iters)
+	return float64(max(elapsed[0], elapsed[1]).Nanoseconds()) / float64(iters)
 }
 
 // TuningAffinityProbe reports whether the pinned leg can run here:

@@ -103,9 +103,7 @@ func (f *Facility) sendBatch(pid int, id ID, bufs [][]byte, total int) error {
 		return fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
 	}
 	for _, m := range msgs {
-		m.Pending = l.nBcast
-		m.FCFSNeeded = true
-		l.queue.Enqueue(m)
+		l.enqueueLocked(m)
 	}
 	l.cond.Broadcast() // one wakeup for the whole batch
 	l.wakeWaitersLocked()
@@ -202,11 +200,7 @@ func (f *Facility) receiveBatch(pid int, id ID, bufs [][]byte, deadline *time.Ti
 	// Claim every deliverable message (up to the buffer count) under the
 	// one lock hold, pinning each; the copies happen outside the lock.
 	claimed := make([]*msg.Message, 0, len(bufs))
-	for len(claimed) < len(bufs) {
-		m := l.availableLocked(d)
-		if m == nil {
-			break
-		}
+	for m := l.availableLocked(d); m != nil && len(claimed) < len(bufs); m = m.Next {
 		l.claimLocked(d, m)
 		claimed = append(claimed, m)
 	}

@@ -33,7 +33,11 @@
 // Head "pointers" are realised as sequence numbers into the FIFO's total
 // order, which makes the close_receive reclamation rule O(1) per receive
 // (see reclaim semantics below) instead of the pointer-comparison scan
-// the paper laments.
+// the paper laments. The shared FCFS head is additionally kept as a
+// pointer to its message, with a count of the queued messages below it:
+// an FCFS claim is O(1) and the reclaim scan after a receive visits only
+// messages FCFS has already consumed, whatever the queue's depth
+// (DESIGN.md §5).
 //
 // # Message retention and reclamation
 //

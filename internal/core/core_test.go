@@ -178,13 +178,19 @@ func TestFCFSSingleDelivery(t *testing.T) {
 		go func(pid int, rid ID) {
 			buf := make([]byte, 4)
 			count := 0
+			// check_receive is advisory for FCFS (the paper's caveat: a
+			// sibling may take the message between the check and a
+			// blocking receive, which would then park forever), so the
+			// drain uses the atomic TryReceive. Every message was sent
+			// before the receivers started: a receiver that finds none
+			// has seen the queue empty.
 			for {
-				ok, err := f.CheckReceive(pid, rid)
-				if err != nil || !ok {
+				n, ok, err := f.TryReceive(pid, rid, buf)
+				if err != nil {
+					t.Errorf("TryReceive: %v", err)
 					break
 				}
-				n, err := f.Receive(pid, rid, buf)
-				if err != nil {
+				if !ok {
 					break
 				}
 				if n != 1 {
@@ -199,23 +205,6 @@ func TestFCFSSingleDelivery(t *testing.T) {
 	total := 0
 	for i := 0; i < nRecv; i++ {
 		total += <-done
-	}
-	// check_receive is advisory for FCFS, so a receiver may exit while
-	// messages remain; drain the remainder synchronously.
-	buf := make([]byte, 4)
-	for {
-		ok, _ := f.CheckReceive(1, rids[0])
-		if !ok {
-			break
-		}
-		n, err := f.Receive(1, rids[0], buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 1 {
-			got <- buf[0]
-			total++
-		}
 	}
 	if total != nMsgs {
 		t.Fatalf("delivered %d messages, want %d", total, nMsgs)

@@ -575,17 +575,19 @@ func TestCreditChurnRace(t *testing.T) {
 	go func() { wg.Wait(); close(waitSenders) }()
 	deadline := time.After(60 * time.Second)
 	for {
-		drained := true
-		for c := 0; c < circuits; c++ {
-			if info, err := fac.LNVCInfo(anchors[c]); err == nil && info.QueuedMsgs > 0 {
-				drained = false
-			}
-		}
+		// Sample the senders first: queues seen empty before the last
+		// sends landed say nothing about the state after them.
 		senderDone := false
 		select {
 		case <-waitSenders:
 			senderDone = true
 		default:
+		}
+		drained := true
+		for c := 0; c < circuits; c++ {
+			if info, err := fac.LNVCInfo(anchors[c]); err == nil && info.QueuedMsgs > 0 {
+				drained = false
+			}
 		}
 		if senderDone && drained {
 			break

@@ -47,6 +47,18 @@ import (
 // FailFast keeps pool exhaustion from blocking the fuzzer — a refused
 // send is simply not recorded.
 //
+// Op 15 churns pid 1's FCFS connection the way op 5 churns pid 2's, so
+// a script can leave the circuit with no FCFS receiver at all: it is
+// then broadcast-only, messages still needing an FCFS consumption die
+// once both BROADCAST receivers have passed them, and a returning FCFS
+// receiver finds the shared head on the oldest survivor. From the first
+// such moment FCFS may legitimately skip stamps, so the FCFS contract
+// relaxes to at-most-once in increasing order; until then it is the
+// strict exactly-once above. In both regimes every FCFS consumption
+// must be the message a walk from the queue head finds, and after every
+// op checkCircuit holds the bounded reclaim scan, the cleared count and
+// the FCFS head cursor to the full-queue forms they replaced.
+//
 // The facility runs under credit flow control (CreditBlocks = 12 of
 // the region), so every op above doubles as a credit op: sends debit
 // the budget (a send the budget refuses surfaces as ErrNoCredit and is
@@ -80,6 +92,8 @@ func FuzzProtocolInvariants(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 8, 8, 13, 12, 9, 13, 6, 5, 13, 1, 1, 1, 7, 13})
 	f.Add([]byte{8, 14, 0, 0, 14, 5, 14, 2, 7, 7, 14, 5, 1, 1, 1, 1, 7, 7})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 14, 14, 14, 11, 14, 7, 7, 7, 7, 7, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{0, 0, 0, 6, 3, 4, 4, 5, 15, 4, 7, 0, 0, 3, 4, 15, 1, 1, 5, 2, 15, 5, 0, 6, 3, 15, 7, 1})
+	f.Add([]byte{8, 1, 6, 6, 15, 5, 4, 4, 4, 7, 7, 8, 11, 4, 4, 15, 1, 15, 14, 4, 4, 4, 5, 2, 2})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
@@ -138,7 +152,10 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfs2Open := true
+	fcfs1Open, fcfs2Open := true, true
+	// everBcastOnly latches once both FCFS connections have been closed
+	// at the same time (pids 3-4 keep BROADCAST connections throughout).
+	everBcastOnly := false
 	bc3, err := fac.OpenReceive(3, name, Broadcast)
 	if err != nil {
 		t.Fatal(err)
@@ -223,13 +240,24 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 		nextSeq++
 		sent++
 	}
-	fcfsRecv := func(pid int, id ID) {
+	// fcfsRecv reports whether a message was consumed.
+	fcfsRecv := func(pid int, id ID) bool {
+		// Stamps are queue sequence numbers (the sender keeps the
+		// circuit alive, so the sequence never restarts): the walk's
+		// answer names the stamp this receive must return.
+		l := fac.slots[id].Load()
+		l.lock.Lock()
+		want := walkFCFSHead(l)
+		l.lock.Unlock()
 		n, ok, err := fac.TryReceive(pid, id, buf)
 		if err != nil {
 			t.Fatalf("FCFS TryReceive pid %d: %v", pid, err)
 		}
+		if ok != (want != nil) {
+			t.Fatalf("FCFS TryReceive pid %d: ok = %v, walk from the queue head finds %s", pid, ok, seqOf(want))
+		}
 		if !ok {
-			return
+			return false
 		}
 		if n != 8 {
 			t.Fatalf("FCFS pid %d got %d bytes", pid, n)
@@ -239,10 +267,33 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 		if fcfsSeen[stamp] > 1 {
 			t.Fatalf("message %d consumed %d times by FCFS", stamp, fcfsSeen[stamp])
 		}
-		if stamp != fcfsOrder {
-			t.Fatalf("FCFS consumed %d, want next-in-order %d", stamp, fcfsOrder)
+		if stamp != want.Seq {
+			t.Fatalf("FCFS consumed %d, walk from the queue head finds %s", stamp, seqOf(want))
 		}
-		fcfsOrder++
+		if stamp < fcfsOrder || (stamp > fcfsOrder && !everBcastOnly) {
+			t.Fatalf("FCFS consumed %d, want next-in-order %d (broadcast-only so far: %v)", stamp, fcfsOrder, everBcastOnly)
+		}
+		fcfsOrder = stamp + 1
+		return true
+	}
+	// churnFCFS closes pid's FCFS connection if open, else reopens it:
+	// a reopened connection inherits the shared FCFS head — no double
+	// delivery, and no gap unless the circuit went broadcast-only.
+	churnFCFS := func(pid int, id *ID, open *bool) {
+		if *open {
+			if err := fac.CloseReceive(pid, *id); err != nil {
+				t.Fatalf("close fcfs pid %d: %v", pid, err)
+			}
+		} else {
+			var err error
+			if *id, err = fac.OpenReceive(pid, name, FCFS); err != nil {
+				t.Fatalf("reopen fcfs pid %d: %v", pid, err)
+			}
+		}
+		*open = !*open
+		if !fcfs1Open && !fcfs2Open {
+			everBcastOnly = true
+		}
 	}
 	bcastRecv := func(pid int, id ID, viaView bool) {
 		var stamp uint64
@@ -405,7 +456,9 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 		case 0:
 			doSend(viaZC)
 		case 1:
-			fcfsRecv(1, fcfs1)
+			if fcfs1Open {
+				fcfsRecv(1, fcfs1)
+			}
 		case 2:
 			if fcfs2Open {
 				fcfsRecv(2, fcfs2)
@@ -415,20 +468,7 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 		case 4:
 			bcastRecv(4, bc4, viaZC)
 		case 5:
-			if fcfs2Open {
-				if err := fac.CloseReceive(2, fcfs2); err != nil {
-					t.Fatalf("close fcfs2: %v", err)
-				}
-				fcfs2Open = false
-			} else {
-				// Reopening inherits the shared FCFS head: no
-				// double delivery, no gap.
-				fcfs2, err = fac.OpenReceive(2, name, FCFS)
-				if err != nil {
-					t.Fatalf("reopen fcfs2: %v", err)
-				}
-				fcfs2Open = true
-			}
+			churnFCFS(2, &fcfs2, &fcfs2Open)
 		case 6:
 			holdView()
 		case 7:
@@ -447,21 +487,25 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 			checkLedger()
 		case 14:
 			harvestViews(0) // adaptive budget + fairness cap
-		default:
-			// 15 reserved; treated as a no-op so a future op can
-			// claim it without invalidating today's corpus.
+		case 15:
+			churnFCFS(1, &fcfs1, &fcfs1Open)
 		}
+		checkCircuit(t, fac, sid)
 	}
 
 	// Drain: every accepted message must reach exactly one FCFS
-	// receiver and both broadcast receivers, in order. pid 3
-	// alternates views and copies on the way out.
-	for fcfsOrder < sent {
-		before := fcfsOrder
-		fcfsRecv(1, fcfs1)
-		if fcfsOrder == before {
-			t.Fatalf("FCFS drain stalled at %d of %d", fcfsOrder, sent)
-		}
+	// receiver — unless the circuit was ever broadcast-only, when the
+	// receive-time checks above are the whole FCFS contract — and both
+	// broadcast receivers, in order. pid 3 alternates views and copies
+	// on the way out.
+	if !fcfs1Open {
+		churnFCFS(1, &fcfs1, &fcfs1Open)
+	}
+	for fcfsRecv(1, fcfs1) {
+		checkCircuit(t, fac, sid)
+	}
+	if fcfsOrder < sent && !everBcastOnly {
+		t.Fatalf("FCFS drain stalled at %d of %d", fcfsOrder, sent)
 	}
 	for _, pid := range []int{3, 4} {
 		id := bc3
@@ -474,9 +518,10 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 			if bcNext[pid] == before {
 				t.Fatalf("BROADCAST pid %d drain stalled at %d of %d", pid, bcNext[pid], sent)
 			}
+			checkCircuit(t, fac, sid)
 		}
 	}
-	for stamp := uint64(0); stamp < sent; stamp++ {
+	for stamp := uint64(0); stamp < sent && !everBcastOnly; stamp++ {
 		if fcfsSeen[stamp] != 1 {
 			t.Fatalf("message %d consumed %d times by FCFS, want exactly 1", stamp, fcfsSeen[stamp])
 		}

@@ -47,8 +47,19 @@ type lnvc struct {
 
 	cond *sync.Cond // signalled on enqueue and shutdown
 
-	queue       msg.Queue
-	fcfsHeadSeq uint64 // shared FCFS head: next sequence FCFS may consume
+	queue msg.Queue
+
+	// The queue is always a run of messages whose FCFSNeeded is clear
+	// followed by a run whose FCFSNeeded is set: FCFS claims take the
+	// oldest set message, a backlog inheritance clears every one, and
+	// enqueue appends a set one. fcfsDone is the length of the first run
+	// and fcfsHead the first message of the second (nil when it is
+	// empty) — the shared FCFS head as a pointer, which is what makes an
+	// FCFS availableLocked O(1), and the bound on reclaimLocked's walk.
+	// Maintained by enqueueLocked, claimLocked, removeLocked,
+	// dropQueueLocked and the inheritance in OpenReceive.
+	fcfsHead *msg.Message
+	fcfsDone int
 
 	sends  map[int]*sendDesc
 	recvs  map[int]*recvDesc
@@ -102,8 +113,7 @@ func newLNVC(name string, id ID, shard uint32) *lnvc {
 func (l *lnvc) reset(name string, id ID) {
 	l.name = name
 	l.id = id
-	l.queue = msg.Queue{}
-	l.fcfsHeadSeq = 0
+	l.dropQueueLocked()
 	clear(l.sends)
 	clear(l.recvs)
 	l.nFCFS, l.nBcast = 0, 0
@@ -124,6 +134,39 @@ func (l *lnvc) reset(name string, id ID) {
 }
 
 func (l *lnvc) connections() int { return len(l.sends) + len(l.recvs) }
+
+// enqueueLocked appends m to the FIFO with its delivery state set (rule
+// 1 of the package comment): one Pending reference per connected
+// BROADCAST receiver and an outstanding FCFS consumption.
+func (l *lnvc) enqueueLocked(m *msg.Message) {
+	m.Pending = l.nBcast
+	m.FCFSNeeded = true
+	l.queue.Enqueue(m)
+	if l.fcfsHead == nil {
+		l.fcfsHead = m
+	}
+}
+
+// removeLocked unlinks m, whose predecessor is prev (nil for the head).
+// A message with its FCFS consumption outstanding is only ever removed
+// from a broadcast-only circuit; if it is the cursor, the cursor moves
+// to its successor, which is the next message still needing FCFS.
+func (l *lnvc) removeLocked(m, prev *msg.Message) {
+	if !m.FCFSNeeded {
+		l.fcfsDone--
+	} else if l.fcfsHead == m {
+		l.fcfsHead = m.Next
+	}
+	l.queue.Remove(m, prev)
+}
+
+// dropQueueLocked forgets every queued message (the caller has
+// collected or orphaned them) together with the FCFS cursor and count.
+func (l *lnvc) dropQueueLocked() {
+	l.queue = msg.Queue{}
+	l.fcfsHead = nil
+	l.fcfsDone = 0
+}
 
 func (l *lnvc) getSendDesc(pid int) *sendDesc {
 	if n := len(l.sendFree); n > 0 {
@@ -186,6 +229,8 @@ func (f *Facility) OpenReceive(pid int, name string, proto Protocol) (ID, error)
 					m.FCFSNeeded = false
 					return true
 				})
+				l.fcfsHead = nil
+				l.fcfsDone = l.queue.Len()
 			}
 		}
 		l.recvs[pid] = l.getRecvDesc(pid, proto, head)
@@ -359,7 +404,7 @@ func (f *Facility) close(pid int, id ID, detach func(*lnvc) error) error {
 			}
 			return true
 		})
-		l.queue = msg.Queue{}
+		l.dropQueueLocked()
 		// The ledger dies with the circuit: outstanding debits —
 		// dropped unread messages, orphans passing to their pin
 		// holders, loans still out — return to the facility gauge here
@@ -456,9 +501,7 @@ func (f *Facility) send(pid int, id ID, buf []byte) error {
 		f.refundCredit(l, creditGen, creditBlocks)
 		return fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
 	}
-	m.Pending = l.nBcast
-	m.FCFSNeeded = true
-	l.queue.Enqueue(m)
+	l.enqueueLocked(m)
 	l.cond.Broadcast()
 	l.wakeWaitersLocked()
 	l.lock.Unlock()
@@ -582,17 +625,20 @@ func (f *Facility) waitClaim(pid int, id ID, deadline *time.Time) (*lnvc, *msg.M
 }
 
 // claimLocked consumes m for receiver d — for FCFS the claim (advancing
-// the shared head) must happen under the lock or two FCFS receivers
-// could take the same message; for BROADCAST it advances the private
-// head and releases the Pending reference — and pins it. The pin is
-// what keeps the blocks alive while the holder reads them outside the
-// lock, whether for the paper's receive copy or for a held View; a
-// pinned message is never recycled (reclaimLocked skips it, the close
-// path orphans it to the pin holders instead of releasing it).
+// the shared head and its cursor) must happen under the lock or two FCFS
+// receivers could take the same message; for BROADCAST it advances the
+// private head and releases the Pending reference — and pins it. m must
+// be the message availableLocked(d) returns (in a claim loop, the
+// successor of the one d claimed last). The pin is what keeps the
+// blocks alive while the holder reads them outside the lock, whether
+// for the paper's receive copy or for a held View; a pinned message is
+// never recycled (reclaimLocked skips it, the close path orphans it to
+// the pin holders instead of releasing it).
 func (l *lnvc) claimLocked(d *recvDesc, m *msg.Message) {
 	if d.proto == FCFS {
 		m.FCFSNeeded = false
-		l.fcfsHeadSeq = m.Seq + 1
+		l.fcfsHead = m.Next
+		l.fcfsDone++
 	} else {
 		d.headSeq = m.Seq + 1
 		m.Pending--
@@ -646,21 +692,15 @@ func (f *Facility) unpinAll(l *lnvc, ms []*msg.Message) {
 }
 
 // availableLocked returns the next message deliverable to d, or nil.
+// Once d has claimed it, the next deliverable message is its successor
+// in the queue under either protocol, so a claim loop follows Next
+// instead of asking again. The BROADCAST head stays a sequence number
+// resolved by a walk from the queue head: a receiver that has caught up
+// has no message to point at, and keeping a pointer would mean every
+// enqueue visiting every such receiver.
 func (l *lnvc) availableLocked(d *recvDesc) *msg.Message {
 	if d.proto == FCFS {
-		// The first message not yet FCFS-consumed. Messages below the
-		// shared head have FCFSNeeded cleared, so scanning from the
-		// queue head for FCFSNeeded is equivalent to following the
-		// shared head pointer; the queue head is almost always it.
-		var found *msg.Message
-		l.queue.Walk(func(m, _ *msg.Message) bool {
-			if m.FCFSNeeded && m.Seq >= l.fcfsHeadSeq {
-				found = m
-				return false
-			}
-			return true
-		})
-		return found
+		return l.fcfsHead
 	}
 	return l.queue.After(d.headSeq)
 }
@@ -759,52 +799,64 @@ func (f *Facility) checkReceive(pid int, id ID) (bool, error) {
 // reclaimLocked removes and recycles every message that no connected
 // receiver can still consume (rules 3-4 of the package comment). Called
 // under the LNVC lock after any event that can release a claim.
+//
+// Unless the circuit is broadcast-only, a message whose FCFS
+// consumption is outstanding cannot be dead, and the others are the
+// fcfsDone oldest in the queue: the walk stops after them, and does not
+// start when there are none — the steady state of a stream, where each
+// receive retires the one message it consumed however deep the queue
+// behind it. A broadcast-only circuit walks the whole queue.
 func (f *Facility) reclaimLocked(l *lnvc) {
 	bcastOnly := l.nFCFS == 0 && (l.nBcast > 0)
-	type rm struct{ m, prev *msg.Message }
-	var victims []rm
-	var prevSurvivor *msg.Message
-	l.queue.Walk(func(m, _ *msg.Message) bool {
-		dead := m.Pins == 0 && m.Pending == 0 && (!m.FCFSNeeded || bcastOnly)
-		if dead {
-			victims = append(victims, rm{m, prevSurvivor})
+	scan := l.fcfsDone
+	if bcastOnly {
+		scan = l.queue.Len()
+	}
+	if scan == 0 {
+		return
+	}
+	var victimsBuf [32]*msg.Message
+	victims := victimsBuf[:0]
+	granted := 0
+	var prev *msg.Message
+	for m := l.queue.Head(); scan > 0; scan-- {
+		next := m.Next
+		// Inside the bound the FCFS clause of rule 3 already holds.
+		if m.Pins == 0 && m.Pending == 0 {
+			l.removeLocked(m, prev)
+			victims = append(victims, m)
+			granted += m.Blocks
 		} else {
-			prevSurvivor = m
+			prev = m
 		}
-		return true
-	})
-	for _, v := range victims {
-		l.queue.Remove(v.m, v.prev)
+		m = next
 	}
-	// Release blocks outside the queue walk; still under the LNVC lock,
-	// but the arena has its own lock so this is safe (arena lock is a
-	// leaf in the lock order). The whole scan's victims go back in one
-	// free-pool transaction — a batched receive's reclaim costs one
-	// arena lock acquisition however many messages it retired.
-	if len(victims) > 0 {
-		var msgsBuf [16]*msg.Message
-		ms := msgsBuf[:0]
-		granted := 0
-		for _, v := range victims {
-			ms = append(ms, v.m)
-			granted += v.m.Blocks
-		}
-		f.pool.ReleaseBatch(ms)
-		// The victims' blocks are back in the region: return their
-		// accounted demand to the circuit's credit budget and wake any
-		// senders parked for it — one grant for the whole scan.
-		f.grantCreditLocked(l, granted)
+	if len(victims) == 0 {
+		return
 	}
+	// Still under the LNVC lock, but the arena has its own lock so this
+	// is safe (arena lock is a leaf in the lock order). The whole scan's
+	// victims go back in one free-pool transaction — a batched receive's
+	// reclaim costs one arena lock acquisition however many messages it
+	// retired.
+	f.pool.ReleaseBatch(victims)
+	// The victims' blocks are back in the region: return their accounted
+	// demand to the circuit's credit budget and wake any senders parked
+	// for it — one grant for the whole scan.
+	f.grantCreditLocked(l, granted)
 }
 
 // Info describes an LNVC's current state for introspection and tests.
 type Info struct {
-	Name          string
-	ID            ID
-	QueuedMsgs    int
-	Senders       int
-	FCFSRecvs     int
-	BcastRecvs    int
+	Name       string
+	ID         ID
+	QueuedMsgs int
+	Senders    int
+	FCFSRecvs  int
+	BcastRecvs int
+	// FCFSHeadSeq is the sequence number of the next message an FCFS
+	// receiver would consume: the FCFS head's, or NextSeq when nothing
+	// queued still needs an FCFS consumption.
 	FCFSHeadSeq   uint64
 	NextSeq       uint64
 	SenderPIDs    []int
@@ -839,11 +891,14 @@ func (f *Facility) LNVCInfo(id ID) (Info, error) {
 		Senders:       len(l.sends),
 		FCFSRecvs:     l.nFCFS,
 		BcastRecvs:    l.nBcast,
-		FCFSHeadSeq:   l.fcfsHeadSeq,
+		FCFSHeadSeq:   l.queue.NextSeq(),
 		NextSeq:       l.queue.NextSeq(),
 		ReceiverProto: make(map[int]Protocol, len(l.recvs)),
 		CreditCap:     f.cfg.CreditBlocks,
 		CreditUsed:    int(l.creditUsed),
+	}
+	if l.fcfsHead != nil {
+		info.FCFSHeadSeq = l.fcfsHead.Seq
 	}
 	for pid := range l.sends {
 		info.SenderPIDs = append(info.SenderPIDs, pid)

@@ -217,9 +217,7 @@ func (b *LoanBatch) commit(n int) (int, error) {
 		return 0, fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, b.id, b.pid)
 	}
 	for _, m := range b.msgs[:n] {
-		m.Pending = l.nBcast
-		m.FCFSNeeded = true
-		l.queue.Enqueue(m)
+		l.enqueueLocked(m)
 	}
 	if n > 0 {
 		l.cond.Broadcast() // one wakeup for the whole batch

@@ -1,0 +1,243 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/msg"
+)
+
+// walkFCFSHead is availableLocked's FCFS branch as it was before the
+// head cursor: the first queued message still needing an FCFS
+// consumption, found by a walk from the queue head.
+func walkFCFSHead(l *lnvc) *msg.Message {
+	var found *msg.Message
+	l.queue.Walk(func(m, _ *msg.Message) bool {
+		if m.FCFSNeeded {
+			found = m
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// checkCircuit holds the circuit's bounded reclaim scan and FCFS cursor
+// to the unbounded forms they replaced. Valid after any facility call
+// has returned: a full-queue scan finds no dead message (so the bounded
+// scan left none behind), the messages with FCFSNeeded clear are a prefix
+// of the queue whose length is fcfsDone, and fcfsHead is what the walk
+// from the queue head returns. A deleted circuit has nothing to check.
+func checkCircuit(t *testing.T, f *Facility, id ID) {
+	t.Helper()
+	l := f.slots[id].Load()
+	if l == nil {
+		return
+	}
+	l.lock.Lock()
+	defer l.lock.Unlock()
+	bcastOnly := l.nFCFS == 0 && l.nBcast > 0
+	cleared, needed := 0, 0
+	l.queue.Walk(func(m, _ *msg.Message) bool {
+		if m.Pins == 0 && m.Pending == 0 && (!m.FCFSNeeded || bcastOnly) {
+			t.Errorf("dead message seq %d left queued (fcfsDone %d, queue %d, broadcast-only %v)",
+				m.Seq, l.fcfsDone, l.queue.Len(), bcastOnly)
+		}
+		if m.FCFSNeeded {
+			needed++
+		} else {
+			cleared++
+			if needed > 0 {
+				t.Errorf("message seq %d has FCFSNeeded clear behind %d that have it set", m.Seq, needed)
+			}
+		}
+		return true
+	})
+	if cleared != l.fcfsDone {
+		t.Errorf("fcfsDone = %d, recount finds %d of %d queued messages with FCFSNeeded clear",
+			l.fcfsDone, cleared, l.queue.Len())
+	}
+	if want := walkFCFSHead(l); l.fcfsHead != want {
+		t.Errorf("fcfsHead = %s, walk from the queue head finds %s", seqOf(l.fcfsHead), seqOf(want))
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+func seqOf(m *msg.Message) string {
+	if m == nil {
+		return "nil"
+	}
+	return fmt.Sprintf("seq %d", m.Seq)
+}
+
+// TestReclaimBoundAndCursor walks one circuit through the states that
+// move the FCFS cursor and the cleared count other than by a plain
+// claim — a late BROADCAST join inheriting a backlog, removals from the
+// middle of the queue around pinned messages, the last FCFS close
+// turning the circuit broadcast-only (where messages still needing FCFS
+// die, the cursor's own among them), deletion with pins held and the
+// descriptor's reuse — checking the circuit after every step.
+func TestReclaimBoundAndCursor(t *testing.T) {
+	f := newFac(t)
+	const name = "bound"
+	buf := make([]byte, 8)
+	var sid ID
+	step := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		checkCircuit(t, f, sid)
+	}
+	send := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			step("send", f.Send(0, sid, []byte("payload!")))
+		}
+	}
+	recv := func(pid int, id ID, wantOK bool) {
+		t.Helper()
+		_, ok, err := f.TryReceive(pid, id, buf)
+		if ok != wantOK {
+			t.Fatalf("TryReceive pid %d: ok = %v, want %v", pid, ok, wantOK)
+		}
+		step("receive", err)
+	}
+	view := func(pid int, id ID) *View {
+		t.Helper()
+		v, ok, err := f.TryReceiveView(pid, id)
+		if !ok {
+			t.Fatalf("TryReceiveView pid %d found nothing", pid)
+		}
+		step("view", err)
+		return v
+	}
+	release := func(v *View) {
+		t.Helper()
+		v.Release()
+		step("release", nil)
+	}
+	queued := func(want int) {
+		t.Helper()
+		info, err := f.LNVCInfo(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.QueuedMsgs != want {
+			t.Fatalf("%d messages queued, want %d", info.QueuedMsgs, want)
+		}
+	}
+
+	sid, err := f.OpenSend(0, name)
+	step("open send", err)
+
+	// A backlog retained with no receiver, inherited whole by a late
+	// BROADCAST joiner: every message has FCFSNeeded cleared at once.
+	send(5)
+	bc, err := f.OpenReceive(3, name, Broadcast)
+	step("late broadcast join", err)
+	send(3) // seq 5-7: these still need FCFS
+	fc1, err := f.OpenReceive(1, name, FCFS)
+	step("open fcfs 1", err)
+	fc2, err := f.OpenReceive(2, name, FCFS)
+	step("open fcfs 2", err)
+	recv(3, bc, true) // seq 0 consumed by its only claimant: reclaimed
+	queued(7)
+
+	// Pins around a removal from the middle: views on seq 1, 2 and 3,
+	// then 2 released first.
+	v1, v2, v3 := view(3, bc), view(3, bc), view(3, bc)
+	release(v2)
+	queued(6)
+	recv(3, bc, true) // seq 4, behind two pinned messages
+	queued(5)
+	release(v1)
+	release(v3)
+	queued(3)
+
+	// Two FCFS receivers hold views on seq 5 and 6; the broadcast
+	// receiver passes both. Releasing 6 first removes it from behind the
+	// pinned head.
+	w5, w6 := view(1, fc1), view(2, fc2)
+	recv(3, bc, true)
+	recv(3, bc, true)
+	release(w6)
+	queued(2)
+	release(w5)
+	queued(1) // seq 7: needed by FCFS and by the broadcast receiver
+
+	// Broadcast-only: with the FCFS receivers gone, messages that still
+	// need FCFS die once the broadcast receiver has passed them.
+	send(4) // seq 8-11
+	b7, b8 := view(3, bc), view(3, bc)
+	recv(3, bc, true) // seq 9
+	recv(3, bc, true) // seq 10
+	step("close fcfs 2", f.CloseReceive(2, fc2))
+	queued(5) // still hoarded for FCFS 1
+	step("close fcfs 1", f.CloseReceive(1, fc1))
+	queued(3) // seq 9 and 10 died behind the two pinned messages; 11 is pending
+	release(b8)
+	queued(2)
+	release(b7) // the cursor's own message dies: the cursor moves to seq 11
+	queued(1)
+
+	// An FCFS receiver coming back finds the shared head on seq 11.
+	fc1, err = f.OpenReceive(1, name, FCFS)
+	step("reopen fcfs 1", err)
+	recv(1, fc1, true)
+	recv(1, fc1, false)
+	recv(3, bc, true)
+	queued(0)
+
+	// Deletion with a pin held, then the descriptor's next life.
+	send(3)
+	held := view(1, fc1)
+	step("close fcfs 1", f.CloseReceive(1, fc1))
+	step("close broadcast", f.CloseReceive(3, bc))
+	step("close send", f.CloseSend(0, sid))
+	if _, ok := f.LNVCByName(name); ok {
+		t.Fatal("circuit survived its last close")
+	}
+	held.Release()
+	sid, err = f.OpenSend(0, name)
+	step("reopen send", err)
+	fc1, err = f.OpenReceive(1, name, FCFS)
+	step("reopen fcfs 1", err)
+	send(2)
+	recv(1, fc1, true)
+	recv(1, fc1, true)
+	recv(1, fc1, false)
+	queued(0)
+	if free, total := f.Arena().FreeBlocks(), f.Arena().NumBlocks(); free != total {
+		t.Fatalf("block leak: %d of %d free", free, total)
+	}
+}
+
+// TestSendTryReceiveNoAllocs pins the single-message copying path —
+// arena transaction, header, enqueue, claim, reclaim — at zero heap
+// allocations per message in both allocation modes.
+func TestSendTryReceiveNoAllocs(t *testing.T) {
+	for _, classic := range []bool{false, true} {
+		f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 4, ClassicChains: classic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sid, _ := f.OpenSend(0, "allocs")
+		rid, _ := f.OpenReceive(1, "allocs", FCFS)
+		in, out := make([]byte, 1024), make([]byte, 1024)
+		n := testing.AllocsPerRun(200, func() {
+			if err := f.Send(0, sid, in); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := f.TryReceive(1, rid, out); !ok || err != nil {
+				t.Fatalf("TryReceive: ok %v, err %v", ok, err)
+			}
+		})
+		f.Shutdown()
+		if n != 0 {
+			t.Errorf("classic chains %v: Send+TryReceive made %v heap allocations, want 0", classic, n)
+		}
+	}
+}

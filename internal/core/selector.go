@@ -595,17 +595,14 @@ func (s *Selector) harvestViews(max int, deadline *time.Time) ([]*View, error) {
 			// fairness cap) under this one lock hold — the whole point
 			// of the harvest.
 			claimed := 0
-			for len(out) < max && claimed < perCircuit {
-				m := fr.l.availableLocked(d)
-				if m == nil {
-					break
-				}
+			m := fr.l.availableLocked(d)
+			for ; m != nil && len(out) < max && claimed < perCircuit; m = m.Next {
 				fr.l.claimLocked(d, m)
 				out = append(out, &View{f: f, l: fr.l, m: m, id: fr.id})
 				total += m.Length
 				claimed++
 			}
-			more := fr.l.availableLocked(d) != nil
+			more := m != nil
 			fr.l.lock.Unlock()
 			if more {
 				// Budget- or cap-limited with traffic left: stays armed.

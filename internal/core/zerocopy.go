@@ -178,9 +178,7 @@ func (ln *Loan) commit() error {
 		f.refundCredit(l, ln.creditGen, ln.creditBlocks)
 		return fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, ln.id, ln.pid)
 	}
-	ln.m.Pending = l.nBcast
-	ln.m.FCFSNeeded = true
-	l.queue.Enqueue(ln.m)
+	l.enqueueLocked(ln.m)
 	l.cond.Broadcast()
 	l.wakeWaitersLocked()
 	l.lock.Unlock()

@@ -93,6 +93,31 @@ func TestBuildExhaustion(t *testing.T) {
 	}
 }
 
+// TestBuildReleaseNoAllocs pins the single-message arena transactions
+// (AllocPayload, FreeChain) and the header free list at zero heap
+// allocations per message, in both allocation modes: nothing on this
+// path may allocate, least of all under the arena spinlock.
+func TestBuildReleaseNoAllocs(t *testing.T) {
+	for _, spans := range []bool{false, true} {
+		a, err := shm.New(shm.Config{BlockSize: 64, NumBlocks: 512, Spans: spans})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewPool(a, 8)
+		buf := make([]byte, 1024)
+		n := testing.AllocsPerRun(200, func() {
+			m, err := p.Build(1, buf, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Release(m)
+		})
+		if n != 0 {
+			t.Errorf("spans %v: Build+Release made %v heap allocations, want 0", spans, n)
+		}
+	}
+}
+
 func TestHeaderRecycling(t *testing.T) {
 	p := newPool(t, 16, 32)
 	m1, _ := p.Build(0, []byte("x"), false, nil)

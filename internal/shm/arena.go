@@ -215,9 +215,7 @@ func NewAt(cfg Config, mem []byte) (*Arena, error) {
 	}
 	if a.spans {
 		a.freeBits = make([]uint64, (cfg.NumBlocks+63)/64)
-		for i := 0; i < cfg.NumBlocks; i++ {
-			a.freeBits[i/64] |= 1 << (i % 64)
-		}
+		a.flipRunLocked(0, a.nBlocks, true)
 		a.spanLen = make([]int32, cfg.NumBlocks)
 		a.freeHead = NilOffset
 	} else {
@@ -354,43 +352,48 @@ func (a *Arena) findFreeLocked() int32 {
 }
 
 // bestRunLocked scans for a run of want consecutive free blocks,
-// starting at the lowFree bound (no free block exists below it). It
-// returns the first such run immediately; failing that, the longest run
-// found (length 0 when the region is exhausted).
+// starting at the lowest free block (which tightens the lowFree bound).
+// It returns the first such run immediately; failing that, the earliest
+// longest run found (length 0 when the region is exhausted). The scan
+// moves a bitmap word at a time: an all-allocated or all-free word costs
+// one step, and a mixed word one step per run boundary in it
+// (bits.TrailingZeros64 of the word and of its complement), never one
+// per block.
 func (a *Arena) bestRunLocked(want int32) (start, length int32) {
+	if a.nFree == 0 {
+		return 0, 0
+	}
 	var bestStart, bestLen, runStart, runLen int32
-	first := true
-	for i := a.lowFree &^ 63; i < a.nBlocks; {
-		w := a.freeBits[i/64]
-		if w == 0 && i%64 == 0 {
-			// A whole empty word: the current run is over.
-			if runLen > bestLen {
-				bestStart, bestLen = runStart, runLen
+	for wi := int(a.findFreeLocked() >> 6); wi < len(a.freeBits); wi++ {
+		w := a.freeBits[wi]
+		for pos := 0; pos < 64; {
+			rest := w >> pos
+			if z := bits.TrailingZeros64(rest); z > 0 {
+				// Allocated blocks — to the end of the word when rest
+				// is zero — close the current run.
+				if runLen > bestLen {
+					bestStart, bestLen = runStart, runLen
+				}
+				runLen = 0
+				if rest == 0 {
+					break
+				}
+				pos += z
+				rest >>= z
 			}
-			runLen = 0
-			i += 64
-			continue
-		}
-		if w&(1<<(i%64)) != 0 {
-			if first {
-				// Lowest free block seen this scan: tighten the bound.
-				a.lowFree = i
-				first = false
-			}
+			// The shifts filled rest's top with zeros, so the lowest set
+			// bit of its complement is at most 64-pos: the length of the
+			// free run starting at pos, clipped to this word.
+			ones := bits.TrailingZeros64(^rest)
 			if runLen == 0 {
-				runStart = i
+				runStart = int32(wi)<<6 + int32(pos)
 			}
-			runLen++
+			runLen += int32(ones)
 			if runLen >= want {
-				return runStart, runLen
+				return runStart, want
 			}
-		} else {
-			if runLen > bestLen {
-				bestStart, bestLen = runStart, runLen
-			}
-			runLen = 0
+			pos += ones
 		}
-		i++
 	}
 	if runLen > bestLen {
 		bestStart, bestLen = runStart, runLen
@@ -398,14 +401,36 @@ func (a *Arena) bestRunLocked(want int32) (start, length int32) {
 	return bestStart, bestLen
 }
 
+// flipRunLocked flips the free bits of blocks [start, start+k) a word at
+// a time under a range mask: to free when toFree is set, to allocated
+// otherwise. Every bit must be in the opposite state beforehand; one that
+// is not is allocator corruption, found by a masked compare and reported
+// for the lowest offending block before the word is changed.
+func (a *Arena) flipRunLocked(start, k int32, toFree bool) {
+	for i, end := start, start+k; i < end; {
+		lo := uint(i) & 63
+		n := min(64-lo, uint(end-i))
+		mask := ^uint64(0) >> (64 - n) << lo
+		w := &a.freeBits[i>>6]
+		want := mask
+		if toFree {
+			want = 0
+		}
+		if bad := *w&mask ^ want; bad != 0 {
+			block := i&^63 + int32(bits.TrailingZeros64(bad))
+			if toFree {
+				panic(fmt.Sprintf("shm: double free of block %d", block))
+			}
+			panic(fmt.Sprintf("shm: takeRun of allocated block %d", block))
+		}
+		*w ^= mask
+		i += int32(n)
+	}
+}
+
 // takeRunLocked marks blocks [start, start+k) allocated as one span.
 func (a *Arena) takeRunLocked(start, k int32) {
-	for i := start; i < start+k; i++ {
-		if a.freeBits[i/64]&(1<<(i%64)) == 0 {
-			panic(fmt.Sprintf("shm: takeRun of allocated block %d", i))
-		}
-		a.freeBits[i/64] &^= 1 << (i % 64)
-	}
+	a.flipRunLocked(start, k, false)
 	a.spanLen[start] = k
 	a.nFree -= k
 	a.stats.Allocs += uint64(k)
@@ -424,12 +449,7 @@ func (a *Arena) freeSpanLocked(off int32) {
 	if k < 1 {
 		panic(fmt.Sprintf("shm: free of unallocated span at offset %d", off))
 	}
-	for i := idx; i < idx+k; i++ {
-		if a.freeBits[i/64]&(1<<(i%64)) != 0 {
-			panic(fmt.Sprintf("shm: double free of block %d", i))
-		}
-		a.freeBits[i/64] |= 1 << (i % 64)
-	}
+	a.flipRunLocked(idx, k, true)
 	a.spanLen[idx] = 0
 	a.nFree += k
 	a.stats.Frees += uint64(k)
@@ -553,6 +573,76 @@ func (a *Arena) AllocChain(n int, wait bool, stop <-chan struct{}) (int32, error
 	return head, nil
 }
 
+// lockWithFree takes the free-pool lock once at least demand blocks are
+// free and returns holding it; on error the lock is not held. With wait
+// set, exhaustion blocks until frees cover the whole demand (stop
+// aborts, as in AllocWait); a demand beyond the region errors
+// immediately instead of deadlocking.
+func (a *Arena) lockWithFree(demand int, wait bool, stop <-chan struct{}) error {
+	if demand > int(a.nBlocks) {
+		return fmt.Errorf("shm: allocation of %d blocks exceeds region of %d: %w",
+			demand, a.nBlocks, ErrOutOfBlocks)
+	}
+	for {
+		a.mu.Lock()
+		if int(a.nFree) >= demand {
+			return nil
+		}
+		if !wait {
+			a.stats.AllocFails++
+			a.mu.Unlock()
+			return ErrOutOfBlocks
+		}
+		a.stats.AllocBlocks++
+		a.waiters++
+		ch := a.cond.ch
+		a.mu.Unlock()
+		aborted := false
+		select {
+		case <-ch:
+			// Frees arrived; retry the whole reservation.
+		case <-stop:
+			aborted = true
+		}
+		a.mu.Lock()
+		a.waiters--
+		a.mu.Unlock()
+		if aborted {
+			return ErrOutOfBlocks
+		}
+	}
+}
+
+// chainLocked links n single blocks head→…→tail. The caller holds the
+// lock and has verified nFree >= n.
+func (a *Arena) chainLocked(n int) (head, tail int32) {
+	head, tail = NilOffset, NilOffset
+	for j := 0; j < n; j++ {
+		off, err := a.allocLocked()
+		if err != nil {
+			// Unreachable: nFree covers the chain.
+			panic("shm: chainLocked underflow")
+		}
+		a.setLink(off, NilOffset)
+		if head == NilOffset {
+			head = off
+		} else {
+			a.setLink(tail, off)
+		}
+		tail = off
+	}
+	return head, tail
+}
+
+// offsetPairs returns two n-element result slices carved from one
+// allocation. Batch allocators call it before taking the free-pool lock:
+// a heap allocation can run a garbage-collection assist, which must not
+// happen with the spinlock held.
+func offsetPairs(n int) (heads, tails []int32) {
+	buf := make([]int32, 2*n)
+	return buf[:n:n], buf[n:]
+}
+
 // AllocChains allocates one chain per entry of ns — ns[i] blocks linked
 // head→…→tail — in a single arena transaction: the free-list lock is
 // taken once for the whole batch, not once per block or per chain. This
@@ -576,59 +666,15 @@ func (a *Arena) AllocChains(ns []int, wait bool, stop <-chan struct{}) (heads, t
 	if total == 0 {
 		return nil, nil, nil
 	}
-	if total > int(a.nBlocks) {
-		return nil, nil, fmt.Errorf("shm: AllocChains batch of %d blocks exceeds region of %d: %w",
-			total, a.nBlocks, ErrOutOfBlocks)
+	heads, tails = offsetPairs(len(ns))
+	if err := a.lockWithFree(total, wait, stop); err != nil {
+		return nil, nil, err
 	}
-	for {
-		a.mu.Lock()
-		if int(a.nFree) >= total {
-			heads = make([]int32, len(ns))
-			tails = make([]int32, len(ns))
-			for i, n := range ns {
-				var head, tail int32 = NilOffset, NilOffset
-				for j := 0; j < n; j++ {
-					off, err := a.allocLocked()
-					if err != nil {
-						// Unreachable: nFree covers the batch.
-						panic("shm: AllocChains underflow")
-					}
-					a.setLink(off, NilOffset)
-					if head == NilOffset {
-						head = off
-					} else {
-						a.setLink(tail, off)
-					}
-					tail = off
-				}
-				heads[i], tails[i] = head, tail
-			}
-			a.mu.Unlock()
-			return heads, tails, nil
-		}
-		if !wait {
-			a.stats.AllocFails++
-			a.mu.Unlock()
-			return nil, nil, ErrOutOfBlocks
-		}
-		a.stats.AllocBlocks++
-		a.waiters++
-		ch := a.cond.ch
-		a.mu.Unlock()
-		aborted := false
-		select {
-		case <-ch:
-			// Frees arrived; retry the whole reservation.
-		case <-stop:
-			aborted = true
-		}
-		a.mu.Lock()
-		a.waiters--
-		a.mu.Unlock()
-		if aborted {
-			return nil, nil, ErrOutOfBlocks
-		}
+	for i, n := range ns {
+		heads[i], tails[i] = a.chainLocked(n)
 	}
+	a.mu.Unlock()
+	return heads, tails, nil
 }
 
 // AllocPayload allocates a chain able to hold n payload bytes, returning
@@ -636,13 +682,27 @@ func (a *Arena) AllocChains(ns []int, wait bool, stop <-chan struct{}) (heads, t
 // a long enough free run exists (several spans under fragmentation); in
 // classic mode it is BlocksFor(n) linked blocks, allocated in a single
 // free-list transaction. wait and stop have AllocWait's semantics,
-// applied to the chain's worst-case block demand.
+// applied to the chain's worst-case block demand. It is AllocPayloads for
+// one payload, without the result slices.
 func (a *Arena) AllocPayload(n int, wait bool, stop <-chan struct{}) (head, tail int32, err error) {
-	heads, tails, err := a.AllocPayloads([]int{n}, wait, stop)
-	if err != nil {
+	if n < 0 && a.spans {
+		return NilOffset, NilOffset, fmt.Errorf("shm: AllocPayload payload of %d bytes", n)
+	}
+	if err := a.lockWithFree(a.BlocksFor(n), wait, stop); err != nil {
 		return NilOffset, NilOffset, err
 	}
-	return heads[0], tails[0], nil
+	head, tail = a.payloadChainLocked(n)
+	a.mu.Unlock()
+	return head, tail, nil
+}
+
+// payloadChainLocked builds the chain for n payload bytes in the arena's
+// mode. The caller holds the lock and has verified nFree >= BlocksFor(n).
+func (a *Arena) payloadChainLocked(n int) (head, tail int32) {
+	if a.spans {
+		return a.spanChainLocked(n)
+	}
+	return a.chainLocked(a.BlocksFor(n))
 }
 
 // AllocPayloads is the batch form of AllocPayload: one chain per payload
@@ -655,61 +715,25 @@ func (a *Arena) AllocPayload(n int, wait bool, stop <-chan struct{}) (head, tail
 // L*blockSize-4 >= L*(blockSize-4) payload bytes, so once that demand is
 // free the greedy span builder cannot run out.
 func (a *Arena) AllocPayloads(ns []int, wait bool, stop <-chan struct{}) (heads, tails []int32, err error) {
-	if !a.spans {
-		blocks := make([]int, len(ns))
-		for i, n := range ns {
-			blocks[i] = a.BlocksFor(n)
-		}
-		return a.AllocChains(blocks, wait, stop)
-	}
-	total := int32(0)
+	total := 0
 	for _, n := range ns {
-		if n < 0 {
+		if n < 0 && a.spans {
 			return nil, nil, fmt.Errorf("shm: AllocPayloads payload of %d bytes", n)
 		}
-		total += int32(a.BlocksFor(n))
+		total += a.BlocksFor(n)
 	}
 	if len(ns) == 0 {
 		return nil, nil, nil
 	}
-	if total > a.nBlocks {
-		return nil, nil, fmt.Errorf("shm: AllocPayloads batch of %d blocks exceeds region of %d: %w",
-			total, a.nBlocks, ErrOutOfBlocks)
+	heads, tails = offsetPairs(len(ns))
+	if err := a.lockWithFree(total, wait, stop); err != nil {
+		return nil, nil, err
 	}
-	for {
-		a.mu.Lock()
-		if a.nFree >= total {
-			heads = make([]int32, len(ns))
-			tails = make([]int32, len(ns))
-			for i, n := range ns {
-				heads[i], tails[i] = a.spanChainLocked(n)
-			}
-			a.mu.Unlock()
-			return heads, tails, nil
-		}
-		if !wait {
-			a.stats.AllocFails++
-			a.mu.Unlock()
-			return nil, nil, ErrOutOfBlocks
-		}
-		a.stats.AllocBlocks++
-		a.waiters++
-		ch := a.cond.ch
-		a.mu.Unlock()
-		aborted := false
-		select {
-		case <-ch:
-			// Frees arrived; retry the whole reservation.
-		case <-stop:
-			aborted = true
-		}
-		a.mu.Lock()
-		a.waiters--
-		a.mu.Unlock()
-		if aborted {
-			return nil, nil, ErrOutOfBlocks
-		}
+	for i, n := range ns {
+		heads[i], tails[i] = a.payloadChainLocked(n)
 	}
+	a.mu.Unlock()
+	return heads, tails, nil
 }
 
 // Free returns one block (or, in span mode, the whole span starting at
