@@ -25,9 +25,8 @@
 // per-shard registry lock statistics of the largest sharded run.
 //
 // -select runs the selector-scaling benchmark: spurious wakeups per
-// delivered message versus idle-circuit count for the Selector and the
-// per-circuit-waiter ReceiveAny against the legacy global activity
-// pulse (the thundering herd).
+// delivered message versus idle-circuit count for the two multiplexers
+// built on the per-circuit waiter lists, the Selector and ReceiveAny.
 //
 // -copies runs the copy ablation: delivered throughput across payload
 // sizes and BROADCAST fan-out for the paper plane (classic chains, two
@@ -131,7 +130,7 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps (≈10× faster, same shapes)")
 	ablate := flag.String("ablate", "", "ablation study instead of figures: schemes, blocksize or lockcost")
 	contention := flag.Bool("contention", false, "contention-scaling benchmark: sharded registry + batched sends vs the paper's single lock")
-	sel := flag.Bool("select", false, "selector-scaling benchmark: per-circuit wakeups vs the global activity pulse")
+	sel := flag.Bool("select", false, "selector-scaling benchmark: spurious wakeups per message for Selector and ReceiveAny")
 	copies := flag.Bool("copies", false, "copy ablation: paper plane vs span copy plane vs zero-copy loan/view plane")
 	xproc := flag.Bool("xproc", false, "with -copies, add the same-machine cross-process leg: zero-copy loan/view through a shared memfd segment to forked child processes")
 	loanbatch := flag.Bool("loanbatch", false, "batched zero-copy ablation: LoanBatch/WaitViews pipeline vs the per-message loan/view plane")
@@ -212,8 +211,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mpfbench: json: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (contention %.1fx, selector %.1fx, copies", path,
-			summary.Contention.Advantage, summary.Selector.WakeupAdvantage)
+		fmt.Printf("wrote %s (contention %.1fx, selector %.2f spurious wakeups/msg, copies", path,
+			summary.Contention.Advantage, summary.Selector.SelectorSpuriousPerMsg)
 		for _, p := range summary.Copies {
 			fmt.Printf(" %.1fx@%dB/fan%d", p.Advantage, p.PayloadBytes, p.FanOut)
 		}

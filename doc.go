@@ -37,13 +37,16 @@
 // sched_setaffinity on Linux, best-effort everywhere), WithHugePages
 // advises MADV_HUGEPAGE over the arena's 2 MiB-aligned interior, and
 // the hot atomics are padded to cache lines with layout regression
-// tests holding the offsets. mpfbench -contention, -select, -copies,
+// tests holding the offsets. mpfbench -contention, -copies,
 // -loanbatch, -credit and -tuning quantify these against the paper's
-// single-lock, single-pulse, two-copy, per-message, globally-starved,
-// fixed-budget layout, and mpfbench -json records the headline numbers as a
+// single-lock, two-copy, per-message, globally-starved, fixed-budget
+// layout (-select holds the per-circuit wakeups to about one per
+// message; the facility-wide pulse they replaced is no longer built),
+// and mpfbench -json records the headline numbers as a
 // machine-readable BENCH.json, which mpfbench -compare diffs across
 // runs. CI (.github/workflows/ci.yml) gates build, vet, staticcheck,
-// gofmt, the unit suite on two Go versions, a race-detector subset, a
+// gofmt, the unit suite on two Go versions, the race detector over the
+// whole module, a
 // benchmark smoke, the perf-trajectory artifact, a perf-regression
 // comparison against the previous run (seeded by BENCH_BASELINE.json)
 // and a protocol-invariant fuzz smoke on every change.

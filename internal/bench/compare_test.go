@@ -17,8 +17,7 @@ func sampleSummary() *JSONSummary {
 	s.Contention.ShardedBatchedMsgsPerSec = 450_000
 	s.Contention.Advantage = 4.5
 	s.Selector.SelectorMsgsPerSec = 300_000
-	s.Selector.GlobalPulseMsgsPerSec = 200_000
-	s.Selector.WakeupAdvantage = 16
+	s.Selector.SelectorSpuriousPerMsg = 0.01
 	s.Copies = []CopiesPoint{
 		{PayloadBytes: 4096, FanOut: 1, CopyMsgsPerSec: 90_000, ZeroMsgsPerSec: 250_000, Advantage: 2.8},
 		{PayloadBytes: 16384, FanOut: 1, CopyMsgsPerSec: 30_000, ZeroMsgsPerSec: 100_000, Advantage: 3.4},

@@ -41,16 +41,8 @@ type JSONSummary struct {
 	Selector struct {
 		Waiters                int     `json:"waiters"`
 		CircuitsPerWaiter      int     `json:"circuits_per_waiter"`
-		GlobalSpuriousPerMsg   float64 `json:"global_pulse_spurious_per_msg"`
 		SelectorSpuriousPerMsg float64 `json:"selector_spurious_per_msg"`
-		// WakeupAdvantage is the smoothed wakeup ratio,
-		// (global+1)/(selector+1) spurious wakeups per delivered
-		// message — i.e. total park wakeups per message. Schema 3: the
-		// raw ratio was bimodal because the selector's spurious count
-		// is routinely exactly zero.
-		WakeupAdvantage       float64 `json:"wakeup_advantage"`
-		SelectorMsgsPerSec    float64 `json:"selector_msgs_per_sec"`
-		GlobalPulseMsgsPerSec float64 `json:"global_pulse_msgs_per_sec"`
+		SelectorMsgsPerSec     float64 `json:"selector_msgs_per_sec"`
 	} `json:"selector"`
 
 	Copies []CopiesPoint `json:"copies"`
@@ -108,9 +100,9 @@ type JSONSummary struct {
 		MsgsPerSec float64 `json:"msgs_per_sec"`
 		// Serving-side futex-ring waiter behaviour per delivered
 		// message — the busy-spin regression signal. Smoothed (+1, like
-		// wakeup_advantage) because sleeps and wakes are routinely
-		// exactly zero when the peer keeps up, and a raw near-zero
-		// denominator is bimodal noise no tolerance can hold.
+		// selector.spurious_per_msg_plus1) because sleeps and wakes are
+		// routinely exactly zero when the peer keeps up, and a raw
+		// near-zero denominator is bimodal noise no tolerance can hold.
 		SpinPollsPerMsgPlus1   float64 `json:"spin_polls_per_msg_plus1"`
 		FutexSleepsPerMsgPlus1 float64 `json:"futex_sleeps_per_msg_plus1"`
 		FutexWakesPerMsgPlus1  float64 `json:"futex_wakes_per_msg_plus1"`
@@ -248,29 +240,17 @@ func Summary(quick bool) (*JSONSummary, error) {
 	s.Selector.CircuitsPerWaiter = circuits
 	s.Selector.SelectorSpuriousPerMsg = -1
 	for i := 0; i < attempts; i++ {
-		global, err := NativeSelectorHerd(MuxAnyGlobalPulse, waiters, circuits, msgs)
-		if err != nil {
-			return nil, fmt.Errorf("bench: summary selector: %w", err)
-		}
 		sel, err := NativeSelectorHerd(MuxSelector, waiters, circuits, msgs)
 		if err != nil {
 			return nil, fmt.Errorf("bench: summary selector: %w", err)
 		}
-		s.Selector.GlobalSpuriousPerMsg = max(s.Selector.GlobalSpuriousPerMsg, global.SpuriousPerMsg)
 		if s.Selector.SelectorSpuriousPerMsg < 0 {
 			s.Selector.SelectorSpuriousPerMsg = sel.SpuriousPerMsg
 		} else {
 			s.Selector.SelectorSpuriousPerMsg = min(s.Selector.SelectorSpuriousPerMsg, sel.SpuriousPerMsg)
 		}
 		s.Selector.SelectorMsgsPerSec = max(s.Selector.SelectorMsgsPerSec, sel.MsgsPerSec)
-		s.Selector.GlobalPulseMsgsPerSec = max(s.Selector.GlobalPulseMsgsPerSec, global.MsgsPerSec)
 	}
-	// Smoothed (+1 on both sides: *total* park wakeups per delivered
-	// message, not spurious-only): the selector's spurious count is
-	// routinely exactly zero, and a raw ratio against a denominator
-	// that flickers between 0 and one stray event per run is bimodal
-	// noise no tolerance can hold.
-	s.Selector.WakeupAdvantage = (s.Selector.GlobalSpuriousPerMsg + 1) / (s.Selector.SelectorSpuriousPerMsg + 1)
 
 	// Copies: the PR 3 ablation at the gate sizes plus the fan-out point.
 	const copyMsgs = 3000

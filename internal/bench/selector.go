@@ -13,13 +13,14 @@ import (
 // Selector-scaling benchmark. The pre-selector ReceiveAny slept on one
 // facility-wide activity channel that every Send pulsed: W parked event
 // loops meant W wakeups per message, W-1 of them spurious, each
-// rescanning every registered circuit — the thundering herd, at its
-// worst under bursty (MMPP-style) arrivals that fire the whole herd in
-// synchronized spikes. The per-circuit waiter lists wake only the loop
-// whose circuit the message landed on. This benchmark parks several
+// rescanning every registered circuit — the thundering herd (measured
+// once, at ~16x the wakeups of what replaced it, and since deleted:
+// DESIGN.md §10). The per-circuit waiter lists wake only the loop whose
+// circuit the message landed on. This benchmark parks several
 // multiplexed consumers, drives traffic at exactly one of them, and
-// reads the facility's MuxWakeups/MuxSpurious counters to compare the
-// three wakeup schemes on otherwise identical workloads.
+// reads the facility's MuxWakeups/MuxSpurious counters to hold the two
+// schemes built on the waiter lists to that: about one wakeup per
+// message, none of them spurious, however many bystanders are parked.
 
 // MuxMode selects the multiplexing scheme a herd run uses.
 type MuxMode uint8
@@ -28,12 +29,8 @@ const (
 	// MuxSelector parks each consumer on an mpf.Selector.
 	MuxSelector MuxMode = iota
 	// MuxAnyWaiters parks each consumer in ReceiveAny over the
-	// per-circuit waiter lists (the default implementation).
+	// per-circuit waiter lists.
 	MuxAnyWaiters
-	// MuxAnyGlobalPulse parks each consumer in ReceiveAny over the
-	// legacy facility-wide pulse (WithGlobalPulseMux) — the ablation
-	// baseline.
-	MuxAnyGlobalPulse
 )
 
 // String names the mode for figure labels.
@@ -43,8 +40,6 @@ func (m MuxMode) String() string {
 		return "selector"
 	case MuxAnyWaiters:
 		return "receiveany, per-circuit waiters"
-	case MuxAnyGlobalPulse:
-		return "receiveany, global pulse"
 	default:
 		return fmt.Sprintf("MuxMode(%d)", uint8(m))
 	}
@@ -68,25 +63,19 @@ type HerdResult struct {
 // messages to a single hot circuit owned by consumer 0 — every other
 // consumer is pure bystander. Sends are paced a few tens of
 // microseconds apart so consecutive pulses cannot coalesce into one
-// observed wakeup, which is also the arrival shape that makes the
-// global pulse worst (each message finds the whole herd parked). The
-// wakeup counters then tell the story: per-circuit waiters wake ~1
-// consumer per message regardless of bystanders; the global pulse
-// wakes all of them.
+// observed wakeup, and so that each message finds the whole herd
+// parked. The wakeup counters then tell the story: per-circuit waiters
+// wake ~1 consumer per message regardless of bystanders.
 func NativeSelectorHerd(mode MuxMode, waiters, circuitsPer, msgs int) (HerdResult, error) {
 	if waiters < 1 || circuitsPer < 1 || msgs < 1 {
 		return HerdResult{}, fmt.Errorf("bench: herd(waiters=%d, circuitsPer=%d, msgs=%d)",
 			waiters, circuitsPer, msgs)
 	}
-	opts := []mpf.Option{
-		mpf.WithMaxProcesses(waiters + 1),
-		mpf.WithMaxLNVCs(waiters*circuitsPer + 4),
+	fac, err := mpf.New(
+		mpf.WithMaxProcesses(waiters+1),
+		mpf.WithMaxLNVCs(waiters*circuitsPer+4),
 		mpf.WithBlocksPerProcess(blocksFor(16, 2*msgs/(waiters+1)+16)),
-	}
-	if mode == MuxAnyGlobalPulse {
-		opts = append(opts, mpf.WithGlobalPulseMux())
-	}
-	fac, err := mpf.New(opts...)
+	)
 	if err != nil {
 		return HerdResult{}, err
 	}
@@ -254,11 +243,10 @@ const HerdWaiters = 8
 
 // SelectorSweep sweeps the bystander circuit count at HerdWaiters
 // parked consumers and returns spurious wakeups per delivered message
-// for the three multiplexing schemes — the selector-scaling figure
-// `mpfbench -select` renders. Flat-at-zero curves for the waiter-list
-// schemes against a flat-at-(W-1) curve for the global pulse is the
-// tentpole claim: wakeup cost stays O(ready), not O(parked waiters),
-// however many idle circuits the facility carries.
+// for the two multiplexing schemes — the selector-scaling figure
+// `mpfbench -select` renders. Both curves flat at zero is the claim:
+// wakeup cost stays O(ready), not O(parked waiters), however many idle
+// circuits the facility carries.
 func SelectorSweep(cfg Config) (*stats.Figure, error) {
 	fig := stats.NewFigure(
 		fmt.Sprintf("Selector Scaling — Spurious Wakeups per Message vs. Idle Circuits (%d parked consumers, native)", HerdWaiters),
@@ -268,7 +256,7 @@ func SelectorSweep(cfg Config) (*stats.Figure, error) {
 	if cfg.Quick {
 		perWaiter = []int{2, 8}
 	}
-	for _, mode := range []MuxMode{MuxSelector, MuxAnyWaiters, MuxAnyGlobalPulse} {
+	for _, mode := range []MuxMode{MuxSelector, MuxAnyWaiters} {
 		series := fig.AddSeries(mode.String())
 		for _, per := range perWaiter {
 			res, err := NativeSelectorHerd(mode, HerdWaiters, per, msgs)

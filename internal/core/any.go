@@ -16,36 +16,45 @@ import (
 // blocking equivalent. It registers a one-shot waiter on each circuit's
 // waiter list (waiter.go), polls with the atomic TryReceive claim, and
 // parks; only a Send on one of *these* circuits — or a close that
-// affects them — wakes it. The pre-selector scheme, one facility-wide
-// pulse waking every waiter on every Send, survives behind
-// Config.GlobalPulseMux as the benchmark's ablation baseline.
+// affects them — wakes it.
 //
 // A CloseReceive on one of the circuits (or facility Shutdown) while
 // parked wakes the call, which then returns ErrNotConnected (resp.
 // ErrShutdown) rather than hanging.
 func (f *Facility) ReceiveAny(pid int, ids []ID, buf []byte) (int, int, error) {
-	return f.receiveAny(pid, ids, buf, nil)
+	i, n, err := f.receiveAny(pid, ids, buf, time.Time{})
+	f.traceAny(pid, ids, i, n, err)
+	return i, n, err
 }
 
 // ReceiveAnyDeadline is ReceiveAny bounded by d; it returns ErrTimeout
 // if no circuit delivers in time.
 func (f *Facility) ReceiveAnyDeadline(pid int, ids []ID, buf []byte, d time.Duration) (int, int, error) {
-	if d <= 0 {
-		return 0, 0, fmt.Errorf("%w: non-positive deadline %v", ErrTimeout, d)
+	deadline, err := deadlineAfter(d)
+	if err != nil {
+		return 0, 0, err
 	}
-	deadline := time.Now().Add(d)
-	return f.receiveAny(pid, ids, buf, &deadline)
+	i, n, err := f.receiveAny(pid, ids, buf, deadline)
+	f.traceAny(pid, ids, i, n, err)
+	return i, n, err
 }
 
-func (f *Facility) receiveAny(pid int, ids []ID, buf []byte, deadline *time.Time) (int, int, error) {
+// traceAny emits ReceiveAny's event: a message_receive on the circuit
+// that delivered, or, with the error, on none (-1).
+func (f *Facility) traceAny(pid int, ids []ID, i, n int, err error) {
+	ev := Event{Op: OpReceive, PID: pid, LNVC: -1, Bytes: n, Err: err}
+	if err == nil {
+		ev.LNVC = ids[i]
+	}
+	f.trace(ev)
+}
+
+func (f *Facility) receiveAny(pid int, ids []ID, buf []byte, deadline time.Time) (int, int, error) {
 	if err := f.checkPID(pid); err != nil {
 		return 0, 0, err
 	}
 	if len(ids) == 0 {
 		return 0, 0, fmt.Errorf("%w: ReceiveAny with no circuits", ErrBadLNVC)
-	}
-	if f.cfg.GlobalPulseMux {
-		return f.receiveAnyGlobal(pid, ids, buf, deadline)
 	}
 
 	// Validate every connection and register one shared one-shot waiter
@@ -63,14 +72,9 @@ func (f *Facility) receiveAny(pid int, ids []ID, buf []byte, deadline *time.Time
 		}
 	}()
 	for _, id := range ids {
-		l, err := f.lookup(id)
+		l, _, err := f.lockRecv(pid, id)
 		if err != nil {
 			return 0, 0, err
-		}
-		l.lock.Lock()
-		if f.slots[id].Load() != l || l.recvs[pid] == nil {
-			l.lock.Unlock()
-			return 0, 0, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
 		}
 		l.addWaiterLocked(w)
 		l.lock.Unlock()
@@ -91,10 +95,10 @@ func (f *Facility) receiveAny(pid int, ids []ID, buf []byte, deadline *time.Time
 		}
 		for k := 0; k < len(ids); k++ {
 			i := (start + k) % len(ids)
-			n, ok, err := f.tryReceive(pid, ids[i], buf)
+			n, ok, err := f.receive(pid, ids[i], buf, false, time.Time{})
 			if err != nil {
 				// Covers a circuit closed while parked: the close woke
-				// the waiter and TryReceive reports ErrNotConnected.
+				// the waiter and the poll reports ErrNotConnected.
 				return 0, 0, err
 			}
 			if ok {
@@ -102,7 +106,6 @@ func (f *Facility) receiveAny(pid int, ids []ID, buf []byte, deadline *time.Time
 					f.stats.muxWakeups.Add(1)
 				}
 				f.setAnyStart(pid, i+1)
-				f.trace(Event{Op: OpReceive, PID: pid, LNVC: ids[i], Bytes: n})
 				return i, n, nil
 			}
 		}
@@ -118,90 +121,11 @@ func (f *Facility) receiveAny(pid int, ids []ID, buf []byte, deadline *time.Time
 	}
 }
 
-// receiveAnyGlobal is the pre-selector implementation, kept verbatim
-// (plus wakeup accounting) as the ablation baseline: it sleeps on the
-// facility-wide activity channel that every Send — and, for prompt
-// close-race handling, every close — pulses, so every parked waiter
-// wakes to rescan all of its circuits on every send anywhere.
-func (f *Facility) receiveAnyGlobal(pid int, ids []ID, buf []byte, deadline *time.Time) (int, int, error) {
-	// Validate connections up front so misuse fails immediately rather
-	// than blocking forever.
-	for _, id := range ids {
-		l, err := f.lookup(id)
-		if err != nil {
-			return 0, 0, err
-		}
-		l.lock.Lock()
-		_, ok := l.recvs[pid]
-		l.lock.Unlock()
-		if !ok {
-			return 0, 0, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
-		}
-	}
-	start := f.anyStart(pid, len(ids))
-	woken := false
-	for {
-		if f.stopped.Load() {
-			return 0, 0, ErrShutdown
-		}
-		// Arm before polling: a send landing between the poll and the
-		// wait still pulses this round's channel.
-		ch := f.activityChan()
-		for k := 0; k < len(ids); k++ {
-			i := (start + k) % len(ids)
-			n, ok, err := f.tryReceive(pid, ids[i], buf)
-			if err != nil {
-				return 0, 0, err
-			}
-			if ok {
-				if woken {
-					f.stats.muxWakeups.Add(1)
-				}
-				f.setAnyStart(pid, i+1)
-				f.trace(Event{Op: OpReceive, PID: pid, LNVC: ids[i], Bytes: n})
-				return i, n, nil
-			}
-		}
-		if woken {
-			f.stats.muxWakeups.Add(1)
-			f.stats.muxSpurious.Add(1)
-		}
-		ok, err := parkWait(ch, f.stop, deadline)
-		if err != nil {
-			return 0, 0, err
-		}
-		woken = ok
-	}
-}
-
-// activityChan returns the channel pulsed by the next Send (legacy
-// GlobalPulseMux mode only).
-func (f *Facility) activityChan() <-chan struct{} {
-	f.activityMu.Lock()
-	defer f.activityMu.Unlock()
-	if f.activity == nil {
-		f.activity = make(chan struct{})
-	}
-	return f.activity
-}
-
-// pulseActivity wakes every parked receiveAnyGlobal waiter; called by
-// Send and the close path when GlobalPulseMux is on.
-func (f *Facility) pulseActivity() {
-	f.activityMu.Lock()
-	ch := f.activity
-	f.activity = nil
-	f.activityMu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
-}
-
 // anyStart and setAnyStart keep per-process round-robin cursors for
 // ReceiveAny fairness.
 func (f *Facility) anyStart(pid, n int) int {
-	f.activityMu.Lock()
-	defer f.activityMu.Unlock()
+	f.anyMu.Lock()
+	defer f.anyMu.Unlock()
 	if f.anyCursor == nil {
 		f.anyCursor = make(map[int]int)
 	}
@@ -209,8 +133,8 @@ func (f *Facility) anyStart(pid, n int) int {
 }
 
 func (f *Facility) setAnyStart(pid, v int) {
-	f.activityMu.Lock()
-	defer f.activityMu.Unlock()
+	f.anyMu.Lock()
+	defer f.anyMu.Unlock()
 	if f.anyCursor == nil {
 		f.anyCursor = make(map[int]int)
 	}

@@ -108,16 +108,26 @@ func TestReceiveAnyValidation(t *testing.T) {
 }
 
 func TestReceiveAnyDeadline(t *testing.T) {
-	f := newFac(t)
+	var last Event // every primitive below is called from this goroutine
+	f, err := Init(Config{MaxLNVCs: 16, MaxProcesses: 20, Tracer: tracerFn(func(ev Event) { last = ev })})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Shutdown)
 	f.OpenSend(0, "d")
 	rid, _ := f.OpenReceive(1, "d", FCFS)
 	start := time.Now()
-	_, _, err := f.ReceiveAnyDeadline(1, []ID{rid}, make([]byte, 1), 40*time.Millisecond)
+	_, _, err = f.ReceiveAnyDeadline(1, []ID{rid}, make([]byte, 1), 40*time.Millisecond)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	if time.Since(start) < 30*time.Millisecond {
 		t.Fatal("returned before deadline")
+	}
+	// A failed ReceiveAny is traced like any other failed primitive: a
+	// message_receive by this process, on no circuit, with the error.
+	if last.Op != OpReceive || last.PID != 1 || last.LNVC != -1 || !errors.Is(last.Err, ErrTimeout) {
+		t.Fatalf("timeout traced as %+v, want a message_receive by process 1 on circuit -1 with ErrTimeout", last)
 	}
 	if _, _, err := f.ReceiveAnyDeadline(1, []ID{rid}, nil, 0); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("zero deadline: %v", err)

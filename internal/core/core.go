@@ -62,6 +62,21 @@
 //     at the oldest message; a BROADCAST joiner has its private head set
 //     to the oldest retained message (and Pending is incremented on each).
 //     Later BROADCAST joiners see only messages sent after they join.
+//
+// # One send path, one claim path
+//
+// Every send primitive — Send, SendBatch, SendLoan+Commit,
+// LoanBatch+CommitAll/CommitN — is "size the demand → admit → a
+// msg.Pool.Build* → publish" (send.go): admit validates the call and the
+// connection and debits credit before the allocation, publish
+// re-validates under the circuit lock, enqueues and wakes receivers
+// once. Every receive primitive that names its circuit — Receive,
+// TryReceive, ReceiveBatch, ReceiveView, their Deadline forms and
+// ReceiveAny's polls — is "waitClaim → read the payload under the pin →
+// unpinAll" (lnvc.go): waitClaim is the only loop that parks on a
+// circuit's condition variable, claimRunLocked the only one that
+// claims a run of messages (the Selector's harvest shares it), and
+// unpinAll the only way a pin is dropped. DESIGN.md §6.
 package core
 
 import (
@@ -161,14 +176,14 @@ type Config struct {
 	SendPolicy SendPolicy
 	// CreditBlocks, when positive, enables per-circuit credit-based
 	// flow control: every circuit carries a receiver-granted budget of
-	// this many accounted blocks (Arena.BlocksFor units), debited by
-	// the send-side primitives at allocation time and re-granted as
-	// receivers release the blocks. A send that would overdraw the
+	// this many accounted blocks (Arena.BlocksFor units), debited when a
+	// send is admitted (send.go), before its allocation, and re-granted
+	// as receivers release the blocks. A send that would overdraw the
 	// budget parks on the circuit's credit waiter list (BlockUntilFree)
 	// or fails with ErrNoCredit (FailFast), so one hot circuit can no
 	// longer monopolise the region and starve its tenants. Zero (the
-	// default) disables the ledger entirely: the send paths are exactly
-	// the uncredited ones. See credit.go and DESIGN.md §13.
+	// default) disables the ledger entirely: admission is the connection
+	// check alone. See credit.go and DESIGN.md §13.
 	CreditBlocks int
 	// ClassicChains reverts the shared region to the paper's allocation
 	// layout: every block is its own chain element behind a linked free
@@ -186,14 +201,6 @@ type Config struct {
 	// every block offset the facility hands out is resolvable by any
 	// process that mapped the same segment. The memory must be zeroed.
 	ArenaMem []byte
-	// GlobalPulseMux reverts ReceiveAny to the pre-selector wakeup
-	// scheme: every Send pulses one facility-wide activity channel and
-	// every parked ReceiveAny waiter wakes to rescan all of its
-	// circuits. It exists purely as the ablation baseline the
-	// selector-scaling benchmark compares against (the thundering
-	// herd); leave it off in real use. Selectors always use the
-	// per-circuit waiter lists regardless of this knob.
-	GlobalPulseMux bool
 	// AutoHarvestMin and AutoHarvestMax, when positive, enable the
 	// selector's adaptive harvest mode and bound its budget window: a
 	// HarvestViews/WaitViews call with budget <= 0 sizes the round from
@@ -423,15 +430,10 @@ type Facility struct {
 	stop    chan struct{}
 	stopped atomic.Bool
 
-	// activity is the legacy facility-wide pulse, used only when
-	// Config.GlobalPulseMux selects the ablation baseline: every Send
-	// closes and replaces it, waking every parked ReceiveAny. The real
-	// wakeup path is the per-circuit waiter lists (waiter.go).
 	// anyCursor holds per-process round-robin scan positions for
-	// ReceiveAny fairness. Both guarded by activityMu.
-	activityMu spinlock.TAS
-	activity   chan struct{}
-	anyCursor  map[int]int
+	// ReceiveAny fairness, guarded by anyMu.
+	anyMu     spinlock.TAS
+	anyCursor map[int]int
 
 	stats statsCell
 }

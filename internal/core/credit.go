@@ -16,18 +16,18 @@ import (
 //   - Config.CreditBlocks grants every circuit a receiver-side budget,
 //     accounted in blocks — the unit the arena actually allocates and
 //     the same worst-case BlocksFor demand the capacity checks use.
-//   - Send/SendBatch/SendLoan/LoanBatch debit the budget at allocation
-//     time, under the circuit lock. A send that would overdraw parks on
-//     a per-circuit credit waiter list (BlockUntilFree) or returns
-//     ErrNoCredit (FailFast). Waiter lists keep wakeups O(parked on
-//     this circuit), exactly like the receive-side waiter lists they
-//     mirror (waiter.go).
+//   - Every send debits the budget when it is admitted (send.go),
+//     before its allocation, under the circuit lock. A send that would
+//     overdraw parks on a per-circuit credit waiter list
+//     (BlockUntilFree) or returns ErrNoCredit (FailFast). Waiter lists
+//     keep wakeups O(parked on this circuit), exactly like the
+//     receive-side waiter lists they mirror (waiter.go).
 //   - Credits return to the budget when the message's blocks return to
 //     the region while the circuit lives: the reclaim scan re-grants
 //     every victim's Message.Blocks and wakes parked senders in batch.
-//     A loan abort (Loan.Abort, LoanBatch.AbortAll, the aborted tail of
-//     a CommitN, a commit that lost its circuit) refunds its
-//     never-enqueued demand the same way.
+//     A debit that never reaches a FIFO (a failed build, an aborted
+//     loan, the unpublished tail of a CommitN, a publish that lost its
+//     circuit) is refunded the same way.
 //   - A circuit that dies zeroes its ledger: unread messages are
 //     dropped (their credits die with the circuit) and pinned messages
 //     are orphaned to their pin holders — the orphan's blocks go back
@@ -88,21 +88,27 @@ func (l *lnvc) removeCreditWaiterLocked(w *creditWaiter) {
 	}
 }
 
-// acquireCredit debits blocks from id's budget, parking until the
+// acquireCredit is the admission check every send makes under the
+// circuit lock: pid must hold a send connection on id, and with credit
+// configured blocks are debited from id's budget, parking until the
 // budget can cover them (BlockUntilFree) or failing with ErrNoCredit
-// (FailFast). It re-validates the connection on entry and on every
+// (FailFast). Without credit (CreditBlocks 0) the connection check is
+// all there is. It re-validates the connection on entry and on every
 // wake, so a sender parked for credit observes CloseSend, circuit
 // deletion, the departure of the last receiver, and Shutdown promptly.
 // On success it returns the descriptor generation at debit time, which
-// refundCredit uses to reject refunds that outlive the circuit. The
-// caller must have checked cfg.CreditBlocks > 0.
+// refundCredit uses to reject refunds that outlive the circuit.
 func (f *Facility) acquireCredit(l *lnvc, id ID, pid, blocks int) (uint64, error) {
 	budget := f.cfg.CreditBlocks
 	l.lock.Lock()
 	for {
 		if f.slots[id].Load() != l || l.sends[pid] == nil {
 			l.lock.Unlock()
-			return 0, fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
+			return 0, notConnected("send", id, pid)
+		}
+		if budget <= 0 {
+			l.lock.Unlock()
+			return 0, nil
 		}
 		if blocks > budget {
 			l.lock.Unlock()

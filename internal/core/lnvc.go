@@ -313,7 +313,7 @@ func (f *Facility) CloseSend(pid int, id ID) error {
 	err := f.close(pid, id, func(l *lnvc) error {
 		d, ok := l.sends[pid]
 		if !ok {
-			return fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
+			return notConnected("send", id, pid)
 		}
 		delete(l.sends, pid)
 		l.putSendDesc(d)
@@ -332,7 +332,7 @@ func (f *Facility) CloseReceive(pid int, id ID) error {
 	err := f.close(pid, id, func(l *lnvc) error {
 		d, ok := l.recvs[pid]
 		if !ok {
-			return fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
+			return notConnected("receive", id, pid)
 		}
 		delete(l.recvs, pid)
 		if d.proto == FCFS {
@@ -426,100 +426,30 @@ func (f *Facility) close(pid int, id ID, detach func(*lnvc) error) error {
 		f.stats.messagesDropped.Add(uint64(dropped))
 	}
 	s.lock.Unlock()
-	if f.cfg.GlobalPulseMux {
-		f.pulseActivity()
-	}
 	f.pool.ReleaseBatch(drop)
 	return nil
 }
 
-// Send transfers buf asynchronously to the LNVC: the payload is copied
-// into chained message blocks and the message is appended to the FIFO
-// (paper §2, message_send). The sender proceeds as soon as the copy
-// completes.
-func (f *Facility) Send(pid int, id ID, buf []byte) error {
-	err := f.send(pid, id, buf)
-	f.trace(Event{Op: OpSend, PID: pid, LNVC: id, Bytes: len(buf), Err: err})
-	return err
+// notConnected is the error every primitive returns for a connection
+// pid does not hold (any more) on id; side is "send" or "receive".
+func notConnected(side string, id ID, pid int) error {
+	return fmt.Errorf("%w: %s on id %d by process %d", ErrNotConnected, side, id, pid)
 }
 
-func (f *Facility) send(pid int, id ID, buf []byte) error {
-	if err := f.checkPID(pid); err != nil {
-		return err
+// deadlineAfter turns the bound d of a *Deadline primitive into the
+// absolute deadline the wait loops take (the zero Time means none).
+func deadlineAfter(d time.Duration) (time.Time, error) {
+	if d <= 0 {
+		return time.Time{}, fmt.Errorf("%w: non-positive deadline %v", ErrTimeout, d)
 	}
-	if f.stopped.Load() {
-		return ErrShutdown
-	}
-	if f.arena.BlocksFor(len(buf)) > f.arena.NumBlocks() {
-		return fmt.Errorf("%w: %d bytes, region holds %d", ErrMessageTooBig, len(buf), f.arena.NumBlocks()*f.arena.PayloadSize())
-	}
-	l, err := f.lookup(id)
-	if err != nil {
-		return err
-	}
-	// Connection check is done before the (possibly blocking) copy so an
-	// unconnected sender fails fast, and rechecked after under the lock.
-	// With credit configured the check rides along with the debit, which
-	// parks here (not holding any lock) until the budget can cover the
-	// message.
-	var creditGen uint64
-	creditBlocks := 0
-	if f.cfg.CreditBlocks > 0 {
-		creditBlocks = f.arena.BlocksFor(len(buf))
-		var err error
-		if creditGen, err = f.acquireCredit(l, id, pid, creditBlocks); err != nil {
-			return err
-		}
-	} else {
-		l.lock.Lock()
-		if f.slots[id].Load() != l || l.sends[pid] == nil {
-			l.lock.Unlock()
-			return fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
-		}
-		l.lock.Unlock()
-	}
-
-	// First copy: user buffer into message blocks. This happens outside
-	// the LNVC lock, which is what lets BROADCAST receivers and other
-	// senders proceed concurrently (the concurrency Figure 5 measures).
-	m, buildErr := f.pool.Build(pid, buf, f.cfg.SendPolicy == BlockUntilFree, f.stop)
-	if buildErr != nil {
-		f.refundCredit(l, creditGen, creditBlocks)
-		if f.stopped.Load() {
-			return ErrShutdown
-		}
-		return fmt.Errorf("%w: %v", ErrNoMemory, buildErr)
-	}
-
-	l.lock.Lock()
-	// Re-validate both the connection and the ID binding: the circuit
-	// may have been deleted — and its descriptor recycled for another
-	// name through the shard free list — while the copy ran.
-	if f.slots[id].Load() != l || l.sends[pid] == nil {
-		l.lock.Unlock()
-		f.pool.Release(m)
-		f.refundCredit(l, creditGen, creditBlocks)
-		return fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
-	}
-	l.enqueueLocked(m)
-	l.cond.Broadcast()
-	l.wakeWaitersLocked()
-	l.lock.Unlock()
-	if f.cfg.GlobalPulseMux {
-		f.pulseActivity()
-	}
-
-	f.stats.sends.Add(1)
-	f.stats.bytesSent.Add(uint64(len(buf)))
-	f.stats.payloadCopiesIn.Add(1)
-	return nil
+	return time.Now().Add(d), nil
 }
 
 // Receive blocks until a message is available for pid's connection, then
 // copies it into buf and returns the number of bytes transferred (paper
 // §2, message_receive; the copy is truncated to len(buf)).
 func (f *Facility) Receive(pid int, id ID, buf []byte) (int, error) {
-	n, err := f.receive(pid, id, buf, nil)
+	n, _, err := f.receive(pid, id, buf, true, time.Time{})
 	f.trace(Event{Op: OpReceive, PID: pid, LNVC: id, Bytes: n, Err: err})
 	return n, err
 }
@@ -530,40 +460,51 @@ func (f *Facility) Receive(pid int, id ID, buf []byte) (int, error) {
 // the blocking-with-deadline variant a modern caller expects, and the
 // examples use it to turn potential deadlocks into diagnosable errors.
 func (f *Facility) ReceiveDeadline(pid int, id ID, buf []byte, d time.Duration) (int, error) {
-	if d <= 0 {
-		return 0, fmt.Errorf("%w: non-positive deadline %v", ErrTimeout, d)
+	deadline, err := deadlineAfter(d)
+	if err != nil {
+		return 0, err
 	}
-	deadline := time.Now().Add(d)
-	n, err := f.receive(pid, id, buf, &deadline)
+	n, _, err := f.receive(pid, id, buf, true, deadline)
 	f.trace(Event{Op: OpReceive, PID: pid, LNVC: id, Bytes: n, Err: err})
 	return n, err
 }
 
-func (f *Facility) receive(pid int, id ID, buf []byte, deadline *time.Time) (int, error) {
-	l, m, err := f.waitClaim(pid, id, deadline)
-	if err != nil {
-		return 0, err
-	}
+// TryReceive is the non-blocking receive: if a message is available for
+// pid's connection it is consumed exactly as by Receive and TryReceive
+// reports (n, true); otherwise it returns (0, false) immediately. It is
+// the atomic alternative to the check_receive-then-message_receive pair,
+// which the paper warns is racy for FCFS receivers ("another process
+// with a FCFS receive connection may acquire the message before the
+// checking process can receive the message").
+func (f *Facility) TryReceive(pid int, id ID, buf []byte) (int, bool, error) {
+	n, ok, err := f.receive(pid, id, buf, false, time.Time{})
+	f.trace(Event{Op: OpTryReceive, PID: pid, LNVC: id, Bytes: n, Err: err})
+	return n, ok, err
+}
 
+// receive is the copying receive behind Receive, ReceiveDeadline,
+// TryReceive and ReceiveAny's polls: claim one message, copy it out,
+// unpin. ok is false when park is false and nothing was deliverable.
+func (f *Facility) receive(pid int, id ID, buf []byte, park bool, deadline time.Time) (int, bool, error) {
+	var one [1]*msg.Message
+	l, claimed, err := f.waitClaim(pid, id, park, deadline, one[:])
+	if err != nil || claimed == 0 {
+		return 0, false, err
+	}
 	// The second of the paper's two copies — blocks → user buffer —
 	// happens outside the lock, under the pin, so BROADCAST receivers
 	// proceed concurrently.
-	n := f.pool.Extract(m, buf)
+	n := f.pool.Extract(one[0], buf)
 	f.stats.payloadCopiesOut.Add(1)
-
-	f.unpin(l, m)
-
+	f.unpinAll(l, one[:])
 	f.stats.receives.Add(1)
 	f.stats.bytesRecvd.Add(uint64(n))
-	return n, nil
+	return n, true, nil
 }
 
-// waitClaim blocks until a message is deliverable to pid's connection
-// on id, claims it and pins it, and returns it together with the
-// circuit it was claimed from. On success the caller owns one pin and
-// must balance it with unpin once done reading the payload. deadline,
-// when non-nil, bounds the wait (ErrTimeout).
-func (f *Facility) waitClaim(pid int, id ID, deadline *time.Time) (*lnvc, *msg.Message, error) {
+// lockRecv resolves pid's receive connection on id and returns with the
+// circuit lock held; on error the lock is not held.
+func (f *Facility) lockRecv(pid int, id ID) (*lnvc, *recvDesc, error) {
 	if err := f.checkPID(pid); err != nil {
 		return nil, nil, err
 	}
@@ -575,43 +516,65 @@ func (f *Facility) waitClaim(pid int, id ID, deadline *time.Time) (*lnvc, *msg.M
 	d := l.recvs[pid]
 	if f.slots[id].Load() != l || d == nil {
 		l.lock.Unlock()
-		return nil, nil, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
+		return nil, nil, notConnected("receive", id, pid)
 	}
-	var m *msg.Message
-	waited := false
-	var timer *time.Timer
-	timedOut := false
-	if deadline != nil {
-		// The waker broadcasts the LNVC condition so the waiter below
-		// re-evaluates; timedOut is only read/written under the LNVC
-		// lock except for the final defensive Stop.
-		timer = time.AfterFunc(time.Until(*deadline), func() {
+	return l, d, nil
+}
+
+// waitClaim is the one way a receive primitive takes messages off a
+// circuit it names: it waits until a message is deliverable to pid's
+// connection on id, then claims and pins up to len(out) of them — as
+// many as are deliverable, never waiting for more than the first —
+// under the one lock hold, and returns them in out together with the
+// circuit. The caller owns one pin per claimed message and must balance
+// them with unpinAll once done reading the payloads. With park false it
+// never waits and may claim nothing; otherwise it parks on the circuit's
+// condition variable — the only place anything does — until an enqueue,
+// a close (ErrNotConnected), Shutdown (ErrShutdown) or the deadline,
+// when one is set (ErrTimeout).
+func (f *Facility) waitClaim(pid int, id ID, park bool, deadline time.Time, out []*msg.Message) (*lnvc, int, error) {
+	if f.stopped.Load() {
+		return nil, 0, ErrShutdown
+	}
+	l, d, err := f.lockRecv(pid, id)
+	if err != nil {
+		return nil, 0, err
+	}
+	var timedOut *bool
+	if park && !deadline.IsZero() {
+		// The timer broadcasts the condition so the loop below
+		// re-evaluates; the flag is read and written under the LNVC lock.
+		// It is allocated here, not declared above, so that a receive
+		// without a deadline allocates nothing.
+		fired := new(bool)
+		timedOut = fired
+		timer := time.AfterFunc(time.Until(deadline), func() {
 			l.lock.Lock()
-			timedOut = true
+			*fired = true
 			l.cond.Broadcast()
 			l.lock.Unlock()
 		})
 		defer timer.Stop()
 	}
+	waited := false
+	var m *msg.Message
 	for {
+		var err error
 		if f.stopped.Load() {
-			l.lock.Unlock()
-			return nil, nil, ErrShutdown
-		}
-		if l.recvs[pid] != d {
+			err = ErrShutdown
+		} else if l.recvs[pid] != d {
 			// The connection was closed (CloseReceive from another
 			// goroutine) while this receive was parked; the close path
 			// broadcast the condition so we see it promptly.
-			l.lock.Unlock()
-			return nil, nil, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
-		}
-		m = l.availableLocked(d)
-		if m != nil {
+			err = notConnected("receive", id, pid)
+		} else if m = l.availableLocked(d); m != nil || !park {
 			break
+		} else if timedOut != nil && (*timedOut || !time.Now().Before(deadline)) {
+			err = ErrTimeout
 		}
-		if deadline != nil && (timedOut || !time.Now().Before(*deadline)) {
+		if err != nil {
 			l.lock.Unlock()
-			return nil, nil, ErrTimeout
+			return nil, 0, err
 		}
 		waited = true
 		l.cond.Wait()
@@ -619,9 +582,9 @@ func (f *Facility) waitClaim(pid int, id ID, deadline *time.Time) (*lnvc, *msg.M
 	if waited {
 		f.stats.receiveWaits.Add(1)
 	}
-	l.claimLocked(d, m)
+	run, _ := l.claimRunLocked(d, m, out[:0], len(out))
 	l.lock.Unlock()
-	return l, m, nil
+	return l, len(run), nil
 }
 
 // claimLocked consumes m for receiver d — for FCFS the claim (advancing
@@ -646,30 +609,27 @@ func (l *lnvc) claimLocked(d *recvDesc, m *msg.Message) {
 	m.Pins++
 }
 
-// unpin drops one pin taken by claimLocked. For a message still owned
-// by its circuit this may make it reclaimable, so the reclaim scan
-// runs; for an orphan — dropped from a deleted circuit while pinned —
-// the last pin holder releases the blocks directly (the message is in
-// no queue; l may even have been recycled for another circuit, which
-// is safe because only m's own fields and the pool are touched).
-func (f *Facility) unpin(l *lnvc, m *msg.Message) {
-	l.lock.Lock()
-	m.Pins--
-	if m.Orphan {
-		release := m.Pins == 0
-		l.lock.Unlock()
-		if release {
-			f.pool.Release(m)
-		}
-		return
+// claimRunLocked claims for d up to budget of the messages deliverable
+// to it, oldest first, appending them to run; m is the first of them,
+// what availableLocked(d) returned, and more reports whether deliverable
+// messages remain. Once d has claimed a message the next deliverable
+// one is its successor in the queue under either protocol, so the loop
+// follows Next instead of asking availableLocked again.
+func (l *lnvc) claimRunLocked(d *recvDesc, m *msg.Message, run []*msg.Message, budget int) (_ []*msg.Message, more bool) {
+	for ; m != nil && budget > 0; m, budget = m.Next, budget-1 {
+		l.claimLocked(d, m)
+		run = append(run, m)
 	}
-	f.reclaimLocked(l)
-	l.lock.Unlock()
+	return run, m != nil
 }
 
-// unpinAll is unpin for a batch claimed from one circuit: one lock
-// acquisition, one reclaim scan. Orphans are collected and released
-// outside the lock.
+// unpinAll drops the pins claimLocked took on ms, all claimed from l:
+// one lock acquisition, one reclaim scan. For a message still owned by
+// its circuit the unpin may make it reclaimable, so the scan runs; an
+// orphan — dropped from a deleted circuit while pinned — is released by
+// its last pin holder, outside the lock (it is in no queue; l may even
+// have been recycled for another circuit, which is safe because only
+// the message's own fields and the pool are touched).
 func (f *Facility) unpinAll(l *lnvc, ms []*msg.Message) {
 	var orphans []*msg.Message
 	l.lock.Lock()
@@ -705,69 +665,6 @@ func (l *lnvc) availableLocked(d *recvDesc) *msg.Message {
 	return l.queue.After(d.headSeq)
 }
 
-// TryReceive is the non-blocking receive: if a message is available for
-// pid's connection it is consumed exactly as by Receive and TryReceive
-// reports (n, true); otherwise it returns (0, false) immediately. It is
-// the atomic alternative to the check_receive-then-message_receive pair,
-// which the paper warns is racy for FCFS receivers ("another process
-// with a FCFS receive connection may acquire the message before the
-// checking process can receive the message").
-func (f *Facility) TryReceive(pid int, id ID, buf []byte) (int, bool, error) {
-	n, ok, err := f.tryReceive(pid, id, buf)
-	ev := Event{Op: OpTryReceive, PID: pid, LNVC: id, Err: err}
-	if ok {
-		ev.Bytes = n
-	}
-	f.trace(ev)
-	return n, ok, err
-}
-
-func (f *Facility) tryReceive(pid int, id ID, buf []byte) (int, bool, error) {
-	l, m, ok, err := f.tryClaim(pid, id)
-	if err != nil || !ok {
-		return 0, false, err
-	}
-
-	n := f.pool.Extract(m, buf)
-	f.stats.payloadCopiesOut.Add(1)
-
-	f.unpin(l, m)
-
-	f.stats.receives.Add(1)
-	f.stats.bytesRecvd.Add(uint64(n))
-	return n, true, nil
-}
-
-// tryClaim is waitClaim's non-blocking form: if a message is deliverable
-// it is claimed and pinned (the caller owes one unpin) and ok is true;
-// otherwise ok is false.
-func (f *Facility) tryClaim(pid int, id ID) (*lnvc, *msg.Message, bool, error) {
-	if err := f.checkPID(pid); err != nil {
-		return nil, nil, false, err
-	}
-	if f.stopped.Load() {
-		return nil, nil, false, ErrShutdown
-	}
-	l, err := f.lookup(id)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	l.lock.Lock()
-	d := l.recvs[pid]
-	if f.slots[id].Load() != l || d == nil {
-		l.lock.Unlock()
-		return nil, nil, false, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
-	}
-	m := l.availableLocked(d)
-	if m == nil {
-		l.lock.Unlock()
-		return nil, nil, false, nil
-	}
-	l.claimLocked(d, m)
-	l.lock.Unlock()
-	return l, m, true, nil
-}
-
 // CheckReceive reports whether a message is currently available for pid's
 // receive connection (paper §2, check_receive). For FCFS connections the
 // answer is advisory: another FCFS receiver may claim the message first,
@@ -779,19 +676,11 @@ func (f *Facility) CheckReceive(pid int, id ID) (bool, error) {
 }
 
 func (f *Facility) checkReceive(pid int, id ID) (bool, error) {
-	if err := f.checkPID(pid); err != nil {
-		return false, err
-	}
-	l, err := f.lookup(id)
+	l, d, err := f.lockRecv(pid, id)
 	if err != nil {
 		return false, err
 	}
-	l.lock.Lock()
 	defer l.lock.Unlock()
-	d := l.recvs[pid]
-	if f.slots[id].Load() != l || d == nil {
-		return false, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
-	}
 	f.stats.checks.Add(1)
 	return l.availableLocked(d) != nil, nil
 }

@@ -16,7 +16,9 @@ import (
 // circuit lock acquisition with one waiter wakeup — atomic with
 // respect to other senders, exactly like SendBatch, but with zero
 // structural copies. AbortAll (and the aborted tail of a CommitN)
-// returns every chain in one free-pool transaction.
+// returns every chain in one free-pool transaction. Like a Loan, the
+// batch is send.go's admission and built messages held by the caller
+// between admit and publish.
 
 // LoanBatch is a batch of in-flight zero-copy sends: N messages whose
 // blocks are allocated and owned by the caller, none yet linked into
@@ -27,23 +29,14 @@ import (
 // (the blocks belong to the facility, or to nobody, by then).
 type LoanBatch struct {
 	f   *Facility
-	l   *lnvc
-	id  ID
-	pid int
+	adm admission
 	// msgs must never be read after done: committed headers belong to
 	// the facility (a receiver may consume and recycle them
 	// concurrently) and aborted ones to the pool. Everything the batch
-	// reports afterwards comes from ns/total, copied at allocation.
-	msgs  []*msg.Message
-	ns    []int
-	total int
-	done  bool
-	// The batch's credit debit — the whole demand in one acquisition,
-	// mirroring the single arena transaction. CommitN returns the
-	// aborted tail's share; AbortAll and a lost circuit return it all.
-	// creditGen pins refunds to the debited descriptor incarnation.
-	creditGen    uint64
-	creditBlocks int
+	// reports afterwards comes from ns, copied at allocation.
+	msgs []*msg.Message
+	ns   []int
+	done bool
 }
 
 // LoanBatch allocates blocks for one message per length in ns — all in
@@ -54,71 +47,31 @@ type LoanBatch struct {
 // ErrNoMemory). An empty ns validates the connection and returns an
 // empty batch whose CommitAll is a no-op.
 func (f *Facility) LoanBatch(pid int, id ID, ns []int) (*LoanBatch, error) {
-	b, err := f.loanBatch(pid, id, ns)
-	total := 0
+	total, blocks := 0, 0
 	for _, n := range ns {
 		total += n
+		blocks += f.arena.BlocksFor(n)
 	}
+	b, err := f.loanBatch(pid, id, ns, blocks, total)
 	f.trace(Event{Op: OpLoanBatch, PID: pid, LNVC: id, Bytes: total, Err: err})
 	return b, err
 }
 
-func (f *Facility) loanBatch(pid int, id ID, ns []int) (*LoanBatch, error) {
-	if err := f.checkPID(pid); err != nil {
-		return nil, err
-	}
-	if f.stopped.Load() {
-		return nil, ErrShutdown
-	}
-	total, blocks := 0, 0
+func (f *Facility) loanBatch(pid int, id ID, ns []int, blocks, total int) (*LoanBatch, error) {
 	for _, n := range ns {
 		if n < 0 {
 			return nil, fmt.Errorf("mpf: LoanBatch of %d bytes", n)
 		}
-		total += n
-		blocks += f.arena.BlocksFor(n)
 	}
-	if blocks > f.arena.NumBlocks() {
-		return nil, fmt.Errorf("%w: batch of %d bytes in %d blocks, region holds %d blocks",
-			ErrMessageTooBig, total, blocks, f.arena.NumBlocks())
-	}
-	l, err := f.lookup(id)
+	a, err := f.admit(pid, id, blocks, total)
 	if err != nil {
 		return nil, err
 	}
-	// Fail fast before the (possibly blocking) allocation; CommitAll
-	// re-validates under the lock, exactly as sendBatch does. With
-	// credit configured the whole batch's demand is debited in one
-	// acquisition, and the check rides along with it.
-	var creditGen uint64
-	creditBlocks := 0
-	if f.cfg.CreditBlocks > 0 && len(ns) > 0 {
-		creditBlocks = blocks
-		var err error
-		if creditGen, err = f.acquireCredit(l, id, pid, creditBlocks); err != nil {
-			return nil, err
-		}
-	} else {
-		l.lock.Lock()
-		if f.slots[id].Load() != l || l.sends[pid] == nil {
-			l.lock.Unlock()
-			return nil, fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
-		}
-		l.lock.Unlock()
+	msgs, err := f.pool.BuildLoanBatch(pid, ns, f.cfg.SendPolicy == BlockUntilFree, f.stop)
+	if err != nil {
+		return nil, f.unbuilt(a, err)
 	}
-
-	msgs, buildErr := f.pool.BuildLoanBatch(pid, ns, f.cfg.SendPolicy == BlockUntilFree, f.stop)
-	if buildErr != nil {
-		f.refundCredit(l, creditGen, creditBlocks)
-		if f.stopped.Load() {
-			return nil, ErrShutdown
-		}
-		return nil, fmt.Errorf("%w: %v", ErrNoMemory, buildErr)
-	}
-	nsCopy := make([]int, len(ns))
-	copy(nsCopy, ns)
-	return &LoanBatch{f: f, l: l, id: id, pid: pid, msgs: msgs, ns: nsCopy, total: total,
-		creditGen: creditGen, creditBlocks: creditBlocks}, nil
+	return &LoanBatch{f: f, adm: a, msgs: msgs, ns: append([]int(nil), ns...)}, nil
 }
 
 // Len returns the number of loans in the batch.
@@ -183,67 +136,24 @@ func (b *LoanBatch) CommitN(n int) error {
 
 func (b *LoanBatch) commitN(n int) error {
 	committed, err := b.commit(n)
-	b.f.trace(Event{Op: OpLoanBatchCommit, PID: b.pid, LNVC: b.id, Bytes: committed, Err: err})
+	b.f.trace(Event{Op: OpLoanBatchCommit, PID: b.adm.pid, LNVC: b.adm.id, Bytes: committed, Err: err})
 	return err
 }
 
-// commit resolves the batch, enqueueing msgs[:n] and releasing the
+// commit resolves the batch, publishing msgs[:n] and releasing the
 // rest. It returns the committed byte count for tracing, computed from
 // ns — never from the headers, which stop being ours the moment the
-// lock drops.
+// circuit lock drops.
 func (b *LoanBatch) commit(n int) (int, error) {
 	if b.done {
 		return 0, ErrLoanDone
 	}
 	b.done = true
-	f, l := b.f, b.l
-	if f.stopped.Load() {
-		f.pool.ReleaseBatch(b.msgs)
-		f.refundCredit(l, b.creditGen, b.creditBlocks)
-		return 0, ErrShutdown
+	if err := b.f.publish(b.adm, b.msgs, n); err != nil {
+		return 0, err
 	}
-	total := 0
-	for _, sz := range b.ns[:n] {
-		total += sz
-	}
-	l.lock.Lock()
-	// Re-validate both the connection and the ID binding: the circuit
-	// may have been deleted — and its descriptor recycled for another
-	// name — while the caller held the batch.
-	if f.slots[b.id].Load() != l || l.sends[b.pid] == nil {
-		l.lock.Unlock()
-		f.pool.ReleaseBatch(b.msgs)
-		f.refundCredit(l, b.creditGen, b.creditBlocks)
-		return 0, fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, b.id, b.pid)
-	}
-	for _, m := range b.msgs[:n] {
-		l.enqueueLocked(m)
-	}
-	if n > 0 {
-		l.cond.Broadcast() // one wakeup for the whole batch
-		l.wakeWaitersLocked()
-	}
-	if b.creditBlocks > 0 && n < len(b.ns) && l.gen == b.creditGen {
-		// The aborted tail's blocks go back to the region below; its
-		// accounted demand goes back to the budget here, under the same
-		// lock hold that committed the prefix (the CommitN partial-abort
-		// restore).
-		tail := 0
-		for _, sz := range b.ns[n:] {
-			tail += f.arena.BlocksFor(sz)
-		}
-		f.grantCreditLocked(l, tail)
-	}
-	l.lock.Unlock()
-	if n > 0 && f.cfg.GlobalPulseMux {
-		f.pulseActivity()
-	}
-	f.pool.ReleaseBatch(b.msgs[n:]) // aborted tail, one transaction
-
-	f.stats.sends.Add(uint64(n))
-	f.stats.loanBatchSends.Add(uint64(n))
-	f.stats.bytesSent.Add(uint64(total))
-	return total, nil
+	b.f.stats.loanBatchSends.Add(uint64(n))
+	return sumInts(b.ns[:n]), nil
 }
 
 // AbortAll returns every loaned chain to the region unsent, in one
@@ -254,6 +164,5 @@ func (b *LoanBatch) AbortAll() {
 		return
 	}
 	b.done = true
-	b.f.pool.ReleaseBatch(b.msgs)
-	b.f.refundCredit(b.l, b.creditGen, b.creditBlocks)
+	b.f.abandon(b.adm, b.msgs)
 }

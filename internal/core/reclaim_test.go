@@ -215,9 +215,22 @@ func TestReclaimBoundAndCursor(t *testing.T) {
 	}
 }
 
+// Heap allocations per iteration of the three multi-message legs of
+// TestSendTryReceiveNoAllocs, measured at the commit before the four
+// send paths were folded into admit/publish
+// (07eb05cc7b5f781b7b702121d3a66bb733fea8bc), in either allocation
+// mode. The legs may not exceed them.
+const (
+	parentAllocsLoanView     = 2  // SendLoan, Commit, TryReceiveView, Release
+	parentAllocsBatch16      = 6  // SendBatch(16), ReceiveBatch(16)
+	parentAllocsLoanBatch16  = 31 // LoanBatch(16), CommitAll, HarvestViews(64), ReleaseViews
+	noAllocsBatch, noAllocsN = 16, 1024
+)
+
 // TestSendTryReceiveNoAllocs pins the single-message copying path —
 // arena transaction, header, enqueue, claim, reclaim — at zero heap
-// allocations per message in both allocation modes.
+// allocations per message in both allocation modes, and the loan/view,
+// batch and loan-batch/harvest paths at the counts above.
 func TestSendTryReceiveNoAllocs(t *testing.T) {
 	for _, classic := range []bool{false, true} {
 		f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 4, ClassicChains: classic})
@@ -226,18 +239,75 @@ func TestSendTryReceiveNoAllocs(t *testing.T) {
 		}
 		sid, _ := f.OpenSend(0, "allocs")
 		rid, _ := f.OpenReceive(1, "allocs", FCFS)
-		in, out := make([]byte, 1024), make([]byte, 1024)
-		n := testing.AllocsPerRun(200, func() {
-			if err := f.Send(0, sid, in); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok, err := f.TryReceive(1, rid, out); !ok || err != nil {
-				t.Fatalf("TryReceive: ok %v, err %v", ok, err)
-			}
-		})
-		f.Shutdown()
-		if n != 0 {
-			t.Errorf("classic chains %v: Send+TryReceive made %v heap allocations, want 0", classic, n)
+		sel, err := f.NewSelector(1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := sel.Add(rid); err != nil {
+			t.Fatal(err)
+		}
+		in, out := make([]byte, noAllocsN), make([]byte, noAllocsN)
+		ins, outs, ns := make([][]byte, noAllocsBatch), make([][]byte, noAllocsBatch), make([]int, noAllocsBatch)
+		for i := range ins {
+			ins[i], outs[i], ns[i] = in, make([]byte, noAllocsN), noAllocsN
+		}
+		legs := []struct {
+			name string
+			max  float64
+			run  func()
+		}{
+			{"Send+TryReceive", 0, func() {
+				if err := f.Send(0, sid, in); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok, err := f.TryReceive(1, rid, out); !ok || err != nil {
+					t.Fatalf("TryReceive: ok %v, err %v", ok, err)
+				}
+			}},
+			{"SendLoan+Commit+TryReceiveView+Release", parentAllocsLoanView, func() {
+				ln, err := f.SendLoan(0, sid, noAllocsN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ln.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				v, ok, err := f.TryReceiveView(1, rid)
+				if !ok || err != nil {
+					t.Fatalf("TryReceiveView: ok %v, err %v", ok, err)
+				}
+				v.Release()
+			}},
+			{"SendBatch+ReceiveBatch", parentAllocsBatch16, func() {
+				if err := f.SendBatch(0, sid, ins); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := f.ReceiveBatch(1, rid, outs); len(got) != noAllocsBatch || err != nil {
+					t.Fatalf("ReceiveBatch: %d messages, err %v", len(got), err)
+				}
+			}},
+			{"LoanBatch+CommitAll+HarvestViews+ReleaseViews", parentAllocsLoanBatch16, func() {
+				b, err := f.LoanBatch(0, sid, ns)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := b.CommitAll(); err != nil {
+					t.Fatal(err)
+				}
+				vs, err := sel.HarvestViews(64)
+				if len(vs) != noAllocsBatch || err != nil {
+					t.Fatalf("HarvestViews: %d views, err %v", len(vs), err)
+				}
+				ReleaseViews(vs)
+			}},
+		}
+		for _, leg := range legs {
+			if n := testing.AllocsPerRun(200, leg.run); n > leg.max {
+				t.Errorf("classic chains %v: %s made %v heap allocations, want at most %v", classic, leg.name, n, leg.max)
+			} else {
+				t.Logf("classic chains %v: %s: %v allocations", classic, leg.name, n)
+			}
+		}
+		f.Shutdown()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/spinlock"
 )
 
@@ -73,6 +74,10 @@ type Selector struct {
 	ewmaDepth  float64
 	lastBudget int
 	lastFilled bool
+
+	// run is HarvestViews' scratch for one circuit's claimed messages,
+	// reused across circuits and rounds. Owner-goroutine state.
+	run []*msg.Message
 }
 
 // selReg pins a registration to one incarnation of one descriptor: l
@@ -143,15 +148,9 @@ func (s *Selector) tapNotify() {
 // unregister) — Close either sees the registration and removes it, or
 // arrives first and makes Add fail with ErrSelectorClosed.
 func (s *Selector) Add(id ID) error {
-	l, err := s.f.lookup(id)
+	l, d, err := s.f.lockRecv(s.pid, id)
 	if err != nil {
 		return err
-	}
-	l.lock.Lock()
-	d := l.recvs[s.pid]
-	if s.f.slots[id].Load() != l || d == nil {
-		l.lock.Unlock()
-		return fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, s.pid)
 	}
 	var stale selReg
 	avail := l.availableLocked(d) != nil
@@ -287,16 +286,20 @@ func (s *Selector) Close() error {
 // ErrNotConnected rather than parking forever (other circuits'
 // readiness is retained for the next Wait); facility Shutdown returns
 // ErrShutdown, and Close returns ErrSelectorClosed.
-func (s *Selector) Wait() ([]ID, error) { return s.wait(nil) }
+func (s *Selector) Wait() ([]ID, error) {
+	ids, _, err := s.rounds(false, 0, time.Time{})
+	return ids, err
+}
 
 // WaitDeadline is Wait bounded by d; it returns ErrTimeout if no
 // circuit becomes ready in time.
 func (s *Selector) WaitDeadline(d time.Duration) ([]ID, error) {
-	if d <= 0 {
-		return nil, fmt.Errorf("%w: non-positive deadline %v", ErrTimeout, d)
+	deadline, err := deadlineAfter(d)
+	if err != nil {
+		return nil, err
 	}
-	deadline := time.Now().Add(d)
-	return s.wait(&deadline)
+	ids, _, err := s.rounds(false, 0, deadline)
+	return ids, err
 }
 
 type firedReg struct {
@@ -338,78 +341,6 @@ func (s *Selector) takeDeadErr() error {
 	err := s.deadErr
 	s.deadErr = nil
 	return err
-}
-
-func (s *Selector) wait(deadline *time.Time) ([]ID, error) {
-	if err := s.takeDeadErr(); err != nil {
-		return nil, err
-	}
-	f := s.f
-	woken := false
-	var fired []firedReg // reused across rounds
-	for {
-		if f.stopped.Load() {
-			return nil, ErrShutdown
-		}
-		// Harvest the circuits that fired since the last round. Only
-		// these are inspected: O(ready) per wakeup.
-		var err error
-		fired, err = s.collectFired(fired)
-		if err != nil {
-			return nil, err
-		}
-
-		var out []ID
-		var dead error
-		for _, fr := range fired {
-			fr.l.lock.Lock()
-			d := fr.l.recvs[s.pid]
-			// The generation check rejects a descriptor — and id —
-			// recycled to a new circuit: the registered circuit is
-			// gone even though the slot and connection test would
-			// pass against its successor.
-			connected := f.slots[fr.id].Load() == fr.l && fr.l.gen == fr.gen && d != nil
-			avail := connected && fr.l.availableLocked(d) != nil
-			fr.l.lock.Unlock()
-			if !connected {
-				// Closed under a parked selector: drop the dead
-				// registration so later Waits can proceed, and report.
-				s.dropReg(fr.id, fr.selReg)
-				dead = fmt.Errorf("%w: circuit %d closed while in selector", ErrNotConnected, fr.id)
-				continue
-			}
-			if avail {
-				out = append(out, fr.id)
-			}
-		}
-		if woken {
-			f.stats.muxWakeups.Add(1)
-			if len(out) == 0 && dead == nil {
-				f.stats.muxSpurious.Add(1)
-			}
-			woken = false
-		}
-		// Level-trigger: every circuit reported ready stays on the
-		// ready list until a later harvest observes it drained, so a
-		// caller that consumes only part of a circuit's queue — or
-		// none of it, when the error below preempts the results —
-		// sees it again on the next Wait instead of parking over
-		// deliverable messages. No notify tap is needed: the next
-		// wait() harvests before it can park.
-		s.remarkReady(out)
-		if dead != nil {
-			return nil, dead
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-
-		ok, err := parkWait(s.notify, f.stop, deadline)
-		if err != nil {
-			return nil, err
-		}
-		woken = ok
-	}
 }
 
 // remarkReady re-queues still-registered circuits for the next
@@ -473,7 +404,7 @@ func (s *Selector) dropReg(id ID, reg selReg) {
 // surfaces on the next call), ErrShutdown, ErrSelectorClosed,
 // ErrTimeout from the deadline variant.
 func (s *Selector) HarvestViews(max int) ([]*View, error) {
-	vs, err := s.harvestViews(max, nil)
+	_, vs, err := s.rounds(true, max, time.Time{})
 	s.traceHarvest(vs, err)
 	return vs, err
 }
@@ -481,11 +412,11 @@ func (s *Selector) HarvestViews(max int) ([]*View, error) {
 // HarvestViewsDeadline is HarvestViews bounded by d; it returns
 // ErrTimeout if no circuit delivers in time.
 func (s *Selector) HarvestViewsDeadline(max int, d time.Duration) ([]*View, error) {
-	if d <= 0 {
-		return nil, fmt.Errorf("%w: non-positive deadline %v", ErrTimeout, d)
+	deadline, err := deadlineAfter(d)
+	if err != nil {
+		return nil, err
 	}
-	deadline := time.Now().Add(d)
-	vs, err := s.harvestViews(max, &deadline)
+	_, vs, err := s.rounds(true, max, deadline)
 	s.traceHarvest(vs, err)
 	return vs, err
 }
@@ -534,25 +465,32 @@ func (s *Selector) traceHarvest(vs []*View, err error) {
 	s.f.trace(Event{Op: OpHarvestViews, PID: s.pid, Bytes: total, Err: err})
 }
 
-func (s *Selector) harvestViews(max int, deadline *time.Time) ([]*View, error) {
-	auto := max < 1
+// rounds is the selector's one wait loop, behind Wait (claim false) and
+// HarvestViews (claim true, max its budget). A round inspects only the
+// circuits that fired since the last one — O(ready) work per wakeup —
+// and a claiming round drains them into views where a reporting round
+// claims nothing and returns the ids of those with a deliverable
+// message. Rounds repeat, parking in between, until one has something
+// to return.
+func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*View, error) {
+	auto := claim && max < 1
 	if auto && s.f.cfg.AutoHarvestMax < 1 {
-		return nil, fmt.Errorf("core: HarvestViews with budget %d (auto-harvest not configured)", max)
+		return nil, nil, fmt.Errorf("core: HarvestViews with budget %d (auto-harvest not configured)", max)
 	}
 	if err := s.takeDeadErr(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	f := s.f
 	woken := false
 	var fired []firedReg // reused across rounds
 	for {
 		if f.stopped.Load() {
-			return nil, ErrShutdown
+			return nil, nil, ErrShutdown
 		}
 		var err error
 		fired, err = s.collectFired(fired)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if auto {
 			max = s.nextAutoBudget()
@@ -572,20 +510,25 @@ func (s *Selector) harvestViews(max int, deadline *time.Time) ([]*View, error) {
 		}
 
 		var out []*View
-		var remark []ID
+		var armed []ID // circuits this round leaves with traffic
 		var dead error
 		total := 0
 		for _, fr := range fired {
-			if len(out) >= max {
+			if claim && len(out) >= max {
 				// Budget exhausted before this circuit was even looked
 				// at: keep it armed, untouched, for the next call.
-				remark = append(remark, fr.id)
+				armed = append(armed, fr.id)
 				continue
 			}
 			fr.l.lock.Lock()
 			d := fr.l.recvs[s.pid]
-			connected := f.slots[fr.id].Load() == fr.l && fr.l.gen == fr.gen && d != nil
-			if !connected {
+			// The generation check rejects a descriptor — and id —
+			// recycled to a new circuit: the registered circuit is gone
+			// even though the slot and connection test would pass
+			// against its successor.
+			if f.slots[fr.id].Load() != fr.l || fr.l.gen != fr.gen || d == nil {
+				// Closed under a parked selector: drop the dead
+				// registration so later rounds can proceed, and report.
 				fr.l.lock.Unlock()
 				s.dropReg(fr.id, fr.selReg)
 				dead = fmt.Errorf("%w: circuit %d closed while in selector", ErrNotConnected, fr.id)
@@ -593,23 +536,24 @@ func (s *Selector) harvestViews(max int, deadline *time.Time) ([]*View, error) {
 			}
 			// Claim everything deliverable (up to the budget and the
 			// fairness cap) under this one lock hold — the whole point
-			// of the harvest.
-			claimed := 0
-			m := fr.l.availableLocked(d)
-			for ; m != nil && len(out) < max && claimed < perCircuit; m = m.Next {
-				fr.l.claimLocked(d, m)
+			// of the harvest. A reporting round's budget is zero: it
+			// only learns whether anything is deliverable.
+			budget := 0
+			if claim {
+				budget = min(max-len(out), perCircuit)
+			}
+			var more bool
+			s.run, more = fr.l.claimRunLocked(d, fr.l.availableLocked(d), s.run[:0], budget)
+			for _, m := range s.run {
 				out = append(out, &View{f: f, l: fr.l, m: m, id: fr.id})
 				total += m.Length
-				claimed++
 			}
-			more := m != nil
 			fr.l.lock.Unlock()
 			if more {
-				// Budget- or cap-limited with traffic left: stays armed.
-				if claimed >= perCircuit && perCircuit < max {
+				if claim && len(s.run) >= perCircuit && perCircuit < max {
 					f.stats.harvestCapHits.Add(1)
 				}
-				remark = append(remark, fr.id)
+				armed = append(armed, fr.id)
 			}
 		}
 		if auto && len(fired) > 0 {
@@ -617,12 +561,19 @@ func (s *Selector) harvestViews(max int, deadline *time.Time) ([]*View, error) {
 		}
 		if woken {
 			f.stats.muxWakeups.Add(1)
-			if len(out) == 0 && dead == nil {
+			if len(out) == 0 && len(armed) == 0 && dead == nil {
 				f.stats.muxSpurious.Add(1)
 			}
 			woken = false
 		}
-		s.remarkReady(remark)
+		// Level-trigger: every circuit left with traffic — reported
+		// ready, or cut short by the budget or the cap — goes back on the
+		// ready list until a later round observes it drained, so a
+		// caller that consumes only part of a circuit's queue (or none
+		// of it, when the error below preempts the results) sees it
+		// again instead of parking over deliverable messages. No notify
+		// tap is needed: the next call runs a round before it can park.
+		s.remarkReady(armed)
 		if len(out) > 0 {
 			f.stats.receives.Add(uint64(len(out)))
 			f.stats.bytesRecvd.Add(uint64(total))
@@ -632,15 +583,20 @@ func (s *Selector) harvestViews(max int, deadline *time.Time) ([]*View, error) {
 			// is stashed for the next wait/harvest call to return (the
 			// registration is already gone — nothing would re-fire it).
 			s.deadErr = dead
-			return out, nil
+			return nil, out, nil
 		}
 		if dead != nil {
-			return nil, dead
+			return nil, nil, dead
+		}
+		if len(armed) > 0 {
+			// Only a reporting round gets here: a claiming round that
+			// left a circuit armed claimed from it or before it.
+			return armed, nil, nil
 		}
 
 		ok, err := parkWait(s.notify, f.stop, deadline)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		woken = ok
 	}

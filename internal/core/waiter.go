@@ -7,11 +7,11 @@ import "time"
 // wake exactly the waiters registered on that circuit — O(waiters on
 // this circuit) work, not O(waiters in the facility). This is the
 // epoll-style structure ReceiveAny and Selector park on. The
-// facility-wide activity pulse it replaces survives only as an ablation
-// baseline (Config.GlobalPulseMux; see any.go) and, in spirit, in the
-// arena's block-pool wait, where the condition really is global: any
-// freed block serves any waiter, so a per-resource list would buy
-// nothing there.
+// facility-wide activity pulse it replaced (one channel every Send
+// closed, waking every parked ReceiveAny; DESIGN.md §10 keeps the
+// measurement) survives only in spirit, in the arena's block-pool wait,
+// where the condition really is global: any freed block serves any
+// waiter, so a per-resource list would buy nothing there.
 
 // muxWaiter is one parked multiplexer registration on an LNVC waiter
 // list. Exactly one of ch/sel is set: ch is a one-shot park
@@ -65,10 +65,10 @@ func (l *lnvc) removeWaiterLocked(w *muxWaiter) {
 
 // parkWait is the shared park: it blocks until wake fires (true, nil),
 // stop aborts (ErrShutdown), or the optional deadline passes
-// (ErrTimeout). ReceiveAny, its global-pulse baseline, and
-// Selector.Wait all sleep here.
-func parkWait(wake <-chan struct{}, stop <-chan struct{}, deadline *time.Time) (bool, error) {
-	if deadline == nil {
+// (ErrTimeout; the zero Time means none). ReceiveAny, Selector.Wait
+// and Selector.HarvestViews all sleep here.
+func parkWait(wake <-chan struct{}, stop <-chan struct{}, deadline time.Time) (bool, error) {
+	if deadline.IsZero() {
 		select {
 		case <-wake:
 			return true, nil
@@ -76,7 +76,7 @@ func parkWait(wake <-chan struct{}, stop <-chan struct{}, deadline *time.Time) (
 			return false, ErrShutdown
 		}
 	}
-	wait := time.Until(*deadline)
+	wait := time.Until(deadline)
 	if wait <= 0 {
 		return false, ErrTimeout
 	}

@@ -17,7 +17,9 @@ import (
 //   - SendLoan allocates a message's blocks up front and hands the
 //     caller a writable window (Loan). The caller produces the payload
 //     in place and Commit links the finished message into the FIFO —
-//     zero send-side copies. Abort returns the chain unsent.
+//     zero send-side copies. Abort returns the chain unsent. (A Loan
+//     is send.go's admission and built message, held by the caller
+//     between admit and publish.)
 //   - ReceiveView/TryReceiveView claim a message exactly like
 //     Receive/TryReceive but hand back a pinned read window (View)
 //     instead of copying. N BROADCAST receivers read the one shared
@@ -39,9 +41,7 @@ var ErrLoanDone = errors.New("mpf: loan already committed or aborted")
 // the paper's single-thread-of-control process model.
 type Loan struct {
 	f   *Facility
-	l   *lnvc
-	id  ID
-	pid int
+	adm admission
 	m   *msg.Message
 	// n is the payload length, copied out of the header at allocation:
 	// after Commit the header belongs to the facility (a receiver may
@@ -49,11 +49,6 @@ type Loan struct {
 	// m again once done is set.
 	n    int
 	done bool
-	// The loan's credit debit, refunded if the message never reaches a
-	// FIFO (abort, lost circuit, shutdown). creditGen pins the refund
-	// to the descriptor incarnation that was debited.
-	creditGen    uint64
-	creditBlocks int
 }
 
 // SendLoan allocates blocks for n payload bytes on the LNVC and returns
@@ -67,52 +62,18 @@ func (f *Facility) SendLoan(pid int, id ID, n int) (*Loan, error) {
 }
 
 func (f *Facility) sendLoan(pid int, id ID, n int) (*Loan, error) {
-	if err := f.checkPID(pid); err != nil {
-		return nil, err
-	}
-	if f.stopped.Load() {
-		return nil, ErrShutdown
-	}
 	if n < 0 {
 		return nil, fmt.Errorf("mpf: SendLoan of %d bytes", n)
 	}
-	if f.arena.BlocksFor(n) > f.arena.NumBlocks() {
-		return nil, fmt.Errorf("%w: %d bytes, region holds %d", ErrMessageTooBig, n, f.arena.NumBlocks()*f.arena.PayloadSize())
-	}
-	l, err := f.lookup(id)
+	a, err := f.admit(pid, id, f.arena.BlocksFor(n), n)
 	if err != nil {
 		return nil, err
 	}
-	// Fail fast before the (possibly blocking) allocation; Commit
-	// re-validates under the lock, exactly as send does around its copy.
-	// With credit configured the check rides along with the debit.
-	var creditGen uint64
-	creditBlocks := 0
-	if f.cfg.CreditBlocks > 0 {
-		creditBlocks = f.arena.BlocksFor(n)
-		var err error
-		if creditGen, err = f.acquireCredit(l, id, pid, creditBlocks); err != nil {
-			return nil, err
-		}
-	} else {
-		l.lock.Lock()
-		if f.slots[id].Load() != l || l.sends[pid] == nil {
-			l.lock.Unlock()
-			return nil, fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
-		}
-		l.lock.Unlock()
+	m, err := f.pool.BuildLoan(pid, n, f.cfg.SendPolicy == BlockUntilFree, f.stop)
+	if err != nil {
+		return nil, f.unbuilt(a, err)
 	}
-
-	m, buildErr := f.pool.BuildLoan(pid, n, f.cfg.SendPolicy == BlockUntilFree, f.stop)
-	if buildErr != nil {
-		f.refundCredit(l, creditGen, creditBlocks)
-		if f.stopped.Load() {
-			return nil, ErrShutdown
-		}
-		return nil, fmt.Errorf("%w: %v", ErrNoMemory, buildErr)
-	}
-	return &Loan{f: f, l: l, id: id, pid: pid, m: m, n: n,
-		creditGen: creditGen, creditBlocks: creditBlocks}, nil
+	return &Loan{f: f, adm: a, m: m, n: n}, nil
 }
 
 // Len returns the loan's payload capacity in bytes.
@@ -152,7 +113,7 @@ func (ln *Loan) CopyFrom(buf []byte) int {
 // back.
 func (ln *Loan) Commit() error {
 	err := ln.commit()
-	ln.f.trace(Event{Op: OpLoanCommit, PID: ln.pid, LNVC: ln.id, Bytes: ln.n, Err: err})
+	ln.f.trace(Event{Op: OpLoanCommit, PID: ln.adm.pid, LNVC: ln.adm.id, Bytes: ln.n, Err: err})
 	return err
 }
 
@@ -160,36 +121,12 @@ func (ln *Loan) commit() error {
 	if ln.done {
 		return ErrLoanDone
 	}
-	f, l := ln.f, ln.l
-	if f.stopped.Load() {
-		ln.done = true
-		f.pool.Release(ln.m)
-		f.refundCredit(l, ln.creditGen, ln.creditBlocks)
-		return ErrShutdown
-	}
-	l.lock.Lock()
-	// Re-validate both the connection and the ID binding: the circuit
-	// may have been deleted — and its descriptor recycled for another
-	// name — while the caller held the loan.
-	if f.slots[ln.id].Load() != l || l.sends[ln.pid] == nil {
-		l.lock.Unlock()
-		ln.done = true
-		f.pool.Release(ln.m)
-		f.refundCredit(l, ln.creditGen, ln.creditBlocks)
-		return fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, ln.id, ln.pid)
-	}
-	l.enqueueLocked(ln.m)
-	l.cond.Broadcast()
-	l.wakeWaitersLocked()
-	l.lock.Unlock()
-	if f.cfg.GlobalPulseMux {
-		f.pulseActivity()
-	}
 	ln.done = true
-
-	f.stats.sends.Add(1)
-	f.stats.bytesSent.Add(uint64(ln.n))
-	f.stats.loanSends.Add(1)
+	one := [1]*msg.Message{ln.m}
+	if err := ln.f.publish(ln.adm, one[:], 1); err != nil {
+		return err
+	}
+	ln.f.stats.loanSends.Add(1)
 	return nil
 }
 
@@ -201,8 +138,8 @@ func (ln *Loan) Abort() {
 		return
 	}
 	ln.done = true
-	ln.f.pool.Release(ln.m)
-	ln.f.refundCredit(ln.l, ln.creditGen, ln.creditBlocks)
+	one := [1]*msg.Message{ln.m}
+	ln.f.abandon(ln.adm, one[:])
 }
 
 // View is a pinned zero-copy window onto a received message's payload,
@@ -225,7 +162,7 @@ type View struct {
 // and claims it as a pinned View — message_receive without its copy.
 // The caller must Release the view once done reading.
 func (f *Facility) ReceiveView(pid int, id ID) (*View, error) {
-	v, err := f.receiveView(pid, id, nil)
+	v, err := f.receiveView(pid, id, true, time.Time{})
 	f.trace(Event{Op: OpReceiveView, PID: pid, LNVC: id, Bytes: viewBytes(v), Err: err})
 	return v, err
 }
@@ -233,42 +170,36 @@ func (f *Facility) ReceiveView(pid int, id ID) (*View, error) {
 // ReceiveViewDeadline is ReceiveView with a bound on the wait; if no
 // message becomes available within d it returns ErrTimeout.
 func (f *Facility) ReceiveViewDeadline(pid int, id ID, d time.Duration) (*View, error) {
-	if d <= 0 {
-		return nil, fmt.Errorf("%w: non-positive deadline %v", ErrTimeout, d)
-	}
-	deadline := time.Now().Add(d)
-	v, err := f.receiveView(pid, id, &deadline)
-	f.trace(Event{Op: OpReceiveView, PID: pid, LNVC: id, Bytes: viewBytes(v), Err: err})
-	return v, err
-}
-
-func (f *Facility) receiveView(pid int, id ID, deadline *time.Time) (*View, error) {
-	l, m, err := f.waitClaim(pid, id, deadline)
+	deadline, err := deadlineAfter(d)
 	if err != nil {
 		return nil, err
 	}
-	f.stats.receives.Add(1)
-	f.stats.bytesRecvd.Add(uint64(m.Length))
-	f.stats.viewReceives.Add(1)
-	return &View{f: f, l: l, m: m, id: id}, nil
+	v, err := f.receiveView(pid, id, true, deadline)
+	f.trace(Event{Op: OpReceiveView, PID: pid, LNVC: id, Bytes: viewBytes(v), Err: err})
+	return v, err
 }
 
 // TryReceiveView is ReceiveView's non-blocking form: if a message is
 // available it is claimed as a pinned View and (v, true) is returned;
 // otherwise (nil, false).
 func (f *Facility) TryReceiveView(pid int, id ID) (*View, bool, error) {
-	l, m, ok, err := f.tryClaim(pid, id)
-	ev := Event{Op: OpTryReceiveView, PID: pid, LNVC: id, Err: err}
-	if err != nil || !ok {
-		f.trace(ev)
-		return nil, false, err
+	v, err := f.receiveView(pid, id, false, time.Time{})
+	f.trace(Event{Op: OpTryReceiveView, PID: pid, LNVC: id, Bytes: viewBytes(v), Err: err})
+	return v, v != nil, err
+}
+
+// receiveView claims one message as a View; the view is nil when park
+// is false and nothing was deliverable.
+func (f *Facility) receiveView(pid int, id ID, park bool, deadline time.Time) (*View, error) {
+	var one [1]*msg.Message
+	l, claimed, err := f.waitClaim(pid, id, park, deadline, one[:])
+	if err != nil || claimed == 0 {
+		return nil, err
 	}
 	f.stats.receives.Add(1)
-	f.stats.bytesRecvd.Add(uint64(m.Length))
+	f.stats.bytesRecvd.Add(uint64(one[0].Length))
 	f.stats.viewReceives.Add(1)
-	ev.Bytes = m.Length
-	f.trace(ev)
-	return &View{f: f, l: l, m: m, id: id}, true, nil
+	return &View{f: f, l: l, m: one[0], id: id}, nil
 }
 
 func viewBytes(v *View) int {
@@ -335,7 +266,8 @@ func (v *View) Release() {
 		return
 	}
 	v.released = true
-	v.f.unpin(v.l, v.m)
+	one := [1]*msg.Message{v.m}
+	v.f.unpinAll(v.l, one[:])
 }
 
 // ReleaseViews releases every view in vs under batched unpinning: one

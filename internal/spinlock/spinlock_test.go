@@ -33,10 +33,6 @@ func TestTASMutualExclusion(t *testing.T) {
 	exercise(t, &TAS{}, 8, 2000)
 }
 
-func TestTicketMutualExclusion(t *testing.T) {
-	exercise(t, &Ticket{}, 8, 2000)
-}
-
 func TestRWWriteMutualExclusion(t *testing.T) {
 	exercise(t, &RW{}, 8, 2000)
 }
@@ -177,38 +173,6 @@ func TestRWReadersSeeWriterUpdates(t *testing.T) {
 	}
 }
 
-func TestTicketFairnessOrder(t *testing.T) {
-	// With a ticket lock, a waiter that arrived first must be served
-	// first. Serialize arrival, then check service order.
-	var l Ticket
-	l.Lock()
-
-	order := make(chan int, 2)
-	first := make(chan struct{})
-	go func() {
-		close(first)
-		l.Lock()
-		order <- 1
-		l.Unlock()
-	}()
-	<-first
-	time.Sleep(20 * time.Millisecond) // let goroutine 1 take its ticket
-	go func() {
-		l.Lock()
-		order <- 2
-		l.Unlock()
-	}()
-	time.Sleep(20 * time.Millisecond)
-	l.Unlock()
-
-	if got := <-order; got != 1 {
-		t.Fatalf("first served = %d, want 1", got)
-	}
-	if got := <-order; got != 2 {
-		t.Fatalf("second served = %d, want 2", got)
-	}
-}
-
 func TestCondOverTAS(t *testing.T) {
 	// TAS must be usable as the Locker under a sync.Cond; core relies
 	// on this for blocking message_receive.
@@ -247,16 +211,6 @@ func BenchmarkTASUncontended(b *testing.B) {
 
 func BenchmarkTASContended(b *testing.B) {
 	var l TAS
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			l.Lock()
-			l.Unlock()
-		}
-	})
-}
-
-func BenchmarkTicketContended(b *testing.B) {
-	var l Ticket
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			l.Lock()

@@ -151,9 +151,10 @@ func WithFailFastSend() Option { return func(c *core.Config) { c.SendPolicy = co
 
 // WithCredit enables per-circuit credit-based flow control: every
 // circuit carries a receiver-granted budget of n accounted blocks (the
-// same worst-case BlocksFor unit the capacity checks use), debited by
-// Send/SendBatch/Loan/LoanBatch at allocation time and re-granted as
-// receivers release the blocks (receives, view releases, reclamation).
+// same worst-case BlocksFor unit the capacity checks use), debited when
+// a send — Send, SendBatch, Loan or LoanBatch alike — is admitted,
+// before its allocation, and re-granted as receivers release the
+// blocks (receives, view releases, reclamation).
 // A send that would overdraw the budget waits for a grant — or, with
 // WithFailFastSend, returns ErrNoCredit — so one hot circuit can no
 // longer monopolise the shared region and starve every other tenant
@@ -162,8 +163,8 @@ func WithFailFastSend() Option { return func(c *core.Config) { c.SendPolicy = co
 // exceeds the whole budget fails with ErrNoCredit under either policy,
 // and a sender parked for credit when the circuit's last receiver
 // departs fails with ErrNotConnected rather than parking forever.
-// Zero (the default) leaves flow control off: the send paths are
-// exactly the uncredited ones. Stats reports CreditStalls and
+// Zero (the default) leaves flow control off: admission is the
+// connection check alone. Stats reports CreditStalls and
 // CreditsHeld; see DESIGN.md §13.
 func WithCredit(n int) Option { return func(c *core.Config) { c.CreditBlocks = n } }
 
@@ -210,13 +211,6 @@ func WithHugePages() Option { return func(c *core.Config) { c.HugePages = true }
 // single-slice zero-copy Loans and Views the common case. This option
 // is the copy ablation's paper-plane baseline (mpfbench -copies).
 func WithClassicChains() Option { return func(c *core.Config) { c.ClassicChains = true } }
-
-// WithGlobalPulseMux reverts ReceiveAny to the pre-selector wakeup
-// scheme — one facility-wide pulse per Send waking every parked
-// waiter. It exists only as the ablation baseline the selector-scaling
-// benchmark (mpfbench -select) measures the thundering herd against;
-// leave it off in real use.
-func WithGlobalPulseMux() Option { return func(c *core.Config) { c.GlobalPulseMux = true } }
 
 // WithTracer installs a tracer receiving one Event per primitive call.
 func WithTracer(t Tracer) Option { return func(c *core.Config) { c.Tracer = t } }
