@@ -160,7 +160,8 @@ type Config struct {
 	// BlockSize is the message block size in bytes including the 4-byte
 	// link word. The paper's experiments used 10-byte blocks; the
 	// default here is 64. Figure 3's per-block overhead is directly
-	// controlled by this knob.
+	// controlled by this knob. Payloads start on block boundaries, so
+	// a multiple of 64 puts every payload on a cache line.
 	BlockSize int
 	// BlocksPerProcess scales the region: the block pool holds
 	// MaxProcesses * BlocksPerProcess blocks (default 256).

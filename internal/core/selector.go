@@ -544,11 +544,15 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 			}
 			var more bool
 			s.run, more = fr.l.claimRunLocked(d, fr.l.availableLocked(d), s.run[:0], budget)
-			for _, m := range s.run {
-				out = append(out, &View{f: f, l: fr.l, m: m, id: fr.id})
+			fr.l.lock.Unlock()
+			// One allocation per circuit run, not one per message, and
+			// made after the unlock: the claim already pinned the run.
+			vs := make([]View, len(s.run))
+			for i, m := range s.run {
+				vs[i] = View{f: f, l: fr.l, m: m, id: fr.id}
+				out = append(out, &vs[i])
 				total += m.Length
 			}
-			fr.l.lock.Unlock()
 			if more {
 				if claim && len(s.run) >= perCircuit && perCircuit < max {
 					f.stats.harvestCapHits.Add(1)

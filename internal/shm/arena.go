@@ -15,15 +15,29 @@
 //     different addresses in different processes, which is exactly why the
 //     original used them);
 //   - a lock-protected singly-linked free list threaded through the blocks
-//     themselves, with the link word stored in the block's first 4 bytes
-//     when free.
+//     themselves, one 4-byte link word per block.
+//
+// The one layout rule, in both allocation modes: the chain element at
+// offset off (a block, or a span of k blocks) keeps its link word in
+// [off-4, off) — the last word of the slot before it; the first block's
+// lands in the burnt block 0 — and its payload is [off, off+k*blockSize-4).
+// The region base is 64-byte aligned, so every payload starts on a block
+// boundary and, for block sizes that are multiples of 64 (the default),
+// on a cache line. That is what the structural copies need: go1.24's
+// memmove sends a copy of 2 KiB or more whose destination is 16-aligned
+// to REP MOVSQ, which runs at a sixth of its speed when the source sits
+// at 4 mod 8 — where every payload sat while the link word led the block
+// (see alignedCopy for the same hazard from the caller's side). A block
+// still costs 4 bytes of link, so PayloadSize, BlocksFor and the span
+// length rule are what they were; peers in other processes are handed
+// payload offsets and never read link words.
 //
 // Beyond the paper, the arena offers a contiguous-span allocation mode
 // (Config.Spans): a free *bitmap* replaces the linked list and a payload
 // is placed, whenever fragmentation permits, in one run of physically
 // adjacent blocks carrying a single link word. A multi-kilobyte message
-// then occupies one contiguous byte range instead of a chain of 60-byte
-// fragments — which is what lets the zero-copy plane (msg.View,
+// then occupies one contiguous, line-aligned byte range instead of a chain
+// of 60-byte fragments — which is what lets the zero-copy plane (msg.View,
 // core.SendLoan/ReceiveView) hand callers a single writable or readable
 // slice instead of walking a chain. Chains still exist in span mode —
 // a chain element is simply a span of one or more blocks, described by
@@ -40,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/spinlock"
 )
@@ -128,7 +143,8 @@ type HugeStats struct {
 // Config sizes an Arena.
 type Config struct {
 	// BlockSize is the size of each block in bytes, including the 4-byte
-	// link word. The paper's experiments used 10.
+	// link word (kept in the slot's last word; the payload starts on the
+	// block boundary). The paper's experiments used 10.
 	BlockSize int
 	// NumBlocks is the number of blocks in the region.
 	NumBlocks int
@@ -174,12 +190,13 @@ func (cfg Config) Bytes() int64 {
 	return int64(cfg.BlockSize) * int64(cfg.NumBlocks+1)
 }
 
-// New creates an arena over a fresh process-private region.
+// New creates an arena over a fresh process-private region whose base is
+// 64-byte aligned (alignedBytes), like a segment window's.
 func New(cfg Config) (*Arena, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	return NewAt(cfg, make([]byte, cfg.Bytes()))
+	return NewAt(cfg, alignedBytes(cfg.Bytes()))
 }
 
 // NewAt creates an arena over caller-provided memory — the segment
@@ -187,7 +204,8 @@ func New(cfg Config) (*Arena, error) {
 // Segment.At(arenaOff, cfg.Bytes()) and every offset the arena hands
 // out (message chains, loan spans, view payloads) is resolvable by any
 // process that mapped the same segment. mem must be cfg.Bytes() long
-// and zeroed (fresh segments are).
+// and zeroed (fresh segments are), and should start on a 64-byte
+// boundary (AlignUp) so payloads are line-aligned.
 //
 // Only the block *bytes* live in mem. The allocator's own state — the
 // free bitmap, span lengths, the spinlock, waiter bookkeeping — stays
@@ -291,12 +309,15 @@ func (a *Arena) LockStats() (acquisitions, contended uint64) {
 // at creation.
 func (a *Arena) HugeStats() HugeStats { return a.huge }
 
+// The link word of the element at off is the last word of the slot
+// before it (block 0, burnt for NilOffset, takes the first block's), so
+// the payload owns the block boundary. See the package comment.
 func (a *Arena) setLink(off, next int32) {
-	binary.LittleEndian.PutUint32(a.mem[off:off+4], uint32(next))
+	binary.LittleEndian.PutUint32(a.mem[off-4:off], uint32(next))
 }
 
 func (a *Arena) link(off int32) int32 {
-	return int32(binary.LittleEndian.Uint32(a.mem[off : off+4]))
+	return int32(binary.LittleEndian.Uint32(a.mem[off-4 : off]))
 }
 
 // Alloc pops one block off the free list. It returns ErrOutOfBlocks when
@@ -870,7 +891,7 @@ func (a *Arena) SetNext(off, next int32) {
 // returned slice aliases the arena; the caller owns the block.
 func (a *Arena) Payload(off int32) []byte {
 	a.checkOffset(off)
-	return a.mem[off+4 : off+a.blockSize]
+	return a.mem[off : off+a.blockSize-4]
 }
 
 // SegPayload returns the payload bytes of the chain element at off: the
@@ -887,7 +908,7 @@ func (a *Arena) SegPayload(off int32) []byte {
 			panic(fmt.Sprintf("shm: SegPayload of unallocated span at offset %d", off))
 		}
 	}
-	return a.mem[off+4 : off+k*a.blockSize]
+	return a.mem[off : off+k*a.blockSize-4]
 }
 
 // checkOffset panics if off is not a valid block offset. Offset bugs in a
@@ -919,11 +940,37 @@ func (a *Arena) WriteChain(head int32, buf []byte) int {
 		if off == NilOffset {
 			panic("shm: WriteChain ran out of blocks")
 		}
-		n := copy(a.SegPayload(off), buf[written:])
-		written += n
+		written += alignedCopy(a.SegPayload(off), buf[written:])
 		off = a.Next(off)
 	}
 	return written
+}
+
+// sliceAddr is the address of b's first byte, for alignment arithmetic.
+func sliceAddr(b []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(b))) }
+
+// alignedCopy is copy for the two structural copies between caller memory
+// and the region — the one place WriteChain (and through it Pool.Build,
+// View.CopyFrom, LoanBatch.Fill) and ReadChain move payload bytes. It
+// answers one branch of go1.24's runtime/memmove_amd64.s: a forward copy
+// of 2048 bytes or more whose destination is 16-byte aligned goes to
+// fwdBy8 (REP MOVSQ) whatever the source's alignment, and REP MOVSQ from a
+// source that is not 8-byte aligned runs at about a sixth of its speed
+// (~700 ns against ~110 ns per 16 KiB on the reference box). Payloads
+// start on block boundaries, so the region side is the aligned one; when
+// the other side is not (a caller's buf[4:], a frame after a 4-byte
+// prefix, an odd block size) the head bytes up to the source's next
+// 8-byte boundary are copied first, which both aligns the source and
+// takes the destination off the REP MOVSQ branch.
+func alignedCopy(dst, src []byte) int {
+	if n := min(len(dst), len(src)); n >= 2048 && sliceAddr(dst)&15 == 0 {
+		if mis := int(sliceAddr(src) & 7); mis != 0 {
+			h := 8 - mis
+			copy(dst[:h], src[:h])
+			return h + copy(dst[h:], src[h:])
+		}
+	}
+	return copy(dst, src)
 }
 
 // ReadChain copies length bytes from the chain starting at head into buf,
@@ -944,7 +991,7 @@ func (a *Arena) ReadChain(head int32, length int, buf []byte) int {
 		if remain < len(p) {
 			p = p[:remain]
 		}
-		read += copy(buf[read:], p)
+		read += alignedCopy(buf[read:], p)
 		off = a.Next(off)
 	}
 	return read

@@ -70,11 +70,6 @@ type Segment struct {
 	kind   SegmentKind
 	closed bool
 
-	// heapWords anchors the heap backend's allocation; sizing it in
-	// uint64 units guarantees 8-byte base alignment for the atomic
-	// words carved out of the segment.
-	heapWords []uint64
-
 	// osFile is the backing memfd on Linux (nil for heap segments);
 	// segment_linux.go owns its lifecycle.
 	osFile backingFile
@@ -94,12 +89,19 @@ func NewSegment(size int64) (*Segment, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("shm: segment of %d bytes", size)
 	}
-	words := make([]uint64, (size+7)/8)
-	return &Segment{
-		mem:       unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size),
-		kind:      HeapSegment,
-		heapWords: words,
-	}, nil
+	return &Segment{mem: alignedBytes(size), kind: HeapSegment}, nil
+}
+
+// alignedBytes returns n zeroed heap bytes starting on a 64-byte
+// boundary — what a page-aligned mapping gives for free — so that
+// AlignUp'd offsets are cache lines (and the atomic words carved out of
+// a segment 8-byte aligned) on the heap backend too. The allocation is
+// made in uint64 units, seven over, and sliced to the boundary rather
+// than trusting the allocator's size classes.
+func alignedBytes(n int64) []byte {
+	words := make([]uint64, (n+7)/8+7)
+	pad := -uintptr(unsafe.Pointer(&words[0])) & 63 / 8
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[pad])), n)
 }
 
 // Kind reports the segment's backend.
@@ -178,7 +180,6 @@ func (s *Segment) Close() error {
 		return s.osFile.Close()
 	}
 	s.mem = nil
-	s.heapWords = nil
 	return nil
 }
 

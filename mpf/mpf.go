@@ -131,6 +131,8 @@ func WithMaxProcesses(n int) Option { return func(c *core.Config) { c.MaxProcess
 // WithBlockSize sets the message block size in bytes, including the
 // 4-byte link word (default 64; the paper's experiments used 10).
 // Smaller blocks raise per-byte overhead exactly as in paper Figure 3.
+// Payloads start on block boundaries: at a multiple of 64 every
+// View.Bytes and Loan.Bytes window is cache-line aligned.
 func WithBlockSize(n int) Option { return func(c *core.Config) { c.BlockSize = n } }
 
 // WithBlocksPerProcess scales the shared region: the block pool holds

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/faultpoint"
@@ -479,6 +480,66 @@ func TestBridgePeerKilledMidWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 			quiescent(t, srv, free)
+		})
+	}
+}
+
+// TestBridgeRecordsLineAligned holds the layout rule at the process
+// boundary: the arena sits at an AlignUp'd offset of a page-aligned
+// mapping, so every window a ring record names — a view's going down, a
+// loan's going up — starts on a 64-byte boundary of the segment, at the
+// default block size and at a larger one. The peer here is an honest
+// worker that looks at each record's Off before answering it.
+func TestBridgeRecordsLineAligned(t *testing.T) {
+	far := time.Now().Add(time.Minute)
+	for name, opts := range map[string][]Option{"default": nil, "block512": {WithBlockSize(512)}} {
+		t.Run(name, func(t *testing.T) {
+			srv := serveOrSkip(t, ServeConfig{Children: 1, RingCap: 64, Options: opts})
+			if srv.arenaOff != shm.AlignUp(srv.arenaOff) {
+				t.Fatalf("arena at segment offset %d, want a 64-byte boundary", srv.arenaOff)
+			}
+			if base := uintptr(unsafe.Pointer(unsafe.SliceData(srv.seg.Bytes()))); base%64 != 0 {
+				t.Fatalf("segment mapped at %#x, want a 64-byte boundary", base)
+			}
+			cl := attachPeer(t, srv, 0)
+			const msgs, size = 40, 3000
+			for _, up := range []bool{false, true} {
+				call := srv.BridgeDown
+				if up {
+					call = srv.BridgeUp
+				}
+				bridged := goBridge(func() (int, error) { return call(0, msgs, size) })
+				recs := make([]shm.Record, maxChunk)
+				for seen := 0; seen < msgs; {
+					n, err := cl.down.PopBatchAbort(recs, far, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range recs[:n] {
+						rec := &recs[i]
+						if rec.Off%64 != 0 || rec.Len != size {
+							t.Errorf("up=%v: record window [%d, +%d), want a 64-byte boundary and %d bytes", up, rec.Off, rec.Len, size)
+						}
+						if !up {
+							rec.Tag = xtag(XTagAck, cl.Gen())
+							continue
+						}
+						pay, err := cl.payload(*rec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fillPattern(pay, 0, int(rec.Word))
+						rec.Tag, rec.Word = xtag(XTagFilled, cl.Gen()), xsum(pay)
+					}
+					if err := cl.up.PushBatch(recs[:n], far); err != nil {
+						t.Fatal(err)
+					}
+					seen += n
+				}
+				if r := <-bridged; r.n != msgs || r.err != nil {
+					t.Fatalf("up=%v: %d round trips, %v", up, r.n, r.err)
+				}
+			}
 		})
 	}
 }

@@ -3,8 +3,10 @@ package mpf
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestFacadeLoanViewRoundtrip(t *testing.T) {
@@ -255,5 +257,78 @@ func TestClassicChainsFacadeOption(t *testing.T) {
 	v.Segments(func(seg []byte) bool { total += len(seg); return true })
 	if total != 100 {
 		t.Fatalf("segments cover %d bytes, want 100", total)
+	}
+}
+
+// TestFacadePayloadsLineAligned holds the layout rule where callers see
+// it: every contiguous window the facade hands out — a loan's, a batch
+// loan's, a received view's — starts on a 64-byte boundary, at the
+// default block size and at a larger one, so typed and vector access to
+// a payload needs no fix-up.
+func TestFacadePayloadsLineAligned(t *testing.T) {
+	aligned := func(t *testing.T, what string, b []byte, ok bool) {
+		t.Helper()
+		if !ok {
+			t.Fatalf("%s is not contiguous", what)
+		}
+		if addr := uintptr(unsafe.Pointer(unsafe.SliceData(b))); addr%64 != 0 {
+			t.Errorf("%s starts at %#x, want a 64-byte boundary", what, addr)
+		}
+	}
+	for name, opts := range map[string][]Option{"default": nil, "block512": {WithBlockSize(512)}} {
+		t.Run(name, func(t *testing.T) {
+			fac, err := New(append(opts, WithMaxProcesses(2))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fac.Shutdown()
+			sp, _ := fac.Process(0)
+			rp, _ := fac.Process(1)
+			s, err := sp.OpenSend("aligned")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := rp.OpenReceive("aligned", FCFS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes := []int{1, 60, 61, 1000, 16384}
+			drain := func() {
+				t.Helper()
+				for range sizes {
+					v, err := r.ReceiveView()
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, ok := v.Bytes()
+					aligned(t, fmt.Sprintf("View.Bytes of %d bytes", v.Len()), b, ok)
+					v.Release()
+				}
+			}
+			for _, n := range sizes {
+				ln, err := s.Loan(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, ok := ln.Bytes()
+				aligned(t, fmt.Sprintf("Loan(%d).Bytes", n), b, ok)
+				if err := ln.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			drain()
+			lb, err := s.LoanBatch(sizes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range sizes {
+				b, ok := lb.Bytes(i)
+				aligned(t, fmt.Sprintf("LoanBatch.Bytes(%d) of %d bytes", i, n), b, ok)
+			}
+			if err := lb.CommitAll(); err != nil {
+				t.Fatal(err)
+			}
+			drain()
+		})
 	}
 }
