@@ -200,30 +200,33 @@ func TestCompareShapeSkew(t *testing.T) {
 	}
 }
 
-// TestCompareXProcSection: the cross-process waiter counters gate
-// same-pool chains — a busy-spin blowup (polls per message exploding)
-// is a regression — but a baseline or fresh run without shared-segment
-// support simply drops the section from the intersection rather than
-// failing the compare, and the committed-seed ratios-only mode skips
-// the whole section as scale-dependent.
+// TestCompareXProcSection: the cross-process sleep and wake counts
+// gate same-pool chains — a waiter that took to sleeping on every
+// message is a regression, while polls per message, which a
+// time-bounded spin makes a property of the box, are not held — but a
+// baseline or fresh run without shared-segment support simply drops the
+// section from the intersection rather than failing the compare, and
+// the committed-seed ratios-only mode skips the whole section as
+// scale-dependent.
 func TestCompareXProcSection(t *testing.T) {
 	oldS, newS := sampleSummary(), sampleSummary()
-	newS.XProc.SpinPollsPerMsgPlus1 *= 40 // waiters degraded to busy-spin
+	newS.XProc.FutexSleepsPerMsgPlus1 *= 2 // a kernel sleep for every message
+	newS.XProc.SpinPollsPerMsgPlus1 *= 40  // not held
 	rows, regressions, err := Compare(oldS, newS, 0.25, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if regressions != 1 {
-		t.Fatalf("busy-spin blowup found %d regressions, want 1", regressions)
+		t.Fatalf("sleep-per-message blowup found %d regressions, want 1", regressions)
 	}
 	var hit bool
 	for _, r := range rows {
-		if r.Name == "xproc.spin_polls_per_msg_plus1" {
+		if r.Name == "xproc.futex_sleeps_per_msg_plus1" {
 			hit = r.Regressed
 		}
 	}
 	if !hit {
-		t.Error("busy-spin blowup not flagged on its own row")
+		t.Error("sleep-per-message blowup not flagged on its own row")
 	}
 
 	// Unsupported on either side: the section leaves the intersection.
@@ -237,7 +240,7 @@ func TestCompareXProcSection(t *testing.T) {
 
 	// Ratios-only (committed-seed fallback): scale-dependent, skipped.
 	newS = sampleSummary()
-	newS.XProc.SpinPollsPerMsgPlus1 *= 40
+	newS.XProc.FutexSleepsPerMsgPlus1 *= 2
 	if _, regressions, err := Compare(oldS, newS, 0.25, true); err != nil || regressions != 0 {
 		t.Fatalf("ratios-only held a waiter counter: %d regressions (err %v)", regressions, err)
 	}

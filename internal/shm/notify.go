@@ -3,10 +3,10 @@ package shm
 // NotifyWord: the cross-process event counter. Two 4-byte protocol
 // words live side by side inside the segment — an event count and a
 // sleeper count. Post increments the count and issues one FUTEX_WAKE
-// only when a peer is actually asleep; Wait spins briefly on the count
-// (the message-rate case: the counterpart runs on another core and the
-// next event is nanoseconds away), registers as a sleeper, re-checks,
-// and then sleeps in the kernel via FUTEX_WAIT until the count moves.
+// only when a peer is actually asleep; Wait polls the count for one
+// spin window — as long as a sleep and its wake would cost, see
+// notifySpinWindow — registers as a sleeper, re-checks, and then sleeps
+// in the kernel via FUTEX_WAIT until the count moves.
 // This is the process-boundary analogue of the Ring.SetNotify
 // readiness hook and the per-circuit waiter lists of PR 2/4: one wake
 // per publish or batch at most, none when the consumer keeps up, no
@@ -39,11 +39,28 @@ const NotifyBytes = 128
 // footprint: one cache line past the event count.
 const notifySleeperOff = 64
 
-// notifySpin is the optimistic spin budget before a waiter sleeps in
-// the kernel. Gosched every few iterations keeps a same-process
-// counterpart runnable (in-process tests, the heap fallback); across
-// processes the spin is pure cache-line polling.
-const notifySpin = 192
+// notifySpinWindow is how long a waiter polls the count before it
+// sleeps in the kernel: the cost of the alternative. A FUTEX_WAIT that
+// a Post ends takes 22–24 µs from the post to the waiter running again
+// on the reference box (the benchmark's shm.notify_wake_us) and charges
+// the poster a FUTEX_WAKE syscall of about 6 µs on top, so an event due
+// within the window is cheaper to poll for, and one that is not has
+// cost the waiter at most as much again as the sleep it then takes:
+// never more than twice the best choice made with hindsight (Karlin et
+// al., competitive spinning, SOSP 1991). The window is time, not a poll
+// count, because a count is worth whatever the box's cache and
+// scheduler make of it (192 polls were ~3 µs here, an eighth of the
+// sleep they were meant to avoid). It must stay under 50 µs: the
+// notify_wake_us probe posts 150 µs into a Wait and has to find its
+// waiter asleep.
+const notifySpinWindow = 25 * time.Microsecond
+
+// notifyPollsPerCheck is the number of polls between two looks away
+// from the count: a Gosched, which keeps a same-process counterpart
+// runnable (in-process tests, the heap fallback), and the clock read
+// that ends the window. Across processes the polls in between are pure
+// cache-line reads.
+const notifyPollsPerCheck = 16
 
 // notifySleepSlice bounds one kernel sleep so a lost wakeup (a peer
 // killed between publish and wake) degrades to a periodic re-check
@@ -96,18 +113,31 @@ func (n *NotifyWord) Post() {
 }
 
 // Wait blocks until the count differs from old, returning the new
-// value: spin first, then FUTEX_WAIT in bounded slices. The deadline
-// (zero time = none) bounds the total wait; on expiry the current
-// count is returned with ok=false — callers re-check their predicate
-// either way, exactly as with any condition variable.
+// value: poll for one spin window, then FUTEX_WAIT in bounded slices.
+// The deadline (zero time = none) bounds the total wait; on expiry the
+// current count is returned with ok=false — callers re-check their
+// predicate either way, exactly as with any condition variable.
 func (n *NotifyWord) Wait(old uint32, deadline time.Time) (v uint32, ok bool) {
-	for i := 0; i < notifySpin; i++ {
+	// The window opens at the first clock read, so a count that moves
+	// within the first polls costs no clock read at all; it closes early
+	// at a deadline that falls inside it.
+	var closes time.Time
+	for i := 1; ; i++ {
 		if v := n.w.Load(); v != old {
 			return v, true
 		}
 		atomic.AddUint64(&n.stats.Polls, 1)
-		if i%16 == 15 {
-			runtime.Gosched()
+		if i%notifyPollsPerCheck != 0 {
+			continue
+		}
+		runtime.Gosched()
+		if now := time.Now(); closes.IsZero() {
+			closes = now.Add(notifySpinWindow)
+			if !deadline.IsZero() && deadline.Before(closes) {
+				closes = deadline
+			}
+		} else if !now.Before(closes) {
+			break
 		}
 	}
 	for {

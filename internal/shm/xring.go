@@ -342,6 +342,15 @@ func (r *XRing) PopBatchAbort(dst []Record, deadline time.Time, abort func() err
 // queued, up to len(dst) records, and returns 0 for an empty ring.
 func (r *XRing) PopBatch(dst []Record) (int, error) { return r.tryPop(dst) }
 
+// TryPushBatch is the non-blocking PushBatchAbort: it publishes all of
+// recs if they fit right now, reporting whether it did.
+func (r *XRing) TryPushBatch(recs []Record) (bool, error) {
+	if len(recs) == 0 {
+		return true, nil
+	}
+	return r.tryPush(recs)
+}
+
 // TryPush publishes rec if space is available, reporting whether it
 // did.
 func (r *XRing) TryPush(rec Record) (bool, error) { return r.tryPush([]Record{rec}) }

@@ -2,6 +2,8 @@ package shm
 
 import (
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -171,6 +173,78 @@ func TestNotifyDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
 		t.Fatalf("deadline wait returned after %v", elapsed)
+	}
+}
+
+// TestNotifySpinWindow holds the waiting rule: an event due within the
+// spin window is met polling, with no kernel sleep and so no wake
+// syscall for the poster; one that is not finds the waiter asleep and
+// wakes it; and a deadline shorter than the window is overrun by no
+// more than the window. Each leg is the best of several attempts: on a
+// two-vCPU box either side can lose its CPU for longer than the window.
+func TestNotifySpinWindow(t *testing.T) {
+	seg, _ := NewSegment(256)
+	defer seg.Close()
+	n := NotifyAt(seg, 0)
+	const attempts = 25
+
+	// waitPost runs one Wait with a Post d after the waiter set out, and
+	// returns the kernel sleeps and wake syscalls it took.
+	waitPost := func(d time.Duration) (sleeps, wakes uint64) {
+		before, old := n.Stats(), n.Load()
+		var setOut atomic.Bool
+		posted := make(chan struct{})
+		go func() {
+			defer close(posted)
+			for !setOut.Load() {
+				runtime.Gosched()
+			}
+			if d < 10*notifySpinWindow {
+				for t0 := time.Now(); time.Since(t0) < d; {
+				}
+			} else {
+				time.Sleep(d)
+			}
+			n.Post()
+		}()
+		setOut.Store(true)
+		if v, ok := n.Wait(old, time.Time{}); !ok || v != old+1 {
+			t.Fatalf("Wait(%d) with a Post after %v = %d, %v", old, d, v, ok)
+		}
+		<-posted
+		after := n.Stats()
+		return after.Sleeps - before.Sleeps, after.Wakes - before.Wakes
+	}
+
+	within := false
+	for i := 0; i < attempts && !within; i++ {
+		sleeps, wakes := waitPost(notifySpinWindow / 5)
+		within = sleeps == 0 && wakes == 0
+	}
+	if !within {
+		t.Errorf("a Post %v into a Wait never found the waiter still polling in %d attempts", notifySpinWindow/5, attempts)
+	}
+
+	beyond := false
+	for i := 0; i < attempts && !beyond; i++ {
+		sleeps, wakes := waitPost(20 * notifySpinWindow)
+		beyond = sleeps >= 1 && wakes >= 1
+	}
+	if !beyond {
+		t.Errorf("a Post %v into a Wait never found the waiter asleep and woke it in %d attempts", 20*notifySpinWindow, attempts)
+	}
+
+	const short = notifySpinWindow / 5
+	best := time.Hour
+	for i := 0; i < attempts; i++ {
+		start := time.Now()
+		if v, ok := n.Wait(n.Load(), start.Add(short)); ok {
+			t.Fatalf("Wait with no poster reported progress (v=%d)", v)
+		}
+		best = min(best, time.Since(start))
+	}
+	if best > short+notifySpinWindow {
+		t.Errorf("a %v deadline returned after %v at best, want within one %v window of it", short, best, notifySpinWindow)
 	}
 }
 

@@ -60,7 +60,20 @@ package mpf
 // for the wrong window declare the peer dead — the bridge reclaims the
 // slot itself and returns ErrPeerDead. On every failure each chunk in
 // flight is resolved exactly once (AbortAll, ReleaseViews) before the
-// call returns.
+// call returns. A failure that is the call's own — a checksum that does
+// not verify, a payload in more than one span — is not the peer's
+// death: the loop stops issuing and matches replies until its window is
+// empty before it returns the failure, so the slot stays attached and
+// the next call finds the rings as a finished call leaves them.
+//
+// What a call costs is the ring hop and the circuit. The two byte loops
+// of the verification protocol, xsum and fillPattern, run as
+// word-parallel forms of the same functions (bit-identical: a peer from
+// an earlier commit interoperates); a call's chunks are one slab; and a
+// ring wait spins for as long as a futex sleep and wake would cost
+// before it takes one (shm.NotifyWord.Wait), so a counterpart that
+// answers within a chunk's time is met polling, with no syscall on
+// either side.
 //
 // Crash robustness (DESIGN.md §17): every ring record's Tag carries
 // the slot's attach generation in its high byte, so records from a
@@ -74,6 +87,7 @@ package mpf
 // chaos harness arms to kill children at exact protocol steps.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -377,9 +391,14 @@ func (c bridgeConn) closeCircuit() {
 
 // waitClaim polls slot until a peer holds it attached, returning the
 // attach generation. ErrPeerDead reports a slot that went dead while
-// waiting; ErrTimeout-shaped failure reports nobody ever came.
+// waiting; ErrTimeout-shaped failure reports nobody ever came. The
+// pause between polls is a sixteenth of the time waited so far, from
+// 20 µs up to 1 ms: a freshly forked child claims 2–5 ms after the
+// first bridge call asks, and a fixed millisecond — or a pause that
+// has doubled its way there by then — adds half of one to the set-up of
+// every bridge.
 func (s *ProcServer) waitClaim(slot int, timeout time.Duration) (uint32, error) {
-	deadline := time.Now().Add(timeout)
+	start := time.Now()
 	for {
 		st, gen := s.table.SlotStateGen(slot)
 		switch st {
@@ -388,10 +407,11 @@ func (s *ProcServer) waitClaim(slot int, timeout time.Duration) (uint32, error) 
 		case core.SlotDead:
 			return 0, fmt.Errorf("mpf: slot %d: %w", slot, ErrPeerDead)
 		}
-		if !time.Now().Before(deadline) {
+		waited := time.Since(start)
+		if waited >= timeout {
 			return 0, fmt.Errorf("mpf: slot %d never claimed within %v", slot, timeout)
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(min(max(waited/16, 20*time.Microsecond), time.Millisecond))
 	}
 }
 
@@ -410,22 +430,86 @@ func (s *ProcServer) slotAbort(slot int, gen uint32) func() error {
 }
 
 // xsum is the protocol's payload checksum: cheap, order-sensitive, and
-// computed independently on both sides of the process boundary.
+// computed independently on both sides of the process boundary. It is
+// the polynomial s ← s·31 + c over the bytes, mod 2³², folded to 16
+// bits. A polynomial is linear in its coefficients, so sixteen bytes go
+// in per step of the one dependent chain: SWAR arithmetic on two 64-bit
+// loads gives each group of four bytes its own value c₀·31³ + c₁·31² +
+// c₂·31 + c₃ (quads), and s ← s·31¹⁶ + q₀·31¹² + q₁·31⁸ + q₂·31⁴ + q₃
+// is what sixteen serial steps compute. Same function, same values as
+// the byte loop a peer built from any earlier commit runs
+// (TestBridgeKernelsMatchSerial).
 func xsum(b []byte) uint16 {
+	const (
+		m   = 1<<32 - 1
+		p4  = 31 * 31 * 31 * 31
+		p8  = p4 * p4 & m
+		p12 = p8 * p4 & m
+		p16 = p8 * p8 & m
+	)
 	var s uint32
+	for ; len(b) >= 16; b = b[16:] {
+		q0, q1 := quads(binary.LittleEndian.Uint64(b))
+		q2, q3 := quads(binary.LittleEndian.Uint64(b[8:]))
+		s = s*p16 + q0*p12 + q1*p8 + q2*p4 + q3
+	}
 	for _, c := range b {
 		s = s*31 + uint32(c)
 	}
 	return uint16(s ^ s>>16)
 }
 
+// quads evaluates the checksum polynomial over each half of eight bytes
+// loaded little-endian (x's low byte is the first): lo is c₀·31³ +
+// c₁·31² + c₂·31 + c₃ for bytes 0–3, hi the same for bytes 4–7. The
+// even bytes times 31 plus the odd bytes is four pair values in 16-bit
+// lanes (at most 255·32); the even pairs times 31² plus the odd pairs
+// is the two results in 32-bit lanes (under 2²³): no lane carries into
+// its neighbour.
+func quads(x uint64) (lo, hi uint32) {
+	const bytes, pairs = 0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF
+	p := (x&bytes)*31 + (x >> 8 & bytes)
+	q := (p&pairs)*(31*31) + (p >> 16 & pairs)
+	return uint32(q), uint32(q >> 32)
+}
+
 // fillPattern writes the deterministic payload for (slot, seq): what
 // the bridge writes down is what the child re-derives, and vice versa.
+// The bytes are the top bytes of the linear congruential sequence x ←
+// x·A + C from a seed mixing slot and seq. Stepping an LCG eight times
+// is again one multiply and add, x·A⁸ + C·(A⁷ + … + 1), so eight lanes
+// started on eight consecutive states each produce every eighth byte
+// of the same stream, independent of one another, and a step of all
+// eight is one 64-bit store.
 func fillPattern(b []byte, slot, seq int) {
-	x := uint32(slot)*2654435761 + uint32(seq)*40503 + 1
+	const (
+		a  = 1664525
+		c  = 1013904223
+		m  = 1<<32 - 1
+		a2 = a * a & m
+		a4 = a2 * a2 & m
+		a8 = a4 * a4 & m
+		c8 = c * (1 + a) * (1 + a2) * (1 + a4) & m // C·(A⁷ + … + 1)
+	)
+	// Eight named lanes, not an array: the compiler keeps these in
+	// registers and does not unroll a loop over an array.
+	x0 := (uint32(slot)*2654435761+uint32(seq)*40503+1)*a + c
+	x1 := x0*a + c
+	x2 := x1*a + c
+	x3 := x2*a + c
+	x4 := x3*a + c
+	x5 := x4*a + c
+	x6 := x5*a + c
+	x7 := x6*a + c
+	for ; len(b) >= 8; b = b[8:] {
+		binary.LittleEndian.PutUint64(b, uint64(x0>>24)|uint64(x1>>24)<<8|uint64(x2>>24)<<16|uint64(x3>>24)<<24|
+			uint64(x4>>24)<<32|uint64(x5>>24)<<40|uint64(x6>>24)<<48|uint64(x7>>24)<<56)
+		x0, x1, x2, x3 = x0*a8+c8, x1*a8+c8, x2*a8+c8, x3*a8+c8
+		x4, x5, x6, x7 = x4*a8+c8, x5*a8+c8, x6*a8+c8, x7*a8+c8
+	}
+	tail := [...]uint32{x0, x1, x2, x3, x4, x5, x6}
 	for i := range b {
-		x = x*1664525 + 1013904223
-		b[i] = byte(x >> 24)
+		b[i] = byte(tail[i] >> 24)
 	}
 }
 
@@ -453,7 +537,9 @@ func (s *ProcServer) window(msgs, size int) int {
 }
 
 // chunk is one issue step of the window: the records of one LoanBatch,
-// which travel, are answered and retire together.
+// which travel, are answered and retire together. A call's chunks are a
+// slab it makes once, sized to its window, and reuses as they retire;
+// views and recs keep their storage from one use to the next.
 type chunk struct {
 	lb    *LoanBatch   // the payload windows until circulate commits them
 	views []*View      // the same windows, pinned, once circulate has run
@@ -485,6 +571,28 @@ func (b bridgeConn) circulate(c *chunk) error {
 		}
 	}
 	return nil
+}
+
+// pushWait publishes recs in one ring transaction, waiting for space up
+// to xprocDeadline under the abort probe. The deadline's clock is read
+// only once the ring has no room: a push that fits, which by the
+// window's construction is every push to a peer that keeps the
+// protocol, reads no clock.
+func pushWait(r *shm.XRing, recs []shm.Record, abort func() error) error {
+	if ok, err := r.TryPushBatch(recs); ok || err != nil {
+		return err
+	}
+	return r.PushBatchAbort(recs, time.Now().Add(xprocDeadline), abort)
+}
+
+// popWait consumes what is queued, waiting for the first record up to
+// xprocDeadline under the abort probe; like pushWait it reads the clock
+// only when it is about to wait.
+func popWait(r *shm.XRing, dst []shm.Record, abort func() error) (int, error) {
+	if n, err := r.PopBatch(dst); n > 0 || err != nil {
+		return n, err
+	}
+	return r.PopBatchAbort(dst, time.Now().Add(xprocDeadline), abort)
 }
 
 // errFragmented: the protocol ships each payload as one record, so it
@@ -543,6 +651,14 @@ func (s *ProcServer) BridgeUp(slot, msgs, size int) (int, error) {
 // comment at the top of the file). done counts round trips verified in
 // order: acknowledged records going down, committed and checksummed
 // ones coming up.
+//
+// A failure that is the call's own — a payload that does not verify or
+// is not one span, a loan or a commit refused — and not the peer's ring
+// conduct leaves the peer alive and still answering what was pushed. The
+// loop then stops issuing, keeps matching replies until nothing is in
+// flight, and only then returns that failure: the rings are left empty
+// for the next call on the slot. Ring errors and the abort probe end the
+// call at once, as the peer's death.
 func (s *ProcServer) runBridge(slot, msgs, size int, up bool) (done int, err error) {
 	b, err := s.bridge(slot)
 	if err != nil {
@@ -556,27 +672,49 @@ func (s *ProcServer) runBridge(slot, msgs, size int, up bool) (done int, err err
 		ns[i] = size
 	}
 	var replies [maxChunk]shm.Record
-	var flight []*chunk // issued and not yet retired, oldest first
+
+	// The chunks in flight are slab[head%len], … oldest first. Every one
+	// but a call's last carries per records and a chunk is issued only
+	// while it fits the window, so ⌈W/per⌉ of them is the most there
+	// can be.
+	slab := make([]chunk, (w+per-1)/per)
+	recs, views := make([]shm.Record, len(slab)*per), make([]*View, len(slab)*per)
+	for i := range slab {
+		lo, hi := i*per, (i+1)*per
+		slab[i].recs, slab[i].views = recs[lo:hi:hi], views[lo:lo:hi]
+	}
+	head, flying := 0, 0
+	var failed error // the call's own failure, held while its window drains
 	defer func() {
-		for _, c := range flight {
-			c.drop()
+		for i := 0; i < flying; i++ {
+			slab[(head+i)%len(slab)].drop()
+		}
+		if failed != nil && !errors.Is(err, failed) {
+			err = fmt.Errorf("%w (draining the window after: %v)", err, failed)
 		}
 		err = s.peerErr(err, slot, b.gen)
 	}()
 
-	for issued, inflight := 0, 0; done < msgs; {
+	for issued, inflight := 0, 0; done < msgs && (failed == nil || flying > 0); {
 		k := min(per, msgs-issued)
-		room := k > 0 && inflight+k <= w
+		room := failed == nil && k > 0 && inflight+k <= w
 		if room {
-			lb, err := b.send.LoanBatch(ns[:k])
-			if err != nil {
+			lb, lerr := b.send.LoanBatch(ns[:k])
+			if lerr != nil {
+				failed = lerr
+				continue
+			}
+			c := &slab[(head+flying)%len(slab)]
+			c.lb, c.views, c.recs, c.got = lb, c.views[:0], c.recs[:k], 0
+			if failed = s.prepare(b, c, slot, issued, up); failed != nil {
+				c.drop() // never pushed: nothing will answer it
+				continue
+			}
+			if err := pushWait(b.down, c.recs, abort); err != nil {
+				c.drop()
 				return done, err
 			}
-			c := &chunk{lb: lb, recs: make([]shm.Record, k)}
-			flight = append(flight, c)
-			if err := s.issue(b, c, slot, issued, up, abort); err != nil {
-				return done, err
-			}
+			flying++
 			issued += k
 			inflight += k
 		}
@@ -587,7 +725,7 @@ func (s *ProcServer) runBridge(slot, msgs, size int, up bool) (done int, err err
 		if room {
 			n, err = b.up.PopBatch(replies[:])
 		} else {
-			n, err = b.up.PopBatchAbort(replies[:], time.Now().Add(xprocDeadline), abort)
+			n, err = popWait(b.up, replies[:], abort)
 		}
 		if err != nil {
 			return done, err
@@ -599,11 +737,11 @@ func (s *ProcServer) runBridge(slot, msgs, size int, up bool) (done int, err err
 				// a zombie producer racing the reclaim).
 				continue
 			}
-			if len(flight) == 0 {
+			if flying == 0 {
 				return done, fmt.Errorf("mpf: slot %d: reply tag %d with nothing in flight: %w",
 					slot, xtagKind(rec.Tag), shm.ErrRingCorrupt)
 			}
-			c := flight[0]
+			c := &slab[head%len(slab)]
 			if err := c.match(rec, slot, up); err != nil {
 				return done, err
 			}
@@ -613,24 +751,23 @@ func (s *ProcServer) runBridge(slot, msgs, size int, up bool) (done int, err err
 			if c.got < len(c.recs) {
 				continue
 			}
-			if up {
-				if err := b.land(c, slot); err != nil {
-					return done, err
+			if up && failed == nil {
+				if failed = b.land(c, slot); failed == nil {
+					done += len(c.recs)
 				}
-				done += len(c.recs)
 			}
 			c.drop()
-			flight = flight[1:]
+			head, flying = head+1, flying-1
 			inflight -= len(c.recs)
 		}
 	}
-	return done, nil
+	return done, failed
 }
 
-// issue fills in and pushes one chunk's records. Down, the bridge
+// prepare makes one chunk's records ready to push. Down, the bridge
 // writes and checksums the payloads, circulates them and exports the
 // pinned views; up, it exports the unfilled loan windows.
-func (s *ProcServer) issue(b bridgeConn, c *chunk, slot, seq int, up bool, abort func() error) error {
+func (s *ProcServer) prepare(b bridgeConn, c *chunk, slot, seq int, up bool) error {
 	kind := XTagLoan
 	if !up {
 		kind = XTagView
@@ -664,7 +801,7 @@ func (s *ProcServer) issue(b bridgeConn, c *chunk, slot, seq int, up bool, abort
 		}
 		c.recs[i].Off, c.recs[i].Len, c.recs[i].Tag = off, int32(len(pay)), xtag(kind, b.gen)
 	}
-	return b.down.PushBatchAbort(c.recs, time.Now().Add(xprocDeadline), abort)
+	return nil
 }
 
 // match retires the chunk's next record against a reply. Replies come
@@ -738,8 +875,7 @@ func (s *ProcServer) FinishSlot(slot int) error {
 	if err != nil {
 		return err
 	}
-	err = b.down.PushAbort(shm.Record{Tag: xtag(XTagDone, b.gen)},
-		time.Now().Add(xprocDeadline), s.slotAbort(slot, b.gen))
+	err = pushWait(b.down, []shm.Record{{Tag: xtag(XTagDone, b.gen)}}, s.slotAbort(slot, b.gen))
 	return s.peerErr(err, slot, b.gen)
 }
 
@@ -867,7 +1003,7 @@ func (c *ProcClient) Serve() error {
 	defer c.table.Detach(c.slot)
 	var in, out [maxChunk]shm.Record
 	for {
-		n, err := c.down.PopBatchAbort(in[:], time.Now().Add(xprocDeadline), c.abort)
+		n, err := popWait(c.down, in[:], c.abort)
 		if err != nil {
 			return fmt.Errorf("mpf: slot %d worker: %w", c.slot, err)
 		}
@@ -902,7 +1038,7 @@ func (c *ProcClient) Serve() error {
 			}
 			replies = append(replies, rec)
 		}
-		if err := c.up.PushBatchAbort(replies, time.Now().Add(xprocDeadline), c.abort); err != nil {
+		if err := pushWait(c.up, replies, c.abort); err != nil {
 			return err
 		}
 		c.served += len(replies)

@@ -543,3 +543,118 @@ func TestBridgeRecordsLineAligned(t *testing.T) {
 		})
 	}
 }
+
+// TestBridgeVerifyFailureDrainsWindow: a verification failure is the
+// call's, not the slot's. The peer here keeps the ring protocol to the
+// letter but reports a wrong checksum for one window in the second of
+// the four chunks of a BridgeUp. That call must fail — after the first
+// chunk's 16 round trips, with the remaining replies of its window
+// matched and discarded rather than left in the ring for the next call
+// to trip over — and the slot must stay attached and serve the next
+// calls in full.
+func TestBridgeVerifyFailureDrainsWindow(t *testing.T) {
+	far := time.Now().Add(time.Minute)
+	srv := serveOrSkip(t, ServeConfig{
+		Children: 1,
+		RingCap:  64,
+		Options:  []Option{WithBlockSize(128), WithBlocksPerProcess(512)},
+	})
+	const msgs, size, lie = 64, 300, 20 // the 21st FILLED of the call: chunk two of four
+	if w := srv.window(msgs, size); w != 64 {
+		t.Fatalf("window = %d, want 64", w)
+	}
+	free := srv.Facility().Core().Arena().FreeBlocks()
+	cl := attachPeer(t, srv, 0)
+
+	// An honest worker but for the one checksum.
+	served := make(chan error, 1)
+	go func() {
+		recs := make([]shm.Record, maxChunk)
+		for filled := 0; ; {
+			n, err := cl.down.PopBatchAbort(recs, far, nil)
+			if err != nil {
+				served <- err
+				return
+			}
+			for i := range recs[:n] {
+				rec := &recs[i]
+				switch xtagKind(rec.Tag) {
+				case XTagDone:
+					served <- cl.up.PushBatch(recs[:i], far)
+					return
+				case XTagView:
+					rec.Tag = xtag(XTagAck, cl.Gen())
+				case XTagLoan:
+					pay, err := cl.payload(*rec)
+					if err != nil {
+						served <- err
+						return
+					}
+					fillPattern(pay, 0, int(rec.Word))
+					rec.Tag, rec.Word = xtag(XTagFilled, cl.Gen()), xsum(pay)
+					if filled == lie {
+						rec.Word ^= 1
+					}
+					filled++
+				}
+			}
+			if err := cl.up.PushBatch(recs[:n], far); err != nil {
+				served <- err
+				return
+			}
+		}
+	}()
+
+	n, err := srv.BridgeUp(0, msgs, size)
+	if err == nil || errors.Is(err, ErrPeerDead) || n != 16 {
+		t.Fatalf("BridgeUp against a wrong checksum: %d round trips, %v; want 16 and a verification error", n, err)
+	}
+	if st := srv.Table().SlotState(0); st != core.SlotAttached {
+		t.Fatalf("slot state %d after a verification failure, want attached", st)
+	}
+	if up, _ := srv.Table().UpRing(0); up.Len() != 0 || cl.down.Len() != 0 {
+		t.Fatalf("%d replies and %d records left in the rings by the failed call", up.Len(), cl.down.Len())
+	}
+	quiescent(t, srv, free)
+
+	bridgeBoth(t, srv, 0, msgs, size)
+	if err := srv.FinishSlot(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Facility().Stats().PeerDeaths; n != 0 {
+		t.Fatalf("PeerDeaths = %d, want 0", n)
+	}
+	quiescent(t, srv, free)
+}
+
+// TestBridgeSteadyStateAllocs bounds what a bridge call allocates: 123
+// allocations for a BridgeDown(0, 64, 1024), 1.92 per message, where
+// the parent of the change that gave runBridge its chunk slab read 135
+// (2.11 per message: a chunk, its records, its views and the growing
+// list of chunks in flight, for each of four chunks). What is left is
+// the circuit's — each chunk's LoanBatch and views — and the three
+// makes of the slab per call; the loop itself allocates nothing per
+// chunk.
+func TestBridgeSteadyStateAllocs(t *testing.T) {
+	srv := serveOrSkip(t, ServeConfig{
+		Children: 1,
+		RingCap:  64,
+		Options:  []Option{WithBlockSize(512), WithBlocksPerProcess(512)},
+	})
+	const msgs, size = 64, 1024
+	const bound = 127 // per call; four over the 123 measured, eight under the parent's 135
+	finish := attachWorker(t, srv, 0)
+	bridgeBoth(t, srv, 0, msgs, size) // open the bridge, warm the pools
+	perCall := testing.AllocsPerRun(50, func() {
+		if n, err := srv.BridgeDown(0, msgs, size); err != nil || n != msgs {
+			t.Fatalf("down: %d round trips, %v", n, err)
+		}
+	})
+	finish()
+	if perCall > bound {
+		t.Fatalf("%.0f allocations per call of %d (%.2f per message), want at most %d", perCall, msgs, perCall/msgs, bound)
+	}
+}
