@@ -37,7 +37,8 @@ func (f *Facility) ReceiveBatchDeadline(pid int, id ID, bufs [][]byte, d time.Du
 func (f *Facility) receiveBatch(pid int, id ID, bufs [][]byte, deadline time.Time) ([]int, error) {
 	// An empty batch only validates the connection: it has nothing to
 	// wait for.
-	claimed := make([]*msg.Message, len(bufs))
+	var claimedBuf [msg.BatchInline]*msg.Message
+	claimed := msg.InlineOr(claimedBuf[:], len(bufs))
 	l, n, err := f.waitClaim(pid, id, len(bufs) > 0, deadline, claimed)
 	if err != nil || len(bufs) == 0 {
 		return nil, err

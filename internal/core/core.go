@@ -473,7 +473,7 @@ func Init(cfg Config) (*Facility, error) {
 	f := &Facility{
 		cfg:        cfg,
 		arena:      arena,
-		pool:       msg.NewPool(arena, cfg.MaxProcesses*4),
+		pool:       msg.NewPool(arena, 0),
 		shards:     make([]registryShard, cfg.RegistryShards),
 		shardMask:  uint32(cfg.RegistryShards - 1),
 		slots:      make([]atomic.Pointer[lnvc], cfg.MaxLNVCs),

@@ -10,8 +10,8 @@ import (
 // send copy but still pays the per-message fixed costs — one arena
 // free-pool transaction per loan, one circuit lock acquisition per
 // commit. LoanBatch pays them once per batch: every payload chain is
-// allocated in a single arena transaction (msg.Pool.BuildLoanBatch →
-// shm.Arena.AllocPayloads), the caller fills the N writable windows in
+// allocated in a single arena transaction (msg.Pool.BuildLoanBatchInto →
+// shm.Arena.AllocPayloadsInto), the caller fills the N writable windows in
 // place, and CommitAll links the whole run into the FIFO under one
 // circuit lock acquisition with one waiter wakeup — atomic with
 // respect to other senders, exactly like SendBatch, but with zero
@@ -31,12 +31,18 @@ type LoanBatch struct {
 	f   *Facility
 	adm admission
 	// msgs must never be read after done: committed headers belong to
-	// the facility (a receiver may consume and recycle them
-	// concurrently) and aborted ones to the pool. Everything the batch
-	// reports afterwards comes from ns, copied at allocation.
+	// the facility (a receiver may consume them and free their chains
+	// concurrently) and aborted ones to whoever is handed their head
+	// blocks next. Everything the batch reports afterwards comes from ns,
+	// copied at allocation.
 	msgs []*msg.Message
 	ns   []int
 	done bool
+	// Storage for msgs and ns of a batch of up to msg.BatchInline loans,
+	// so that the batch is one heap object; a larger one falls back to
+	// slices of its own.
+	msgsBuf [msg.BatchInline]*msg.Message
+	nsBuf   [msg.BatchInline]int
 }
 
 // LoanBatch allocates blocks for one message per length in ns — all in
@@ -67,11 +73,13 @@ func (f *Facility) loanBatch(pid int, id ID, ns []int, blocks, total int) (*Loan
 	if err != nil {
 		return nil, err
 	}
-	msgs, err := f.pool.BuildLoanBatch(pid, ns, f.cfg.SendPolicy == BlockUntilFree, f.stop)
-	if err != nil {
+	b := &LoanBatch{f: f, adm: a}
+	b.msgs, b.ns = msg.InlineOr(b.msgsBuf[:], len(ns)), msg.InlineOr(b.nsBuf[:], len(ns))
+	copy(b.ns, ns)
+	if err := f.pool.BuildLoanBatchInto(pid, ns, b.msgs, f.cfg.SendPolicy == BlockUntilFree, f.stop); err != nil {
 		return nil, f.unbuilt(a, err)
 	}
-	return &LoanBatch{f: f, adm: a, msgs: msgs, ns: append([]int(nil), ns...)}, nil
+	return b, nil
 }
 
 // Len returns the number of loans in the batch.

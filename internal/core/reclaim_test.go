@@ -27,7 +27,10 @@ func walkFCFSHead(l *lnvc) *msg.Message {
 // has returned: a full-queue scan finds no dead message (so the bounded
 // scan left none behind), the messages with FCFSNeeded clear are a prefix
 // of the queue whose length is fcfsDone, and fcfsHead is what the walk
-// from the queue head returns. A deleted circuit has nothing to check.
+// from the queue head returns. Every queued message's header is the entry
+// of its own head block and describes its chain (msg.Pool.Check): a
+// header written after its chain was freed would show here as a queued
+// message that is not its block's. A deleted circuit has nothing to check.
 func checkCircuit(t *testing.T, f *Facility, id ID) {
 	t.Helper()
 	l := f.slots[id].Load()
@@ -42,6 +45,9 @@ func checkCircuit(t *testing.T, f *Facility, id ID) {
 		if m.Pins == 0 && m.Pending == 0 && (!m.FCFSNeeded || bcastOnly) {
 			t.Errorf("dead message seq %d left queued (fcfsDone %d, queue %d, broadcast-only %v)",
 				m.Seq, l.fcfsDone, l.queue.Len(), bcastOnly)
+		}
+		if err := f.pool.Check(m); err != nil {
+			t.Errorf("queued message seq %d: %v", m.Seq, err)
 		}
 		if m.FCFSNeeded {
 			needed++
@@ -215,18 +221,129 @@ func TestReclaimBoundAndCursor(t *testing.T) {
 	}
 }
 
-// Heap allocations per iteration of the three multi-message legs of
-// TestSendTryReceiveNoAllocs, in either allocation mode. The first two
-// were measured at the commit before the four send paths were folded
-// into admit/publish (07eb05cc7b5f781b7b702121d3a66bb733fea8bc); the
-// loan-batch leg was 31 there and is 16 since a harvest makes one
-// []View per circuit run instead of one View per message. The legs may
-// not exceed them.
+// TestOrphanReleasedAfterDescriptorReuse holds the release order on the
+// path where a header outlives its circuit: a view pinned across the
+// circuit's last close is orphaned to its holder, the descriptor is
+// recycled for a new circuit whose messages take the low blocks the dead
+// circuit's dropped ones just freed, and only then is the view released —
+// through the recycled descriptor's lock, header first and chain last.
+// Nothing of the new circuit may move, and the ledger is quiescent.
+func TestOrphanReleasedAfterDescriptorReuse(t *testing.T) {
+	for _, classic := range []bool{false, true} {
+		f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 2, ClassicChains: classic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := f.Arena().FreeBlocks()
+		// Descriptors recycle within their name's shard: both circuits
+		// carry the one name.
+		const name = "orphan"
+		sid, _ := f.OpenSend(0, name)
+		rid, _ := f.OpenReceive(1, name, FCFS)
+		for i := 0; i < 4; i++ {
+			if err := f.Send(0, sid, []byte{'o', byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Pin the third message: the two before it are consumed, the one
+		// after it is dropped with the circuit.
+		buf := make([]byte, 8)
+		for i := 0; i < 2; i++ {
+			if _, ok, err := f.TryReceive(1, rid, buf); !ok || err != nil {
+				t.Fatalf("TryReceive: %v %v", ok, err)
+			}
+		}
+		held, ok, err := f.TryReceiveView(1, rid)
+		if !ok || err != nil {
+			t.Fatalf("TryReceiveView: %v %v", ok, err)
+		}
+		old := f.slots[sid].Load()
+		if err := f.CloseReceive(1, rid); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.CloseSend(0, sid); err != nil {
+			t.Fatal(err)
+		}
+		if !held.m.Orphan || held.m.Pins != 1 {
+			t.Fatalf("classic %v: held message not orphaned to its pin: %+v", classic, *held.m)
+		}
+
+		nsid, _ := f.OpenSend(0, name)
+		nrid, _ := f.OpenReceive(1, name, FCFS)
+		if f.slots[nsid].Load() != old {
+			t.Fatalf("classic %v: the new circuit did not recycle the old descriptor", classic)
+		}
+		for i := 0; i < 6; i++ {
+			if err := f.Send(0, nsid, []byte{'n', byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkCircuit(t, f, nsid)
+		type snap struct {
+			m *msg.Message
+			h msg.Message
+		}
+		var before []snap
+		old.lock.Lock()
+		old.queue.Walk(func(m, _ *msg.Message) bool {
+			before = append(before, snap{m, *m})
+			return true
+		})
+		old.lock.Unlock()
+		if len(before) != 6 {
+			t.Fatalf("classic %v: %d messages queued on the new circuit, want 6", classic, len(before))
+		}
+		low := false
+		for _, b := range before {
+			low = low || b.h.Head < held.m.Head
+			if b.m == held.m {
+				t.Fatalf("classic %v: a new message was handed the pinned message's header", classic)
+			}
+		}
+		if !classic && !low {
+			t.Fatalf("the new circuit's messages did not reuse the blocks below the pinned one")
+		}
+
+		if got, _ := held.Bytes(); len(got) != 2 || got[0] != 'o' || got[1] != 2 {
+			t.Fatalf("classic %v: pinned payload = %q after the descriptor's reuse", classic, got)
+		}
+		held.Release()
+		checkCircuit(t, f, nsid)
+		for i, b := range before {
+			if *b.m != b.h {
+				t.Fatalf("classic %v: releasing the orphan changed new message %d: %+v, was %+v", classic, i, *b.m, b.h)
+			}
+		}
+		for i := 0; i < 6; i++ {
+			n, ok, err := f.TryReceive(1, nrid, buf)
+			if !ok || err != nil || n != 2 || buf[0] != 'n' || buf[1] != byte(i) {
+				t.Fatalf("classic %v: new message %d: %q, %v, %v", classic, i, buf[:n], ok, err)
+			}
+		}
+		if free := f.Arena().FreeBlocks(); free != start {
+			t.Fatalf("classic %v: %d blocks free, %d at the start", classic, free, start)
+		}
+		f.Shutdown()
+	}
+}
+
+// Heap allocations per iteration of the multi-message legs of
+// TestSendTryReceiveNoAllocs, in either allocation mode; the legs may not
+// exceed them. The loan/view pair is the Loan and the View themselves. A
+// batched receive allocates the byte counts it returns. A loan batch is
+// one object (its bookkeeping inline up to msg.BatchInline loans) and a
+// harvest one []View plus the []*View it returns; the commit that made
+// every header a block's table entry read 6 and 16 where these read 1
+// and 3 — five slices built per batch, and a harvest's results and a
+// release's run grown by append.
 const (
-	parentAllocsLoanView     = 2  // SendLoan, Commit, TryReceiveView, Release
-	parentAllocsBatch16      = 6  // SendBatch(16), ReceiveBatch(16)
-	parentAllocsLoanBatch16  = 16 // LoanBatch(16), CommitAll, HarvestViews(64), ReleaseViews
+	maxAllocsLoanView        = 2 // SendLoan, Commit, TryReceiveView, Release
+	maxAllocsBatch16         = 1 // SendBatch(16), ReceiveBatch(16)
+	maxAllocsLoanBatch16     = 3 // LoanBatch(16), CommitAll, HarvestViews(64), ReleaseViews
 	noAllocsBatch, noAllocsN = 16, 1024
+	// The repository benchmark's shape: a two-process facility with 64
+	// messages in flight.
+	noAllocsDepth = 64
 )
 
 // TestSendTryReceiveNoAllocs pins the single-message copying path —
@@ -266,7 +383,7 @@ func TestSendTryReceiveNoAllocs(t *testing.T) {
 					t.Fatalf("TryReceive: ok %v, err %v", ok, err)
 				}
 			}},
-			{"SendLoan+Commit+TryReceiveView+Release", parentAllocsLoanView, func() {
+			{"SendLoan+Commit+TryReceiveView+Release", maxAllocsLoanView, func() {
 				ln, err := f.SendLoan(0, sid, noAllocsN)
 				if err != nil {
 					t.Fatal(err)
@@ -280,7 +397,7 @@ func TestSendTryReceiveNoAllocs(t *testing.T) {
 				}
 				v.Release()
 			}},
-			{"SendBatch+ReceiveBatch", parentAllocsBatch16, func() {
+			{"SendBatch+ReceiveBatch", maxAllocsBatch16, func() {
 				if err := f.SendBatch(0, sid, ins); err != nil {
 					t.Fatal(err)
 				}
@@ -288,7 +405,7 @@ func TestSendTryReceiveNoAllocs(t *testing.T) {
 					t.Fatalf("ReceiveBatch: %d messages, err %v", len(got), err)
 				}
 			}},
-			{"LoanBatch+CommitAll+HarvestViews+ReleaseViews", parentAllocsLoanBatch16, func() {
+			{"LoanBatch+CommitAll+HarvestViews+ReleaseViews", maxAllocsLoanBatch16, func() {
 				b, err := f.LoanBatch(0, sid, ns)
 				if err != nil {
 					t.Fatal(err)
@@ -311,5 +428,88 @@ func TestSendTryReceiveNoAllocs(t *testing.T) {
 			}
 		}
 		f.Shutdown()
+	}
+}
+
+// TestNoAllocsAtDepth is the single-message path with the traffic the
+// repository benchmark offers it: bursts of 64 sends and then 64 receives
+// on a two-process facility. One message in flight says nothing about
+// headers — any free list one deep serves a strict send-one-receive-one
+// loop — and 64 in flight is where the parent of this test's commit
+// allocated 56 headers a burst (0.88 a message; measured, both modes): its
+// channel of recycled headers held MaxProcesses*4 = 8. A header found
+// from its head block costs no allocation at any depth.
+func TestNoAllocsAtDepth(t *testing.T) {
+	for _, classic := range []bool{false, true} {
+		f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 2, BlocksPerProcess: noAllocsDepth, ClassicChains: classic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sid, _ := f.OpenSend(0, "depth")
+		rid, _ := f.OpenReceive(1, "depth", FCFS)
+		in, out := make([]byte, 64), make([]byte, 64)
+		burst := func() {
+			for i := 0; i < noAllocsDepth; i++ {
+				if err := f.Send(0, sid, in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < noAllocsDepth; i++ {
+				if _, err := f.Receive(1, rid, out); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Headers are made the first time a block heads a message: let
+		// every head position the bursts use come up first.
+		for i := 0; i < 8; i++ {
+			burst()
+		}
+		if n := testing.AllocsPerRun(50, burst); n != 0 {
+			t.Errorf("classic chains %v: a burst of %d sends and %d receives made %v heap allocations, want 0",
+				classic, noAllocsDepth, noAllocsDepth, n)
+		}
+		checkCircuit(t, f, sid)
+		f.Shutdown()
+	}
+}
+
+// BenchmarkLoanBatchHarvest is the batched zero-copy plane's round on one
+// goroutine — LoanBatch(16), CommitAll, HarvestViews(64), ReleaseViews —
+// run with -benchmem so that allocations per round are in CI's log.
+func BenchmarkLoanBatchHarvest(b *testing.B) {
+	f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 2, BlocksPerProcess: 1 << 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Shutdown()
+	sid, _ := f.OpenSend(0, "bench")
+	rid, _ := f.OpenReceive(1, "bench", FCFS)
+	sel, err := f.NewSelector(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sel.Add(rid); err != nil {
+		b.Fatal(err)
+	}
+	ns := make([]int, noAllocsBatch)
+	for i := range ns {
+		ns[i] = noAllocsN
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lb, err := f.LoanBatch(0, sid, ns)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := lb.CommitAll(); err != nil {
+			b.Fatal(err)
+		}
+		vs, err := sel.HarvestViews(64)
+		if err != nil || len(vs) != noAllocsBatch {
+			b.Fatalf("HarvestViews: %d views, %v", len(vs), err)
+		}
+		ReleaseViews(vs)
 	}
 }

@@ -75,9 +75,13 @@ type Selector struct {
 	lastBudget int
 	lastFilled bool
 
-	// run is HarvestViews' scratch for one circuit's claimed messages,
-	// reused across circuits and rounds. Owner-goroutine state.
-	run []*msg.Message
+	// A wait round's scratch, reused across rounds so that a round
+	// allocates only what it returns: the registrations that fired, the
+	// messages claimed from them (in fired's order) and the circuits left
+	// with traffic. Owner-goroutine state.
+	fired []firedReg
+	run   []*msg.Message
+	armed []ID
 }
 
 // selReg pins a registration to one incarnation of one descriptor: l
@@ -302,16 +306,19 @@ func (s *Selector) WaitDeadline(d time.Duration) ([]ID, error) {
 	return ids, err
 }
 
+// firedReg is a registration whose circuit fired, with the number of
+// messages the round claimed from it.
 type firedReg struct {
 	id ID
 	selReg
+	n int
 }
 
-// collectFired drains the deduplicated ready list into fired (reused
-// across rounds), returning the registrations to inspect this round.
-// It fails on a closed or empty selector.
-func (s *Selector) collectFired(fired []firedReg) ([]firedReg, error) {
-	fired = fired[:0]
+// collectFired drains the deduplicated ready list into s.fired,
+// returning the registrations to inspect this round. It fails on a
+// closed or empty selector.
+func (s *Selector) collectFired() ([]firedReg, error) {
+	fired := s.fired[:0]
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -327,11 +334,12 @@ func (s *Selector) collectFired(fired []firedReg) ([]firedReg, error) {
 		}
 		delete(s.inReady, id)
 		if reg, ok := s.regs[id]; ok {
-			fired = append(fired, firedReg{id, reg})
+			fired = append(fired, firedReg{id: id, selReg: reg})
 		}
 	}
 	s.ready = s.ready[:0]
 	s.mu.Unlock()
+	s.fired = fired
 	return fired, nil
 }
 
@@ -482,13 +490,11 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 	}
 	f := s.f
 	woken := false
-	var fired []firedReg // reused across rounds
 	for {
 		if f.stopped.Load() {
 			return nil, nil, ErrShutdown
 		}
-		var err error
-		fired, err = s.collectFired(fired)
+		fired, err := s.collectFired()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -509,12 +515,12 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 			}
 		}
 
-		var out []*View
-		var armed []ID // circuits this round leaves with traffic
+		run := s.run[:0]
+		armed := s.armed[:0] // circuits this round leaves with traffic
 		var dead error
-		total := 0
-		for _, fr := range fired {
-			if claim && len(out) >= max {
+		for i := range fired {
+			fr := &fired[i]
+			if claim && len(run) >= max {
 				// Budget exhausted before this circuit was even looked
 				// at: keep it armed, untouched, for the next call.
 				armed = append(armed, fr.id)
@@ -540,24 +546,37 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 			// only learns whether anything is deliverable.
 			budget := 0
 			if claim {
-				budget = min(max-len(out), perCircuit)
+				budget = min(max-len(run), perCircuit)
 			}
+			before := len(run)
 			var more bool
-			s.run, more = fr.l.claimRunLocked(d, fr.l.availableLocked(d), s.run[:0], budget)
+			run, more = fr.l.claimRunLocked(d, fr.l.availableLocked(d), run, budget)
 			fr.l.lock.Unlock()
-			// One allocation per circuit run, not one per message, and
-			// made after the unlock: the claim already pinned the run.
-			vs := make([]View, len(s.run))
-			for i, m := range s.run {
-				vs[i] = View{f: f, l: fr.l, m: m, id: fr.id}
-				out = append(out, &vs[i])
-				total += m.Length
-			}
+			fr.n = len(run) - before
 			if more {
-				if claim && len(s.run) >= perCircuit && perCircuit < max {
+				if claim && fr.n >= perCircuit && perCircuit < max {
 					f.stats.harvestCapHits.Add(1)
 				}
 				armed = append(armed, fr.id)
+			}
+		}
+		s.run, s.armed = run, armed
+		// The round's views: one []View and one slice of pointers into
+		// it, both exactly as long as the claims — two allocations a
+		// round, made after the last unlock (the claims already pinned
+		// every message).
+		var out []*View
+		total := 0
+		if len(run) > 0 {
+			vs := make([]View, len(run))
+			out = make([]*View, len(run))
+			k := 0
+			for _, fr := range fired {
+				for end := k + fr.n; k < end; k++ {
+					vs[k] = View{f: f, l: fr.l, m: run[k], id: fr.id}
+					out[k] = &vs[k]
+					total += run[k].Length
+				}
 			}
 		}
 		if auto && len(fired) > 0 {
@@ -594,8 +613,9 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 		}
 		if len(armed) > 0 {
 			// Only a reporting round gets here: a claiming round that
-			// left a circuit armed claimed from it or before it.
-			return armed, nil, nil
+			// left a circuit armed claimed from it or before it. The ids
+			// are the caller's to keep; armed is the next round's scratch.
+			return append([]ID(nil), armed...), nil, nil
 		}
 
 		ok, err := parkWait(s.notify, f.stop, deadline)

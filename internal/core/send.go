@@ -176,8 +176,9 @@ func (f *Facility) sendBatch(pid int, id ID, bufs [][]byte, blocks, total int) e
 	if err != nil || len(bufs) == 0 {
 		return err
 	}
-	msgs, err := f.pool.BuildBatch(pid, bufs, f.cfg.SendPolicy == BlockUntilFree, f.stop)
-	if err != nil {
+	var msgsBuf [msg.BatchInline]*msg.Message
+	msgs := msg.InlineOr(msgsBuf[:], len(bufs))
+	if err := f.pool.BuildBatchInto(pid, bufs, msgs, f.cfg.SendPolicy == BlockUntilFree, f.stop); err != nil {
 		return f.unbuilt(a, err)
 	}
 	if err := f.publish(a, msgs, len(msgs)); err != nil {

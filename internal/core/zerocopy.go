@@ -45,8 +45,9 @@ type Loan struct {
 	m   *msg.Message
 	// n is the payload length, copied out of the header at allocation:
 	// after Commit the header belongs to the facility (a receiver may
-	// consume and recycle it concurrently), so the loan must never read
-	// m again once done is set.
+	// consume the message and free its chain concurrently, and the header
+	// goes with the head block), so the loan must never read m again once
+	// done is set.
 	n    int
 	done bool
 }
@@ -209,11 +210,25 @@ func viewBytes(v *View) int {
 	return v.m.Length
 }
 
-// Len returns the payload length in bytes.
-func (v *View) Len() int { return v.m.Length }
+// Len returns the payload length in bytes, 0 on a released view: the
+// header went with the pin (it is bound to the head block, and is the
+// next message's that starts there), so a released view reads nothing
+// through it.
+func (v *View) Len() int {
+	if v.released {
+		return 0
+	}
+	return v.m.Length
+}
 
-// Sender returns the process id that sent the message.
-func (v *View) Sender() int { return v.m.Sender }
+// Sender returns the process id that sent the message, -1 on a released
+// view.
+func (v *View) Sender() int {
+	if v.released {
+		return -1
+	}
+	return v.m.Sender
+}
 
 // Circuit returns the id of the circuit the view was claimed from —
 // how an event loop draining several circuits through
@@ -272,31 +287,39 @@ func (v *View) Release() {
 
 // ReleaseViews releases every view in vs under batched unpinning: one
 // circuit lock acquisition, one reclaim scan and one arena free-pool
-// transaction per consecutive run of views from the same circuit —
-// which is how HarvestViews orders its results, so releasing a harvest
-// costs O(ready circuits) lock traffic, not O(views). Already-released
+// transaction per consecutive run of views from the same circuit (per
+// releaseInline views of a longer run) — which is how HarvestViews orders
+// its results, so releasing a harvest costs O(ready circuits) lock
+// traffic, not O(views). Already-released
 // views are skipped (Release's idempotence, batch form); nil entries
 // are tolerated.
 func ReleaseViews(vs []*View) {
-	var run []*msg.Message // reused batch for the current circuit run
+	// The current circuit run, collected on the stack and unpinned when
+	// the circuit changes, the buffer fills or vs ends.
+	var buf [releaseInline]*msg.Message
+	n := 0
 	var l *lnvc
 	var f *Facility
-	flush := func() {
-		if len(run) > 0 {
-			f.unpinAll(l, run)
-			run = run[:0]
-		}
-	}
 	for _, v := range vs {
 		if v == nil || v.released {
 			continue
 		}
 		v.released = true
-		if v.l != l {
-			flush()
-			l, f = v.l, v.f
+		if n > 0 && (v.l != l || n == len(buf)) {
+			f.unpinAll(l, buf[:n])
+			n = 0
 		}
-		run = append(run, v.m)
+		l, f = v.l, v.f
+		buf[n] = v.m
+		n++
 	}
-	flush()
+	if n > 0 {
+		f.unpinAll(l, buf[:n])
+	}
 }
+
+// releaseInline bounds the circuit run ReleaseViews unpins under one lock
+// hold; a longer run is unpinned in pieces of this many. It is what the
+// reclaim scan behind the unpin retires, and msg.Pool.ReleaseBatch frees,
+// without leaving the stack, so a release of any length allocates nothing.
+const releaseInline = 32

@@ -241,6 +241,9 @@ func TestViewDoubleReleaseIsNoOp(t *testing.T) {
 	if v1.CopyTo(make([]byte, 10)) != 0 {
 		t.Fatal("released view still copies")
 	}
+	if v1.Len() != 0 || v1.Sender() != -1 {
+		t.Fatalf("released view still reads its header: Len %d, Sender %d", v1.Len(), v1.Sender())
+	}
 	v2.Release()
 	assertAllFree(t, f, "after all releases")
 }

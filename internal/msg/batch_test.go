@@ -12,7 +12,7 @@ func TestBuildBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(arena, 8)
+	p := NewPool(arena, 0)
 	bufs := [][]byte{
 		[]byte("short"),
 		bytes.Repeat([]byte{0x5A}, 50), // spans several 12-byte payloads
@@ -51,7 +51,7 @@ func TestBuildBatchFailureLeaksNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(arena, 8)
+	p := NewPool(arena, 0)
 	// 5 single-block messages cannot fit a 4-block region.
 	bufs := make([][]byte, 5)
 	for i := range bufs {
@@ -77,7 +77,7 @@ func TestBuildLoanBatchReleaseBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewPool(arena, 8)
+		p := NewPool(arena, 0)
 		ns := []int{5, 40, 0, 100}
 		allocBefore, _ := arena.LockStats()
 		msgs, err := p.BuildLoanBatch(7, ns, false, nil)

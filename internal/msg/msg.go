@@ -14,6 +14,15 @@
 // problem (see DESIGN.md §5): Pending counts BROADCAST receivers that have
 // not yet consumed the message, and FCFSNeeded records whether an FCFS
 // consumption is still outstanding.
+//
+// The paper keeps that header beside the message's blocks and takes
+// descriptors from free lists built at init, so getting one is never a
+// trip to an allocator. Here a header is bound to the message's head
+// block: every message owns at least one block (a zero-length one too)
+// from allocation until its chain is freed, so the Pool keeps one table
+// entry per block and a message's header is the entry of its head. There
+// is nothing to allocate, recycle or lock — see Pool for the ownership
+// argument and the release order it imposes.
 package msg
 
 import (
@@ -22,8 +31,11 @@ import (
 	"repro/internal/shm"
 )
 
-// Message is a queued MPF message. Headers are ordinary Go objects
-// recycled through a Pool; payload lives in the shm arena.
+// Message is a queued MPF message. Headers are ordinary Go objects owned
+// by a Pool, one per head block; payload lives in the shm arena. A header
+// is valid for as long as its holder owns the message's chain: once the
+// chain is freed the header is the next message's that starts on the same
+// block, and must not be read again.
 type Message struct {
 	// Length is the payload length in bytes.
 	Length int
@@ -66,26 +78,33 @@ type Message struct {
 	Orphan bool
 }
 
-// Pool allocates and recycles message headers and their payload chains.
-// It is safe for concurrent use only insofar as the underlying arena is;
-// header free-listing is guarded by the arena-independent lock in Get/Put
-// callers (the LNVC lock in core). To keep the package self-contained the
-// pool uses a channel-based free list, which is concurrency-safe on its
-// own.
+// Pool builds messages — a payload chain from the arena plus its header —
+// and releases them. Headers are bound to blocks: headers[i] is the header
+// of whichever message currently has block i as its head, created the
+// first time block i heads a message and re-zeroed on every later one.
+//
+// No channel, lock or atomic guards the table, because whoever owns a
+// block owns its entry: the entry is touched only between the allocation
+// that returned the block as a chain's head and the free of that chain,
+// and the arena lock that orders the block's hand-over from one owner to
+// the next orders the entry's with it. The one rule this imposes is the
+// release order — finish with the header first, free the chain last
+// (Release, ReleaseBatch): a header written after its chain went back to
+// the arena may already be the next message's.
+//
+// Memory: 8 bytes per region block for the table, plus one header per
+// head position ever used — at most one per block, in practice the few
+// positions the allocator's first-fit placement keeps returning to.
 type Pool struct {
-	arena *shm.Arena
-	free  chan *Message
+	arena   *shm.Arena
+	headers []*Message
 }
 
-// NewPool creates a pool over arena with capacity for reuse of up to
-// maxFree headers; beyond that headers are left to the garbage collector,
-// which is the portable analogue of the paper's fixed descriptor free
-// lists.
+// NewPool creates a pool over arena. maxFree is unused: it sized the
+// channel of recycled headers this pool no longer has, and stays only
+// because the repository benchmark pins the signature.
 func NewPool(arena *shm.Arena, maxFree int) *Pool {
-	if maxFree < 1 {
-		maxFree = 1
-	}
-	return &Pool{arena: arena, free: make(chan *Message, maxFree)}
+	return &Pool{arena: arena, headers: make([]*Message, arena.NumBlocks())}
 }
 
 // Arena exposes the backing arena (for receive-side copies).
@@ -115,40 +134,55 @@ func (p *Pool) BuildLoan(sender, n int, wait bool, stop <-chan struct{}) (*Messa
 	if err != nil {
 		return nil, err
 	}
-	m := p.get()
-	m.Length = n
-	m.Head = head
-	m.Tail = tail
-	m.Sender = sender
-	m.Blocks = p.arena.BlocksFor(n)
-	return m, nil
+	return p.bind(sender, n, head, tail), nil
+}
+
+// BatchInline is the batch size up to which the batched builders keep
+// their scratch (chain endpoints, payload lengths) on the stack, and core
+// its per-message bookkeeping inline: a batch of at most this many
+// messages is built without a heap allocation. Larger batches fall back
+// to slices.
+const BatchInline = 16
+
+// InlineOr returns buf[:n] when buf is large enough, else a fresh slice.
+func InlineOr[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // BuildLoanBatch is BuildLoan's batch form: one message header per
 // length in ns, every payload chain allocated in a single arena
-// transaction (Arena.AllocPayloads) with all payloads uninitialised —
+// transaction (Arena.AllocPayloadsInto) with all payloads uninitialised —
 // the allocator half of the batched zero-copy send path (core's
 // LoanBatch). Either every message is built or none is; wait and stop
-// have Build's semantics, applied to the batch's total block demand.
+// have Build's semantics, applied to the batch's total block demand. It
+// is BuildLoanBatchInto with a result slice of its own.
 func (p *Pool) BuildLoanBatch(sender int, ns []int, wait bool, stop <-chan struct{}) ([]*Message, error) {
 	if len(ns) == 0 {
 		return nil, nil
 	}
-	heads, tails, err := p.arena.AllocPayloads(ns, wait, stop)
-	if err != nil {
+	msgs := make([]*Message, len(ns))
+	if err := p.BuildLoanBatchInto(sender, ns, msgs, wait, stop); err != nil {
 		return nil, err
 	}
-	msgs := make([]*Message, len(ns))
-	for i, n := range ns {
-		m := p.get()
-		m.Length = n
-		m.Head = heads[i]
-		m.Tail = tails[i]
-		m.Sender = sender
-		m.Blocks = p.arena.BlocksFor(n)
-		msgs[i] = m
-	}
 	return msgs, nil
+}
+
+// BuildLoanBatchInto is BuildLoanBatch writing message i to msgs[i]; msgs
+// is the caller's, at least len(ns) long and untouched on error. A batch
+// of up to BatchInline messages makes no heap allocation.
+func (p *Pool) BuildLoanBatchInto(sender int, ns []int, msgs []*Message, wait bool, stop <-chan struct{}) error {
+	var headsBuf, tailsBuf [BatchInline]int32
+	heads, tails := InlineOr(headsBuf[:], len(ns)), InlineOr(tailsBuf[:], len(ns))
+	if err := p.arena.AllocPayloadsInto(ns, heads, tails, wait, stop); err != nil {
+		return err
+	}
+	for i, n := range ns {
+		msgs[i] = p.bind(sender, n, heads[i], tails[i])
+	}
+	return nil
 }
 
 // View returns a zero-copy window onto m's payload. Validity follows
@@ -159,35 +193,38 @@ func (p *Pool) View(m *Message) View {
 }
 
 // BuildBatch builds one message per buffer in bufs, allocating every
-// payload block in a single arena transaction (Arena.AllocPayloads):
-// the batch costs one free-list lock acquisition however many messages
-// and blocks it spans. Either every message is built or none is; wait and
-// stop have Build's semantics, applied to the batch's total block
-// demand.
+// payload block in a single arena transaction: the batch costs one
+// free-list lock acquisition however many messages and blocks it spans.
+// Either every message is built or none is; wait and stop have Build's
+// semantics, applied to the batch's total block demand. It is
+// BuildBatchInto with a result slice of its own.
 func (p *Pool) BuildBatch(sender int, bufs [][]byte, wait bool, stop <-chan struct{}) ([]*Message, error) {
 	if len(bufs) == 0 {
 		return nil, nil
 	}
-	ns := make([]int, len(bufs))
+	msgs := make([]*Message, len(bufs))
+	if err := p.BuildBatchInto(sender, bufs, msgs, wait, stop); err != nil {
+		return nil, err
+	}
+	return msgs, nil
+}
+
+// BuildBatchInto is BuildBatch writing message i to msgs[i] (the
+// caller's, at least len(bufs) long, untouched on error): a loan batch
+// of the buffers' lengths with each buffer copied in.
+func (p *Pool) BuildBatchInto(sender int, bufs [][]byte, msgs []*Message, wait bool, stop <-chan struct{}) error {
+	var nsBuf [BatchInline]int
+	ns := InlineOr(nsBuf[:], len(bufs))
 	for i, buf := range bufs {
 		ns[i] = len(buf)
 	}
-	heads, tails, err := p.arena.AllocPayloads(ns, wait, stop)
-	if err != nil {
-		return nil, err
+	if err := p.BuildLoanBatchInto(sender, ns, msgs, wait, stop); err != nil {
+		return err
 	}
-	msgs := make([]*Message, len(bufs))
 	for i, buf := range bufs {
-		p.arena.WriteChain(heads[i], buf)
-		m := p.get()
-		m.Length = len(buf)
-		m.Head = heads[i]
-		m.Tail = tails[i]
-		m.Sender = sender
-		m.Blocks = p.arena.BlocksFor(len(buf))
-		msgs[i] = m
+		p.arena.WriteChain(msgs[i].Head, buf)
 	}
-	return msgs, nil
+	return nil
 }
 
 // Extract copies the message payload into buf and returns the number of
@@ -200,64 +237,69 @@ func (p *Pool) Extract(m *Message, buf []byte) int {
 	return p.arena.ReadChain(m.Head, m.Length, buf)
 }
 
-// Release returns the message's blocks to the arena and its header to the
-// pool. The caller must guarantee no receiver still needs m.
+// Release returns the message's blocks to the arena. The caller must
+// guarantee no receiver still needs m, and must not touch m afterwards:
+// the header goes with the head block.
 func (p *Pool) Release(m *Message) {
-	if m.Head != shm.NilOffset {
-		p.arena.FreeChain(m.Head)
+	if head := unbind(m); head != shm.NilOffset {
+		p.arena.FreeChain(head)
 	}
-	p.put(m)
 }
 
 // ReleaseBatch returns a whole batch of messages' blocks to the arena
-// in one free-pool transaction (Arena.FreeChains) and their headers to
-// the pool — Release amortised the same way BuildLoanBatch amortises
-// Build. The caller must guarantee no receiver still needs any of them.
+// in one free-pool transaction (Arena.FreeChains) — Release amortised
+// the same way BuildLoanBatch amortises Build. The caller must guarantee
+// no receiver still needs any of them. Every header of the batch is
+// finished with before any chain is freed.
 func (p *Pool) ReleaseBatch(ms []*Message) {
 	if len(ms) == 0 {
 		return
 	}
-	var headsBuf [16]int32
-	heads := headsBuf[:0]
-	for _, m := range ms {
-		if m.Head != shm.NilOffset {
-			heads = append(heads, m.Head)
-		}
+	// 32 is what a reclaim scan collects and FreeChains walks without
+	// leaving the stack.
+	var headsBuf [32]int32
+	heads := InlineOr(headsBuf[:], len(ms))
+	for i, m := range ms {
+		heads[i] = unbind(m)
 	}
 	p.arena.FreeChains(heads)
-	for _, m := range ms {
-		p.put(m)
-	}
 }
 
-func (p *Pool) get() *Message {
-	select {
-	case m := <-p.free:
-		*m = Message{}
-		return m
-	default:
-		return &Message{}
+// bind returns the header of the freshly allocated chain head…tail, set
+// up for n payload bytes from sender: the table entry of head's block,
+// zeroed of whatever message last started there.
+func (p *Pool) bind(sender, n int, head, tail int32) *Message {
+	slot := &p.headers[p.arena.BlockIndex(head)]
+	m := *slot
+	if m == nil {
+		m = new(Message)
+		*slot = m
 	}
+	*m = Message{Length: n, Head: head, Tail: tail, Sender: sender, Blocks: p.arena.BlocksFor(n)}
+	return m
 }
 
-func (p *Pool) put(m *Message) {
-	m.Head = shm.NilOffset
-	m.Tail = shm.NilOffset
-	m.Next = nil
-	select {
-	case p.free <- m:
-	default:
-	}
+// unbind is the header half of a release, done while the caller still
+// owns the chain: it takes m's chain out of the header — a second release
+// straight after the first finds nothing to free — and returns the head
+// for the caller to free.
+func unbind(m *Message) int32 {
+	head := m.Head
+	m.Head, m.Tail, m.Next = shm.NilOffset, shm.NilOffset, nil
+	return head
 }
 
 // Check verifies header/chain consistency in either allocation mode:
-// the chain's segments cover exactly Length payload bytes (the last
-// segment is load-bearing — no over-allocation), a zero-length message
-// still occupies one segment, and Tail is the chain's last segment. For
-// tests.
+// m is the header bound to its own head block, the chain's segments cover
+// exactly Length payload bytes (the last segment is load-bearing — no
+// over-allocation), a zero-length message still occupies one segment, and
+// Tail is the chain's last segment. For tests.
 func (p *Pool) Check(m *Message) error {
 	if m.Head == shm.NilOffset {
 		return fmt.Errorf("msg: %d-byte message has no chain", m.Length)
+	}
+	if i := p.arena.BlockIndex(m.Head); i < 0 || i >= len(p.headers) || p.headers[i] != m {
+		return fmt.Errorf("msg: header of the message at offset %d is not the entry of its head block", m.Head)
 	}
 	capacity, lastCap, segs := 0, 0, 0
 	tail := m.Head

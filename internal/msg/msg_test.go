@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -16,7 +19,7 @@ func newPool(t *testing.T, blockSize, nBlocks int) *Pool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPool(a, 32)
+	return NewPool(a, 0)
 }
 
 func TestBuildExtractRoundtrip(t *testing.T) {
@@ -94,7 +97,7 @@ func TestBuildExhaustion(t *testing.T) {
 }
 
 // TestBuildReleaseNoAllocs pins the single-message arena transactions
-// (AllocPayload, FreeChain) and the header free list at zero heap
+// (AllocPayload, FreeChain) and the header lookup at zero heap
 // allocations per message, in both allocation modes: nothing on this
 // path may allocate, least of all under the arena spinlock.
 func TestBuildReleaseNoAllocs(t *testing.T) {
@@ -103,7 +106,7 @@ func TestBuildReleaseNoAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewPool(a, 8)
+		p := NewPool(a, 0)
 		buf := make([]byte, 1024)
 		n := testing.AllocsPerRun(200, func() {
 			m, err := p.Build(1, buf, false, nil)
@@ -118,13 +121,16 @@ func TestBuildReleaseNoAllocs(t *testing.T) {
 	}
 }
 
+// TestHeaderRecycling: a released message's head, handed out again, comes
+// with the same header, reset.
 func TestHeaderRecycling(t *testing.T) {
 	p := newPool(t, 16, 32)
 	m1, _ := p.Build(0, []byte("x"), false, nil)
+	m1.Pending, m1.FCFSNeeded, m1.Next = 2, true, m1
 	p.Release(m1)
 	m2, _ := p.Build(0, []byte("y"), false, nil)
 	if m1 != m2 {
-		t.Log("header not recycled (GC fallback is permitted, but pool should reuse when possible)")
+		t.Fatalf("first fit returned head %d with header %p, was %p", m2.Head, m2, m1)
 	}
 	if m2.Length != 1 {
 		t.Fatalf("recycled header not reset: %+v", m2)
@@ -136,17 +142,119 @@ func TestHeaderRecycling(t *testing.T) {
 	p.Release(m2)
 }
 
-func TestQueueFIFOAndSeq(t *testing.T) {
-	p := newPool(t, 16, 64)
-	var q Queue
-	var msgs []*Message
-	for i := 0; i < 5; i++ {
-		m, err := p.Build(0, []byte{byte(i)}, false, nil)
+// TestHeaderFollowsHeadBlock holds the binding rule: the header of a
+// message is the table entry of its head block — the same object every
+// time that block heads a message, handed out zeroed — and the arena
+// lock alone orders its hand-over from one owner of the block to the
+// next. The second half is two goroutines taking turns on a one-block
+// region with nothing but the arena between them; run under -race it is
+// what catches a Release that frees the chain before it has finished
+// with the header.
+func TestHeaderFollowsHeadBlock(t *testing.T) {
+	for _, spans := range []bool{false, true} {
+		a, err := shm.New(shm.Config{BlockSize: 16, NumBlocks: 32, Spans: spans})
 		if err != nil {
 			t.Fatal(err)
 		}
+		p := NewPool(a, 0)
+		byHead := map[int32]*Message{}
+		var held []*Message
+		for round := 0; round < 6; round++ {
+			// Hold a varying number back so that heads move around.
+			for len(held) > round%3 {
+				p.Release(held[0])
+				held = held[1:]
+			}
+			for i := 0; i < 4; i++ {
+				m, err := p.Build(round, make([]byte, 1+5*i), false, nil)
+				if err != nil {
+					t.Fatalf("spans %v: %v", spans, err)
+				}
+				if err := p.Check(m); err != nil {
+					t.Fatalf("spans %v: %v", spans, err)
+				}
+				if first, ok := byHead[m.Head]; ok && first != m {
+					t.Fatalf("spans %v: head %d got header %p, had %p before", spans, m.Head, m, first)
+				}
+				byHead[m.Head] = m
+				if want := (Message{Length: 1 + 5*i, Head: m.Head, Tail: m.Tail, Sender: round, Blocks: a.BlocksFor(1 + 5*i)}); *m != want {
+					t.Fatalf("spans %v: header handed out as %+v, want %+v", spans, *m, want)
+				}
+				// What a circuit would leave behind.
+				m.Seq, m.Pending, m.Pins, m.FCFSNeeded, m.Orphan, m.Next = 99, 3, 2, true, true, m
+				held = append(held, m)
+			}
+		}
+		p.ReleaseBatch(held)
+		for head, m := range byHead {
+			if m.Head != shm.NilOffset || m.Next != nil {
+				t.Fatalf("spans %v: released header of head %d still names a chain: %+v", spans, head, *m)
+			}
+		}
+		if free := a.FreeBlocks(); free != a.NumBlocks() {
+			t.Fatalf("spans %v: %d of %d blocks free", spans, free, a.NumBlocks())
+		}
+	}
+
+	a, err := shm.New(shm.Config{BlockSize: 64, NumBlocks: 1, Spans: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(a, 0)
+	const turns = 2000
+	var owner atomic.Int32 // who held the block last, to count hand-overs
+	var handovers atomic.Int32
+	var wg sync.WaitGroup
+	for g := 1; g <= 2; g++ {
+		wg.Add(1)
+		go func(me int) {
+			defer wg.Done()
+			for i := 1; i <= turns; i++ {
+				m, err := p.BuildLoan(me, me, true, nil)
+				if err != nil {
+					t.Errorf("goroutine %d: %v", me, err)
+					return
+				}
+				if owner.Swap(int32(me)) != int32(me) {
+					handovers.Add(1)
+				}
+				if want := (Message{Length: me, Head: m.Head, Tail: m.Head, Sender: me, Blocks: 1}); *m != want {
+					t.Errorf("goroutine %d, turn %d: header handed out as %+v, want %+v", me, i, *m, want)
+					return
+				}
+				m.Seq, m.Pins, m.Pending = uint64(i), me, me
+				p.Release(m)
+				runtime.Gosched()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if handovers.Load() < 2 {
+		t.Fatalf("the block changed hands %d times in %d turns each: the goroutines never alternated", handovers.Load(), turns)
+	}
+	t.Logf("%d hand-overs of the one block in %d turns", handovers.Load(), 2*turns)
+}
+
+// built returns n one-byte messages from a fresh pool: the Queue tests
+// link the pool's own headers, as core does, never fabricated ones.
+func built(t *testing.T, n int) (*Pool, []*Message) {
+	t.Helper()
+	p := newPool(t, 16, n)
+	ms := make([]*Message, n)
+	for i := range ms {
+		var err error
+		if ms[i], err = p.Build(0, []byte{byte(i)}, false, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p, ms
+}
+
+func TestQueueFIFOAndSeq(t *testing.T) {
+	_, msgs := built(t, 5)
+	var q Queue
+	for _, m := range msgs {
 		q.Enqueue(m)
-		msgs = append(msgs, m)
 	}
 	if q.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", q.Len())
@@ -177,9 +285,9 @@ func TestQueueFIFOAndSeq(t *testing.T) {
 }
 
 func TestQueueRemoveHeadMiddleTail(t *testing.T) {
+	p, ms := built(t, 5)
 	var q Queue
-	ms := []*Message{{}, {}, {}, {}}
-	for _, m := range ms {
+	for _, m := range ms[:4] {
 		q.Enqueue(m)
 	}
 	q.Remove(ms[0], nil) // head
@@ -195,29 +303,41 @@ func TestQueueRemoveHeadMiddleTail(t *testing.T) {
 		t.Fatal("remove tail failed")
 	}
 	// Tail must be reset so the next enqueue links correctly.
-	m := &Message{}
-	q.Enqueue(m)
-	if ms[1].Next != m {
+	q.Enqueue(ms[4])
+	if ms[1].Next != ms[4] {
 		t.Fatal("enqueue after tail removal broke the list")
+	}
+	// A removed message is unlinked: releasing it, and reusing its head
+	// for a new message, leaves the queue alone.
+	p.Release(ms[0])
+	m, err := p.Build(0, []byte("again"), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != ms[0] {
+		t.Fatalf("first fit did not return the freed head's header")
+	}
+	if q.Head() != ms[1] || q.Head().Next != ms[4] || q.Len() != 2 {
+		t.Fatal("reuse of a removed message's head disturbed the queue")
 	}
 }
 
 func TestQueueRemoveMismatchPanics(t *testing.T) {
+	_, ms := built(t, 2)
 	var q Queue
-	a, b := &Message{}, &Message{}
-	q.Enqueue(a)
-	q.Enqueue(b)
+	q.Enqueue(ms[0])
+	q.Enqueue(ms[1])
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Remove with wrong prev did not panic")
 		}
 	}()
-	q.Remove(b, nil) // b is not the head
+	q.Remove(ms[1], nil) // not the head
 }
 
 func TestQueueAfter(t *testing.T) {
+	_, ms := built(t, 3)
 	var q Queue
-	ms := []*Message{{}, {}, {}}
 	for _, m := range ms {
 		q.Enqueue(m)
 	}
@@ -238,9 +358,10 @@ func TestQueueAfter(t *testing.T) {
 }
 
 func TestQueueWalkEarlyStop(t *testing.T) {
+	_, ms := built(t, 4)
 	var q Queue
-	for i := 0; i < 4; i++ {
-		q.Enqueue(&Message{})
+	for _, m := range ms {
+		q.Enqueue(m)
 	}
 	n := 0
 	q.Walk(func(m, prev *Message) bool {
@@ -259,7 +380,7 @@ func TestQuickBuildExtract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(a, 8)
+	p := NewPool(a, 0)
 	f := func(payload []byte, sender uint8) bool {
 		if len(payload) > 8192 {
 			payload = payload[:8192]
@@ -280,18 +401,31 @@ func TestQuickBuildExtract(t *testing.T) {
 }
 
 // Property: queue operations preserve FIFO order of the surviving
-// messages under arbitrary enqueue/dequeue-head interleavings.
+// messages under arbitrary enqueue/dequeue-head interleavings, with every
+// dequeued message released so that later ones reuse its head and header.
 func TestQuickQueueFIFO(t *testing.T) {
+	a, err := shm.New(shm.Config{BlockSize: 16, NumBlocks: 1024, Spans: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(a, 0)
 	f := func(ops []bool) bool {
+		if len(ops) > a.NumBlocks() {
+			ops = ops[:a.NumBlocks()]
+		}
 		var q Queue
 		var model []uint64
 		for _, enq := range ops {
 			if enq {
-				m := &Message{}
+				m, err := p.Build(0, nil, false, nil)
+				if err != nil {
+					return false
+				}
 				q.Enqueue(m)
 				model = append(model, m.Seq)
 			} else if h := q.Head(); h != nil {
 				q.Remove(h, nil)
+				p.Release(h)
 				model = model[1:]
 			}
 		}
@@ -300,15 +434,18 @@ func TestQuickQueueFIFO(t *testing.T) {
 		}
 		i := 0
 		good := true
+		var left []*Message
 		q.Walk(func(m, prev *Message) bool {
-			if m.Seq != model[i] {
+			if m.Seq != model[i] || p.Check(m) != nil {
 				good = false
 				return false
 			}
+			left = append(left, m)
 			i++
 			return true
 		})
-		return good && i == len(model)
+		p.ReleaseBatch(left)
+		return good && i == len(model) && a.FreeBlocks() == a.NumBlocks()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -317,7 +454,7 @@ func TestQuickQueueFIFO(t *testing.T) {
 
 func BenchmarkBuildRelease128(b *testing.B) {
 	a, _ := shm.New(shm.Config{BlockSize: 64, NumBlocks: 1024})
-	p := NewPool(a, 8)
+	p := NewPool(a, 0)
 	payload := make([]byte, 128)
 	b.SetBytes(128)
 	b.ReportAllocs()

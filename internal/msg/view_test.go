@@ -13,7 +13,7 @@ func poolOver(t *testing.T, spans bool) *Pool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPool(a, 8)
+	return NewPool(a, 0)
 }
 
 func pattern(n int) []byte {

@@ -358,6 +358,11 @@ func (a *Arena) allocLocked() (int32, error) {
 func (a *Arena) offsetOf(idx int32) int32   { return (idx + 1) * a.blockSize }
 func (a *Arena) blockIndex(off int32) int32 { return off/a.blockSize - 1 }
 
+// BlockIndex returns the index in [0, NumBlocks) of the block at offset
+// off: how a table kept beside the region, one entry per block, is
+// addressed (msg.Pool's message headers). NilOffset maps to -1.
+func (a *Arena) BlockIndex(off int32) int { return int(a.blockIndex(off)) }
+
 // findFreeLocked returns the index of the lowest free block, scanning
 // words from the lowFree bound and tightening it. The caller must have
 // checked nFree > 0.
@@ -604,8 +609,8 @@ func (a *Arena) lockWithFree(demand int, wait bool, stop <-chan struct{}) error 
 		return fmt.Errorf("shm: allocation of %d blocks exceeds region of %d: %w",
 			demand, a.nBlocks, ErrOutOfBlocks)
 	}
+	a.mu.Lock()
 	for {
-		a.mu.Lock()
 		if int(a.nFree) >= demand {
 			return nil
 		}
@@ -625,10 +630,12 @@ func (a *Arena) lockWithFree(demand int, wait bool, stop <-chan struct{}) error 
 		case <-stop:
 			aborted = true
 		}
+		// One acquisition per wake: the hold that de-registers the waiter
+		// is the hold that retries the reservation.
 		a.mu.Lock()
 		a.waiters--
-		a.mu.Unlock()
 		if aborted {
+			a.mu.Unlock()
 			return ErrOutOfBlocks
 		}
 	}
@@ -729,32 +736,48 @@ func (a *Arena) payloadChainLocked(n int) (head, tail int32) {
 // AllocPayloads is the batch form of AllocPayload: one chain per payload
 // length in ns, all allocated under a single lock acquisition — the
 // allocator half of the batched send path, span-aware. Either every
-// chain is built or none is.
+// chain is built or none is. It is AllocPayloadsInto with result slices
+// of its own.
+func (a *Arena) AllocPayloads(ns []int, wait bool, stop <-chan struct{}) (heads, tails []int32, err error) {
+	if len(ns) == 0 {
+		return nil, nil, nil
+	}
+	heads, tails = offsetPairs(len(ns))
+	if err := a.AllocPayloadsInto(ns, heads, tails, wait, stop); err != nil {
+		return nil, nil, err
+	}
+	return heads, tails, nil
+}
+
+// AllocPayloadsInto is AllocPayloads writing chain i's endpoints to
+// heads[i] and tails[i] — both at least len(ns) long, the caller's, and
+// untouched on error — so a batch whose caller has somewhere to put them
+// (msg.Pool's stack buffers) allocates nothing on the heap.
 //
 // The block demand used for capacity checks and the wait loop is the
 // fully-fragmented worst case, BlocksFor(len): a span of L blocks holds
 // L*blockSize-4 >= L*(blockSize-4) payload bytes, so once that demand is
 // free the greedy span builder cannot run out.
-func (a *Arena) AllocPayloads(ns []int, wait bool, stop <-chan struct{}) (heads, tails []int32, err error) {
+func (a *Arena) AllocPayloadsInto(ns []int, heads, tails []int32, wait bool, stop <-chan struct{}) error {
 	total := 0
 	for _, n := range ns {
 		if n < 0 && a.spans {
-			return nil, nil, fmt.Errorf("shm: AllocPayloads payload of %d bytes", n)
+			return fmt.Errorf("shm: AllocPayloads payload of %d bytes", n)
 		}
 		total += a.BlocksFor(n)
 	}
 	if len(ns) == 0 {
-		return nil, nil, nil
+		return nil
 	}
-	heads, tails = offsetPairs(len(ns))
+	heads, tails = heads[:len(ns)], tails[:len(ns)]
 	if err := a.lockWithFree(total, wait, stop); err != nil {
-		return nil, nil, err
+		return err
 	}
 	for i, n := range ns {
 		heads[i], tails[i] = a.payloadChainLocked(n)
 	}
 	a.mu.Unlock()
-	return heads, tails, nil
+	return nil
 }
 
 // Free returns one block (or, in span mode, the whole span starting at
