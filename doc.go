@@ -36,8 +36,11 @@
 // Run goroutines to cores through internal/affinity (raw
 // sched_setaffinity on Linux, best-effort everywhere), WithHugePages
 // advises MADV_HUGEPAGE over the arena's 2 MiB-aligned interior, and
-// the hot atomics are padded to cache lines with layout regression
-// tests holding the offsets. mpfbench -contention, -copies,
+// the hot words are laid out by cache line — by who writes what — with
+// layout regression tests holding the offsets. Traffic accounting rides
+// on the connections (DESIGN.md §8): no facility-wide word is written
+// per message, and Stats() sums the per-connection counters on read.
+// mpfbench -contention, -copies,
 // -loanbatch, -credit and -tuning quantify these against the paper's
 // single-lock, two-copy, per-message, globally-starved, fixed-budget
 // layout (-select holds the per-circuit wakeups to about one per

@@ -39,7 +39,7 @@ func (f *Facility) receiveBatch(pid int, id ID, bufs [][]byte, deadline time.Tim
 	// wait for.
 	var claimedBuf [msg.BatchInline]*msg.Message
 	claimed := msg.InlineOr(claimedBuf[:], len(bufs))
-	l, n, err := f.waitClaim(pid, id, len(bufs) > 0, deadline, claimed)
+	rc, n, err := f.waitClaim(pid, id, len(bufs) > 0, false, deadline, claimed)
 	if err != nil || len(bufs) == 0 {
 		return nil, err
 	}
@@ -50,13 +50,8 @@ func (f *Facility) receiveBatch(pid int, id ID, bufs [][]byte, deadline time.Tim
 	for i, m := range claimed {
 		ns[i] = f.pool.Extract(m, bufs[i])
 	}
-	f.stats.payloadCopiesOut.Add(uint64(n))
-
-	f.unpinAll(l, claimed)
-
-	f.stats.receives.Add(uint64(n))
-	f.stats.batchReceives.Add(1)
-	f.stats.bytesRecvd.Add(uint64(sumInts(ns)))
+	rc.recvCounts = recvCounts{msgs: uint64(n), bytes: uint64(sumInts(ns)), copiesOut: uint64(n), batches: 1}
+	f.unpinAll(rc.d.l, claimed, &rc)
 	return ns, nil
 }
 

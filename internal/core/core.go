@@ -257,9 +257,11 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Stats aggregates facility-wide operation counts. All fields are
-// maintained with atomics and may be read concurrently via
-// Facility.Stats.
+// Stats aggregates facility-wide operation counts, read via
+// Facility.Stats. The traffic fields are sums, taken at the call, of the
+// per-connection words the message paths keep under their circuit's lock
+// (traffic.go); the rest are rare-event atomics. Concurrent readers see
+// every counter monotonic.
 type Stats struct {
 	Opens, Closes         uint64
 	Sends, Receives       uint64
@@ -338,79 +340,64 @@ type Stats struct {
 	ReclaimLatencyNanos uint64
 }
 
+// statsCell holds the counters that no per-message or per-batch path
+// writes: connection and circuit lifecycle, park cycles, credit stalls,
+// the harvest gauge and cap, peer deaths. Everything that moves with
+// traffic lives on the connections (traffic.go) — except the two copy
+// escape hatches at the end, which have no lock hold to ride and so keep
+// a line of their own: View.CopyTo counts on viewCopiesOut, and a loan
+// that Loan.CopyFrom filled but that never reached a FIFO (aborted, or
+// committed to a circuit that had gone) on unsentCopiesIn.
 type statsCell struct {
-	opens, closes         atomic.Uint64
-	sends, receives       atomic.Uint64
-	bytesSent, bytesRecvd atomic.Uint64
-	checks                atomic.Uint64
-	lnvcsCreated          atomic.Uint64
-	lnvcsDeleted          atomic.Uint64
-	messagesDropped       atomic.Uint64
-	receiveWaits          atomic.Uint64
-	batchSends            atomic.Uint64
-	batchReceives         atomic.Uint64
-	muxWakeups            atomic.Uint64
-	muxSpurious           atomic.Uint64
-	payloadCopiesIn       atomic.Uint64
-	payloadCopiesOut      atomic.Uint64
-	loanSends             atomic.Uint64
-	viewReceives          atomic.Uint64
-	loanBatchSends        atomic.Uint64
-	harvestedViews        atomic.Uint64
-	creditStalls          atomic.Uint64
-	creditsHeld           atomic.Int64  // gauge: debits minus grants
-	harvestAutoBudget     atomic.Uint64 // gauge: last EWMA-sized budget
-	harvestCapHits        atomic.Uint64
-	peerDeaths            atomic.Uint64
-	reclaimedViews        atomic.Uint64
-	reclaimedCredits      atomic.Uint64
-	reclaimLatencyNanos   atomic.Uint64
+	opens, closes       atomic.Uint64
+	lnvcsCreated        atomic.Uint64
+	lnvcsDeleted        atomic.Uint64
+	messagesDropped     atomic.Uint64
+	muxWakeups          atomic.Uint64
+	muxSpurious         atomic.Uint64
+	creditStalls        atomic.Uint64
+	harvestAutoBudget   atomic.Uint64 // gauge: last EWMA-sized budget
+	harvestCapHits      atomic.Uint64
+	peerDeaths          atomic.Uint64
+	reclaimedViews      atomic.Uint64
+	reclaimedCredits    atomic.Uint64
+	reclaimLatencyNanos atomic.Uint64
+	_                   [56]byte
+
+	viewCopiesOut  atomic.Uint64
+	unsentCopiesIn atomic.Uint64
+	_              [56]byte
 }
 
 func (s *statsCell) snapshot() Stats {
 	return Stats{
 		Opens: s.opens.Load(), Closes: s.closes.Load(),
-		Sends: s.sends.Load(), Receives: s.receives.Load(),
-		BytesSent: s.bytesSent.Load(), BytesRecvd: s.bytesRecvd.Load(),
-		Checks:       s.checks.Load(),
 		LNVCsCreated: s.lnvcsCreated.Load(), LNVCsDeleted: s.lnvcsDeleted.Load(),
 		MessagesDropped:     s.messagesDropped.Load(),
-		ReceiveWaits:        s.receiveWaits.Load(),
-		BatchSends:          s.batchSends.Load(),
-		BatchReceives:       s.batchReceives.Load(),
 		MuxWakeups:          s.muxWakeups.Load(),
 		MuxSpurious:         s.muxSpurious.Load(),
-		PayloadCopiesIn:     s.payloadCopiesIn.Load(),
-		PayloadCopiesOut:    s.payloadCopiesOut.Load(),
-		LoanSends:           s.loanSends.Load(),
-		ViewReceives:        s.viewReceives.Load(),
-		LoanBatchSends:      s.loanBatchSends.Load(),
-		HarvestedViews:      s.harvestedViews.Load(),
 		CreditStalls:        s.creditStalls.Load(),
-		CreditsHeld:         clampGauge(s.creditsHeld.Load()),
 		HarvestAutoBudget:   s.harvestAutoBudget.Load(),
 		HarvestCapHits:      s.harvestCapHits.Load(),
 		PeerDeaths:          s.peerDeaths.Load(),
 		ReclaimedViews:      s.reclaimedViews.Load(),
 		ReclaimedCredits:    s.reclaimedCredits.Load(),
 		ReclaimLatencyNanos: s.reclaimLatencyNanos.Load(),
+		PayloadCopiesIn:     s.unsentCopiesIn.Load(),
+		PayloadCopiesOut:    s.viewCopiesOut.Load(),
 	}
-}
-
-// clampGauge floors a torn gauge read at zero: concurrent debits and
-// grants can transiently be observed out of order, but the gauge is
-// never semantically negative.
-func clampGauge(v int64) uint64 {
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
 }
 
 // Facility is one MPF instance: the shared region, descriptor tables and
 // name service. It corresponds to the state init() lays out in the
 // paper's mapped shared-memory segment.
 type Facility struct {
+	// The header: words every primitive reads and nothing writes after
+	// Init (stopped is written once, by Shutdown). They share no cache
+	// line with a word that is written while the facility runs: the
+	// groups below are a line's worth of padding apart, which holds at
+	// whatever address the allocator puts the struct. Asserted by
+	// TestHotWordLayout.
 	cfg   Config
 	arena *shm.Arena
 	pool  *msg.Pool
@@ -424,18 +411,26 @@ type Facility struct {
 	shards     []registryShard
 	shardMask  uint32
 	slots      []atomic.Pointer[lnvc] // indexed by ID
-	idLock     spinlock.TAS
-	freeIDs    []ID
 	contention *stats.Contention
 
 	stop    chan struct{}
 	stopped atomic.Bool
+	_       [60]byte
+
+	// Written while the facility runs, by opens, closes and ReceiveAny
+	// only. descs lists every LNVC descriptor ever created, append-only
+	// under idLock: what Stats sums over.
+	idLock  spinlock.TAS
+	freeIDs []ID
+	descs   []*lnvc
 
 	// anyCursor holds per-process round-robin scan positions for
 	// ReceiveAny fairness, guarded by anyMu.
 	anyMu     spinlock.TAS
 	anyCursor map[int]int
+	_         [56]byte
 
+	// The rare-event cell starts on a line of its own.
 	stats statsCell
 }
 
@@ -513,17 +508,6 @@ func (f *Facility) Shutdown() {
 
 // Arena exposes the backing region for tests and the benchmark harness.
 func (f *Facility) Arena() *shm.Arena { return f.arena }
-
-// Stats returns a snapshot of the facility's operation counters,
-// including the registry lock totals (per-shard breakdown via
-// RegistryStats).
-func (f *Facility) Stats() Stats {
-	st := f.stats.snapshot()
-	t := f.contention.Total()
-	st.RegistryAcquisitions = t.Acquisitions
-	st.RegistryContended = t.Contended
-	return st
-}
 
 // NotePeerReclaim records the outcome of one dead-peer reclamation in
 // the facility's counters and trace: views discarded or unpinned,

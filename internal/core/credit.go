@@ -31,13 +31,14 @@ import (
 //   - A circuit that dies zeroes its ledger: unread messages are
 //     dropped (their credits die with the circuit) and pinned messages
 //     are orphaned to their pin holders — the orphan's blocks go back
-//     to the arena at the last unpin, but its credits are restored to
-//     the facility-wide CreditsHeld gauge at orphaning time, because
-//     the budget they were debited from no longer exists. Refunds
-//     arriving after death (an outstanding loan aborting late) are
-//     rejected by the descriptor generation check, so a recycled
-//     descriptor's fresh ledger can never be corrupted by its previous
-//     life's traffic.
+//     to the arena at the last unpin, but its credits stop counting as
+//     held at orphaning time, because the budget they were debited from
+//     no longer exists. Refunds arriving after death (an outstanding
+//     loan aborting late) are rejected by the descriptor generation
+//     check, so a recycled descriptor's fresh ledger can never be
+//     corrupted by its previous life's traffic.
+//   - Stats.CreditsHeld is not maintained: it is the sum of the
+//     circuits' creditUsed words, read under their locks when asked.
 //
 // Credit is receiver-granted: it only flows back when a receiver (or
 // the reclaim rules acting for one) releases blocks. A sender parked
@@ -119,7 +120,6 @@ func (f *Facility) acquireCredit(l *lnvc, id ID, pid, blocks int) (uint64, error
 			l.creditUsed += int32(blocks)
 			gen := l.gen
 			l.lock.Unlock()
-			f.stats.creditsHeld.Add(int64(blocks))
 			return gen, nil
 		}
 		if f.cfg.SendPolicy == FailFast {
@@ -157,9 +157,7 @@ func (f *Facility) acquireCredit(l *lnvc, id ID, pid, blocks int) (uint64, error
 // grantCreditLocked returns blocks to l's budget and wakes parked
 // credit waiters. Called under l.lock. The clamp to the outstanding
 // debit makes late grants — a reclaim on a descriptor whose ledger was
-// zeroed at circuit death and recycled — harmless: they grant nothing
-// and leave the CreditsHeld gauge consistent (the death path already
-// restored those credits).
+// zeroed at circuit death and recycled — harmless: they grant nothing.
 func (f *Facility) grantCreditLocked(l *lnvc, blocks int) {
 	if f.cfg.CreditBlocks <= 0 || blocks <= 0 {
 		return
@@ -171,15 +169,14 @@ func (f *Facility) grantCreditLocked(l *lnvc, blocks int) {
 		return
 	}
 	l.creditUsed -= int32(blocks)
-	f.stats.creditsHeld.Add(-int64(blocks))
 	l.wakeCreditWaitersLocked()
 }
 
 // refundCredit returns a never-enqueued debit (an aborted or
 // circuit-lost loan, a failed build) to the budget. The generation
 // check rejects a refund whose circuit died or was recycled since the
-// debit: the death path restored those credits to the gauge already,
-// and the descriptor's current ledger belongs to someone else.
+// debit: the death path zeroed that ledger, and the descriptor's current
+// one belongs to someone else.
 func (f *Facility) refundCredit(l *lnvc, gen uint64, blocks int) {
 	if f.cfg.CreditBlocks <= 0 || blocks <= 0 {
 		return
@@ -189,19 +186,6 @@ func (f *Facility) refundCredit(l *lnvc, gen uint64, blocks int) {
 		f.grantCreditLocked(l, blocks)
 	}
 	l.lock.Unlock()
-}
-
-// dropLedgerLocked zeroes a dying circuit's ledger, restoring its
-// outstanding debits to the facility-wide gauge — the orphan-restore
-// rule: a pinned message orphaned at circuit death keeps its blocks
-// until the last unpin, but its credits return here, at orphaning
-// time, because the budget they came from is gone. Called under l.lock
-// from the close path's deletion branch.
-func (f *Facility) dropLedgerLocked(l *lnvc) {
-	if l.creditUsed != 0 {
-		f.stats.creditsHeld.Add(-int64(l.creditUsed))
-		l.creditUsed = 0
-	}
 }
 
 // CreditBlocksFor reports the credit ledger's accounted demand for an

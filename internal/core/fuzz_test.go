@@ -57,7 +57,10 @@ import (
 // strict exactly-once above. In both regimes every FCFS consumption
 // must be the message a walk from the queue head finds, and after every
 // op checkCircuit holds the bounded reclaim scan, the cleared count and
-// the FCFS head cursor to the full-queue forms they replaced.
+// the FCFS head cursor to the full-queue forms they replaced, and the
+// per-connection traffic counters to the queue's own numbering (sends),
+// to the FCFS head (receives, checkFCFSCount) and to the ledger
+// (CreditsHeld is the sum of the circuits' debits at every step).
 //
 // The facility runs under credit flow control (CreditBlocks = 12 of
 // the region), so every op above doubles as a credit op: sends debit
@@ -450,6 +453,33 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 		}
 	}
 
+	// checkFCFSCount is conservation over the FCFS receiver set, from
+	// the per-connection counters: until the circuit has ever been
+	// broadcast-only (when messages may die unclaimed), every message
+	// numbered so far was received by an FCFS connection — a live one, or
+	// one since closed; only FCFS connections close in this script — or
+	// is queued at or behind the FCFS head. Nothing is dropped: the
+	// sender keeps the circuit alive.
+	checkFCFSCount := func() {
+		if everBcastOnly {
+			return
+		}
+		info, err := fac.LNVCInfo(sid)
+		if err != nil {
+			t.Fatalf("conservation info: %v", err)
+		}
+		got := info.ClosedReceivers.Msgs
+		for _, r := range info.ReceiverTraffic {
+			if r.Proto == FCFS {
+				got += r.Msgs
+			}
+		}
+		if unclaimed := info.NextSeq - info.FCFSHeadSeq; got+unclaimed != info.NextSeq {
+			t.Fatalf("FCFS connections count %d receives, %d messages wait for one: %d numbered",
+				got, unclaimed, info.NextSeq)
+		}
+	}
+
 	for _, op := range script {
 		viaZC := op&0x80 != 0
 		switch int(op&0x7f) % 16 {
@@ -491,6 +521,7 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 			churnFCFS(1, &fcfs1, &fcfs1Open)
 		}
 		checkCircuit(t, fac, sid)
+		checkFCFSCount()
 	}
 
 	// Drain: every accepted message must reach exactly one FCFS

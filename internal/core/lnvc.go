@@ -10,25 +10,48 @@ import (
 )
 
 // sendDesc is a send connection (paper §3.1: "send descriptors ... contain
-// the process identifier of the connected process").
+// the process identifier of the connected process") and the traffic it
+// has caused. Descriptors are a cache-line multiple, and the allocator
+// places such objects on line boundaries, so no two connections share a
+// line: the words below are written by this connection's sender alone,
+// under the circuit lock (TestHotWordLayout).
 type sendDesc struct {
 	pid int
+	tx  sendCounts
+	_   [8]byte
 }
 
 // recvDesc is a receive connection. BROADCAST receivers carry their
 // private FIFO head as a sequence number; FCFS receivers use the LNVC's
-// shared head.
+// shared head. l is the circuit the descriptor belongs to for life (it
+// recycles through l's free list only). inc counts the descriptor's
+// incarnations — putRecvDesc bumps it — so an unpin that outlived its
+// connection does not count on the next one.
 type recvDesc struct {
+	l       *lnvc
 	pid     int
 	proto   Protocol
+	inc     uint32
 	headSeq uint64 // BROADCAST only: next sequence this receiver consumes
+	_       [32]byte
+	rx      recvCounts
 }
 
 // lnvc is an LNVC descriptor (paper Figure 2). All mutable fields are
 // guarded by lock; name is additionally written only under the owning
 // shard's write lock (reset), which is what lets the close path read it
 // under that same shard lock.
+//
+// The struct is six cache lines, laid out by who writes what (DESIGN.md
+// §16). At 384 bytes it falls in an allocator size class whose objects
+// start on line boundaries, so the lines below are the lines the
+// hardware sees; TestHotWordLayout checks both the offsets and the
+// addresses of real descriptors.
 type lnvc struct {
+	// Line 0: the circuit lock — the hottest word in the facility; every
+	// send, receive, harvest and wake spins on it — with the identity
+	// words, which only reset writes. A peer spinning here must not
+	// invalidate the lines the holder is working on below.
 	name string
 	id   ID
 	// shard is the registry shard this descriptor belongs to. It is
@@ -36,17 +59,16 @@ type lnvc struct {
 	// free list, so every name this descriptor ever carries hashes
 	// here.
 	shard uint32
+	lock  spinlock.TAS
+	// gen counts descriptor incarnations: reset bumps it, and selectors
+	// compare it so a registration on a dead circuit can never be
+	// satisfied by a new circuit that recycled both the descriptor and
+	// the id (the ABA the registry free lists would otherwise permit).
+	gen uint64
+	_   [8]byte
 
-	// The circuit lock is the hottest word in the facility — every
-	// send, receive, harvest and wake spins on it — so it gets a cache
-	// line to itself (24-byte TAS + 40 pad): a reader walking the cold
-	// descriptor fields below must not invalidate the line senders are
-	// spinning on. Asserted by TestHotWordLayout.
-	lock spinlock.TAS
-	_    [40]byte
-
-	cond *sync.Cond // signalled on enqueue and shutdown
-
+	// Line 1: the queue group — the words every send and every receive
+	// writes, handed from one to the other with the lock.
 	queue msg.Queue
 
 	// The queue is always a run of messages whose FCFSNeeded is clear
@@ -60,41 +82,49 @@ type lnvc struct {
 	// dropQueueLocked and the inheritance in OpenReceive.
 	fcfsHead *msg.Message
 	fcfsDone int
+	_        [16]byte
 
+	// Line 2: read by every send and receive, written only when a
+	// connection or a multiplexer registration comes or goes, so it
+	// stays shared in every party's cache.
+	cond   *sync.Cond // signalled on enqueue and shutdown
 	sends  map[int]*sendDesc
 	recvs  map[int]*recvDesc
 	nFCFS  int // count of FCFS receive connections
 	nBcast int // count of BROADCAST receive connections
-
 	// waiters are the parked multiplexer registrations (ReceiveAny
 	// parks, Selector memberships) on this circuit; enqueue and close
-	// wake exactly these (see waiter.go). gen counts descriptor
-	// incarnations: reset bumps it, and selectors compare it so a
-	// registration on a dead circuit can never be satisfied by a new
-	// circuit that recycled both the descriptor and the id (the ABA
-	// the registry free lists would otherwise permit).
+	// wake exactly these (see waiter.go).
 	waiters []*muxWaiter
-	gen     uint64
 
-	// The credit ledger (credit.go). creditUsed is the number of
-	// accounted blocks debited by senders and not yet re-granted;
-	// creditWaiters are the senders parked until the budget can cover
-	// them. Both guarded by lock; both meaningful only when
-	// Config.CreditBlocks > 0.
-	// creditUsed sits on its own line: it is debited on every credited
-	// send and re-granted on every release, and without the pad it
-	// would share a line with the waiter slice header that parked
-	// senders and granting receivers both touch. Asserted by
-	// TestHotWordLayout.
-	creditUsed    int32
-	_             [60]byte
+	// Line 3: the credit ledger (credit.go). creditUsed is the number of
+	// accounted blocks debited by senders and not yet re-granted, debited
+	// on every credited send and re-granted on every release; it is
+	// meaningful only when Config.CreditBlocks > 0 and has the line to
+	// itself.
+	creditUsed int32
+	_          [60]byte
+
+	// Lines 4-5: cold. creditWaiters are the senders parked until the
+	// budget can cover them; the free lists are the paper's §3.1 ("Like
+	// message blocks, LNVC, send, and receive descriptors are linked into
+	// free lists when not in use"); gone is the traffic of connections
+	// that no longer exist (traffic.go), out of line so that the
+	// descriptor keeps its size class.
 	creditWaiters []*creditWaiter
+	sendFree      []*sendDesc
+	recvFree      []*recvDesc
+	gone          *goneTraffic
+	_             [48]byte
+}
 
-	// descriptor free lists, per paper §3.1 ("Like message blocks, LNVC,
-	// send, and receive descriptors are linked into free lists when not
-	// in use").
-	sendFree []*sendDesc
-	recvFree []*recvDesc
+// goneTraffic is the traffic of a descriptor's departed connections:
+// closed is this incarnation's, folded in by CloseSend/CloseReceive; past
+// is every earlier incarnation's, folded in by reset. Written under the
+// circuit lock, on close and on the rare unpin that outlives its
+// connection — never per message.
+type goneTraffic struct {
+	closed, past traffic
 }
 
 func newLNVC(name string, id ID, shard uint32) *lnvc {
@@ -104,6 +134,7 @@ func newLNVC(name string, id ID, shard uint32) *lnvc {
 		shard: shard,
 		sends: make(map[int]*sendDesc),
 		recvs: make(map[int]*recvDesc),
+		gone:  new(goneTraffic),
 	}
 	l.cond = sync.NewCond(&l.lock)
 	return l
@@ -130,6 +161,8 @@ func (l *lnvc) reset(name string, id ID) {
 	l.creditUsed = 0
 	clear(l.creditWaiters)
 	l.creditWaiters = l.creditWaiters[:0]
+	l.gone.past.add(&l.gone.closed)
+	l.gone.closed = traffic{}
 	l.gen++
 }
 
@@ -172,25 +205,36 @@ func (l *lnvc) getSendDesc(pid int) *sendDesc {
 	if n := len(l.sendFree); n > 0 {
 		d := l.sendFree[n-1]
 		l.sendFree = l.sendFree[:n-1]
-		d.pid = pid
+		*d = sendDesc{pid: pid}
 		return d
 	}
 	return &sendDesc{pid: pid}
 }
 
-func (l *lnvc) putSendDesc(d *sendDesc) { l.sendFree = append(l.sendFree, d) }
+// putSendDesc retires a closing connection's descriptor, folding its
+// traffic into the circuit's closed group.
+func (l *lnvc) putSendDesc(d *sendDesc) {
+	l.gone.closed.tx.add(&d.tx)
+	l.sendFree = append(l.sendFree, d)
+}
 
 func (l *lnvc) getRecvDesc(pid int, proto Protocol, head uint64) *recvDesc {
 	if n := len(l.recvFree); n > 0 {
 		d := l.recvFree[n-1]
 		l.recvFree = l.recvFree[:n-1]
-		*d = recvDesc{pid: pid, proto: proto, headSeq: head}
+		*d = recvDesc{l: l, pid: pid, proto: proto, inc: d.inc, headSeq: head}
 		return d
 	}
-	return &recvDesc{pid: pid, proto: proto, headSeq: head}
+	return &recvDesc{l: l, pid: pid, proto: proto, headSeq: head}
 }
 
-func (l *lnvc) putRecvDesc(d *recvDesc) { l.recvFree = append(l.recvFree, d) }
+// putRecvDesc is putSendDesc for a receive connection; the incarnation
+// bump disowns any pins the connection still holds.
+func (l *lnvc) putRecvDesc(d *recvDesc) {
+	l.gone.closed.rx.add(&d.rx)
+	d.inc++
+	l.recvFree = append(l.recvFree, d)
+}
 
 // OpenSend establishes a send connection for pid on the LNVC called name,
 // creating the LNVC if necessary, and returns its internal identifier.
@@ -285,6 +329,7 @@ func (f *Facility) open(pid int, name string, attach func(*lnvc) error) (ID, err
 			l.lock.Unlock()
 		} else {
 			l = newLNVC(name, id, si)
+			f.adopt(l)
 		}
 	}
 
@@ -407,9 +452,9 @@ func (f *Facility) close(pid int, id ID, detach func(*lnvc) error) error {
 		l.dropQueueLocked()
 		// The ledger dies with the circuit: outstanding debits —
 		// dropped unread messages, orphans passing to their pin
-		// holders, loans still out — return to the facility gauge here
-		// (late loan refunds are rejected by the generation check).
-		f.dropLedgerLocked(l)
+		// holders, loans still out — stop counting as held here (late
+		// loan refunds are rejected by the generation check).
+		l.creditUsed = 0
 	}
 	l.lock.Unlock()
 	if err != nil {
@@ -487,7 +532,7 @@ func (f *Facility) TryReceive(pid int, id ID, buf []byte) (int, bool, error) {
 // unpin. ok is false when park is false and nothing was deliverable.
 func (f *Facility) receive(pid int, id ID, buf []byte, park bool, deadline time.Time) (int, bool, error) {
 	var one [1]*msg.Message
-	l, claimed, err := f.waitClaim(pid, id, park, deadline, one[:])
+	rc, claimed, err := f.waitClaim(pid, id, park, false, deadline, one[:])
 	if err != nil || claimed == 0 {
 		return 0, false, err
 	}
@@ -495,10 +540,8 @@ func (f *Facility) receive(pid int, id ID, buf []byte, park bool, deadline time.
 	// happens outside the lock, under the pin, so BROADCAST receivers
 	// proceed concurrently.
 	n := f.pool.Extract(one[0], buf)
-	f.stats.payloadCopiesOut.Add(1)
-	f.unpinAll(l, one[:])
-	f.stats.receives.Add(1)
-	f.stats.bytesRecvd.Add(uint64(n))
+	rc.recvCounts = recvCounts{msgs: 1, bytes: uint64(n), copiesOut: 1}
+	f.unpinAll(rc.d.l, one[:], &rc)
 	return n, true, nil
 }
 
@@ -525,20 +568,23 @@ func (f *Facility) lockRecv(pid int, id ID) (*lnvc, *recvDesc, error) {
 // circuit it names: it waits until a message is deliverable to pid's
 // connection on id, then claims and pins up to len(out) of them — as
 // many as are deliverable, never waiting for more than the first —
-// under the one lock hold, and returns them in out together with the
-// circuit. The caller owns one pin per claimed message and must balance
-// them with unpinAll once done reading the payloads. With park false it
+// under the one lock hold, and returns them in out together with a
+// receipt naming the connection they were claimed through. The caller
+// owns one pin per claimed message and must balance them with unpinAll
+// once done reading the payloads. A view claim is counted here, under
+// the hold; a copying one (view false) fills in the receipt and hands it
+// to its unpinAll, which is when its byte count exists. With park false it
 // never waits and may claim nothing; otherwise it parks on the circuit's
 // condition variable — the only place anything does — until an enqueue,
 // a close (ErrNotConnected), Shutdown (ErrShutdown) or the deadline,
 // when one is set (ErrTimeout).
-func (f *Facility) waitClaim(pid int, id ID, park bool, deadline time.Time, out []*msg.Message) (*lnvc, int, error) {
+func (f *Facility) waitClaim(pid int, id ID, park, view bool, deadline time.Time, out []*msg.Message) (receipt, int, error) {
 	if f.stopped.Load() {
-		return nil, 0, ErrShutdown
+		return receipt{}, 0, ErrShutdown
 	}
 	l, d, err := f.lockRecv(pid, id)
 	if err != nil {
-		return nil, 0, err
+		return receipt{}, 0, err
 	}
 	var timedOut *bool
 	if park && !deadline.IsZero() {
@@ -574,17 +620,24 @@ func (f *Facility) waitClaim(pid int, id ID, park bool, deadline time.Time, out 
 		}
 		if err != nil {
 			l.lock.Unlock()
-			return nil, 0, err
+			return receipt{}, 0, err
 		}
 		waited = true
 		l.cond.Wait()
 	}
 	if waited {
-		f.stats.receiveWaits.Add(1)
+		d.rx.waits++
 	}
-	run, _ := l.claimRunLocked(d, m, out[:0], len(out))
+	run, bytes, _ := l.claimRunLocked(d, m, out[:0], len(out))
+	if view {
+		n := uint64(len(run))
+		d.rx.msgs += n
+		d.rx.bytes += bytes
+		d.rx.views += n
+	}
+	rc := receipt{d: d, inc: d.inc}
 	l.lock.Unlock()
-	return l, len(run), nil
+	return rc, len(run), nil
 }
 
 // claimLocked consumes m for receiver d — for FCFS the claim (advancing
@@ -611,28 +664,50 @@ func (l *lnvc) claimLocked(d *recvDesc, m *msg.Message) {
 
 // claimRunLocked claims for d up to budget of the messages deliverable
 // to it, oldest first, appending them to run; m is the first of them,
-// what availableLocked(d) returned, and more reports whether deliverable
-// messages remain. Once d has claimed a message the next deliverable
-// one is its successor in the queue under either protocol, so the loop
-// follows Next instead of asking availableLocked again.
-func (l *lnvc) claimRunLocked(d *recvDesc, m *msg.Message, run []*msg.Message, budget int) (_ []*msg.Message, more bool) {
+// what availableLocked(d) returned, bytes is the claimed payloads' total
+// length and more reports whether deliverable messages remain. Once d
+// has claimed a message the next deliverable one is its successor in the
+// queue under either protocol, so the loop follows Next instead of
+// asking availableLocked again.
+func (l *lnvc) claimRunLocked(d *recvDesc, m *msg.Message, run []*msg.Message, budget int) (_ []*msg.Message, bytes uint64, more bool) {
 	for ; m != nil && budget > 0; m, budget = m.Next, budget-1 {
 		l.claimLocked(d, m)
+		bytes += uint64(m.Length)
 		run = append(run, m)
 	}
-	return run, m != nil
+	return run, bytes, m != nil
+}
+
+// receipt is what a copying receive hands unpinAll to count: the
+// connection, and the incarnation of it, the messages were claimed
+// through (waitClaim fills these in), and what was moved under the pins.
+type receipt struct {
+	d   *recvDesc
+	inc uint32
+	recvCounts
 }
 
 // unpinAll drops the pins claimLocked took on ms, all claimed from l:
-// one lock acquisition, one reclaim scan. For a message still owned by
-// its circuit the unpin may make it reclaimable, so the scan runs; an
-// orphan — dropped from a deleted circuit while pinned — is released by
-// its last pin holder, outside the lock (it is in no queue; l may even
-// have been recycled for another circuit, which is safe because only
-// the message's own fields and the pool are touched).
-func (f *Facility) unpinAll(l *lnvc, ms []*msg.Message) {
+// one lock acquisition, one reclaim scan. A copying receive passes its
+// receipt, which is counted on the connection under this hold — or on
+// the circuit's closed group when the connection has closed meanwhile —
+// and a view, counted when it was claimed, passes nil. For a message
+// still owned by its circuit the unpin may make it reclaimable, so the
+// scan runs; an orphan — dropped from a deleted circuit while pinned —
+// is released by its last pin holder, outside the lock (it is in no
+// queue; l may even have been recycled for another circuit, which is
+// safe because only the message's own fields, the descriptor's counters
+// and the pool are touched).
+func (f *Facility) unpinAll(l *lnvc, ms []*msg.Message, r *receipt) {
 	var orphans []*msg.Message
 	l.lock.Lock()
+	if r != nil {
+		if r.d.inc == r.inc {
+			r.d.rx.add(&r.recvCounts)
+		} else {
+			l.gone.closed.rx.add(&r.recvCounts)
+		}
+	}
 	anyLive := false
 	for _, m := range ms {
 		m.Pins--
@@ -681,7 +756,7 @@ func (f *Facility) checkReceive(pid int, id ID) (bool, error) {
 		return false, err
 	}
 	defer l.lock.Unlock()
-	f.stats.checks.Add(1)
+	d.rx.checks++
 	return l.availableLocked(d) != nil, nil
 }
 
@@ -758,6 +833,48 @@ type Info struct {
 	// credits held plus credits free equal the budget.
 	CreditCap  int
 	CreditUsed int
+	// Gauges read off the queue and the waiter list under the lock:
+	// PinnedMsgs is the number of queued messages some receiver holds
+	// pinned (a copy in flight or a live View), OldestSeq the sequence of
+	// the oldest queued message (NextSeq when the queue is empty), and
+	// ParkedWaiters the multiplexer registrations — Selector memberships
+	// and parked ReceiveAny calls — an enqueue here would wake.
+	PinnedMsgs    int
+	OldestSeq     uint64
+	ParkedWaiters int
+	// Per-connection traffic, the words Facility.Stats sums: one entry
+	// per live connection, and the totals of this circuit's connections
+	// that have closed (PID -1). Summed over a facility's circuits, the
+	// deleted ones apart, they are its Stats.
+	SenderTraffic   []SenderTraffic
+	ReceiverTraffic []ReceiverTraffic
+	ClosedSenders   SenderTraffic
+	ClosedReceivers ReceiverTraffic
+}
+
+// SenderTraffic is what one send connection has put on its circuit.
+// Loans counts messages committed through SendLoan or LoanBatch.
+type SenderTraffic struct {
+	PID                          int
+	Msgs, Bytes, CopiesIn, Loans uint64
+}
+
+// ReceiverTraffic is what one receive connection has taken off its
+// circuit. Views counts messages claimed as pinned views (ReceiveView,
+// TryReceiveView, Selector harvests); Waits the claims that had to park.
+type ReceiverTraffic struct {
+	PID                                  int
+	Proto                                Protocol
+	Msgs, Bytes, CopiesOut, Views, Waits uint64
+}
+
+func senderTraffic(pid int, c *sendCounts) SenderTraffic {
+	return SenderTraffic{PID: pid, Msgs: c.msgs, Bytes: c.bytes, CopiesIn: c.copiesIn, Loans: c.loans + c.loanBatch}
+}
+
+func receiverTraffic(pid int, proto Protocol, c *recvCounts) ReceiverTraffic {
+	return ReceiverTraffic{PID: pid, Proto: proto, Msgs: c.msgs, Bytes: c.bytes,
+		CopiesOut: c.copiesOut, Views: c.views + c.harvested, Waits: c.waits}
 }
 
 // LNVCInfo returns a snapshot of the LNVC's descriptor state.
@@ -785,16 +902,32 @@ func (f *Facility) LNVCInfo(id ID) (Info, error) {
 		ReceiverProto: make(map[int]Protocol, len(l.recvs)),
 		CreditCap:     f.cfg.CreditBlocks,
 		CreditUsed:    int(l.creditUsed),
+		OldestSeq:     l.queue.NextSeq(),
+		ParkedWaiters: len(l.waiters),
+
+		ClosedSenders:   senderTraffic(-1, &l.gone.closed.tx),
+		ClosedReceivers: receiverTraffic(-1, FCFS, &l.gone.closed.rx),
 	}
 	if l.fcfsHead != nil {
 		info.FCFSHeadSeq = l.fcfsHead.Seq
 	}
-	for pid := range l.sends {
+	if m := l.queue.Head(); m != nil {
+		info.OldestSeq = m.Seq
+	}
+	l.queue.Walk(func(m, _ *msg.Message) bool {
+		if m.Pins > 0 {
+			info.PinnedMsgs++
+		}
+		return true
+	})
+	for pid, d := range l.sends {
 		info.SenderPIDs = append(info.SenderPIDs, pid)
+		info.SenderTraffic = append(info.SenderTraffic, senderTraffic(pid, &d.tx))
 	}
 	for pid, d := range l.recvs {
 		info.ReceiverPIDs = append(info.ReceiverPIDs, pid)
 		info.ReceiverProto[pid] = d.proto
+		info.ReceiverTraffic = append(info.ReceiverTraffic, receiverTraffic(pid, d.proto, &d.rx))
 	}
 	return info, nil
 }

@@ -157,10 +157,9 @@ func (b *LoanBatch) commit(n int) (int, error) {
 		return 0, ErrLoanDone
 	}
 	b.done = true
-	if err := b.f.publish(b.adm, b.msgs, n); err != nil {
+	if err := b.f.publish(b.adm, b.msgs, n, sendCounts{loanBatch: uint64(n)}); err != nil {
 		return 0, err
 	}
-	b.f.stats.loanBatchSends.Add(uint64(n))
 	return sumInts(b.ns[:n]), nil
 }
 

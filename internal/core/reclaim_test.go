@@ -30,15 +30,37 @@ func walkFCFSHead(l *lnvc) *msg.Message {
 // from the queue head returns. Every queued message's header is the entry
 // of its own head block and describes its chain (msg.Pool.Check): a
 // header written after its chain was freed would show here as a queued
-// message that is not its block's. A deleted circuit has nothing to check.
+// message that is not its block's. And the counters that live on the
+// connections conserve: the messages counted on the circuit's senders,
+// live and closed, are the sequence numbers its queue has handed out
+// since this incarnation began; the debits on the live circuits are what
+// Stats reports as CreditsHeld. A deleted circuit has nothing to check.
 func checkCircuit(t *testing.T, f *Facility, id ID) {
 	t.Helper()
 	l := f.slots[id].Load()
 	if l == nil {
 		return
 	}
+	held := 0
+	for i := range f.slots {
+		if c := f.slots[i].Load(); c != nil {
+			c.lock.Lock()
+			held += int(c.creditUsed)
+			c.lock.Unlock()
+		}
+	}
+	if got := f.Stats().CreditsHeld; got != uint64(held) {
+		t.Errorf("Stats().CreditsHeld = %d, live circuits hold %d blocks debited", got, held)
+	}
 	l.lock.Lock()
 	defer l.lock.Unlock()
+	sent := l.gone.closed.tx.msgs
+	for _, d := range l.sends {
+		sent += d.tx.msgs
+	}
+	if sent != l.queue.NextSeq() {
+		t.Errorf("senders (live and closed) count %d messages, the queue has numbered %d", sent, l.queue.NextSeq())
+	}
 	bcastOnly := l.nFCFS == 0 && l.nBcast > 0
 	cleared, needed := 0, 0
 	l.queue.Walk(func(m, _ *msg.Message) bool {

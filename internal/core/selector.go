@@ -439,7 +439,8 @@ const harvestEWMAAlpha = 0.25
 // doubled as an upward probe when the previous round consumed its
 // whole budget (the observation is censored at the budget, so the true
 // depth may be anything above it), clamped to the configured window.
-// The result is also published to the HarvestAutoBudget gauge.
+// The budget is owner state; the facility-wide HarvestAutoBudget gauge is
+// written only when it changes, not once a round.
 func (s *Selector) nextAutoBudget() int {
 	lo, hi := s.f.cfg.AutoHarvestMin, s.f.cfg.AutoHarvestMax
 	b := int(s.ewmaDepth) + 1
@@ -452,8 +453,10 @@ func (s *Selector) nextAutoBudget() int {
 	if b > hi {
 		b = hi
 	}
-	s.lastBudget = b
-	s.f.stats.harvestAutoBudget.Store(uint64(b))
+	if b != s.lastBudget {
+		s.lastBudget = b
+		s.f.stats.harvestAutoBudget.Store(uint64(b))
+	}
 	return b
 }
 
@@ -550,9 +553,18 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 			}
 			before := len(run)
 			var more bool
-			run, more = fr.l.claimRunLocked(d, fr.l.availableLocked(d), run, budget)
-			fr.l.lock.Unlock()
+			var bytes uint64
+			run, bytes, more = fr.l.claimRunLocked(d, fr.l.availableLocked(d), run, budget)
 			fr.n = len(run) - before
+			if fr.n > 0 {
+				// The harvest is counted on the connection, under the
+				// hold that made it.
+				n := uint64(fr.n)
+				d.rx.msgs += n
+				d.rx.bytes += bytes
+				d.rx.harvested += n
+			}
+			fr.l.lock.Unlock()
 			if more {
 				if claim && fr.n >= perCircuit && perCircuit < max {
 					f.stats.harvestCapHits.Add(1)
@@ -566,7 +578,6 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 		// round, made after the last unlock (the claims already pinned
 		// every message).
 		var out []*View
-		total := 0
 		if len(run) > 0 {
 			vs := make([]View, len(run))
 			out = make([]*View, len(run))
@@ -575,7 +586,6 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 				for end := k + fr.n; k < end; k++ {
 					vs[k] = View{f: f, l: fr.l, m: run[k], id: fr.id}
 					out[k] = &vs[k]
-					total += run[k].Length
 				}
 			}
 		}
@@ -598,9 +608,6 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 		// tap is needed: the next call runs a round before it can park.
 		s.remarkReady(armed)
 		if len(out) > 0 {
-			f.stats.receives.Add(uint64(len(out)))
-			f.stats.bytesRecvd.Add(uint64(total))
-			f.stats.harvestedViews.Add(uint64(len(out)))
 			// A circuit death observed this round is deferred, not
 			// dropped: claimed views are never discarded, so the error
 			// is stashed for the next wait/harvest call to return (the

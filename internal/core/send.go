@@ -24,7 +24,8 @@ import (
 //   - publish re-validates under the circuit lock — the circuit may have
 //     been deleted, and its descriptor recycled for another name, while
 //     the payload was produced — links the messages into the FIFO as
-//     consecutive sequence numbers, and wakes receivers once.
+//     consecutive sequence numbers, counts them on the sender's
+//     connection, and wakes receivers once.
 
 // admission is admit's receipt: the circuit and connection that were
 // validated and the credit debit taken for them. It travels by value; a
@@ -76,24 +77,29 @@ func (f *Facility) unbuilt(a admission, buildErr error) error {
 // facility stopped or the connection was lost meanwhile — go back to the
 // region in one transaction with their share of the debit. Either all of
 // msgs[:n] are enqueued or none is. The headers of an enqueued message
-// stop being the sender's the moment the lock drops.
-func (f *Facility) publish(a admission, msgs []*msg.Message, n int) error {
+// stop being the sender's the moment the lock drops. t is the caller's
+// attribution of the send — which primitive, how many copies — and is
+// counted, with the messages and bytes enqueued, on the sender's
+// connection under the same hold.
+func (f *Facility) publish(a admission, msgs []*msg.Message, n int, t sendCounts) error {
 	l := a.l
 	if f.stopped.Load() {
 		f.abandon(a, msgs)
 		return ErrShutdown
 	}
 	l.lock.Lock()
-	if f.slots[a.id].Load() != l || l.sends[a.pid] == nil {
+	d := l.sends[a.pid]
+	if f.slots[a.id].Load() != l || d == nil {
 		l.lock.Unlock()
 		f.abandon(a, msgs)
 		return notConnected("send", a.id, a.pid)
 	}
-	bytes := 0
 	for _, m := range msgs[:n] {
-		bytes += m.Length
+		t.bytes += uint64(m.Length)
 		l.enqueueLocked(m)
 	}
+	t.msgs = uint64(n)
+	d.tx.add(&t)
 	if n > 0 {
 		l.cond.Broadcast() // one wakeup however many messages
 		l.wakeWaitersLocked()
@@ -110,9 +116,6 @@ func (f *Facility) publish(a admission, msgs []*msg.Message, n int) error {
 	if partial {
 		f.pool.ReleaseBatch(msgs[n:])
 	}
-
-	f.stats.sends.Add(uint64(n))
-	f.stats.bytesSent.Add(uint64(bytes))
 	return nil
 }
 
@@ -145,11 +148,7 @@ func (f *Facility) send(pid int, id ID, buf []byte) error {
 		return f.unbuilt(a, err)
 	}
 	one := [1]*msg.Message{m}
-	if err := f.publish(a, one[:], 1); err != nil {
-		return err
-	}
-	f.stats.payloadCopiesIn.Add(1)
-	return nil
+	return f.publish(a, one[:], 1, sendCounts{copiesIn: 1})
 }
 
 // SendBatch transfers every buffer in bufs to the LNVC as one message
@@ -181,10 +180,5 @@ func (f *Facility) sendBatch(pid int, id ID, bufs [][]byte, blocks, total int) e
 	if err := f.pool.BuildBatchInto(pid, bufs, msgs, f.cfg.SendPolicy == BlockUntilFree, f.stop); err != nil {
 		return f.unbuilt(a, err)
 	}
-	if err := f.publish(a, msgs, len(msgs)); err != nil {
-		return err
-	}
-	f.stats.batchSends.Add(1)
-	f.stats.payloadCopiesIn.Add(uint64(len(msgs)))
-	return nil
+	return f.publish(a, msgs, len(msgs), sendCounts{copiesIn: uint64(len(msgs)), batches: 1})
 }

@@ -50,6 +50,11 @@ type Loan struct {
 	// done is set.
 	n    int
 	done bool
+	// copies counts CopyFrom calls until the loan is resolved: Commit's
+	// publish counts them on the connection under its hold; a loan that
+	// never reaches a FIFO has no hold to ride and counts them on the
+	// facility's escape-hatch word.
+	copies uint64
 }
 
 // SendLoan allocates blocks for n payload bytes on the LNVC and returns
@@ -95,14 +100,15 @@ func (ln *Loan) Bytes() ([]byte, bool) { return ln.View().Contiguous() }
 func (ln *Loan) Segments(yield func(seg []byte) bool) { ln.View().Segments(yield) }
 
 // CopyFrom fills the loan from buf, counted as a send-side copy in
-// Stats — the explicit escape hatch back to the copying plane's
-// accounting. Callers treating the fill as production (the bytes enter
-// the region exactly once; mpf.Writer, TypedSender and
-// LoanBatch.Fill) write through View().CopyFrom instead, which the
-// ledger does not count. It returns the number of bytes copied.
+// Stats once the loan is committed or aborted — the explicit escape
+// hatch back to the copying plane's accounting. Callers treating the
+// fill as production (the bytes enter the region exactly once;
+// mpf.Writer, TypedSender and LoanBatch.Fill) write through
+// View().CopyFrom instead, which the ledger does not count. It returns
+// the number of bytes copied.
 func (ln *Loan) CopyFrom(buf []byte) int {
 	n := ln.View().CopyFrom(buf)
-	ln.f.stats.payloadCopiesIn.Add(1)
+	ln.copies++
 	return n
 }
 
@@ -124,11 +130,11 @@ func (ln *Loan) commit() error {
 	}
 	ln.done = true
 	one := [1]*msg.Message{ln.m}
-	if err := ln.f.publish(ln.adm, one[:], 1); err != nil {
-		return err
+	err := ln.f.publish(ln.adm, one[:], 1, sendCounts{copiesIn: ln.copies, loans: 1})
+	if err != nil && ln.copies > 0 {
+		ln.f.stats.unsentCopiesIn.Add(ln.copies)
 	}
-	ln.f.stats.loanSends.Add(1)
-	return nil
+	return err
 }
 
 // Abort returns the loaned blocks to the region unsent. Aborting a loan
@@ -141,6 +147,9 @@ func (ln *Loan) Abort() {
 	ln.done = true
 	one := [1]*msg.Message{ln.m}
 	ln.f.abandon(ln.adm, one[:])
+	if ln.copies > 0 {
+		ln.f.stats.unsentCopiesIn.Add(ln.copies)
+	}
 }
 
 // View is a pinned zero-copy window onto a received message's payload,
@@ -193,14 +202,11 @@ func (f *Facility) TryReceiveView(pid int, id ID) (*View, bool, error) {
 // is false and nothing was deliverable.
 func (f *Facility) receiveView(pid int, id ID, park bool, deadline time.Time) (*View, error) {
 	var one [1]*msg.Message
-	l, claimed, err := f.waitClaim(pid, id, park, deadline, one[:])
+	rc, claimed, err := f.waitClaim(pid, id, park, true, deadline, one[:])
 	if err != nil || claimed == 0 {
 		return nil, err
 	}
-	f.stats.receives.Add(1)
-	f.stats.bytesRecvd.Add(uint64(one[0].Length))
-	f.stats.viewReceives.Add(1)
-	return &View{f: f, l: l, m: one[0], id: id}, nil
+	return &View{f: f, l: rc.d.l, m: one[0], id: id}, nil
 }
 
 func viewBytes(v *View) int {
@@ -258,14 +264,16 @@ func (v *View) Segments(yield func(seg []byte) bool) {
 }
 
 // CopyTo copies the payload into buf — the escape hatch back to the
-// copying plane, counted as a receive-side copy in Stats. It returns
-// the number of bytes copied, 0 on a released view.
+// copying plane, counted as a receive-side copy in Stats. It holds no
+// lock, so the count goes to the facility's escape-hatch word, the one
+// traffic counter that is not on a connection. It returns the number of
+// bytes copied, 0 on a released view.
 func (v *View) CopyTo(buf []byte) int {
 	if v.released {
 		return 0
 	}
 	n := v.f.pool.View(v.m).CopyTo(buf)
-	v.f.stats.payloadCopiesOut.Add(1)
+	v.f.stats.viewCopiesOut.Add(1)
 	return n
 }
 
@@ -282,7 +290,7 @@ func (v *View) Release() {
 	}
 	v.released = true
 	one := [1]*msg.Message{v.m}
-	v.f.unpinAll(v.l, one[:])
+	v.f.unpinAll(v.l, one[:], nil)
 }
 
 // ReleaseViews releases every view in vs under batched unpinning: one
@@ -306,7 +314,7 @@ func ReleaseViews(vs []*View) {
 		}
 		v.released = true
 		if n > 0 && (v.l != l || n == len(buf)) {
-			f.unpinAll(l, buf[:n])
+			f.unpinAll(l, buf[:n], nil)
 			n = 0
 		}
 		l, f = v.l, v.f
@@ -314,7 +322,7 @@ func ReleaseViews(vs []*View) {
 		n++
 	}
 	if n > 0 {
-		f.unpinAll(l, buf[:n])
+		f.unpinAll(l, buf[:n], nil)
 	}
 }
 

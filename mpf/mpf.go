@@ -242,7 +242,9 @@ func New(opts ...Option) (*Facility, error) {
 // ErrShutdown. Idempotent.
 func (f *Facility) Shutdown() { f.c.Shutdown() }
 
-// Stats returns a snapshot of the facility's operation counters.
+// Stats returns a snapshot of the facility's operation counters. The
+// traffic counters live on the connections and are summed here, one
+// circuit lock at a time: read Stats between phases, not per message.
 func (f *Facility) Stats() Stats { return f.c.Stats() }
 
 // RegistryStats returns per-shard lock acquisition counters for the
@@ -269,7 +271,9 @@ type CircuitInfo = core.Info
 
 // Circuit returns a snapshot of the named circuit's state: queued
 // messages, connection counts and head positions — the contents of the
-// paper's Figure 2 descriptor, for debugging and monitoring.
+// paper's Figure 2 descriptor — with each connection's traffic (the
+// words Stats sums) and the pinned-message, oldest-sequence and
+// parked-waiter gauges, for debugging and monitoring.
 func (f *Facility) Circuit(name string) (CircuitInfo, bool) {
 	id, ok := f.c.LNVCByName(name)
 	if !ok {
