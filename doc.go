@@ -3,7 +3,7 @@
 // 1987).
 //
 // The public API lives in repro/mpf. The substrates (shared-memory
-// arena, spin locks, message blocks, process model, discrete-event
+// arena, locks, message blocks, process model, discrete-event
 // Balance 21000 simulator) live under internal/, the paper's two
 // applications under internal/apps, and the benchmark harness that
 // regenerates every figure of the paper's evaluation under
@@ -40,6 +40,10 @@
 // layout regression tests holding the offsets. Traffic accounting rides
 // on the connections (DESIGN.md §8): no facility-wide word is written
 // per message, and Stats() sums the per-connection counters on read.
+// Where the paper's test-and-set locks spun, the facility's park: a
+// contended waiter sleeps until the holder hands it the lock, so a
+// circuit's two parties take turns on one core instead of running
+// against each other on two (DESIGN.md §16).
 // mpfbench -contention, -copies,
 // -loanbatch, -credit and -tuning quantify these against the paper's
 // single-lock, two-copy, per-message, globally-starved, fixed-budget

@@ -1,7 +1,7 @@
 // Package core implements the MPF message passing facility: logical,
 // named virtual circuits (LNVCs) with FCFS and BROADCAST receive
 // protocols, layered on the shared-memory arena (internal/shm), message
-// blocks (internal/msg) and spin locks (internal/spinlock).
+// blocks (internal/msg) and the locks of internal/spinlock.
 //
 // # The model (paper §1-2, Figure 1)
 //
@@ -404,7 +404,7 @@ type Facility struct {
 
 	// The sharded name registry (see registry.go). Names hash across
 	// shards; each shard guards its slice of the name map and its
-	// descriptor free list with its own reader/writer spin lock.
+	// descriptor free list with its own reader/writer lock.
 	// Send/Receive/Check translate an ID to a descriptor with a single
 	// atomic load of slots — no registry lock at all. Lock order: shard
 	// lock before the LNVC lock; idLock is a leaf.

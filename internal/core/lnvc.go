@@ -49,8 +49,8 @@ type recvDesc struct {
 // addresses of real descriptors.
 type lnvc struct {
 	// Line 0: the circuit lock — the hottest word in the facility; every
-	// send, receive, harvest and wake spins on it — with the identity
-	// words, which only reset writes. A peer spinning here must not
+	// send, receive, harvest and wake takes it — with the identity
+	// words, which only reset writes. A peer taking the lock must not
 	// invalidate the lines the holder is working on below.
 	name string
 	id   ID

@@ -12,7 +12,7 @@ import (
 // lock (§3.1), and its Figures 4-6 show the resulting contention as
 // process counts grow. This implementation shards the name space
 // instead: names hash across a power-of-two number of shards, each with
-// its own reader/writer spin lock, name map and descriptor free list, so
+// its own reader/writer lock, name map and descriptor free list, so
 // opens and closes on circuits in different shards never contend.
 //
 // Three registry structures remain global:
@@ -48,14 +48,13 @@ const maxRegistryShards = 1 << 10
 // registryShard is one slice of the name space.
 type registryShard struct {
 	// The shard lock owns its cache line: shards sit adjacent in one
-	// slice, and an unpadded 4-byte lock would put up to a dozen of
-	// them — each spun on by a different opener — on the same line,
-	// turning independent shards back into one contended word. The
-	// tail pad keeps the whole shard a multiple of 64 bytes so
-	// neighbouring shards never share a line either (asserted by
-	// TestHotWordLayout).
+	// slice, and unpadded, two or three 24-byte locks — each taken by a
+	// different opener — would share a line, turning independent shards
+	// back into one contended word. The tail pad keeps the whole shard a
+	// multiple of 64 bytes so neighbouring shards never share a line
+	// either (asserted by TestHotWordLayout).
 	lock spinlock.RW
-	_    [60]byte
+	_    [40]byte
 
 	names    map[string]ID
 	lnvcFree []*lnvc // recycled descriptors, owned by this shard forever

@@ -44,7 +44,7 @@ type Selector struct {
 
 	// The pad pushes mu and the ready-list head it guards onto their
 	// own cache lines: every markReady — called from *senders*, under
-	// the firing circuit's lock — spins on mu and appends to ready,
+	// the firing circuit's lock — takes mu and appends to ready,
 	// and without the pad those words share a line with the fields the
 	// parked owner reads on its wakeup path. Asserted by
 	// TestHotWordLayout.

@@ -99,7 +99,7 @@ func TestBuildExhaustion(t *testing.T) {
 // TestBuildReleaseNoAllocs pins the single-message arena transactions
 // (AllocPayload, FreeChain) and the header lookup at zero heap
 // allocations per message, in both allocation modes: nothing on this
-// path may allocate, least of all under the arena spinlock.
+// path may allocate, least of all under the arena lock.
 func TestBuildReleaseNoAllocs(t *testing.T) {
 	for _, spans := range []bool{false, true} {
 		a, err := shm.New(shm.Config{BlockSize: 64, NumBlocks: 512, Spans: spans})

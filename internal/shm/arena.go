@@ -108,9 +108,9 @@ type Arena struct {
 	huge  HugeStats
 }
 
-// condSignal is a tiny condition variable over the arena spinlock. A full
-// sync.Cond would also work; this variant exists so the arena has no
-// dependency on sync and so tests can count wakeups.
+// condSignal is a tiny condition variable over the free-pool lock. It is
+// a channel rather than a sync.Cond because a waiter also selects on its
+// stop channel.
 type condSignal struct {
 	ch chan struct{}
 }
@@ -208,7 +208,7 @@ func New(cfg Config) (*Arena, error) {
 // boundary (AlignUp) so payloads are line-aligned.
 //
 // Only the block *bytes* live in mem. The allocator's own state — the
-// free bitmap, span lengths, the spinlock, waiter bookkeeping — stays
+// free bitmap, span lengths, the lock, waiter bookkeeping — stays
 // in this process's heap: the arena has exactly one allocating owner
 // (the serving parent), and attached peers only dereference offsets
 // they were handed over a ring. See DESIGN.md §15 for why the
@@ -665,7 +665,7 @@ func (a *Arena) chainLocked(n int) (head, tail int32) {
 // offsetPairs returns two n-element result slices carved from one
 // allocation. Batch allocators call it before taking the free-pool lock:
 // a heap allocation can run a garbage-collection assist, which must not
-// happen with the spinlock held.
+// happen with the free-pool lock held.
 func offsetPairs(n int) (heads, tails []int32) {
 	buf := make([]int32, 2*n)
 	return buf[:n:n], buf[n:]

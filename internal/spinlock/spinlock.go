@@ -1,39 +1,41 @@
-// Package spinlock provides busy-waiting mutual exclusion primitives built
-// on sync/atomic.
+// Package spinlock provides the facility's mutual exclusion: TAS, the
+// lock on every circuit, the arena's free pool and the registry's leaf
+// words, and RW, the registry shards' reader/writer lock.
 //
-// The Sequent Balance 21000 that hosted the original MPF implementation
-// exposed "atomic lock memory": a region of bus-snooped bytes supporting an
-// atomic test-and-set, on which all of MPF's mutual exclusion was built.
-// This package is the portable analogue. Every LNVC descriptor in
-// internal/core is guarded by one of these locks, so their contention
-// behaviour under many receivers is directly visible in the Figure 4 and
-// Figure 6 benchmarks.
+// The Sequent Balance 21000 that hosted the original MPF exposed "atomic
+// lock memory", bus-snooped bytes with an atomic test-and-set, and MPF
+// built all of its mutual exclusion on it. Every MPF process had a CPU to
+// itself, so a waiter that spun on a held lock burned only its own cycles
+// and took the lock the moment it was freed. This package began as the
+// portable copy of that design: test-and-set with exponential backoff,
+// and a yield to the scheduler once the backoff ran out.
 //
-// Two lock flavours are provided:
+// Goroutines do not own CPUs; they share the runtime's Ps. A waiter that
+// spun through its backoff and yielded went to the global run queue,
+// where an idle P picked it up, and from then on both parties of a
+// circuit ran at once on two Ps, taking every lock, queue and arena line
+// from each other. So the locks now park. TAS wraps a sync.Mutex and RW a
+// sync.RWMutex: a contended waiter spins a few rounds only while another
+// P is running, then sleeps on the runtime semaphore, and the unlock
+// readies it onto the releaser's own P, so the two parties of a circuit
+// take turns on one core instead of running against each other on two
+// (DESIGN.md §16, "Locks park"). A parked waiter costs no CPU, and the
+// contention shows in Go's mutex profile and in the
+// /sync/mutex/wait/total:seconds metric, attributed to call sites.
 //
-//   - TAS: plain test-and-set with exponential backoff. Lowest uncontended
-//     latency, no fairness guarantee.
-//   - RW: a reader/writer spin lock for mostly-read descriptor tables
-//     (the LNVC name table).
-//
-// All locks satisfy sync.Locker so they can back a sync.Cond.
+// Misuse is fatal, as sync's is: unlocking a lock that is not held stops
+// the program with "fatal error: sync: ...", which no recover catches.
+// Both locks satisfy sync.Locker, so TAS can back a sync.Cond.
 package spinlock
 
 import (
-	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
-// maxBackoffSpins bounds the exponential backoff between test-and-set
-// attempts. Beyond this the goroutine yields to the scheduler so that a
-// lock holder descheduled by the runtime can make progress (goroutines,
-// unlike the paper's Unix processes, share OS threads).
-const maxBackoffSpins = 1 << 7
-
-// TAS is a test-and-set spin lock with exponential backoff.
-// The zero value is an unlocked lock.
+// TAS is the facility's mutex. The zero value is an unlocked lock.
 type TAS struct {
-	state atomic.Uint32
+	mu sync.Mutex
 	// acquisitions and contended count lock traffic; they are maintained
 	// with atomics and intended for tests and the benchmark harness, not
 	// for synchronization.
@@ -41,51 +43,27 @@ type TAS struct {
 	contended    atomic.Uint64
 }
 
-// Lock acquires l, spinning until it is available.
+// Lock acquires l. A Lock that finds l held counts as contended and
+// parks until the holder hands l over.
 func (l *TAS) Lock() {
-	if l.state.CompareAndSwap(0, 1) {
-		l.acquisitions.Add(1)
-		return
+	if !l.mu.TryLock() {
+		l.contended.Add(1)
+		l.mu.Lock()
 	}
-	l.contended.Add(1)
-	backoff := 1
-	for {
-		// Test-and-test-and-set: spin on a plain load to avoid
-		// hammering the cache line with RMW traffic, the classic
-		// shared-bus courtesy the Balance required too.
-		for l.state.Load() != 0 {
-			for i := 0; i < backoff; i++ {
-				spinHint()
-			}
-			if backoff < maxBackoffSpins {
-				backoff <<= 1
-			} else {
-				runtime.Gosched()
-			}
-		}
-		if l.state.CompareAndSwap(0, 1) {
-			l.acquisitions.Add(1)
-			return
-		}
-	}
+	l.acquisitions.Add(1)
 }
 
 // TryLock attempts to acquire l without blocking and reports success.
 func (l *TAS) TryLock() bool {
-	ok := l.state.CompareAndSwap(0, 1)
+	ok := l.mu.TryLock()
 	if ok {
 		l.acquisitions.Add(1)
 	}
 	return ok
 }
 
-// Unlock releases l. Unlocking an unlocked TAS panics: that is always a
-// caller bug and silently continuing would corrupt mutual exclusion.
-func (l *TAS) Unlock() {
-	if l.state.Swap(0) != 1 {
-		panic("spinlock: Unlock of unlocked TAS lock")
-	}
-}
+// Unlock releases l. Unlocking an unlocked TAS is a fatal error.
+func (l *TAS) Unlock() { l.mu.Unlock() }
 
 // Stats reports the number of acquisitions and the number of Lock calls
 // that found the lock held.
@@ -93,90 +71,32 @@ func (l *TAS) Stats() (acquisitions, contended uint64) {
 	return l.acquisitions.Load(), l.contended.Load()
 }
 
-// RW is a reader/writer spin lock. Writers are mutually exclusive with
-// everyone; readers only with writers. Writer preference is not
-// implemented: the MPF name table is read-mostly and short-held, so reader
-// throughput matters more than writer latency. The zero value is unlocked.
+// RW is a reader/writer lock. Writers are mutually exclusive with
+// everyone; readers only with writers. A blocked writer keeps new readers
+// out, so a goroutine must never take a read lock it already holds: the
+// second RLock can wait behind a writer that waits for the first. The
+// zero value is unlocked.
 type RW struct {
-	// readers counts active readers; -1 marks an active writer.
-	readers atomic.Int32
+	mu sync.RWMutex
 }
 
 // RLock acquires a read lock.
-func (l *RW) RLock() {
-	backoff := 1
-	for {
-		cur := l.readers.Load()
-		if cur >= 0 && l.readers.CompareAndSwap(cur, cur+1) {
-			return
-		}
-		for i := 0; i < backoff; i++ {
-			spinHint()
-		}
-		if backoff < maxBackoffSpins {
-			backoff <<= 1
-		} else {
-			runtime.Gosched()
-		}
-	}
-}
+func (l *RW) RLock() { l.mu.RLock() }
 
-// TryRLock attempts to acquire a read lock without spinning and reports
-// success. A false return means a writer holds the lock or won a race
-// this instant; callers that keep contention statistics (the sharded
-// LNVC registry) probe with TryRLock first and fall back to RLock.
-func (l *RW) TryRLock() bool {
-	cur := l.readers.Load()
-	return cur >= 0 && l.readers.CompareAndSwap(cur, cur+1)
-}
+// TryRLock attempts to acquire a read lock without blocking and reports
+// success. Callers that keep contention statistics (the sharded LNVC
+// registry) probe with TryRLock first and fall back to RLock.
+func (l *RW) TryRLock() bool { return l.mu.TryRLock() }
 
-// RUnlock releases a read lock.
-func (l *RW) RUnlock() {
-	if l.readers.Add(-1) < 0 {
-		panic("spinlock: RUnlock without RLock")
-	}
-}
+// RUnlock releases a read lock. Without one held it is a fatal error.
+func (l *RW) RUnlock() { l.mu.RUnlock() }
 
 // Lock acquires the write lock.
-func (l *RW) Lock() {
-	backoff := 1
-	for {
-		if l.readers.CompareAndSwap(0, -1) {
-			return
-		}
-		for i := 0; i < backoff; i++ {
-			spinHint()
-		}
-		if backoff < maxBackoffSpins {
-			backoff <<= 1
-		} else {
-			runtime.Gosched()
-		}
-	}
-}
+func (l *RW) Lock() { l.mu.Lock() }
 
-// TryLock attempts to acquire the write lock without spinning and
+// TryLock attempts to acquire the write lock without blocking and
 // reports success.
-func (l *RW) TryLock() bool {
-	return l.readers.CompareAndSwap(0, -1)
-}
+func (l *RW) TryLock() bool { return l.mu.TryLock() }
 
-// Unlock releases the write lock.
-func (l *RW) Unlock() {
-	if !l.readers.CompareAndSwap(-1, 0) {
-		panic("spinlock: Unlock of RW lock not write-held")
-	}
-}
-
-// spinHint burns a few cycles politely. Go has no portable PAUSE
-// intrinsic in the stdlib; a bounded empty loop with a compiler barrier
-// through atomics is the conventional substitute.
-//
-//go:noinline
-func spinHint() {
-	// The atomic load prevents the loop from being optimised away and
-	// roughly matches the cost of a cache probe.
-	_ = dummy.Load()
-}
-
-var dummy atomic.Uint32
+// Unlock releases the write lock. Without it held it is a fatal error.
+func (l *RW) Unlock() { l.mu.Unlock() }

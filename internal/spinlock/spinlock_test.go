@@ -1,9 +1,13 @@
 package spinlock
 
 import (
+	"os"
+	"os/exec"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // exercise hammers a sync.Locker with nWorkers goroutines each performing
@@ -52,34 +56,59 @@ func TestTASTryLock(t *testing.T) {
 	l.Unlock()
 }
 
+// Misuse is a fatal error in sync, not a recoverable panic, so each
+// misuse test re-executes the test binary to run only itself with
+// misuseEnv set, and reads the child's death from its output.
+const misuseEnv = "SPINLOCK_MISUSE_TEST"
+
+func expectFatal(t *testing.T, want string, misuse func()) {
+	t.Helper()
+	if os.Getenv(misuseEnv) == t.Name() {
+		misuse()
+		return // the child survived the misuse: the parent reports it
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", "-test.count=1")
+	cmd.Env = append(os.Environ(), misuseEnv+"="+t.Name())
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("misuse did not stop the process; output:\n%s", out)
+	}
+	if !strings.Contains(string(out), "fatal error: "+want) {
+		t.Fatalf("process died without %q; output:\n%s", "fatal error: "+want, out)
+	}
+}
+
 func TestTASUnlockOfUnlockedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Unlock of unlocked TAS did not panic")
-		}
-	}()
-	var l TAS
-	l.Unlock()
+	expectFatal(t, "sync: unlock of unlocked mutex", func() {
+		var l TAS
+		l.Unlock()
+	})
 }
 
 func TestRWUnlockNotHeldPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RW.Unlock without Lock did not panic")
-		}
-	}()
-	var l RW
-	l.Unlock()
+	expectFatal(t, "sync: Unlock of unlocked RWMutex", func() {
+		var l RW
+		l.Unlock()
+	})
 }
 
 func TestRWRUnlockNotHeldPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RW.RUnlock without RLock did not panic")
-		}
-	}()
-	var l RW
-	l.RUnlock()
+	expectFatal(t, "sync: RUnlock of unlocked RWMutex", func() {
+		var l RW
+		l.RUnlock()
+	})
+}
+
+// TestLockSizes holds both locks at 24 bytes: TAS sits in the circuit
+// descriptor's first line, the arena and the selector, RW in every
+// registry shard, and the layouts of all of them are measured in bytes.
+func TestLockSizes(t *testing.T) {
+	if got := unsafe.Sizeof(TAS{}); got != 24 {
+		t.Errorf("TAS is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(RW{}); got != 24 {
+		t.Errorf("RW is %d bytes, want 24", got)
+	}
 }
 
 func TestTASStats(t *testing.T) {
@@ -124,7 +153,7 @@ func TestRWWriterExcludesReaders(t *testing.T) {
 	case <-acquired:
 		t.Fatal("reader acquired lock while writer held it")
 	case <-time.After(50 * time.Millisecond):
-		// Expected: reader is spinning.
+		// Expected: reader is waiting.
 	}
 	l.Unlock()
 	select {
