@@ -113,7 +113,7 @@ func (f *Facility) receiveAny(pid int, ids []ID, buf []byte, deadline time.Time)
 			f.stats.muxWakeups.Add(1)
 			f.stats.muxSpurious.Add(1)
 		}
-		ok, err := parkWait(w.ch, f.stop, deadline)
+		ok, err := parkWait(w, f.stop, deadline)
 		if err != nil {
 			return 0, 0, err
 		}

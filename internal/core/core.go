@@ -278,9 +278,12 @@ type Stats struct {
 	// MuxWakeups counts ReceiveAny/Selector.Wait park wakeups;
 	// MuxSpurious is the subset that found no deliverable message —
 	// the thundering-herd cost the per-circuit waiter lists remove
-	// (timeouts and shutdown aborts count as neither).
+	// (timeouts and shutdown aborts count as neither). MuxHandoffs
+	// counts the sends that yielded their P to a multiplexer parked
+	// longer than a wake costs (at most one per park).
 	MuxWakeups  uint64
 	MuxSpurious uint64
+	MuxHandoffs uint64
 	// RegistryAcquisitions and RegistryContended total the per-shard
 	// registry lock counters (see Facility.RegistryStats for the
 	// per-shard breakdown).
@@ -355,6 +358,7 @@ type statsCell struct {
 	messagesDropped     atomic.Uint64
 	muxWakeups          atomic.Uint64
 	muxSpurious         atomic.Uint64
+	muxHandoffs         atomic.Uint64
 	creditStalls        atomic.Uint64
 	harvestAutoBudget   atomic.Uint64 // gauge: last EWMA-sized budget
 	harvestCapHits      atomic.Uint64
@@ -376,6 +380,7 @@ func (s *statsCell) snapshot() Stats {
 		MessagesDropped:     s.messagesDropped.Load(),
 		MuxWakeups:          s.muxWakeups.Load(),
 		MuxSpurious:         s.muxSpurious.Load(),
+		MuxHandoffs:         s.muxHandoffs.Load(),
 		CreditStalls:        s.creditStalls.Load(),
 		HarvestAutoBudget:   s.harvestAutoBudget.Load(),
 		HarvestCapHits:      s.harvestCapHits.Load(),

@@ -178,8 +178,8 @@ func TestHotWordLayout(t *testing.T) {
 	}
 
 	// The selector's mu/ready group is hammered by senders (markReady
-	// under the firing circuit's lock); the fields before the pad
-	// belong to the parked owner.
+	// under the firing circuit's lock); the waiter entry, which the
+	// owner writes around every park, stays off its line.
 	var s Selector
 	if unsafe.Offsetof(s.mu)%cacheLine != 0 {
 		t.Errorf("Selector.mu at offset %d, want a %d-byte boundary", unsafe.Offsetof(s.mu), cacheLine)

@@ -35,20 +35,13 @@ type Selector struct {
 	f   *Facility
 	pid int
 
-	// notify is the parked Wait's wakeup; capacity 1, so a fire during
-	// the harvest phase is retained and the next park returns
-	// immediately. w is the single registration entry shared by every
-	// circuit this selector watches.
-	notify chan struct{}
-	w      *muxWaiter
-
 	// The pad pushes mu and the ready-list head it guards onto their
 	// own cache lines: every markReady — called from *senders*, under
 	// the firing circuit's lock — takes mu and appends to ready,
 	// and without the pad those words share a line with the fields the
 	// parked owner reads on its wakeup path. Asserted by
 	// TestHotWordLayout.
-	_ [32]byte
+	_ [48]byte
 
 	// mu guards the fields below. Lock order: shard lock → LNVC lock →
 	// mu (markReady runs under the firing LNVC's lock), so Selector
@@ -58,6 +51,13 @@ type Selector struct {
 	ready   []ID // circuits fired since the last harvest, deduplicated
 	inReady map[ID]bool
 	closed  bool
+
+	// w is the single registration entry shared by every circuit this
+	// selector watches, and the park a wait round sleeps in (waiter.go).
+	// It sits beside closed, which markReady reads on every fire: a
+	// sender firing the selector reads both from one line, the line the
+	// owner writes on every round and every park anyway.
+	w muxWaiter
 
 	// deadErr is a circuit death observed by a HarvestViews round that
 	// had already claimed views: the views were returned first and the
@@ -101,32 +101,27 @@ func (f *Facility) NewSelector(pid int) (*Selector, error) {
 	s := &Selector{
 		f:       f,
 		pid:     pid,
-		notify:  make(chan struct{}, 1),
 		regs:    make(map[ID]selReg),
 		inReady: make(map[ID]bool),
 	}
-	s.w = &muxWaiter{sel: s}
+	s.w = muxWaiter{ch: make(chan struct{}, 1), sel: s}
 	return s, nil
 }
 
-// markReady records that circuit id fired and wakes a parked Wait.
-// Called under the firing LNVC's lock. A fire for a circuit that is no
-// longer registered — a recycled descriptor carrying a stale
-// registration the owner has not yet removed — is dropped here, which
-// is what makes descriptor recycling safe for selectors.
-func (s *Selector) markReady(id ID) {
+// markReady records that circuit id fired, reporting whether the fire
+// counts: the caller (fire) then wakes a parked round. Called under the
+// firing LNVC's lock. A fire for a circuit that is no longer registered
+// — a recycled descriptor carrying a stale registration the owner has
+// not yet removed — is dropped here, which is what makes descriptor
+// recycling safe for selectors.
+func (s *Selector) markReady(id ID) bool {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if _, ok := s.regs[id]; !ok {
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	if _, ok := s.regs[id]; !ok || s.closed {
+		return false
 	}
 	s.markReadyLockedMu(id)
-	s.mu.Unlock()
-	s.tapNotify()
+	return true
 }
 
 // markReadyLockedMu queues id for the next harvest; caller holds mu
@@ -135,13 +130,6 @@ func (s *Selector) markReadyLockedMu(id ID) {
 	if !s.inReady[id] {
 		s.inReady[id] = true
 		s.ready = append(s.ready, id)
-	}
-}
-
-func (s *Selector) tapNotify() {
-	select {
-	case s.notify <- struct{}{}:
-	default:
 	}
 }
 
@@ -181,13 +169,13 @@ func (s *Selector) Add(id ID) error {
 		s.markReadyLockedMu(id)
 	}
 	s.mu.Unlock()
-	l.addWaiterLocked(s.w)
+	l.addWaiterLocked(&s.w)
 	l.lock.Unlock()
 	if stale.l != nil {
 		s.unregister(stale)
 	}
 	if avail {
-		s.tapNotify()
+		s.w.tap()
 	}
 	return nil
 }
@@ -201,7 +189,7 @@ func (s *Selector) Add(id ID) error {
 func (s *Selector) unregister(reg selReg) {
 	reg.l.lock.Lock()
 	if reg.l.gen == reg.gen {
-		reg.l.removeWaiterLocked(s.w)
+		reg.l.removeWaiterLocked(&s.w)
 	}
 	reg.l.lock.Unlock()
 }
@@ -279,7 +267,7 @@ func (s *Selector) Close() error {
 	for _, reg := range regs {
 		s.unregister(reg)
 	}
-	s.tapNotify()
+	s.w.tap()
 	return nil
 }
 
@@ -625,7 +613,7 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 			return append([]ID(nil), armed...), nil, nil
 		}
 
-		ok, err := parkWait(s.notify, f.stop, deadline)
+		ok, err := parkWait(&s.w, f.stop, deadline)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/msg"
 )
@@ -25,7 +26,9 @@ import (
 //     been deleted, and its descriptor recycled for another name, while
 //     the payload was produced — links the messages into the FIFO as
 //     consecutive sequence numbers, counts them on the sender's
-//     connection, and wakes receivers once.
+//     connection, and wakes receivers once — yielding its P, after the
+//     lock drops, to a multiplexer that has slept longer than a wake
+//     costs (waiter.go).
 
 // admission is admit's receipt: the circuit and connection that were
 // validated and the credit debit taken for them. It travels by value; a
@@ -100,9 +103,10 @@ func (f *Facility) publish(a admission, msgs []*msg.Message, n int, t sendCounts
 	}
 	t.msgs = uint64(n)
 	d.tx.add(&t)
+	handOff := false
 	if n > 0 {
 		l.cond.Broadcast() // one wakeup however many messages
-		l.wakeWaitersLocked()
+		handOff = l.wakeWaitersLocked()
 	}
 	partial := n < len(msgs)
 	if partial && l.gen == a.gen {
@@ -115,6 +119,16 @@ func (f *Facility) publish(a admission, msgs []*msg.Message, n int, t sendCounts
 	l.lock.Unlock()
 	if partial {
 		f.pool.ReleaseBatch(msgs[n:])
+	}
+	if handOff {
+		// The fire readied an overdue multiplexer into this P's runnext,
+		// where it would wait for an idle P's steal — tens of µs behind
+		// that P's usleep — while this sender keeps running. Yielding
+		// moves the sender to the global run queue, where the P the
+		// wake started picks it up, and the multiplexer runs here now
+		// (DESIGN.md §10, "A wake hands over the P").
+		f.stats.muxHandoffs.Add(1)
+		runtime.Gosched()
 	}
 	return nil
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/shm"
 )
 
 // parkedIn waits until some goroutine is blocked inside the function
@@ -168,6 +170,7 @@ func statsScript(t *testing.T) *Facility {
 		}
 	}()
 	parkedIn(t, "core.parkWait")
+	time.Sleep(2 * shm.WakeWindow) // so the send below hands off, always
 	must(f.Send(0, sa, pay(5)))
 	wg.Wait()
 	must(sel.Close())
@@ -326,11 +329,14 @@ func TestStatsAgree(t *testing.T) {
 }
 
 // statsAgreeWant is what statsScript left in Stats on commit 59ac70f,
-// the same in 30 plain and 10 -race runs of it there.
+// the same in 30 plain and 10 -race runs of it there — but for
+// MuxHandoffs, which that commit did not count: the script's one parked
+// Selector.Wait is woken by a send more than a wake window after it
+// parked, which is one hand-off.
 var statsAgreeWant = Stats{
 	Opens: 11, Closes: 5, Sends: 24, Receives: 25, BytesSent: 2540, BytesRecvd: 919,
 	Checks: 1, LNVCsCreated: 5, LNVCsDeleted: 2, MessagesDropped: 5, ReceiveWaits: 1,
-	BatchSends: 1, BatchReceives: 1, MuxWakeups: 2, MuxSpurious: 1,
+	BatchSends: 1, BatchReceives: 1, MuxWakeups: 2, MuxSpurious: 1, MuxHandoffs: 1,
 	RegistryAcquisitions: 16, RegistryContended: 0,
 	PayloadCopiesIn: 22, PayloadCopiesOut: 15, LoanSends: 2, ViewReceives: 7,
 	LoanBatchSends: 2, HarvestedViews: 4, CreditStalls: 1, CreditsHeld: 30,

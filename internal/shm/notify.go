@@ -5,7 +5,7 @@ package shm
 // sleeper count. Post increments the count and issues one FUTEX_WAKE
 // only when a peer is actually asleep; Wait polls the count for one
 // spin window — as long as a sleep and its wake would cost, see
-// notifySpinWindow — registers as a sleeper, re-checks, and then sleeps
+// WakeWindow — registers as a sleeper, re-checks, and then sleeps
 // in the kernel via FUTEX_WAIT until the count moves.
 // This is the process-boundary analogue of the Ring.SetNotify
 // readiness hook and the per-circuit waiter lists of PR 2/4: one wake
@@ -39,7 +39,7 @@ const NotifyBytes = 128
 // footprint: one cache line past the event count.
 const notifySleeperOff = 64
 
-// notifySpinWindow is how long a waiter polls the count before it
+// WakeWindow is how long a waiter polls the count before it
 // sleeps in the kernel: the cost of the alternative. A FUTEX_WAIT that
 // a Post ends takes 22–24 µs from the post to the waiter running again
 // on the reference box (the benchmark's shm.notify_wake_us) and charges
@@ -52,8 +52,10 @@ const notifySleeperOff = 64
 // scheduler make of it (192 polls were ~3 µs here, an eighth of the
 // sleep they were meant to avoid). It must stay under 50 µs: the
 // notify_wake_us probe posts 150 µs into a Wait and has to find its
-// waiter asleep.
-const notifySpinWindow = 25 * time.Microsecond
+// waiter asleep. In-process, the same cost decides when a send hands
+// its P to the multiplexer it wakes (internal/core, waiter.go): only to
+// one that has slept longer than this.
+const WakeWindow = 25 * time.Microsecond
 
 // notifyPollsPerCheck is the number of polls between two looks away
 // from the count: a Gosched, which keeps a same-process counterpart
@@ -132,7 +134,7 @@ func (n *NotifyWord) Wait(old uint32, deadline time.Time) (v uint32, ok bool) {
 		}
 		runtime.Gosched()
 		if now := time.Now(); closes.IsZero() {
-			closes = now.Add(notifySpinWindow)
+			closes = now.Add(WakeWindow)
 			if !deadline.IsZero() && deadline.Before(closes) {
 				closes = deadline
 			}

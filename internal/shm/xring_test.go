@@ -199,7 +199,7 @@ func TestNotifySpinWindow(t *testing.T) {
 			for !setOut.Load() {
 				runtime.Gosched()
 			}
-			if d < 10*notifySpinWindow {
+			if d < 10*WakeWindow {
 				for t0 := time.Now(); time.Since(t0) < d; {
 				}
 			} else {
@@ -218,23 +218,23 @@ func TestNotifySpinWindow(t *testing.T) {
 
 	within := false
 	for i := 0; i < attempts && !within; i++ {
-		sleeps, wakes := waitPost(notifySpinWindow / 5)
+		sleeps, wakes := waitPost(WakeWindow / 5)
 		within = sleeps == 0 && wakes == 0
 	}
 	if !within {
-		t.Errorf("a Post %v into a Wait never found the waiter still polling in %d attempts", notifySpinWindow/5, attempts)
+		t.Errorf("a Post %v into a Wait never found the waiter still polling in %d attempts", WakeWindow/5, attempts)
 	}
 
 	beyond := false
 	for i := 0; i < attempts && !beyond; i++ {
-		sleeps, wakes := waitPost(20 * notifySpinWindow)
+		sleeps, wakes := waitPost(20 * WakeWindow)
 		beyond = sleeps >= 1 && wakes >= 1
 	}
 	if !beyond {
-		t.Errorf("a Post %v into a Wait never found the waiter asleep and woke it in %d attempts", 20*notifySpinWindow, attempts)
+		t.Errorf("a Post %v into a Wait never found the waiter asleep and woke it in %d attempts", 20*WakeWindow, attempts)
 	}
 
-	const short = notifySpinWindow / 5
+	const short = WakeWindow / 5
 	best := time.Hour
 	for i := 0; i < attempts; i++ {
 		start := time.Now()
@@ -243,8 +243,8 @@ func TestNotifySpinWindow(t *testing.T) {
 		}
 		best = min(best, time.Since(start))
 	}
-	if best > short+notifySpinWindow {
-		t.Errorf("a %v deadline returned after %v at best, want within one %v window of it", short, best, notifySpinWindow)
+	if best > short+WakeWindow {
+		t.Errorf("a %v deadline returned after %v at best, want within one %v window of it", short, best, WakeWindow)
 	}
 }
 
