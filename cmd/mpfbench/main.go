@@ -8,7 +8,6 @@
 //	mpfbench -copies [-xproc] [-quick]
 //	mpfbench -loanbatch [-quick]
 //	mpfbench -credit [-quick]
-//	mpfbench -tuning [-quick]
 //	mpfbench -crash [-quick]
 //	mpfbench -json BENCH.json [-quick]
 //	mpfbench -compare old.json new.json [-tolerance 0.25]
@@ -47,13 +46,6 @@
 // credit budget (0 = flow control off, the paper's global-exhaustion
 // behaviour) on an 8-circuit hot/cold mix.
 //
-// -tuning runs the self-tuning ablation: the adaptive harvest budget
-// against the historical fixed greedy sweep on a bursty multi-circuit
-// drain (throughput, rounds, worst-case starvation), the padded versus
-// packed false-sharing microbench, pinned versus floating Run workers
-// (skipped gracefully where thread pinning is refused), and the
-// huge-page hint's throughput and MADV_HUGEPAGE outcome.
-//
 // -crash runs the crash-robustness ablation: K of 4 forked children
 // carry armed crash fault points (MPF_FAULTPOINTS) and die mid-protocol
 // at attach, claim, ack or fill; the respawn supervisor detects the
@@ -64,8 +56,8 @@
 // throughput the surviving children sustained.
 //
 // -json measures the machine-readable performance trajectory — the
-// contention, selector, copies, loan-batch, credit, cross-process,
-// self-tuning and crash headlines — and writes it to the given path
+// contention, selector, copies, loan-batch, credit, cross-process and
+// crash headlines — and writes it to the given path
 // (default BENCH.json); CI uploads the file as an artifact.
 //
 // -compare loads two BENCH.json files (previous/baseline, then fresh),
@@ -135,7 +127,6 @@ func main() {
 	xproc := flag.Bool("xproc", false, "with -copies, add the same-machine cross-process leg: zero-copy loan/view through a shared memfd segment to forked child processes")
 	loanbatch := flag.Bool("loanbatch", false, "batched zero-copy ablation: LoanBatch/WaitViews pipeline vs the per-message loan/view plane")
 	credit := flag.Bool("credit", false, "flow-control fairness ablation: cold-circuit latency and hot throughput vs per-circuit credit budget")
-	tuning := flag.Bool("tuning", false, "self-tuning ablation: adaptive vs fixed harvest budgets, padded vs packed hot words, pinned vs floating workers, huge vs base pages")
 	crash := flag.Bool("crash", false, "crash-robustness ablation: kill K of 4 children at armed fault points, reclaim their slots, measure survivor throughput and reclaim latency")
 	jsonOut := flag.String("json", "", "measure the perf trajectory and write it as JSON to this path (use BENCH.json for the CI artifact)")
 	compare := flag.Bool("compare", false, "compare two BENCH.json files (old new); exit 1 on regression beyond -tolerance")
@@ -225,7 +216,6 @@ func main() {
 		} else {
 			fmt.Print(", xproc unsupported")
 		}
-		fmt.Printf(", tuning %.1fx round amortisation", summary.Tuning.RoundAmortisation)
 		if summary.Crash.Supported {
 			fmt.Printf(", crash %d/%d reclaimed @ %.0fµs max", summary.Crash.Deaths,
 				summary.Crash.Victims, summary.Crash.ReclaimMaxMicros)
@@ -278,16 +268,6 @@ func main() {
 		}
 		fmt.Println(latency.Render())
 		fmt.Println(hot.Render())
-		return
-	}
-
-	if *tuning {
-		report, err := bench.TuningReport(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpfbench: tuning: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(report)
 		return
 	}
 

@@ -30,24 +30,19 @@
 // grants each circuit a receiver-side budget of n accounted blocks,
 // debited by the send paths at allocation and re-granted as receivers
 // release the blocks, so a hot tenant parks on its own budget instead
-// of starving the facility — and tunes the hot path to its load and
-// machine (DESIGN.md §16): WaitViews budget <= 0 selects an
-// EWMA-adapted harvest budget under a fairness cap, WithAffinity pins
-// Run goroutines to cores through internal/affinity (raw
-// sched_setaffinity on Linux, best-effort everywhere), WithHugePages
-// advises MADV_HUGEPAGE over the arena's 2 MiB-aligned interior, and
-// the hot words are laid out by cache line — by who writes what — with
-// layout regression tests holding the offsets. Traffic accounting rides
+// of starving the facility — and lays the hot words out by cache line,
+// by who writes what, with layout regression tests holding the offsets
+// (DESIGN.md §16). Cross-process children are pinned one to a core
+// where the platform allows it (DESIGN.md §15). Traffic accounting rides
 // on the connections (DESIGN.md §8): no facility-wide word is written
 // per message, and Stats() sums the per-connection counters on read.
 // Where the paper's test-and-set locks spun, the facility's park: a
 // contended waiter sleeps until the holder hands it the lock, so a
 // circuit's two parties take turns on one core instead of running
 // against each other on two (DESIGN.md §16).
-// mpfbench -contention, -copies,
-// -loanbatch, -credit and -tuning quantify these against the paper's
-// single-lock, two-copy, per-message, globally-starved, fixed-budget
-// layout (-select holds the per-circuit wakeups to about one per
+// mpfbench -contention, -copies, -loanbatch and -credit quantify these
+// against the paper's single-lock, two-copy, per-message,
+// globally-starved layout (-select holds the per-circuit wakeups to about one per
 // message; the facility-wide pulse they replaced is no longer built),
 // and mpfbench -json records the headline numbers as a
 // machine-readable BENCH.json, which mpfbench -compare diffs across

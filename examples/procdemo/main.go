@@ -107,10 +107,6 @@ func runParent(children, msgs, size int) error {
 		Options: []mpf.Option{
 			mpf.WithBlockSize(128),
 			mpf.WithBlocksPerProcess(512),
-			// Pin each child to its own core (best-effort): the paper's
-			// shape is one process per processor, and pinning keeps each
-			// ring's futex words from migrating with the scheduler.
-			mpf.WithAffinity(),
 		},
 	})
 	if err != nil {

@@ -104,31 +104,6 @@ func (s *JSONSummary) metrics() []metric {
 			metric{"xproc.futex_wakes_per_msg_plus1", s.XProc.FutexWakesPerMsgPlus1, lowerIsBetter, true},
 		)
 	}
-	// The tuning section holds the adaptive-harvest drain throughput
-	// and the round amortisation — the latter is a ratio of two
-	// deterministic round counts (the drain has no timing races), so it
-	// survives even the ratios-only seed fallback. The throughput
-	// *advantage* (auto/fixed), the starvation counts, the cap/gauge
-	// numbers and the huge-page leg are trajectory-only, credit-style:
-	// the advantage's denominator is the deliberately-degenerate greedy
-	// sweep whose absolute speed swings with scheduling, starvation is
-	// a small integer that legitimately flickers, and the huge-page
-	// delta is sub-noise by design. TestTuningAdvantage enforces those
-	// properties instead. The false-sharing and affinity ratios are
-	// box-topology facts (core count, SMT layout), so like the xproc
-	// waiter counters they gate same-pool chains only; the pinned
-	// metric contributes only where pinning actually worked, mirroring
-	// the xproc Supported gate.
-	ms = append(ms,
-		metric{"tuning.auto_msgs_per_sec", s.Tuning.AutoMsgsPerSec, higherIsBetter, true},
-		metric{"tuning.round_amortisation", s.Tuning.RoundAmortisation, higherIsBetter, false},
-		metric{"tuning.padded_vs_packed_advantage", s.Tuning.PaddedVsPackedAdvantage, higherIsBetter, true},
-	)
-	if s.Tuning.AffinitySupported {
-		ms = append(ms,
-			metric{"tuning.pinned_vs_floating_advantage", s.Tuning.PinnedVsFloatingAdvantage, higherIsBetter, true},
-		)
-	}
 	// The crash section mirrors the xproc Supported gating. Survivor
 	// throughput is scale-dependent for the usual reason; reclaim
 	// completeness is a deterministic ratio (deaths over armed victims,

@@ -43,31 +43,6 @@ func sampleSummary() *JSONSummary {
 	s.XProc.SpinPollsPerMsgPlus1 = 3.5
 	s.XProc.FutexSleepsPerMsgPlus1 = 1.1
 	s.XProc.FutexWakesPerMsgPlus1 = 1.4
-	s.Tuning.Circuits = TuningCircuits
-	s.Tuning.BurstDepth = TuningBurstDepth
-	s.Tuning.FixedBudget = TuningFixedBudget
-	s.Tuning.FixedMsgsPerSec = 1_200_000
-	s.Tuning.AutoMsgsPerSec = 3_000_000
-	s.Tuning.AutoVsFixedAdvantage = 2.5
-	s.Tuning.FixedRounds = 512
-	s.Tuning.AutoRounds = 22
-	s.Tuning.RoundAmortisation = 23.3
-	s.Tuning.FixedStarvationRounds = 384
-	s.Tuning.AutoStarvationRounds = 2
-	s.Tuning.AutoCapHits = 76
-	s.Tuning.AutoBudgetPeak = 64
-	s.Tuning.PackedNsPerOp = 24
-	s.Tuning.PaddedNsPerOp = 8
-	s.Tuning.PaddedVsPackedAdvantage = 3.0
-	s.Tuning.AffinitySupported = true
-	s.Tuning.FloatingMsgsPerSec = 800_000
-	s.Tuning.PinnedMsgsPerSec = 950_000
-	s.Tuning.PinnedVsFloatingAdvantage = 1.19
-	s.Tuning.HugePagesAdvised = true
-	s.Tuning.HugeAdvisedBytes = 6 << 20
-	s.Tuning.BasePagesMsgsPerSec = 330_000
-	s.Tuning.HugePagesMsgsPerSec = 340_000
-	s.Tuning.HugeVsBaseAdvantage = 1.03
 	s.Crash.Supported = true
 	s.Crash.Children = 4
 	s.Crash.Victims = 2
@@ -243,54 +218,6 @@ func TestCompareXProcSection(t *testing.T) {
 	newS.XProc.FutexSleepsPerMsgPlus1 *= 2
 	if _, regressions, err := Compare(oldS, newS, 0.25, true); err != nil || regressions != 0 {
 		t.Fatalf("ratios-only held a waiter counter: %d regressions (err %v)", regressions, err)
-	}
-}
-
-// TestCompareTuningSection: the round amortisation is a ratio of
-// deterministic round counts, so it is held everywhere — including the
-// committed-seed ratios-only fallback — while the false-sharing and
-// affinity ratios are box-topology facts gating same-pool chains only,
-// and the pinned metric leaves the intersection entirely where pinning
-// was refused (the xproc Supported pattern).
-func TestCompareTuningSection(t *testing.T) {
-	oldS, newS := sampleSummary(), sampleSummary()
-	newS.Tuning.RoundAmortisation *= 0.5 // adaptive budget stopped amortising
-	rows, regressions, err := Compare(oldS, newS, 0.25, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressions != 1 {
-		t.Fatalf("halved round amortisation found %d regressions in ratios-only mode, want 1", regressions)
-	}
-	var hit bool
-	for _, r := range rows {
-		if r.Name == "tuning.round_amortisation" {
-			hit = r.Regressed
-		}
-	}
-	if !hit {
-		t.Error("round-amortisation drop not flagged on its own row")
-	}
-
-	// A padded-vs-packed collapse (padding reverted) gates same-pool
-	// chains but is skipped against a foreign-hardware seed.
-	newS = sampleSummary()
-	newS.Tuning.PaddedVsPackedAdvantage *= 0.3
-	if _, regressions, err := Compare(oldS, newS, 0.25, false); err != nil || regressions != 1 {
-		t.Fatalf("padding collapse: %d regressions (err %v), want 1", regressions, err)
-	}
-	if _, regressions, err := Compare(oldS, newS, 0.25, true); err != nil || regressions != 0 {
-		t.Fatalf("ratios-only held a topology ratio: %d regressions (err %v)", regressions, err)
-	}
-
-	// Pinning refused on the new side: the pinned metric leaves the
-	// intersection rather than comparing a dead leg.
-	newS = sampleSummary()
-	newS.Tuning.AffinitySupported = false
-	newS.Tuning.PinnedMsgsPerSec = 0
-	newS.Tuning.PinnedVsFloatingAdvantage = 0
-	if _, regressions, err := Compare(oldS, newS, 0.25, false); err != nil || regressions != 0 {
-		t.Fatalf("supported→unsupported affinity pair: %d regressions (err %v), want 0", regressions, err)
 	}
 }
 

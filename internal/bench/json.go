@@ -11,14 +11,13 @@ import (
 )
 
 // Machine-readable performance trajectory. Summary runs compact
-// versions of the eight headline benchmarks — contention scaling
-// (PR 1), selector wakeups (PR 2), the copies ablation (PR 3), the
-// batched loan/harvest plane (PR 4), the credit-fairness ablation
-// (PR 5), the cross-process leg (PR 6), the self-tuning ablation
-// (PR 8) and the crash-robustness ablation (PR 9) — and
-// JSONSummary.Write serialises the result as BENCH.json,
-// which CI uploads as an artifact so the repository's throughput
-// history can be charted across commits without re-parsing log text.
+// versions of the seven headline benchmarks — contention scaling,
+// selector wakeups, the copies ablation, the batched loan/harvest
+// plane, the credit-fairness ablation, the cross-process leg and the
+// crash-robustness ablation — and JSONSummary.Write serialises the
+// result as BENCH.json, which CI uploads as an artifact so the
+// repository's throughput history can be charted across commits
+// without re-parsing log text.
 // The perf-regression CI job feeds two BENCH.json files (previous run,
 // or the committed BENCH_BASELINE.json seed, versus fresh) through
 // Compare and fails the build when a headline drops beyond tolerance.
@@ -107,53 +106,6 @@ type JSONSummary struct {
 		FutexSleepsPerMsgPlus1 float64 `json:"futex_sleeps_per_msg_plus1"`
 		FutexWakesPerMsgPlus1  float64 `json:"futex_wakes_per_msg_plus1"`
 	} `json:"xproc"`
-
-	// Tuning is the PR 8 headline: the self-tuning ablation. The
-	// auto-versus-fixed harvest drain, the padded-versus-packed
-	// false-sharing microbench, the pinned-versus-floating stream
-	// (AffinitySupported false where thread pinning is refused or
-	// there is one CPU — its metric leaves the comparison then, the
-	// xproc Supported pattern), and the huge-page hint outcome.
-	// Schema 5.
-	Tuning struct {
-		Circuits    int `json:"circuits"`
-		BurstDepth  int `json:"burst_depth"`
-		Bursts      int `json:"bursts"`
-		FixedBudget int `json:"fixed_budget"`
-		// The harvest drain: throughput both ways, plus the
-		// deterministic round counts whose ratio (fixed/auto) is the
-		// machine-independent round amortisation the gate holds.
-		FixedMsgsPerSec      float64 `json:"fixed_msgs_per_sec"`
-		AutoMsgsPerSec       float64 `json:"auto_msgs_per_sec"`
-		AutoVsFixedAdvantage float64 `json:"auto_vs_fixed_advantage"`
-		FixedRounds          int     `json:"fixed_rounds"`
-		AutoRounds           int     `json:"auto_rounds"`
-		RoundAmortisation    float64 `json:"round_amortisation"`
-		// Fairness: worst consecutive rounds a ready circuit went
-		// unserved during the drain, and proof the adaptive machinery
-		// engaged (cap truncations counted, budget gauge peak).
-		FixedStarvationRounds int    `json:"fixed_starvation_rounds"`
-		AutoStarvationRounds  int    `json:"auto_starvation_rounds"`
-		AutoCapHits           uint64 `json:"auto_cap_hits"`
-		AutoBudgetPeak        uint64 `json:"auto_budget_peak"`
-		// False sharing: ns per atomic increment with the two hot words
-		// packed on one line versus padded a line apart.
-		PackedNsPerOp           float64 `json:"packed_ns_per_op"`
-		PaddedNsPerOp           float64 `json:"padded_ns_per_op"`
-		PaddedVsPackedAdvantage float64 `json:"padded_vs_packed_advantage"`
-		// Core affinity: the pinned-versus-floating stream.
-		AffinitySupported         bool    `json:"affinity_supported"`
-		FloatingMsgsPerSec        float64 `json:"floating_msgs_per_sec"`
-		PinnedMsgsPerSec          float64 `json:"pinned_msgs_per_sec"`
-		PinnedVsFloatingAdvantage float64 `json:"pinned_vs_floating_advantage"`
-		// Huge pages: whether the MADV_HUGEPAGE hint took on the arena
-		// backing, and the stream throughput either way.
-		HugePagesAdvised    bool    `json:"huge_pages_advised"`
-		HugeAdvisedBytes    int64   `json:"huge_advised_bytes"`
-		BasePagesMsgsPerSec float64 `json:"base_pages_msgs_per_sec"`
-		HugePagesMsgsPerSec float64 `json:"huge_pages_msgs_per_sec"`
-		HugeVsBaseAdvantage float64 `json:"huge_vs_base_advantage"`
-	} `json:"tuning"`
 
 	// Crash is the PR 9 headline: the crash-robustness ablation. K of N
 	// children die at armed fault points mid-traffic; the respawn
@@ -373,96 +325,6 @@ func Summary(quick bool) (*JSONSummary, error) {
 				s.XProc.FutexWakesPerMsgPlus1 = r.FutexWakesPerMsg + 1
 			}
 		}
-	}
-
-	// Tuning: the PR 8 self-tuning ablation. The harvest drain is
-	// deterministic, so its round counts land identically every
-	// attempt; the throughputs are best-of-3 like every other section.
-	tBursts, fsIters, pinMsgs, hugeMsgs := TuningBursts, 1_000_000, 4000, 1200
-	if quick {
-		tBursts, fsIters, pinMsgs, hugeMsgs = 8, 250_000, 1000, 400
-	}
-	s.Tuning.Circuits = TuningCircuits
-	s.Tuning.BurstDepth = TuningBurstDepth
-	s.Tuning.Bursts = tBursts
-	s.Tuning.FixedBudget = TuningFixedBudget
-	s.Tuning.FixedStarvationRounds = -1
-	s.Tuning.AutoStarvationRounds = -1
-	for i := 0; i < attempts; i++ {
-		fixed, err := NativeTuningHarvest(false, TuningCircuits, tBursts, TuningBurstDepth)
-		if err != nil {
-			return nil, fmt.Errorf("bench: summary tuning fixed: %w", err)
-		}
-		auto, err := NativeTuningHarvest(true, TuningCircuits, tBursts, TuningBurstDepth)
-		if err != nil {
-			return nil, fmt.Errorf("bench: summary tuning auto: %w", err)
-		}
-		s.Tuning.FixedMsgsPerSec = max(s.Tuning.FixedMsgsPerSec, fixed.MsgsPerSec)
-		s.Tuning.AutoMsgsPerSec = max(s.Tuning.AutoMsgsPerSec, auto.MsgsPerSec)
-		s.Tuning.FixedRounds = fixed.Rounds
-		s.Tuning.AutoRounds = auto.Rounds
-		if s.Tuning.FixedStarvationRounds < 0 || fixed.MaxStarvationRounds < s.Tuning.FixedStarvationRounds {
-			s.Tuning.FixedStarvationRounds = fixed.MaxStarvationRounds
-		}
-		if s.Tuning.AutoStarvationRounds < 0 || auto.MaxStarvationRounds < s.Tuning.AutoStarvationRounds {
-			s.Tuning.AutoStarvationRounds = auto.MaxStarvationRounds
-		}
-		s.Tuning.AutoCapHits = max(s.Tuning.AutoCapHits, auto.CapHits)
-		s.Tuning.AutoBudgetPeak = max(s.Tuning.AutoBudgetPeak, auto.BudgetPeak)
-	}
-	if s.Tuning.FixedMsgsPerSec > 0 {
-		s.Tuning.AutoVsFixedAdvantage = s.Tuning.AutoMsgsPerSec / s.Tuning.FixedMsgsPerSec
-	}
-	if s.Tuning.AutoRounds > 0 {
-		s.Tuning.RoundAmortisation = float64(s.Tuning.FixedRounds) / float64(s.Tuning.AutoRounds)
-	}
-	for i := 0; i < attempts; i++ {
-		packed, padded := TuningFalseSharing(fsIters)
-		if i == 0 {
-			s.Tuning.PackedNsPerOp = packed
-			s.Tuning.PaddedNsPerOp = padded
-		} else {
-			s.Tuning.PackedNsPerOp = min(s.Tuning.PackedNsPerOp, packed)
-			s.Tuning.PaddedNsPerOp = min(s.Tuning.PaddedNsPerOp, padded)
-		}
-	}
-	if s.Tuning.PaddedNsPerOp > 0 {
-		s.Tuning.PaddedVsPackedAdvantage = s.Tuning.PackedNsPerOp / s.Tuning.PaddedNsPerOp
-	}
-	s.Tuning.AffinitySupported = TuningAffinityProbe()
-	if s.Tuning.AffinitySupported {
-		for i := 0; i < attempts; i++ {
-			floating, err := NativeTuningPinned(false, pinMsgs)
-			if err != nil {
-				return nil, fmt.Errorf("bench: summary tuning floating: %w", err)
-			}
-			pinned, err := NativeTuningPinned(true, pinMsgs)
-			if err != nil {
-				return nil, fmt.Errorf("bench: summary tuning pinned: %w", err)
-			}
-			s.Tuning.FloatingMsgsPerSec = max(s.Tuning.FloatingMsgsPerSec, floating)
-			s.Tuning.PinnedMsgsPerSec = max(s.Tuning.PinnedMsgsPerSec, pinned)
-		}
-		if s.Tuning.FloatingMsgsPerSec > 0 {
-			s.Tuning.PinnedVsFloatingAdvantage = s.Tuning.PinnedMsgsPerSec / s.Tuning.FloatingMsgsPerSec
-		}
-	}
-	for i := 0; i < attempts; i++ {
-		base, _, err := NativeTuningHuge(false, hugeMsgs)
-		if err != nil {
-			return nil, fmt.Errorf("bench: summary tuning base pages: %w", err)
-		}
-		huge, hs, err := NativeTuningHuge(true, hugeMsgs)
-		if err != nil {
-			return nil, fmt.Errorf("bench: summary tuning huge pages: %w", err)
-		}
-		s.Tuning.BasePagesMsgsPerSec = max(s.Tuning.BasePagesMsgsPerSec, base)
-		s.Tuning.HugePagesMsgsPerSec = max(s.Tuning.HugePagesMsgsPerSec, huge)
-		s.Tuning.HugePagesAdvised = hs.AdvisedBytes > 0
-		s.Tuning.HugeAdvisedBytes = hs.AdvisedBytes
-	}
-	if s.Tuning.BasePagesMsgsPerSec > 0 {
-		s.Tuning.HugeVsBaseAdvantage = s.Tuning.HugePagesMsgsPerSec / s.Tuning.BasePagesMsgsPerSec
 	}
 
 	// Crash: the PR 9 robustness headline. Like xproc it needs the spawn

@@ -202,28 +202,6 @@ type Config struct {
 	// every block offset the facility hands out is resolvable by any
 	// process that mapped the same segment. The memory must be zeroed.
 	ArenaMem []byte
-	// AutoHarvestMin and AutoHarvestMax, when positive, enable the
-	// selector's adaptive harvest mode and bound its budget window: a
-	// HarvestViews/WaitViews call with budget <= 0 sizes the round from
-	// an EWMA of observed ready-set depth, clamped to [Min, Max], with
-	// a per-circuit fairness cap so one hot circuit cannot consume the
-	// whole round while ready siblings starve. Zero (the default)
-	// leaves auto mode off, and a non-positive budget is an error —
-	// exactly the pre-adaptive behaviour. See selector.go and
-	// DESIGN.md §16.
-	AutoHarvestMin int
-	AutoHarvestMax int
-	// Affinity asks the facility's drivers to pin producer/consumer
-	// goroutine pairs (and spawned cross-process children) to distinct
-	// CPU cores via internal/affinity. Purely advisory: platforms and
-	// runners that restrict sched_setaffinity run unpinned. The flag
-	// lives here so it travels with the facility config; the pinning
-	// itself happens in the mpf facade (Run) and the proc server.
-	Affinity bool
-	// HugePages forwards to shm.Config.HugePages: ask the kernel to
-	// back the block region with transparent huge pages. Advisory;
-	// Arena.HugeStats reports whether the hint took.
-	HugePages bool
 	// Tracer, when non-nil, receives one Event per primitive invocation.
 	Tracer Tracer
 }
@@ -245,16 +223,6 @@ func (c *Config) fillDefaults() {
 		c.RegistryShards = defaultRegistryShards
 	}
 	c.RegistryShards = ceilPow2(c.RegistryShards)
-	// Auto-harvest: setting either bound enables the mode; normalise
-	// the window so Min <= Max and both are at least 1.
-	if c.AutoHarvestMin > 0 || c.AutoHarvestMax > 0 {
-		if c.AutoHarvestMin <= 0 {
-			c.AutoHarvestMin = 1
-		}
-		if c.AutoHarvestMax < c.AutoHarvestMin {
-			c.AutoHarvestMax = c.AutoHarvestMin
-		}
-	}
 }
 
 // Stats aggregates facility-wide operation counts, read via
@@ -322,14 +290,6 @@ type Stats struct {
 	// asserts.
 	CreditStalls uint64
 	CreditsHeld  uint64
-	// The adaptive harvest (Config.AutoHarvestMin/Max).
-	// HarvestAutoBudget is a gauge holding the most recent budget the
-	// EWMA sized an auto round to; HarvestCapHits counts circuits
-	// truncated by the per-circuit fairness cap (each hit is a hot
-	// circuit that would have starved a ready sibling under the greedy
-	// fixed-budget sweep).
-	HarvestAutoBudget uint64
-	HarvestCapHits    uint64
 	// Crash robustness (the cross-process reaper/reclaimer). PeerDeaths
 	// counts segment peers declared dead and reclaimed; ReclaimedViews
 	// counts in-flight descriptors discarded or unpinned during those
@@ -345,12 +305,12 @@ type Stats struct {
 
 // statsCell holds the counters that no per-message or per-batch path
 // writes: connection and circuit lifecycle, park cycles, credit stalls,
-// the harvest gauge and cap, peer deaths. Everything that moves with
-// traffic lives on the connections (traffic.go) — except the two copy
-// escape hatches at the end, which have no lock hold to ride and so keep
-// a line of their own: View.CopyTo counts on viewCopiesOut, and a loan
-// that Loan.CopyFrom filled but that never reached a FIFO (aborted, or
-// committed to a circuit that had gone) on unsentCopiesIn.
+// peer deaths. Everything that moves with traffic lives on the
+// connections (traffic.go) — except the two copy escape hatches at the
+// end, which have no lock hold to ride and so keep a line of their own:
+// View.CopyTo counts on viewCopiesOut, and a loan that Loan.CopyFrom
+// filled but that never reached a FIFO (aborted, or committed to a
+// circuit that had gone) on unsentCopiesIn.
 type statsCell struct {
 	opens, closes       atomic.Uint64
 	lnvcsCreated        atomic.Uint64
@@ -360,8 +320,6 @@ type statsCell struct {
 	muxSpurious         atomic.Uint64
 	muxHandoffs         atomic.Uint64
 	creditStalls        atomic.Uint64
-	harvestAutoBudget   atomic.Uint64 // gauge: last EWMA-sized budget
-	harvestCapHits      atomic.Uint64
 	peerDeaths          atomic.Uint64
 	reclaimedViews      atomic.Uint64
 	reclaimedCredits    atomic.Uint64
@@ -382,8 +340,6 @@ func (s *statsCell) snapshot() Stats {
 		MuxSpurious:         s.muxSpurious.Load(),
 		MuxHandoffs:         s.muxHandoffs.Load(),
 		CreditStalls:        s.creditStalls.Load(),
-		HarvestAutoBudget:   s.harvestAutoBudget.Load(),
-		HarvestCapHits:      s.harvestCapHits.Load(),
 		PeerDeaths:          s.peerDeaths.Load(),
 		ReclaimedViews:      s.reclaimedViews.Load(),
 		ReclaimedCredits:    s.reclaimedCredits.Load(),
@@ -448,7 +404,6 @@ func ArenaConfig(cfg Config) shm.Config {
 	cfg.fillDefaults()
 	acfg := shm.SizeFor(cfg.MaxLNVCs, cfg.MaxProcesses, cfg.BlockSize, cfg.BlocksPerProcess)
 	acfg.Spans = !cfg.ClassicChains
-	acfg.HugePages = cfg.HugePages
 	return acfg
 }
 

@@ -41,8 +41,8 @@ import (
 // views through pid 3's Selector (HarvestViews inside the wait round)
 // and *holds* them like op 6's, so harvested views ride across
 // receiver churn and close too; op 14 is the same harvest with budget
-// 0 — the adaptive (EWMA-sized, fairness-capped) rounds the facility's
-// AutoHarvest window enables — so the cap is checked against the same
+// 1 — the edge where a round returns exactly one view and leaves the
+// circuit armed — so the level trigger is checked against the same
 // no-drop/no-duplicate stream invariants across receiver churn.
 // FailFast keeps pool exhaustion from blocking the fuzzer — a refused
 // send is simply not recorded.
@@ -121,11 +121,6 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 		BlocksPerProcess: 16,
 		SendPolicy:       FailFast,
 		CreditBlocks:     creditBudget,
-		// Auto-harvest enabled so op 14 can run budget-0 rounds: the
-		// adaptive budget and fairness cap ride the same scripts as
-		// everything else.
-		AutoHarvestMin: 1,
-		AutoHarvestMax: 4,
 	}
 	if segmentBacked {
 		acfg := ArenaConfig(cfg)
@@ -390,10 +385,9 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 		sent += uint64(commit)
 	}
 	// harvestViews drains messages through pid 3's Selector into held
-	// views — budget 2 for op 11's fixed-budget rounds, budget 0 for
-	// op 14's adaptive rounds (the EWMA budget and the fairness cap
-	// decide how many views arrive; the stream checks below are
-	// identical, so the cap can neither drop nor duplicate). The
+	// views — budget 2 for op 11, budget 1 for op 14 (one view, the
+	// rest left armed for a later round; the stream checks below are
+	// identical, so the budget can neither drop nor duplicate). The
 	// guard keeps it non-blocking: a BROADCAST receiver with
 	// bcNext < sent always has a deliverable message, so the wait
 	// round returns immediately.
@@ -407,6 +401,9 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 		vs, err := sel.HarvestViewsDeadline(budget, 10*time.Second)
 		if err != nil {
 			t.Fatalf("harvest: %v", err)
+		}
+		if len(vs) == 0 || len(vs) > budget {
+			t.Fatalf("harvest of budget %d returned %d views", budget, len(vs))
 		}
 		for _, v := range vs {
 			if v.Len() != 8 {
@@ -516,7 +513,7 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 		case 13:
 			checkLedger()
 		case 14:
-			harvestViews(0) // adaptive budget + fairness cap
+			harvestViews(1) // budget edge: one view, circuit stays armed
 		case 15:
 			churnFCFS(1, &fcfs1, &fcfs1Open)
 		}

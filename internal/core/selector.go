@@ -66,15 +66,6 @@ type Selector struct {
 	// wait round itself — never touched by Close.
 	deadErr error
 
-	// Adaptive-harvest state (Config.AutoHarvestMin/Max): an EWMA of
-	// the per-round harvest yield, the budget the last auto round ran
-	// with, and whether that round consumed it entirely (in which case
-	// the observed yield is censored at the budget and the next round
-	// probes upward). Owner-goroutine state, like deadErr.
-	ewmaDepth  float64
-	lastBudget int
-	lastFilled bool
-
 	// A wait round's scratch, reused across rounds so that a round
 	// allocates only what it returns: the registrations that fired, the
 	// messages claimed from them (in fired's order) and the circuits left
@@ -381,23 +372,12 @@ func (s *Selector) dropReg(id ID, reg selReg) {
 // a batched ReleaseViews, which undoes a harvest's pins with one lock
 // acquisition per circuit).
 //
-// A non-positive max selects the adaptive budget when the facility was
-// configured with AutoHarvestMin/Max (otherwise it is an error): each
-// round is sized from an EWMA of recent harvest yields, clamped to the
-// configured window and probed upward after a round that filled its
-// budget, and the round's budget is split evenly across the circuits
-// that fired (never below one message each) so a hot circuit cannot
-// consume the whole round while ready siblings starve — the cap's
-// truncations are counted in Stats.HarvestCapHits, the budget itself
-// in the Stats.HarvestAutoBudget gauge. A positive max keeps the
-// historical fixed-budget greedy sweep.
-//
-// A circuit left with traffic by the budget stays armed and is
-// harvested by the next call — the same level-trigger Wait gives
-// partially drained circuits. Error behaviour matches Wait:
-// ErrNotConnected when a registered circuit died while parked (any
-// views already claimed that round are returned first — the error
-// surfaces on the next call), ErrShutdown, ErrSelectorClosed,
+// max must be positive. A circuit left with traffic by the budget
+// stays armed and is harvested by the next call — the same
+// level-trigger Wait gives partially drained circuits. Error behaviour
+// matches Wait: ErrNotConnected when a registered circuit died while
+// parked (any views already claimed that round are returned first —
+// the error surfaces on the next call), ErrShutdown, ErrSelectorClosed,
 // ErrTimeout from the deadline variant.
 func (s *Selector) HarvestViews(max int) ([]*View, error) {
 	_, vs, err := s.rounds(true, max, time.Time{})
@@ -417,45 +397,6 @@ func (s *Selector) HarvestViewsDeadline(max int, d time.Duration) ([]*View, erro
 	return vs, err
 }
 
-// harvestEWMAAlpha weights the newest round's yield in the adaptive
-// budget's moving average: 1/4 new, 3/4 history — fast enough to track
-// an MMPP-style on/off burst within a few rounds, smooth enough not to
-// collapse the budget on one quiet round.
-const harvestEWMAAlpha = 0.25
-
-// nextAutoBudget sizes an auto-mode round: the yield EWMA rounded up,
-// doubled as an upward probe when the previous round consumed its
-// whole budget (the observation is censored at the budget, so the true
-// depth may be anything above it), clamped to the configured window.
-// The budget is owner state; the facility-wide HarvestAutoBudget gauge is
-// written only when it changes, not once a round.
-func (s *Selector) nextAutoBudget() int {
-	lo, hi := s.f.cfg.AutoHarvestMin, s.f.cfg.AutoHarvestMax
-	b := int(s.ewmaDepth) + 1
-	if s.lastFilled && b < s.lastBudget*2 {
-		b = s.lastBudget * 2
-	}
-	if b < lo {
-		b = lo
-	}
-	if b > hi {
-		b = hi
-	}
-	if b != s.lastBudget {
-		s.lastBudget = b
-		s.f.stats.harvestAutoBudget.Store(uint64(b))
-	}
-	return b
-}
-
-// observeHarvest folds one auto round's yield into the EWMA. Called
-// only for rounds that had fired circuits, so pure spurious wakeups do
-// not decay the depth estimate.
-func (s *Selector) observeHarvest(claimed, budget int) {
-	s.ewmaDepth = (1-harvestEWMAAlpha)*s.ewmaDepth + harvestEWMAAlpha*float64(claimed)
-	s.lastFilled = claimed >= budget
-}
-
 func (s *Selector) traceHarvest(vs []*View, err error) {
 	total := 0
 	for _, v := range vs {
@@ -472,9 +413,8 @@ func (s *Selector) traceHarvest(vs []*View, err error) {
 // message. Rounds repeat, parking in between, until one has something
 // to return.
 func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*View, error) {
-	auto := claim && max < 1
-	if auto && s.f.cfg.AutoHarvestMax < 1 {
-		return nil, nil, fmt.Errorf("core: HarvestViews with budget %d (auto-harvest not configured)", max)
+	if claim && max < 1 {
+		return nil, nil, fmt.Errorf("core: HarvestViews with non-positive budget %d", max)
 	}
 	if err := s.takeDeadErr(); err != nil {
 		return nil, nil, err
@@ -488,22 +428,6 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 		fired, err := s.collectFired()
 		if err != nil {
 			return nil, nil, err
-		}
-		if auto {
-			max = s.nextAutoBudget()
-		}
-		// The fairness cap (auto mode only): split the round's budget
-		// evenly across the circuits that fired, so one hot circuit
-		// cannot consume the whole round while ready siblings sit
-		// armed but unserved. Fixed-budget mode keeps the historical
-		// greedy sweep — which is exactly what the tuning ablation
-		// measures against.
-		perCircuit := max
-		if auto && len(fired) > 1 {
-			perCircuit = max / len(fired)
-			if perCircuit < 1 {
-				perCircuit = 1
-			}
 		}
 
 		run := s.run[:0]
@@ -531,13 +455,13 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 				dead = fmt.Errorf("%w: circuit %d closed while in selector", ErrNotConnected, fr.id)
 				continue
 			}
-			// Claim everything deliverable (up to the budget and the
-			// fairness cap) under this one lock hold — the whole point
-			// of the harvest. A reporting round's budget is zero: it
-			// only learns whether anything is deliverable.
+			// Claim everything deliverable (up to the budget) under this
+			// one lock hold — the whole point of the harvest. A reporting
+			// round's budget is zero: it only learns whether anything is
+			// deliverable.
 			budget := 0
 			if claim {
-				budget = min(max-len(run), perCircuit)
+				budget = max - len(run)
 			}
 			before := len(run)
 			var more bool
@@ -554,9 +478,6 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 			}
 			fr.l.lock.Unlock()
 			if more {
-				if claim && fr.n >= perCircuit && perCircuit < max {
-					f.stats.harvestCapHits.Add(1)
-				}
 				armed = append(armed, fr.id)
 			}
 		}
@@ -577,9 +498,6 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 				}
 			}
 		}
-		if auto && len(fired) > 0 {
-			s.observeHarvest(len(out), max)
-		}
 		if woken {
 			f.stats.muxWakeups.Add(1)
 			if len(out) == 0 && len(armed) == 0 && dead == nil {
@@ -588,12 +506,12 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 			woken = false
 		}
 		// Level-trigger: every circuit left with traffic — reported
-		// ready, or cut short by the budget or the cap — goes back on the
-		// ready list until a later round observes it drained, so a
-		// caller that consumes only part of a circuit's queue (or none
-		// of it, when the error below preempts the results) sees it
-		// again instead of parking over deliverable messages. No notify
-		// tap is needed: the next call runs a round before it can park.
+		// ready, or cut short by the budget — goes back on the ready
+		// list until a later round observes it drained, so a caller that
+		// consumes only part of a circuit's queue (or none of it, when
+		// the error below preempts the results) sees it again instead of
+		// parking over deliverable messages. No notify tap is needed:
+		// the next call runs a round before it can park.
 		s.remarkReady(armed)
 		if len(out) > 0 {
 			// A circuit death observed this round is deferred, not

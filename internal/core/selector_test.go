@@ -417,3 +417,26 @@ func TestSelectorManyCircuitsOnlyReadyReturned(t *testing.T) {
 		t.Fatalf("ready = %v, want circuits 5 and 17 (%d, %d)", ready, recvs[5], recvs[17])
 	}
 }
+
+// TestHarvestInvalidBudget: a non-positive budget is an error, with a
+// core-prefixed message since it originates below the facade, from both
+// the blocking and the deadline form.
+func TestHarvestInvalidBudget(t *testing.T) {
+	f := newFac(t)
+	_, _ = f.OpenSend(0, "inv")
+	_, _ = f.OpenReceive(1, "inv", FCFS)
+	s, _ := f.NewSelector(1)
+	defer s.Close()
+	if err := s.Add(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int{0, -3} {
+		want := fmt.Sprintf("core: HarvestViews with non-positive budget %d", budget)
+		if _, err := s.HarvestViews(budget); err == nil || err.Error() != want {
+			t.Fatalf("HarvestViews(%d) error %v, want %q", budget, err, want)
+		}
+		if _, err := s.HarvestViewsDeadline(budget, time.Second); err == nil || err.Error() != want {
+			t.Fatalf("HarvestViewsDeadline(%d) error %v, want %q", budget, err, want)
+		}
+	}
+}

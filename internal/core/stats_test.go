@@ -43,7 +43,7 @@ func statsScript(t *testing.T) *Facility {
 	t.Helper()
 	f, err := Init(Config{
 		MaxLNVCs: 6, MaxProcesses: 8, BlockSize: 64, BlocksPerProcess: 64,
-		RegistryShards: 1, CreditBlocks: 32, AutoHarvestMin: 1, AutoHarvestMax: 8,
+		RegistryShards: 1, CreditBlocks: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func statsScript(t *testing.T) *Facility {
 	}
 
 	// The BROADCAST side through views and a selector: a reporting round,
-	// a fixed-budget harvest, an adaptive one, and a wait that parks.
+	// a harvest of three, one of one, and a wait that parks.
 	v, ok, err := f.TryReceiveView(2, r2)
 	if err != nil || !ok {
 		t.Fatalf("TryReceiveView: %v, %v", ok, err)
@@ -151,8 +151,11 @@ func statsScript(t *testing.T) *Facility {
 		t.Fatalf("harvested %d views, want 3", len(vs))
 	}
 	ReleaseViews(vs)
-	vs, err = sel.HarvestViews(0)
+	vs, err = sel.HarvestViews(1)
 	must(err)
+	if len(vs) != 1 {
+		t.Fatalf("harvested %d views, want 1", len(vs))
+	}
 	ReleaseViews(vs)
 	for {
 		v, ok, err := f.TryReceiveView(2, r2)
@@ -340,14 +343,13 @@ var statsAgreeWant = Stats{
 	RegistryAcquisitions: 16, RegistryContended: 0,
 	PayloadCopiesIn: 22, PayloadCopiesOut: 15, LoanSends: 2, ViewReceives: 7,
 	LoanBatchSends: 2, HarvestedViews: 4, CreditStalls: 1, CreditsHeld: 30,
-	HarvestAutoBudget: 1,
 }
 
 // TestStatsMonotonic polls Stats from a third goroutine while two others
 // stream, close and reopen their connections (so counts move from live
 // descriptors to closed groups, circuits die and descriptors recycle
-// under the reader): no field but the two gauges ever decreases, and at
-// quiescence every message sent was received or dropped.
+// under the reader): no field but the CreditsHeld gauge ever decreases,
+// and at quiescence every message sent was received or dropped.
 func TestStatsMonotonic(t *testing.T) {
 	f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 4, RegistryShards: 1})
 	if err != nil {
@@ -366,7 +368,7 @@ func TestStatsMonotonic(t *testing.T) {
 			pv, cv := reflect.ValueOf(prev), reflect.ValueOf(cur)
 			for i := 0; i < cv.NumField(); i++ {
 				name := cv.Type().Field(i).Name
-				if name == "CreditsHeld" || name == "HarvestAutoBudget" {
+				if name == "CreditsHeld" {
 					continue
 				}
 				if cv.Field(i).Uint() < pv.Field(i).Uint() {

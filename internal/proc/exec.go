@@ -151,7 +151,9 @@ func StartGroupEnv(n int, bin string, args []string, envFor func(i int) []string
 	return g, nil
 }
 
-// spawn starts one child at rank i with the given extra environment.
+// spawn starts one child at rank i with the given extra environment
+// and pins it to CPU i mod NumCPU, best-effort (pin), so a parent
+// exchanging messages with it stops chasing it across cores.
 func (g *ExecGroup) spawn(i int, extraEnv []string) (*Child, error) {
 	conn, childF, err := socketpairConn()
 	if err != nil {
@@ -167,7 +169,8 @@ func (g *ExecGroup) spawn(i int, extraEnv []string) (*Child, error) {
 		childF.Close()
 		return nil, fmt.Errorf("proc: spawning child %d: %w", i, err)
 	}
-	childF.Close() // child holds its own copy now
+	childF.Close()              // child holds its own copy now
+	_ = pin(cmd.Process.Pid, i) // refused: the child runs unpinned
 	ch := &Child{Index: i, Cmd: cmd, Conn: conn, done: make(chan struct{})}
 	go func() {
 		ch.err = cmd.Wait()

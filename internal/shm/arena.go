@@ -105,7 +105,6 @@ type Arena struct {
 	waiters int32
 
 	stats Stats
-	huge  HugeStats
 }
 
 // condSignal is a tiny condition variable over the free-pool lock. It is
@@ -126,20 +125,6 @@ type Stats struct {
 	HighWater   int32  // maximum simultaneously-allocated blocks
 }
 
-// HugeStats records the outcome of the huge-page hint, in the style of
-// LockStats: set once at creation, read lock-free by the bench so it
-// can report whether the hint took on this run.
-type HugeStats struct {
-	// Requested mirrors Config.HugePages.
-	Requested bool
-	// AdvisedBytes is how much of the region madvise actually covered
-	// after shrinking to 2 MiB boundaries (0 when the region is too
-	// small, the platform has no madvise, or the call failed).
-	AdvisedBytes int64
-	// Err holds the madvise failure, if any; advisory, never fatal.
-	Err error
-}
-
 // Config sizes an Arena.
 type Config struct {
 	// BlockSize is the size of each block in bytes, including the 4-byte
@@ -153,12 +138,6 @@ type Config struct {
 	// via a free bitmap instead of the paper's linked free list. All
 	// chain APIs work identically in both modes.
 	Spans bool
-	// HugePages asks the kernel to back the region with transparent
-	// huge pages (madvise MADV_HUGEPAGE on the region's huge-page-
-	// aligned interior). Purely advisory: unsupported platforms and
-	// small regions degrade to base pages; HugeStats reports whether
-	// and how far the hint took.
-	HugePages bool
 }
 
 // SizeFor estimates the arena configuration for a facility with the given
@@ -227,10 +206,6 @@ func NewAt(cfg Config, mem []byte) (*Arena, error) {
 		spans:     cfg.Spans,
 	}
 	a.cond.init()
-	if cfg.HugePages {
-		a.huge.Requested = true
-		a.huge.AdvisedBytes, a.huge.Err = AdviseHugeBytes(mem)
-	}
 	if a.spans {
 		a.freeBits = make([]uint64, (cfg.NumBlocks+63)/64)
 		a.flipRunLocked(0, a.nBlocks, true)
@@ -303,11 +278,6 @@ func (a *Arena) Stats() Stats {
 func (a *Arena) LockStats() (acquisitions, contended uint64) {
 	return a.mu.Stats()
 }
-
-// HugeStats reports the huge-page hint's outcome for this arena's
-// region. Like LockStats it takes no lock: the fields are written once
-// at creation.
-func (a *Arena) HugeStats() HugeStats { return a.huge }
 
 // The link word of the element at off is the last word of the slot
 // before it (block 0, burnt for NilOffset, takes the first block's), so

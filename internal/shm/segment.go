@@ -187,52 +187,3 @@ func (s *Segment) Close() error {
 // layout helper: every protocol structure (table, rings, arena) starts
 // on its own cache line so cross-process hot words never share one.
 func AlignUp(off int64) int64 { return (off + 63) &^ 63 }
-
-// HugePageBytes is the transparent-huge-page granule the arena aligns
-// span regions to when Config.HugePages is set: 2 MiB on both linux
-// architectures this package targets.
-const HugePageBytes = 2 << 20
-
-// AlignUpHuge rounds off up to the next huge-page boundary.
-func AlignUpHuge(off int64) int64 {
-	return (off + HugePageBytes - 1) &^ int64(HugePageBytes-1)
-}
-
-// AdviseHuge hints the kernel to back the segment window [off, off+n)
-// with transparent huge pages (madvise MADV_HUGEPAGE). The advised
-// range is shrunk inward to huge-page boundaries — madvise wants
-// page-aligned addresses, and an unaligned hint would spill onto
-// neighbouring memory. Returns the number of bytes actually advised
-// (0 if the aligned range is empty or the platform has no madvise)
-// and any syscall error.
-func (s *Segment) AdviseHuge(off, n int64) (int64, error) {
-	if s.closed || n <= 0 {
-		return 0, nil
-	}
-	if off < 0 || off+n > int64(len(s.mem)) {
-		return 0, fmt.Errorf("shm: advise window [%d,%d) outside region of %d bytes", off, off+n, len(s.mem))
-	}
-	return AdviseHugeBytes(s.mem[off : off+n])
-}
-
-// AdviseHugeBytes issues the MADV_HUGEPAGE hint for the huge-page-
-// aligned interior of b — the slice-level form Arena uses for regions
-// it does not own a Segment handle for (the heap backend). Shrinking
-// inward rather than rounding outward keeps the hint off neighbouring
-// allocations.
-func AdviseHugeBytes(b []byte) (int64, error) {
-	if len(b) == 0 || !madviseSupported {
-		return 0, nil
-	}
-	lo := uintptr(unsafe.Pointer(&b[0]))
-	hi := lo + uintptr(len(b))
-	alo := (lo + HugePageBytes - 1) &^ (HugePageBytes - 1)
-	ahi := hi &^ (HugePageBytes - 1)
-	if ahi <= alo {
-		return 0, nil
-	}
-	if err := madviseHuge(alo, ahi-alo); err != nil {
-		return 0, err
-	}
-	return int64(ahi - alo), nil
-}

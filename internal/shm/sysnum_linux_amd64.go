@@ -5,8 +5,3 @@ package shm
 // memfd_create postdates the frozen std syscall tables; its number is
 // arch-specific.
 const sysMemfdCreate = 319
-
-// madvise is in the frozen tables, but keeping the raw number beside
-// memfd_create keeps every direct syscall this package makes in one
-// per-arch file.
-const sysMadvise = 28

@@ -68,7 +68,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/affinity"
 	"repro/internal/core"
 	"repro/internal/proc"
 	"repro/internal/stats"
@@ -169,41 +168,6 @@ func WithFailFastSend() Option { return func(c *core.Config) { c.SendPolicy = co
 // connection check alone. Stats reports CreditStalls and
 // CreditsHeld; see DESIGN.md §13.
 func WithCredit(n int) Option { return func(c *core.Config) { c.CreditBlocks = n } }
-
-// WithAutoHarvest enables the selector's adaptive harvest mode and
-// sets its budget window: a WaitViews call with a non-positive budget
-// sizes each round from an EWMA of recent harvest yields, clamped to
-// [min, max] and probed upward after rounds that fill their budget,
-// with the round's budget split evenly across the circuits that fired
-// (never below one message each) so one hot circuit cannot starve
-// ready siblings. Stats reports the HarvestAutoBudget gauge and
-// HarvestCapHits. Without this option a non-positive WaitViews budget
-// is an error; with it, positive budgets still select the fixed greedy
-// sweep. See DESIGN.md §16.
-func WithAutoHarvest(min, max int) Option {
-	return func(c *core.Config) {
-		c.AutoHarvestMin = min
-		c.AutoHarvestMax = max
-	}
-}
-
-// WithAffinity pins each Run worker goroutine to a CPU core (process
-// id modulo the machine's CPU count) and spawned cross-process
-// children (ServeProc/Spawn) to distinct cores, via sched_setaffinity
-// on Linux. Pinning keeps each side of a hot producer/consumer pair on
-// a fixed core, so the cache lines they exchange stop migrating with
-// the scheduler. Purely advisory: platforms without affinity syscalls
-// and runners whose cpuset forbids them run unpinned, never fail. See
-// internal/affinity and DESIGN.md §16.
-func WithAffinity() Option { return func(c *core.Config) { c.Affinity = true } }
-
-// WithHugePages asks the kernel to back the shared block region with
-// transparent huge pages (madvise MADV_HUGEPAGE on the region's 2 MiB
-// aligned interior), cutting TLB pressure on large span workloads.
-// Advisory: small regions and platforms without madvise degrade to
-// base pages; Facility.Arena().HugeStats() reports whether the hint
-// took. See DESIGN.md §16.
-func WithHugePages() Option { return func(c *core.Config) { c.HugePages = true } }
 
 // WithClassicChains reverts the shared region to the paper's exact
 // allocation layout: a linked free list of individual blocks, so every
@@ -308,15 +272,6 @@ func (f *Facility) Run(n int, body func(p *Process) error) error {
 		return fmt.Errorf("%w: group of %d exceeds max %d", ErrBadProcess, n, f.c.Config().MaxProcesses)
 	}
 	return g.Run(func(pid int) error {
-		if f.c.Config().Affinity {
-			// Pin each worker to its own core for the body's lifetime
-			// (WithAffinity): pid order spreads hot pairs across cores.
-			// Failure means the runner restricts affinity — run
-			// unpinned.
-			if restore, err := affinity.PinThread(pid); err == nil {
-				defer restore()
-			}
-		}
 		p, err := f.Process(pid)
 		if err != nil {
 			return err

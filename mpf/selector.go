@@ -148,14 +148,8 @@ func (s *Selector) WaitDeadline(d time.Duration) ([]*RecvConn, error) {
 // acquisition per circuit. A connection left with traffic by the
 // budget stays armed for the next call, exactly like Wait's
 // level-triggered readiness. This is the event-loop receive shape:
-// park once, claim a batch, read in place, release in a batch.
-//
-// With WithAutoHarvest configured, a non-positive max selects the
-// adaptive budget: each round sizes itself from an EWMA of recent
-// yields (clamped to the configured window) and splits the budget
-// evenly across the connections that fired, so one hot connection
-// cannot starve ready siblings. Without the option a non-positive max
-// is an error.
+// park once, claim a batch, read in place, release in a batch. A
+// non-positive max is an error.
 func (s *Selector) WaitViews(max int) ([]*View, error) {
 	vs, err := s.s.HarvestViews(max)
 	if err != nil {

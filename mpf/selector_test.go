@@ -186,3 +186,39 @@ func TestSelectorConnectionClosedWhileParked(t *testing.T) {
 		t.Fatalf("dead registration survived: len=%d", sel.Len())
 	}
 }
+
+// TestWaitViewsInvalidBudget: a non-positive WaitViews budget is an
+// error, from both the blocking and the deadline form.
+func TestWaitViewsInvalidBudget(t *testing.T) {
+	fac, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fac.Shutdown()
+	p, _ := fac.Process(0)
+	q, _ := fac.Process(1)
+	if _, err := p.OpenSend("inv"); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := q.OpenReceive("inv", FCFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := q.NewSelector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sel.Close()
+	if err := sel.Add(rc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sel.WaitViews(0); err == nil {
+		t.Fatal("WaitViews(0) succeeded")
+	}
+	if _, err := sel.WaitViewsDeadline(-1, time.Second); err == nil {
+		t.Fatal("WaitViewsDeadline(-1) succeeded")
+	}
+	if sel.Len() != 1 {
+		t.Fatalf("an invalid budget dropped the registration: %d circuits left", sel.Len())
+	}
+}

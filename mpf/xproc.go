@@ -95,7 +95,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/affinity"
 	"repro/internal/core"
 	"repro/internal/faultpoint"
 	"repro/internal/proc"
@@ -286,9 +285,7 @@ func (s *ProcServer) SendSegmentTo(conn *net.UnixConn, slot int) error {
 
 // Spawn execs n children of bin (one table slot each) and performs the
 // fd-passing handshake with every one. n must not exceed the table's
-// slot count. When the facility was configured with WithAffinity, each
-// child process is pinned to its own CPU core (slot modulo the CPU
-// count) best-effort: restricted runners leave children floating.
+// slot count. Each child is pinned to a CPU core (see proc.ExecGroup).
 func (s *ProcServer) Spawn(n int, bin string, args []string, extraEnv []string) (*proc.ExecGroup, error) {
 	return s.SpawnEnv(n, bin, args, func(int) []string { return extraEnv })
 }
@@ -304,15 +301,7 @@ func (s *ProcServer) SpawnEnv(n int, bin string, args []string, envFor func(i in
 	if err != nil {
 		return nil, err
 	}
-	pin := s.fac.c.Config().Affinity
 	for i := 0; i < n; i++ {
-		if pin {
-			if p := g.Child(i).Cmd.Process; p != nil {
-				// Advisory: a cpuset that forbids the pin leaves the
-				// child floating, exactly like an unpinned run.
-				affinity.PinPID(p.Pid, i)
-			}
-		}
 		if err := s.SendSegmentTo(g.Child(i).Conn, i); err != nil {
 			g.Kill()
 			return nil, fmt.Errorf("mpf: handshake with child %d: %w", i, err)
