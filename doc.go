@@ -5,9 +5,10 @@
 // The public API lives in repro/mpf. The substrates (shared-memory
 // arena, locks, message blocks, process model, discrete-event
 // Balance 21000 simulator) live under internal/, the paper's two
-// applications under internal/apps, and the benchmark harness that
-// regenerates every figure of the paper's evaluation under
-// internal/bench and cmd/mpfbench.
+// applications under internal/apps, and the harness that regenerates
+// every figure of the paper's evaluation under internal/bench and
+// cmd/mpfbench. How fast the facility is on a given host is measured
+// by the repository benchmark, benchmark/ (bash benchmark/run.sh).
 //
 // Beyond the paper, the facility shards its circuit name registry so
 // opens and closes on distinct circuits never contend (DESIGN.md §4),
@@ -40,18 +41,11 @@
 // contended waiter sleeps until the holder hands it the lock, so a
 // circuit's two parties take turns on one core instead of running
 // against each other on two (DESIGN.md §16).
-// mpfbench -contention, -copies, -loanbatch and -credit quantify these
-// against the paper's single-lock, two-copy, per-message,
-// globally-starved layout (-select holds the per-circuit wakeups to about one per
-// message; the facility-wide pulse they replaced is no longer built),
-// and mpfbench -json records the headline numbers as a
-// machine-readable BENCH.json, which mpfbench -compare diffs across
-// runs. CI (.github/workflows/ci.yml) gates build, vet, staticcheck,
-// gofmt, the unit suite on two Go versions, the race detector over the
-// whole module, a
-// benchmark smoke, the perf-trajectory artifact, a perf-regression
-// comparison against the previous run (seeded by BENCH_BASELINE.json)
-// and a protocol-invariant fuzz smoke on every change.
+// CI (.github/workflows/ci.yml) gates build, vet, staticcheck, gofmt,
+// the unit suite on two Go versions, the race detector over the whole
+// module, benchmark, cross-process and crash smokes, a full run of the
+// repository benchmark compared against the latest main run's, and a
+// protocol-invariant fuzz smoke on every change.
 //
 // See README.md and DESIGN.md.
 package repro

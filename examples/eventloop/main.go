@@ -14,8 +14,8 @@
 // stays well below one however many circuits the loop multiplexes, and
 // the copy ledger must show zero payload copies in either direction —
 // the run aborts otherwise, which is what CI's example smoke checks.
-// Compare `mpfbench -select` and `mpfbench -loanbatch` for the same
-// shapes measured against their ablation baselines.
+// The repository benchmark's eventloop_mmpp workload measures the same
+// shape (bash benchmark/run.sh --workload eventloop_mmpp).
 //
 // With -credit n the facility runs under per-circuit credit flow
 // control (mpf.WithCredit): each producer circuit is bounded to n

@@ -2,80 +2,18 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+
+	"repro/mpf"
 )
 
-// BenchmarkZeroCopyAdvantage reports delivered bytes/op for the three
-// payload planes at the sizes where copies dominate. The companion gate
-// (TestZeroCopyAdvantage) enforces the headline ratio; this benchmark
-// gives the continuous trajectory CI records.
-func BenchmarkZeroCopyAdvantage(b *testing.B) {
-	for _, plane := range []CopyPlane{PlaneClassicCopy, PlaneSpanCopy, PlaneZeroCopy} {
-		for _, size := range []int{4096, 16384} {
-			b.Run(fmt.Sprintf("%s/%dB", plane, size), func(b *testing.B) {
-				msgs := b.N
-				if msgs < 64 {
-					msgs = 64
-				}
-				res, err := NativeCopies(plane, size, 1, msgs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.SetBytes(int64(size))
-				b.ReportMetric(res.MsgsPerSec, "msgs/s")
-			})
-		}
-	}
-}
-
-// TestZeroCopyAdvantage is the copy ablation's gate: at payload sizes
-// of 4 KiB and up, the loan/view plane must deliver at least twice the
-// throughput of the paper's copying plane (classic chains, both
-// structural copies). Throughput comparisons on shared CI boxes are
-// noisy, so the gate takes the best of five attempts, like the
-// sharded-registry gate.
-func TestZeroCopyAdvantage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput comparison skipped in -short mode")
-	}
-	const (
-		msgs = 3000
-		want = 2.0
-	)
-	for _, size := range []int{4096, 16384} {
-		best := 0.0
-		for attempt := 0; attempt < 5; attempt++ {
-			base, err := NativeCopies(PlaneClassicCopy, size, 1, msgs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			zero, err := NativeCopies(PlaneZeroCopy, size, 1, msgs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := zero.Stats.PayloadCopiesOut; got != 0 {
-				t.Fatalf("size %d: zero-copy leg recorded %d receive-side copies", size, got)
-			}
-			ratio := zero.MsgsPerSec / base.MsgsPerSec
-			t.Logf("size %d attempt %d: copy plane %.0f msgs/s, zero-copy plane %.0f msgs/s (%.2fx)",
-				size, attempt, base.MsgsPerSec, zero.MsgsPerSec, ratio)
-			if ratio > best {
-				best = ratio
-			}
-			if best >= want {
-				break
-			}
-		}
-		if best < want {
-			t.Errorf("size %d: loan/view plane is %.2fx the copying plane, want >= %.1fx", size, best, want)
-		}
-	}
-}
-
-// TestBroadcastFanOutNoReceiveCopies is the deterministic half of the
-// gate: BROADCAST fan-out to 8 receivers over views performs zero
-// receive-side payload copies — every receiver reads the one shared
-// payload instance — and zero send-side copies, asserted through the
+// TestBroadcastFanOutNoReceiveCopies holds the copy bill of the
+// broadcast benchmark's fan-out: 200 x 4 KiB messages to 8 BROADCAST
+// receivers over loans and views perform zero payload copies on either
+// side — every receiver reads the one shared payload instance — while
+// the same traffic over Send and Receive, as Figure 5 runs it, pays one
+// receive copy per receiver per message. Asserted through the
 // facility's copy ledger.
 func TestBroadcastFanOutNoReceiveCopies(t *testing.T) {
 	const (
@@ -83,11 +21,10 @@ func TestBroadcastFanOutNoReceiveCopies(t *testing.T) {
 		msgs   = 200
 		size   = 4096
 	)
-	res, err := NativeCopies(PlaneZeroCopy, size, fanout, msgs)
+	st, err := broadcastCopies(size, fanout, msgs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Stats
 	if st.PayloadCopiesOut != 0 {
 		t.Errorf("PayloadCopiesOut = %d, want 0", st.PayloadCopiesOut)
 	}
@@ -100,37 +37,100 @@ func TestBroadcastFanOutNoReceiveCopies(t *testing.T) {
 	if want := uint64(msgs); st.LoanSends != want {
 		t.Errorf("LoanSends = %d, want %d", st.LoanSends, want)
 	}
-	// The copying plane on the identical workload pays fanout copies per
+	// The copying path on the identical workload pays fanout copies per
 	// message — the bill the views erase.
-	copyRes, err := NativeCopies(PlaneSpanCopy, size, fanout, msgs)
+	st, err = broadcastCopies(size, fanout, msgs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := uint64(fanout * msgs); copyRes.Stats.PayloadCopiesOut != want {
-		t.Errorf("copy plane PayloadCopiesOut = %d, want %d", copyRes.Stats.PayloadCopiesOut, want)
+	if want := uint64(fanout * msgs); st.PayloadCopiesOut != want {
+		t.Errorf("Send/Receive PayloadCopiesOut = %d, want %d", st.PayloadCopiesOut, want)
 	}
 }
 
-// TestCopiesSweepQuick exercises the ablation sweep end-to-end.
-func TestCopiesSweepQuick(t *testing.T) {
-	bySize, byFanout, err := CopiesSweep(Config{Mode: Native, Quick: true})
+// broadcastCopies moves msgs messages of msgLen bytes from one sender to
+// fanout BROADCAST receivers, through loans and views or through Send
+// and Receive, and returns the facility's counters. Receivers check a
+// stamped byte at each end of every payload.
+func broadcastCopies(msgLen, fanout, msgs int, views bool) (mpf.Stats, error) {
+	fac, err := mpf.New(mpf.WithMaxProcesses(fanout+1), mpf.WithMaxLNVCs(4),
+		mpf.WithBlocksPerProcess(blocksFor(msgLen, 16)))
 	if err != nil {
-		t.Fatal(err)
+		return mpf.Stats{}, err
 	}
-	if len(bySize.Series) != 3 {
-		t.Fatalf("size figure has %d series, want 3", len(bySize.Series))
-	}
-	for _, s := range bySize.Series {
-		if len(s.Points) != 2 {
-			t.Errorf("size series %q has %d points, want 2", s.Label, len(s.Points))
+	defer fac.Shutdown()
+
+	var ready, drained sync.WaitGroup
+	ready.Add(fanout)
+	drained.Add(fanout)
+	err = fac.Run(fanout+1, func(p *mpf.Process) error {
+		if p.PID() == 0 {
+			s, err := p.OpenSend("copies")
+			if err != nil {
+				return err
+			}
+			defer s.Close()
+			ready.Wait() // every receiver connected: all see the stream
+			payload := make([]byte, msgLen)
+			for i := 0; i < msgs; i++ {
+				if !views {
+					payload[0], payload[msgLen-1] = byte(i), byte(i)
+					if err := s.Send(payload); err != nil {
+						return err
+					}
+					continue
+				}
+				ln, err := s.Loan(msgLen)
+				if err != nil {
+					return err
+				}
+				b, ok := ln.Bytes()
+				if !ok {
+					ln.Abort()
+					return fmt.Errorf("bench: loan of %d bytes not contiguous", msgLen)
+				}
+				b[0], b[msgLen-1] = byte(i), byte(i)
+				if err := ln.Commit(); err != nil {
+					return err
+				}
+			}
+			drained.Wait() // hold the circuit open until every receiver is done
+			return nil
 		}
-	}
-	if len(byFanout.Series) != 3 {
-		t.Fatalf("fanout figure has %d series, want 3", len(byFanout.Series))
-	}
-	for _, s := range byFanout.Series {
-		if len(s.Points) != 2 {
-			t.Errorf("fanout series %q has %d points, want 2", s.Label, len(s.Points))
+		r, err := p.OpenReceive("copies", mpf.Broadcast)
+		if err != nil {
+			return err
 		}
+		defer r.Close()
+		defer drained.Done()
+		ready.Done()
+		buf := make([]byte, msgLen)
+		for i := 0; i < msgs; i++ {
+			if !views {
+				n, err := r.Receive(buf)
+				if err != nil {
+					return err
+				}
+				if n != msgLen || buf[0] != byte(i) || buf[msgLen-1] != byte(i) {
+					return fmt.Errorf("bench: receiver %d: bad payload at msg %d", p.PID(), i)
+				}
+				continue
+			}
+			v, err := r.ReceiveView()
+			if err != nil {
+				return err
+			}
+			b, ok := v.Bytes()
+			good := ok && b[0] == byte(i) && b[msgLen-1] == byte(i)
+			v.Release()
+			if !good {
+				return fmt.Errorf("bench: receiver %d: bad view at msg %d", p.PID(), i)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return mpf.Stats{}, err
 	}
+	return fac.Stats(), nil
 }

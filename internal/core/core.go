@@ -170,8 +170,9 @@ type Config struct {
 	// split across (rounded up to a power of two, default 16, capped
 	// at 1024). One shard reproduces the paper's single global table
 	// lock; more shards let opens and closes on distinct circuits
-	// proceed without contending. Read the effective value back via
-	// Facility.RegistryShards.
+	// proceed without contending. RegistryStats has one entry per
+	// shard. The facade always takes the default; the core tests and
+	// the fuzzer set one shard to run the paper's layout.
 	RegistryShards int
 	// SendPolicy selects Send's behaviour on pool exhaustion.
 	SendPolicy SendPolicy
@@ -192,8 +193,8 @@ type Config struct {
 	// (false) is the contiguous-span mode, which places each payload in
 	// one run of adjacent blocks whenever fragmentation permits — the
 	// layout that makes single-segment zero-copy views the common case.
-	// ClassicChains is the copy ablation's paper-plane baseline
-	// (mpfbench -copies).
+	// The facade always takes the default; the core tests and the fuzzer
+	// set ClassicChains to run the paper's layout.
 	ClassicChains bool
 	// ArenaMem, when non-nil, backs the shared region with
 	// caller-provided memory instead of a fresh heap allocation — the
@@ -264,8 +265,7 @@ type Stats struct {
 	// View.CopyTo). LoanSends counts messages committed through
 	// SendLoan — zero send-side copies — and ViewReceives counts
 	// messages claimed through ReceiveView/TryReceiveView — zero
-	// receive-side copies. The copies ablation (mpfbench -copies)
-	// asserts its zero-copy legs keep the copy counters flat.
+	// receive-side copies.
 	PayloadCopiesIn  uint64
 	PayloadCopiesOut uint64
 	LoanSends        uint64
@@ -277,7 +277,7 @@ type Stats struct {
 	// (HarvestViews) — one circuit lock acquisition per ready circuit,
 	// not per message. Both planes are zero-copy; neither is included
 	// in LoanSends/ViewReceives, so the per-message and batched planes
-	// stay separately observable (mpfbench -loanbatch compares them).
+	// stay separately observable.
 	LoanBatchSends uint64
 	HarvestedViews uint64
 	// The credit ledger (Config.CreditBlocks). CreditStalls counts

@@ -10,8 +10,7 @@ import (
 // is full only when BlockUntilFree parks it on the arena's free-pool
 // wait, where it competes with every other sender in the facility. One
 // hot circuit can therefore monopolise the arena and stall every
-// tenant — the unfairness the fairness ablation (mpfbench -credit)
-// measures. Credit bounds each circuit's arena share instead:
+// tenant. Credit bounds each circuit's arena share instead:
 //
 //   - Config.CreditBlocks grants every circuit a receiver-side budget,
 //     accounted in blocks — the unit the arena actually allocates and

@@ -149,7 +149,3 @@ func (f *Facility) FreeIDCount() int {
 func (f *Facility) RegistryStats() []stats.LockStat {
 	return f.contention.Snapshot()
 }
-
-// RegistryShards returns the number of shards the registry was built
-// with (Config.RegistryShards rounded up to a power of two).
-func (f *Facility) RegistryShards() int { return len(f.shards) }

@@ -440,3 +440,108 @@ func TestHarvestInvalidBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectorBystandersNotWoken holds the per-circuit waiter lists to
+// their claim: with 8 selectors parked over 8 circuits each (64 in all)
+// and 300 messages sent on one circuit, a message costs about one park
+// wakeup — the hot selector's — and the 7 bystanders none. The sender
+// waits for each message to be drained before sending the next, so no
+// two messages share a wakeup. No park has a deadline, so no wakeup is
+// a timeout, and one attempt decides.
+func TestSelectorBystandersNotWoken(t *testing.T) {
+	const (
+		selectors   = 8
+		circuitsPer = 8
+		msgs        = 300
+		maxWakeups  = 1.25
+		maxSpurious = 0.25
+	)
+	f, err := Init(Config{MaxLNVCs: selectors*circuitsPer + 4, MaxProcesses: selectors + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shutdown()
+	sels := make([]*Selector, selectors)
+	for p := range sels {
+		if sels[p], err = f.NewSelector(p); err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < circuitsPer; c++ {
+			id, err := f.OpenReceive(p, fmt.Sprintf("herd-%d-%d", p, c), FCFS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sels[p].Add(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sender := selectors
+	sid, err := f.OpenSend(sender, "herd-0-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bystanders := make(chan error, selectors-1)
+	for _, sel := range sels[1:] {
+		go func(sel *Selector) {
+			ids, err := sel.Wait()
+			if err == nil {
+				err = fmt.Errorf("a bystander's Wait returned circuits %v", ids)
+			}
+			bystanders <- err
+		}(sel)
+	}
+	// Room for every send the consumer can make, so it never blocks on
+	// a test that has already failed.
+	drained := make(chan error, msgs+1)
+	go func() {
+		buf := make([]byte, 16)
+		for got := 0; got < msgs; {
+			ids, err := sels[0].Wait()
+			if err != nil {
+				drained <- err
+				return
+			}
+			for _, id := range ids {
+				for {
+					_, ok, err := f.TryReceive(0, id, buf)
+					if err != nil {
+						drained <- err
+						return
+					}
+					if !ok {
+						break
+					}
+					got++
+					drained <- nil
+				}
+			}
+		}
+	}()
+
+	base := f.Stats()
+	payload := make([]byte, 16)
+	for k := 0; k < msgs; k++ {
+		if err := f.Send(sender, sid, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-drained; err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := f.Stats()
+	f.Shutdown()
+	for range sels[1:] {
+		if err := <-bystanders; !errors.Is(err, ErrShutdown) {
+			t.Errorf("bystander: %v, want ErrShutdown", err)
+		}
+	}
+	wakeups := float64(st.MuxWakeups-base.MuxWakeups) / msgs
+	spurious := float64(st.MuxSpurious-base.MuxSpurious) / msgs
+	t.Logf("%.3f wakeups and %.3f spurious wakeups per message", wakeups, spurious)
+	if wakeups > maxWakeups || spurious > maxSpurious {
+		t.Errorf("%.2f wakeups and %.2f spurious wakeups per message, want at most %.2f and %.2f",
+			wakeups, spurious, maxWakeups, maxSpurious)
+	}
+}

@@ -579,3 +579,82 @@ func TestNoFacilityWideWritePerMessage(t *testing.T) {
 		t.Errorf("the escape hatches changed %d bytes, want one in each of their two words", changed)
 	}
 }
+
+// TestBatchedPlaneArenaLocks holds the batched zero-copy plane to what
+// it amortises: a round of LoanBatch of 16 × 4 KiB, CommitAll,
+// HarvestViews(64) and ReleaseViews takes the arena lock once to
+// allocate the 16 messages and once to free them — at most 1/8 of a
+// lock per message, against Send+Receive's 2 — copies no payload, and
+// is counted as 16 batched loans and 16 harvested views.
+func TestBatchedPlaneArenaLocks(t *testing.T) {
+	const (
+		rounds = 200
+		batch  = 16
+		size   = 4096
+		msgs   = rounds * batch
+	)
+	f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 2, BlocksPerProcess: 2 * batch * size / 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shutdown()
+	sid, _ := f.OpenSend(0, "batched")
+	rid, err := f.OpenReceive(1, "batched", FCFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := f.NewSelector(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sel.Close()
+	if err := sel.Add(rid); err != nil {
+		t.Fatal(err)
+	}
+	ns := make([]int, batch)
+	for i := range ns {
+		ns[i] = size
+	}
+	arena0, _ := f.arena.LockStats()
+	for r := 0; r < rounds; r++ {
+		lb, err := f.LoanBatch(0, sid, ns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < batch; i++ {
+			b, ok := lb.Bytes(i)
+			if !ok {
+				t.Fatalf("round %d: loan %d is not contiguous", r, i)
+			}
+			b[0], b[size-1] = byte(r), byte(i)
+		}
+		if err := lb.CommitAll(); err != nil {
+			t.Fatal(err)
+		}
+		vs, err := sel.HarvestViews(64)
+		if err != nil || len(vs) != batch {
+			t.Fatalf("round %d: harvested %d views, %v; want %d", r, len(vs), err, batch)
+		}
+		for i, v := range vs {
+			if b, ok := v.Bytes(); !ok || b[0] != byte(r) || b[size-1] != byte(i) {
+				t.Fatalf("round %d: view %d shows the wrong payload", r, i)
+			}
+		}
+		ReleaseViews(vs)
+	}
+	arena1, _ := f.arena.LockStats()
+	locks := arena1 - arena0
+	if got, want := locks, uint64(2*rounds); got != want {
+		t.Errorf("%d arena lock acquisitions for %d rounds, want 2 a round", got, rounds)
+	}
+	if perMsg := float64(locks) / msgs; perMsg > 1.0/8 {
+		t.Errorf("%.3f arena locks per message, want at most 1/8", perMsg)
+	}
+	st := f.Stats()
+	if st.PayloadCopiesIn != 0 || st.PayloadCopiesOut != 0 {
+		t.Errorf("payload copies in/out %d/%d, want 0/0", st.PayloadCopiesIn, st.PayloadCopiesOut)
+	}
+	if st.LoanBatchSends != msgs || st.HarvestedViews != msgs {
+		t.Errorf("LoanBatchSends %d, HarvestedViews %d; want %d each", st.LoanBatchSends, st.HarvestedViews, msgs)
+	}
+}

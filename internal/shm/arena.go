@@ -43,8 +43,8 @@
 // a chain element is simply a span of one or more blocks, described by
 // SegPayload — and every chain API (WriteChain, ReadChain, FreeChain)
 // is span-aware. The classic linked-list layout remains the fidelity
-// baseline (core's ClassicChains / mpf.WithClassicChains) and the copy
-// ablation's paper-plane configuration.
+// baseline (core's Config.ClassicChains), which the core tests and the
+// fuzzer run.
 //
 // The arena is safe for concurrent use.
 package shm
@@ -272,9 +272,10 @@ func (a *Arena) Stats() Stats {
 // and the subset whose first attempt found the lock held. This is the
 // number the batched payload plane amortises — a LoanBatch of k
 // messages costs one acquisition here where k single loans cost k —
-// and what mpfbench -loanbatch asserts on. Reading it takes no lock,
-// so snapshots can bracket a measured interval without perturbing it
-// (note that FreeBlocks and Stats each cost one acquisition).
+// and what core's TestBatchedPlaneArenaLocks counts. Reading it takes
+// no lock, so snapshots can bracket a measured interval without
+// perturbing it (note that FreeBlocks and Stats each cost one
+// acquisition).
 func (a *Arena) LockStats() (acquisitions, contended uint64) {
 	return a.mu.Stats()
 }

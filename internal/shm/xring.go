@@ -1,8 +1,7 @@
 package shm
 
 // XRing: a single-producer single-consumer descriptor ring living
-// entirely inside a segment — the cross-process counterpart of the
-// fastpath Ring. Payload never travels through it: records carry
+// entirely inside a segment. Payload never travels through it: records carry
 // segment offsets into the shared arena (plus a tag and a user word),
 // so a parent and a child exchange multi-kilobyte messages by moving
 // 16-byte descriptors while the payload bytes sit still in the mapped

@@ -1,15 +1,11 @@
 package stats
 
-import (
-	"fmt"
-	"strings"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Per-shard contention accounting for sharded data structures (the LNVC
 // registry in internal/core). The counters live here, next to the rest
-// of the measurement toolkit, so the benchmark harness and mpfbench can
-// render them alongside throughput figures.
+// of the measurement toolkit; the facility reports them through
+// Stats and RegistryStats.
 
 // LockStat is a snapshot of one shard's lock traffic.
 type LockStat struct {
@@ -86,22 +82,4 @@ func (c *Contention) Total() LockStat {
 		t.Contended += c.cells[i].contended.Load()
 	}
 	return t
-}
-
-// RenderLockStats formats per-shard lock statistics as a fixed-width
-// table, one row per shard plus a totals row, in the same style as
-// Figure.Render.
-func RenderLockStats(title string, stats []LockStat) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-8s%14s%14s%12s\n", "shard", "acquisitions", "contended", "rate")
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 8+14+14+12))
-	var total LockStat
-	for i, s := range stats {
-		total.Acquisitions += s.Acquisitions
-		total.Contended += s.Contended
-		fmt.Fprintf(&b, "%-8d%14d%14d%12.4f\n", i, s.Acquisitions, s.Contended, s.ContentionRate())
-	}
-	fmt.Fprintf(&b, "%-8s%14d%14d%12.4f\n", "total", total.Acquisitions, total.Contended, total.ContentionRate())
-	return b.String()
 }

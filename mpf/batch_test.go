@@ -153,14 +153,11 @@ func TestWriterLargeWriteStreamsThroughSmallRegion(t *testing.T) {
 }
 
 func TestRegistryStatsExposed(t *testing.T) {
-	fac, err := New(WithMaxProcesses(1), WithRegistryShards(4))
+	fac, err := New(WithMaxProcesses(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fac.Shutdown()
-	if got := fac.RegistryShards(); got != 4 {
-		t.Fatalf("RegistryShards() = %d, want 4", got)
-	}
 	p, _ := fac.Process(0)
 	for i := 0; i < 8; i++ {
 		s, err := p.OpenSend(fmt.Sprintf("reg-%d", i))
@@ -172,8 +169,8 @@ func TestRegistryStatsExposed(t *testing.T) {
 		}
 	}
 	shardStats := fac.RegistryStats()
-	if len(shardStats) != 4 {
-		t.Fatalf("RegistryStats() has %d shards, want 4", len(shardStats))
+	if len(shardStats) != 16 {
+		t.Fatalf("RegistryStats() has %d shards, want the default 16", len(shardStats))
 	}
 	var total uint64
 	for _, s := range shardStats {

@@ -138,14 +138,6 @@ func WithBlockSize(n int) Option { return func(c *core.Config) { c.BlockSize = n
 // maxProcesses times this many blocks (default 256).
 func WithBlocksPerProcess(n int) Option { return func(c *core.Config) { c.BlocksPerProcess = n } }
 
-// WithRegistryShards splits the circuit name registry across n shards
-// (rounded up to a power of two, default 16, capped at 1024 — read the
-// effective value back via Facility.RegistryShards). One shard
-// reproduces the paper's single global table lock; more shards let
-// opens and closes on distinct circuits proceed without contending.
-// Per-shard lock traffic is reported by RegistryStats.
-func WithRegistryShards(n int) Option { return func(c *core.Config) { c.RegistryShards = n } }
-
 // WithFailFastSend makes Send return ErrNoMemory when the region is
 // exhausted instead of blocking until blocks are recycled.
 func WithFailFastSend() Option { return func(c *core.Config) { c.SendPolicy = core.FailFast } }
@@ -159,8 +151,7 @@ func WithFailFastSend() Option { return func(c *core.Config) { c.SendPolicy = co
 // A send that would overdraw the budget waits for a grant — or, with
 // WithFailFastSend, returns ErrNoCredit — so one hot circuit can no
 // longer monopolise the shared region and starve every other tenant
-// the way plain block-pool exhaustion lets it (mpfbench -credit
-// measures the difference). A single message or batch whose demand
+// the way plain block-pool exhaustion lets it. A single message or batch whose demand
 // exceeds the whole budget fails with ErrNoCredit under either policy,
 // and a sender parked for credit when the circuit's last receiver
 // departs fails with ErrNotConnected rather than parking forever.
@@ -168,15 +159,6 @@ func WithFailFastSend() Option { return func(c *core.Config) { c.SendPolicy = co
 // connection check alone. Stats reports CreditStalls and
 // CreditsHeld; see DESIGN.md §13.
 func WithCredit(n int) Option { return func(c *core.Config) { c.CreditBlocks = n } }
-
-// WithClassicChains reverts the shared region to the paper's exact
-// allocation layout: a linked free list of individual blocks, so every
-// multi-block payload is a fragmented chain. The default is the
-// contiguous-span allocator, which lays each payload in one run of
-// adjacent blocks whenever fragmentation permits — what makes
-// single-slice zero-copy Loans and Views the common case. This option
-// is the copy ablation's paper-plane baseline (mpfbench -copies).
-func WithClassicChains() Option { return func(c *core.Config) { c.ClassicChains = true } }
 
 // WithTracer installs a tracer receiving one Event per primitive call.
 func WithTracer(t Tracer) Option { return func(c *core.Config) { c.Tracer = t } }
@@ -215,10 +197,6 @@ func (f *Facility) Stats() Stats { return f.c.Stats() }
 // circuit name registry; index i describes shard i. An idle shard shows
 // zero acquisitions; a fought-over one shows a high contended fraction.
 func (f *Facility) RegistryStats() []LockStat { return f.c.RegistryStats() }
-
-// RegistryShards returns the number of shards the registry was built
-// with (WithRegistryShards rounded up to a power of two).
-func (f *Facility) RegistryShards() int { return f.c.RegistryShards() }
 
 // MaxProcesses returns the configured process limit.
 func (f *Facility) MaxProcesses() int { return f.c.Config().MaxProcesses }

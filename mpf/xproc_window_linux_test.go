@@ -24,7 +24,7 @@ import (
 const workerEnv = "MPF_TEST_XPROC_WORKER"
 
 // TestMain doubles the test binary as the cross-process worker, the
-// re-exec trick of internal/bench and the benchmark: the crash tests
+// re-exec trick of the benchmark: the crash tests
 // need a peer that is a real process, because an armed crash point
 // exits the process that hits it.
 func TestMain(m *testing.M) {

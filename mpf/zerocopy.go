@@ -26,7 +26,7 @@ import (
 // until released (the blocks are orphaned to their pin holders), but a
 // region running near capacity wants them short-lived. The ledger in
 // Stats (PayloadCopiesIn/Out vs LoanSends/ViewReceives) records which
-// plane traffic used; mpfbench -copies quantifies the difference.
+// plane traffic used.
 
 // Loan is an in-flight zero-copy send: a message whose blocks the
 // caller owns and writes in place before Commit links it into the

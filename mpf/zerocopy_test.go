@@ -75,14 +75,40 @@ func TestFacadeLoanViewRoundtrip(t *testing.T) {
 
 // TestBroadcastFanOutZeroReceiveCopies is the acceptance check for the
 // zero-copy receive plane: eight BROADCAST receivers consume the same
-// stream through views and the facility's receive-side copy counter
-// stays at zero — one shared payload instance, not eight copies.
+// stream of 4 KiB loans through views and the facility's copy ledger
+// stays at zero — one shared payload instance, not eight copies. The
+// same traffic over Send and Receive pays one receive copy per receiver
+// per message, the bill the views erase.
 func TestBroadcastFanOutZeroReceiveCopies(t *testing.T) {
 	const (
 		nRecv = 8
-		nMsgs = 50
-		size  = 4096
+		nMsgs = 200
 	)
+	st := broadcastFanOut(t, nRecv, nMsgs, true)
+	if st.PayloadCopiesOut != 0 {
+		t.Errorf("PayloadCopiesOut = %d, want 0: BROADCAST fan-out must not copy", st.PayloadCopiesOut)
+	}
+	if st.PayloadCopiesIn != 0 {
+		t.Errorf("PayloadCopiesIn = %d, want 0: loans must not copy", st.PayloadCopiesIn)
+	}
+	if want := uint64(nRecv * nMsgs); st.ViewReceives != want {
+		t.Errorf("ViewReceives = %d, want %d", st.ViewReceives, want)
+	}
+	if st.LoanSends != nMsgs {
+		t.Errorf("LoanSends = %d, want %d", st.LoanSends, nMsgs)
+	}
+	st = broadcastFanOut(t, nRecv, nMsgs, false)
+	if want := uint64(nRecv * nMsgs); st.PayloadCopiesOut != want {
+		t.Errorf("Send/Receive: PayloadCopiesOut = %d, want %d", st.PayloadCopiesOut, want)
+	}
+}
+
+// broadcastFanOut sends nMsgs stamped 4 KiB messages to nRecv BROADCAST
+// receivers, through loans and views or through Send and Receive, and
+// returns the facility's counters.
+func broadcastFanOut(t *testing.T, nRecv, nMsgs int, views bool) Stats {
+	t.Helper()
+	const size = 4096
 	fac, err := New(WithMaxProcesses(nRecv + 1))
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +125,15 @@ func TestBroadcastFanOutZeroReceiveCopies(t *testing.T) {
 				return err
 			}
 			ready.Wait() // every receiver connected: all see the stream
+			payload := make([]byte, size)
 			for i := 0; i < nMsgs; i++ {
+				if !views {
+					payload[0], payload[size-1] = byte(i), byte(i)
+					if err := s.Send(payload); err != nil {
+						return err
+					}
+					continue
+				}
 				ln, err := s.Loan(size)
 				if err != nil {
 					return err
@@ -123,7 +157,18 @@ func TestBroadcastFanOutZeroReceiveCopies(t *testing.T) {
 			return err
 		}
 		ready.Done()
+		buf := make([]byte, size)
 		for i := 0; i < nMsgs; i++ {
+			if !views {
+				n, err := r.Receive(buf)
+				if err != nil {
+					return err
+				}
+				if n != size || buf[0] != byte(i) || buf[size-1] != byte(i) {
+					return errors.New("receive shows wrong message")
+				}
+				continue
+			}
 			v, err := r.ReceiveView()
 			if err != nil {
 				return err
@@ -145,16 +190,7 @@ func TestBroadcastFanOutZeroReceiveCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := fac.Stats()
-	if st.PayloadCopiesOut != 0 {
-		t.Errorf("PayloadCopiesOut = %d, want 0: BROADCAST fan-out must not copy", st.PayloadCopiesOut)
-	}
-	if want := uint64(nRecv * nMsgs); st.ViewReceives != want {
-		t.Errorf("ViewReceives = %d, want %d", st.ViewReceives, want)
-	}
-	if st.PayloadCopiesIn != 0 {
-		t.Errorf("PayloadCopiesIn = %d, want 0: loans must not copy", st.PayloadCopiesIn)
-	}
+	return fac.Stats()
 }
 
 // TestWriterRidesTheLoanPlane pins the Writer rebase: single-chunk
@@ -230,33 +266,6 @@ func TestLoanAbortKeepsFacadeUsable(t *testing.T) {
 	buf := make([]byte, 64)
 	if n, err := r.Receive(buf); err != nil || string(buf[:n]) != "still works" {
 		t.Fatalf("post-abort receive: %q, %v", buf[:n], err)
-	}
-}
-
-func TestClassicChainsFacadeOption(t *testing.T) {
-	fac, err := New(WithMaxProcesses(1), WithClassicChains(), WithBlockSize(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fac.Shutdown()
-	p, _ := fac.Process(0)
-	s, _ := p.OpenSend("classic")
-	r, _ := p.OpenReceive("classic", FCFS)
-	if err := s.Send(make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	v, err := r.ReceiveView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Release()
-	if _, ok := v.Bytes(); ok {
-		t.Fatal("classic chains yielded a contiguous multi-block view")
-	}
-	total := 0
-	v.Segments(func(seg []byte) bool { total += len(seg); return true })
-	if total != 100 {
-		t.Fatalf("segments cover %d bytes, want 100", total)
 	}
 }
 
