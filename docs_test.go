@@ -81,6 +81,73 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 }
 
+// TestDocsNameDeclaredMembers fails when README.md or DESIGN.md quotes a
+// member of the three types the docs describe the allocator and its
+// configuration by — `core.Config.X`, `shm.Config.X`, `Arena.X` — that
+// the code does not declare: a field or option deleted from the code but
+// still described in prose.
+func TestDocsNameDeclaredMembers(t *testing.T) {
+	members := map[string]map[string]bool{
+		"core.Config": typeMembers(t, filepath.Join("internal", "core"), "Config"),
+		"shm.Config":  typeMembers(t, filepath.Join("internal", "shm"), "Config"),
+		"Arena":       typeMembers(t, filepath.Join("internal", "shm"), "Arena"),
+	}
+	quote := regexp.MustCompile(`\b(core\.Config|shm\.Config|Arena)\.([A-Z]\w*)`)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		for _, m := range quote.FindAllStringSubmatch(readDoc(t, doc), -1) {
+			if !members[m[1]][m[2]] {
+				t.Errorf("%s names %s.%s, which the code does not declare", doc, m[1], m[2])
+			}
+		}
+	}
+}
+
+// typeMembers returns the names of the fields and methods that the
+// non-test files of package dir declare for the type named typ.
+func typeMembers(t *testing.T, dir, typ string) map[string]bool {
+	t.Helper()
+	members := make(map[string]bool)
+	for _, path := range goFiles(t, dir) {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && id.Name == typ {
+					members[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || ts.Name.Name != typ {
+						continue
+					}
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						for _, field := range st.Fields.List {
+							for _, name := range field.Names {
+								members[name.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(members) == 0 {
+		t.Fatalf("%s declares no type %s with members", dir, typ)
+	}
+	return members
+}
+
 // mpfOptions returns the exported With* functions of package mpf.
 func mpfOptions(t *testing.T) map[string]bool {
 	t.Helper()

@@ -29,7 +29,8 @@
 // tail pointers), the shared FCFS head pointer, per-BROADCAST-receiver
 // head pointers inside the receive descriptors, the connection lists, and
 // one lock for mutually exclusive access. Send, receive and LNVC
-// descriptors are recycled through free lists, as are message blocks.
+// descriptors are recycled through free lists; message blocks return to
+// the arena's free bitmap.
 // Head "pointers" are realised as sequence numbers into the FIFO's total
 // order, which makes the close_receive reclamation rule O(1) per receive
 // (see reclaim semantics below) instead of the pointer-comparison scan
@@ -166,14 +167,6 @@ type Config struct {
 	// BlocksPerProcess scales the region: the block pool holds
 	// MaxProcesses * BlocksPerProcess blocks (default 256).
 	BlocksPerProcess int
-	// RegistryShards sets how many shards the LNVC name registry is
-	// split across (rounded up to a power of two, default 16, capped
-	// at 1024). One shard reproduces the paper's single global table
-	// lock; more shards let opens and closes on distinct circuits
-	// proceed without contending. RegistryStats has one entry per
-	// shard. The facade always takes the default; the core tests and
-	// the fuzzer set one shard to run the paper's layout.
-	RegistryShards int
 	// SendPolicy selects Send's behaviour on pool exhaustion.
 	SendPolicy SendPolicy
 	// CreditBlocks, when positive, enables per-circuit credit-based
@@ -187,15 +180,6 @@ type Config struct {
 	// default) disables the ledger entirely: admission is the connection
 	// check alone. See credit.go and DESIGN.md §13.
 	CreditBlocks int
-	// ClassicChains reverts the shared region to the paper's allocation
-	// layout: every block is its own chain element behind a linked free
-	// list, so multi-block payloads are always fragmented. The default
-	// (false) is the contiguous-span mode, which places each payload in
-	// one run of adjacent blocks whenever fragmentation permits — the
-	// layout that makes single-segment zero-copy views the common case.
-	// The facade always takes the default; the core tests and the fuzzer
-	// set ClassicChains to run the paper's layout.
-	ClassicChains bool
 	// ArenaMem, when non-nil, backs the shared region with
 	// caller-provided memory instead of a fresh heap allocation — the
 	// cross-process hook: mpf.ServeProc points it at a window of a
@@ -220,10 +204,6 @@ func (c *Config) fillDefaults() {
 	if c.BlocksPerProcess <= 0 {
 		c.BlocksPerProcess = 256
 	}
-	if c.RegistryShards <= 0 {
-		c.RegistryShards = defaultRegistryShards
-	}
-	c.RegistryShards = ceilPow2(c.RegistryShards)
 }
 
 // Stats aggregates facility-wide operation counts, read via
@@ -370,7 +350,6 @@ type Facility struct {
 	// atomic load of slots — no registry lock at all. Lock order: shard
 	// lock before the LNVC lock; idLock is a leaf.
 	shards     []registryShard
-	shardMask  uint32
 	slots      []atomic.Pointer[lnvc] // indexed by ID
 	contention *stats.Contention
 
@@ -396,15 +375,13 @@ type Facility struct {
 }
 
 // ArenaConfig returns the arena carving Init derives from cfg — block
-// size, block count and span mode after defaulting. Callers that back
+// size and block count after defaulting. Callers that back
 // the region with a shared segment (Config.ArenaMem) use it to size
 // the window before Init runs, and to describe the carving to
 // attaching processes in the handshake.
 func ArenaConfig(cfg Config) shm.Config {
 	cfg.fillDefaults()
-	acfg := shm.SizeFor(cfg.MaxLNVCs, cfg.MaxProcesses, cfg.BlockSize, cfg.BlocksPerProcess)
-	acfg.Spans = !cfg.ClassicChains
-	return acfg
+	return shm.SizeFor(cfg.MaxLNVCs, cfg.MaxProcesses, cfg.BlockSize, cfg.BlocksPerProcess)
 }
 
 // Init creates a facility, allocating the shared region and initialising
@@ -429,13 +406,12 @@ func Init(cfg Config) (*Facility, error) {
 		cfg:        cfg,
 		arena:      arena,
 		pool:       msg.NewPool(arena, 0),
-		shards:     make([]registryShard, cfg.RegistryShards),
-		shardMask:  uint32(cfg.RegistryShards - 1),
+		shards:     make([]registryShard, registryShards),
 		slots:      make([]atomic.Pointer[lnvc], cfg.MaxLNVCs),
-		contention: stats.NewContention(cfg.RegistryShards),
+		contention: stats.NewContention(registryShards),
 		stop:       make(chan struct{}),
 	}
-	perShard := cfg.MaxLNVCs/cfg.RegistryShards + 1
+	perShard := cfg.MaxLNVCs/registryShards + 1
 	for i := range f.shards {
 		f.shards[i].names = make(map[string]ID, perShard)
 	}

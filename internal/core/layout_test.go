@@ -143,9 +143,9 @@ func TestHotWordLayout(t *testing.T) {
 	hdrEnd := unsafe.Offsetof(f.stopped) + unsafe.Sizeof(f.stopped)
 	for name, off := range map[string]uintptr{
 		"cfg": unsafe.Offsetof(f.cfg), "arena": unsafe.Offsetof(f.arena), "pool": unsafe.Offsetof(f.pool),
-		"shards": unsafe.Offsetof(f.shards), "shardMask": unsafe.Offsetof(f.shardMask),
-		"slots": unsafe.Offsetof(f.slots), "contention": unsafe.Offsetof(f.contention),
-		"stop": unsafe.Offsetof(f.stop), "stopped": unsafe.Offsetof(f.stopped),
+		"shards": unsafe.Offsetof(f.shards), "slots": unsafe.Offsetof(f.slots),
+		"contention": unsafe.Offsetof(f.contention),
+		"stop":       unsafe.Offsetof(f.stop), "stopped": unsafe.Offsetof(f.stopped),
 	} {
 		if off >= hdrEnd {
 			t.Errorf("Facility.%s (at %d) is outside the header, which ends at %d", name, off, hdrEnd)

@@ -251,107 +251,104 @@ func TestReclaimBoundAndCursor(t *testing.T) {
 // through the recycled descriptor's lock, header first and chain last.
 // Nothing of the new circuit may move, and the ledger is quiescent.
 func TestOrphanReleasedAfterDescriptorReuse(t *testing.T) {
-	for _, classic := range []bool{false, true} {
-		f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 2, ClassicChains: classic})
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := f.Arena().FreeBlocks()
-		// Descriptors recycle within their name's shard: both circuits
-		// carry the one name.
-		const name = "orphan"
-		sid, _ := f.OpenSend(0, name)
-		rid, _ := f.OpenReceive(1, name, FCFS)
-		for i := 0; i < 4; i++ {
-			if err := f.Send(0, sid, []byte{'o', byte(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Pin the third message: the two before it are consumed, the one
-		// after it is dropped with the circuit.
-		buf := make([]byte, 8)
-		for i := 0; i < 2; i++ {
-			if _, ok, err := f.TryReceive(1, rid, buf); !ok || err != nil {
-				t.Fatalf("TryReceive: %v %v", ok, err)
-			}
-		}
-		held, ok, err := f.TryReceiveView(1, rid)
-		if !ok || err != nil {
-			t.Fatalf("TryReceiveView: %v %v", ok, err)
-		}
-		old := f.slots[sid].Load()
-		if err := f.CloseReceive(1, rid); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.CloseSend(0, sid); err != nil {
-			t.Fatal(err)
-		}
-		if !held.m.Orphan || held.m.Pins != 1 {
-			t.Fatalf("classic %v: held message not orphaned to its pin: %+v", classic, *held.m)
-		}
-
-		nsid, _ := f.OpenSend(0, name)
-		nrid, _ := f.OpenReceive(1, name, FCFS)
-		if f.slots[nsid].Load() != old {
-			t.Fatalf("classic %v: the new circuit did not recycle the old descriptor", classic)
-		}
-		for i := 0; i < 6; i++ {
-			if err := f.Send(0, nsid, []byte{'n', byte(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		checkCircuit(t, f, nsid)
-		type snap struct {
-			m *msg.Message
-			h msg.Message
-		}
-		var before []snap
-		old.lock.Lock()
-		old.queue.Walk(func(m, _ *msg.Message) bool {
-			before = append(before, snap{m, *m})
-			return true
-		})
-		old.lock.Unlock()
-		if len(before) != 6 {
-			t.Fatalf("classic %v: %d messages queued on the new circuit, want 6", classic, len(before))
-		}
-		low := false
-		for _, b := range before {
-			low = low || b.h.Head < held.m.Head
-			if b.m == held.m {
-				t.Fatalf("classic %v: a new message was handed the pinned message's header", classic)
-			}
-		}
-		if !classic && !low {
-			t.Fatalf("the new circuit's messages did not reuse the blocks below the pinned one")
-		}
-
-		if got, _ := held.Bytes(); len(got) != 2 || got[0] != 'o' || got[1] != 2 {
-			t.Fatalf("classic %v: pinned payload = %q after the descriptor's reuse", classic, got)
-		}
-		held.Release()
-		checkCircuit(t, f, nsid)
-		for i, b := range before {
-			if *b.m != b.h {
-				t.Fatalf("classic %v: releasing the orphan changed new message %d: %+v, was %+v", classic, i, *b.m, b.h)
-			}
-		}
-		for i := 0; i < 6; i++ {
-			n, ok, err := f.TryReceive(1, nrid, buf)
-			if !ok || err != nil || n != 2 || buf[0] != 'n' || buf[1] != byte(i) {
-				t.Fatalf("classic %v: new message %d: %q, %v, %v", classic, i, buf[:n], ok, err)
-			}
-		}
-		if free := f.Arena().FreeBlocks(); free != start {
-			t.Fatalf("classic %v: %d blocks free, %d at the start", classic, free, start)
-		}
-		f.Shutdown()
+	f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	start := f.Arena().FreeBlocks()
+	// Descriptors recycle within their name's shard: both circuits
+	// carry the one name.
+	const name = "orphan"
+	sid, _ := f.OpenSend(0, name)
+	rid, _ := f.OpenReceive(1, name, FCFS)
+	for i := 0; i < 4; i++ {
+		if err := f.Send(0, sid, []byte{'o', byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Pin the third message: the two before it are consumed, the one
+	// after it is dropped with the circuit.
+	buf := make([]byte, 8)
+	for i := 0; i < 2; i++ {
+		if _, ok, err := f.TryReceive(1, rid, buf); !ok || err != nil {
+			t.Fatalf("TryReceive: %v %v", ok, err)
+		}
+	}
+	held, ok, err := f.TryReceiveView(1, rid)
+	if !ok || err != nil {
+		t.Fatalf("TryReceiveView: %v %v", ok, err)
+	}
+	old := f.slots[sid].Load()
+	if err := f.CloseReceive(1, rid); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CloseSend(0, sid); err != nil {
+		t.Fatal(err)
+	}
+	if !held.m.Orphan || held.m.Pins != 1 {
+		t.Fatalf("held message not orphaned to its pin: %+v", *held.m)
+	}
+
+	nsid, _ := f.OpenSend(0, name)
+	nrid, _ := f.OpenReceive(1, name, FCFS)
+	if f.slots[nsid].Load() != old {
+		t.Fatal("the new circuit did not recycle the old descriptor")
+	}
+	for i := 0; i < 6; i++ {
+		if err := f.Send(0, nsid, []byte{'n', byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkCircuit(t, f, nsid)
+	type snap struct {
+		m *msg.Message
+		h msg.Message
+	}
+	var before []snap
+	old.lock.Lock()
+	old.queue.Walk(func(m, _ *msg.Message) bool {
+		before = append(before, snap{m, *m})
+		return true
+	})
+	old.lock.Unlock()
+	if len(before) != 6 {
+		t.Fatalf("%d messages queued on the new circuit, want 6", len(before))
+	}
+	low := false
+	for _, b := range before {
+		low = low || b.h.Head < held.m.Head
+		if b.m == held.m {
+			t.Fatal("a new message was handed the pinned message's header")
+		}
+	}
+	if !low {
+		t.Fatalf("the new circuit's messages did not reuse the blocks below the pinned one")
+	}
+
+	if got, _ := held.Bytes(); len(got) != 2 || got[0] != 'o' || got[1] != 2 {
+		t.Fatalf("pinned payload = %q after the descriptor's reuse", got)
+	}
+	held.Release()
+	checkCircuit(t, f, nsid)
+	for i, b := range before {
+		if *b.m != b.h {
+			t.Fatalf("releasing the orphan changed new message %d: %+v, was %+v", i, *b.m, b.h)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		n, ok, err := f.TryReceive(1, nrid, buf)
+		if !ok || err != nil || n != 2 || buf[0] != 'n' || buf[1] != byte(i) {
+			t.Fatalf("new message %d: %q, %v, %v", i, buf[:n], ok, err)
+		}
+	}
+	if free := f.Arena().FreeBlocks(); free != start {
+		t.Fatalf("%d blocks free, %d at the start", free, start)
+	}
+	f.Shutdown()
 }
 
 // Heap allocations per iteration of the multi-message legs of
-// TestSendTryReceiveNoAllocs, in either allocation mode; the legs may not
-// exceed them. The loan/view pair is the Loan and the View themselves. A
+// TestSendTryReceiveNoAllocs; the legs may not exceed them. The loan/view pair is the Loan and the View themselves. A
 // batched receive allocates the byte counts it returns. A loan batch is
 // one object (its bookkeeping inline up to msg.BatchInline loans) and a
 // harvest one []View plus the []*View it returns; the commit that made
@@ -370,87 +367,85 @@ const (
 
 // TestSendTryReceiveNoAllocs pins the single-message copying path —
 // arena transaction, header, enqueue, claim, reclaim — at zero heap
-// allocations per message in both allocation modes, and the loan/view,
-// batch and loan-batch/harvest paths at the counts above.
+// allocations per message, and the loan/view, batch and
+// loan-batch/harvest paths at the counts above.
 func TestSendTryReceiveNoAllocs(t *testing.T) {
-	for _, classic := range []bool{false, true} {
-		f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 4, ClassicChains: classic})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sid, _ := f.OpenSend(0, "allocs")
-		rid, _ := f.OpenReceive(1, "allocs", FCFS)
-		sel, err := f.NewSelector(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sel.Add(rid); err != nil {
-			t.Fatal(err)
-		}
-		in, out := make([]byte, noAllocsN), make([]byte, noAllocsN)
-		ins, outs, ns := make([][]byte, noAllocsBatch), make([][]byte, noAllocsBatch), make([]int, noAllocsBatch)
-		for i := range ins {
-			ins[i], outs[i], ns[i] = in, make([]byte, noAllocsN), noAllocsN
-		}
-		legs := []struct {
-			name string
-			max  float64
-			run  func()
-		}{
-			{"Send+TryReceive", 0, func() {
-				if err := f.Send(0, sid, in); err != nil {
-					t.Fatal(err)
-				}
-				if _, ok, err := f.TryReceive(1, rid, out); !ok || err != nil {
-					t.Fatalf("TryReceive: ok %v, err %v", ok, err)
-				}
-			}},
-			{"SendLoan+Commit+TryReceiveView+Release", maxAllocsLoanView, func() {
-				ln, err := f.SendLoan(0, sid, noAllocsN)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ln.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				v, ok, err := f.TryReceiveView(1, rid)
-				if !ok || err != nil {
-					t.Fatalf("TryReceiveView: ok %v, err %v", ok, err)
-				}
-				v.Release()
-			}},
-			{"SendBatch+ReceiveBatch", maxAllocsBatch16, func() {
-				if err := f.SendBatch(0, sid, ins); err != nil {
-					t.Fatal(err)
-				}
-				if got, err := f.ReceiveBatch(1, rid, outs); len(got) != noAllocsBatch || err != nil {
-					t.Fatalf("ReceiveBatch: %d messages, err %v", len(got), err)
-				}
-			}},
-			{"LoanBatch+CommitAll+HarvestViews+ReleaseViews", maxAllocsLoanBatch16, func() {
-				b, err := f.LoanBatch(0, sid, ns)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := b.CommitAll(); err != nil {
-					t.Fatal(err)
-				}
-				vs, err := sel.HarvestViews(64)
-				if len(vs) != noAllocsBatch || err != nil {
-					t.Fatalf("HarvestViews: %d views, err %v", len(vs), err)
-				}
-				ReleaseViews(vs)
-			}},
-		}
-		for _, leg := range legs {
-			if n := testing.AllocsPerRun(200, leg.run); n > leg.max {
-				t.Errorf("classic chains %v: %s made %v heap allocations, want at most %v", classic, leg.name, n, leg.max)
-			} else {
-				t.Logf("classic chains %v: %s: %v allocations", classic, leg.name, n)
-			}
-		}
-		f.Shutdown()
+	f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
+	sid, _ := f.OpenSend(0, "allocs")
+	rid, _ := f.OpenReceive(1, "allocs", FCFS)
+	sel, err := f.NewSelector(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sel.Add(rid); err != nil {
+		t.Fatal(err)
+	}
+	in, out := make([]byte, noAllocsN), make([]byte, noAllocsN)
+	ins, outs, ns := make([][]byte, noAllocsBatch), make([][]byte, noAllocsBatch), make([]int, noAllocsBatch)
+	for i := range ins {
+		ins[i], outs[i], ns[i] = in, make([]byte, noAllocsN), noAllocsN
+	}
+	legs := []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"Send+TryReceive", 0, func() {
+			if err := f.Send(0, sid, in); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := f.TryReceive(1, rid, out); !ok || err != nil {
+				t.Fatalf("TryReceive: ok %v, err %v", ok, err)
+			}
+		}},
+		{"SendLoan+Commit+TryReceiveView+Release", maxAllocsLoanView, func() {
+			ln, err := f.SendLoan(0, sid, noAllocsN)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ln.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			v, ok, err := f.TryReceiveView(1, rid)
+			if !ok || err != nil {
+				t.Fatalf("TryReceiveView: ok %v, err %v", ok, err)
+			}
+			v.Release()
+		}},
+		{"SendBatch+ReceiveBatch", maxAllocsBatch16, func() {
+			if err := f.SendBatch(0, sid, ins); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := f.ReceiveBatch(1, rid, outs); len(got) != noAllocsBatch || err != nil {
+				t.Fatalf("ReceiveBatch: %d messages, err %v", len(got), err)
+			}
+		}},
+		{"LoanBatch+CommitAll+HarvestViews+ReleaseViews", maxAllocsLoanBatch16, func() {
+			b, err := f.LoanBatch(0, sid, ns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.CommitAll(); err != nil {
+				t.Fatal(err)
+			}
+			vs, err := sel.HarvestViews(64)
+			if len(vs) != noAllocsBatch || err != nil {
+				t.Fatalf("HarvestViews: %d views, err %v", len(vs), err)
+			}
+			ReleaseViews(vs)
+		}},
+	}
+	for _, leg := range legs {
+		if n := testing.AllocsPerRun(200, leg.run); n > leg.max {
+			t.Errorf("%s made %v heap allocations, want at most %v", leg.name, n, leg.max)
+		} else {
+			t.Logf("%s: %v allocations", leg.name, n)
+		}
+	}
+	f.Shutdown()
 }
 
 // TestNoAllocsAtDepth is the single-message path with the traffic the
@@ -458,42 +453,40 @@ func TestSendTryReceiveNoAllocs(t *testing.T) {
 // on a two-process facility. One message in flight says nothing about
 // headers — any free list one deep serves a strict send-one-receive-one
 // loop — and 64 in flight is where the parent of this test's commit
-// allocated 56 headers a burst (0.88 a message; measured, both modes): its
+// allocated 56 headers a burst (0.88 a message, measured): its
 // channel of recycled headers held MaxProcesses*4 = 8. A header found
 // from its head block costs no allocation at any depth.
 func TestNoAllocsAtDepth(t *testing.T) {
-	for _, classic := range []bool{false, true} {
-		f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 2, BlocksPerProcess: noAllocsDepth, ClassicChains: classic})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sid, _ := f.OpenSend(0, "depth")
-		rid, _ := f.OpenReceive(1, "depth", FCFS)
-		in, out := make([]byte, 64), make([]byte, 64)
-		burst := func() {
-			for i := 0; i < noAllocsDepth; i++ {
-				if err := f.Send(0, sid, in); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < noAllocsDepth; i++ {
-				if _, err := f.Receive(1, rid, out); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		// Headers are made the first time a block heads a message: let
-		// every head position the bursts use come up first.
-		for i := 0; i < 8; i++ {
-			burst()
-		}
-		if n := testing.AllocsPerRun(50, burst); n != 0 {
-			t.Errorf("classic chains %v: a burst of %d sends and %d receives made %v heap allocations, want 0",
-				classic, noAllocsDepth, noAllocsDepth, n)
-		}
-		checkCircuit(t, f, sid)
-		f.Shutdown()
+	f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 2, BlocksPerProcess: noAllocsDepth})
+	if err != nil {
+		t.Fatal(err)
 	}
+	sid, _ := f.OpenSend(0, "depth")
+	rid, _ := f.OpenReceive(1, "depth", FCFS)
+	in, out := make([]byte, 64), make([]byte, 64)
+	burst := func() {
+		for i := 0; i < noAllocsDepth; i++ {
+			if err := f.Send(0, sid, in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < noAllocsDepth; i++ {
+			if _, err := f.Receive(1, rid, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Headers are made the first time a block heads a message: let
+	// every head position the bursts use come up first.
+	for i := 0; i < 8; i++ {
+		burst()
+	}
+	if n := testing.AllocsPerRun(50, burst); n != 0 {
+		t.Errorf("a burst of %d sends and %d receives made %v heap allocations, want 0",
+			noAllocsDepth, noAllocsDepth, n)
+	}
+	checkCircuit(t, f, sid)
+	f.Shutdown()
 }
 
 // BenchmarkLoanBatchHarvest is the batched zero-copy plane's round on one

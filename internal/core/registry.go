@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"repro/internal/spinlock"
 	"repro/internal/stats"
 )
@@ -11,7 +9,7 @@ import (
 // serializes every open_send/open_receive/close through one global table
 // lock (§3.1), and its Figures 4-6 show the resulting contention as
 // process counts grow. This implementation shards the name space
-// instead: names hash across a power-of-two number of shards, each with
+// instead: names hash across registryShards shards, each with
 // its own reader/writer lock, name map and descriptor free list, so
 // opens and closes on circuits in different shards never contend.
 //
@@ -36,14 +34,11 @@ import (
 // Lock order: shard lock, then LNVC lock, then (leaf) the freeIDs lock
 // or the arena lock. Never the reverse.
 
-// defaultRegistryShards is used when Config.RegistryShards is zero.
+// registryShards is the number of registry shards, a power of two.
 // Sixteen shards keep the per-shard footprint trivial while making
 // open/close contention negligible at the goroutine counts the
 // contention benchmark sweeps.
-const defaultRegistryShards = 16
-
-// maxRegistryShards bounds configuration mistakes.
-const maxRegistryShards = 1 << 10
+const registryShards = 16
 
 // registryShard is one slice of the name space.
 type registryShard struct {
@@ -61,17 +56,6 @@ type registryShard struct {
 	_        [32]byte
 }
 
-// ceilPow2 rounds n up to a power of two within [1, maxRegistryShards].
-func ceilPow2(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > maxRegistryShards {
-		n = maxRegistryShards
-	}
-	return 1 << bits.Len(uint(n-1))
-}
-
 // fnv32 is FNV-1a, inlined to keep name hashing allocation-free.
 func fnv32(s string) uint32 {
 	h := uint32(2166136261)
@@ -83,7 +67,7 @@ func fnv32(s string) uint32 {
 }
 
 func (f *Facility) shardIndex(name string) uint32 {
-	return fnv32(name) & f.shardMask
+	return fnv32(name) & (registryShards - 1)
 }
 
 // lockShard write-locks shard i, recording whether the acquisition

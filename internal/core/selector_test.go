@@ -310,7 +310,7 @@ func TestSelectorLevelTriggeredPartialDrain(t *testing.T) {
 // selector then Adds — must not have the new registration's waiter
 // entry stripped when the stale registration is removed.
 func TestSelectorWaiterRecycleABA(t *testing.T) {
-	f, err := Init(Config{MaxLNVCs: 8, MaxProcesses: 4, RegistryShards: 2})
+	f, err := Init(Config{MaxLNVCs: 8, MaxProcesses: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

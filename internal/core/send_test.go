@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/shm"
 )
 
 // sendPath is one public way to send a single size-byte message.
@@ -83,21 +81,14 @@ func TestSendPathsAgree(t *testing.T) {
 		t      *testing.T
 		f      *Facility
 		id     ID
-		hogged int32
+		hogged []int32
 	}
-	// hog takes every free block straight from the arena, so the next
-	// build finds none; unhog gives them back.
-	hog := func(e *env) {
-		e.t.Helper()
-		head, err := e.f.arena.AllocChain(e.f.arena.FreeBlocks(), false, nil)
-		if err != nil {
-			e.t.Fatal(err)
-		}
-		e.hogged = head
-	}
+	// hog takes every free block straight from the arena, one block per
+	// chain, so the next build finds none; unhog gives them back.
+	hog := func(e *env) { e.hogged = takeAll(e.t, e.f.arena) }
 	unhog := func(e *env) {
-		e.f.arena.FreeChain(e.hogged)
-		e.hogged = shm.NilOffset
+		e.f.arena.FreeChains(e.hogged)
+		e.hogged = nil
 	}
 	// whileBuilding runs the send with the arena hogged, waits until it
 	// has parked inside its build — after admit, before publish — runs
@@ -158,9 +149,9 @@ func TestSendPathsAgree(t *testing.T) {
 				if err := e.f.CloseReceive(rcvr, e.id); err != nil {
 					e.t.Fatal(err)
 				}
-				// One shard, LIFO free lists: the next circuit gets the
-				// dead one's descriptor and its id.
-				id, err := e.f.OpenSend(other, "successor")
+				// The same name, so the same shard; LIFO free lists: the
+				// next circuit gets the dead one's descriptor and its id.
+				id, err := e.f.OpenSend(other, name)
 				if err != nil {
 					e.t.Fatal(err)
 				}
@@ -197,7 +188,7 @@ func TestSendPathsAgree(t *testing.T) {
 			for i, p := range sendPaths {
 				t.Run(fmt.Sprintf("credit=%d/%s/%s", credit, sc.name, p.name), func(t *testing.T) {
 					f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 4, BlocksPerProcess: 16,
-						RegistryShards: 1, CreditBlocks: credit, SendPolicy: sc.policy})
+						CreditBlocks: credit, SendPolicy: sc.policy})
 					if err != nil {
 						t.Fatal(err)
 					}

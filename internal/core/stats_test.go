@@ -43,7 +43,7 @@ func statsScript(t *testing.T) *Facility {
 	t.Helper()
 	f, err := Init(Config{
 		MaxLNVCs: 6, MaxProcesses: 8, BlockSize: 64, BlocksPerProcess: 64,
-		RegistryShards: 1, CreditBlocks: 32,
+		CreditBlocks: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +351,7 @@ var statsAgreeWant = Stats{
 // under the reader): no field but the CreditsHeld gauge ever decreases,
 // and at quiescence every message sent was received or dropped.
 func TestStatsMonotonic(t *testing.T) {
-	f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 4, RegistryShards: 1})
+	f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,7 +291,7 @@ func TestSegmentAttachChurnRace(t *testing.T) {
 		ringCap = 8
 		rounds  = 30
 	)
-	acfg := shm.Config{BlockSize: 64, NumBlocks: 256, Spans: true}
+	acfg := shm.Config{BlockSize: 64, NumBlocks: 256}
 	tableOff := int64(64)
 	arenaOff := shm.AlignUp(tableOff + SegTableBytes(nSlots, ringCap))
 	seg, err := shm.NewSegment(arenaOff + shm.AlignUp(acfg.Bytes()))

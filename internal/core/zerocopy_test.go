@@ -6,15 +6,16 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/shm"
 )
 
-func zcFacility(t *testing.T, classic bool) *Facility {
+func zcFacility(t *testing.T) *Facility {
 	t.Helper()
 	f, err := Init(Config{
-		MaxLNVCs:      8,
-		MaxProcesses:  16,
-		BlockSize:     64,
-		ClassicChains: classic,
+		MaxLNVCs:     8,
+		MaxProcesses: 16,
+		BlockSize:    64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +40,7 @@ func assertAllFree(t *testing.T, f *Facility, when string) {
 }
 
 func TestLoanCommitRoundtrip(t *testing.T) {
-	f := zcFacility(t, false)
+	f := zcFacility(t)
 	sid, _ := f.OpenSend(0, "zc")
 	rid, _ := f.OpenReceive(1, "zc", FCFS)
 
@@ -53,7 +54,7 @@ func TestLoanCommitRoundtrip(t *testing.T) {
 	}
 	b, ok := ln.Bytes()
 	if !ok {
-		t.Fatal("span-mode loan not contiguous")
+		t.Fatal("1000-byte loan not contiguous")
 	}
 	copy(b, payload) // the caller's in-place produce step
 	if err := ln.Commit(); err != nil {
@@ -79,7 +80,7 @@ func TestLoanCommitRoundtrip(t *testing.T) {
 }
 
 func TestReceiveViewZeroCopy(t *testing.T) {
-	f := zcFacility(t, false)
+	f := zcFacility(t)
 	sid, _ := f.OpenSend(0, "zc")
 	rid, _ := f.OpenReceive(1, "zc", FCFS)
 
@@ -96,7 +97,7 @@ func TestReceiveViewZeroCopy(t *testing.T) {
 	}
 	b, ok := v.Bytes()
 	if !ok {
-		t.Fatal("span-mode view not contiguous")
+		t.Fatal("500-byte view not contiguous")
 	}
 	if !bytes.Equal(b, payload) {
 		t.Fatal("view shows wrong bytes")
@@ -117,7 +118,7 @@ func TestReceiveViewZeroCopy(t *testing.T) {
 }
 
 func TestBroadcastViewsShareOnePayload(t *testing.T) {
-	f := zcFacility(t, false)
+	f := zcFacility(t)
 	sid, _ := f.OpenSend(0, "bcast")
 	const nRecv = 4
 	rids := make([]ID, nRecv)
@@ -165,7 +166,7 @@ func TestBroadcastViewsShareOnePayload(t *testing.T) {
 }
 
 func TestLoanAbortReturnsBlocks(t *testing.T) {
-	f := zcFacility(t, false)
+	f := zcFacility(t)
 	sid, _ := f.OpenSend(0, "zc")
 	f.OpenReceive(1, "zc", FCFS)
 	ln, err := f.SendLoan(0, sid, 4000)
@@ -195,7 +196,7 @@ func TestLoanAbortReturnsBlocks(t *testing.T) {
 }
 
 func TestLoanCommitOnDeadCircuit(t *testing.T) {
-	f := zcFacility(t, false)
+	f := zcFacility(t)
 	sid, _ := f.OpenSend(0, "dies")
 	ln, err := f.SendLoan(0, sid, 100)
 	if err != nil {
@@ -211,7 +212,7 @@ func TestLoanCommitOnDeadCircuit(t *testing.T) {
 }
 
 func TestViewDoubleReleaseIsNoOp(t *testing.T) {
-	f := zcFacility(t, false)
+	f := zcFacility(t)
 	sid, _ := f.OpenSend(0, "zc")
 	rid, _ := f.OpenReceive(1, "zc", FCFS)
 	f.Send(0, sid, zcPattern(100))
@@ -249,7 +250,7 @@ func TestViewDoubleReleaseIsNoOp(t *testing.T) {
 }
 
 func TestViewSurvivesCloseReceive(t *testing.T) {
-	f := zcFacility(t, false)
+	f := zcFacility(t)
 	payload := zcPattern(600)
 	sid, _ := f.OpenSend(0, "orphan")
 	rid, _ := f.OpenReceive(1, "orphan", FCFS)
@@ -280,7 +281,7 @@ func TestViewSurvivesCloseReceive(t *testing.T) {
 }
 
 func TestUnreadPinnedMessageOrphanedAtDeletion(t *testing.T) {
-	f := zcFacility(t, false)
+	f := zcFacility(t)
 	sid, _ := f.OpenSend(0, "orphan2")
 	rid, _ := f.OpenReceive(1, "orphan2", Broadcast)
 	// Two messages; the receiver views the first, never reads the second.
@@ -309,7 +310,7 @@ func TestUnreadPinnedMessageOrphanedAtDeletion(t *testing.T) {
 }
 
 func TestViewSurvivesShutdown(t *testing.T) {
-	f := zcFacility(t, false)
+	f := zcFacility(t)
 	payload := zcPattern(300)
 	sid, _ := f.OpenSend(0, "down")
 	rid, _ := f.OpenReceive(1, "down", FCFS)
@@ -328,7 +329,7 @@ func TestViewSurvivesShutdown(t *testing.T) {
 }
 
 func TestReceiveViewDeadline(t *testing.T) {
-	f := zcFacility(t, false)
+	f := zcFacility(t)
 	f.OpenSend(0, "idle")
 	rid, _ := f.OpenReceive(1, "idle", FCFS)
 	if _, err := f.ReceiveViewDeadline(1, rid, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
@@ -339,17 +340,46 @@ func TestReceiveViewDeadline(t *testing.T) {
 	}
 }
 
-func TestClassicChainsMultiSegmentView(t *testing.T) {
-	f := zcFacility(t, true) // paper layout: 64-byte blocks, 60 payload each
-	sid, _ := f.OpenSend(0, "classic")
-	rid, _ := f.OpenReceive(1, "classic", FCFS)
-	payload := zcPattern(200) // 4 blocks
+// takeAll takes every free block of a, each as a chain of its own.
+func takeAll(t *testing.T, a *shm.Arena) []int32 {
+	t.Helper()
+	heads, _, err := a.AllocPayloads(make([]int, a.FreeBlocks()), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return heads
+}
+
+// combArena takes every free block of a and frees every other one, so
+// that a payload of several blocks is a chain of single-block segments;
+// it returns the blocks still held.
+func combArena(t *testing.T, a *shm.Arena) (teeth []int32) {
+	for i, h := range takeAll(t, a) {
+		if i%2 == 0 {
+			a.FreeChain(h)
+		} else {
+			teeth = append(teeth, h)
+		}
+	}
+	return teeth
+}
+
+// TestFragmentedMultiSegmentView sends a loan and receives a view over a
+// payload that no free run can hold: the arena is combed first, so both
+// are chains of single-block segments, neither claims contiguity, and
+// the segment walk and the CopyTo escape hatch round-trip the payload.
+func TestFragmentedMultiSegmentView(t *testing.T) {
+	f := zcFacility(t)
+	teeth := combArena(t, f.arena)
+	sid, _ := f.OpenSend(0, "comb")
+	rid, _ := f.OpenReceive(1, "comb", FCFS)
+	payload := zcPattern(200) // 4 segments of 60 bytes
 	ln, err := f.SendLoan(0, sid, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ln.Bytes(); ok {
-		t.Fatal("classic-chain multi-block loan claims contiguity")
+		t.Fatal("fragmented multi-block loan claims contiguity")
 	}
 	if n := ln.View().CopyFrom(payload); n != len(payload) {
 		t.Fatalf("CopyFrom wrote %d", n)
@@ -362,7 +392,7 @@ func TestClassicChainsMultiSegmentView(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := v.Bytes(); ok {
-		t.Fatal("classic-chain multi-block view claims contiguity")
+		t.Fatal("fragmented multi-block view claims contiguity")
 	}
 	var got []byte
 	v.Segments(func(seg []byte) bool {
@@ -370,7 +400,7 @@ func TestClassicChainsMultiSegmentView(t *testing.T) {
 		return true
 	})
 	if !bytes.Equal(got, payload) {
-		t.Fatal("segment walk corrupts classic-chain payload")
+		t.Fatal("segment walk corrupts the fragmented payload")
 	}
 	out := make([]byte, len(payload))
 	if n := v.CopyTo(out); n != len(payload) || !bytes.Equal(out, payload) {
@@ -380,7 +410,8 @@ func TestClassicChainsMultiSegmentView(t *testing.T) {
 		t.Errorf("PayloadCopiesOut = %d, want 1 (the explicit CopyTo)", got)
 	}
 	v.Release()
-	assertAllFree(t, f, "after classic roundtrip")
+	f.arena.FreeChains(teeth)
+	assertAllFree(t, f, "after the fragmented roundtrip")
 }
 
 // TestViewChurnRace races loan sends, view receives with held views,
@@ -388,7 +419,7 @@ func TestClassicChainsMultiSegmentView(t *testing.T) {
 // detector; the invariant checks (no leak, no premature recycle) are
 // the fuzz test's, here under real concurrency.
 func TestViewChurnRace(t *testing.T) {
-	f := zcFacility(t, false)
+	f := zcFacility(t)
 	const (
 		senders = 2
 		viewers = 3

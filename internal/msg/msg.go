@@ -112,10 +112,10 @@ func (p *Pool) Arena() *shm.Arena { return p.arena }
 
 // Build allocates blocks for buf, copies buf in, and returns a message
 // header describing it. The allocation is payload-shaped
-// (shm.Arena.AllocPayload): under span allocation the chain is one
-// contiguous run of blocks whenever fragmentation permits. If wait is
-// true the allocation blocks until enough blocks are free (stop
-// aborts); otherwise exhaustion returns shm.ErrOutOfBlocks.
+// (shm.Arena.AllocPayload): the chain is one contiguous run of blocks
+// whenever fragmentation permits. If wait is true the allocation blocks
+// until enough blocks are free (stop aborts); otherwise exhaustion
+// returns shm.ErrOutOfBlocks.
 func (p *Pool) Build(sender int, buf []byte, wait bool, stop <-chan struct{}) (*Message, error) {
 	m, err := p.BuildLoan(sender, len(buf), wait, stop)
 	if err != nil {
@@ -194,7 +194,7 @@ func (p *Pool) View(m *Message) View {
 
 // BuildBatch builds one message per buffer in bufs, allocating every
 // payload block in a single arena transaction: the batch costs one
-// free-list lock acquisition however many messages and blocks it spans.
+// free-pool lock acquisition however many messages and blocks it spans.
 // Either every message is built or none is; wait and stop have Build's
 // semantics, applied to the batch's total block demand. It is
 // BuildBatchInto with a result slice of its own.
@@ -289,8 +289,7 @@ func unbind(m *Message) int32 {
 	return head
 }
 
-// Check verifies header/chain consistency in either allocation mode:
-// m is the header bound to its own head block, the chain's segments cover
+// Check verifies header/chain consistency: m is the header bound to its own head block, the chain's segments cover
 // exactly Length payload bytes (the last segment is load-bearing — no
 // over-allocation), a zero-length message still occupies one segment, and
 // Tail is the chain's last segment. For tests.

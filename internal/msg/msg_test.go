@@ -98,26 +98,24 @@ func TestBuildExhaustion(t *testing.T) {
 
 // TestBuildReleaseNoAllocs pins the single-message arena transactions
 // (AllocPayload, FreeChain) and the header lookup at zero heap
-// allocations per message, in both allocation modes: nothing on this
-// path may allocate, least of all under the arena lock.
+// allocations per message: nothing on this path may allocate, least of
+// all under the arena lock.
 func TestBuildReleaseNoAllocs(t *testing.T) {
-	for _, spans := range []bool{false, true} {
-		a, err := shm.New(shm.Config{BlockSize: 64, NumBlocks: 512, Spans: spans})
+	a, err := shm.New(shm.Config{BlockSize: 64, NumBlocks: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(a, 0)
+	buf := make([]byte, 1024)
+	n := testing.AllocsPerRun(200, func() {
+		m, err := p.Build(1, buf, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewPool(a, 0)
-		buf := make([]byte, 1024)
-		n := testing.AllocsPerRun(200, func() {
-			m, err := p.Build(1, buf, false, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Release(m)
-		})
-		if n != 0 {
-			t.Errorf("spans %v: Build+Release made %v heap allocations, want 0", spans, n)
-		}
+		p.Release(m)
+	})
+	if n != 0 {
+		t.Errorf("Build+Release made %v heap allocations, want 0", n)
 	}
 }
 
@@ -151,56 +149,54 @@ func TestHeaderRecycling(t *testing.T) {
 // what catches a Release that frees the chain before it has finished
 // with the header.
 func TestHeaderFollowsHeadBlock(t *testing.T) {
-	for _, spans := range []bool{false, true} {
-		a, err := shm.New(shm.Config{BlockSize: 16, NumBlocks: 32, Spans: spans})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := NewPool(a, 0)
-		byHead := map[int32]*Message{}
-		var held []*Message
-		for round := 0; round < 6; round++ {
-			// Hold a varying number back so that heads move around.
-			for len(held) > round%3 {
-				p.Release(held[0])
-				held = held[1:]
-			}
-			for i := 0; i < 4; i++ {
-				m, err := p.Build(round, make([]byte, 1+5*i), false, nil)
-				if err != nil {
-					t.Fatalf("spans %v: %v", spans, err)
-				}
-				if err := p.Check(m); err != nil {
-					t.Fatalf("spans %v: %v", spans, err)
-				}
-				if first, ok := byHead[m.Head]; ok && first != m {
-					t.Fatalf("spans %v: head %d got header %p, had %p before", spans, m.Head, m, first)
-				}
-				byHead[m.Head] = m
-				if want := (Message{Length: 1 + 5*i, Head: m.Head, Tail: m.Tail, Sender: round, Blocks: a.BlocksFor(1 + 5*i)}); *m != want {
-					t.Fatalf("spans %v: header handed out as %+v, want %+v", spans, *m, want)
-				}
-				// What a circuit would leave behind.
-				m.Seq, m.Pending, m.Pins, m.FCFSNeeded, m.Orphan, m.Next = 99, 3, 2, true, true, m
-				held = append(held, m)
-			}
-		}
-		p.ReleaseBatch(held)
-		for head, m := range byHead {
-			if m.Head != shm.NilOffset || m.Next != nil {
-				t.Fatalf("spans %v: released header of head %d still names a chain: %+v", spans, head, *m)
-			}
-		}
-		if free := a.FreeBlocks(); free != a.NumBlocks() {
-			t.Fatalf("spans %v: %d of %d blocks free", spans, free, a.NumBlocks())
-		}
-	}
-
-	a, err := shm.New(shm.Config{BlockSize: 64, NumBlocks: 1, Spans: true})
+	a, err := shm.New(shm.Config{BlockSize: 16, NumBlocks: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewPool(a, 0)
+	byHead := map[int32]*Message{}
+	var held []*Message
+	for round := 0; round < 6; round++ {
+		// Hold a varying number back so that heads move around.
+		for len(held) > round%3 {
+			p.Release(held[0])
+			held = held[1:]
+		}
+		for i := 0; i < 4; i++ {
+			m, err := p.Build(round, make([]byte, 1+5*i), false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Check(m); err != nil {
+				t.Fatal(err)
+			}
+			if first, ok := byHead[m.Head]; ok && first != m {
+				t.Fatalf("head %d got header %p, had %p before", m.Head, m, first)
+			}
+			byHead[m.Head] = m
+			if want := (Message{Length: 1 + 5*i, Head: m.Head, Tail: m.Tail, Sender: round, Blocks: a.BlocksFor(1 + 5*i)}); *m != want {
+				t.Fatalf("header handed out as %+v, want %+v", *m, want)
+			}
+			// What a circuit would leave behind.
+			m.Seq, m.Pending, m.Pins, m.FCFSNeeded, m.Orphan, m.Next = 99, 3, 2, true, true, m
+			held = append(held, m)
+		}
+	}
+	p.ReleaseBatch(held)
+	for head, m := range byHead {
+		if m.Head != shm.NilOffset || m.Next != nil {
+			t.Fatalf("released header of head %d still names a chain: %+v", head, *m)
+		}
+	}
+	if free := a.FreeBlocks(); free != a.NumBlocks() {
+		t.Fatalf("%d of %d blocks free", free, a.NumBlocks())
+	}
+
+	a, err = shm.New(shm.Config{BlockSize: 64, NumBlocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = NewPool(a, 0)
 	const turns = 2000
 	var owner atomic.Int32 // who held the block last, to count hand-overs
 	var handovers atomic.Int32
@@ -404,7 +400,7 @@ func TestQuickBuildExtract(t *testing.T) {
 // messages under arbitrary enqueue/dequeue-head interleavings, with every
 // dequeued message released so that later ones reuse its head and header.
 func TestQuickQueueFIFO(t *testing.T) {
-	a, err := shm.New(shm.Config{BlockSize: 16, NumBlocks: 1024, Spans: true})
+	a, err := shm.New(shm.Config{BlockSize: 16, NumBlocks: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@ import "repro/internal/shm"
 // (core.ReceiveView), so N BROADCAST receivers share one payload
 // instance instead of taking N copies.
 //
-// A View iterates the chain's *segments*. In the arena's span mode one
-// segment is a whole run of physically adjacent blocks, so payloads
-// that fit one free run — the common case — expose a single contiguous
-// slice (Contiguous). In classic mode every block is its own segment,
-// the paper's fragmented layout.
+// A View iterates the chain's *segments*. One segment is a whole run of
+// physically adjacent blocks, so payloads that fit one free run — the
+// common case — expose a single contiguous slice (Contiguous). Under
+// fragmentation a payload is several segments, down to one per block in
+// a region where no free run is longer than a block.
 //
 // A View aliases arena memory. It is valid only while the message's
 // blocks are owned by the holder: for loans, between allocation and
@@ -54,7 +54,7 @@ func (v View) Segments(yield func(seg []byte) bool) {
 }
 
 // NumSegments returns the number of segments the view spans (1 in the
-// contiguous common case under span allocation).
+// contiguous common case).
 func (v View) NumSegments() int {
 	n := 0
 	v.Segments(func([]byte) bool { n++; return true })

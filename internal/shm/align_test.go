@@ -12,8 +12,8 @@ import (
 // The layout rule (package comment): an element's payload starts on its
 // block boundary, its link word is the last word of the slot before it,
 // and the region base is 64-byte aligned. These tests hold the rule on
-// every backing and in both allocation modes; the benchmark at the end is
-// the copy matrix that found why it matters.
+// every backing, with and without multi-block spans; the benchmark at
+// the end is the copy matrix that found why it matters.
 
 // arenaBackings are the ways a region comes to exist: New's own heap
 // allocation, a window of a heap segment, and a window of a memfd
@@ -69,6 +69,9 @@ func elements(a *Arena, head int32) []int32 {
 	return offs
 }
 
+// With spans=false the region is combed before anything is allocated,
+// so that no element covers more than one block — the layout of the
+// paper's linked free list — and the same checks run on it.
 func TestPayloadAlignment(t *testing.T) {
 	for _, backing := range arenaBackings {
 		for _, spans := range []bool{true, false} {
@@ -77,7 +80,7 @@ func TestPayloadAlignment(t *testing.T) {
 					// The largest power of two dividing the block size, up
 					// to a cache line: 64, 64, 16, 2.
 					align := uintptr(min(bs&-bs, 64))
-					a := backing.make(t, Config{BlockSize: bs, NumBlocks: 300, Spans: spans})
+					a := backing.make(t, Config{BlockSize: bs, NumBlocks: 300})
 					if base := sliceAddr(a.mem); base%64 != 0 {
 						t.Fatalf("region base %#x is not 64-byte aligned", base)
 					}
@@ -87,18 +90,19 @@ func TestPayloadAlignment(t *testing.T) {
 							if p := a.SegPayload(off); sliceAddr(p)%align != 0 {
 								t.Errorf("%s: SegPayload(%d) at %#x, want a multiple of %d", what, off, sliceAddr(p), align)
 							}
-							if p := a.Payload(off); sliceAddr(p)%align != 0 {
-								t.Errorf("%s: Payload(%d) at %#x, want a multiple of %d", what, off, sliceAddr(p), align)
-							}
 						}
 					}
 
+					var teeth []int32
+					if !spans {
+						teeth = comb(t, a)
+					}
 					single, _, err := a.AllocPayload(40*bs, false, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if spans && a.ChainLen(single) != 1 {
-						t.Fatalf("single-span allocation has %d elements", a.ChainLen(single))
+					if n, blocks := a.ChainLen(single), a.ChainBlocks(single); spans && n != 1 || !spans && n != blocks {
+						t.Fatalf("allocation of %d bytes has %d elements over %d blocks", 40*bs, n, blocks)
 					}
 					check("single span", single)
 
@@ -114,14 +118,8 @@ func TestPayloadAlignment(t *testing.T) {
 					// Comb the region — every other block held — so that no
 					// run is longer than one block and a payload of several
 					// blocks has to be chained.
-					held := make([]int32, a.NumBlocks())
-					for i := range held {
-						if held[i], err = a.Alloc(); err != nil {
-							t.Fatal(err)
-						}
-					}
-					for i := 0; i < len(held); i += 2 {
-						a.Free(held[i])
+					if spans {
+						teeth = comb(t, a)
 					}
 					frag, _, err := a.AllocPayload(10*bs, false, nil)
 					if err != nil {
@@ -131,8 +129,8 @@ func TestPayloadAlignment(t *testing.T) {
 						t.Fatalf("fragmented allocation has %d elements, want one per block", n)
 					}
 					check("fragmented", frag)
-					for i := 1; i < len(held); i += 2 {
-						check("single block", held[i])
+					for _, off := range teeth {
+						check("single block", off)
 					}
 				})
 			}
@@ -141,30 +139,32 @@ func TestPayloadAlignment(t *testing.T) {
 }
 
 // TestPayloadLinkDisjoint is the property the layout rests on: no link
-// word — an element's own, a neighbour's, or the classic free list's,
-// which threads through the tail of whatever slot precedes a free
-// block — shares a byte with any payload. Every live element's payload
-// is filled to capacity with a pattern of its own; links are rewritten
-// and neighbours freed and reallocated around it; no payload byte may
-// change and every chain must still walk.
+// word — an element's own or a neighbour's — shares a byte with any
+// payload. Every live element's payload is filled to capacity with a
+// pattern of its own; links are rewritten and neighbours freed and
+// reallocated around it; no payload byte may change and every chain must
+// still walk. With spans=false every other block is held throughout, so
+// that every element is a single block, as on the paper's linked free
+// list.
 func TestPayloadLinkDisjoint(t *testing.T) {
 	for _, spans := range []bool{true, false} {
 		for _, bs := range []int{5, 10, 16, 64} {
 			t.Run(fmt.Sprintf("spans=%v/block%d", spans, bs), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(bs)))
-				a, err := New(Config{BlockSize: bs, NumBlocks: 257, Spans: spans})
-				if err != nil {
-					t.Fatal(err)
-				}
+				a := mustArena(t, bs, 257)
 				type chain struct {
-					elems []int32
-					want  [][]byte // per element, the payload as filled
+					elems  []int32
+					want   [][]byte // per element, the payload as filled
+					pinned bool     // a comb tooth: freed only at the end
 				}
 				var live []*chain
 				stamp := byte(0)
-				adopt := func(head int32) {
+				adopt := func(head int32) *chain {
 					c := &chain{elems: elements(a, head)}
 					for _, off := range c.elems {
+						if k := a.spanLen[a.blockIndex(off)]; !spans && k != 1 {
+							t.Fatalf("element at %d covers %d blocks in a combed region", off, k)
+						}
 						p := a.SegPayload(off)
 						stamp++
 						for i := range p {
@@ -173,6 +173,7 @@ func TestPayloadLinkDisjoint(t *testing.T) {
 						c.want = append(c.want, bytes.Clone(p))
 					}
 					live = append(live, c)
+					return c
 				}
 				fillRegion := func() {
 					for {
@@ -197,22 +198,24 @@ func TestPayloadLinkDisjoint(t *testing.T) {
 					}
 				}
 
-				// Start fragmented: single blocks scattered over the region,
-				// chains of mixed shapes in the holes between them.
-				singles := make([]int32, a.NumBlocks())
-				for i := range singles {
-					if singles[i], err = a.Alloc(); err != nil {
-						t.Fatal(err)
-					}
-					a.SetNext(singles[i], NilOffset)
+				// Start fragmented: single blocks scattered over the region
+				// (every other one without spans), chains of mixed shapes in
+				// the holes between them.
+				singles, _, err := a.AllocPayloads(make([]int, a.NumBlocks()), false, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, off := range singles {
-					if rng.Intn(3) == 0 {
+				var holes []int32
+				for i, off := range singles {
+					if !spans && i%2 == 1 {
+						adopt(off).pinned = true
+					} else if spans && rng.Intn(3) == 0 {
 						adopt(off)
 					} else {
-						a.Free(off)
+						holes = append(holes, off)
 					}
 				}
+				a.FreeChains(holes)
 				fillRegion()
 				verify("after the fill", true)
 
@@ -222,7 +225,7 @@ func TestPayloadLinkDisjoint(t *testing.T) {
 					last := int32(a.NumBlocks() * bs)
 					for _, c := range live {
 						for _, off := range c.elems {
-							a.SetNext(off, last)
+							a.setLink(off, last)
 						}
 					}
 					verify("with every link rewritten", false)
@@ -232,7 +235,7 @@ func TestPayloadLinkDisjoint(t *testing.T) {
 							if i+1 < len(c.elems) {
 								next = c.elems[i+1]
 							}
-							a.SetNext(off, next)
+							a.setLink(off, next)
 						}
 					}
 					verify("with every link restored", true)
@@ -240,7 +243,7 @@ func TestPayloadLinkDisjoint(t *testing.T) {
 					// Free every other chain and fill the holes again.
 					kept := live[:0]
 					for i, c := range live {
-						if i%2 == round%2 {
+						if !c.pinned && i%2 == round%2 {
 							a.FreeChain(c.elems[0])
 						} else {
 							kept = append(kept, c)
@@ -292,20 +295,26 @@ func TestAlignedCopy(t *testing.T) {
 // structural copies, 2 KiB and 16 KiB, against a caller buffer at
 // several offsets from a 64-byte boundary. Within one arena and size
 // every cell should cost about the same; CI fails the build when the
-// slowest is more than 3x the fastest. The classic arena uses 4 KiB
-// blocks so that its per-block copies are on memmove's large path too.
+// slowest is more than 3x the fastest. The comb arena is fragmented
+// before the copies so that a 16 KiB payload is a chain of five
+// single-block segments; its blocks are 4 KiB so that every segment's
+// copy is on memmove's large path too.
 func BenchmarkChainCopy(b *testing.B) {
 	arenas := []struct {
 		name    string
 		backing int
 		cfg     Config
+		comb    bool
 	}{
-		{"heap-span", 0, Config{BlockSize: 64, NumBlocks: 1024, Spans: true}},
-		{"segment-span", 1, Config{BlockSize: 64, NumBlocks: 1024, Spans: true}},
-		{"heap-classic4k", 0, Config{BlockSize: 4096, NumBlocks: 16}},
+		{"heap-span", 0, Config{BlockSize: 64, NumBlocks: 1024}, false},
+		{"segment-span", 1, Config{BlockSize: 64, NumBlocks: 1024}, false},
+		{"heap-comb4k", 0, Config{BlockSize: 4096, NumBlocks: 16}, true},
 	}
 	for _, ar := range arenas {
 		a := arenaBackings[ar.backing].make(b, ar.cfg)
+		if ar.comb {
+			comb(b, a)
+		}
 		for _, size := range []int{2048, 16384} {
 			head, _, err := a.AllocPayload(size, false, nil)
 			if err != nil {

@@ -5,46 +5,42 @@
 // free list of fixed-size message blocks at init time; all message payload
 // flowed through those blocks. Goroutines share a heap, so a mapped region
 // is not *needed* for correctness — but the region is load-bearing for the
-// paper's performance story (Figure 3's asymptote is a copy-cost asymptote,
-// and the per-block overhead of the linked free list is why small blocks
-// hurt). This package therefore reproduces the layout faithfully:
+// paper's performance story (Figure 3's asymptote is a copy-cost asymptote).
+// This package keeps the paper's region and its addressing:
 //
 //   - one contiguous byte arena, sized at Init from maxLNVCs/maxProcesses;
 //   - fixed-size blocks addressed by int32 *offsets* (the portable stand-in
 //     for pointers into a mapped region — offsets survive being mapped at
 //     different addresses in different processes, which is exactly why the
 //     original used them);
-//   - a lock-protected singly-linked free list threaded through the blocks
-//     themselves, one 4-byte link word per block.
+//   - chains of elements linked by one 4-byte link word each.
 //
-// The one layout rule, in both allocation modes: the chain element at
-// offset off (a block, or a span of k blocks) keeps its link word in
-// [off-4, off) — the last word of the slot before it; the first block's
-// lands in the burnt block 0 — and its payload is [off, off+k*blockSize-4).
-// The region base is 64-byte aligned, so every payload starts on a block
-// boundary and, for block sizes that are multiples of 64 (the default),
-// on a cache line. That is what the structural copies need: go1.24's
-// memmove sends a copy of 2 KiB or more whose destination is 16-aligned
-// to REP MOVSQ, which runs at a sixth of its speed when the source sits
-// at 4 mod 8 — where every payload sat while the link word led the block
-// (see alignedCopy for the same hazard from the caller's side). A block
-// still costs 4 bytes of link, so PayloadSize, BlocksFor and the span
-// length rule are what they were; peers in other processes are handed
-// payload offsets and never read link words.
+// What it does not keep is the paper's free list. Free blocks are bits in
+// a *bitmap*, and a payload is placed, whenever fragmentation permits, in
+// one run of physically adjacent blocks — a span — carrying a single link
+// word. A multi-kilobyte message then occupies one contiguous,
+// line-aligned byte range instead of a chain of 60-byte fragments, which
+// is what lets the zero-copy plane (msg.View, core.SendLoan/ReceiveView)
+// hand callers a single slice. Under fragmentation a payload is a chain
+// of several spans (SegPayload describes one), and every chain API
+// (WriteChain, ReadChain, FreeChain) walks it. The per-block cost of the
+// paper's linked list lives on in internal/simmpf, which the paper's
+// figures run on.
 //
-// Beyond the paper, the arena offers a contiguous-span allocation mode
-// (Config.Spans): a free *bitmap* replaces the linked list and a payload
-// is placed, whenever fragmentation permits, in one run of physically
-// adjacent blocks carrying a single link word. A multi-kilobyte message
-// then occupies one contiguous, line-aligned byte range instead of a chain
-// of 60-byte fragments — which is what lets the zero-copy plane (msg.View,
-// core.SendLoan/ReceiveView) hand callers a single writable or readable
-// slice instead of walking a chain. Chains still exist in span mode —
-// a chain element is simply a span of one or more blocks, described by
-// SegPayload — and every chain API (WriteChain, ReadChain, FreeChain)
-// is span-aware. The classic linked-list layout remains the fidelity
-// baseline (core's Config.ClassicChains), which the core tests and the
-// fuzzer run.
+// The one layout rule: the chain element at offset off (a span of k
+// blocks) keeps its link word in [off-4, off) — the last word of the slot
+// before it; the first block's lands in the burnt block 0 — and its
+// payload is [off, off+k*blockSize-4). The region base is 64-byte
+// aligned, so every payload starts on a block boundary and, for block
+// sizes that are multiples of 64 (the default), on a cache line. That is
+// what the structural copies need: go1.24's memmove sends a copy of 2 KiB
+// or more whose destination is 16-aligned to REP MOVSQ, which runs at a
+// sixth of its speed when the source sits at 4 mod 8 — where every
+// payload sat while the link word led the block (see alignedCopy for the
+// same hazard from the caller's side). A block still costs 4 bytes of
+// link, so PayloadSize, BlocksFor and the span length rule are what they
+// were; peers in other processes are handed payload offsets and never
+// read link words.
 //
 // The arena is safe for concurrent use.
 package shm
@@ -65,13 +61,14 @@ import (
 // played by reserving the region's first word.
 const NilOffset int32 = 0
 
-// ErrOutOfBlocks is returned by Alloc when the free list is empty and the
-// arena was created with a fixed size (the paper's configuration).
+// ErrOutOfBlocks is returned by an allocation that finds too few free
+// blocks and may not wait (the paper's fixed-size region), or whose wait
+// was aborted.
 var ErrOutOfBlocks = errors.New("shm: out of message blocks")
 
-// MinBlockSize is the smallest usable block: the free-list link word plus
-// at least one payload byte. The paper ran with 10-byte blocks, which this
-// bound admits.
+// MinBlockSize is the smallest usable block: the link word plus at least
+// one payload byte. The paper ran with 10-byte blocks, which this bound
+// admits.
 const MinBlockSize = 5
 
 // Arena is a shared region divided into fixed-size blocks.
@@ -79,28 +76,26 @@ type Arena struct {
 	mem       []byte
 	blockSize int32
 	nBlocks   int32
-	spans     bool
 
-	mu       spinlock.TAS
-	freeHead int32 // classic mode: offset of first free block, NilOffset if none
-	nFree    int32
+	mu    spinlock.TAS
+	nFree int32
 
-	// Span mode replaces the linked free list with a bitmap so runs of
-	// physically adjacent free blocks can be found: bit i set means
-	// block i (at offset (i+1)*blockSize) is free. spanLen[i] records,
-	// for an allocated span starting at block i, how many blocks it
-	// covers — the metadata FreeChain and SegPayload need, kept at the
-	// side because the span's interior has no per-block link words.
-	// lowFree is a lower bound on the lowest free block index (no free
-	// bit exists below it); every scan starts there and tightens it, so
-	// allocations do not re-walk a long-lived allocated prefix while
-	// holding the lock. Frees lower it again.
+	// The free bitmap: bit i set means block i (at offset
+	// (i+1)*blockSize) is free, so runs of physically adjacent free
+	// blocks can be found. spanLen[i] records, for an allocated span
+	// starting at block i, how many blocks it covers — the metadata
+	// FreeChain and SegPayload need, kept at the side because the span's
+	// interior has no per-block link words. lowFree is a lower bound on
+	// the lowest free block index (no free bit exists below it); every
+	// scan starts there and tightens it, so allocations do not re-walk a
+	// long-lived allocated prefix while holding the lock. Frees lower it
+	// again.
 	freeBits []uint64
 	spanLen  []int32
 	lowFree  int32
 
-	// waiters is the number of goroutines blocked in AllocWait; guarded
-	// by mu, signalled via cond.
+	// waiters is the number of goroutines blocked in lockWithFree;
+	// guarded by mu, signalled via cond.
 	cond    condSignal
 	waiters int32
 
@@ -118,10 +113,10 @@ func (c *condSignal) init() { c.ch = make(chan struct{}) }
 
 // Stats counts allocator activity. Read it via Arena.Stats.
 type Stats struct {
-	Allocs      uint64 // successful block allocations
+	Allocs      uint64 // blocks allocated
 	Frees       uint64 // blocks returned
-	AllocFails  uint64 // Alloc calls that found the free list empty
-	AllocBlocks uint64 // blocked AllocWait episodes
+	AllocFails  uint64 // allocations that found too few free blocks and could not wait
+	AllocBlocks uint64 // times an allocation blocked waiting for frees
 	HighWater   int32  // maximum simultaneously-allocated blocks
 }
 
@@ -133,10 +128,8 @@ type Config struct {
 	BlockSize int
 	// NumBlocks is the number of blocks in the region.
 	NumBlocks int
-	// Spans selects the contiguous-span allocation mode: payloads are
-	// placed in runs of adjacent blocks (single-segment views) found
-	// via a free bitmap instead of the paper's linked free list. All
-	// chain APIs work identically in both modes.
+	// Deprecated: Spans is ignored. The span bitmap is the arena's only
+	// layout; the field remains so that existing literals still compile.
 	Spans bool
 }
 
@@ -203,28 +196,12 @@ func NewAt(cfg Config, mem []byte) (*Arena, error) {
 		mem:       mem,
 		blockSize: int32(cfg.BlockSize),
 		nBlocks:   int32(cfg.NumBlocks),
-		spans:     cfg.Spans,
+		freeBits:  make([]uint64, (cfg.NumBlocks+63)/64),
+		spanLen:   make([]int32, cfg.NumBlocks),
+		nFree:     int32(cfg.NumBlocks),
 	}
 	a.cond.init()
-	if a.spans {
-		a.freeBits = make([]uint64, (cfg.NumBlocks+63)/64)
-		a.flipRunLocked(0, a.nBlocks, true)
-		a.spanLen = make([]int32, cfg.NumBlocks)
-		a.freeHead = NilOffset
-	} else {
-		// Thread the free list through the blocks, first block at offset
-		// blockSize (offset 0 is reserved as NilOffset).
-		a.freeHead = a.blockSize
-		for i := int32(0); i < a.nBlocks; i++ {
-			off := (i + 1) * a.blockSize
-			next := off + a.blockSize
-			if i == a.nBlocks-1 {
-				next = NilOffset
-			}
-			a.setLink(off, next)
-		}
-	}
-	a.nFree = a.nBlocks
+	a.flipRunLocked(0, a.nBlocks, true)
 	return a, nil
 }
 
@@ -241,9 +218,6 @@ func (cfg Config) check() error {
 	}
 	return nil
 }
-
-// Spans reports whether the arena runs in contiguous-span mode.
-func (a *Arena) Spans() bool { return a.spans }
 
 // BlockSize returns the configured block size including the link word.
 func (a *Arena) BlockSize() int { return int(a.blockSize) }
@@ -289,39 +263,6 @@ func (a *Arena) setLink(off, next int32) {
 
 func (a *Arena) link(off int32) int32 {
 	return int32(binary.LittleEndian.Uint32(a.mem[off-4 : off]))
-}
-
-// Alloc pops one block off the free list. It returns ErrOutOfBlocks when
-// the region is exhausted.
-func (a *Arena) Alloc() (int32, error) {
-	a.mu.Lock()
-	off, err := a.allocLocked()
-	a.mu.Unlock()
-	return off, err
-}
-
-func (a *Arena) allocLocked() (int32, error) {
-	if a.spans {
-		if a.nFree == 0 {
-			a.stats.AllocFails++
-			return NilOffset, ErrOutOfBlocks
-		}
-		idx := a.findFreeLocked()
-		a.takeRunLocked(idx, 1)
-		return a.offsetOf(idx), nil
-	}
-	if a.freeHead == NilOffset {
-		a.stats.AllocFails++
-		return NilOffset, ErrOutOfBlocks
-	}
-	off := a.freeHead
-	a.freeHead = a.link(off)
-	a.nFree--
-	a.stats.Allocs++
-	if used := a.nBlocks - a.nFree; used > a.stats.HighWater {
-		a.stats.HighWater = used
-	}
-	return off, nil
 }
 
 // offsetOf converts a block index to its arena offset; blockIndex is the
@@ -467,7 +408,7 @@ func (a *Arena) spanBlocksFor(n int) int32 {
 // fragmentation (greedy longest-run). The caller must hold the lock and
 // have verified nFree >= BlocksFor(payload) — the fully-fragmented
 // worst case — which guarantees success (see the demand invariant in
-// AllocPayload).
+// AllocPayloadsInto).
 func (a *Arena) spanChainLocked(payload int) (head, tail int32) {
 	rem := payload
 	head, tail = NilOffset, NilOffset
@@ -496,11 +437,14 @@ func (a *Arena) spanChainLocked(payload int) (head, tail int32) {
 	}
 }
 
-// AllocWait pops one block, blocking until one is available. It is the
-// default message_send policy: the paper's region is fixed-size, so a
-// sender that outruns its receivers must wait for blocks to be recycled.
-// The stop channel aborts the wait (used at facility shutdown); a nil stop
-// never aborts.
+// lockWithFree takes the free-pool lock once at least demand blocks are
+// free and returns holding it; on error the lock is not held. It is the
+// arena's one wait loop. With wait set, exhaustion blocks until frees
+// cover the whole demand — the default message_send policy: the paper's
+// region is fixed-size, so a sender that outruns its receivers must wait
+// for blocks to be recycled. The stop channel aborts the wait (used at
+// facility shutdown; a nil stop never aborts), and a demand beyond the
+// region errors immediately instead of deadlocking.
 //
 // Waiter accounting: each waiter owns its own registration — it
 // increments waiters before sleeping and decrements after waking,
@@ -509,72 +453,6 @@ func (a *Arena) spanChainLocked(payload int) (head, tail int32) {
 // invariant "a sleeping waiter's channel is the current one and will be
 // closed by the next free" without any reset/decrement interleavings
 // that could strand a later waiter.
-func (a *Arena) AllocWait(stop <-chan struct{}) (int32, error) {
-	for {
-		a.mu.Lock()
-		off, err := a.allocLocked()
-		if err == nil {
-			a.mu.Unlock()
-			return off, nil
-		}
-		a.stats.AllocBlocks++
-		a.waiters++
-		ch := a.cond.ch
-		a.mu.Unlock()
-		aborted := false
-		select {
-		case <-ch:
-			// A free arrived (or a broadcast); retry.
-		case <-stop:
-			aborted = true
-		}
-		a.mu.Lock()
-		a.waiters--
-		a.mu.Unlock()
-		if aborted {
-			return NilOffset, ErrOutOfBlocks
-		}
-	}
-}
-
-// AllocChain allocates n blocks linked head→…→tail via their link words,
-// returning the head offset. On failure nothing is leaked. wait selects
-// between Alloc and AllocWait semantics.
-func (a *Arena) AllocChain(n int, wait bool, stop <-chan struct{}) (int32, error) {
-	if n <= 0 {
-		return NilOffset, fmt.Errorf("shm: AllocChain of %d blocks", n)
-	}
-	var head, tail int32 = NilOffset, NilOffset
-	for i := 0; i < n; i++ {
-		var off int32
-		var err error
-		if wait {
-			off, err = a.AllocWait(stop)
-		} else {
-			off, err = a.Alloc()
-		}
-		if err != nil {
-			if head != NilOffset {
-				a.FreeChain(head)
-			}
-			return NilOffset, err
-		}
-		a.setLink(off, NilOffset)
-		if head == NilOffset {
-			head = off
-		} else {
-			a.setLink(tail, off)
-		}
-		tail = off
-	}
-	return head, nil
-}
-
-// lockWithFree takes the free-pool lock once at least demand blocks are
-// free and returns holding it; on error the lock is not held. With wait
-// set, exhaustion blocks until frees cover the whole demand (stop
-// aborts, as in AllocWait); a demand beyond the region errors
-// immediately instead of deadlocking.
 func (a *Arena) lockWithFree(demand int, wait bool, stop <-chan struct{}) error {
 	if demand > int(a.nBlocks) {
 		return fmt.Errorf("shm: allocation of %d blocks exceeds region of %d: %w",
@@ -612,27 +490,6 @@ func (a *Arena) lockWithFree(demand int, wait bool, stop <-chan struct{}) error 
 	}
 }
 
-// chainLocked links n single blocks head→…→tail. The caller holds the
-// lock and has verified nFree >= n.
-func (a *Arena) chainLocked(n int) (head, tail int32) {
-	head, tail = NilOffset, NilOffset
-	for j := 0; j < n; j++ {
-		off, err := a.allocLocked()
-		if err != nil {
-			// Unreachable: nFree covers the chain.
-			panic("shm: chainLocked underflow")
-		}
-		a.setLink(off, NilOffset)
-		if head == NilOffset {
-			head = off
-		} else {
-			a.setLink(tail, off)
-		}
-		tail = off
-	}
-	return head, tail
-}
-
 // offsetPairs returns two n-element result slices carved from one
 // allocation. Batch allocators call it before taking the free-pool lock:
 // a heap allocation can run a garbage-collection assist, which must not
@@ -642,73 +499,29 @@ func offsetPairs(n int) (heads, tails []int32) {
 	return buf[:n:n], buf[n:]
 }
 
-// AllocChains allocates one chain per entry of ns — ns[i] blocks linked
-// head→…→tail — in a single arena transaction: the free-list lock is
-// taken once for the whole batch, not once per block or per chain. This
-// is the allocator half of the batched send path: a SendBatch of k
-// messages costs one lock acquisition here instead of the sum of the
-// messages' block counts. Both endpoints of every chain are returned so
-// callers building message headers need not re-walk the links. On
-// failure nothing is leaked.
-//
-// With wait set, exhaustion blocks until the batch's full block demand
-// can be met (stop aborts, as in AllocWait); the demand must not exceed
-// the region or the call errors immediately instead of deadlocking.
-func (a *Arena) AllocChains(ns []int, wait bool, stop <-chan struct{}) (heads, tails []int32, err error) {
-	total := 0
-	for _, n := range ns {
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("shm: AllocChains chain of %d blocks", n)
-		}
-		total += n
-	}
-	if total == 0 {
-		return nil, nil, nil
-	}
-	heads, tails = offsetPairs(len(ns))
-	if err := a.lockWithFree(total, wait, stop); err != nil {
-		return nil, nil, err
-	}
-	for i, n := range ns {
-		heads[i], tails[i] = a.chainLocked(n)
-	}
-	a.mu.Unlock()
-	return heads, tails, nil
-}
-
 // AllocPayload allocates a chain able to hold n payload bytes, returning
-// both endpoints. In span mode the chain is one contiguous span whenever
-// a long enough free run exists (several spans under fragmentation); in
-// classic mode it is BlocksFor(n) linked blocks, allocated in a single
-// free-list transaction. wait and stop have AllocWait's semantics,
-// applied to the chain's worst-case block demand. It is AllocPayloads for
-// one payload, without the result slices.
+// both endpoints: one contiguous span whenever a long enough free run
+// exists, several spans under fragmentation, all in one free-pool
+// transaction. wait and stop are lockWithFree's, applied to the chain's
+// worst-case block demand. It is AllocPayloads for one payload, without
+// the result slices.
 func (a *Arena) AllocPayload(n int, wait bool, stop <-chan struct{}) (head, tail int32, err error) {
-	if n < 0 && a.spans {
+	if n < 0 {
 		return NilOffset, NilOffset, fmt.Errorf("shm: AllocPayload payload of %d bytes", n)
 	}
 	if err := a.lockWithFree(a.BlocksFor(n), wait, stop); err != nil {
 		return NilOffset, NilOffset, err
 	}
-	head, tail = a.payloadChainLocked(n)
+	head, tail = a.spanChainLocked(n)
 	a.mu.Unlock()
 	return head, tail, nil
 }
 
-// payloadChainLocked builds the chain for n payload bytes in the arena's
-// mode. The caller holds the lock and has verified nFree >= BlocksFor(n).
-func (a *Arena) payloadChainLocked(n int) (head, tail int32) {
-	if a.spans {
-		return a.spanChainLocked(n)
-	}
-	return a.chainLocked(a.BlocksFor(n))
-}
-
 // AllocPayloads is the batch form of AllocPayload: one chain per payload
 // length in ns, all allocated under a single lock acquisition — the
-// allocator half of the batched send path, span-aware. Either every
-// chain is built or none is. It is AllocPayloadsInto with result slices
-// of its own.
+// allocator half of the batched send path: a SendBatch of k messages
+// costs one acquisition here, not k. Either every chain is built or none
+// is. It is AllocPayloadsInto with result slices of its own.
 func (a *Arena) AllocPayloads(ns []int, wait bool, stop <-chan struct{}) (heads, tails []int32, err error) {
 	if len(ns) == 0 {
 		return nil, nil, nil
@@ -732,7 +545,7 @@ func (a *Arena) AllocPayloads(ns []int, wait bool, stop <-chan struct{}) (heads,
 func (a *Arena) AllocPayloadsInto(ns []int, heads, tails []int32, wait bool, stop <-chan struct{}) error {
 	total := 0
 	for _, n := range ns {
-		if n < 0 && a.spans {
+		if n < 0 {
 			return fmt.Errorf("shm: AllocPayloads payload of %d bytes", n)
 		}
 		total += a.BlocksFor(n)
@@ -745,32 +558,15 @@ func (a *Arena) AllocPayloadsInto(ns []int, heads, tails []int32, wait bool, sto
 		return err
 	}
 	for i, n := range ns {
-		heads[i], tails[i] = a.payloadChainLocked(n)
+		heads[i], tails[i] = a.spanChainLocked(n)
 	}
 	a.mu.Unlock()
 	return nil
 }
 
-// Free returns one block (or, in span mode, the whole span starting at
-// off) to the free pool.
-func (a *Arena) Free(off int32) {
-	a.checkOffset(off)
-	a.mu.Lock()
-	if a.spans {
-		a.freeSpanLocked(off)
-		a.wakeAndUnlock()
-		return
-	}
-	a.setLink(off, a.freeHead)
-	a.freeHead = off
-	a.nFree++
-	a.stats.Frees++
-	a.wakeAndUnlock()
-}
-
 // wakeAndUnlock releases the lock, waking block-pool waiters by
 // replace-and-close only; waiters de-register themselves (see
-// AllocWait), so a waiter aborting on stop can never consume another
+// lockWithFree), so a waiter aborting on stop can never consume another
 // waiter's registration.
 func (a *Arena) wakeAndUnlock() {
 	if a.waiters > 0 {
@@ -783,124 +579,57 @@ func (a *Arena) wakeAndUnlock() {
 	a.mu.Unlock()
 }
 
-// FreeChain returns a linked chain (as built by AllocChain, AllocPayload
-// or message assembly) to the free pool in one lock acquisition. In span
-// mode each chain element is a span; its full run of blocks is returned.
-// It is FreeChains for a single chain.
+// FreeChain returns a chain (as built by AllocPayload or message
+// assembly) to the free pool in one lock acquisition: every element's
+// full span of blocks. It is FreeChains for a single chain.
 func (a *Arena) FreeChain(head int32) {
 	a.FreeChains([]int32{head})
 }
 
 // FreeChains returns a whole batch of chains to the free pool in a
 // single lock acquisition — the release half of the batched payload
-// plane, mirroring AllocChains/AllocPayloads on the allocation side. A
-// batched receive that consumed k messages (core's unpinAll, the
-// selector's view harvest) pays one free-pool transaction here instead
-// of k FreeChain calls. NilOffset entries are skipped, so callers can
-// pass message heads verbatim.
+// plane, mirroring AllocPayloads on the allocation side. A batched
+// receive that consumed k messages (core's unpinAll, the selector's view
+// harvest) pays one free-pool transaction here instead of k FreeChain
+// calls. NilOffset entries are skipped, so callers can pass message
+// heads verbatim.
 func (a *Arena) FreeChains(heads []int32) {
-	if len(heads) == 0 {
-		return
-	}
-	if a.spans {
-		// Collect every chain's element offsets outside the lock (the
-		// link words are owned by the caller until the release); the
-		// stack buffer covers typical batches without a heap allocation.
-		var offsBuf [32]int32
-		offs := offsBuf[:0]
-		for _, head := range heads {
-			if head == NilOffset {
-				continue
-			}
-			for off := head; off != NilOffset; off = a.link(off) {
-				a.checkOffset(off)
-				offs = append(offs, off)
-			}
-		}
-		if len(offs) == 0 {
-			return
-		}
-		a.mu.Lock()
-		for _, off := range offs {
-			a.freeSpanLocked(off)
-		}
-		a.wakeAndUnlock()
-		return
-	}
-	// Classic mode: find each chain's tail and length outside the lock,
-	// then splice them all onto the free list under one acquisition.
-	type chainEnd struct {
-		head, tail int32
-		n          int32
-	}
-	var endsBuf [16]chainEnd
-	ends := endsBuf[:0]
+	// Collect every chain's element offsets outside the lock (the link
+	// words are owned by the caller until the release); the stack buffer
+	// covers typical batches without a heap allocation.
+	var offsBuf [32]int32
+	offs := offsBuf[:0]
 	for _, head := range heads {
-		if head == NilOffset {
-			continue
+		for off := head; off != NilOffset; off = a.link(off) {
+			a.checkOffset(off)
+			offs = append(offs, off)
 		}
-		a.checkOffset(head)
-		n := int32(1)
-		tail := head
-		for {
-			next := a.link(tail)
-			if next == NilOffset {
-				break
-			}
-			a.checkOffset(next)
-			tail = next
-			n++
-		}
-		ends = append(ends, chainEnd{head: head, tail: tail, n: n})
 	}
-	if len(ends) == 0 {
+	if len(offs) == 0 {
 		return
 	}
 	a.mu.Lock()
-	for _, c := range ends {
-		a.setLink(c.tail, a.freeHead)
-		a.freeHead = c.head
-		a.nFree += c.n
-		a.stats.Frees += uint64(c.n)
+	for _, off := range offs {
+		a.freeSpanLocked(off)
 	}
 	a.wakeAndUnlock()
 }
 
-// Next returns the block following off in a chain, or NilOffset.
+// Next returns the element following off in a chain, or NilOffset.
 func (a *Arena) Next(off int32) int32 {
 	a.checkOffset(off)
 	return a.link(off)
 }
 
-// SetNext links block off to next (next may be NilOffset).
-func (a *Arena) SetNext(off, next int32) {
-	a.checkOffset(off)
-	if next != NilOffset {
-		a.checkOffset(next)
-	}
-	a.setLink(off, next)
-}
-
-// Payload returns the payload bytes of the single block at off. The
-// returned slice aliases the arena; the caller owns the block.
-func (a *Arena) Payload(off int32) []byte {
-	a.checkOffset(off)
-	return a.mem[off : off+a.blockSize-4]
-}
-
 // SegPayload returns the payload bytes of the chain element at off: the
-// block's payload in classic mode, the whole span's in span mode (one
-// 4-byte link word however many blocks the span covers). The returned
-// slice aliases the arena; the caller owns the element. This is the
-// segment accessor msg.View iterates.
+// whole span's, behind one 4-byte link word however many blocks the span
+// covers. The returned slice aliases the arena; the caller owns the
+// element. This is the segment accessor msg.View iterates.
 func (a *Arena) SegPayload(off int32) []byte {
 	a.checkOffset(off)
-	k := int32(1)
-	if a.spans {
-		k = a.spanLen[a.blockIndex(off)]
-		if k < 1 {
-			panic(fmt.Sprintf("shm: SegPayload of unallocated span at offset %d", off))
-		}
+	k := a.spanLen[a.blockIndex(off)]
+	if k < 1 {
+		panic(fmt.Sprintf("shm: SegPayload of unallocated span at offset %d", off))
 	}
 	return a.mem[off : off+k*a.blockSize-4]
 }
@@ -992,8 +721,7 @@ func (a *Arena) ReadChain(head int32, length int, buf []byte) int {
 }
 
 // ChainLen walks a chain and returns its element count (segments, not
-// blocks — the two differ in span mode). Intended for tests and
-// invariant checks.
+// blocks). Intended for tests and invariant checks.
 func (a *Arena) ChainLen(head int32) int {
 	n := 0
 	for off := head; off != NilOffset; off = a.Next(off) {
@@ -1002,60 +730,31 @@ func (a *Arena) ChainLen(head int32) int {
 	return n
 }
 
-// ChainBlocks walks a chain and returns the number of region blocks it
-// occupies (span-aware). Intended for tests and invariant checks.
+// ChainBlocks walks a chain and returns the number of region blocks its
+// spans occupy. Intended for tests and invariant checks.
 func (a *Arena) ChainBlocks(head int32) int {
 	n := int32(0)
 	for off := head; off != NilOffset; off = a.Next(off) {
-		a.checkOffset(off)
-		if a.spans {
-			n += a.spanLen[a.blockIndex(off)]
-		} else {
-			n++
-		}
+		n += a.spanLen[a.blockIndex(off)]
 	}
 	return int(n)
 }
 
-// CheckFreeList verifies free-pool integrity: every free block is a valid
-// offset, no block appears twice, and the count matches nFree (in span
-// mode, that the bitmap population matches nFree). It is an O(nBlocks)
-// diagnostic for tests.
+// CheckFreeList verifies free-pool integrity: the bitmap marks no block
+// beyond the region and its population matches nFree. It is an
+// O(nBlocks) diagnostic for tests.
 func (a *Arena) CheckFreeList() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.spans {
-		n := int32(0)
-		for i, w := range a.freeBits {
-			if i == len(a.freeBits)-1 && a.nBlocks%64 != 0 {
-				if w>>(a.nBlocks%64) != 0 {
-					return fmt.Errorf("shm: free bitmap marks blocks beyond the region")
-				}
-			}
-			n += int32(bits.OnesCount64(w))
-		}
-		if n != a.nFree {
-			return fmt.Errorf("shm: free bitmap has %d blocks, counter says %d", n, a.nFree)
-		}
-		return nil
-	}
-	seen := make(map[int32]bool, a.nFree)
 	n := int32(0)
-	for off := a.freeHead; off != NilOffset; off = a.link(off) {
-		if off < a.blockSize || off >= int32(len(a.mem)) || off%a.blockSize != 0 {
-			return fmt.Errorf("shm: free list contains invalid offset %d", off)
+	for i, w := range a.freeBits {
+		if i == len(a.freeBits)-1 && a.nBlocks%64 != 0 && w>>(a.nBlocks%64) != 0 {
+			return fmt.Errorf("shm: free bitmap marks blocks beyond the region")
 		}
-		if seen[off] {
-			return fmt.Errorf("shm: free list cycle at offset %d", off)
-		}
-		seen[off] = true
-		n++
-		if n > a.nBlocks {
-			return fmt.Errorf("shm: free list longer than region (%d blocks)", n)
-		}
+		n += int32(bits.OnesCount64(w))
 	}
 	if n != a.nFree {
-		return fmt.Errorf("shm: free list has %d blocks, counter says %d", n, a.nFree)
+		return fmt.Errorf("shm: free bitmap has %d blocks, counter says %d", n, a.nFree)
 	}
 	return nil
 }

@@ -18,6 +18,16 @@ func mustArena(t *testing.T, blockSize, nBlocks int) *Arena {
 	return a
 }
 
+// allocBlock allocates one block: the span of a zero-length payload.
+func allocBlock(tb testing.TB, a *Arena) int32 {
+	tb.Helper()
+	off, _, err := a.AllocPayload(0, false, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return off
+}
+
 func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{BlockSize: 4, NumBlocks: 10}); err == nil {
 		t.Error("block size 4 accepted; link word leaves no payload")
@@ -36,15 +46,15 @@ func TestPaperBlockSizeWorks(t *testing.T) {
 	if got := a.PayloadSize(); got != 6 {
 		t.Fatalf("PayloadSize = %d, want 6", got)
 	}
-	off, err := a.Alloc()
+	off, _, err := a.AllocPayload(6, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(a.Payload(off), []byte("abcdef"))
-	if !bytes.Equal(a.Payload(off), []byte("abcdef")) {
+	copy(a.SegPayload(off), []byte("abcdef"))
+	if !bytes.Equal(a.SegPayload(off), []byte("abcdef")) {
 		t.Fatal("payload roundtrip failed")
 	}
-	a.Free(off)
+	a.FreeChain(off)
 }
 
 func TestAllocExhaustionAndRecycle(t *testing.T) {
@@ -52,20 +62,16 @@ func TestAllocExhaustionAndRecycle(t *testing.T) {
 	a := mustArena(t, 16, n)
 	offs := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
-		off, err := a.Alloc()
-		if err != nil {
-			t.Fatalf("alloc %d: %v", i, err)
-		}
-		offs = append(offs, off)
+		offs = append(offs, allocBlock(t, a))
 	}
-	if _, err := a.Alloc(); err != ErrOutOfBlocks {
+	if _, _, err := a.AllocPayload(0, false, nil); err != ErrOutOfBlocks {
 		t.Fatalf("alloc past capacity: err = %v, want ErrOutOfBlocks", err)
 	}
 	if got := a.FreeBlocks(); got != 0 {
 		t.Fatalf("FreeBlocks = %d, want 0", got)
 	}
 	for _, off := range offs {
-		a.Free(off)
+		a.FreeChain(off)
 	}
 	if got := a.FreeBlocks(); got != n {
 		t.Fatalf("FreeBlocks after recycle = %d, want %d", got, n)
@@ -79,12 +85,9 @@ func TestOffsetsDistinctAndAligned(t *testing.T) {
 	a := mustArena(t, 32, 50)
 	seen := make(map[int32]bool)
 	for i := 0; i < 50; i++ {
-		off, err := a.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
+		off := allocBlock(t, a)
 		if off == NilOffset {
-			t.Fatal("Alloc returned NilOffset without error")
+			t.Fatal("AllocPayload returned NilOffset without error")
 		}
 		if off%32 != 0 {
 			t.Fatalf("offset %d not block-aligned", off)
@@ -101,16 +104,17 @@ func TestChainWriteRead(t *testing.T) {
 	msg := make([]byte, 100)
 	rand.New(rand.NewSource(1)).Read(msg)
 
-	n := a.BlocksFor(len(msg))
-	if want := (100 + 11) / 12; n != want {
+	// The demand is counted as if every block carried a link word; the
+	// span the payload gets carries one.
+	if n, want := a.BlocksFor(len(msg)), (100+11)/12; n != want {
 		t.Fatalf("BlocksFor(100) = %d, want %d", n, want)
 	}
-	head, err := a.AllocChain(n, false, nil)
+	head, _, err := a.AllocPayload(len(msg), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.ChainLen(head); got != n {
-		t.Fatalf("ChainLen = %d, want %d", got, n)
+	if got, want := a.ChainBlocks(head), (100+4+15)/16; got != want {
+		t.Fatalf("ChainBlocks = %d, want %d", got, want)
 	}
 	if w := a.WriteChain(head, msg); w != len(msg) {
 		t.Fatalf("WriteChain wrote %d, want %d", w, len(msg))
@@ -131,7 +135,7 @@ func TestChainWriteRead(t *testing.T) {
 func TestReadChainShortBuffer(t *testing.T) {
 	a := mustArena(t, 16, 8)
 	msg := []byte("hello, world — truncate me")
-	head, err := a.AllocChain(a.BlocksFor(len(msg)), false, nil)
+	head, _, err := a.AllocPayload(len(msg), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +152,15 @@ func TestReadChainShortBuffer(t *testing.T) {
 
 func TestAllocChainFailureLeaksNothing(t *testing.T) {
 	a := mustArena(t, 16, 4)
-	if _, err := a.AllocChain(5, false, nil); err != ErrOutOfBlocks {
+	held := allocBlock(t, a)
+	// Four blocks of demand against three free: nothing is taken.
+	if _, _, err := a.AllocPayload(4*12, false, nil); err != ErrOutOfBlocks {
 		t.Fatalf("err = %v, want ErrOutOfBlocks", err)
 	}
-	if got := a.FreeBlocks(); got != 4 {
-		t.Fatalf("FreeBlocks = %d after failed AllocChain, want 4 (leak)", got)
+	if got := a.FreeBlocks(); got != 3 {
+		t.Fatalf("FreeBlocks = %d after failed AllocPayload, want 3 (leak)", got)
 	}
+	a.FreeChain(held)
 	if err := a.CheckFreeList(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,15 +173,14 @@ func TestBlocksForZeroLength(t *testing.T) {
 	}
 }
 
+// The AllocWait tests hold AllocPayload with wait set: the arena's one
+// wait loop, lockWithFree.
 func TestAllocWaitWakesOnFree(t *testing.T) {
 	a := mustArena(t, 16, 1)
-	off, err := a.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := allocBlock(t, a)
 	got := make(chan int32, 1)
 	go func() {
-		o, err := a.AllocWait(nil)
+		o, _, err := a.AllocPayload(0, true, nil)
 		if err != nil {
 			t.Error(err)
 		}
@@ -183,29 +189,27 @@ func TestAllocWaitWakesOnFree(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	select {
 	case <-got:
-		t.Fatal("AllocWait returned before any block was freed")
+		t.Fatal("waiting AllocPayload returned before any block was freed")
 	default:
 	}
-	a.Free(off)
+	a.FreeChain(off)
 	select {
 	case o := <-got:
 		if o != off {
-			t.Fatalf("AllocWait returned %d, want recycled block %d", o, off)
+			t.Fatalf("waiting AllocPayload returned %d, want recycled block %d", o, off)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("AllocWait never woke after Free")
+		t.Fatal("waiting AllocPayload never woke after FreeChain")
 	}
 }
 
 func TestAllocWaitStop(t *testing.T) {
 	a := mustArena(t, 16, 1)
-	if _, err := a.Alloc(); err != nil {
-		t.Fatal(err)
-	}
+	allocBlock(t, a)
 	stop := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		_, err := a.AllocWait(stop)
+		_, _, err := a.AllocPayload(0, true, stop)
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -213,10 +217,10 @@ func TestAllocWaitStop(t *testing.T) {
 	select {
 	case err := <-errc:
 		if err != ErrOutOfBlocks {
-			t.Fatalf("aborted AllocWait err = %v, want ErrOutOfBlocks", err)
+			t.Fatalf("aborted AllocPayload err = %v, want ErrOutOfBlocks", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("AllocWait did not abort on stop")
+		t.Fatal("waiting AllocPayload did not abort on stop")
 	}
 }
 
@@ -232,17 +236,19 @@ func TestConcurrentAllocFree(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				if len(held) > 0 && (rng.Intn(2) == 0 || len(held) >= 16) {
 					k := rng.Intn(len(held))
-					a.Free(held[k])
+					a.FreeChain(held[k])
 					held = append(held[:k], held[k+1:]...)
 				} else {
-					off, err := a.AllocWait(nil)
+					// One block each (12 payload bytes fill a 16-byte
+					// block), so 8 workers holding 16 never exhaust 128.
+					off, _, err := a.AllocPayload(12, true, nil)
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					// Scribble on the payload to catch aliasing with
 					// another goroutine's block.
-					p := a.Payload(off)
+					p := a.SegPayload(off)
 					for j := range p {
 						p[j] = byte(seed)
 					}
@@ -250,14 +256,14 @@ func TestConcurrentAllocFree(t *testing.T) {
 				}
 			}
 			for _, off := range held {
-				p := a.Payload(off)
+				p := a.SegPayload(off)
 				for j := range p {
 					if p[j] != byte(seed) {
 						t.Errorf("payload of held block scribbled by another goroutine")
 						break
 					}
 				}
-				a.Free(off)
+				a.FreeChain(off)
 			}
 		}(int64(w))
 	}
@@ -274,11 +280,10 @@ func TestStatsHighWater(t *testing.T) {
 	a := mustArena(t, 16, 8)
 	var offs []int32
 	for i := 0; i < 5; i++ {
-		off, _ := a.Alloc()
-		offs = append(offs, off)
+		offs = append(offs, allocBlock(t, a))
 	}
 	for _, o := range offs {
-		a.Free(o)
+		a.FreeChain(o)
 	}
 	st := a.Stats()
 	if st.HighWater != 5 {
@@ -310,10 +315,10 @@ func TestInvalidOffsetPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Payload(%d) did not panic", off)
+					t.Errorf("SegPayload(%d) did not panic", off)
 				}
 			}()
-			a.Payload(off)
+			a.SegPayload(off)
 		}()
 	}
 }
@@ -329,7 +334,7 @@ func TestQuickChainRoundtrip(t *testing.T) {
 			msg = msg[:4096]
 		}
 		for _, a := range []*Arena{a8, a10, a64} {
-			head, err := a.AllocChain(a.BlocksFor(len(msg)), false, nil)
+			head, _, err := a.AllocPayload(len(msg), false, nil)
 			if err != nil {
 				return false
 			}
@@ -359,12 +364,12 @@ func TestQuickConservation(t *testing.T) {
 		var held []int32
 		for _, alloc := range ops {
 			if alloc {
-				off, err := a.Alloc()
+				off, _, err := a.AllocPayload(0, false, nil)
 				if err == nil {
 					held = append(held, off)
 				}
 			} else if len(held) > 0 {
-				a.Free(held[len(held)-1])
+				a.FreeChain(held[len(held)-1])
 				held = held[:len(held)-1]
 			}
 		}
@@ -382,8 +387,8 @@ func BenchmarkAllocFree(b *testing.B) {
 	a, _ := New(Config{BlockSize: 64, NumBlocks: 1024})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		off, _ := a.Alloc()
-		a.Free(off)
+		off, _, _ := a.AllocPayload(0, false, nil)
+		a.FreeChain(off)
 	}
 }
 
@@ -393,7 +398,7 @@ func BenchmarkChainRoundtrip1K(b *testing.B) {
 	out := make([]byte, 1024)
 	b.SetBytes(1024)
 	for i := 0; i < b.N; i++ {
-		head, _ := a.AllocChain(a.BlocksFor(len(msg)), false, nil)
+		head, _, _ := a.AllocPayload(len(msg), false, nil)
 		a.WriteChain(head, msg)
 		a.ReadChain(head, len(msg), out)
 		a.FreeChain(head)

@@ -49,16 +49,6 @@ func (r *refSpans) spanBlocksFor(n int) int32 {
 	return int32((n + 4 + int(r.blockSize) - 1) / int(r.blockSize))
 }
 
-func (r *refSpans) findFree() int32 {
-	for i := r.lowFree; i < r.nBlocks; i++ {
-		if r.freeBits[i/64]&(1<<(i%64)) != 0 {
-			r.lowFree = i
-			return i
-		}
-	}
-	panic("shm: findFreeLocked with no free blocks")
-}
-
 func (r *refSpans) bestRun(want int32) (start, length int32) {
 	var bestStart, bestLen, runStart, runLen int32
 	first := true
@@ -159,15 +149,6 @@ func (r *refSpans) allocPayloads(ns []int) ([][]span, bool) {
 	return chains, true
 }
 
-func (r *refSpans) alloc() (int32, bool) {
-	if r.nFree == 0 {
-		return NilOffset, false
-	}
-	idx := r.findFree()
-	r.takeRun(idx, 1)
-	return (idx + 1) * r.blockSize, true
-}
-
 // panicText runs f and returns what it panicked with ("" if it did not).
 func panicText(f func()) (text string) {
 	defer func() {
@@ -182,11 +163,11 @@ func panicText(f func()) (text string) {
 // The steps of an allocator script.
 const (
 	opAllocPayload  = iota // sizes[0] payload bytes
-	opAlloc                // one block
+	opAlloc                // one block: opAllocPayload of 0 bytes
 	opAllocPayloads        // one chain per entry of sizes
 	opFreeChain            // live chain number pick
 	opFreeChains           // up to five live chains from pick on
-	opFreeBlock            // Free of arbitrary block number pick
+	opFreeBlock            // freeSpanLocked of arbitrary block number pick
 )
 
 type bitmapOp struct {
@@ -214,7 +195,7 @@ func decodeBitmapScript(data []byte) (nBlocks int, ops []bitmapOp) {
 		case k < 5:
 			op.kind, op.sizes = opAllocPayload, []int{size}
 		case k < 7:
-			op.kind = opAlloc
+			op.kind, op.sizes = opAlloc, []int{0}
 		case k < 9:
 			op.kind, op.sizes = opAllocPayloads, []int{size, size / 3, int(data[2]), size / 7}[:2+int(data[2])%3]
 		case k < 13:
@@ -236,10 +217,7 @@ func decodeBitmapScript(data []byte) (nBlocks int, ops []bitmapOp) {
 func runBitmapScript(t *testing.T, nBlocks int, ops []bitmapOp) {
 	t.Helper()
 	const blockSize = 16
-	a, err := New(Config{BlockSize: blockSize, NumBlocks: nBlocks, Spans: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustArena(t, blockSize, nBlocks)
 	ref := newRefSpans(blockSize, nBlocks)
 	var live [][]span // chains allocated and not yet freed, as the reference placed them
 
@@ -271,10 +249,10 @@ func runBitmapScript(t *testing.T, nBlocks int, ops []bitmapOp) {
 	for step, op := range ops {
 		what := fmt.Sprintf("kind %d sizes %v pick %d", op.kind, op.sizes, op.pick)
 		switch op.kind {
-		case opAllocPayload, opAllocPayloads:
+		case opAllocPayload, opAlloc, opAllocPayloads:
 			var heads, tails []int32
 			var err error
-			if op.kind == opAllocPayload {
+			if op.kind != opAllocPayloads {
 				var head, tail int32
 				head, tail, err = a.AllocPayload(op.sizes[0], false, nil)
 				heads, tails = []int32{head}, []int32{tail}
@@ -299,16 +277,6 @@ func runBitmapScript(t *testing.T, nBlocks int, ops []bitmapOp) {
 					t.Fatalf("op %d (%s): chain %d tail %d, reference %d", step, what, i, tails[i], w[len(w)-1].off)
 				}
 				live = append(live, w)
-			}
-		case opAlloc:
-			off, err := a.Alloc()
-			want, ok := ref.alloc()
-			if ok != (err == nil) || off != want {
-				t.Fatalf("op %d (%s): Alloc = %d, %v; reference %d, %v", step, what, off, err, want, ok)
-			}
-			if ok {
-				a.setLink(off, NilOffset)
-				live = append(live, []span{{off, 1}})
 			}
 		case opFreeChain, opFreeChains:
 			if len(live) == 0 {
@@ -342,11 +310,9 @@ func runBitmapScript(t *testing.T, nBlocks int, ops []bitmapOp) {
 				break
 			}
 			want := panicText(func() { ref.freeSpan(off) })
-			got := panicText(func() { a.Free(off) })
-			if got != want || want == "" {
-				t.Fatalf("op %d (%s): Free(%d) panicked with %q, reference %q", step, what, off, got, want)
+			if got := freeSpanPanic(a, off); got != want || want == "" {
+				t.Fatalf("op %d (%s): freeSpan(%d) panicked with %q, reference %q", step, what, off, got, want)
 			}
-			a.mu.Unlock() // the panic left the free-pool lock held
 		}
 		same(step, what)
 	}
@@ -363,6 +329,14 @@ func runBitmapScript(t *testing.T, nBlocks int, ops []bitmapOp) {
 	}
 }
 
+// freeSpanPanic frees the span at off under the free-pool lock and
+// returns what that panicked with ("" if it did not).
+func freeSpanPanic(a *Arena, off int32) string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return panicText(func() { a.freeSpanLocked(off) })
+}
+
 // TestSpanBitmapDifferential runs directed scripts — a full region, a
 // comb-fragmented one that forces the greedy multi-span fallback, spans
 // that cross one and several word boundaries — and seeded random ones
@@ -371,6 +345,7 @@ func TestSpanBitmapDifferential(t *testing.T) {
 	payload := func(blocks int) int { return blocks*16 - 4 } // fills a span of that many blocks exactly
 	alloc := func(blocks int) bitmapOp { return bitmapOp{kind: opAllocPayload, sizes: []int{payload(blocks)}} }
 	free := func(i int) bitmapOp { return bitmapOp{kind: opFreeChain, pick: i} }
+	one := bitmapOp{kind: opAlloc, sizes: []int{0}}
 
 	t.Run("word-crossing spans", func(t *testing.T) {
 		// 60 blocks, then a span over bits 60..69, one over 70..269
@@ -380,9 +355,9 @@ func TestSpanBitmapDifferential(t *testing.T) {
 	t.Run("full region", func(t *testing.T) {
 		var ops []bitmapOp
 		for i := 0; i < 131; i++ {
-			ops = append(ops, bitmapOp{kind: opAlloc})
+			ops = append(ops, one)
 		}
-		ops = append(ops, bitmapOp{kind: opAlloc}, alloc(1), free(130), alloc(1), free(64), free(63), alloc(2), alloc(1))
+		ops = append(ops, one, alloc(1), free(130), alloc(1), free(64), free(63), alloc(2), alloc(1))
 		runBitmapScript(t, 131, ops)
 	})
 	t.Run("comb fragmentation", func(t *testing.T) {
@@ -391,7 +366,7 @@ func TestSpanBitmapDifferential(t *testing.T) {
 		// single-block spans, earliest first, exactly as the reference.
 		var ops []bitmapOp
 		for i := 0; i < 200; i++ {
-			ops = append(ops, bitmapOp{kind: opAlloc})
+			ops = append(ops, one)
 		}
 		for i := 0; i < 100; i++ {
 			ops = append(ops, free(i)) // chain i+i of the original 200
@@ -427,7 +402,7 @@ func TestSpanBitmapCorruptionPanics(t *testing.T) {
 		{3, 10, 3}, {3, 10, 12}, {60, 10, 63}, {60, 10, 64}, {10, 200, 191}, {0, 130, 129}, {64, 64, 100},
 	} {
 		// takeRun over a run with one block already allocated.
-		a := spanArena(t, 16, 300)
+		a := mustArena(t, 16, 300)
 		ref := newRefSpans(16, 300)
 		a.takeRunLocked(tc.hole, 1)
 		ref.takeRun(tc.hole, 1)
@@ -437,7 +412,7 @@ func TestSpanBitmapCorruptionPanics(t *testing.T) {
 		}
 
 		// Free of a span with one block already free.
-		a = spanArena(t, 16, 300)
+		a = mustArena(t, 16, 300)
 		ref = newRefSpans(16, 300)
 		a.takeRunLocked(tc.start, tc.k)
 		ref.takeRun(tc.start, tc.k)
@@ -445,7 +420,7 @@ func TestSpanBitmapCorruptionPanics(t *testing.T) {
 		ref.freeBits[tc.hole/64] |= 1 << (tc.hole % 64)
 		off := a.offsetOf(tc.start)
 		want = panicText(func() { ref.freeSpan(off) })
-		if got := panicText(func() { a.Free(off) }); got != want || want == "" {
+		if got := freeSpanPanic(a, off); got != want || want == "" {
 			t.Errorf("free of span (%d, %d) with block %d free: panic %q, reference %q", tc.start, tc.k, tc.hole, got, want)
 		}
 	}

@@ -4,7 +4,7 @@ package shm
 // knows nothing about what is inside the region, so the fd travels
 // with a small fixed-size frame describing the layout: where the
 // descriptor table and the arena start, how the arena is carved
-// (block size, block count, span mode), which table slot the child
+// (block size, block count, layout flags), which table slot the child
 // should claim, and a protocol generation stamped by the parent at
 // serve time. The generation is the staleness guard: it is also
 // written into the segment's table header, and AttachSegTable refuses
@@ -53,7 +53,9 @@ var ErrPeerDead = errors.New("shm: segment peer is dead")
 
 // Handshake flag bits.
 const (
-	// HandshakeSpans marks an arena in contiguous-span mode.
+	// HandshakeSpans marks an arena carved by the span bitmap. It is the
+	// only layout, so DecodeHandshake refuses a frame without it: a peer
+	// that does not set it expects the paper's linked free list.
 	HandshakeSpans = 1 << 0
 )
 
@@ -79,9 +81,6 @@ type Handshake struct {
 	Flags uint32
 }
 
-// Spans reports whether the described arena runs in span mode.
-func (h Handshake) Spans() bool { return h.Flags&HandshakeSpans != 0 }
-
 // Encode serializes h into its fixed HandshakeBytes wire form.
 func (h Handshake) Encode() []byte {
 	b := make([]byte, HandshakeBytes)
@@ -98,8 +97,8 @@ func (h Handshake) Encode() []byte {
 	return b
 }
 
-// DecodeHandshake parses a received frame, validating magic, version
-// and basic field sanity.
+// DecodeHandshake parses a received frame, validating magic, version,
+// layout flags and basic field sanity.
 func DecodeHandshake(b []byte) (Handshake, error) {
 	if len(b) < HandshakeBytes {
 		return Handshake{}, fmt.Errorf("shm: short handshake frame (%d of %d bytes)", len(b), HandshakeBytes)
@@ -119,6 +118,9 @@ func DecodeHandshake(b []byte) (Handshake, error) {
 		NumBlocks:  int32(binary.LittleEndian.Uint32(b[44:48])),
 		Slot:       int32(binary.LittleEndian.Uint32(b[48:52])),
 		Flags:      binary.LittleEndian.Uint32(b[52:56]),
+	}
+	if h.Flags&HandshakeSpans == 0 {
+		return Handshake{}, fmt.Errorf("shm: handshake flags %#x lack the span layout: %w", h.Flags, ErrHandshakeVersion)
 	}
 	if h.SegSize <= 0 || h.TableOff < 0 || h.ArenaOff < 0 ||
 		h.TableOff >= h.SegSize || h.ArenaOff >= h.SegSize ||

@@ -28,13 +28,26 @@ func TestHandshakeRoundtrip(t *testing.T) {
 	if got != h {
 		t.Fatalf("roundtrip: got %+v, want %+v", got, h)
 	}
-	if !got.Spans() {
-		t.Fatal("span flag lost")
+}
+
+// TestHandshakeRefusesNonSpanPeer: a frame without HandshakeSpans comes
+// from a peer that expects the paper's linked free list, which this
+// arena no longer has; it must fail as a version mismatch, whatever
+// other layout bits it carries.
+func TestHandshakeRefusesNonSpanPeer(t *testing.T) {
+	for _, flags := range []uint32{0, 1 << 1, 1<<31 | 1<<2} {
+		h := Handshake{SegSize: 1 << 16, TableOff: 64, ArenaOff: 4096, BlockSize: 64, NumBlocks: 16, Flags: flags}
+		if _, err := DecodeHandshake(h.Encode()); !errors.Is(err, ErrHandshakeVersion) {
+			t.Errorf("flags %#x: %v, want ErrHandshakeVersion", flags, err)
+		}
 	}
 }
 
 func TestHandshakeRejectsBadFrames(t *testing.T) {
-	good := Handshake{SegSize: 1 << 16, TableOff: 64, ArenaOff: 4096, BlockSize: 64, NumBlocks: 16}.Encode()
+	good := Handshake{SegSize: 1 << 16, TableOff: 64, ArenaOff: 4096, BlockSize: 64, NumBlocks: 16, Flags: HandshakeSpans}.Encode()
+	if _, err := DecodeHandshake(good); err != nil {
+		t.Fatalf("good frame refused: %v", err)
+	}
 
 	short := good[:HandshakeBytes-1]
 	if _, err := DecodeHandshake(short); err == nil {
@@ -62,7 +75,7 @@ func TestHandshakeRejectsBadFrames(t *testing.T) {
 		"negative slot":      func(h *Handshake) { h.Slot = -1 },
 		"negative table off": func(h *Handshake) { h.TableOff = -8 },
 	} {
-		h := Handshake{SegSize: 1 << 16, TableOff: 64, ArenaOff: 4096, BlockSize: 64, NumBlocks: 16}
+		h := Handshake{SegSize: 1 << 16, TableOff: 64, ArenaOff: 4096, BlockSize: 64, NumBlocks: 16, Flags: HandshakeSpans}
 		mutate(&h)
 		if _, err := DecodeHandshake(h.Encode()); err == nil {
 			t.Errorf("%s: impossible layout accepted", name)

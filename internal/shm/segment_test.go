@@ -83,7 +83,7 @@ func TestAlignUp(t *testing.T) {
 }
 
 func TestArenaNewAtOverSegment(t *testing.T) {
-	cfg := Config{BlockSize: 64, NumBlocks: 32, Spans: true}
+	cfg := Config{BlockSize: 64, NumBlocks: 32}
 	seg, err := NewSegment(AlignUp(cfg.Bytes()) + 64)
 	if err != nil {
 		t.Fatal(err)

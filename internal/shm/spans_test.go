@@ -7,17 +7,29 @@ import (
 	"time"
 )
 
-func spanArena(t *testing.T, blockSize, nBlocks int) *Arena {
-	t.Helper()
-	a, err := New(Config{BlockSize: blockSize, NumBlocks: nBlocks, Spans: true})
+// comb allocates every free block of a fresh arena as a one-block span
+// and frees every other one, the first included, so that no free run is
+// longer than one block: a payload of several blocks must be chained, one
+// block per element — the shape the paper's linked free list gave every
+// payload. It returns the blocks still held.
+func comb(tb testing.TB, a *Arena) (teeth []int32) {
+	tb.Helper()
+	heads, _, err := a.AllocPayloads(make([]int, a.FreeBlocks()), false, nil)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return a
+	for i, h := range heads {
+		if i%2 == 0 {
+			a.FreeChain(h)
+		} else {
+			teeth = append(teeth, h)
+		}
+	}
+	return teeth
 }
 
 func TestSpanAllocPayloadContiguous(t *testing.T) {
-	a := spanArena(t, 16, 64)
+	a := mustArena(t, 16, 64)
 	// 100 payload bytes fit one span of ceil(104/16) = 7 blocks: the span
 	// carries a single 4-byte link word however many blocks it covers.
 	head, tail, err := a.AllocPayload(100, false, nil)
@@ -46,20 +58,9 @@ func TestSpanAllocPayloadContiguous(t *testing.T) {
 }
 
 func TestSpanFragmentationFallsBackToChains(t *testing.T) {
-	a := spanArena(t, 16, 16)
-	// Fragment the region: allocate all 16 blocks singly, then free every
-	// other one. The longest free run is now a single block.
-	offs := make([]int32, 16)
-	for i := range offs {
-		off, err := a.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		offs[i] = off
-	}
-	for i := 0; i < 16; i += 2 {
-		a.Free(offs[i])
-	}
+	a := mustArena(t, 16, 16)
+	// Fragment the region: the longest free run is a single block.
+	teeth := comb(t, a)
 	// 60 payload bytes need ceil(60/12) = 5 single-block spans.
 	head, tail, err := a.AllocPayload(60, false, nil)
 	if err != nil {
@@ -80,9 +81,7 @@ func TestSpanFragmentationFallsBackToChains(t *testing.T) {
 		t.Fatalf("chain capacity %d < 60", capacity)
 	}
 	a.FreeChain(head)
-	for i := 1; i < 16; i += 2 {
-		a.Free(offs[i])
-	}
+	a.FreeChains(teeth)
 	if free := a.FreeBlocks(); free != 16 {
 		t.Fatalf("%d blocks free, want 16", free)
 	}
@@ -92,38 +91,33 @@ func TestSpanFragmentationFallsBackToChains(t *testing.T) {
 }
 
 func TestSpanWriteReadChainRoundtrip(t *testing.T) {
-	for _, spans := range []bool{false, true} {
-		a, err := New(Config{BlockSize: 16, NumBlocks: 64, Spans: spans})
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := make([]byte, 300)
-		for i := range payload {
-			payload[i] = byte(i * 7)
-		}
-		head, _, err := a.AllocPayload(len(payload), false, nil)
-		if err != nil {
-			t.Fatalf("spans=%v: %v", spans, err)
-		}
-		if n := a.WriteChain(head, payload); n != len(payload) {
-			t.Fatalf("spans=%v: wrote %d bytes, want %d", spans, n, len(payload))
-		}
-		got := make([]byte, len(payload))
-		if n := a.ReadChain(head, len(payload), got); n != len(payload) {
-			t.Fatalf("spans=%v: read %d bytes, want %d", spans, n, len(payload))
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("spans=%v: payload corrupted across chain", spans)
-		}
-		a.FreeChain(head)
-		if err := a.CheckFreeList(); err != nil {
-			t.Fatalf("spans=%v: %v", spans, err)
-		}
+	a := mustArena(t, 16, 64)
+	payload := make([]byte, 300)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	head, _, err := a.AllocPayload(len(payload), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := a.WriteChain(head, payload); n != len(payload) {
+		t.Fatalf("wrote %d bytes, want %d", n, len(payload))
+	}
+	got := make([]byte, len(payload))
+	if n := a.ReadChain(head, len(payload), got); n != len(payload) {
+		t.Fatalf("read %d bytes, want %d", n, len(payload))
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("payload corrupted across chain")
+	}
+	a.FreeChain(head)
+	if err := a.CheckFreeList(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestSpanAllocPayloadsBatch(t *testing.T) {
-	a := spanArena(t, 16, 64)
+	a := mustArena(t, 16, 64)
 	heads, tails, err := a.AllocPayloads([]int{10, 200, 0}, false, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -149,10 +143,10 @@ func TestSpanAllocPayloadsBatch(t *testing.T) {
 }
 
 func TestSpanExhaustionAndWait(t *testing.T) {
-	a := spanArena(t, 16, 8)
+	a := mustArena(t, 16, 8)
 	// Demand accounting is the fully-fragmented worst case (BlocksFor), so
-	// 96 bytes = 8 classic blocks is the largest payload this region
-	// admits; as a span it takes only ceil(100/16) = 7 blocks.
+	// 96 bytes = 8 blocks of 12 payload bytes is the largest payload this
+	// region admits; as a span it takes only ceil(100/16) = 7 blocks.
 	head, _, err := a.AllocPayload(96, false, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -160,11 +154,8 @@ func TestSpanExhaustionAndWait(t *testing.T) {
 	if got := a.ChainBlocks(head); got != 7 {
 		t.Fatalf("span covers %d blocks, want 7", got)
 	}
-	single, err := a.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Free(single)
+	single := allocBlock(t, a)
+	defer a.FreeChain(single)
 	if _, _, err := a.AllocPayload(1, false, nil); !errors.Is(err, ErrOutOfBlocks) {
 		t.Fatalf("err = %v, want ErrOutOfBlocks", err)
 	}
@@ -198,7 +189,7 @@ func TestSpanExhaustionAndWait(t *testing.T) {
 }
 
 func TestSpanStatsAndHighWater(t *testing.T) {
-	a := spanArena(t, 16, 32)
+	a := mustArena(t, 16, 32)
 	head, _, err := a.AllocPayload(100, false, nil) // 7 blocks
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +208,7 @@ func TestSpanStatsAndHighWater(t *testing.T) {
 }
 
 func TestSpanReuseAfterChurn(t *testing.T) {
-	a := spanArena(t, 16, 32)
+	a := mustArena(t, 16, 32)
 	for round := 0; round < 50; round++ {
 		heads, _, err := a.AllocPayloads([]int{64, 17, 1, 200}, false, nil)
 		if err != nil {

@@ -261,10 +261,6 @@ func (s *ProcServer) Table() *core.SegTable { return s.table }
 // Handshake builds the attach frame for the given slot; SendSegment
 // stamps the segment size.
 func (s *ProcServer) Handshake(slot int) shm.Handshake {
-	var flags uint32
-	if s.acfg.Spans {
-		flags |= shm.HandshakeSpans
-	}
 	return shm.Handshake{
 		Generation: s.gen,
 		TableOff:   s.tableOff,
@@ -272,7 +268,7 @@ func (s *ProcServer) Handshake(slot int) shm.Handshake {
 		BlockSize:  int32(s.acfg.BlockSize),
 		NumBlocks:  int32(s.acfg.NumBlocks),
 		Slot:       int32(slot),
-		Flags:      flags,
+		Flags:      shm.HandshakeSpans,
 	}
 }
 
@@ -585,10 +581,10 @@ func popWait(r *shm.XRing, dst []shm.Record, abort func() error) (int, error) {
 }
 
 // errFragmented: the protocol ships each payload as one record, so it
-// must be one contiguous span. Span mode with uniform message sizes
-// cannot fragment below span granularity, so this does not occur in
+// must be one contiguous span. Uniform message sizes cannot fragment
+// the span bitmap below span granularity, so this does not occur in
 // steady state.
-var errFragmented = errors.New("mpf: payload fragmented; use span mode with uniform sizes")
+var errFragmented = errors.New("mpf: payload fragmented; use uniform message sizes")
 
 // deadErr folds teardown-shaped failures onto ErrPeerDead when the
 // abort probe confirms the incarnation is gone. A reclaim racing a
