@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -100,6 +101,70 @@ func TestDocsNameDeclaredMembers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDocsNameDeclaredMetrics fails when README.md or DESIGN.md quotes a
+// benchmark metric — a backticked `shm.arena_locks_per_msg`,
+// `trace.stream_64.receive_ns` and so on — that BENCHMARK.json does not
+// declare: a metric renamed or deleted in the benchmark but still read
+// in prose. The planted case holds the check itself.
+func TestDocsNameDeclaredMetrics(t *testing.T) {
+	var bench struct {
+		Workloads []struct{ Name string }
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+		PerLayer  []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal([]byte(readDoc(t, "BENCHMARK.json")), &bench); err != nil {
+		t.Fatal(err)
+	}
+	declared, workloads := make(map[string]bool), make(map[string]bool)
+	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
+		declared[m.Name] = true
+	}
+	for _, w := range bench.Workloads {
+		workloads[w.Name] = true
+	}
+	t.Run("planted", func(t *testing.T) {
+		text := "`shm.arena_waits_per_mesage`, `trace.stream_64.receive_ns`, `trace.receive.fcfs_ns`, `shm.alignedCopy`"
+		got := undeclaredMetrics(text, declared, workloads)
+		if len(got) != 1 || got[0] != "shm.arena_waits_per_mesage" {
+			t.Errorf("undeclared metrics in the planted text = %q, want only the misspelt one", got)
+		}
+	})
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		for _, name := range undeclaredMetrics(readDoc(t, doc), declared, workloads) {
+			t.Errorf("%s quotes metric %s, which BENCHMARK.json does not declare", doc, name)
+		}
+	}
+}
+
+// undeclaredMetrics returns the backticked metric names in text that are
+// not in declared. A metric name is a prefix that some declared name has
+// (`shm`, `core`, …), a dot, and lower-case words joined by at least one
+// underscore — Go identifiers have none, so `shm.alignedCopy` is not
+// taken for one; `trace.<workload>.x` is the per-workload form of
+// `trace.x`.
+func undeclaredMetrics(text string, declared, workloads map[string]bool) []string {
+	prefixes := make(map[string]bool)
+	for name := range declared {
+		if p, _, ok := strings.Cut(name, "."); ok {
+			prefixes[p] = true
+		}
+	}
+	var bad []string
+	for _, m := range regexp.MustCompile("`([a-z]+)\\.([a-z0-9_.]*_[a-z0-9_.]*)`").FindAllStringSubmatch(text, -1) {
+		prefix, rest := m[1], m[2]
+		if !prefixes[prefix] {
+			continue
+		}
+		if w, r, ok := strings.Cut(rest, "."); ok && prefix == "trace" && workloads[w] {
+			rest = r
+		}
+		if !declared[prefix+"."+rest] {
+			bad = append(bad, prefix+"."+m[2])
+		}
+	}
+	return bad
 }
 
 // typeMembers returns the names of the fields and methods that the

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // Concurrency stress tests and property-based tests of the delivery
@@ -130,6 +131,79 @@ func TestConcurrentFCFSReceiversPartition(t *testing.T) {
 	if len(seen) != nMsgs {
 		t.Fatalf("delivered %d distinct messages, want %d", len(seen), nMsgs)
 	}
+}
+
+// TestArenaWakesPerPark: a sender outruns its FCFS receiver through an
+// arena that holds two messages, so it parks on the third, and the
+// receiver drains the queue only once the sender has parked — two or
+// more frees per park. A park is woken once however many frees land
+// before the woken sender gets back to the free-pool lock, so the
+// arena's Wakes never exceeds its parks, AllocBlocks.
+func TestArenaWakesPerPark(t *testing.T) {
+	f, err := Init(Config{MaxLNVCs: 2, MaxProcesses: 2, BlockSize: 16, BlocksPerProcess: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shutdown()
+	a := f.Arena()
+	size := a.NumBlocks() / 2 * a.PayloadSize() // a demand of half the region
+	sid, err := f.OpenSend(0, "wakes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rid, err := f.OpenReceive(1, "wakes", FCFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nMsgs = 100
+	parks, done := a.Stats().AllocBlocks, false
+	sent := make(chan error, 1)
+	go func() {
+		buf := make([]byte, size)
+		for i := 0; i < nMsgs; i++ {
+			if err := f.Send(0, sid, buf); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	buf := make([]byte, size)
+	for got := 0; got < nMsgs; {
+		// Let the sender fill the arena and park (or finish) first.
+		for !done {
+			if p := a.Stats().AllocBlocks; p > parks {
+				parks = p
+				break
+			}
+			select {
+			case err := <-sent:
+				if err != nil {
+					t.Fatal(err)
+				}
+				done = true
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+		for {
+			_, ok, err := f.TryReceive(1, rid, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got++
+		}
+	}
+	st := a.Stats()
+	if st.AllocBlocks == 0 {
+		t.Fatal("the sender never parked")
+	}
+	if st.Wakes > st.AllocBlocks {
+		t.Errorf("%d wakes for %d parks: a park was woken more than once", st.Wakes, st.AllocBlocks)
+	}
+	t.Logf("%d parks, %d wakes for %d messages", st.AllocBlocks, st.Wakes, nMsgs)
 }
 
 func TestConcurrentBroadcastReceiveCompleteStreams(t *testing.T) {

@@ -94,22 +94,15 @@ type Arena struct {
 	spanLen  []int32
 	lowFree  int32
 
-	// waiters is the number of goroutines blocked in lockWithFree;
-	// guarded by mu, signalled via cond.
-	cond    condSignal
+	// wake is the channel lockWithFree's waiters sleep on, and waiters
+	// the number registered on it since it was made; both guarded by mu.
+	// A channel rather than a sync.Cond because a waiter also selects on
+	// its stop channel.
+	wake    chan struct{}
 	waiters int32
 
 	stats Stats
 }
-
-// condSignal is a tiny condition variable over the free-pool lock. It is
-// a channel rather than a sync.Cond because a waiter also selects on its
-// stop channel.
-type condSignal struct {
-	ch chan struct{}
-}
-
-func (c *condSignal) init() { c.ch = make(chan struct{}) }
 
 // Stats counts allocator activity. Read it via Arena.Stats.
 type Stats struct {
@@ -117,6 +110,7 @@ type Stats struct {
 	Frees       uint64 // blocks returned
 	AllocFails  uint64 // allocations that found too few free blocks and could not wait
 	AllocBlocks uint64 // times an allocation blocked waiting for frees
+	Wakes       uint64 // frees that woke blocked allocations; never above AllocBlocks
 	HighWater   int32  // maximum simultaneously-allocated blocks
 }
 
@@ -200,7 +194,7 @@ func NewAt(cfg Config, mem []byte) (*Arena, error) {
 		spanLen:   make([]int32, cfg.NumBlocks),
 		nFree:     int32(cfg.NumBlocks),
 	}
-	a.cond.init()
+	a.wake = make(chan struct{})
 	a.flipRunLocked(0, a.nBlocks, true)
 	return a, nil
 }
@@ -446,13 +440,15 @@ func (a *Arena) spanChainLocked(payload int) (head, tail int32) {
 // facility shutdown; a nil stop never aborts), and a demand beyond the
 // region errors immediately instead of deadlocking.
 //
-// Waiter accounting: each waiter owns its own registration — it
-// increments waiters before sleeping and decrements after waking,
-// whether woken or aborted. Wakers never touch the count; they only
-// replace-and-close the channel when waiters > 0. This keeps the
-// invariant "a sleeping waiter's channel is the current one and will be
-// closed by the next free" without any reset/decrement interleavings
-// that could strand a later waiter.
+// Waiter accounting: a waiter registers on the current wake channel by
+// incrementing waiters before it sleeps. The next free replaces and
+// closes that channel and zeroes the count in the same hold
+// (wakeAndUnlock), so a woken waiter has nothing to de-register, and a
+// waiter aborting on stop de-registers only while its channel is still
+// the current one. The count is therefore never below the number of
+// sleepers on the current channel: a sleeping waiter's channel is the
+// current one and the next free closes it, and one park costs one
+// channel however many frees arrive before the woken waiter runs.
 func (a *Arena) lockWithFree(demand int, wait bool, stop <-chan struct{}) error {
 	if demand > int(a.nBlocks) {
 		return fmt.Errorf("shm: allocation of %d blocks exceeds region of %d: %w",
@@ -470,20 +466,18 @@ func (a *Arena) lockWithFree(demand int, wait bool, stop <-chan struct{}) error 
 		}
 		a.stats.AllocBlocks++
 		a.waiters++
-		ch := a.cond.ch
+		ch := a.wake
 		a.mu.Unlock()
-		aborted := false
 		select {
 		case <-ch:
-			// Frees arrived; retry the whole reservation.
+			// Frees arrived; retry the whole reservation, in the wake's one
+			// acquisition.
+			a.mu.Lock()
 		case <-stop:
-			aborted = true
-		}
-		// One acquisition per wake: the hold that de-registers the waiter
-		// is the hold that retries the reservation.
-		a.mu.Lock()
-		a.waiters--
-		if aborted {
+			a.mu.Lock()
+			if ch == a.wake {
+				a.waiters--
+			}
 			a.mu.Unlock()
 			return ErrOutOfBlocks
 		}
@@ -564,14 +558,17 @@ func (a *Arena) AllocPayloadsInto(ns []int, heads, tails []int32, wait bool, sto
 	return nil
 }
 
-// wakeAndUnlock releases the lock, waking block-pool waiters by
-// replace-and-close only; waiters de-register themselves (see
-// lockWithFree), so a waiter aborting on stop can never consume another
-// waiter's registration.
+// wakeAndUnlock releases the lock, waking the block-pool waiters
+// registered on the current channel by replace-and-close and zeroing
+// their count (see lockWithFree). A free that finds no registration —
+// every free after the first while a woken waiter is on its way back to
+// the lock — is a plain unlock and allocates nothing.
 func (a *Arena) wakeAndUnlock() {
 	if a.waiters > 0 {
-		old := a.cond.ch
-		a.cond.ch = make(chan struct{})
+		old := a.wake
+		a.wake = make(chan struct{})
+		a.waiters = 0
+		a.stats.Wakes++
 		a.mu.Unlock()
 		close(old)
 		return
