@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -172,11 +173,7 @@ func undeclaredMetrics(text string, declared, workloads map[string]bool) []strin
 func typeMembers(t *testing.T, dir, typ string) map[string]bool {
 	t.Helper()
 	members := make(map[string]bool)
-	for _, path := range goFiles(t, dir) {
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range parseDir(t, dir) {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -217,16 +214,9 @@ func typeMembers(t *testing.T, dir, typ string) map[string]bool {
 func mpfOptions(t *testing.T) map[string]bool {
 	t.Helper()
 	opts := make(map[string]bool)
-	for _, path := range goFiles(t, "mpf") {
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() &&
-				strings.HasPrefix(fn.Name.Name, "With") {
-				opts[fn.Name.Name] = true
-			}
+	for _, name := range exportedNames(parseDir(t, "mpf")) {
+		if strings.HasPrefix(name, "With") {
+			opts[name] = true
 		}
 	}
 	if len(opts) == 0 {
@@ -240,11 +230,7 @@ func mpfOptions(t *testing.T) map[string]bool {
 func mpfbenchFlags(t *testing.T) map[string]bool {
 	t.Helper()
 	flags := make(map[string]bool)
-	for _, path := range goFiles(t, filepath.Join("cmd", "mpfbench")) {
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range parseDir(t, filepath.Join("cmd", "mpfbench")) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) == 0 {
@@ -316,6 +302,20 @@ func readDoc(t *testing.T, name string) string {
 	return string(b)
 }
 
+// parseDir parses the non-test Go files directly in dir.
+func parseDir(t *testing.T, dir string) []*ast.File {
+	t.Helper()
+	var files []*ast.File
+	for _, path := range goFiles(t, dir) {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
 // goFiles returns the non-test Go files directly in dir.
 func goFiles(t *testing.T, dir string) []string {
 	t.Helper()
@@ -330,4 +330,124 @@ func goFiles(t *testing.T, dir string) []string {
 		}
 	}
 	return files
+}
+
+// TestMPFExportedSet pins package mpf's exported names — its top-level
+// names and the exported methods of its exported types, as Type.Method
+// — to a golden list, so a name joins or leaves the public package only
+// by an edit here. The planted case holds the comparison itself.
+func TestMPFExportedSet(t *testing.T) {
+	want := []string{
+		"AttachProc", "AttachProcConn", "Broadcast", "CircuitInfo", "ErrAlreadyOpen", "ErrBadLNVC",
+		"ErrBadProcess", "ErrHandshakeTimeout", "ErrLoanDone", "ErrMessageTooBig", "ErrNoCredit",
+		"ErrNoMemory", "ErrNoSharedBackend", "ErrNotConnected", "ErrPeerDead", "ErrSelectorClosed",
+		"ErrShutdown", "ErrTimeout", "ErrTooManyLNVCs", "Event", "FCFS", "Facility",
+		"Facility.Circuit", "Facility.CircuitCount", "Facility.Core", "Facility.MaxProcesses",
+		"Facility.Process", "Facility.RegistryStats", "Facility.Run", "Facility.Shutdown",
+		"Facility.Stats",
+		"ID", "Loan", "LoanBatch", "LockStat", "New", "Option", "ProcClient", "ProcClient.Close",
+		"ProcClient.Gen", "ProcClient.Serve", "ProcClient.Served", "ProcClient.Slot",
+		"ProcServer", "ProcServer.BridgeDown", "ProcServer.BridgeUp", "ProcServer.Close",
+		"ProcServer.Facility", "ProcServer.FinishSlot", "ProcServer.Handshake",
+		"ProcServer.ReclaimSlot", "ProcServer.RingWaitStats", "ProcServer.Segment",
+		"ProcServer.SendSegmentTo", "ProcServer.Spawn", "ProcServer.SpawnEnv",
+		"ProcServer.Supervise", "ProcServer.Table",
+		"Process", "Process.Facility", "Process.NewSelector", "Process.OpenReceive",
+		"Process.OpenSend", "Process.PID", "Process.ReceiveAny", "Process.ReceiveAnyDeadline",
+		"Protocol", "ReclaimReport", "RecvConn", "RecvConn.Check", "RecvConn.Close", "RecvConn.ID",
+		"RecvConn.Name", "RecvConn.Protocol", "RecvConn.Receive", "RecvConn.ReceiveBatch",
+		"RecvConn.ReceiveBatchDeadline", "RecvConn.ReceiveDeadline", "RecvConn.ReceiveView",
+		"RecvConn.ReceiveViewDeadline", "RecvConn.TryReceive", "RecvConn.TryReceiveView",
+		"ReleaseViews", "Selector", "Selector.Add", "Selector.Close", "Selector.Len",
+		"Selector.Remove", "Selector.Wait", "Selector.WaitDeadline", "Selector.WaitViews",
+		"Selector.WaitViewsDeadline",
+		"SendConn", "SendConn.Close", "SendConn.ID", "SendConn.Loan", "SendConn.LoanBatch",
+		"SendConn.Name", "SendConn.Send", "SendConn.SendBatch",
+		"ServeConfig", "ServeProc", "Stats", "SuperviseConfig", "Supervisor", "Supervisor.Stop",
+		"Tracer", "View", "WithBlockSize", "WithBlocksPerProcess", "WithCredit", "WithFailFastSend",
+		"WithMaxLNVCs", "WithMaxProcesses", "WithTracer", "XTagAck", "XTagDone", "XTagFilled",
+		"XTagLoan", "XTagView",
+	}
+	files := parseDir(t, "mpf")
+	t.Run("planted", func(t *testing.T) {
+		f, err := parser.ParseFile(token.NewFileSet(), "planted.go", "package mpf\nfunc Planted() {}\nfunc (s *SendConn) planted() {}\n", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		added, missing := diffNames(exportedNames(append(files, f)), want)
+		if len(added) != 1 || added[0] != "Planted" || len(missing) != 0 {
+			t.Errorf("planted file: added %q, missing %q; want only Planted added", added, missing)
+		}
+	})
+	got := exportedNames(files)
+	if added, missing := diffNames(got, want); len(added)+len(missing) > 0 {
+		t.Errorf("package mpf exports %q beyond the golden list and lacks %q from it", added, missing)
+	}
+}
+
+// exportedNames returns the sorted exported top-level names of files and
+// the exported methods of their exported types, as Type.Method.
+func exportedNames(files []*ast.File) []string {
+	var names []string
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names = append(names, d.Name.Name)
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+					names = append(names, id.Name+"."+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names = append(names, s.Name.Name)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							names = append(names, id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	exported := names[:0]
+	for _, n := range names {
+		if ast.IsExported(n[strings.LastIndex(n, ".")+1:]) {
+			exported = append(exported, n)
+		}
+	}
+	sort.Strings(exported)
+	return exported
+}
+
+// diffNames returns the names in got but not in want, and the names in
+// want but not in got.
+func diffNames(got, want []string) (added, missing []string) {
+	in := func(list []string) map[string]bool {
+		m := make(map[string]bool, len(list))
+		for _, n := range list {
+			m[n] = true
+		}
+		return m
+	}
+	gotSet, wantSet := in(got), in(want)
+	for _, n := range got {
+		if !wantSet[n] {
+			added = append(added, n)
+		}
+	}
+	for _, n := range want {
+		if !gotSet[n] {
+			missing = append(missing, n)
+		}
+	}
+	return added, missing
 }

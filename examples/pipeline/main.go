@@ -1,25 +1,28 @@
-// Pipeline: a Unix-pipe-style text pipeline over LNVCs, using the
-// io.Reader / io.Writer stream adapters.
+// Pipeline: a Unix-pipe-style text pipeline over LNVCs.
 //
-// Three processes: a generator writes lines into a "raw" circuit; a
+// Three processes: a generator sends lines into a "raw" circuit; a
 // filter upcases them onto "cooked"; a consumer counts and prints a
-// sample. Each hop is a byte stream framed over MPF messages — the
-// hybrid shared-memory/message-passing style the paper's conclusion
-// advertises ("a particularly interesting benefit ... is the ability to
-// develop a program using a hybrid parallel programming paradigm").
+// sample. Each hop carries one line per message and ends with a
+// zero-length message, a framing this program builds on the paper's
+// send and receive primitives — the hybrid shared-memory/message-passing
+// style the paper's conclusion advertises ("a particularly interesting
+// benefit ... is the ability to develop a program using a hybrid
+// parallel programming paradigm").
 //
 //	go run ./examples/pipeline [-lines 10000]
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
-	"strings"
 
 	"repro/mpf"
 )
+
+// maxLine bounds one line; a longer one would be truncated on receipt.
+const maxLine = 256
 
 func main() {
 	lines := flag.Int("lines", 10000, "lines to push through the pipeline")
@@ -40,15 +43,14 @@ func main() {
 			if err != nil {
 				return err
 			}
-			w := mpf.NewWriter(s, 1024)
-			bw := bufio.NewWriter(w)
+			line := make([]byte, 0, maxLine)
 			for i := 0; i < *lines; i++ {
-				fmt.Fprintf(bw, "record %08d: the quick brown fox\n", i)
+				line = fmt.Appendf(line[:0], "record %08d: the quick brown fox", i)
+				if err := s.Send(line); err != nil {
+					return err
+				}
 			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			return w.Close()
+			return s.Send(nil)
 
 		case 1: // filter: upcase
 			in, err := p.OpenReceive("raw", mpf.FCFS)
@@ -60,19 +62,10 @@ func main() {
 			if err != nil {
 				return err
 			}
-			r := bufio.NewScanner(mpf.NewReader(in, 1024))
-			w := mpf.NewWriter(out, 1024)
-			bw := bufio.NewWriter(w)
-			for r.Scan() {
-				fmt.Fprintln(bw, strings.ToUpper(r.Text()))
-			}
-			if err := r.Err(); err != nil {
+			if err := eachLine(in, func(line []byte) error { return out.Send(bytes.ToUpper(line)) }); err != nil {
 				return err
 			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			return w.Close()
+			return out.Send(nil)
 
 		default: // consumer
 			in, err := p.OpenReceive("cooked", mpf.FCFS)
@@ -80,14 +73,13 @@ func main() {
 				return err
 			}
 			defer in.Close()
-			sc := bufio.NewScanner(mpf.NewReader(in, 1024))
-			for sc.Scan() {
+			return eachLine(in, func(line []byte) error {
 				if count == 0 {
-					sample = sc.Text()
+					sample = string(line)
 				}
 				count++
-			}
-			return sc.Err()
+				return nil
+			})
 		}
 	})
 	if err != nil {
@@ -96,4 +88,19 @@ func main() {
 	fmt.Printf("pipeline moved %d lines; first: %q\n", count, sample)
 	st := fac.Stats()
 	fmt.Printf("MPF: %d messages, %d bytes\n", st.Sends, st.BytesSent)
+}
+
+// eachLine calls fn with every message r receives, up to the
+// zero-length message that ends the stream.
+func eachLine(r *mpf.RecvConn, fn func(line []byte) error) error {
+	buf := make([]byte, maxLine)
+	for {
+		n, err := r.Receive(buf)
+		if err != nil || n == 0 {
+			return err
+		}
+		if err := fn(buf[:n]); err != nil {
+			return err
+		}
+	}
 }

@@ -89,7 +89,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/shm"
 	"repro/internal/spinlock"
-	"repro/internal/stats"
 )
 
 // Protocol selects a receiver's delivery discipline (paper §2,
@@ -174,7 +173,7 @@ type Config struct {
 	// this many accounted blocks (Arena.BlocksFor units), debited when a
 	// send is admitted (send.go), before its allocation, and re-granted
 	// as receivers release the blocks. A send that would overdraw the
-	// budget parks on the circuit's credit waiter list (BlockUntilFree)
+	// budget parks on the circuit's condition variable (BlockUntilFree)
 	// or fails with ErrNoCredit (FailFast), so one hot circuit can no
 	// longer monopolise the region and starve its tenants. Zero (the
 	// default) disables the ledger entirely: admission is the connection
@@ -349,9 +348,8 @@ type Facility struct {
 	// Send/Receive/Check translate an ID to a descriptor with a single
 	// atomic load of slots — no registry lock at all. Lock order: shard
 	// lock before the LNVC lock; idLock is a leaf.
-	shards     []registryShard
-	slots      []atomic.Pointer[lnvc] // indexed by ID
-	contention *stats.Contention
+	shards []registryShard
+	slots  []atomic.Pointer[lnvc] // indexed by ID
 
 	stop    chan struct{}
 	stopped atomic.Bool
@@ -403,13 +401,12 @@ func Init(cfg Config) (*Facility, error) {
 		return nil, err
 	}
 	f := &Facility{
-		cfg:        cfg,
-		arena:      arena,
-		pool:       msg.NewPool(arena, 0),
-		shards:     make([]registryShard, registryShards),
-		slots:      make([]atomic.Pointer[lnvc], cfg.MaxLNVCs),
-		contention: stats.NewContention(registryShards),
-		stop:       make(chan struct{}),
+		cfg:    cfg,
+		arena:  arena,
+		pool:   msg.NewPool(arena, 0),
+		shards: make([]registryShard, registryShards),
+		slots:  make([]atomic.Pointer[lnvc], cfg.MaxLNVCs),
+		stop:   make(chan struct{}),
 	}
 	perShard := cfg.MaxLNVCs/registryShards + 1
 	for i := range f.shards {
@@ -429,10 +426,10 @@ func (f *Facility) Shutdown() {
 		return
 	}
 	close(f.stop)
-	// Wake every receiver blocked on an LNVC condition variable. Slots
-	// are read with atomic loads; a descriptor recycled concurrently
-	// receives a harmless spurious broadcast (waiters always re-check
-	// their predicate).
+	// Wake every receiver and credit-parked sender blocked on an LNVC
+	// condition variable. Slots are read with atomic loads; a descriptor
+	// recycled concurrently receives a harmless spurious broadcast
+	// (waiters always re-check their predicate).
 	for i := range f.slots {
 		if l := f.slots[i].Load(); l != nil {
 			l.lock.Lock()
@@ -495,8 +492,8 @@ func (f *Facility) lookup(id ID) (*lnvc, error) {
 
 // LNVCByName returns the ID bound to name, for introspection.
 func (f *Facility) LNVCByName(name string) (ID, bool) {
-	si := f.shardIndex(name)
-	s := f.rlockShard(si)
+	s := &f.shards[f.shardIndex(name)]
+	s.lock.RLock()
 	defer s.lock.RUnlock()
 	id, ok := s.names[name]
 	return id, ok
@@ -506,7 +503,8 @@ func (f *Facility) LNVCByName(name string) (ID, bool) {
 func (f *Facility) LNVCCount() int {
 	n := 0
 	for i := range f.shards {
-		s := f.rlockShard(uint32(i))
+		s := &f.shards[i]
+		s.lock.RLock()
 		n += len(s.names)
 		s.lock.RUnlock()
 	}

@@ -17,10 +17,9 @@ import (
 //     the same worst-case BlocksFor demand the capacity checks use.
 //   - Every send debits the budget when it is admitted (send.go),
 //     before its allocation, under the circuit lock. A send that would
-//     overdraw parks on a per-circuit credit waiter list
-//     (BlockUntilFree) or returns ErrNoCredit (FailFast). Waiter lists
-//     keep wakeups O(parked on this circuit), exactly like the
-//     receive-side waiter lists they mirror (waiter.go).
+//     overdraw parks on the circuit's condition variable
+//     (BlockUntilFree) or returns ErrNoCredit (FailFast), so a wakeup
+//     reaches only the parties parked on this circuit.
 //   - Credits return to the budget when the message's blocks return to
 //     the region while the circuit lives: the reclaim scan re-grants
 //     every victim's Message.Blocks and wakes parked senders in batch.
@@ -42,7 +41,7 @@ import (
 // Credit is receiver-granted: it only flows back when a receiver (or
 // the reclaim rules acting for one) releases blocks. A sender parked
 // for credit on a circuit whose last receiver departs can therefore
-// never be satisfied, so the close path wakes the credit waiters and
+// never be satisfied, so the close path wakes the parked senders and
 // the wait loop fails them with a prompt ErrNotConnected instead of
 // parking forever — the same promptness contract the receive-side parks
 // got in the selector work.
@@ -53,55 +52,29 @@ import (
 // demand exceeds the whole budget and so could never be granted.
 var ErrNoCredit = errors.New("mpf: circuit out of credit blocks")
 
-// creditWaiter is one sender parked for circuit credit. ch has
-// capacity 1 so a grant firing while the sender is between the list
-// and the park is retained.
-type creditWaiter struct {
-	ch chan struct{}
-}
-
-// wakeCreditWaitersLocked fires every parked credit waiter on l so
-// each re-evaluates the budget (or its connection). Called under
-// l.lock after any event that can change the answer: a credit grant, a
-// connection close, circuit deletion.
-func (l *lnvc) wakeCreditWaitersLocked() {
-	for _, w := range l.creditWaiters {
-		select {
-		case w.ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// removeCreditWaiterLocked removes one registration of w from l's
-// list; a w no longer present (the descriptor was recycled and its
-// list cleared by reset) is a no-op.
-func (l *lnvc) removeCreditWaiterLocked(w *creditWaiter) {
-	for i, x := range l.creditWaiters {
-		if x == w {
-			last := len(l.creditWaiters) - 1
-			l.creditWaiters[i] = l.creditWaiters[last]
-			l.creditWaiters[last] = nil
-			l.creditWaiters = l.creditWaiters[:last]
-			return
-		}
-	}
-}
-
 // acquireCredit is the admission check every send makes under the
 // circuit lock: pid must hold a send connection on id, and with credit
-// configured blocks are debited from id's budget, parking until the
-// budget can cover them (BlockUntilFree) or failing with ErrNoCredit
-// (FailFast). Without credit (CreditBlocks 0) the connection check is
-// all there is. It re-validates the connection on entry and on every
-// wake, so a sender parked for credit observes CloseSend, circuit
-// deletion, the departure of the last receiver, and Shutdown promptly.
-// On success it returns the descriptor generation at debit time, which
-// refundCredit uses to reject refunds that outlive the circuit.
+// configured blocks are debited from id's budget, parking on the
+// circuit's condition variable until the budget can cover them
+// (BlockUntilFree) or failing with ErrNoCredit (FailFast). Without
+// credit (CreditBlocks 0) the connection check is all there is. It
+// re-validates the connection on entry and on every wake, so a sender
+// parked for credit observes CloseSend, circuit deletion, the departure
+// of the last receiver, and Shutdown promptly. On success it returns the
+// descriptor generation at debit time, which refundCredit uses to reject
+// refunds that outlive the circuit.
 func (f *Facility) acquireCredit(l *lnvc, id ID, pid, blocks int) (uint64, error) {
 	budget := f.cfg.CreditBlocks
+	stalled := false
 	l.lock.Lock()
 	for {
+		// Shutdown sets stopped before it broadcasts under this lock, so
+		// a sender that reads it clear here is parked when that
+		// broadcast comes.
+		if stalled && f.stopped.Load() {
+			l.lock.Unlock()
+			return 0, ErrShutdown
+		}
 		if f.slots[id].Load() != l || l.sends[pid] == nil {
 			l.lock.Unlock()
 			return 0, notConnected("send", id, pid)
@@ -135,26 +108,23 @@ func (f *Facility) acquireCredit(l *lnvc, id ID, pid, blocks int) (uint64, error
 			l.lock.Unlock()
 			return 0, fmt.Errorf("%w: credit wait on id %d with no receiver connected", ErrNotConnected, id)
 		}
-		w := &creditWaiter{ch: make(chan struct{}, 1)}
-		l.creditWaiters = append(l.creditWaiters, w)
-		l.lock.Unlock()
-		f.stats.creditStalls.Add(1)
-		f.trace(Event{Op: OpCreditStall, PID: pid, LNVC: id, Bytes: blocks * f.arena.BlockSize()})
-		select {
-		case <-w.ch:
-		case <-f.stop:
-			l.lock.Lock()
-			l.removeCreditWaiterLocked(w)
+		if !stalled {
+			// A stall counts once per send, however often an enqueue or
+			// a grant wakes it, and is traced with no lock held; the
+			// loop then checks everything again before the first park.
+			stalled = true
 			l.lock.Unlock()
-			return 0, ErrShutdown
+			f.stats.creditStalls.Add(1)
+			f.trace(Event{Op: OpCreditStall, PID: pid, LNVC: id, Bytes: blocks * f.arena.BlockSize()})
+			l.lock.Lock()
+			continue
 		}
-		l.lock.Lock()
-		l.removeCreditWaiterLocked(w)
+		l.cond.Wait()
 	}
 }
 
-// grantCreditLocked returns blocks to l's budget and wakes parked
-// credit waiters. Called under l.lock. The clamp to the outstanding
+// grantCreditLocked returns blocks to l's budget and wakes the senders
+// parked for it. Called under l.lock. The clamp to the outstanding
 // debit makes late grants — a reclaim on a descriptor whose ledger was
 // zeroed at circuit death and recycled — harmless: they grant nothing.
 func (f *Facility) grantCreditLocked(l *lnvc, blocks int) {
@@ -168,7 +138,7 @@ func (f *Facility) grantCreditLocked(l *lnvc, blocks int) {
 		return
 	}
 	l.creditUsed -= int32(blocks)
-	l.wakeCreditWaitersLocked()
+	l.cond.Broadcast()
 }
 
 // refundCredit returns a never-enqueued debit (an aborted or

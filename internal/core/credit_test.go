@@ -118,7 +118,7 @@ func TestCreditOversizeMessage(t *testing.T) {
 }
 
 // TestCreditStallAndGrant: under BlockUntilFree an overdrawing sender
-// parks on the circuit's credit waiter list and a receive's reclaim
+// parks on the circuit's condition variable and a receive's reclaim
 // wakes it — the stall is visible in Stats.CreditStalls.
 func TestCreditStallAndGrant(t *testing.T) {
 	fac := creditFacility(t, 2, BlockUntilFree)

@@ -144,8 +144,7 @@ func TestHotWordLayout(t *testing.T) {
 	for name, off := range map[string]uintptr{
 		"cfg": unsafe.Offsetof(f.cfg), "arena": unsafe.Offsetof(f.arena), "pool": unsafe.Offsetof(f.pool),
 		"shards": unsafe.Offsetof(f.shards), "slots": unsafe.Offsetof(f.slots),
-		"contention": unsafe.Offsetof(f.contention),
-		"stop":       unsafe.Offsetof(f.stop), "stopped": unsafe.Offsetof(f.stopped),
+		"stop": unsafe.Offsetof(f.stop), "stopped": unsafe.Offsetof(f.stopped),
 	} {
 		if off >= hdrEnd {
 			t.Errorf("Facility.%s (at %d) is outside the header, which ends at %d", name, off, hdrEnd)
@@ -169,12 +168,12 @@ func TestHotWordLayout(t *testing.T) {
 			end, unsafe.Sizeof(f.stats))
 	}
 
-	// The credit ledger's debit word versus the waiter list senders
-	// park on and receivers drain.
+	// The credit ledger's debit word has its line to itself: the cold
+	// fields that follow it start the next one.
 	if sameLine(unsafe.Offsetof(l.creditUsed), unsafe.Sizeof(l.creditUsed),
-		unsafe.Offsetof(l.creditWaiters), unsafe.Sizeof(l.creditWaiters)) {
-		t.Errorf("lnvc creditUsed (at %d) shares a line with creditWaiters (at %d)",
-			unsafe.Offsetof(l.creditUsed), unsafe.Offsetof(l.creditWaiters))
+		unsafe.Offsetof(l.sendFree), unsafe.Sizeof(l.sendFree)) {
+		t.Errorf("lnvc creditUsed (at %d) shares a line with sendFree (at %d)",
+			unsafe.Offsetof(l.creditUsed), unsafe.Offsetof(l.sendFree))
 	}
 
 	// The selector's mu/ready group is hammered by senders (markReady

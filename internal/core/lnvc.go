@@ -87,7 +87,7 @@ type lnvc struct {
 	// Line 2: read by every send and receive, written only when a
 	// connection or a multiplexer registration comes or goes, so it
 	// stays shared in every party's cache.
-	cond   *sync.Cond // signalled on enqueue and shutdown
+	cond   *sync.Cond // signalled on enqueue, close, credit grant and shutdown
 	sends  map[int]*sendDesc
 	recvs  map[int]*recvDesc
 	nFCFS  int // count of FCFS receive connections
@@ -105,17 +105,15 @@ type lnvc struct {
 	creditUsed int32
 	_          [60]byte
 
-	// Lines 4-5: cold. creditWaiters are the senders parked until the
-	// budget can cover them; the free lists are the paper's §3.1 ("Like
+	// Lines 4-5: cold. The free lists are the paper's §3.1 ("Like
 	// message blocks, LNVC, send, and receive descriptors are linked into
 	// free lists when not in use"); gone is the traffic of connections
 	// that no longer exist (traffic.go), out of line so that the
 	// descriptor keeps its size class.
-	creditWaiters []*creditWaiter
-	sendFree      []*sendDesc
-	recvFree      []*recvDesc
-	gone          *goneTraffic
-	_             [48]byte
+	sendFree []*sendDesc
+	recvFree []*recvDesc
+	gone     *goneTraffic
+	_        [72]byte
 }
 
 // goneTraffic is the traffic of a descriptor's departed connections:
@@ -156,11 +154,9 @@ func (l *lnvc) reset(name string, id ID) {
 	clear(l.waiters)
 	l.waiters = l.waiters[:0]
 	// Credit state died with the previous circuit (the close path's
-	// deletion branch zeroed the ledger and woke the waiters, who
-	// unregister by identity); the fresh incarnation starts unencumbered.
+	// deletion branch zeroed the ledger and woke the parked senders); the
+	// fresh incarnation starts unencumbered.
 	l.creditUsed = 0
-	clear(l.creditWaiters)
-	l.creditWaiters = l.creditWaiters[:0]
 	l.gone.past.add(&l.gone.closed)
 	l.gone.closed = traffic{}
 	l.gen++
@@ -304,7 +300,8 @@ func (f *Facility) open(pid int, name string, attach func(*lnvc) error) (ID, err
 		return -1, ErrShutdown
 	}
 	si := f.shardIndex(name)
-	s := f.lockShard(si)
+	s := &f.shards[si]
+	s.lock.Lock()
 	defer s.lock.Unlock()
 
 	id, exists := s.names[name]
@@ -415,7 +412,8 @@ func (f *Facility) close(pid int, id ID, detach func(*lnvc) error) error {
 	if err != nil {
 		return err
 	}
-	s := f.lockShard(l.shard)
+	s := &f.shards[l.shard]
+	s.lock.Lock()
 	if f.slots[id].Load() != l {
 		s.lock.Unlock()
 		return fmt.Errorf("%w: id %d", ErrBadLNVC, id)
@@ -430,7 +428,6 @@ func (f *Facility) close(pid int, id ID, detach func(*lnvc) error) error {
 		// connection on wake).
 		l.cond.Broadcast()
 		l.wakeWaitersLocked()
-		l.wakeCreditWaitersLocked()
 	}
 	var drop []*msg.Message
 	dropped := 0

@@ -104,13 +104,12 @@ func (b *LoanBatch) Bytes(i int) ([]byte, bool) { return b.View(i).Contiguous() 
 // Fill writes buf into loan i in place, returning the number of bytes
 // written (min of the loan's capacity and len(buf)). This is the
 // production step for a caller whose payload already lives in a
-// private buffer — mpf.Writer and TypedSender batch through it — and
-// is deliberately not counted in the copy ledger: the bytes enter the
-// shared region exactly once, the minimum any interface taking a
-// caller-owned buffer can achieve (the same count as the restricted
-// direct-transfer fast path), where the copying plane's PayloadCopiesIn
-// records the structural copy Send performs on top of its own
-// bookkeeping.
+// private buffer, and is deliberately not counted in the copy ledger:
+// the bytes enter the shared region exactly once, the minimum any
+// interface taking a caller-owned buffer can achieve (the same count as
+// the restricted direct-transfer fast path), where the copying plane's
+// PayloadCopiesIn records the structural copy Send performs on top of
+// its own bookkeeping.
 func (b *LoanBatch) Fill(i int, buf []byte) int { return b.View(i).CopyFrom(buf) }
 
 func (b *LoanBatch) checkLive() {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/spinlock"
-	"repro/internal/stats"
-)
+import "repro/internal/spinlock"
 
 // The LNVC registry maps circuit names to descriptors. The paper
 // serializes every open_send/open_receive/close through one global table
@@ -13,7 +10,7 @@ import (
 // its own reader/writer lock, name map and descriptor free list, so
 // opens and closes on circuits in different shards never contend.
 //
-// Three registry structures remain global:
+// Two registry structures remain global:
 //
 //   - slots: the ID-to-descriptor table. Lookups (the Send/Receive hot
 //     path) are a single atomic load — no registry lock at all.
@@ -22,9 +19,9 @@ import (
 //     section is a slice push/pop, so it is not a practical bottleneck;
 //     keeping it global preserves the exact MaxLNVCs capacity semantics
 //     under any hash skew.
-//   - contention: per-shard lock counters (internal/stats.Contention),
-//     fed by the TryLock-first probes below and surfaced through
-//     Facility.Stats and Facility.RegistryStats.
+//
+// Each shard's lock counts its own traffic (spinlock.RW.Stats), which
+// Facility.Stats and Facility.RegistryStats read.
 //
 // A descriptor is recycled only through its own shard's free list, so
 // the descriptor-to-shard binding is immutable for the descriptor's
@@ -42,14 +39,14 @@ const registryShards = 16
 
 // registryShard is one slice of the name space.
 type registryShard struct {
-	// The shard lock owns its cache line: shards sit adjacent in one
-	// slice, and unpadded, two or three 24-byte locks — each taken by a
-	// different opener — would share a line, turning independent shards
-	// back into one contended word. The tail pad keeps the whole shard a
-	// multiple of 64 bytes so neighbouring shards never share a line
-	// either (asserted by TestHotWordLayout).
+	// The shard lock and its counters own their cache line: shards sit
+	// adjacent in one slice, and unpadded, two 40-byte locks — each taken
+	// by a different opener — would share a line, turning independent
+	// shards back into one contended word. The tail pad keeps the whole
+	// shard a multiple of 64 bytes so neighbouring shards never share a
+	// line either (asserted by TestHotWordLayout).
 	lock spinlock.RW
-	_    [40]byte
+	_    [24]byte
 
 	names    map[string]ID
 	lnvcFree []*lnvc // recycled descriptors, owned by this shard forever
@@ -68,33 +65,6 @@ func fnv32(s string) uint32 {
 
 func (f *Facility) shardIndex(name string) uint32 {
 	return fnv32(name) & (registryShards - 1)
-}
-
-// lockShard write-locks shard i, recording whether the acquisition
-// contended. The TryLock probe costs one CAS on the uncontended path and
-// is what lets the contention figures distinguish "idle shard" from
-// "fought-over shard" without timing anything.
-func (f *Facility) lockShard(i uint32) *registryShard {
-	s := &f.shards[i]
-	if s.lock.TryLock() {
-		f.contention.Record(int(i), false)
-	} else {
-		s.lock.Lock()
-		f.contention.Record(int(i), true)
-	}
-	return s
-}
-
-// rlockShard read-locks shard i with the same contention accounting.
-func (f *Facility) rlockShard(i uint32) *registryShard {
-	s := &f.shards[i]
-	if s.lock.TryRLock() {
-		f.contention.Record(int(i), false)
-	} else {
-		s.lock.RLock()
-		f.contention.Record(int(i), true)
-	}
-	return s
 }
 
 // allocID pops an unused ID, or reports exhaustion. Leaf lock; callers
@@ -128,8 +98,21 @@ func (f *Facility) FreeIDCount() int {
 	return len(f.freeIDs)
 }
 
+// LockStat is a snapshot of one registry shard's lock traffic.
+type LockStat struct {
+	// Acquisitions counts lock acquisitions, read and write.
+	Acquisitions uint64
+	// Contended counts the acquisitions that found the lock unavailable
+	// and parked.
+	Contended uint64
+}
+
 // RegistryStats returns the per-shard lock acquisition counters gathered
 // since Init. Index i describes shard i.
-func (f *Facility) RegistryStats() []stats.LockStat {
-	return f.contention.Snapshot()
+func (f *Facility) RegistryStats() []LockStat {
+	out := make([]LockStat, len(f.shards))
+	for i := range f.shards {
+		out[i].Acquisitions, out[i].Contended = f.shards[i].lock.Stats()
+	}
+	return out
 }

@@ -108,9 +108,10 @@ func (f *Facility) adopt(l *lnvc) {
 // the sum of the circuits' outstanding debits.
 func (f *Facility) Stats() Stats {
 	st := f.stats.snapshot()
-	rt := f.contention.Total()
-	st.RegistryAcquisitions = rt.Acquisitions
-	st.RegistryContended = rt.Contended
+	for _, rs := range f.RegistryStats() {
+		st.RegistryAcquisitions += rs.Acquisitions
+		st.RegistryContended += rs.Contended
+	}
 
 	// descs is append-only, so the prefix read here stays valid after the
 	// leaf lock drops.

@@ -102,10 +102,9 @@ func (ln *Loan) Segments(yield func(seg []byte) bool) { ln.View().Segments(yield
 // CopyFrom fills the loan from buf, counted as a send-side copy in
 // Stats once the loan is committed or aborted — the explicit escape
 // hatch back to the copying plane's accounting. Callers treating the
-// fill as production (the bytes enter the region exactly once;
-// mpf.Writer, TypedSender and LoanBatch.Fill) write through
-// View().CopyFrom instead, which the ledger does not count. It returns
-// the number of bytes copied.
+// fill as production (the bytes enter the region exactly once, as
+// LoanBatch.Fill does) write through View().CopyFrom instead, which the
+// ledger does not count. It returns the number of bytes copied.
 func (ln *Loan) CopyFrom(buf []byte) int {
 	n := ln.View().CopyFrom(buf)
 	ln.copies++

@@ -78,25 +78,40 @@ func (l *TAS) Stats() (acquisitions, contended uint64) {
 // zero value is unlocked.
 type RW struct {
 	mu sync.RWMutex
+	// acquisitions and contended count read and write acquisitions
+	// together, as TAS's do.
+	acquisitions atomic.Uint64
+	contended    atomic.Uint64
 }
 
-// RLock acquires a read lock.
-func (l *RW) RLock() { l.mu.RLock() }
-
-// TryRLock attempts to acquire a read lock without blocking and reports
-// success. Callers that keep contention statistics (the sharded LNVC
-// registry) probe with TryRLock first and fall back to RLock.
-func (l *RW) TryRLock() bool { return l.mu.TryRLock() }
+// RLock acquires a read lock. An RLock that finds a writer holding or
+// waiting for l counts as contended and parks.
+func (l *RW) RLock() {
+	if !l.mu.TryRLock() {
+		l.contended.Add(1)
+		l.mu.RLock()
+	}
+	l.acquisitions.Add(1)
+}
 
 // RUnlock releases a read lock. Without one held it is a fatal error.
 func (l *RW) RUnlock() { l.mu.RUnlock() }
 
-// Lock acquires the write lock.
-func (l *RW) Lock() { l.mu.Lock() }
-
-// TryLock attempts to acquire the write lock without blocking and
-// reports success.
-func (l *RW) TryLock() bool { return l.mu.TryLock() }
+// Lock acquires the write lock. A Lock that finds l held counts as
+// contended and parks.
+func (l *RW) Lock() {
+	if !l.mu.TryLock() {
+		l.contended.Add(1)
+		l.mu.Lock()
+	}
+	l.acquisitions.Add(1)
+}
 
 // Unlock releases the write lock. Without it held it is a fatal error.
 func (l *RW) Unlock() { l.mu.Unlock() }
+
+// Stats reports the number of acquisitions, read and write, and the
+// number that found the lock unavailable.
+func (l *RW) Stats() (acquisitions, contended uint64) {
+	return l.acquisitions.Load(), l.contended.Load()
+}

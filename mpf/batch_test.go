@@ -1,10 +1,7 @@
 package mpf
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"testing"
 	"time"
 )
@@ -51,104 +48,6 @@ func TestConnBatchRoundTrip(t *testing.T) {
 	st := fac.Stats()
 	if st.BatchSends != 1 || st.BatchReceives != 1 {
 		t.Errorf("BatchSends=%d BatchReceives=%d, want 1 and 1", st.BatchSends, st.BatchReceives)
-	}
-}
-
-func TestTypedSendBatch(t *testing.T) {
-	fac, err := New(WithMaxProcesses(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fac.Shutdown()
-	sp, _ := fac.Process(0)
-	rp, _ := fac.Process(1)
-	s, err := sp.OpenSend("typed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := rp.OpenReceive("typed", FCFS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type point struct{ X, Y int }
-	ts := NewTypedSender[point](s)
-	tr := NewTypedReceiver[point](r, 256)
-	vals := []point{{1, 2}, {3, 4}, {5, 6}}
-	if err := ts.SendBatch(vals); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.SendBatch(nil); err != nil {
-		t.Errorf("empty typed batch: %v", err)
-	}
-	for i, want := range vals {
-		got, err := tr.ReceiveDeadline(time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("value %d: %+v, want %+v", i, got, want)
-		}
-	}
-}
-
-func TestWriterLargeWriteStreamsThroughSmallRegion(t *testing.T) {
-	// A single Write far larger than the whole shared region must
-	// stream — batching may group chunks but must never demand more
-	// blocks at once than the region can supply, or the write would
-	// fail (or stall) where the old chunk-by-chunk loop succeeded.
-	fac, err := New(WithMaxProcesses(2), WithMaxLNVCs(4), WithBlocksPerProcess(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fac.Shutdown()
-	region := fac.Core().Arena().NumBlocks() * fac.Core().Arena().PayloadSize()
-	payload := make([]byte, 8*region) // 8x the region: cannot fit at once
-	for i := range payload {
-		payload[i] = byte(i * 13)
-	}
-	sp, _ := fac.Process(0)
-	rp, _ := fac.Process(1)
-	s, err := sp.OpenSend("bigstream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := rp.OpenReceive("bigstream", FCFS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 0, len(payload))
-	done := make(chan error, 1)
-	go func() {
-		reader := NewReader(r, 256)
-		buf := make([]byte, 1024)
-		for {
-			n, err := reader.Read(buf)
-			got = append(got, buf[:n]...)
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					err = nil
-				}
-				done <- err
-				return
-			}
-		}
-	}()
-	w := NewWriter(s, 256)
-	n, err := w.Write(payload)
-	if err != nil {
-		t.Fatalf("large write failed: %v (wrote %d of %d)", err, n, len(payload))
-	}
-	if n != len(payload) {
-		t.Fatalf("wrote %d of %d", n, len(payload))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("stream corrupted: %d bytes read, %d written", len(got), len(payload))
 	}
 }
 

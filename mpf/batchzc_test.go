@@ -1,10 +1,8 @@
 package mpf
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"testing"
 	"time"
 )
@@ -112,106 +110,6 @@ func TestFacadeLoanBatchWaitViews(t *testing.T) {
 	if st.PayloadCopiesIn != 0 || st.PayloadCopiesOut != 0 {
 		t.Errorf("copies in/out = %d/%d, want 0/0 on the batched zero-copy pipeline",
 			st.PayloadCopiesIn, st.PayloadCopiesOut)
-	}
-}
-
-// TestWriterBatchedSendsAreZeroCopy pins the Writer rebase's batched
-// half: a multi-chunk write goes out as LoanBatches — no SendBatch, no
-// ledger-counted payload copy — and arrives intact.
-func TestWriterBatchedSendsAreZeroCopy(t *testing.T) {
-	fac, err := New(WithMaxProcesses(2), WithBlocksPerProcess(2048))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fac.Shutdown()
-	p, _ := fac.Process(0)
-	s, err := p.OpenSend("wstream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, _ := fac.Process(1)
-	r, err := rp.OpenReceive("wstream", FCFS)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const chunk = 1024
-	data := make([]byte, 10*chunk+100) // 11 chunks: one LoanBatch
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	w := NewWriter(s, chunk)
-	if n, err := w.Write(data); err != nil || n != len(data) {
-		t.Fatalf("Write: n=%d err=%v", n, err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := fac.Stats()
-	if st.PayloadCopiesIn != 0 {
-		t.Errorf("PayloadCopiesIn = %d, want 0: Writer's batched sends must not copy", st.PayloadCopiesIn)
-	}
-	if st.LoanBatchSends == 0 {
-		t.Error("LoanBatchSends = 0: multi-chunk write did not ride the batch plane")
-	}
-	if st.BatchSends != 0 {
-		t.Errorf("BatchSends = %d, want 0: the SendBatch copy path should be gone", st.BatchSends)
-	}
-
-	rd := NewReader(r, chunk)
-	out, err := io.ReadAll(rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, data) {
-		t.Fatalf("stream corrupted: %d bytes out, %d in", len(out), len(data))
-	}
-}
-
-// TestTypedSendBatchRidesTheLoanBatch pins TypedSender.SendBatch onto
-// the batched loan plane: self-contained gob messages, one batch, zero
-// ledger-counted copies.
-func TestTypedSendBatchRidesTheLoanBatch(t *testing.T) {
-	type point struct{ X, Y int }
-	fac, err := New(WithMaxProcesses(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fac.Shutdown()
-	p, _ := fac.Process(0)
-	s, err := p.OpenSend("typed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, _ := fac.Process(1)
-	r, err := rp.OpenReceive("typed", FCFS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := NewTypedSender[point](s)
-	vals := make([]point, 9)
-	for i := range vals {
-		vals[i] = point{X: i, Y: -i}
-	}
-	if err := ts.SendBatch(vals); err != nil {
-		t.Fatal(err)
-	}
-	st := fac.Stats()
-	if st.PayloadCopiesIn != 0 {
-		t.Errorf("PayloadCopiesIn = %d, want 0", st.PayloadCopiesIn)
-	}
-	if want := uint64(len(vals)); st.LoanBatchSends != want {
-		t.Errorf("LoanBatchSends = %d, want %d", st.LoanBatchSends, want)
-	}
-	tr := NewTypedReceiver[point](r, 4096)
-	for i := range vals {
-		got, err := tr.Receive()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != vals[i] {
-			t.Fatalf("value %d: %+v, want %+v", i, got, vals[i])
-		}
 	}
 }
 

@@ -70,7 +70,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/proc"
-	"repro/internal/stats"
 )
 
 // Protocol selects a receiver's delivery discipline.
@@ -92,7 +91,7 @@ type ID = core.ID
 type Stats = core.Stats
 
 // LockStat is one registry shard's lock-acquisition counters.
-type LockStat = stats.LockStat
+type LockStat = core.LockStat
 
 // Tracer observes every primitive invocation; see package
 // internal/trace for ready-made implementations.
@@ -413,7 +412,3 @@ func (r *RecvConn) TryReceive(buf []byte) (int, bool, error) {
 // this receiver's claim on any unread messages. If it was the circuit's
 // last connection, the circuit is deleted.
 func (r *RecvConn) Close() error { return r.p.fac.c.CloseReceive(r.p.pid, r.id) }
-
-// Barrier returns a reusable barrier for n parties, a convenience for
-// phase-structured applications (the SOR solver uses one).
-func Barrier(n int) (*proc.Barrier, error) { return proc.NewBarrier(n) }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/proc"
 	"repro/mpf"
 )
 
@@ -265,7 +266,7 @@ func TestLargeMessageRoundtrip(t *testing.T) {
 	// open, send and close before the receiver joins, deleting the
 	// circuit and dropping the message (the paper's §3.2 lost-message
 	// scenario) — the receiver would then block forever.
-	bar, err := mpf.Barrier(2)
+	bar, err := proc.NewBarrier(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +413,7 @@ func TestStatsExposed(t *testing.T) {
 }
 
 func TestBarrierHelper(t *testing.T) {
-	b, err := mpf.Barrier(3)
+	b, err := proc.NewBarrier(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +426,7 @@ func TestBarrierHelper(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mpf.Barrier(0); err == nil {
-		t.Fatal("Barrier(0) accepted")
+	if _, err := proc.NewBarrier(0); err == nil {
+		t.Fatal("NewBarrier(0) accepted")
 	}
 }

@@ -187,10 +187,6 @@ type SuperviseConfig struct {
 	OnRespawn func(slot, attempt int)
 }
 
-// WithRespawn is the common SuperviseConfig: reap, reclaim, and
-// restart each crashed child up to n times.
-func WithRespawn(n int) SuperviseConfig { return SuperviseConfig{Respawn: n} }
-
 // Supervisor watches an exec group's children (and the table's slots)
 // for deaths, reclaims dead incarnations, and optionally respawns.
 type Supervisor struct {

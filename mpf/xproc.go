@@ -943,9 +943,6 @@ func (c *ProcClient) Slot() int { return c.slot }
 // Gen returns the attach generation this client claimed the slot with.
 func (c *ProcClient) Gen() uint32 { return c.gen }
 
-// Handshake returns the attach frame the parent sent.
-func (c *ProcClient) Handshake() shm.Handshake { return c.h }
-
 // Served returns the number of payload records processed by Serve.
 func (c *ProcClient) Served() int { return c.served }
 

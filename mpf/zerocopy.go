@@ -64,8 +64,7 @@ func (s *SendConn) Loan(n int) (*Loan, error) {
 // resolve the batch once: CommitAll enqueues every message under one
 // circuit lock acquisition with one receiver wakeup, atomically with
 // respect to other senders; AbortAll (safe to defer — a no-op once
-// resolved) returns every chain in one transaction. Writer and
-// TypedSender ship their multi-message traffic through this.
+// resolved) returns every chain in one transaction.
 func (s *SendConn) LoanBatch(ns []int) (*LoanBatch, error) {
 	return s.p.fac.c.LoanBatch(s.p.pid, s.id, ns)
 }

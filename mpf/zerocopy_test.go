@@ -193,47 +193,6 @@ func broadcastFanOut(t *testing.T, nRecv, nMsgs int, views bool) Stats {
 	return fac.Stats()
 }
 
-// TestWriterRidesTheLoanPlane pins the Writer rebase: single-chunk
-// writes go out as loans, the caller's bytes written in place — no
-// ledger-counted payload copy, not Send's build-and-copy.
-func TestWriterRidesTheLoanPlane(t *testing.T) {
-	fac, err := New(WithMaxProcesses(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fac.Shutdown()
-	p, _ := fac.Process(0)
-	s, err := p.OpenSend("stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, _ := fac.Process(1)
-	r, err := rp.OpenReceive("stream", FCFS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWriter(s, 1024)
-	data := make([]byte, 1000)
-	for i := range data {
-		data[i] = byte(i * 3)
-	}
-	if _, err := w.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	st := fac.Stats()
-	if st.LoanSends != 1 {
-		t.Errorf("LoanSends = %d, want 1 (Writer chunk rides the loan plane)", st.LoanSends)
-	}
-	if st.PayloadCopiesIn != 0 {
-		t.Errorf("PayloadCopiesIn = %d, want 0 (the chunk is produced in place, not copied)", st.PayloadCopiesIn)
-	}
-	buf := make([]byte, 2048)
-	n, err := r.Receive(buf)
-	if err != nil || !bytes.Equal(buf[:n], data) {
-		t.Fatalf("stream payload corrupted: n=%d err=%v", n, err)
-	}
-}
-
 func TestLoanAbortKeepsFacadeUsable(t *testing.T) {
 	fac, err := New(WithMaxProcesses(1), WithBlocksPerProcess(16))
 	if err != nil {
