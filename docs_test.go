@@ -332,6 +332,80 @@ func goFiles(t *testing.T, dir string) []string {
 	return files
 }
 
+// TestCIRunsDeclaredTests fails when a -run pattern in ci.yml names a
+// test or fuzz target that no _test.go file declares: a test deleted or
+// renamed would otherwise drop out of the step that runs it without a
+// sound. A name the pattern anchors with $ must be declared as written;
+// an unanchored one must begin the name of a declared one, as the
+// pattern then selects every test it begins. The planted case holds the
+// check itself.
+func TestCIRunsDeclaredTests(t *testing.T) {
+	declared := declaredTests(t)
+	t.Run("planted", func(t *testing.T) {
+		text := "run: go test -count=20 -run 'TestHandOffRule$|TestNoSuchTest$|TestBridge' ./internal/core\n" +
+			"run: go test -run=FuzzProtocolInvariants -fuzz=FuzzProtocolInvariants ./internal/core\n" +
+			"run: go test -run TestNoSuchPrefix ./mpf\n"
+		got := undeclaredRunNames(text, declared)
+		if len(got) != 2 || got[0] != "TestNoSuchTest" || got[1] != "TestNoSuchPrefix" {
+			t.Errorf("undeclared names in the planted text = %q, want TestNoSuchTest and TestNoSuchPrefix", got)
+		}
+	})
+	for _, name := range undeclaredRunNames(readDoc(t, filepath.Join(".github", "workflows", "ci.yml")), declared) {
+		t.Errorf("ci.yml runs %s, which no test file declares", name)
+	}
+}
+
+// undeclaredRunNames returns the Test and Fuzz names in text's -run
+// patterns that match no declared function.
+func undeclaredRunNames(text string, declared map[string]bool) []string {
+	var out []string
+	for _, m := range regexp.MustCompile(`-run[= ]('[^']*'|"[^"]*"|\S+)`).FindAllStringSubmatch(text, -1) {
+		for _, n := range regexp.MustCompile(`\b((?:Test|Fuzz)\w*)(\$?)`).FindAllStringSubmatch(m[1], -1) {
+			found := declared[n[1]]
+			for name := range declared {
+				found = found || n[2] == "" && strings.HasPrefix(name, n[1])
+			}
+			if !found {
+				out = append(out, n[1])
+			}
+		}
+	}
+	return out
+}
+
+// declaredTests returns the Test and Fuzz functions of every _test.go
+// file in the module.
+func declaredTests(t *testing.T) map[string]bool {
+	t.Helper()
+	declared := make(map[string]bool)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil &&
+				(strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+				declared[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return declared
+}
+
 // TestMPFExportedSet pins package mpf's exported names — its top-level
 // names and the exported methods of its exported types, as Type.Method
 // — to a golden list, so a name joins or leaves the public package only
@@ -353,16 +427,16 @@ func TestMPFExportedSet(t *testing.T) {
 		"ProcServer.SendSegmentTo", "ProcServer.Spawn", "ProcServer.SpawnEnv",
 		"ProcServer.Supervise", "ProcServer.Table",
 		"Process", "Process.Facility", "Process.NewSelector", "Process.OpenReceive",
-		"Process.OpenSend", "Process.PID", "Process.ReceiveAny", "Process.ReceiveAnyDeadline",
+		"Process.OpenSend", "Process.PID",
 		"Protocol", "ReclaimReport", "RecvConn", "RecvConn.Check", "RecvConn.Close", "RecvConn.ID",
-		"RecvConn.Name", "RecvConn.Protocol", "RecvConn.Receive", "RecvConn.ReceiveBatch",
-		"RecvConn.ReceiveBatchDeadline", "RecvConn.ReceiveDeadline", "RecvConn.ReceiveView",
+		"RecvConn.Name", "RecvConn.Protocol", "RecvConn.Receive",
+		"RecvConn.ReceiveDeadline", "RecvConn.ReceiveView",
 		"RecvConn.ReceiveViewDeadline", "RecvConn.TryReceive", "RecvConn.TryReceiveView",
 		"ReleaseViews", "Selector", "Selector.Add", "Selector.Close", "Selector.Len",
 		"Selector.Remove", "Selector.Wait", "Selector.WaitDeadline", "Selector.WaitViews",
 		"Selector.WaitViewsDeadline",
 		"SendConn", "SendConn.Close", "SendConn.ID", "SendConn.Loan", "SendConn.LoanBatch",
-		"SendConn.Name", "SendConn.Send", "SendConn.SendBatch",
+		"SendConn.Name", "SendConn.Send",
 		"ServeConfig", "ServeProc", "Stats", "SuperviseConfig", "Supervisor", "Supervisor.Stop",
 		"Tracer", "View", "WithBlockSize", "WithBlocksPerProcess", "WithCredit", "WithFailFastSend",
 		"WithMaxLNVCs", "WithMaxProcesses", "WithTracer", "XTagAck", "XTagDone", "XTagFilled",

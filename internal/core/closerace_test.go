@@ -7,8 +7,7 @@ import (
 )
 
 // Regression tests for the parked-waiter close race: a receive blocked
-// on a circuit — plain Receive, ReceiveBatch, ReceiveAny or
-// Selector.Wait — whose connection is closed out from under it must
+// on a circuit — plain Receive or Selector.Wait — whose connection is closed out from under it must
 // return ErrNotConnected promptly. Before the per-circuit waiter lists
 // the blocked call slept until an unrelated Send happened to pulse the
 // facility (or forever, for the condition-variable paths, which the
@@ -37,56 +36,6 @@ func TestReceiveCloseWhileParked(t *testing.T) {
 	case <-time.After(closeRacePatience):
 		t.Fatal("parked Receive hung across CloseReceive")
 	}
-}
-
-func TestReceiveBatchCloseWhileParked(t *testing.T) {
-	f := newFac(t)
-	_, _ = f.OpenSend(0, "cr-batch")
-	rid, _ := f.OpenReceive(1, "cr-batch", FCFS)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := f.ReceiveBatch(1, rid, [][]byte{make([]byte, 8), make([]byte, 8)})
-		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if err := f.CloseReceive(1, rid); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrNotConnected) {
-			t.Fatalf("parked ReceiveBatch returned %v, want ErrNotConnected", err)
-		}
-	case <-time.After(closeRacePatience):
-		t.Fatal("parked ReceiveBatch hung across CloseReceive")
-	}
-}
-
-func TestReceiveAnyCloseWhileParked(t *testing.T) {
-	t.Run("waiter-lists", func(t *testing.T) {
-		f := newFac(t)
-		_, _ = f.OpenSend(0, "cr-any-a")
-		_, _ = f.OpenSend(0, "cr-any-b")
-		ra, _ := f.OpenReceive(1, "cr-any-a", FCFS)
-		rb, _ := f.OpenReceive(1, "cr-any-b", FCFS)
-		errc := make(chan error, 1)
-		go func() {
-			_, _, err := f.ReceiveAny(1, []ID{ra, rb}, make([]byte, 8))
-			errc <- err
-		}()
-		time.Sleep(20 * time.Millisecond)
-		if err := f.CloseReceive(1, rb); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case err := <-errc:
-			if !errors.Is(err, ErrNotConnected) {
-				t.Fatalf("parked ReceiveAny returned %v, want ErrNotConnected", err)
-			}
-		case <-time.After(closeRacePatience):
-			t.Fatal("parked ReceiveAny hung across CloseReceive")
-		}
-	})
 }
 
 func TestSelectorCloseReceiveWhileParked(t *testing.T) {

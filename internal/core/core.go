@@ -66,18 +66,18 @@
 //
 // # One send path, one claim path
 //
-// Every send primitive — Send, SendBatch, SendLoan+Commit,
+// Every send primitive — Send, SendLoan+Commit,
 // LoanBatch+CommitAll/CommitN — is "size the demand → admit → a
 // msg.Pool.Build* → publish" (send.go): admit validates the call and the
 // connection and debits credit before the allocation, publish
 // re-validates under the circuit lock, enqueues and wakes receivers
 // once. Every receive primitive that names its circuit — Receive,
-// TryReceive, ReceiveBatch, ReceiveView, their Deadline forms and
-// ReceiveAny's polls — is "waitClaim → read the payload under the pin →
-// unpinAll" (lnvc.go): waitClaim is the only loop that parks on a
-// circuit's condition variable, claimRunLocked the only one that
-// claims a run of messages (the Selector's harvest shares it), and
-// unpinAll the only way a pin is dropped. DESIGN.md §6.
+// ReceiveView, their Deadline forms, TryReceive and TryReceiveView — is
+// "waitClaim → read the payload under the pin → unpinAll" (lnvc.go):
+// waitClaim is the only loop that parks on a circuit's condition
+// variable, claimRunLocked the only one that claims a run of messages
+// (the Selector's harvest shares it), and unpinAll the only way a pin
+// is dropped. DESIGN.md §6.
 package core
 
 import (
@@ -219,15 +219,11 @@ type Stats struct {
 	LNVCsDeleted          uint64
 	MessagesDropped       uint64 // discarded unread at LNVC deletion
 	ReceiveWaits          uint64 // Receive calls that had to block
-	// BatchSends and BatchReceives count SendBatch/ReceiveBatch calls;
-	// the individual messages they move are included in Sends/Receives.
-	BatchSends    uint64
-	BatchReceives uint64
-	// MuxWakeups counts ReceiveAny/Selector.Wait park wakeups;
+	// MuxWakeups counts Selector park wakeups (Wait and HarvestViews);
 	// MuxSpurious is the subset that found no deliverable message —
 	// the thundering-herd cost the per-circuit waiter lists remove
 	// (timeouts and shutdown aborts count as neither). MuxHandoffs
-	// counts the sends that yielded their P to a multiplexer parked
+	// counts the sends that yielded their P to a Selector parked
 	// longer than a wake costs (at most one per park).
 	MuxWakeups  uint64
 	MuxSpurious uint64
@@ -238,13 +234,12 @@ type Stats struct {
 	RegistryAcquisitions uint64
 	RegistryContended    uint64
 	// The zero-copy plane's ledger. PayloadCopiesIn counts send-side
-	// payload copies (user buffer → blocks: Send/SendBatch);
+	// payload copies (user buffer → blocks: Send, and Loan.CopyFrom);
 	// PayloadCopiesOut counts receive-side copies (blocks → user
-	// buffer: Receive, TryReceive, ReceiveBatch, ReceiveAny, and
-	// View.CopyTo). LoanSends counts messages committed through
-	// SendLoan — zero send-side copies — and ViewReceives counts
-	// messages claimed through ReceiveView/TryReceiveView — zero
-	// receive-side copies.
+	// buffer: Receive, TryReceive and View.CopyTo). LoanSends counts
+	// messages committed through SendLoan — zero send-side copies —
+	// and ViewReceives counts messages claimed through
+	// ReceiveView/TryReceiveView — zero receive-side copies.
 	PayloadCopiesIn  uint64
 	PayloadCopiesOut uint64
 	LoanSends        uint64
@@ -346,8 +341,8 @@ type Facility struct {
 	// shards; each shard guards its slice of the name map and its
 	// descriptor free list with its own reader/writer lock.
 	// Send/Receive/Check translate an ID to a descriptor with a single
-	// atomic load of slots — no registry lock at all. Lock order: shard
-	// lock before the LNVC lock; idLock is a leaf.
+	// atomic load of slots — no registry lock at all. Lock order:
+	// DESIGN.md §16.
 	shards []registryShard
 	slots  []atomic.Pointer[lnvc] // indexed by ID
 
@@ -355,18 +350,13 @@ type Facility struct {
 	stopped atomic.Bool
 	_       [60]byte
 
-	// Written while the facility runs, by opens, closes and ReceiveAny
-	// only. descs lists every LNVC descriptor ever created, append-only
-	// under idLock: what Stats sums over.
+	// Written while the facility runs, by opens and closes only. descs
+	// lists every LNVC descriptor ever created, append-only under
+	// idLock: what Stats sums over.
 	idLock  spinlock.TAS
 	freeIDs []ID
 	descs   []*lnvc
-
-	// anyCursor holds per-process round-robin scan positions for
-	// ReceiveAny fairness, guarded by anyMu.
-	anyMu     spinlock.TAS
-	anyCursor map[int]int
-	_         [56]byte
+	_       [56]byte
 
 	// The rare-event cell starts on a line of its own.
 	stats statsCell

@@ -111,7 +111,7 @@ func TestCreditOversizeMessage(t *testing.T) {
 		if _, err := fac.SendLoan(0, sid, len(big)); !errors.Is(err, ErrNoCredit) {
 			t.Fatalf("policy %v: oversize loan: %v, want ErrNoCredit", policy, err)
 		}
-		if err := fac.SendBatch(0, sid, [][]byte{big[:60], big[60:120], big[120:]}); !errors.Is(err, ErrNoCredit) {
+		if _, err := fac.LoanBatch(0, sid, []int{60, 60, 60}); !errors.Is(err, ErrNoCredit) {
 			t.Fatalf("policy %v: oversize batch: %v, want ErrNoCredit", policy, err)
 		}
 	}

@@ -33,7 +33,7 @@ func TestHandOffRule(t *testing.T) {
 
 	// The first waker of an overdue park claims its hand-off; a second
 	// fire before the owner runs again only signals.
-	mw := &muxWaiter{ch: make(chan struct{}, 1)}
+	mw := &Selector{ch: make(chan struct{}, 1), regs: map[ID]selReg{0: {}}, inReady: map[ID]bool{}}
 	mw.since.Store(monoNow() - 2*w)
 	if !mw.fire(0) {
 		t.Error("the first fire of an overdue park did not hand off")
@@ -136,37 +136,5 @@ func TestWakeHandsOverToSleepingSelector(t *testing.T) {
 	}
 	if n := f.Stats().MuxHandoffs - before; n < uint64(seen) || n > handOffTrials {
 		t.Errorf("MuxHandoffs moved by %d over %d rounds (%d seen), want between them", n, handOffTrials, seen)
-	}
-}
-
-func TestWakeHandsOverToSleepingReceiveAny(t *testing.T) {
-	f := newFac(t)
-	var sends, recvs []ID
-	for _, name := range []string{"ho-a", "ho-b"} {
-		sid, err := f.OpenSend(0, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rid, err := f.OpenReceive(1, name, FCFS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sends, recvs = append(sends, sid), append(recvs, rid)
-	}
-	buf, payload := make([]byte, 64), make([]byte, 64)
-	round := 0
-	seen := handOffs(t,
-		func() error {
-			_, _, err := f.ReceiveAny(1, recvs, buf)
-			return err
-		},
-		func(pause func()) error {
-			pause()
-			round++
-			return f.Send(0, sends[round%len(sends)], payload)
-		})
-	if seen < handOffTrials-1 {
-		t.Errorf("the woken ReceiveAny ran within the sender's spin in %d of %d rounds, want at least %d",
-			seen, handOffTrials, handOffTrials-1)
 	}
 }

@@ -19,13 +19,13 @@ func processCPU(t *testing.T) time.Duration {
 }
 
 // TestIdleFacilityCostsNoCPU parks one of each kind of receiver — a
-// Receive on its circuit, a ReceiveAny and a Selector harvest — behind
+// Receive on its circuit and a Selector harvest — behind
 // senders that stay silent, and holds the whole process to at most 5 %
 // of one CPU over a second: every park sleeps, none polls.
 func TestIdleFacilityCostsNoCPU(t *testing.T) {
 	f := newFac(t)
-	var ids [3]ID
-	for i, name := range []string{"idle-r", "idle-a", "idle-s"} {
+	var ids [2]ID
+	for i, name := range []string{"idle-r", "idle-s"} {
 		if _, err := f.OpenSend(0, name); err != nil {
 			t.Fatal(err)
 		}
@@ -34,11 +34,11 @@ func TestIdleFacilityCostsNoCPU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sel, err := f.NewSelector(3)
+	sel, err := f.NewSelector(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sel.Add(ids[2]); err != nil {
+	if err := sel.Add(ids[1]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,16 +56,11 @@ func TestIdleFacilityCostsNoCPU(t *testing.T) {
 		_, err := f.Receive(1, ids[0], make([]byte, 64))
 		return err
 	})
-	park("ReceiveAny", func() error {
-		_, _, err := f.ReceiveAny(2, ids[1:2], make([]byte, 64))
-		return err
-	})
 	park("HarvestViews", func() error {
 		_, err := sel.HarvestViews(8)
 		return err
 	})
 	parkedIn(t, "core.(*Facility).waitClaim")
-	parkedIn(t, "core.(*Facility).receiveAny")
 	parkedIn(t, "core.(*Selector).rounds")
 
 	const idle = time.Second

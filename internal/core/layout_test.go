@@ -153,7 +153,7 @@ func TestHotWordLayout(t *testing.T) {
 	if !apart(hdrEnd, unsafe.Offsetof(f.idLock)) {
 		t.Errorf("Facility header (ends at %d) can share a line with idLock (at %d)", hdrEnd, unsafe.Offsetof(f.idLock))
 	}
-	regEnd := unsafe.Offsetof(f.anyCursor) + unsafe.Sizeof(f.anyCursor)
+	regEnd := unsafe.Offsetof(f.descs) + unsafe.Sizeof(f.descs)
 	if !apart(regEnd, unsafe.Offsetof(f.stats)) {
 		t.Errorf("Facility registry words (end at %d) can share a line with the rare-event cell (at %d)",
 			regEnd, unsafe.Offsetof(f.stats))
@@ -183,8 +183,19 @@ func TestHotWordLayout(t *testing.T) {
 	if unsafe.Offsetof(s.mu)%cacheLine != 0 {
 		t.Errorf("Selector.mu at offset %d, want a %d-byte boundary", unsafe.Offsetof(s.mu), cacheLine)
 	}
-	if sameLine(unsafe.Offsetof(s.w), 8, unsafe.Offsetof(s.mu), unsafe.Sizeof(s.mu)) {
-		t.Errorf("Selector.w (at %d) shares a line with mu (at %d)",
-			unsafe.Offsetof(s.w), unsafe.Offsetof(s.mu))
+	// The offsets only hold at the hardware's lines if the struct starts
+	// on one: a size class whose objects do.
+	if got := unsafe.Sizeof(s); got != 4*cacheLine {
+		t.Errorf("Selector is %d bytes, want %d (a size class whose objects start on line boundaries)", got, 4*cacheLine)
+	}
+	if sel, err := f.NewSelector(0); err != nil {
+		t.Error(err)
+	} else if p := uintptr(unsafe.Pointer(sel)); p%cacheLine != 0 {
+		t.Errorf("Selector allocated at %#x, not on a line boundary", p)
+	}
+	park := unsafe.Offsetof(s.since) + unsafe.Sizeof(s.since) - unsafe.Offsetof(s.ch)
+	if sameLine(unsafe.Offsetof(s.ch), park, unsafe.Offsetof(s.mu), unsafe.Sizeof(s.mu)) {
+		t.Errorf("Selector park words (at %d) share a line with mu (at %d)",
+			unsafe.Offsetof(s.ch), unsafe.Offsetof(s.mu))
 	}
 }

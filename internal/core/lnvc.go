@@ -18,7 +18,7 @@ import (
 type sendDesc struct {
 	pid int
 	tx  sendCounts
-	_   [8]byte
+	_   [16]byte
 }
 
 // recvDesc is a receive connection. BROADCAST receivers carry their
@@ -92,10 +92,9 @@ type lnvc struct {
 	recvs  map[int]*recvDesc
 	nFCFS  int // count of FCFS receive connections
 	nBcast int // count of BROADCAST receive connections
-	// waiters are the parked multiplexer registrations (ReceiveAny
-	// parks, Selector memberships) on this circuit; enqueue and close
-	// wake exactly these (see waiter.go).
-	waiters []*muxWaiter
+	// waiters are the Selectors registered on this circuit; enqueue and
+	// close wake exactly these (see waiter.go).
+	waiters []*Selector
 
 	// Line 3: the credit ledger (credit.go). creditUsed is the number of
 	// accounted blocks debited by senders and not yet re-granted, debited
@@ -421,9 +420,9 @@ func (f *Facility) close(pid int, id ID, detach func(*lnvc) error) error {
 	l.lock.Lock()
 	err = detach(l)
 	if err == nil {
-		// A Receive parked on the condition variable, a ReceiveAny
-		// parked on the waiter list, a Selector.Wait, or a sender parked
-		// for credit must observe a closed connection promptly — never
+		// A Receive parked on the condition variable, a Selector parked
+		// on the waiter list, or a sender parked for credit must
+		// observe a closed connection promptly — never
 		// hang until an unrelated send happens by (they re-validate the
 		// connection on wake).
 		l.cond.Broadcast()
@@ -524,9 +523,9 @@ func (f *Facility) TryReceive(pid int, id ID, buf []byte) (int, bool, error) {
 	return n, ok, err
 }
 
-// receive is the copying receive behind Receive, ReceiveDeadline,
-// TryReceive and ReceiveAny's polls: claim one message, copy it out,
-// unpin. ok is false when park is false and nothing was deliverable.
+// receive is the copying receive behind Receive, ReceiveDeadline and
+// TryReceive: claim one message, copy it out, unpin. ok is false when
+// park is false and nothing was deliverable.
 func (f *Facility) receive(pid int, id ID, buf []byte, park bool, deadline time.Time) (int, bool, error) {
 	var one [1]*msg.Message
 	rc, claimed, err := f.waitClaim(pid, id, park, false, deadline, one[:])
@@ -796,10 +795,10 @@ func (f *Facility) reclaimLocked(l *lnvc) {
 		return
 	}
 	// Still under the LNVC lock, but the arena has its own lock so this
-	// is safe (arena lock is a leaf in the lock order). The whole scan's
-	// victims go back in one free-pool transaction — a batched receive's
-	// reclaim costs one arena lock acquisition however many messages it
-	// retired.
+	// is safe (it ranks below the LNVC lock, DESIGN.md §16). The whole
+	// scan's victims go back in one free-pool transaction — a batched
+	// receive's reclaim costs one arena lock acquisition however many
+	// messages it retired.
 	f.pool.ReleaseBatch(victims)
 	// The victims' blocks are back in the region: return their accounted
 	// demand to the circuit's credit budget and wake any senders parked
@@ -834,8 +833,8 @@ type Info struct {
 	// PinnedMsgs is the number of queued messages some receiver holds
 	// pinned (a copy in flight or a live View), OldestSeq the sequence of
 	// the oldest queued message (NextSeq when the queue is empty), and
-	// ParkedWaiters the multiplexer registrations — Selector memberships
-	// and parked ReceiveAny calls — an enqueue here would wake.
+	// ParkedWaiters the Selector registrations an enqueue here would
+	// wake.
 	PinnedMsgs    int
 	OldestSeq     uint64
 	ParkedWaiters int

@@ -14,11 +14,10 @@ import (
 // shm.Arena.AllocPayloadsInto), the caller fills the N writable windows in
 // place, and CommitAll links the whole run into the FIFO under one
 // circuit lock acquisition with one waiter wakeup — atomic with
-// respect to other senders, exactly like SendBatch, but with zero
-// structural copies. AbortAll (and the aborted tail of a CommitN)
-// returns every chain in one free-pool transaction. Like a Loan, the
-// batch is send.go's admission and built messages held by the caller
-// between admit and publish.
+// respect to other senders, and with zero structural copies. AbortAll
+// (and the aborted tail of a CommitN) returns every chain in one
+// free-pool transaction. Like a Loan, the batch is send.go's admission
+// and built messages held by the caller between admit and publish.
 
 // LoanBatch is a batch of in-flight zero-copy sends: N messages whose
 // blocks are allocated and owned by the caller, none yet linked into
@@ -120,9 +119,8 @@ func (b *LoanBatch) checkLive() {
 
 // CommitAll links every loaned message into the circuit's FIFO under a
 // single circuit lock acquisition, with one waiter wakeup for the
-// whole batch — SendBatch without its copies. The batch is atomic with
-// respect to other senders: its messages occupy consecutive sequence
-// numbers. After CommitAll the batch is spent; committing a spent
+// whole batch. The batch is atomic with respect to other senders: its
+// messages occupy consecutive sequence numbers. After CommitAll the batch is spent; committing a spent
 // batch returns ErrLoanDone. If the circuit died while the batch was
 // out, every chain is returned (one transaction) and ErrNotConnected
 // comes back.
@@ -171,4 +169,12 @@ func (b *LoanBatch) AbortAll() {
 	}
 	b.done = true
 	b.f.abandon(b.adm, b.msgs)
+}
+
+func sumInts(ns []int) int {
+	t := 0
+	for _, n := range ns {
+		t += n
+	}
+	return t
 }

@@ -87,6 +87,81 @@ func TestLoanBatchCommitAll(t *testing.T) {
 	}
 }
 
+// TestCommitAllIsContiguousUnderConcurrentSenders checks that a
+// committed batch is atomic with respect to other senders: two senders
+// commit batches concurrently, and every batch occupies consecutive
+// positions in the FIFO — in the shared FCFS order and in a BROADCAST
+// receiver's private one alike.
+func TestCommitAllIsContiguousUnderConcurrentSenders(t *testing.T) {
+	f, err := Init(Config{MaxProcesses: 4, BlocksPerProcess: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shutdown()
+	const batches, batchLen = 40, 8
+	rid, err := f.OpenReceive(2, "atomic", FCFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bid, err := f.OpenReceive(3, "atomic", Broadcast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for pid := 0; pid < 2; pid++ {
+		go func(pid int) {
+			sid, err := f.OpenSend(pid, "atomic")
+			if err != nil {
+				errs <- err
+				return
+			}
+			ns := make([]int, batchLen)
+			for i := range ns {
+				ns[i] = 3
+			}
+			for b := 0; b < batches; b++ {
+				lb, err := f.LoanBatch(pid, sid, ns)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := range ns {
+					lb.Fill(i, []byte{byte(pid), byte(b), byte(i)})
+				}
+				if err := lb.CommitAll(); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- f.CloseSend(pid, sid)
+		}(pid)
+	}
+	for _, r := range []struct {
+		pid int
+		id  ID
+	}{{2, rid}, {3, bid}} {
+		buf := make([]byte, 3)
+		for got := 0; got < 2*batches*batchLen; got++ {
+			n, err := f.ReceiveDeadline(r.pid, r.id, buf, 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 3 {
+				t.Fatalf("pid %d message %d: %d bytes, want 3", r.pid, got, n)
+			}
+			if want := byte(got % batchLen); buf[2] != want {
+				t.Fatalf("pid %d message %d: batch offset %d, want %d (batch from pid %d interleaved)",
+					r.pid, got, buf[2], want, buf[0])
+			}
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestLoanBatchCommitN checks partial resolution: the committed prefix
 // is delivered in order, the aborted tail's blocks come straight back.
 func TestLoanBatchCommitN(t *testing.T) {

@@ -143,6 +143,46 @@ func TestOversubscribedCircuits(t *testing.T) {
 			}
 		}()
 	}
+	// Every receiver multiplexes the four circuits through a Selector of
+	// its own and drains what a Wait reports with TryReceive; take sees
+	// each message and says whether to go on.
+	circuit := make(map[ID]int, nCirc)
+	for c, id := range ids {
+		circuit[id] = c
+	}
+	receive := func(pid int, take func(c, n int, buf []byte) bool) error {
+		sel, err := f.NewSelector(pid)
+		if err != nil {
+			return err
+		}
+		defer sel.Close()
+		for _, id := range ids {
+			if err := sel.Add(id); err != nil {
+				return err
+			}
+		}
+		buf := make([]byte, 8)
+		for {
+			ready, err := sel.Wait()
+			if err != nil {
+				return err
+			}
+			for _, id := range ready {
+				for {
+					n, ok, err := f.TryReceive(pid, id, buf)
+					if err != nil {
+						return err
+					}
+					if !ok {
+						break
+					}
+					if !take(circuit[id], n, buf) {
+						return nil
+					}
+				}
+			}
+		}
+	}
 	// BROADCAST receivers know how much is coming; each circuit's stream
 	// must arrive whole and in send order.
 	for _, pid := range bcastPIDs {
@@ -150,18 +190,18 @@ func TestOversubscribedCircuits(t *testing.T) {
 		go func() {
 			defer bcast.Done()
 			next := make([]uint32, nCirc)
-			buf := make([]byte, 8)
-			for got := 0; got < nCirc*nMsgs; got++ {
-				c, n, err := f.ReceiveAny(pid, ids, buf)
-				if err != nil {
-					t.Errorf("BROADCAST receiver %d: %v", pid, err)
-					return
-				}
+			got := 0
+			err := receive(pid, func(c, n int, buf []byte) bool {
 				if seq := binary.LittleEndian.Uint32(buf); n != 4 || seq != next[c] {
 					t.Errorf("BROADCAST receiver %d, circuit %d: got %d bytes, message %d, want message %d", pid, c, n, seq, next[c])
-					return
+					return false
 				}
 				next[c]++
+				got++
+				return got < nCirc*nMsgs
+			})
+			if err != nil {
+				t.Errorf("BROADCAST receiver %d: %v", pid, err)
 			}
 		}()
 	}
@@ -174,18 +214,17 @@ func TestOversubscribedCircuits(t *testing.T) {
 		fcfs.Add(1)
 		go func() {
 			defer fcfs.Done()
-			buf := make([]byte, 8)
-			for {
-				c, n, err := f.ReceiveAny(pid, ids, buf)
-				if errors.Is(err, ErrShutdown) {
-					return
-				}
-				if err != nil || n != 4 {
-					t.Errorf("FCFS receiver %d: %d bytes, %v", pid, n, err)
-					return
+			err := receive(pid, func(c, n int, buf []byte) bool {
+				if n != 4 {
+					t.Errorf("FCFS receiver %d: %d bytes", pid, n)
+					return false
 				}
 				taken[r][c] = append(taken[r][c], binary.LittleEndian.Uint32(buf))
 				fcfsTotal.Add(1)
+				return true
+			})
+			if err != nil && !errors.Is(err, ErrShutdown) {
+				t.Errorf("FCFS receiver %d: %v", pid, err)
 			}
 		}()
 	}

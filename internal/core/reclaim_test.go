@@ -348,8 +348,8 @@ func TestOrphanReleasedAfterDescriptorReuse(t *testing.T) {
 }
 
 // Heap allocations per iteration of the multi-message legs of
-// TestSendTryReceiveNoAllocs; the legs may not exceed them. The loan/view pair is the Loan and the View themselves. A
-// batched receive allocates the byte counts it returns. A loan batch is
+// TestSendTryReceiveNoAllocs; the legs may not exceed them. The
+// loan/view pair is the Loan and the View themselves. A loan batch is
 // one object (its bookkeeping inline up to msg.BatchInline loans) and a
 // harvest one []View plus the []*View it returns; the commit that made
 // every header a block's table entry read 6 and 16 where these read 1
@@ -357,7 +357,6 @@ func TestOrphanReleasedAfterDescriptorReuse(t *testing.T) {
 // release's run grown by append.
 const (
 	maxAllocsLoanView        = 2 // SendLoan, Commit, TryReceiveView, Release
-	maxAllocsBatch16         = 1 // SendBatch(16), ReceiveBatch(16)
 	maxAllocsLoanBatch16     = 3 // LoanBatch(16), CommitAll, HarvestViews(64), ReleaseViews
 	noAllocsBatch, noAllocsN = 16, 1024
 	// The repository benchmark's shape: a two-process facility with 64
@@ -367,8 +366,8 @@ const (
 
 // TestSendTryReceiveNoAllocs pins the single-message copying path —
 // arena transaction, header, enqueue, claim, reclaim — at zero heap
-// allocations per message, and the loan/view, batch and
-// loan-batch/harvest paths at the counts above.
+// allocations per message, and the loan/view and loan-batch/harvest
+// paths at the counts above.
 func TestSendTryReceiveNoAllocs(t *testing.T) {
 	f, err := Init(Config{MaxLNVCs: 4, MaxProcesses: 4})
 	if err != nil {
@@ -384,9 +383,9 @@ func TestSendTryReceiveNoAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	in, out := make([]byte, noAllocsN), make([]byte, noAllocsN)
-	ins, outs, ns := make([][]byte, noAllocsBatch), make([][]byte, noAllocsBatch), make([]int, noAllocsBatch)
-	for i := range ins {
-		ins[i], outs[i], ns[i] = in, make([]byte, noAllocsN), noAllocsN
+	ns := make([]int, noAllocsBatch)
+	for i := range ns {
+		ns[i] = noAllocsN
 	}
 	legs := []struct {
 		name string
@@ -414,14 +413,6 @@ func TestSendTryReceiveNoAllocs(t *testing.T) {
 				t.Fatalf("TryReceiveView: ok %v, err %v", ok, err)
 			}
 			v.Release()
-		}},
-		{"SendBatch+ReceiveBatch", maxAllocsBatch16, func() {
-			if err := f.SendBatch(0, sid, ins); err != nil {
-				t.Fatal(err)
-			}
-			if got, err := f.ReceiveBatch(1, rid, outs); len(got) != noAllocsBatch || err != nil {
-				t.Fatalf("ReceiveBatch: %d messages, err %v", len(got), err)
-			}
 		}},
 		{"LoanBatch+CommitAll+HarvestViews+ReleaseViews", maxAllocsLoanBatch16, func() {
 			b, err := f.LoanBatch(0, sid, ns)

@@ -28,8 +28,8 @@ import "repro/internal/spinlock"
 // lifetime: the close path can map a descriptor back to its shard
 // without any lock.
 //
-// Lock order: shard lock, then LNVC lock, then (leaf) the freeIDs lock
-// or the arena lock. Never the reverse.
+// Where the shard lock and the freeIDs lock rank among the facility's
+// locks is stated once, in DESIGN.md §16.
 
 // registryShards is the number of registry shards, a power of two.
 // Sixteen shards keep the per-shard footprint trivial while making

@@ -56,7 +56,15 @@ func TestShardedRegistryChurnNoLeaks(t *testing.T) {
 							return
 						}
 					case 1:
-						if err := f.SendBatch(pid, sid, [][]byte{{1}, {2}, {3}}); err != nil {
+						b, err := f.LoanBatch(pid, sid, []int{1, 1, 1})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for i := 0; i < b.Len(); i++ {
+							b.Fill(i, []byte{byte(i + 1)})
+						}
+						if err := b.CommitAll(); err != nil {
 							t.Error(err)
 							return
 						}

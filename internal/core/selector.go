@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/msg"
@@ -43,21 +44,30 @@ type Selector struct {
 	// TestHotWordLayout.
 	_ [48]byte
 
-	// mu guards the fields below. Lock order: shard lock → LNVC lock →
-	// mu (markReady runs under the firing LNVC's lock), so Selector
-	// methods must never acquire an LNVC lock while holding mu.
+	// mu guards the fields up to closed. It ranks below the LNVC lock
+	// (DESIGN.md §16): markReady runs under the firing LNVC's lock, so
+	// Selector methods never acquire an LNVC lock while holding mu.
 	mu      spinlock.TAS
 	regs    map[ID]selReg
 	ready   []ID // circuits fired since the last harvest, deduplicated
 	inReady map[ID]bool
 	closed  bool
 
-	// w is the single registration entry shared by every circuit this
-	// selector watches, and the park a wait round sleeps in (waiter.go).
-	// It sits beside closed, which markReady reads on every fire: a
-	// sender firing the selector reads both from one line, the line the
-	// owner writes on every round and every park anyway.
-	w muxWaiter
+	// ch and since are the park a wait round sleeps in (waiter.go), the
+	// selector itself being the entry on every watched circuit's waiter
+	// list. ch has capacity 1, so a fire landing while the owner is not
+	// parked is retained and the next park returns at once. since is the
+	// monotonic time (monoNow) at which the owner parked, zero while it
+	// is not parked: written by the owner around the park, read and
+	// claimed by wakers under a circuit lock (fire). They sit beside
+	// closed, which markReady reads on every fire: a sender firing the
+	// selector reads all three from one line, the line the owner writes
+	// on every round and every park anyway.
+	ch    chan struct{}
+	since atomic.Int64
+	// The pad makes the Selector 256 bytes, a size class whose objects
+	// start on line boundaries — which the pad before mu relies on.
+	_ [16]byte
 
 	// deadErr is a circuit death observed by a HarvestViews round that
 	// had already claimed views: the views were returned first and the
@@ -89,14 +99,13 @@ func (f *Facility) NewSelector(pid int) (*Selector, error) {
 	if err := f.checkPID(pid); err != nil {
 		return nil, err
 	}
-	s := &Selector{
+	return &Selector{
 		f:       f,
 		pid:     pid,
 		regs:    make(map[ID]selReg),
 		inReady: make(map[ID]bool),
-	}
-	s.w = muxWaiter{ch: make(chan struct{}, 1), sel: s}
-	return s, nil
+		ch:      make(chan struct{}, 1),
+	}, nil
 }
 
 // markReady records that circuit id fired, reporting whether the fire
@@ -160,13 +169,13 @@ func (s *Selector) Add(id ID) error {
 		s.markReadyLockedMu(id)
 	}
 	s.mu.Unlock()
-	l.addWaiterLocked(&s.w)
+	l.addWaiterLocked(s)
 	l.lock.Unlock()
 	if stale.l != nil {
 		s.unregister(stale)
 	}
 	if avail {
-		s.w.tap()
+		s.tap()
 	}
 	return nil
 }
@@ -174,13 +183,13 @@ func (s *Selector) Add(id ID) error {
 // unregister removes reg's waiter entry from its descriptor — unless
 // the descriptor has been recycled since the registration was made
 // (generation mismatch): reset already cleared the stale entry then,
-// and any s.w now on the list belongs to a *newer* registration of
+// and any s now on the list belongs to a *newer* registration of
 // this selector on the recycled descriptor, which identity-based
 // removal would otherwise strip, permanently losing its wakeups.
 func (s *Selector) unregister(reg selReg) {
 	reg.l.lock.Lock()
 	if reg.l.gen == reg.gen {
-		reg.l.removeWaiterLocked(&s.w)
+		reg.l.removeWaiterLocked(s)
 	}
 	reg.l.lock.Unlock()
 }
@@ -258,7 +267,7 @@ func (s *Selector) Close() error {
 	for _, reg := range regs {
 		s.unregister(reg)
 	}
-	s.w.tap()
+	s.tap()
 	return nil
 }
 
@@ -531,7 +540,7 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 			return append([]ID(nil), armed...), nil, nil
 		}
 
-		ok, err := parkWait(&s.w, f.stop, deadline)
+		ok, err := s.parkWait(f.stop, deadline)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -7,8 +7,8 @@ import (
 	"repro/internal/msg"
 )
 
-// The send path. The paper's message_send is one primitive; the four
-// public ways to send here — Send, SendBatch, SendLoan+Commit and
+// The send path. The paper's message_send is one primitive; the three
+// public ways to send here — Send, SendLoan+Commit and
 // LoanBatch+CommitAll/CommitN — differ only in who writes the payload
 // (the facility copies a user buffer in, or the caller fills loaned
 // blocks in place) and in how many messages share the fixed costs. Each
@@ -163,36 +163,4 @@ func (f *Facility) send(pid int, id ID, buf []byte) error {
 	}
 	one := [1]*msg.Message{m}
 	return f.publish(a, one[:], 1, sendCounts{copiesIn: 1})
-}
-
-// SendBatch transfers every buffer in bufs to the LNVC as one message
-// each, atomically with respect to other senders: the batch occupies
-// consecutive sequence numbers and no other sender's message interleaves
-// it. The fixed costs — one arena transaction, one circuit lock
-// acquisition, one wakeup — are paid once per batch, which is what
-// flattens the contention curves the paper's Figures 4-6 show bending
-// over (DESIGN.md §6). An empty batch validates the connection and
-// returns. Either the whole batch is enqueued or none of it is.
-func (f *Facility) SendBatch(pid int, id ID, bufs [][]byte) error {
-	total, blocks := 0, 0
-	for _, b := range bufs {
-		total += len(b)
-		blocks += f.arena.BlocksFor(len(b))
-	}
-	err := f.sendBatch(pid, id, bufs, blocks, total)
-	f.trace(Event{Op: OpSendBatch, PID: pid, LNVC: id, Bytes: total, Err: err})
-	return err
-}
-
-func (f *Facility) sendBatch(pid int, id ID, bufs [][]byte, blocks, total int) error {
-	a, err := f.admit(pid, id, blocks, total)
-	if err != nil || len(bufs) == 0 {
-		return err
-	}
-	var msgsBuf [msg.BatchInline]*msg.Message
-	msgs := msg.InlineOr(msgsBuf[:], len(bufs))
-	if err := f.pool.BuildBatchInto(pid, bufs, msgs, f.cfg.SendPolicy == BlockUntilFree, f.stop); err != nil {
-		return f.unbuilt(a, err)
-	}
-	return f.publish(a, msgs, len(msgs), sendCounts{copiesIn: uint64(len(msgs)), batches: 1})
 }

@@ -11,20 +11,17 @@ import (
 type sendPath struct {
 	name string
 	send func(f *Facility, pid int, id ID, size int) error
-	// ledger is what a successful send adds to the four counters that
+	// ledger is what a successful send adds to the three counters that
 	// tell the paths apart; a failed one adds nothing.
 	ledger pathLedger
 }
 
-type pathLedger struct{ copiesIn, batchSends, loanSends, loanBatchSends uint64 }
+type pathLedger struct{ copiesIn, loanSends, loanBatchSends uint64 }
 
 var sendPaths = []sendPath{
 	{"Send", func(f *Facility, pid int, id ID, size int) error {
 		return f.Send(pid, id, make([]byte, size))
 	}, pathLedger{copiesIn: 1}},
-	{"SendBatch", func(f *Facility, pid int, id ID, size int) error {
-		return f.SendBatch(pid, id, [][]byte{make([]byte, size)})
-	}, pathLedger{copiesIn: 1, batchSends: 1}},
 	{"SendLoan+Commit", func(f *Facility, pid int, id ID, size int) error {
 		ln, err := f.SendLoan(pid, id, size)
 		if err != nil {
@@ -43,8 +40,8 @@ var sendPaths = []sendPath{
 
 // splitLedger takes the path-specific counters out of a Stats delta.
 func splitLedger(d Stats) (Stats, pathLedger) {
-	led := pathLedger{d.PayloadCopiesIn, d.BatchSends, d.LoanSends, d.LoanBatchSends}
-	d.PayloadCopiesIn, d.BatchSends, d.LoanSends, d.LoanBatchSends = 0, 0, 0, 0
+	led := pathLedger{d.PayloadCopiesIn, d.LoanSends, d.LoanBatchSends}
+	d.PayloadCopiesIn, d.LoanSends, d.LoanBatchSends = 0, 0, 0
 	return d, led
 }
 
@@ -55,7 +52,6 @@ func statsDelta(after, before Stats) Stats {
 		BytesSent: after.BytesSent - before.BytesSent, BytesRecvd: after.BytesRecvd - before.BytesRecvd,
 		LNVCsCreated: after.LNVCsCreated - before.LNVCsCreated, LNVCsDeleted: after.LNVCsDeleted - before.LNVCsDeleted,
 		MessagesDropped: after.MessagesDropped - before.MessagesDropped,
-		BatchSends:      after.BatchSends - before.BatchSends, BatchReceives: after.BatchReceives - before.BatchReceives,
 		PayloadCopiesIn: after.PayloadCopiesIn - before.PayloadCopiesIn, PayloadCopiesOut: after.PayloadCopiesOut - before.PayloadCopiesOut,
 		LoanSends: after.LoanSends - before.LoanSends, ViewReceives: after.ViewReceives - before.ViewReceives,
 		LoanBatchSends: after.LoanBatchSends - before.LoanBatchSends, HarvestedViews: after.HarvestedViews - before.HarvestedViews,
@@ -63,7 +59,7 @@ func statsDelta(after, before Stats) Stats {
 	}
 }
 
-// TestSendPathsAgree holds the four public send entry points to each
+// TestSendPathsAgree holds the three public send entry points to each
 // other: in every situation a send can meet between its admission and
 // its publication, each returns the same class of error, moves the same
 // counters apart from its own ledger entry, leaves the credit ledger
@@ -203,7 +199,7 @@ func TestSendPathsAgree(t *testing.T) {
 					}
 					// A waiter-list entry that only this test reads: every
 					// wake of the circuit's receivers leaves one token.
-					wakes := &muxWaiter{ch: make(chan struct{}, 8)}
+					wakes := &Selector{ch: make(chan struct{}, 8), regs: map[ID]selReg{id: {}}, inReady: map[ID]bool{}}
 					l := f.slots[id].Load()
 					l.lock.Lock()
 					l.addWaiterLocked(wakes)

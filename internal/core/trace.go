@@ -13,8 +13,6 @@ const (
 	OpReceive
 	OpCheckReceive
 	OpTryReceive
-	OpSendBatch
-	OpReceiveBatch
 	OpSendLoan
 	OpLoanCommit
 	OpReceiveView
@@ -44,8 +42,6 @@ var opNames = [...]string{
 	OpReceive:         "message_receive",
 	OpCheckReceive:    "check_receive",
 	OpTryReceive:      "try_receive",
-	OpSendBatch:       "message_send_batch",
-	OpReceiveBatch:    "message_receive_batch",
 	OpSendLoan:        "loan_acquire",
 	OpLoanCommit:      "message_send_loan",
 	OpReceiveView:     "message_receive_view",

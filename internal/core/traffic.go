@@ -19,14 +19,13 @@ package core
 // and recycling.
 
 // sendCounts is the traffic of one send connection. publish takes one by
-// value as the caller's attribution (copiesIn, loans, loanBatch, batches)
+// value as the caller's attribution (copiesIn, loans, loanBatch)
 // and fills in msgs and bytes from the loop that enqueues.
 type sendCounts struct {
 	msgs, bytes uint64
-	copiesIn    uint64 // Send, SendBatch, a committed loan's CopyFrom
+	copiesIn    uint64 // Send, a committed loan's CopyFrom
 	loans       uint64 // messages committed through SendLoan
 	loanBatch   uint64 // messages committed through LoanBatch
-	batches     uint64 // SendBatch calls
 }
 
 func (c *sendCounts) add(o *sendCounts) {
@@ -35,7 +34,6 @@ func (c *sendCounts) add(o *sendCounts) {
 	c.copiesIn += o.copiesIn
 	c.loans += o.loans
 	c.loanBatch += o.loanBatch
-	c.batches += o.batches
 }
 
 // recvCounts is the traffic of one receive connection: exactly one cache
@@ -44,10 +42,10 @@ func (c *sendCounts) add(o *sendCounts) {
 // it, because its byte count exists only after the copy.
 type recvCounts struct {
 	msgs, bytes uint64
-	copiesOut   uint64 // Receive, TryReceive, ReceiveBatch, ReceiveAny
+	copiesOut   uint64 // Receive, TryReceive
 	views       uint64 // messages claimed through ReceiveView/TryReceiveView
 	harvested   uint64 // messages claimed inside a Selector harvest round
-	batches     uint64 // ReceiveBatch calls
+	_           uint64
 	waits       uint64 // claims that had to park
 	checks      uint64 // CheckReceive calls
 }
@@ -58,7 +56,6 @@ func (c *recvCounts) add(o *recvCounts) {
 	c.copiesOut += o.copiesOut
 	c.views += o.views
 	c.harvested += o.harvested
-	c.batches += o.batches
 	c.waits += o.waits
 	c.checks += o.checks
 }
@@ -129,11 +126,9 @@ func (f *Facility) Stats() Stats {
 	st.Sends, st.BytesSent = t.tx.msgs, t.tx.bytes
 	st.PayloadCopiesIn += t.tx.copiesIn
 	st.LoanSends, st.LoanBatchSends = t.tx.loans, t.tx.loanBatch
-	st.BatchSends = t.tx.batches
 	st.Receives, st.BytesRecvd = t.rx.msgs, t.rx.bytes
 	st.PayloadCopiesOut += t.rx.copiesOut
 	st.ViewReceives, st.HarvestedViews = t.rx.views, t.rx.harvested
-	st.BatchReceives = t.rx.batches
 	st.ReceiveWaits, st.Checks = t.rx.waits, t.rx.checks
 	st.CreditsHeld = uint64(held)
 	return st

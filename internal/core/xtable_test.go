@@ -75,10 +75,10 @@ func TestSegTableClaimDetach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := down.Push(shm.Record{Off: 640, Len: 33, Tag: 2}, time.Now().Add(time.Second)); err != nil {
+	if err := down.PushBatch([]shm.Record{{Off: 640, Len: 33, Tag: 2}}, time.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := peerDown.Pop(time.Now().Add(time.Second))
+	rec, err := popOne(peerDown, time.Now().Add(time.Second))
 	if err != nil || rec.Off != 640 || rec.Len != 33 || rec.Tag != 2 {
 		t.Fatalf("cross-handle pop: %+v, %v", rec, err)
 	}
@@ -356,7 +356,7 @@ func TestSegmentAttachChurnRace(t *testing.T) {
 					time.Sleep(50 * time.Microsecond)
 					continue
 				}
-				if err := down.Push(rec, time.Now().Add(5*time.Second)); err != nil {
+				if err := down.PushBatch([]shm.Record{rec}, time.Now().Add(5*time.Second)); err != nil {
 					return
 				}
 			}
@@ -389,12 +389,12 @@ func TestSegmentAttachChurnRace(t *testing.T) {
 					return
 				}
 				want := shm.Record{Off: int64(c*1000 + r), Len: int32(r), Tag: uint16(c)}
-				if err := up.Push(want, time.Now().Add(5*time.Second)); err != nil {
+				if err := up.PushBatch([]shm.Record{want}, time.Now().Add(5*time.Second)); err != nil {
 					t.Errorf("child %d push: %v", c, err)
 					peer.Detach(slot)
 					return
 				}
-				got, err := down.Pop(time.Now().Add(5 * time.Second))
+				got, err := popOne(down, time.Now().Add(5*time.Second))
 				if err != nil || got != want {
 					t.Errorf("child %d echo: %+v, %v (want %+v)", c, got, err, want)
 					peer.Detach(slot)
@@ -416,4 +416,11 @@ func TestSegmentAttachChurnRace(t *testing.T) {
 			t.Fatalf("slot %d still attached after churn", i)
 		}
 	}
+}
+
+// popOne is a blocking pop of one record.
+func popOne(r *shm.XRing, deadline time.Time) (shm.Record, error) {
+	var one [1]shm.Record
+	_, err := r.PopBatchAbort(one[:], deadline, nil)
+	return one[0], err
 }

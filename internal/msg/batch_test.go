@@ -7,45 +7,6 @@ import (
 	"repro/internal/shm"
 )
 
-func TestBuildBatchRoundTrip(t *testing.T) {
-	arena, err := shm.New(shm.Config{BlockSize: 16, NumBlocks: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPool(arena, 0)
-	bufs := [][]byte{
-		[]byte("short"),
-		bytes.Repeat([]byte{0x5A}, 50), // spans several 12-byte payloads
-		nil,                            // zero-length message still gets a block
-	}
-	msgs, err := p.BuildBatch(7, bufs, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 3 {
-		t.Fatalf("%d messages, want 3", len(msgs))
-	}
-	out := make([]byte, 64)
-	for i, m := range msgs {
-		if m.Sender != 7 {
-			t.Errorf("message %d sender = %d, want 7", i, m.Sender)
-		}
-		if err := p.Check(m); err != nil {
-			t.Errorf("message %d: %v", i, err)
-		}
-		n := p.Extract(m, out)
-		if !bytes.Equal(out[:n], bufs[i]) {
-			t.Errorf("message %d: payload mismatch (%d bytes)", i, n)
-		}
-	}
-	for _, m := range msgs {
-		p.Release(m)
-	}
-	if free := arena.FreeBlocks(); free != 64 {
-		t.Errorf("%d blocks free after release, want 64", free)
-	}
-}
-
 func TestBuildBatchFailureLeaksNothing(t *testing.T) {
 	arena, err := shm.New(shm.Config{BlockSize: 16, NumBlocks: 4})
 	if err != nil {
@@ -53,19 +14,18 @@ func TestBuildBatchFailureLeaksNothing(t *testing.T) {
 	}
 	p := NewPool(arena, 0)
 	// 5 single-block messages cannot fit a 4-block region.
-	bufs := make([][]byte, 5)
-	for i := range bufs {
-		bufs[i] = []byte{byte(i)}
-	}
-	if _, err := p.BuildBatch(0, bufs, false, nil); err == nil {
+	if _, err := p.BuildLoanBatch(0, []int{1, 1, 1, 1, 1}, false, nil); err == nil {
 		t.Fatal("oversized batch succeeded")
 	}
 	if free := arena.FreeBlocks(); free != 4 {
 		t.Errorf("failed batch leaked: %d blocks free, want 4", free)
 	}
-	if msgs, err := p.BuildBatch(0, nil, false, nil); err != nil || msgs != nil {
-		t.Errorf("empty batch: %v, %v", msgs, err)
+	// The region is whole: a batch that fits still builds.
+	msgs, err := p.BuildLoanBatch(0, []int{1, 1, 1, 1}, false, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	p.ReleaseBatch(msgs)
 }
 
 // TestBuildLoanBatchReleaseBatch checks the batched loan build (one

@@ -192,41 +192,6 @@ func (p *Pool) View(m *Message) View {
 	return NewView(p.arena, m.Head, m.Length)
 }
 
-// BuildBatch builds one message per buffer in bufs, allocating every
-// payload block in a single arena transaction: the batch costs one
-// free-pool lock acquisition however many messages and blocks it spans.
-// Either every message is built or none is; wait and stop have Build's
-// semantics, applied to the batch's total block demand. It is
-// BuildBatchInto with a result slice of its own.
-func (p *Pool) BuildBatch(sender int, bufs [][]byte, wait bool, stop <-chan struct{}) ([]*Message, error) {
-	if len(bufs) == 0 {
-		return nil, nil
-	}
-	msgs := make([]*Message, len(bufs))
-	if err := p.BuildBatchInto(sender, bufs, msgs, wait, stop); err != nil {
-		return nil, err
-	}
-	return msgs, nil
-}
-
-// BuildBatchInto is BuildBatch writing message i to msgs[i] (the
-// caller's, at least len(bufs) long, untouched on error): a loan batch
-// of the buffers' lengths with each buffer copied in.
-func (p *Pool) BuildBatchInto(sender int, bufs [][]byte, msgs []*Message, wait bool, stop <-chan struct{}) error {
-	var nsBuf [BatchInline]int
-	ns := InlineOr(nsBuf[:], len(bufs))
-	for i, buf := range bufs {
-		ns[i] = len(buf)
-	}
-	if err := p.BuildLoanBatchInto(sender, ns, msgs, wait, stop); err != nil {
-		return err
-	}
-	for i, buf := range bufs {
-		p.arena.WriteChain(msgs[i].Head, buf)
-	}
-	return nil
-}
-
 // Extract copies the message payload into buf and returns the number of
 // bytes copied (min of message length and len(buf)), mirroring
 // message_receive's buffer-length semantics.

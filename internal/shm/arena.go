@@ -513,7 +513,7 @@ func (a *Arena) AllocPayload(n int, wait bool, stop <-chan struct{}) (head, tail
 
 // AllocPayloads is the batch form of AllocPayload: one chain per payload
 // length in ns, all allocated under a single lock acquisition — the
-// allocator half of the batched send path: a SendBatch of k messages
+// allocator half of the batched send path: a LoanBatch of k messages
 // costs one acquisition here, not k. Either every chain is built or none
 // is. It is AllocPayloadsInto with result slices of its own.
 func (a *Arena) AllocPayloads(ns []int, wait bool, stop <-chan struct{}) (heads, tails []int32, err error) {

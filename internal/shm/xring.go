@@ -33,12 +33,12 @@ import (
 	"time"
 )
 
-// ErrRingClosed is returned once a closed ring has drained (Pop) or
-// immediately (Push): the peer has detached or the facility is
+// ErrRingClosed is returned once a closed ring has drained (a pop) or
+// immediately (a push): the peer has detached or the facility is
 // shutting down.
 var ErrRingClosed = errors.New("shm: descriptor ring closed")
 
-// ErrRingTimeout is returned when a bounded Pop or Push expires.
+// ErrRingTimeout is returned when a bounded pop or push expires.
 var ErrRingTimeout = errors.New("shm: descriptor ring wait timed out")
 
 // ErrRingCorrupt is returned when the ring's indices are further apart
@@ -168,12 +168,12 @@ func (r *XRing) Len() int {
 	return int(tail - head)
 }
 
-// Closed reports whether either side has closed the ring.
-func (r *XRing) Closed() bool { return r.seg.Atomic32(r.base+ringOffClosed).Load() != 0 }
+// closed reports whether either side has closed the ring.
+func (r *XRing) closed() bool { return r.seg.Atomic32(r.base+ringOffClosed).Load() != 0 }
 
 // Close marks the ring closed and wakes both sides. Either side may
-// close; records already published remain poppable (Pop drains, then
-// reports ErrRingClosed).
+// close; records already published remain poppable (a pop drains
+// them, then reports ErrRingClosed).
 func (r *XRing) Close() {
 	r.seg.Atomic32(r.base + ringOffClosed).Store(1)
 	r.data.Post()
@@ -204,7 +204,7 @@ func getRecord(b []byte) Record {
 // the record stores, a release store of tail and one Post however many
 // records.
 func (r *XRing) tryPush(recs []Record) (bool, error) {
-	if r.Closed() {
+	if r.closed() {
 		return false, ErrRingClosed
 	}
 	head, tail, err := r.cursors()
@@ -236,7 +236,7 @@ func (r *XRing) tryPop(dst []Record) (int, error) {
 	}
 	n := int(tail - head)
 	if n == 0 {
-		if r.Closed() {
+		if r.closed() {
 			return 0, ErrRingClosed
 		}
 		return 0, nil
@@ -282,7 +282,7 @@ func park(w *NotifyWord, seen uint32, deadline time.Time, abort func() error) er
 
 // PushBatchAbort publishes all of recs in one ring transaction — one
 // tail store and one wake however many records, the cross-process
-// counterpart of the LoanBatch/SendBatch amortisation — blocking while
+// counterpart of the LoanBatch amortisation — blocking while
 // they do not fit (spin, then futex-wait on the space word). The batch
 // must fit the ring's capacity. A zero deadline waits forever;
 // ErrRingTimeout reports expiry, ErrRingClosed a closed ring,
@@ -361,29 +361,9 @@ func (r *XRing) TryPop() (Record, bool, error) {
 	return one[0], n == 1, err
 }
 
-// Push is PushBatchAbort for one record and no liveness hook.
-func (r *XRing) Push(rec Record, deadline time.Time) error {
-	return r.PushBatchAbort([]Record{rec}, deadline, nil)
-}
-
 // PushBatch is PushBatchAbort without a liveness hook.
 func (r *XRing) PushBatch(recs []Record, deadline time.Time) error {
 	return r.PushBatchAbort(recs, deadline, nil)
-}
-
-// PushAbort is PushBatchAbort for one record.
-func (r *XRing) PushAbort(rec Record, deadline time.Time, abort func() error) error {
-	return r.PushBatchAbort([]Record{rec}, deadline, abort)
-}
-
-// Pop is PopAbort without a liveness hook.
-func (r *XRing) Pop(deadline time.Time) (Record, error) { return r.PopAbort(deadline, nil) }
-
-// PopAbort is PopBatchAbort for one record.
-func (r *XRing) PopAbort(deadline time.Time, abort func() error) (Record, error) {
-	var one [1]Record
-	_, err := r.PopBatchAbort(one[:], deadline, abort)
-	return one[0], err
 }
 
 // WaitStats returns the waiter counters of this handle's two notify

@@ -73,7 +73,7 @@ func TestRingFullAndBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range batch {
-		rec, err := cons.Pop(time.Now().Add(time.Second))
+		rec, err := popOne(cons, time.Now().Add(time.Second), nil)
 		if err != nil || rec.Off != want.Off {
 			t.Fatalf("batch pop: %+v, %v", rec, err)
 		}
@@ -89,7 +89,7 @@ func TestRingBlockingHandoff(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {
-			if err := prod.Push(Record{Off: int64(i), Word: uint16(i)}, time.Now().Add(10*time.Second)); err != nil {
+			if err := pushOne(prod, Record{Off: int64(i), Word: uint16(i)}, time.Now().Add(10*time.Second), nil); err != nil {
 				errc <- err
 				return
 			}
@@ -97,7 +97,7 @@ func TestRingBlockingHandoff(t *testing.T) {
 		errc <- nil
 	}()
 	for i := 0; i < n; i++ {
-		rec, err := cons.Pop(time.Now().Add(10 * time.Second))
+		rec, err := popOne(cons, time.Now().Add(10*time.Second), nil)
 		if err != nil {
 			t.Fatalf("pop %d: %v", i, err)
 		}
@@ -114,27 +114,27 @@ func TestRingBlockingHandoff(t *testing.T) {
 
 func TestRingTimeoutAndClose(t *testing.T) {
 	prod, cons := ringPair(t, 2)
-	if _, err := cons.Pop(time.Now().Add(20 * time.Millisecond)); !errors.Is(err, ErrRingTimeout) {
+	if _, err := popOne(cons, time.Now().Add(20*time.Millisecond), nil); !errors.Is(err, ErrRingTimeout) {
 		t.Fatalf("pop on empty ring: %v, want timeout", err)
 	}
 	prod.TryPush(Record{Off: 1})
 	prod.TryPush(Record{Off: 2})
-	if err := prod.Push(Record{Off: 3}, time.Now().Add(20*time.Millisecond)); !errors.Is(err, ErrRingTimeout) {
+	if err := pushOne(prod, Record{Off: 3}, time.Now().Add(20*time.Millisecond), nil); !errors.Is(err, ErrRingTimeout) {
 		t.Fatalf("push into full ring: %v, want timeout", err)
 	}
 
 	prod.Close()
-	if err := prod.Push(Record{}, time.Time{}); !errors.Is(err, ErrRingClosed) {
+	if err := pushOne(prod, Record{}, time.Time{}, nil); !errors.Is(err, ErrRingClosed) {
 		t.Fatalf("push after close: %v", err)
 	}
 	// Queued records drain before the close is reported.
 	for want := int64(1); want <= 2; want++ {
-		rec, err := cons.Pop(time.Time{})
+		rec, err := popOne(cons, time.Time{}, nil)
 		if err != nil || rec.Off != want {
 			t.Fatalf("drain pop: %+v, %v", rec, err)
 		}
 	}
-	if _, err := cons.Pop(time.Time{}); !errors.Is(err, ErrRingClosed) {
+	if _, err := popOne(cons, time.Time{}, nil); !errors.Is(err, ErrRingClosed) {
 		t.Fatalf("pop after drain: %v, want closed", err)
 	}
 }
@@ -253,20 +253,20 @@ func TestRingAbortableWaits(t *testing.T) {
 
 	// Fast path: data ready, abort never consulted.
 	prod.TryPush(Record{Off: 7})
-	rec, err := cons.PopAbort(time.Time{}, func() error {
+	rec, err := popOne(cons, time.Time{}, func() error {
 		t.Error("abort probed with data ready")
 		return nil
 	})
 	if err != nil || rec.Off != 7 {
-		t.Fatalf("PopAbort with data: %+v, %v", rec, err)
+		t.Fatalf("popOne with data: %+v, %v", rec, err)
 	}
 
 	// Slow path: empty ring, dead peer — the probe ends the wait well
 	// before any deadline would.
 	dead := errors.New("peer dead")
 	start := time.Now()
-	if _, err := cons.PopAbort(time.Now().Add(10*time.Second), func() error { return dead }); !errors.Is(err, dead) {
-		t.Fatalf("PopAbort with dead peer: %v", err)
+	if _, err := popOne(cons, time.Now().Add(10*time.Second), func() error { return dead }); !errors.Is(err, dead) {
+		t.Fatalf("popOne with dead peer: %v", err)
 	}
 	if time.Since(start) > time.Second {
 		t.Fatalf("abort took %v", time.Since(start))
@@ -275,15 +275,15 @@ func TestRingAbortableWaits(t *testing.T) {
 	// Producer side: full ring, dead consumer.
 	prod.TryPush(Record{Off: 1})
 	prod.TryPush(Record{Off: 2})
-	if err := prod.PushAbort(Record{Off: 3}, time.Now().Add(10*time.Second), func() error { return dead }); !errors.Is(err, dead) {
-		t.Fatalf("PushAbort with dead peer: %v", err)
+	if err := pushOne(prod, Record{Off: 3}, time.Now().Add(10*time.Second), func() error { return dead }); !errors.Is(err, dead) {
+		t.Fatalf("pushOne with dead peer: %v", err)
 	}
 
 	// A live-but-silent peer still hits the real deadline.
 	cons.TryPop()
 	cons.TryPop()
-	if _, err := cons.PopAbort(time.Now().Add(30*time.Millisecond), func() error { return nil }); !errors.Is(err, ErrRingTimeout) {
-		t.Fatalf("PopAbort deadline: %v", err)
+	if _, err := popOne(cons, time.Now().Add(30*time.Millisecond), func() error { return nil }); !errors.Is(err, ErrRingTimeout) {
+		t.Fatalf("popOne deadline: %v", err)
 	}
 }
 
@@ -405,8 +405,8 @@ func TestRingScribbledCursors(t *testing.T) {
 			if n, err := cons.PopBatch(make([]Record, 8)); n != 0 || !errors.Is(err, ErrRingCorrupt) {
 				t.Fatalf("PopBatch = %d, %v, want ErrRingCorrupt", n, err)
 			}
-			if _, err := cons.PopAbort(time.Now().Add(time.Second), func() error { return nil }); !errors.Is(err, ErrRingCorrupt) {
-				t.Fatalf("PopAbort = %v, want ErrRingCorrupt", err)
+			if _, err := popOne(cons, time.Now().Add(time.Second), func() error { return nil }); !errors.Is(err, ErrRingCorrupt) {
+				t.Fatalf("popOne = %v, want ErrRingCorrupt", err)
 			}
 			if ok, err := prod.TryPush(Record{}); ok || !errors.Is(err, ErrRingCorrupt) {
 				t.Fatalf("TryPush = %v, %v, want ErrRingCorrupt", ok, err)
@@ -428,4 +428,15 @@ func TestRingScribbledCursors(t *testing.T) {
 	if n, err := cons.PopBatch(make([]Record, 8)); n != 4 || err != nil {
 		t.Fatalf("PopBatch of a full ring = %d, %v", n, err)
 	}
+}
+
+// pushOne and popOne are PushBatchAbort and PopBatchAbort for one record.
+func pushOne(r *XRing, rec Record, deadline time.Time, abort func() error) error {
+	return r.PushBatchAbort([]Record{rec}, deadline, abort)
+}
+
+func popOne(r *XRing, deadline time.Time, abort func() error) (Record, error) {
+	var one [1]Record
+	_, err := r.PopBatchAbort(one[:], deadline, abort)
+	return one[0], err
 }

@@ -41,37 +41,6 @@ func TestFacadeTryReceive(t *testing.T) {
 	}
 }
 
-func TestFacadeReceiveAny(t *testing.T) {
-	f := newFac(t, mpf.WithMaxProcesses(2))
-	p0, _ := f.Process(0)
-	p1, _ := f.Process(1)
-	sa, _ := p0.OpenSend("fa")
-	_, _ = p0.OpenSend("fb")
-	ra, _ := p1.OpenReceive("fa", mpf.FCFS)
-	rb, _ := p1.OpenReceive("fb", mpf.FCFS)
-
-	sa.Send([]byte("via-a"))
-	buf := make([]byte, 8)
-	idx, n, err := p1.ReceiveAny([]*mpf.RecvConn{ra, rb}, buf)
-	if err != nil || idx != 0 || string(buf[:n]) != "via-a" {
-		t.Fatalf("idx=%d buf=%q err=%v", idx, buf[:n], err)
-	}
-
-	// Deadline flavour.
-	if _, _, err := p1.ReceiveAnyDeadline([]*mpf.RecvConn{ra, rb}, buf, 30*time.Millisecond); !errors.Is(err, mpf.ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-
-	// Mixing in another process's connection is rejected.
-	rOther, _ := p0.OpenReceive("fc", mpf.FCFS)
-	if _, _, err := p1.ReceiveAny([]*mpf.RecvConn{ra, rOther}, buf); !errors.Is(err, mpf.ErrBadProcess) {
-		t.Fatalf("foreign conn: %v", err)
-	}
-	if _, _, err := p1.ReceiveAnyDeadline([]*mpf.RecvConn{rOther}, buf, time.Second); !errors.Is(err, mpf.ErrBadProcess) {
-		t.Fatalf("foreign conn deadline: %v", err)
-	}
-}
-
 func TestFacadeShutdownIdempotent(t *testing.T) {
 	f, err := mpf.New(mpf.WithMaxProcesses(2))
 	if err != nil {
@@ -110,8 +79,8 @@ func TestFacadeErrMessageTooBig(t *testing.T) {
 	}
 }
 
-func TestFacadeReceiveAnyAcrossProtocols(t *testing.T) {
-	// One FCFS and one Broadcast connection multiplexed by ReceiveAny.
+func TestSelectorAcrossProtocols(t *testing.T) {
+	// One FCFS and one Broadcast connection multiplexed by a Selector.
 	f := newFac(t, mpf.WithMaxProcesses(2))
 	p0, _ := f.Process(0)
 	p1, _ := f.Process(1)
@@ -119,17 +88,35 @@ func TestFacadeReceiveAnyAcrossProtocols(t *testing.T) {
 	sn, _ := p0.OpenSend("news")
 	rq, _ := p1.OpenReceive("queue", mpf.FCFS)
 	rn, _ := p1.OpenReceive("news", mpf.Broadcast)
+	sel, err := p1.NewSelector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sel.Close()
+	for _, rc := range []*mpf.RecvConn{rq, rn} {
+		if err := sel.Add(rc); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	sn.Send([]byte("broadcasted"))
 	sq.Send([]byte("queued"))
 	buf := make([]byte, 16)
 	seen := map[string]bool{}
-	for i := 0; i < 2; i++ {
-		_, n, err := p1.ReceiveAny([]*mpf.RecvConn{rq, rn}, buf)
+	for len(seen) < 2 {
+		ready, err := sel.WaitDeadline(time.Second)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("after %v: %v", seen, err)
 		}
-		seen[string(buf[:n])] = true
+		for _, rc := range ready {
+			n, ok, err := rc.TryReceive(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				seen[string(buf[:n])] = true
+			}
+		}
 	}
 	if !seen["broadcasted"] || !seen["queued"] {
 		t.Fatalf("seen = %v", seen)

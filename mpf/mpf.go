@@ -47,9 +47,11 @@
 // RecvConn.Check. Send is asynchronous; Receive blocks; Check is a
 // non-blocking probe whose answer is advisory for FCFS connections
 // (another FCFS receiver may win the race — the caveat of paper §2).
-// Beyond the eight, Process.ReceiveAny waits on several circuits at
-// once and Process.NewSelector builds an event loop over any number
-// of them with epoll-style per-circuit wakeups (see Selector).
+// Beyond the eight, Process.NewSelector waits on any number of
+// circuits at once, with epoll-style per-circuit wakeups (see
+// Selector), and SendConn.Loan/LoanBatch with RecvConn.ReceiveView and
+// Selector.WaitViews move payloads without copying them (see Loan and
+// View).
 //
 // # Circuit lifetime and lost messages
 //
@@ -144,7 +146,7 @@ func WithFailFastSend() Option { return func(c *core.Config) { c.SendPolicy = co
 // WithCredit enables per-circuit credit-based flow control: every
 // circuit carries a receiver-granted budget of n accounted blocks (the
 // same worst-case BlocksFor unit the capacity checks use), debited when
-// a send — Send, SendBatch, Loan or LoanBatch alike — is admitted,
+// a send — Send, Loan or LoanBatch alike — is admitted,
 // before its allocation, and re-granted as receivers release the
 // blocks (receives, view releases, reclamation).
 // A send that would overdraw the budget waits for a grant — or, with
@@ -290,35 +292,6 @@ func (p *Process) OpenReceive(name string, proto Protocol) (*RecvConn, error) {
 	return &RecvConn{p: p, id: id, name: name, proto: proto}, nil
 }
 
-// ReceiveAny blocks until any of the given receive connections (all of
-// which must belong to this process) delivers a message, consuming it
-// into buf. It returns the index of the connection that delivered and
-// the byte count. Scanning is round-robin across calls, so a busy
-// circuit cannot starve the others. The paper's idiom for this was a
-// check_receive polling loop; ReceiveAny is its blocking equivalent.
-func (p *Process) ReceiveAny(conns []*RecvConn, buf []byte) (int, int, error) {
-	ids := make([]ID, len(conns))
-	for i, c := range conns {
-		if c.p.pid != p.pid {
-			return 0, 0, fmt.Errorf("%w: connection %d belongs to process %d", ErrBadProcess, i, c.p.pid)
-		}
-		ids[i] = c.id
-	}
-	return p.fac.c.ReceiveAny(p.pid, ids, buf)
-}
-
-// ReceiveAnyDeadline is ReceiveAny bounded by d.
-func (p *Process) ReceiveAnyDeadline(conns []*RecvConn, buf []byte, d time.Duration) (int, int, error) {
-	ids := make([]ID, len(conns))
-	for i, c := range conns {
-		if c.p.pid != p.pid {
-			return 0, 0, fmt.Errorf("%w: connection %d belongs to process %d", ErrBadProcess, i, c.p.pid)
-		}
-		ids[i] = c.id
-	}
-	return p.fac.c.ReceiveAnyDeadline(p.pid, ids, buf, d)
-}
-
 // SendConn is an open send connection to a circuit.
 type SendConn struct {
 	p    *Process
@@ -336,15 +309,6 @@ func (s *SendConn) Name() string { return s.name }
 // it returns once the payload has been copied into shared message blocks,
 // before any receiver runs.
 func (s *SendConn) Send(buf []byte) error { return s.p.fac.c.Send(s.p.pid, s.id, buf) }
-
-// SendBatch transfers every buffer in bufs as one message each, paying
-// the per-send fixed costs (circuit lock, block allocation, receiver
-// wakeup) once for the whole batch. The batch is atomic with respect to
-// other senders: its messages occupy consecutive positions in the
-// circuit's order. Either all of it is enqueued or none.
-func (s *SendConn) SendBatch(bufs [][]byte) error {
-	return s.p.fac.c.SendBatch(s.p.pid, s.id, bufs)
-}
 
 // Close removes the send connection (paper close_send). If it was the
 // circuit's last connection, the circuit is deleted and unread messages
@@ -377,22 +341,6 @@ func (r *RecvConn) Receive(buf []byte) (int, error) { return r.p.fac.c.Receive(r
 // message arrives in time.
 func (r *RecvConn) ReceiveDeadline(buf []byte, d time.Duration) (int, error) {
 	return r.p.fac.c.ReceiveDeadline(r.p.pid, r.id, buf, d)
-}
-
-// ReceiveBatch blocks until at least one message is available, then
-// consumes as many as are ready — at most one per buffer, each
-// truncated to its buffer — under a single circuit lock acquisition.
-// It returns the per-message byte counts (one entry per message
-// consumed). For FCFS connections the batch claim is atomic: sibling
-// receivers cannot interleave within it.
-func (r *RecvConn) ReceiveBatch(bufs [][]byte) ([]int, error) {
-	return r.p.fac.c.ReceiveBatch(r.p.pid, r.id, bufs)
-}
-
-// ReceiveBatchDeadline is ReceiveBatch bounded by d for the first
-// message; once one is available the batch never waits for more.
-func (r *RecvConn) ReceiveBatchDeadline(bufs [][]byte, d time.Duration) ([]int, error) {
-	return r.p.fac.c.ReceiveBatchDeadline(r.p.pid, r.id, bufs, d)
 }
 
 // Check reports whether a message is currently available (paper

@@ -40,8 +40,7 @@ var ErrSelectorClosed = core.ErrSelectorClosed
 // cannot strand queued messages — and, for FCFS connections, advisory
 // in exactly the sense of the paper's check_receive caveat: a sibling
 // FCFS receiver may win the race after Wait returns, so drain ready
-// connections with TryReceive (or ReceiveBatch after a first
-// TryReceive), never a blocking Receive.
+// connections with TryReceive, never a blocking Receive.
 //
 // WaitViews is the zero-copy form of the same loop: instead of ids to
 // re-receive from, it returns pinned Views claimed inside the wait

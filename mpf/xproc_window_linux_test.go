@@ -329,12 +329,12 @@ func TestBridgeScribblingPeer(t *testing.T) {
 			}
 		}, 16},
 		{"ack outside the arena", func(t *testing.T, cl *ProcClient, downHead, upTail *atomic.Uint32) {
-			rec, err := cl.down.Pop(far)
-			if err != nil {
+			var one [1]shm.Record
+			if _, err := cl.down.PopBatchAbort(one[:], far, nil); err != nil {
 				t.Error(err)
 			}
-			rec.Off, rec.Len, rec.Tag = cl.seg.Size()+4096, 1<<30, xtag(XTagAck, cl.Gen())
-			if err := cl.up.Push(rec, far); err != nil {
+			one[0].Off, one[0].Len, one[0].Tag = cl.seg.Size()+4096, 1<<30, xtag(XTagAck, cl.Gen())
+			if err := cl.up.PushBatch(one[:], far); err != nil {
 				t.Error(err)
 			}
 		}, 0},

@@ -59,8 +59,7 @@ func (s *SendConn) Loan(n int) (*Loan, error) {
 }
 
 // LoanBatch allocates one zero-copy send window per length in ns, all
-// in a single arena free-pool transaction — SendBatch's amortisation
-// on the loan plane. Fill the windows in place (Bytes/View/Fill) and
+// in a single arena free-pool transaction. Fill the windows in place (Bytes/View/Fill) and
 // resolve the batch once: CommitAll enqueues every message under one
 // circuit lock acquisition with one receiver wakeup, atomically with
 // respect to other senders; AbortAll (safe to defer — a no-op once
