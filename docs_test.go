@@ -83,25 +83,52 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 }
 
-// TestDocsNameDeclaredMembers fails when README.md or DESIGN.md quotes a
-// member of the three types the docs describe the allocator and its
-// configuration by — `core.Config.X`, `shm.Config.X`, `Arena.X` — that
-// the code does not declare: a field or option deleted from the code but
-// still described in prose.
+// TestDocsNameDeclaredMembers fails when README.md or DESIGN.md quotes an
+// exported member of a type the docs describe the allocator, its
+// configuration and the multiplexer by — `core.Config.X`, `shm.Config.X`,
+// `Arena.X`, `mpf.Selector.X` (the facade's methods) and `Selector.X`
+// (core's or the facade's) — that the code does not declare: a field or
+// method deleted from the code but still described in prose. The
+// planted case holds the check itself.
 func TestDocsNameDeclaredMembers(t *testing.T) {
+	coreDir := filepath.Join("internal", "core")
 	members := map[string]map[string]bool{
-		"core.Config": typeMembers(t, filepath.Join("internal", "core"), "Config"),
-		"shm.Config":  typeMembers(t, filepath.Join("internal", "shm"), "Config"),
-		"Arena":       typeMembers(t, filepath.Join("internal", "shm"), "Arena"),
+		"core.Config":  typeMembers(t, coreDir, "Config"),
+		"shm.Config":   typeMembers(t, filepath.Join("internal", "shm"), "Config"),
+		"Arena":        typeMembers(t, filepath.Join("internal", "shm"), "Arena"),
+		"mpf.Selector": typeMembers(t, "mpf", "Selector"),
+		"Selector":     typeMembers(t, coreDir, "Selector"),
 	}
-	quote := regexp.MustCompile(`\b(core\.Config|shm\.Config|Arena)\.([A-Z]\w*)`)
+	for name := range members["mpf.Selector"] {
+		members["Selector"][name] = true
+	}
+	t.Run("planted", func(t *testing.T) {
+		text := "`mpf.Selector.Wait`, `core.Selector.Wait`, `Selector.WaitViews`, `Selector.Circuits`, " +
+			"`core.Config.MaxProcesses`, `Arena.NoSuchField`, `Selector.mu`"
+		got := undeclaredMembers(text, members)
+		want := []string{"mpf.Selector.Wait", "Selector.Circuits", "Arena.NoSuchField"}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("undeclared members in the planted text = %q, want %q", got, want)
+		}
+	})
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
-		for _, m := range quote.FindAllStringSubmatch(readDoc(t, doc), -1) {
-			if !members[m[1]][m[2]] {
-				t.Errorf("%s names %s.%s, which the code does not declare", doc, m[1], m[2])
-			}
+		for _, name := range undeclaredMembers(readDoc(t, doc), members) {
+			t.Errorf("%s names %s, which the code does not declare", doc, name)
 		}
 	}
+}
+
+// undeclaredMembers returns the Type.Member quotes in text whose member
+// the type's entry in members lacks.
+func undeclaredMembers(text string, members map[string]map[string]bool) []string {
+	var bad []string
+	quote := regexp.MustCompile(`\b(core\.Config|shm\.Config|Arena|mpf\.Selector|Selector)\.([A-Z]\w*)`)
+	for _, m := range quote.FindAllStringSubmatch(text, -1) {
+		if !members[m[1]][m[2]] {
+			bad = append(bad, m[1]+"."+m[2])
+		}
+	}
+	return bad
 }
 
 // TestDocsNameDeclaredMetrics fails when README.md or DESIGN.md quotes a
@@ -433,8 +460,7 @@ func TestMPFExportedSet(t *testing.T) {
 		"RecvConn.ReceiveDeadline", "RecvConn.ReceiveView",
 		"RecvConn.ReceiveViewDeadline", "RecvConn.TryReceive", "RecvConn.TryReceiveView",
 		"ReleaseViews", "Selector", "Selector.Add", "Selector.Close", "Selector.Len",
-		"Selector.Remove", "Selector.Wait", "Selector.WaitDeadline", "Selector.WaitViews",
-		"Selector.WaitViewsDeadline",
+		"Selector.Remove", "Selector.WaitViews", "Selector.WaitViewsDeadline",
 		"SendConn", "SendConn.Close", "SendConn.ID", "SendConn.Loan", "SendConn.LoanBatch",
 		"SendConn.Name", "SendConn.Send",
 		"ServeConfig", "ServeProc", "Stats", "SuperviseConfig", "Supervisor", "Supervisor.Stop",

@@ -33,7 +33,7 @@ func TestHandOffRule(t *testing.T) {
 
 	// The first waker of an overdue park claims its hand-off; a second
 	// fire before the owner runs again only signals.
-	mw := &Selector{ch: make(chan struct{}, 1), regs: map[ID]selReg{0: {}}, inReady: map[ID]bool{}}
+	mw := &Selector{ch: make(chan struct{}, 1), regs: map[ID]*selReg{0: {}}}
 	mw.since.Store(monoNow() - 2*w)
 	if !mw.fire(0) {
 		t.Error("the first fire of an overdue park did not hand off")

@@ -47,11 +47,10 @@ type Selector struct {
 	// mu guards the fields up to closed. It ranks below the LNVC lock
 	// (DESIGN.md §16): markReady runs under the firing LNVC's lock, so
 	// Selector methods never acquire an LNVC lock while holding mu.
-	mu      spinlock.TAS
-	regs    map[ID]selReg
-	ready   []ID // circuits fired since the last harvest, deduplicated
-	inReady map[ID]bool
-	closed  bool
+	mu     spinlock.TAS
+	regs   map[ID]*selReg
+	ready  []ID // circuits fired since the last harvest, deduplicated
+	closed bool
 
 	// ch and since are the park a wait round sleeps in (waiter.go), the
 	// selector itself being the entry on every watched circuit's waiter
@@ -67,7 +66,7 @@ type Selector struct {
 	since atomic.Int64
 	// The pad makes the Selector 256 bytes, a size class whose objects
 	// start on line boundaries — which the pad before mu relies on.
-	_ [16]byte
+	_ [24]byte
 
 	// deadErr is a circuit death observed by a HarvestViews round that
 	// had already claimed views: the views were returned first and the
@@ -89,9 +88,14 @@ type Selector struct {
 // is the descriptor the waiter entry was placed on and gen its
 // generation at registration time. A harvest that finds either changed
 // is looking at a recycled descriptor, not the registered circuit.
+// ready, guarded by the selector's mu, is set while the id is on the
+// ready list for this registration: it deduplicates the list, and a
+// registration removed (or replaced) after it fired takes its flag with
+// it, so the harvest skips the stale entry.
 type selReg struct {
-	l   *lnvc
-	gen uint64
+	l     *lnvc
+	gen   uint64
+	ready bool
 }
 
 // NewSelector creates a selector for pid's receive connections.
@@ -100,11 +104,10 @@ func (f *Facility) NewSelector(pid int) (*Selector, error) {
 		return nil, err
 	}
 	return &Selector{
-		f:       f,
-		pid:     pid,
-		regs:    make(map[ID]selReg),
-		inReady: make(map[ID]bool),
-		ch:      make(chan struct{}, 1),
+		f:    f,
+		pid:  pid,
+		regs: make(map[ID]*selReg),
+		ch:   make(chan struct{}, 1),
 	}, nil
 }
 
@@ -117,18 +120,19 @@ func (f *Facility) NewSelector(pid int) (*Selector, error) {
 func (s *Selector) markReady(id ID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.regs[id]; !ok || s.closed {
+	reg, ok := s.regs[id]
+	if !ok || s.closed {
 		return false
 	}
-	s.markReadyLockedMu(id)
+	s.markReadyLockedMu(id, reg)
 	return true
 }
 
-// markReadyLockedMu queues id for the next harvest; caller holds mu
-// and has checked regs/closed.
-func (s *Selector) markReadyLockedMu(id ID) {
-	if !s.inReady[id] {
-		s.inReady[id] = true
+// markReadyLockedMu queues id, registered as reg, for the next harvest;
+// caller holds mu and has checked regs/closed.
+func (s *Selector) markReadyLockedMu(id ID, reg *selReg) {
+	if !reg.ready {
+		reg.ready = true
 		s.ready = append(s.ready, id)
 	}
 }
@@ -144,7 +148,7 @@ func (s *Selector) Add(id ID) error {
 	if err != nil {
 		return err
 	}
-	var stale selReg
+	var stale *selReg
 	avail := l.availableLocked(d) != nil
 	s.mu.Lock()
 	if s.closed {
@@ -162,16 +166,16 @@ func (s *Selector) Add(id ID) error {
 		// one before the owner noticed: replace the dead registration
 		// (its waiter entry is cleaned up below, outside l's lock).
 		stale = old
-		delete(s.inReady, id)
 	}
-	s.regs[id] = selReg{l: l, gen: l.gen}
+	reg := &selReg{l: l, gen: l.gen}
+	s.regs[id] = reg
 	if avail {
-		s.markReadyLockedMu(id)
+		s.markReadyLockedMu(id, reg)
 	}
 	s.mu.Unlock()
 	l.addWaiterLocked(s)
 	l.lock.Unlock()
-	if stale.l != nil {
+	if stale != nil {
 		s.unregister(stale)
 	}
 	if avail {
@@ -186,7 +190,7 @@ func (s *Selector) Add(id ID) error {
 // and any s now on the list belongs to a *newer* registration of
 // this selector on the recycled descriptor, which identity-based
 // removal would otherwise strip, permanently losing its wakeups.
-func (s *Selector) unregister(reg selReg) {
+func (s *Selector) unregister(reg *selReg) {
 	reg.l.lock.Lock()
 	if reg.l.gen == reg.gen {
 		reg.l.removeWaiterLocked(s)
@@ -207,10 +211,9 @@ func (s *Selector) Remove(id ID) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: circuit %d not in selector", ErrNotConnected, id)
 	}
+	// The id may still sit in the ready list; with its registration
+	// gone the next harvest skips it.
 	delete(s.regs, id)
-	// The id may still sit in the ready slice; clearing inReady makes
-	// the next harvest skip it.
-	delete(s.inReady, id)
 	s.mu.Unlock()
 
 	s.unregister(reg)
@@ -223,20 +226,6 @@ func (s *Selector) Has(id ID) bool {
 	_, ok := s.regs[id]
 	s.mu.Unlock()
 	return ok
-}
-
-// Circuits returns the currently registered circuit ids, snapshotted
-// under a single lock hold — the bulk form of Has, so a caller
-// reconciling its own table (mpf.Selector's prune) does one pass
-// instead of re-locking once per circuit.
-func (s *Selector) Circuits() []ID {
-	s.mu.Lock()
-	out := make([]ID, 0, len(s.regs))
-	for id := range s.regs {
-		out = append(out, id)
-	}
-	s.mu.Unlock()
-	return out
 }
 
 // Len returns the number of registered circuits.
@@ -256,12 +245,11 @@ func (s *Selector) Close() error {
 		return nil
 	}
 	s.closed = true
-	regs := make([]selReg, 0, len(s.regs))
+	regs := make([]*selReg, 0, len(s.regs))
 	for _, reg := range s.regs {
 		regs = append(regs, reg)
 	}
 	clear(s.regs)
-	clear(s.inReady)
 	s.ready = nil
 	s.mu.Unlock()
 	for _, reg := range regs {
@@ -295,10 +283,11 @@ func (s *Selector) WaitDeadline(d time.Duration) ([]ID, error) {
 }
 
 // firedReg is a registration whose circuit fired, with the number of
-// messages the round claimed from it.
+// messages the round claimed from it. Only l and gen are read through
+// the embedded pointer outside mu; both are fixed at registration.
 type firedReg struct {
 	id ID
-	selReg
+	*selReg
 	n int
 }
 
@@ -317,13 +306,12 @@ func (s *Selector) collectFired() ([]firedReg, error) {
 		return nil, fmt.Errorf("%w: Wait on a selector with no circuits", ErrBadLNVC)
 	}
 	for _, id := range s.ready {
-		if !s.inReady[id] {
-			continue // removed since it fired
+		reg, ok := s.regs[id]
+		if !ok || !reg.ready {
+			continue // removed since it fired, or already taken
 		}
-		delete(s.inReady, id)
-		if reg, ok := s.regs[id]; ok {
-			fired = append(fired, firedReg{id: id, selReg: reg})
-		}
+		reg.ready = false
+		fired = append(fired, firedReg{id: id, selReg: reg})
 	}
 	s.ready = s.ready[:0]
 	s.mu.Unlock()
@@ -348,8 +336,8 @@ func (s *Selector) remarkReady(ids []ID) {
 	s.mu.Lock()
 	if !s.closed {
 		for _, id := range ids {
-			if _, ok := s.regs[id]; ok {
-				s.markReadyLockedMu(id)
+			if reg, ok := s.regs[id]; ok {
+				s.markReadyLockedMu(id, reg)
 			}
 		}
 	}
@@ -357,11 +345,10 @@ func (s *Selector) remarkReady(ids []ID) {
 }
 
 // dropReg removes a registration whose circuit died while parked.
-func (s *Selector) dropReg(id ID, reg selReg) {
+func (s *Selector) dropReg(id ID, reg *selReg) {
 	s.mu.Lock()
 	if s.regs[id] == reg {
 		delete(s.regs, id)
-		delete(s.inReady, id)
 	}
 	s.mu.Unlock()
 	s.unregister(reg)

@@ -112,6 +112,33 @@ func TestSelectorRemoveStopsWakeups(t *testing.T) {
 	if err != nil || len(ready) != 1 {
 		t.Fatalf("after re-add: ready=%v err=%v", ready, err)
 	}
+	// Remove and re-add with the message still queued, before any round:
+	// the ready list then holds the id once per registration, and only
+	// the live one counts — Wait reports the circuit once and one harvest
+	// delivers the message once.
+	cycle := func() {
+		t.Helper()
+		if err := s.Remove(ra); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Add(ra); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	ready, err = s.WaitDeadline(time.Second)
+	if err != nil || len(ready) != 1 || ready[0] != ra {
+		t.Fatalf("after remove and re-add: ready=%v err=%v, want [%d] once", ready, err, ra)
+	}
+	cycle()
+	vs, err := s.HarvestViewsDeadline(8, time.Second)
+	if err != nil || len(vs) != 1 {
+		t.Fatalf("harvest after remove and re-add: %d views, err=%v; want 1", len(vs), err)
+	}
+	ReleaseViews(vs)
+	if vs, err := s.HarvestViewsDeadline(8, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("second harvest: %d views, err=%v; want ErrTimeout", len(vs), err)
+	}
 }
 
 func TestSelectorValidation(t *testing.T) {

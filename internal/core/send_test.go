@@ -199,7 +199,7 @@ func TestSendPathsAgree(t *testing.T) {
 					}
 					// A waiter-list entry that only this test reads: every
 					// wake of the circuit's receivers leaves one token.
-					wakes := &Selector{ch: make(chan struct{}, 8), regs: map[ID]selReg{id: {}}, inReady: map[ID]bool{}}
+					wakes := &Selector{ch: make(chan struct{}, 8), regs: map[ID]*selReg{id: {}}}
 					l := f.slots[id].Load()
 					l.lock.Lock()
 					l.addWaiterLocked(wakes)

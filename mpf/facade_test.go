@@ -104,19 +104,14 @@ func TestSelectorAcrossProtocols(t *testing.T) {
 	buf := make([]byte, 16)
 	seen := map[string]bool{}
 	for len(seen) < 2 {
-		ready, err := sel.WaitDeadline(time.Second)
+		views, err := sel.WaitViewsDeadline(4, time.Second)
 		if err != nil {
 			t.Fatalf("after %v: %v", seen, err)
 		}
-		for _, rc := range ready {
-			n, ok, err := rc.TryReceive(buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
-				seen[string(buf[:n])] = true
-			}
+		for _, v := range views {
+			seen[string(buf[:v.CopyTo(buf)])] = true
 		}
+		mpf.ReleaseViews(views)
 	}
 	if !seen["broadcasted"] || !seen["queued"] {
 		t.Fatalf("seen = %v", seen)

@@ -194,9 +194,10 @@ type Supervisor struct {
 	g   *proc.ExecGroup
 	cfg SuperviseConfig
 
+	// mu guards attempts and stopped. It is a leaf: nothing is locked
+	// while it is held (DESIGN.md §16).
 	mu       sync.Mutex
-	attempts map[int]int       // slot → respawns performed
-	suspects map[int][2]uint32 // slot → (gen, pid) from last probe sweep
+	attempts map[int]int // slot → respawns performed
 	stopped  bool
 	stopC    chan struct{}
 	watchOff func()
@@ -219,7 +220,6 @@ func (s *ProcServer) Supervise(g *proc.ExecGroup, cfg SuperviseConfig) *Supervis
 		g:        g,
 		cfg:      cfg,
 		attempts: make(map[int]int),
-		suspects: make(map[int][2]uint32),
 		stopC:    make(chan struct{}),
 	}
 	if g != nil {
@@ -323,6 +323,7 @@ func (sup *Supervisor) probeLoop() {
 	defer sup.wg.Done()
 	ticker := time.NewTicker(sup.cfg.ProbeInterval)
 	defer ticker.Stop()
+	suspects := make(map[int][2]uint32) // slot → (gen, pid) from the last sweep
 	for {
 		select {
 		case <-sup.stopC:
@@ -332,22 +333,20 @@ func (sup *Supervisor) probeLoop() {
 		for slot := 0; slot < sup.s.table.NSlots(); slot++ {
 			st, gen := sup.s.table.SlotStateGen(slot)
 			if st != core.SlotAttached {
-				sup.clearSuspect(slot)
+				delete(suspects, slot)
 				continue
 			}
 			pid := sup.s.table.SlotPid(slot)
 			if proc.Alive(int(pid)) {
-				sup.clearSuspect(slot)
+				delete(suspects, slot)
 				continue
 			}
-			sup.mu.Lock()
-			prev, suspected := sup.suspects[slot]
-			sup.suspects[slot] = [2]uint32{gen, pid}
-			sup.mu.Unlock()
+			prev, suspected := suspects[slot]
+			suspects[slot] = [2]uint32{gen, pid}
 			if !suspected || prev != [2]uint32{gen, pid} {
 				continue // first sighting: confirm on the next sweep
 			}
-			sup.clearSuspect(slot)
+			delete(suspects, slot)
 			if rep, ok := sup.s.ReclaimSlot(slot, gen); ok {
 				if sup.cfg.OnDeath != nil {
 					sup.cfg.OnDeath(rep)
@@ -356,10 +355,4 @@ func (sup *Supervisor) probeLoop() {
 			}
 		}
 	}
-}
-
-func (sup *Supervisor) clearSuspect(slot int) {
-	sup.mu.Lock()
-	delete(sup.suspects, slot)
-	sup.mu.Unlock()
 }

@@ -47,7 +47,7 @@ func TestSelectorEventLoop(t *testing.T) {
 			return err
 		}
 		defer sel.Close()
-		conns := make(map[*RecvConn]int, producers)
+		conns := make(map[ID]int, producers)
 		for i := 0; i < producers; i++ {
 			rc, err := p.OpenReceive(fmt.Sprintf("work-%d", i), FCFS)
 			if err != nil {
@@ -56,7 +56,7 @@ func TestSelectorEventLoop(t *testing.T) {
 			if err := sel.Add(rc); err != nil {
 				return err
 			}
-			conns[rc] = i
+			conns[rc.ID()] = i
 		}
 		if sel.Len() != producers {
 			return fmt.Errorf("selector has %d circuits, want %d", sel.Len(), producers)
@@ -64,26 +64,25 @@ func TestSelectorEventLoop(t *testing.T) {
 		buf := make([]byte, 4)
 		total := 0
 		for total < producers*perProd {
-			ready, err := sel.Wait()
+			views, err := sel.WaitViews(64)
 			if err != nil {
 				return fmt.Errorf("after %d messages: %w", total, err)
 			}
-			if len(ready) == 0 {
-				return errors.New("Wait returned no ready connections and no error")
+			if len(views) == 0 {
+				return errors.New("WaitViews returned no views and no error")
 			}
-			for _, rc := range ready {
-				for {
-					_, ok, err := rc.TryReceive(buf)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						break
-					}
-					atomic.AddInt64(&got[conns[rc]], 1)
-					total++
+			for _, v := range views {
+				i, ok := conns[v.Circuit()]
+				if !ok {
+					return fmt.Errorf("view from unregistered circuit %d", v.Circuit())
 				}
+				if n := v.CopyTo(buf); n != 2 || int(buf[0]) != i {
+					return fmt.Errorf("circuit of producer %d delivered %v", i, buf[:n])
+				}
+				atomic.AddInt64(&got[i], 1)
+				total++
 			}
+			ReleaseViews(views)
 		}
 		return nil
 	})
@@ -126,7 +125,7 @@ func TestSelectorFacadeValidation(t *testing.T) {
 	if err := sel1.Add(rc); !errors.Is(err, ErrAlreadyOpen) {
 		t.Fatalf("duplicate add: %v", err)
 	}
-	if _, err := sel1.WaitDeadline(30 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := sel1.WaitViewsDeadline(1, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("deadline: %v", err)
 	}
 	if err := sel1.Remove(rc); err != nil {
@@ -144,7 +143,7 @@ func TestSelectorFacadeValidation(t *testing.T) {
 }
 
 // TestSelectorConnectionClosedWhileParked checks the facade surfaces
-// the close race as ErrNotConnected and prunes the dead entry.
+// the close race as ErrNotConnected and the dead registration is gone.
 func TestSelectorConnectionClosedWhileParked(t *testing.T) {
 	fac, err := New(WithMaxProcesses(4))
 	if err != nil {
@@ -167,7 +166,7 @@ func TestSelectorConnectionClosedWhileParked(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := sel.Wait()
+		_, err := sel.WaitViews(1)
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -177,10 +176,10 @@ func TestSelectorConnectionClosedWhileParked(t *testing.T) {
 	select {
 	case err := <-errc:
 		if !errors.Is(err, ErrNotConnected) {
-			t.Fatalf("parked Wait returned %v, want ErrNotConnected", err)
+			t.Fatalf("parked WaitViews returned %v, want ErrNotConnected", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("parked Selector.Wait hung across connection close")
+		t.Fatal("parked Selector.WaitViews hung across connection close")
 	}
 	if sel.Len() != 0 {
 		t.Fatalf("dead registration survived: len=%d", sel.Len())

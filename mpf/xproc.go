@@ -179,7 +179,9 @@ type ProcServer struct {
 // bridgeState is one slot's server-side bridge. The mutex serialises
 // lazy open (bridge) against teardown (ReclaimSlot); the traffic loops
 // work on a value snapshot of conn so a concurrent reclaim can reset
-// the state without racing them.
+// the state without racing them. It ranks above every facility lock
+// (DESIGN.md §16): bridge opens the loop-back circuit, its selector and
+// the registration while holding it.
 type bridgeState struct {
 	mu   sync.Mutex
 	conn bridgeConn // zero until opened, and again once reclaimed
