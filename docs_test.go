@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -53,7 +54,10 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 	}
 
-	jobs := ciJobs(t)
+	jobs := make(map[string]bool)
+	for _, name := range ciJobs(t) {
+		jobs[name] = true
+	}
 	rows := readmeCIRows(t, readme)
 	for name := range jobs {
 		if !rows[name] {
@@ -282,18 +286,54 @@ func mpfbenchFlags(t *testing.T) map[string]bool {
 	return flags
 }
 
-// ciJobs returns the display names of the jobs in the CI workflow, with
-// a matrix suffix such as " (${{ matrix.go }})" stripped.
-func ciJobs(t *testing.T) map[string]bool {
+// TestDesignListsCIJobs fails when DESIGN.md §9, which describes the CI
+// workflow one job per bullet, drifts from ci.yml: the bold leads of
+// its bullets must be the workflow's job names, in the workflow's
+// order. The planted case holds the check itself.
+func TestDesignListsCIJobs(t *testing.T) {
+	t.Run("planted", func(t *testing.T) {
+		// Two jobs swapped: the leads are read in order, nested bullets
+		// and bold prose are not leads, and a matrix note is outside the
+		// bold.
+		section := "- **build** — a;\n- **race** — b, **bold** prose;\n  - **nested** — c;\n- **unit tests** (stable) — d.\n"
+		jobs := []string{"build", "unit tests", "race"}
+		got := bulletLeads(section)
+		if strings.Join(got, "|") != "build|race|unit tests" || slices.Equal(got, jobs) {
+			t.Errorf("planted section's leads = %q, want build, race, unit tests: not the jobs %q", got, jobs)
+		}
+	})
+	_, section, ok := strings.Cut(readDoc(t, "DESIGN.md"), "\n## §9 ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §9")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	if got, want := bulletLeads(section), ciJobs(t); !slices.Equal(got, want) {
+		t.Errorf("DESIGN.md §9's bullets lead with %q, want ci.yml's jobs %q in order", got, want)
+	}
+}
+
+// bulletLeads returns the bold text that opens each top-level bullet of
+// a Markdown section, in order.
+func bulletLeads(section string) []string {
+	var leads []string
+	for _, m := range regexp.MustCompile(`(?m)^- \*\*([^*]+)\*\*`).FindAllStringSubmatch(section, -1) {
+		leads = append(leads, m[1])
+	}
+	return leads
+}
+
+// ciJobs returns the display names of the jobs in the CI workflow, in
+// order, with a matrix suffix such as " (${{ matrix.go }})" stripped.
+func ciJobs(t *testing.T) []string {
 	t.Helper()
 	_, body, ok := strings.Cut(readDoc(t, filepath.Join(".github", "workflows", "ci.yml")), "\njobs:\n")
 	if !ok {
 		t.Fatal("ci.yml has no jobs")
 	}
 	suffix := regexp.MustCompile(`\s*\(\$\{\{[^}]*\}\}\)$`)
-	jobs := make(map[string]bool)
+	var jobs []string
 	for _, m := range regexp.MustCompile(`(?m)^    name: (.+)$`).FindAllStringSubmatch(body, -1) {
-		jobs[suffix.ReplaceAllString(strings.TrimSpace(m[1]), "")] = true
+		jobs = append(jobs, suffix.ReplaceAllString(strings.TrimSpace(m[1]), ""))
 	}
 	if len(jobs) == 0 {
 		t.Fatal("ci.yml names no jobs")

@@ -417,13 +417,15 @@ func (f *Facility) Shutdown() {
 	}
 	close(f.stop)
 	// Wake every receiver and credit-parked sender blocked on an LNVC
-	// condition variable. Slots are read with atomic loads; a descriptor
-	// recycled concurrently receives a harmless spurious broadcast
-	// (waiters always re-check their predicate).
+	// condition variable, and every Selector registered on an LNVC.
+	// Slots are read with atomic loads; a descriptor recycled
+	// concurrently receives a harmless spurious wake (waiters always
+	// re-check their predicate).
 	for i := range f.slots {
 		if l := f.slots[i].Load(); l != nil {
 			l.lock.Lock()
 			l.cond.Broadcast()
+			l.wakeWaitersLocked()
 			l.lock.Unlock()
 		}
 	}

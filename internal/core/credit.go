@@ -156,8 +156,3 @@ func (f *Facility) refundCredit(l *lnvc, gen uint64, blocks int) {
 	}
 	l.lock.Unlock()
 }
-
-// CreditBlocksFor reports the credit ledger's accounted demand for an
-// n-byte message — Arena.BlocksFor, exposed so tests and callers can
-// reason about budgets in the ledger's own unit.
-func (f *Facility) CreditBlocksFor(n int) int { return f.arena.BlocksFor(n) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,7 +34,8 @@ func TestHandOffRule(t *testing.T) {
 
 	// The first waker of an overdue park claims its hand-off; a second
 	// fire before the owner runs again only signals.
-	mw := &Selector{ch: make(chan struct{}, 1), regs: map[ID]*selReg{0: {}}}
+	mw := &Selector{regs: map[ID]*selReg{0: {}}}
+	mw.cond = sync.NewCond(&mw.mu)
 	mw.since.Store(monoNow() - 2*w)
 	if !mw.fire(0) {
 		t.Error("the first fire of an overdue park did not hand off")
@@ -41,8 +43,8 @@ func TestHandOffRule(t *testing.T) {
 	if mw.fire(0) {
 		t.Error("a second fire of the same park handed off again")
 	}
-	if len(mw.ch) != 1 {
-		t.Errorf("%d signals pending after two fires, want 1", len(mw.ch))
+	if len(mw.ready) != 1 {
+		t.Errorf("%d ready entries after two fires, want 1", len(mw.ready))
 	}
 }
 

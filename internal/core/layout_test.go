@@ -193,9 +193,9 @@ func TestHotWordLayout(t *testing.T) {
 	} else if p := uintptr(unsafe.Pointer(sel)); p%cacheLine != 0 {
 		t.Errorf("Selector allocated at %#x, not on a line boundary", p)
 	}
-	park := unsafe.Offsetof(s.since) + unsafe.Sizeof(s.since) - unsafe.Offsetof(s.ch)
-	if sameLine(unsafe.Offsetof(s.ch), park, unsafe.Offsetof(s.mu), unsafe.Sizeof(s.mu)) {
+	park := unsafe.Offsetof(s.since) + unsafe.Sizeof(s.since) - unsafe.Offsetof(s.cond)
+	if sameLine(unsafe.Offsetof(s.cond), park, unsafe.Offsetof(s.mu), unsafe.Sizeof(s.mu)) {
 		t.Errorf("Selector park words (at %d) share a line with mu (at %d)",
-			unsafe.Offsetof(s.ch), unsafe.Offsetof(s.mu))
+			unsafe.Offsetof(s.cond), unsafe.Offsetof(s.mu))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,17 +53,18 @@ type Selector struct {
 	ready  []ID // circuits fired since the last harvest, deduplicated
 	closed bool
 
-	// ch and since are the park a wait round sleeps in (waiter.go), the
-	// selector itself being the entry on every watched circuit's waiter
-	// list. ch has capacity 1, so a fire landing while the owner is not
-	// parked is retained and the next park returns at once. since is the
-	// monotonic time (monoNow) at which the owner parked, zero while it
-	// is not parked: written by the owner around the park, read and
-	// claimed by wakers under a circuit lock (fire). They sit beside
+	// cond and since are the park a wait round sleeps in (waiter.go),
+	// the selector itself being the entry on every watched circuit's
+	// waiter list. cond is over mu, and the park sleeps only while the
+	// ready list is empty, so a fire landing while the owner is not
+	// parked is on that list and the next park returns at once. since
+	// is the monotonic time (monoNow) at which the owner parked, zero
+	// while it is not parked: written by the owner around the park, read
+	// and claimed by wakers under a circuit lock (fire). They sit beside
 	// closed, which markReady reads on every fire: a sender firing the
 	// selector reads all three from one line, the line the owner writes
 	// on every round and every park anyway.
-	ch    chan struct{}
+	cond  *sync.Cond
 	since atomic.Int64
 	// The pad makes the Selector 256 bytes, a size class whose objects
 	// start on line boundaries — which the pad before mu relies on.
@@ -103,12 +105,13 @@ func (f *Facility) NewSelector(pid int) (*Selector, error) {
 	if err := f.checkPID(pid); err != nil {
 		return nil, err
 	}
-	return &Selector{
+	s := &Selector{
 		f:    f,
 		pid:  pid,
 		regs: make(map[ID]*selReg),
-		ch:   make(chan struct{}, 1),
-	}, nil
+	}
+	s.cond = sync.NewCond(&s.mu)
+	return s, nil
 }
 
 // markReady records that circuit id fired, reporting whether the fire
@@ -177,9 +180,6 @@ func (s *Selector) Add(id ID) error {
 	l.lock.Unlock()
 	if stale != nil {
 		s.unregister(stale)
-	}
-	if avail {
-		s.tap()
 	}
 	return nil
 }
@@ -252,10 +252,10 @@ func (s *Selector) Close() error {
 	clear(s.regs)
 	s.ready = nil
 	s.mu.Unlock()
+	s.cond.Signal()
 	for _, reg := range regs {
 		s.unregister(reg)
 	}
-	s.tap()
 	return nil
 }
 
@@ -506,8 +506,8 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 		// list until a later round observes it drained, so a caller that
 		// consumes only part of a circuit's queue (or none of it, when
 		// the error below preempts the results) sees it again instead of
-		// parking over deliverable messages. No notify tap is needed:
-		// the next call runs a round before it can park.
+		// parking over deliverable messages. Nothing needs signalling:
+		// the park sleeps only while the ready list is empty.
 		s.remarkReady(armed)
 		if len(out) > 0 {
 			// A circuit death observed this round is deferred, not
@@ -527,10 +527,9 @@ func (s *Selector) rounds(claim bool, max int, deadline time.Time) ([]ID, []*Vie
 			return append([]ID(nil), armed...), nil, nil
 		}
 
-		ok, err := s.parkWait(f.stop, deadline)
-		if err != nil {
+		if err := s.parkWait(deadline); err != nil {
 			return nil, nil, err
 		}
-		woken = ok
+		woken = true
 	}
 }

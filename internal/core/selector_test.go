@@ -175,7 +175,7 @@ func TestSelectorValidation(t *testing.T) {
 
 func TestSelectorDeadline(t *testing.T) {
 	f := newFac(t)
-	_, _ = f.OpenSend(0, "sel-d")
+	sid, _ := f.OpenSend(0, "sel-d")
 	rid, _ := f.OpenReceive(1, "sel-d", FCFS)
 	s, _ := f.NewSelector(1)
 	defer s.Close()
@@ -189,6 +189,33 @@ func TestSelectorDeadline(t *testing.T) {
 	}
 	if time.Since(start) < 30*time.Millisecond {
 		t.Fatal("returned before deadline")
+	}
+
+	// A circuit ready at Add, reported and drained: the deadline wait
+	// that follows sleeps through to its timeout, and no wakeup, let
+	// alone a spurious one, is counted on the way.
+	if err := f.Send(0, sid, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := f.NewSelector(1)
+	defer s2.Close()
+	if err := s2.Add(rid); err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := s2.Wait(); err != nil || len(ids) != 1 || ids[0] != rid {
+		t.Fatalf("Wait on a circuit ready at Add: %v, %v", ids, err)
+	}
+	if _, ok, err := f.TryReceive(1, rid, make([]byte, 8)); err != nil || !ok {
+		t.Fatalf("TryReceive after Wait: %v, %v", ok, err)
+	}
+	before := f.Stats()
+	if _, err := s2.WaitDeadline(40 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	after := f.Stats()
+	if after.MuxWakeups != before.MuxWakeups || after.MuxSpurious != before.MuxSpurious {
+		t.Errorf("drained deadline wait counted %d wakeups, %d spurious; want none",
+			after.MuxWakeups-before.MuxWakeups, after.MuxSpurious-before.MuxSpurious)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -197,9 +198,10 @@ func TestSendPathsAgree(t *testing.T) {
 					if _, err := f.OpenReceive(rcvr, name, FCFS); err != nil {
 						t.Fatal(err)
 					}
-					// A waiter-list entry that only this test reads: every
-					// wake of the circuit's receivers leaves one token.
-					wakes := &Selector{ch: make(chan struct{}, 8), regs: map[ID]*selReg{id: {}}}
+					// A waiter-list entry that only this test reads: a wake
+					// of the circuit's receivers leaves id on its ready list.
+					wakes := &Selector{regs: map[ID]*selReg{id: {}}}
+					wakes.cond = sync.NewCond(&wakes.mu)
 					l := f.slots[id].Load()
 					l.lock.Lock()
 					l.addWaiterLocked(wakes)
@@ -223,9 +225,10 @@ func TestSendPathsAgree(t *testing.T) {
 					if led != wantLed {
 						t.Errorf("ledger counters moved by %+v, want %+v", led, wantLed)
 					}
-					// A close also wakes the waiter lists; count sends only.
-					if delta.Closes == 0 {
-						if got := len(wakes.ch); got != wantWakes {
+					// A close or a Shutdown also wakes the waiter lists;
+					// count sends only.
+					if delta.Closes == 0 && sc.want != ErrShutdown {
+						if got := len(wakes.ready); got != wantWakes {
 							t.Errorf("%d receiver wakes, want %d", got, wantWakes)
 						}
 					}

@@ -32,19 +32,11 @@ func overdue(since, now int64) bool {
 	return since != 0 && now-since > int64(shm.WakeWindow)
 }
 
-// tap signals the owner's park without blocking.
-func (s *Selector) tap() {
-	select {
-	case s.ch <- struct{}{}:
-	default:
-	}
-}
-
 // fire delivers the readiness signal for circuit id to the selector and
 // reports whether the waker should hand its P to it: the owner is parked
 // and overdue, and no other waker has claimed the hand-off of this park.
-// Called under the LNVC lock; it never blocks (the channel send is
-// non-blocking and markReady takes only the selector's leaf lock).
+// Called under the LNVC lock; it never blocks (markReady takes only the
+// selector's leaf lock, and the signal comes after it is released).
 func (s *Selector) fire(id ID) bool {
 	if !s.markReady(id) {
 		return false
@@ -54,7 +46,7 @@ func (s *Selector) fire(id ID) bool {
 	if since := s.since.Load(); since != 0 && overdue(since, monoNow()) {
 		due = s.since.CompareAndSwap(since, 0)
 	}
-	s.tap()
+	s.cond.Signal()
 	return due
 }
 
@@ -89,34 +81,43 @@ func (l *lnvc) removeWaiterLocked(s *Selector) {
 	}
 }
 
-// parkWait is the selector's one park: it blocks until s fires (true,
-// nil), stop aborts (ErrShutdown), or the optional deadline passes
-// (ErrTimeout; the zero Time means none). Wait and HarvestViews both
-// sleep here, with s.since set for as long as they do.
-func (s *Selector) parkWait(stop <-chan struct{}, deadline time.Time) (bool, error) {
-	defer s.since.Store(0)
-	if deadline.IsZero() {
-		s.since.Store(monoNow())
-		select {
-		case <-s.ch:
-			return true, nil
-		case <-stop:
-			return false, ErrShutdown
+// parkWait is the selector's one park: under mu it sleeps on cond
+// until a circuit fires (the ready list is non-empty) or the selector
+// is closed (nil either way; the round that follows sorts out which),
+// Shutdown stops the facility (ErrShutdown), or the optional deadline
+// passes (ErrTimeout; the zero Time means none). Wait and HarvestViews
+// both sleep here, with s.since set for as long as they do. Shutdown
+// fires every live circuit's waiter list after it sets stopped, so a
+// park that read stopped clear is asleep when that fire comes.
+func (s *Selector) parkWait(deadline time.Time) error {
+	var expired *bool
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.ready) == 0 && !s.closed {
+		if s.f.stopped.Load() {
+			return ErrShutdown
 		}
+		if expired != nil && *expired || !deadline.IsZero() && !time.Now().Before(deadline) {
+			return ErrTimeout
+		}
+		if expired == nil && !deadline.IsZero() {
+			// As in waitClaim: the timer signals the condition so the
+			// loop re-evaluates, and the flag is read and written under
+			// mu. It is allocated here so that a park without a deadline
+			// allocates nothing.
+			fired := new(bool)
+			expired = fired
+			timer := time.AfterFunc(time.Until(deadline), func() {
+				s.mu.Lock()
+				*fired = true
+				s.mu.Unlock()
+				s.cond.Signal()
+			})
+			defer timer.Stop()
+		}
+		s.since.Store(monoNow())
+		s.cond.Wait()
+		s.since.Store(0)
 	}
-	wait := time.Until(deadline)
-	if wait <= 0 {
-		return false, ErrTimeout
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	s.since.Store(monoNow())
-	select {
-	case <-s.ch:
-		return true, nil
-	case <-stop:
-		return false, ErrShutdown
-	case <-timer.C:
-		return false, ErrTimeout
-	}
+	return nil
 }
