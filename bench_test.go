@@ -4,7 +4,7 @@ package repro
 // (§4, Figures 3-8), running the *native* implementation, plus the
 // ablation benchmarks for the restricted schemes the conclusion (§5)
 // proposes. Absolute values reflect the host; the paper-scale numbers
-// come from the simulated substrate (cmd/mpfbench, EXPERIMENTS.md).
+// come from the simulated substrate (`mpfbench -mode simulated`).
 //
 // Run with: go test -bench=. -benchmem
 

@@ -5,11 +5,13 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -590,4 +592,86 @@ func diffNames(got, want []string) (added, missing []string) {
 		}
 	}
 	return added, missing
+}
+
+// TestSizeRatchet holds the repository to its size budgets: DESIGN.md's
+// line count, the size of each CHANGES.md entry from firstRatchetedPR
+// on, and the code lines — non-blank, non-comment lines of non-test Go files — of
+// internal/core, mpf, and internal/apps (every package under it)
+// together with internal/simmpf. A change that must exceed a budget
+// raises it here, in its own diff, and says why in CHANGES.md. The
+// planted cases hold the checks themselves.
+func TestSizeRatchet(t *testing.T) {
+	const designLines, entryBytes, firstRatchetedPR = 1432, 1536, 48
+	budgets := []struct {
+		trees []string
+		lines int
+	}{
+		{[]string{"internal/core"}, 2099},
+		{[]string{"mpf"}, 1073},
+		{[]string{"internal/apps", "internal/simmpf"}, 1404},
+	}
+	t.Run("planted", func(t *testing.T) {
+		src := "package x\n\n// A comment.\nfunc f() {\n\t// Another.\n\treturn\n}\n"
+		if got := codeLines(src); got != 4 {
+			t.Errorf("planted source has %d code lines, want 4", got)
+		}
+		// Entries before the first ratcheted one and lines that are no
+		// entry are exempt.
+		changes := "PR 6: " + strings.Repeat("x", 2000) + "\nPR 7: short\n" +
+			"FOUND: " + strings.Repeat("y", 2000) + "\n- PR 8: " + strings.Repeat("z", 1600) + "\n"
+		if got := oversizedEntries(changes, 7, entryBytes); len(got) != 1 || got[0] != 8 {
+			t.Errorf("oversized entries in the planted text = %v, want [8]", got)
+		}
+	})
+	if n := strings.Count(readDoc(t, "DESIGN.md"), "\n"); n > designLines {
+		t.Errorf("DESIGN.md has %d lines, over its budget of %d", n, designLines)
+	}
+	for _, pr := range oversizedEntries(readDoc(t, "CHANGES.md"), firstRatchetedPR, entryBytes) {
+		t.Errorf("CHANGES.md's PR %d entry is over %d bytes", pr, entryBytes)
+	}
+	for _, b := range budgets {
+		n := 0
+		for _, root := range b.trees {
+			err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+				if err != nil || !d.IsDir() {
+					return err
+				}
+				for _, path := range goFiles(t, dir) {
+					n += codeLines(readDoc(t, path))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n > b.lines {
+			t.Errorf("%s: %d code lines, over the budget of %d", strings.Join(b.trees, " + "), n, b.lines)
+		}
+	}
+}
+
+// codeLines counts the lines of Go source that are neither blank nor
+// a // comment.
+func codeLines(src string) int {
+	n := 0
+	for _, line := range strings.Split(src, "\n") {
+		if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "//") {
+			n++
+		}
+	}
+	return n
+}
+
+// oversizedEntries returns the numbers of the CHANGES.md entries — lines
+// that begin "PR N" — from PR first on that are longer than limit bytes.
+func oversizedEntries(changes string, first, limit int) []int {
+	var prs []int
+	for _, m := range regexp.MustCompile(`(?m)^(?:- )?PR (\d+)\b.*$`).FindAllStringSubmatch(changes, -1) {
+		if pr, _ := strconv.Atoi(m[1]); pr >= first && len(m[0]) > limit {
+			prs = append(prs, pr)
+		}
+	}
+	return prs
 }

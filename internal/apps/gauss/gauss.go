@@ -12,6 +12,8 @@
 //     its local pivot candidate to an arbiter process over an FCFS
 //     circuit, the arbiter announces the winner on a broadcast circuit,
 //     the winner broadcasts the pivot row, and all workers sweep.
+//     SimSolve runs the same processes on the simulated Balance 21000
+//     (sim.go).
 //   - SolveShared: the same partitioning using shared memory and a
 //     barrier instead of messages — the cross-paradigm comparison the
 //     paper's introduction motivates.
@@ -29,6 +31,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"repro/internal/apps"
 	"repro/internal/proc"
 	"repro/internal/wire"
 	"repro/mpf"
@@ -150,11 +153,19 @@ const (
 // abortWorker in a sel message signals a singular matrix.
 const abortWorker = ^uint32(0)
 
+// flopsPerUpdate is multiply+subtract per swept matrix entry.
+const flopsPerUpdate = 2
+
 // SolveMPF solves Ax = b with `workers` message-passing worker processes
 // plus one arbiter process, all communicating through fac. fac must
 // allow at least workers+1 processes. The matrix partition follows the
 // paper: equal-sized groups of contiguous rows.
 func SolveMPF(fac *mpf.Facility, workers int, a [][]float64, b []float64) ([]float64, error) {
+	return solve(apps.Native(fac), workers, a, b)
+}
+
+// solve runs the arbiter and the workers on r.
+func solve(r apps.Runner, workers int, a [][]float64, b []float64) ([]float64, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("gauss: %d workers", workers)
 	}
@@ -168,7 +179,7 @@ func SolveMPF(fac *mpf.Facility, workers int, a [][]float64, b []float64) ([]flo
 	}
 	x := make([]float64, n)
 
-	err = fac.Run(workers+1, func(p *mpf.Process) error {
+	err = r.Run(workers+1, func(p apps.Proc) error {
 		if p.PID() == workers {
 			return arbiter(p, workers, n, x)
 		}
@@ -183,7 +194,7 @@ func SolveMPF(fac *mpf.Facility, workers int, a [][]float64, b []float64) ([]flo
 // arbiter implements the paper's arbiter process: it collects one pivot
 // candidate per worker per iteration, announces the maximum of the
 // maxima, and finally assembles the solution vector.
-func arbiter(p *mpf.Process, workers, n int, x []float64) error {
+func arbiter(p apps.Proc, workers, n int, x []float64) error {
 	cand, err := p.OpenReceive(candCircuit, mpf.FCFS)
 	if err != nil {
 		return err
@@ -214,6 +225,7 @@ func arbiter(p *mpf.Process, workers, n int, x []float64) error {
 			if err != nil {
 				return err
 			}
+			p.Compute(1) // compare against the running maximum
 			if abs := math.Abs(c.Value); abs > bestAbs {
 				best, bestAbs = c, abs
 			}
@@ -255,7 +267,7 @@ func arbiter(p *mpf.Process, workers, n int, x []float64) error {
 }
 
 // worker implements one of the paper's row-partition processes.
-func worker(p *mpf.Process, workers, n int, full [][]float64) error {
+func worker(p apps.Proc, workers, n int, full [][]float64) error {
 	w := p.PID()
 	lo, hi := partition(n, workers, w)
 	// Copy the partition: message-passing workers own private rows.
@@ -264,6 +276,7 @@ func worker(p *mpf.Process, workers, n int, full [][]float64) error {
 		rows[i] = append([]float64(nil), full[lo+i]...)
 	}
 	marked := make([]bool, hi-lo)
+	nMarked := 0
 	pivotCol := make([]int, hi-lo)
 
 	cand, err := p.OpenSend(candCircuit)
@@ -298,7 +311,8 @@ func worker(p *mpf.Process, workers, n int, full [][]float64) error {
 	pivotRow := make([]float64, n+1)
 
 	for k := 0; k < n; k++ {
-		// Local pivot search over unmarked rows.
+		// Local pivot search over unmarked rows, one compare each.
+		p.Compute(len(rows) - nMarked)
 		c := wire.PivotCand{Worker: uint32(w), Row: 0, Value: 0}
 		for i, row := range rows {
 			if !marked[i] && math.Abs(row[k]) > math.Abs(c.Value) {
@@ -336,6 +350,7 @@ func worker(p *mpf.Process, workers, n int, full [][]float64) error {
 				return err
 			}
 			marked[local] = true
+			nMarked++
 			pivotCol[local] = k
 		}
 		if _, err := rowRecv.Receive(rowBuf[:cap(rowBuf)]); err != nil {
@@ -345,7 +360,8 @@ func worker(p *mpf.Process, workers, n int, full [][]float64) error {
 			return err
 		}
 
-		// Sweep all local rows except a locally held pivot row.
+		// Sweep all local rows except a locally held pivot row over
+		// columns k..n.
 		pv := pivotRow[k]
 		for i, row := range rows {
 			if lo+i == globalRow {
@@ -359,6 +375,11 @@ func worker(p *mpf.Process, workers, n int, full [][]float64) error {
 				row[j] -= f * pivotRow[j]
 			}
 		}
+		rowsToSweep := len(rows)
+		if globalRow >= lo && globalRow < hi {
+			rowsToSweep--
+		}
+		p.Compute(rowsToSweep * (n + 1 - k) * flopsPerUpdate)
 	}
 
 	// Ship solution components for locally owned pivot rows.
@@ -368,6 +389,7 @@ func worker(p *mpf.Process, workers, n int, full [][]float64) error {
 			return fmt.Errorf("gauss: row %d never pivoted", lo+i)
 		}
 		c := pivotCol[i]
+		p.Compute(1) // the division
 		pair = wire.AppendUint32(pair[:0], uint32(c))
 		pair = wire.AppendFloat64(pair, row[n]/row[c])
 		if err := xs.Send(pair); err != nil {

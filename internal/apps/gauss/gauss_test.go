@@ -124,6 +124,11 @@ func TestMPFSingular(t *testing.T) {
 	if _, err := SolveMPF(fac, 2, a, b); !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
+	// On the simulated clock every process ends on the abort: a process
+	// left blocked would be the kernel's deadlock error instead.
+	if _, _, err := SimSolve(balance.Balance21000(), 2, a, b); !errors.Is(err, ErrSingular) {
+		t.Fatalf("simulated err = %v, want ErrSingular", err)
+	}
 }
 
 func TestMPFWorkerClamp(t *testing.T) {
@@ -221,20 +226,25 @@ func TestQuickSolveResidual(t *testing.T) {
 	}
 }
 
+// simTime returns SimSolve's simulated seconds on NewSystem(n).
+func simTime(t *testing.T, m *balance.Machine, n, workers int) float64 {
+	t.Helper()
+	a, b := NewSystem(n, rand.New(rand.NewSource(int64(n))))
+	_, secs, err := SimSolve(m, workers, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return secs
+}
+
 func TestSimTimesReasonable(t *testing.T) {
 	m := balance.Balance21000()
 	seq := SimSeqTime(m, 32)
 	if seq <= 0 {
 		t.Fatal("non-positive sequential time")
 	}
-	t1, err := SimTime(m, 32, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t8, err := SimTime(m, 32, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t1 := simTime(t, m, 32, 1)
+	t8 := simTime(t, m, 32, 8)
 	if t8 >= t1 {
 		t.Fatalf("8 workers (%g) not faster than 1 (%g)", t8, t1)
 	}
@@ -250,11 +260,7 @@ func TestSimSpeedupGrowsWithMatrixSize(t *testing.T) {
 	// effective use of more processors.
 	m := balance.Balance21000()
 	speedup := func(n, workers int) float64 {
-		pt, err := SimTime(m, n, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return SimSeqTime(m, n) / pt
+		return SimSeqTime(m, n) / simTime(t, m, n, workers)
 	}
 	s32 := speedup(32, 16)
 	s96 := speedup(96, 16)
@@ -265,10 +271,11 @@ func TestSimSpeedupGrowsWithMatrixSize(t *testing.T) {
 
 func TestSimValidation(t *testing.T) {
 	m := balance.Balance21000()
-	if _, err := SimTime(m, 0, 4); err == nil {
+	if _, _, err := SimSolve(m, 4, nil, nil); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := SimTime(m, 8, 0); err == nil {
+	a, b := NewSystem(8, rand.New(rand.NewSource(8)))
+	if _, _, err := SimSolve(m, 0, a, b); err == nil {
 		t.Fatal("workers=0 accepted")
 	}
 }

@@ -2,8 +2,12 @@ package gauss
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/balance"
+	"repro/internal/wire"
 	"repro/mpf"
 )
 
@@ -13,10 +17,12 @@ import (
 // one winner (n), the winner broadcasts one pivot row (n), and at the
 // end each pivot row yields one solution pair (n). Any change that adds
 // or drops traffic — double sends, retries, lost rendezvous — breaks
-// this count.
+// this count. Each configuration runs on both backends, which must
+// carry exactly this traffic and compute the same solution, bit for
+// bit.
 func TestMessageCountMatchesProtocol(t *testing.T) {
 	for _, cfg := range []struct{ n, workers int }{
-		{8, 1}, {16, 2}, {16, 4}, {33, 5},
+		{8, 1}, {16, 2}, {16, 4}, {32, 8}, {33, 5},
 	} {
 		fac, err := mpf.New(
 			mpf.WithMaxProcesses(cfg.workers+1),
@@ -27,26 +33,53 @@ func TestMessageCountMatchesProtocol(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(cfg.n)))
 		a, b := NewSystem(cfg.n, rng)
-		if _, err := SolveMPF(fac, cfg.workers, a, b); err != nil {
+		x, err := SolveMPF(fac, cfg.workers, a, b)
+		if err != nil {
 			t.Fatal(err)
 		}
 		st := fac.Stats()
-		wantSends := uint64(cfg.n*cfg.workers + 3*cfg.n)
-		if st.Sends != wantSends {
-			t.Errorf("n=%d W=%d: %d sends, want %d", cfg.n, cfg.workers, st.Sends, wantSends)
-		}
-		// Receives: arbiter consumes W·n candidates and n pairs; every
-		// worker consumes n winner announcements and n pivot rows.
-		wantRecvs := uint64(cfg.n*cfg.workers + cfg.n + 2*cfg.n*cfg.workers)
-		if st.Receives != wantRecvs {
-			t.Errorf("n=%d W=%d: %d receives, want %d", cfg.n, cfg.workers, st.Receives, wantRecvs)
-		}
+		fac.Shutdown()
 		// Conservation: everything sent was consumed (broadcast messages
 		// count once per consuming receiver).
 		if st.MessagesDropped != 0 {
 			t.Errorf("n=%d W=%d: %d messages dropped", cfg.n, cfg.workers, st.MessagesDropped)
 		}
-		fac.Shutdown()
+
+		s := apps.Simulated(balance.Balance21000())
+		simX, err := solve(s, cfg.workers, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(simX, x) {
+			t.Errorf("n=%d W=%d: simulated solution differs from native", cfg.n, cfg.workers)
+		}
+
+		n, w := uint64(cfg.n), uint64(cfg.workers)
+		const cand, sel, pair = wire.PivotCandSize, 2 * wire.Uint32Size, wire.Uint32Size + wire.Float64Size
+		row := (n + 1) * wire.Float64Size
+		// Receives: the arbiter consumes W·n candidates and n pairs;
+		// every worker consumes n winner announcements and n pivot rows.
+		want := [4]uint64{
+			n*w + 3*n,
+			n*w + n + 2*n*w,
+			n*w*cand + n*sel + n*row + n*pair,
+			n*w*cand + n*pair + n*w*(sel+row),
+		}
+		var sim [4]uint64
+		sim[0], sim[2] = s.Facility().Sent()
+		sim[1], sim[3] = s.Facility().Delivered()
+		for _, got := range []struct {
+			backend string
+			counts  [4]uint64
+		}{
+			{"native", [4]uint64{st.Sends, st.Receives, st.BytesSent, st.BytesRecvd}},
+			{"simulated", sim},
+		} {
+			if got.counts != want {
+				t.Errorf("n=%d W=%d %s: sends, receives, bytes sent, bytes received = %v, want %v",
+					cfg.n, cfg.workers, got.backend, got.counts, want)
+			}
+		}
 	}
 }
 

@@ -3,114 +3,24 @@ package gauss
 import (
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/balance"
 	"repro/internal/sim"
-	"repro/internal/simmpf"
-	"repro/internal/wire"
 )
 
-// This file reruns the Gauss-Jordan message-passing protocol on the
-// simulated Balance 21000 to regenerate paper Figure 7 ("Speedup vs.
-// Processes", one curve per matrix size). The protocol structure is the
-// same as SolveMPF; arithmetic is replaced by Advance calls under the
-// machine's software-floating-point cost, and messages carry only their
-// lengths.
+// This file runs the Gauss-Jordan solver on the simulated Balance 21000
+// to regenerate paper Figure 7 ("Speedup vs. Processes", one curve per
+// matrix size), and times the sequential and shared-memory solvers
+// there too.
 
-// flopsPerUpdate is multiply+subtract per swept matrix entry.
-const flopsPerUpdate = 2
-
-// SimTime returns the simulated wall-clock seconds for the parallel
-// Gauss-Jordan of an n×n system on `workers` worker processes plus one
-// arbiter, under machine model m.
-func SimTime(m *balance.Machine, n, workers int) (float64, error) {
-	if workers < 1 || n < 1 {
-		return 0, fmt.Errorf("gauss: SimTime(n=%d, workers=%d)", n, workers)
-	}
-	if workers > n {
-		workers = n
-	}
-	k := sim.NewKernel(1)
-	f := simmpf.New(k, m)
-
-	rowBytes := (n + 1) * wire.Float64Size
-	selBytes := 2 * wire.Uint32Size
-	pairBytes := wire.Uint32Size + wire.Float64Size
-
-	// Arbiter process.
-	k.Spawn("arbiter", func(p *sim.Proc) {
-		cand := f.OpenReceive(p, candCircuit, simmpf.FCFS)
-		sel := f.OpenSend(p, selCircuit)
-		xs := f.OpenReceive(p, xCircuit, simmpf.FCFS)
-		for it := 0; it < n; it++ {
-			for w := 0; w < workers; w++ {
-				f.Receive(p, cand)
-				p.Advance(m.FlopsTime(1)) // compare against running max
-			}
-			f.Send(p, sel, selBytes)
-		}
-		for i := 0; i < n; i++ {
-			f.Receive(p, xs)
-		}
-		f.CloseReceive(p, cand)
-		f.CloseSend(p, sel)
-		f.CloseReceive(p, xs)
-	})
-
-	for w := 0; w < workers; w++ {
-		w := w
-		lo, hi := partition(n, workers, w)
-		k.Spawn(fmt.Sprintf("worker%d", w), func(p *sim.Proc) {
-			cand := f.OpenSend(p, candCircuit)
-			sel := f.OpenReceive(p, selCircuit, simmpf.Broadcast)
-			rowS := f.OpenSend(p, rowCircuit)
-			rowR := f.OpenReceive(p, rowCircuit, simmpf.Broadcast)
-			xs := f.OpenSend(p, xCircuit)
-
-			local := hi - lo
-			markedCount := 0
-			for it := 0; it < n; it++ {
-				// Pivot search over unmarked local rows (one compare
-				// per row).
-				p.Advance(m.FlopsTime(local - markedCount))
-				f.Send(p, cand, wire.PivotCandSize)
-				f.Receive(p, sel)
-
-				// Winner rotates deterministically across workers in
-				// proportion to their row share — the exact winner does
-				// not change the cost structure, only who pays the
-				// broadcast send. Use the iteration index mapped to the
-				// owner of row (it mod n).
-				owner := ownerOf(n, workers, it%n)
-				if owner == w {
-					f.Send(p, rowS, rowBytes)
-					markedCount++
-				}
-				f.Receive(p, rowR)
-
-				// Sweep local rows except a locally held pivot row over
-				// columns k..n.
-				rowsToSweep := local
-				if owner == w {
-					rowsToSweep--
-				}
-				width := n + 1 - it
-				p.Advance(m.FlopsTime(rowsToSweep * width * flopsPerUpdate))
-			}
-			for i := 0; i < local; i++ {
-				p.Advance(m.FlopsTime(1)) // the division
-				f.Send(p, xs, pairBytes)
-			}
-			f.CloseSend(p, cand)
-			f.CloseReceive(p, sel)
-			f.CloseSend(p, rowS)
-			f.CloseReceive(p, rowR)
-			f.CloseSend(p, xs)
-		})
-	}
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	return k.Now(), nil
+// SimSolve solves Ax = b as SolveMPF does — the same arbiter and worker
+// processes — on the simulated machine m, where each process's
+// arithmetic costs m's software floating point, and returns the
+// solution with the simulated seconds the solve took.
+func SimSolve(m *balance.Machine, workers int, a [][]float64, b []float64) ([]float64, float64, error) {
+	s := apps.Simulated(m)
+	x, err := solve(s, workers, a, b)
+	return x, s.Seconds(), err
 }
 
 // ownerOf maps a global row to the worker owning it under partition.
@@ -140,7 +50,7 @@ func SimSeqTime(m *balance.Machine, n int) float64 {
 // SimSharedTime returns the simulated seconds for the *shared-memory*
 // parallel Gauss-Jordan (SolveShared's structure: same row partition,
 // shared candidate array, barriers instead of circuits) on the same
-// machine. Together with SimTime it answers the research question the
+// machine. Together with SimSolve it answers the research question the
 // paper's conclusion poses — "the effect of the parallel programming
 // paradigm (message passing or shared memory) on application
 // performance" — on the paper's own hardware model.

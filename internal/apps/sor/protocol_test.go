@@ -1,8 +1,12 @@
 package sor
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/balance"
+	"repro/internal/wire"
 	"repro/mpf"
 )
 
@@ -10,10 +14,12 @@ import (
 // paper's structure: per iteration every directed neighbour edge
 // carries one halo message (4·n·(n−1) edges on an n×n mesh), every
 // worker sends one status message (n²) and the monitor one verdict (1);
-// at the end each worker ships one result block (n²).
+// at the end each worker ships one result block (n²). Each
+// configuration runs on both backends, which must carry exactly this
+// traffic and compute the same grid in as many iterations, bit for bit.
 func TestMessageCountMatchesProtocol(t *testing.T) {
 	for _, cfg := range []struct{ p, n int }{
-		{9, 2}, {9, 3}, {17, 2},
+		{9, 2}, {9, 3}, {17, 2}, {17, 3},
 	} {
 		workers := cfg.n * cfg.n
 		fac, err := mpf.New(
@@ -25,29 +31,56 @@ func TestMessageCountMatchesProtocol(t *testing.T) {
 			t.Fatal(err)
 		}
 		pr := DefaultProblem(cfg.p)
-		_, iters, err := SolveMPF(fac, cfg.n, pr)
+		g, iters, err := SolveMPF(fac, cfg.n, pr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := fac.Stats()
-		edges := uint64(4 * cfg.n * (cfg.n - 1))
-		perIter := edges + uint64(workers) + 1
-		wantSends := uint64(iters)*perIter + uint64(workers)
-		if st.Sends != wantSends {
-			t.Errorf("p=%d n=%d iters=%d: %d sends, want %d",
-				cfg.p, cfg.n, iters, st.Sends, wantSends)
-		}
-		// Receives: halos are FCFS (consumed once); ctl is broadcast to
-		// all workers; status and results are FCFS at the monitor.
-		wantRecvs := uint64(iters)*(edges+uint64(workers)+uint64(workers)) + uint64(workers)
-		if st.Receives != wantRecvs {
-			t.Errorf("p=%d n=%d iters=%d: %d receives, want %d",
-				cfg.p, cfg.n, iters, st.Receives, wantRecvs)
-		}
+		fac.Shutdown()
 		if st.MessagesDropped != 0 {
 			t.Errorf("p=%d n=%d: %d messages dropped", cfg.p, cfg.n, st.MessagesDropped)
 		}
-		fac.Shutdown()
+
+		s := apps.Simulated(balance.Balance21000())
+		simG, simIters, err := solve(s, cfg.n, pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if simIters != iters || !slices.EqualFunc(simG, g, slices.Equal) {
+			t.Errorf("p=%d n=%d: simulated solve (%d iterations) differs from native (%d)",
+				cfg.p, cfg.n, simIters, iters)
+		}
+
+		it, w, n, p := uint64(iters), uint64(workers), uint64(cfg.n), uint64(cfg.p)
+		edges := 4 * n * (n - 1)
+		// A halo is as long as the block's side, so the 2·(n−1) messages
+		// across one line of the mesh carry the grid's whole width; a
+		// result block is its (rlo, rhi, clo, chi) header and its points.
+		haloBytes := 4 * (n - 1) * p * wire.Float64Size
+		resultBytes := w*4*wire.Uint32Size + p*p*wire.Float64Size
+		// Receives: halos are FCFS (consumed once); ctl is broadcast to
+		// all workers; status and results are FCFS at the monitor.
+		want := [4]uint64{
+			it*(edges+w+1) + w,
+			it*(edges+w+w) + w,
+			it*(haloBytes+w*wire.Float64Size+1) + resultBytes,
+			it*(haloBytes+w*wire.Float64Size+w) + resultBytes,
+		}
+		var sim [4]uint64
+		sim[0], sim[2] = s.Facility().Sent()
+		sim[1], sim[3] = s.Facility().Delivered()
+		for _, got := range []struct {
+			backend string
+			counts  [4]uint64
+		}{
+			{"native", [4]uint64{st.Sends, st.Receives, st.BytesSent, st.BytesRecvd}},
+			{"simulated", sim},
+		} {
+			if got.counts != want {
+				t.Errorf("p=%d n=%d iters=%d %s: sends, receives, bytes sent, bytes received = %v, want %v",
+					cfg.p, cfg.n, iters, got.backend, got.counts, want)
+			}
+		}
 	}
 }
 

@@ -3,118 +3,26 @@ package sor
 import (
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/balance"
 	"repro/internal/sim"
-	"repro/internal/simmpf"
-	"repro/internal/wire"
 )
 
-// This file reruns the SOR protocol on the simulated Balance 21000 to
-// regenerate paper Figure 8 ("Per Iteration Speedup vs. Dimension (N)").
-// Figure 8 plots *per-iteration* speedup relative to the 4-process
-// solver (N=2) — the paper had no sequential solver to compare against —
-// so the simulation runs a fixed number of iterations and reports time
-// per iteration.
+// This file runs the SOR solver on the simulated Balance 21000 to
+// regenerate paper Figure 8 ("Per Iteration Speedup vs. Dimension (N)"),
+// and times the shared-memory solver there too. Figure 8 plots
+// *per-iteration* speedup relative to the 4-process solver (N=2) — the
+// paper had no sequential solver to compare against — so its caller
+// divides a solve's time by its iterations.
 
-// flopsPerPoint is the stencil cost per grid point per iteration: four
-// adds, the source term, the relaxation multiply and the delta update.
-const flopsPerPoint = 6
-
-// SimIterTime returns the simulated seconds per iteration for a p×p grid
-// on an n×n process mesh plus a monitor, under machine model m, averaged
-// over iters iterations.
-func SimIterTime(m *balance.Machine, p, n, iters int) (float64, error) {
-	if p < 1 || n < 1 || n > p {
-		return 0, fmt.Errorf("sor: SimIterTime(p=%d, n=%d)", p, n)
-	}
-	if iters < 1 {
-		iters = 1
-	}
-	k := sim.NewKernel(1)
-	f := simmpf.New(k, m)
-	workers := n * n
-
-	// Monitor.
-	k.Spawn("monitor", func(pp *sim.Proc) {
-		status := f.OpenReceive(pp, statusCircuit, simmpf.FCFS)
-		ctl := f.OpenSend(pp, ctlCircuit)
-		for it := 0; it < iters; it++ {
-			for w := 0; w < workers; w++ {
-				f.Receive(pp, status)
-				pp.Advance(m.FlopsTime(1)) // max reduction
-			}
-			f.Send(pp, ctl, 1)
-		}
-		f.CloseReceive(pp, status)
-		f.CloseSend(pp, ctl)
-	})
-
-	for w := 0; w < workers; w++ {
-		w := w
-		bi, bj := w/n, w%n
-		rlo, rhi := blockRange(p, n, bi)
-		clo, chi := blockRange(p, n, bj)
-		height, width := rhi-rlo, chi-clo
-		k.Spawn(fmt.Sprintf("sor%d", w), func(pp *sim.Proc) {
-			type edge struct {
-				send, recv *simmpf.Circuit
-				length     int
-			}
-			var edges []edge
-			add := func(neighbor, length int) {
-				if neighbor < 0 {
-					return
-				}
-				edges = append(edges, edge{
-					send:   f.OpenSend(pp, haloCircuit(w, neighbor)),
-					recv:   f.OpenReceive(pp, haloCircuit(neighbor, w), simmpf.FCFS),
-					length: length,
-				})
-			}
-			north, south, west, east := -1, -1, -1, -1
-			if bi > 0 {
-				north = (bi-1)*n + bj
-			}
-			if bi < n-1 {
-				south = (bi+1)*n + bj
-			}
-			if bj > 0 {
-				west = bi*n + (bj - 1)
-			}
-			if bj < n-1 {
-				east = bi*n + (bj + 1)
-			}
-			add(north, width)
-			add(south, width)
-			add(west, height)
-			add(east, height)
-
-			status := f.OpenSend(pp, statusCircuit)
-			ctl := f.OpenReceive(pp, ctlCircuit, simmpf.Broadcast)
-
-			for it := 0; it < iters; it++ {
-				for _, e := range edges {
-					f.Send(pp, e.send, e.length*wire.Float64Size)
-				}
-				for _, e := range edges {
-					f.Receive(pp, e.recv)
-				}
-				pp.Advance(m.FlopsTime(height * width * flopsPerPoint))
-				f.Send(pp, status, wire.Float64Size)
-				f.Receive(pp, ctl)
-			}
-			for _, e := range edges {
-				f.CloseSend(pp, e.send)
-				f.CloseReceive(pp, e.recv)
-			}
-			f.CloseSend(pp, status)
-			f.CloseReceive(pp, ctl)
-		})
-	}
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	return k.Now() / float64(iters), nil
+// SimSolve solves pr as SolveMPF does — the same monitor and N×N worker
+// processes — on the simulated machine m, where each process's
+// arithmetic costs m's software floating point, and returns the grid and
+// iteration count with the simulated seconds the solve took.
+func SimSolve(m *balance.Machine, n int, pr Problem) ([][]float64, int, float64, error) {
+	s := apps.Simulated(m)
+	g, iters, err := solve(s, n, pr)
+	return g, iters, s.Seconds(), err
 }
 
 // SimSharedIterTime returns the simulated seconds per iteration for the

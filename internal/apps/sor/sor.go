@@ -14,7 +14,9 @@
 //
 // Computation per iteration is proportional to subgrid area and
 // communication to subgrid perimeter, so the computation/communication
-// ratio is adjusted by varying N — the knob Figure 8 sweeps.
+// ratio is adjusted by varying N — the knob Figure 8 sweeps. SolveMPF
+// runs the processes on a real facility, SimSolve (sim.go) on the
+// simulated Balance 21000.
 package sor
 
 import (
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/apps"
 	"repro/internal/proc"
 	"repro/internal/wire"
 	"repro/mpf"
@@ -153,10 +156,19 @@ const (
 	ctlAbort    = 2
 )
 
+// flopsPerPoint is the stencil cost per grid point per iteration: four
+// adds, the source term, the relaxation multiply and the delta update.
+const flopsPerPoint = 6
+
 // SolveMPF solves pr on an N×N process grid plus one monitoring process,
 // all communicating through fac (which must allow N²+1 processes). It
 // returns the assembled grid and the iteration count.
 func SolveMPF(fac *mpf.Facility, n int, pr Problem) ([][]float64, int, error) {
+	return solve(apps.Native(fac), n, pr)
+}
+
+// solve runs the monitor and the N×N workers on r.
+func solve(r apps.Runner, n int, pr Problem) ([][]float64, int, error) {
 	if err := pr.validate(); err != nil {
 		return nil, 0, err
 	}
@@ -170,7 +182,7 @@ func SolveMPF(fac *mpf.Facility, n int, pr Problem) ([][]float64, int, error) {
 	result := pr.newGrid()
 	iters := 0
 
-	err := fac.Run(workers+1, func(p *mpf.Process) error {
+	err := r.Run(workers+1, func(p apps.Proc) error {
 		if p.PID() == workers {
 			it, err := monitor(p, workers, pr, result)
 			iters = it
@@ -186,7 +198,7 @@ func SolveMPF(fac *mpf.Facility, n int, pr Problem) ([][]float64, int, error) {
 
 // monitor aggregates convergence status each iteration and assembles the
 // final grid.
-func monitor(p *mpf.Process, workers int, pr Problem, result [][]float64) (int, error) {
+func monitor(p apps.Proc, workers int, pr Problem, result [][]float64) (int, error) {
 	status, err := p.OpenReceive(statusCircuit, mpf.FCFS)
 	if err != nil {
 		return 0, err
@@ -216,6 +228,7 @@ func monitor(p *mpf.Process, workers int, pr Problem, result [][]float64) (int, 
 			if err != nil {
 				return iter, err
 			}
+			p.Compute(1) // the max reduction
 			if d > maxDelta {
 				maxDelta = d
 			}
@@ -274,7 +287,7 @@ func monitor(p *mpf.Process, workers int, pr Problem, result [][]float64) (int, 
 }
 
 // sorWorker owns one subgrid of the N×N decomposition.
-func sorWorker(p *mpf.Process, n int, pr Problem) error {
+func sorWorker(p apps.Proc, n int, pr Problem) error {
 	w := p.PID()
 	bi, bj := w/n, w%n
 	rlo, rhi := blockRange(pr.P, n, bi)
@@ -316,8 +329,8 @@ func sorWorker(p *mpf.Process, n int, pr Problem) error {
 
 	type edge struct {
 		neighbor  int
-		send      *mpf.SendConn
-		recv      *mpf.RecvConn
+		send      apps.SendConn
+		recv      apps.RecvConn
 		sendBuf   []byte
 		recvBuf   []byte
 		recvFlt   []float64
@@ -441,6 +454,7 @@ func sorWorker(p *mpf.Process, n int, pr Problem) error {
 				}
 			}
 		}
+		p.Compute(height * width * flopsPerPoint)
 
 		// Report status; await the verdict.
 		if err := status.Send(wire.AppendFloat64(statusBuf[:0], maxDelta)); err != nil {

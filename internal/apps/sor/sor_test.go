@@ -96,6 +96,11 @@ func TestDivergenceDetected(t *testing.T) {
 	if _, _, err := SolveMPF(fac, 2, pr); !errors.Is(err, ErrDiverged) {
 		t.Fatalf("mpf err = %v, want ErrDiverged", err)
 	}
+	// On the simulated clock every process ends on the abort: a process
+	// left blocked would be the kernel's deadlock error instead.
+	if _, _, _, err := SimSolve(balance.Balance21000(), 2, pr); !errors.Is(err, ErrDiverged) {
+		t.Fatalf("simulated err = %v, want ErrDiverged", err)
+	}
 }
 
 func TestMPFMatchesSequential(t *testing.T) {
@@ -177,16 +182,28 @@ func TestBlockRangeCoversInterior(t *testing.T) {
 	}
 }
 
+// simIterTimes memoizes simIterTime: a 65×65 solve runs ~2500
+// iterations, and two tests read the same ones.
+var simIterTimes = map[[2]int]float64{}
+
+// simIterTime returns SimSolve's simulated seconds per iteration for
+// DefaultProblem(p) on an n×n mesh of the Balance 21000.
+func simIterTime(t *testing.T, p, n int) float64 {
+	t.Helper()
+	if secs, ok := simIterTimes[[2]int{p, n}]; ok {
+		return secs
+	}
+	_, iters, secs, err := SimSolve(balance.Balance21000(), n, DefaultProblem(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	simIterTimes[[2]int{p, n}] = secs / float64(iters)
+	return secs / float64(iters)
+}
+
 func TestSimIterTimeScales(t *testing.T) {
-	m := balance.Balance21000()
-	t2, err := SimIterTime(m, 65, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t4, err := SimIterTime(m, 65, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t2 := simIterTime(t, 65, 2)
+	t4 := simIterTime(t, 65, 4)
 	// 65×65 has enough work that 16 processes beat 4 per iteration
 	// (Figure 8's top curve).
 	if t4 >= t2 {
@@ -201,17 +218,8 @@ func TestSimIterTimeScales(t *testing.T) {
 func TestSimSmallGridScalesWorse(t *testing.T) {
 	// The paper's bottom curve: a 9×9 grid gains little or nothing from
 	// more processes — communication dominates.
-	m := balance.Balance21000()
 	sp := func(p int) float64 {
-		t2, err := SimIterTime(m, p, 2, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t4, err := SimIterTime(m, p, 4, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return t2 / t4
+		return simIterTime(t, p, 2) / simIterTime(t, p, 4)
 	}
 	small, large := sp(9), sp(65)
 	if small >= large {
@@ -221,13 +229,13 @@ func TestSimSmallGridScalesWorse(t *testing.T) {
 
 func TestSimValidation(t *testing.T) {
 	m := balance.Balance21000()
-	if _, err := SimIterTime(m, 0, 2, 1); err == nil {
+	if _, _, _, err := SimSolve(m, 2, DefaultProblem(0)); err == nil {
 		t.Fatal("p=0 accepted")
 	}
-	if _, err := SimIterTime(m, 9, 0, 1); err == nil {
+	if _, _, _, err := SimSolve(m, 0, DefaultProblem(9)); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := SimIterTime(m, 4, 9, 1); err == nil {
+	if _, _, _, err := SimSolve(m, 9, DefaultProblem(4)); err == nil {
 		t.Fatal("n>p accepted")
 	}
 }

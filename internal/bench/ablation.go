@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/apps/gauss"
 	"repro/internal/apps/sor"
@@ -81,8 +82,9 @@ func AblationParadigm(cfg Config) (*stats.Figure, error) {
 	mpfS := fig.AddSeries(fmt.Sprintf("gauss %d MPF", gaussN))
 	shmS := fig.AddSeries(fmt.Sprintf("gauss %d shared", gaussN))
 	seq := gauss.SimSeqTime(m, gaussN)
+	a, b := gauss.NewSystem(gaussN, rand.New(rand.NewSource(int64(gaussN))))
 	for _, p := range procs {
-		tm, err := gauss.SimTime(m, gaussN, p)
+		_, tm, err := gauss.SimSolve(m, p, a, b)
 		if err != nil {
 			return nil, err
 		}
@@ -94,19 +96,23 @@ func AblationParadigm(cfg Config) (*stats.Figure, error) {
 		shmS.Add(p, seq/ts)
 	}
 
-	// SOR at a fixed grid, swept over mesh dimension (4/9/16 procs).
+	// SOR at a fixed grid, swept over mesh dimension (4/9/16 procs); the
+	// shared-memory leg runs as many iterations as the message-passing
+	// solve took to converge. The two legs are not timed alike: the MPF
+	// leg is a whole solve over its iterations, so it carries its
+	// start-up and the gather of the result blocks, while the shared leg
+	// is steady-state iterations with neither.
 	sorP := 33
-	iters := cfg.scale(5, 2)
 	mpfSor := fig.AddSeries(fmt.Sprintf("sor %d MPF", sorP))
 	shmSor := fig.AddSeries(fmt.Sprintf("sor %d shared", sorP))
-	base, err := sor.SimIterTime(m, sorP, 1, iters)
-	if err != nil {
-		return nil, err
-	}
+	var base float64
 	for _, n := range []int{1, 2, 3, 4} {
-		tm, err := sor.SimIterTime(m, sorP, n, iters)
+		tm, iters, err := simSORIter(m, sorP, n)
 		if err != nil {
 			return nil, err
+		}
+		if n == 1 {
+			base = tm
 		}
 		ts, err := sor.SimSharedIterTime(m, sorP, n, iters)
 		if err != nil {

@@ -4,22 +4,30 @@ import (
 	"testing"
 
 	"repro/internal/balance"
+	"repro/internal/stats"
 )
 
 // The simulated substrate is the reproduction's evidence; it must be
-// bit-for-bit repeatable so EXPERIMENTS.md numbers can be re-derived by
-// anyone.
+// bit-for-bit repeatable so the figures `mpfbench -mode simulated`
+// prints can be re-derived by anyone.
 
 func TestSimulatedFiguresDeterministic(t *testing.T) {
-	render := func() string {
-		fig, err := Fig4(Config{Mode: Simulated, Quick: true})
-		if err != nil {
-			t.Fatal(err)
+	for _, f := range []struct {
+		name string
+		gen  func(Config) (*stats.Figure, error)
+	}{
+		{"Fig4", Fig4}, {"Fig7", Fig7}, {"Fig8", Fig8},
+	} {
+		render := func() string {
+			fig, err := f.gen(Config{Mode: Simulated, Quick: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fig.Render()
 		}
-		return fig.Render()
-	}
-	if a, b := render(), render(); a != b {
-		t.Fatalf("Fig4 not reproducible:\n%s\n---\n%s", a, b)
+		if a, b := render(), render(); a != b {
+			t.Fatalf("%s not reproducible:\n%s\n---\n%s", f.name, a, b)
+		}
 	}
 }
 
@@ -38,8 +46,9 @@ func TestSimRandomDeterministic(t *testing.T) {
 	}
 }
 
-// Pin the headline numbers EXPERIMENTS.md quotes, with slack for
-// intentional recalibration (fail = the docs need regenerating).
+// Pin the headline numbers `mpfbench -fig 3` and `mpfbench -fig 5 -mode
+// simulated` print, with slack for intentional recalibration (fail = the
+// paper-scale calibration moved).
 func TestHeadlineNumbersMatchExperimentsDoc(t *testing.T) {
 	m := balance.Balance21000()
 	base, err := SimBase(m, 2048, 200)
@@ -47,13 +56,13 @@ func TestHeadlineNumbersMatchExperimentsDoc(t *testing.T) {
 		t.Fatal(err)
 	}
 	if base < 23000 || base > 25500 {
-		t.Errorf("Fig3 asymptote drifted to %.0f; EXPERIMENTS.md says 24,234", base)
+		t.Errorf("Fig3 asymptote drifted to %.0f; mpfbench -fig 3 -mode simulated prints 24,234 at 2048 bytes", base)
 	}
 	bcast, err := SimBroadcast(m, 1024, 16, 48*16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bcast < 700000 || bcast > 800000 {
-		t.Errorf("Fig5 peak drifted to %.0f; EXPERIMENTS.md says 748,773", bcast)
+		t.Errorf("Fig5 peak drifted to %.0f; mpfbench -fig 5 -mode simulated prints 748,773 at 16 receivers", bcast)
 	}
 }

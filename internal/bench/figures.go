@@ -2,12 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
+	"time"
 
 	"repro/internal/apps/gauss"
 	"repro/internal/apps/sor"
 	"repro/internal/balance"
 	"repro/internal/stats"
-	"time"
+	"repro/mpf"
 )
 
 // Mode selects the execution substrate for a figure.
@@ -173,24 +175,25 @@ func Fig7(cfg Config) (*stats.Figure, error) {
 	}
 	for _, n := range sizes {
 		s := fig.AddSeries(fmt.Sprintf("%dx%d matrix", n, n))
-		if cfg.Mode == Simulated {
-			m := cfg.machine()
-			seq := gauss.SimSeqTime(m, n)
-			for _, p := range procs {
-				pt, err := gauss.SimTime(m, n, p)
-				if err != nil {
-					return nil, fmt.Errorf("fig7 n=%d p=%d: %w", n, p, err)
-				}
-				s.Add(p, seq/pt)
+		a, b := gauss.NewSystem(n, rand.New(rand.NewSource(int64(n))))
+		m := cfg.machine()
+		seq := gauss.SimSeqTime(m, n)
+		if cfg.Mode == Native {
+			var err error
+			if seq, err = timeNativeGauss(a, b, 0); err != nil {
+				return nil, err
 			}
-			continue
-		}
-		seq, err := timeNativeGauss(n, 0)
-		if err != nil {
-			return nil, err
 		}
 		for _, p := range procs {
-			pt, err := timeNativeGauss(n, p)
+			var (
+				pt  float64
+				err error
+			)
+			if cfg.Mode == Native {
+				pt, err = timeNativeGauss(a, b, p)
+			} else {
+				_, pt, err = gauss.SimSolve(m, p, a, b)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("fig7 n=%d p=%d: %w", n, p, err)
 			}
@@ -202,9 +205,7 @@ func Fig7(cfg Config) (*stats.Figure, error) {
 
 // timeNativeGauss times one native solve; workers == 0 selects the
 // sequential baseline. The median of three runs reduces scheduler noise.
-func timeNativeGauss(n, workers int) (float64, error) {
-	rng := newDeterministicRand(int64(n))
-	a, b := gauss.NewSystem(n, rng)
+func timeNativeGauss(a [][]float64, b []float64, workers int) (float64, error) {
 	var times []float64
 	for rep := 0; rep < 3; rep++ {
 		start := time.Now()
@@ -212,11 +213,11 @@ func timeNativeGauss(n, workers int) (float64, error) {
 		if workers == 0 {
 			_, err = gauss.SolveSequential(a, b)
 		} else {
-			var fac *mpfFacility
-			fac, err = newGaussFacility(workers)
+			var fac *mpf.Facility
+			fac, err = mpf.New(mpf.WithMaxProcesses(workers+1), mpf.WithMaxLNVCs(16), mpf.WithBlocksPerProcess(2048))
 			if err == nil {
-				_, err = gauss.SolveMPF(fac.f, workers, a, b)
-				fac.f.Shutdown()
+				_, err = gauss.SolveMPF(fac, workers, a, b)
+				fac.Shutdown()
 			}
 		}
 		if err != nil {
@@ -238,7 +239,6 @@ func Fig8(cfg Config) (*stats.Figure, error) {
 	if cfg.Quick {
 		grids = []int{9, 33}
 	}
-	iters := cfg.scale(5, 2)
 	for _, p := range grids {
 		times := &stats.Series{Label: fmt.Sprintf("%dx%d problem", p, p)}
 		for _, n := range dims {
@@ -247,7 +247,7 @@ func Fig8(cfg Config) (*stats.Figure, error) {
 				err error
 			)
 			if cfg.Mode == Simulated {
-				t, err = sor.SimIterTime(cfg.machine(), p, n, iters)
+				t, _, err = simSORIter(cfg.machine(), p, n)
 			} else {
 				t, err = timeNativeSORIter(p, n)
 			}
@@ -265,17 +265,29 @@ func Fig8(cfg Config) (*stats.Figure, error) {
 	return fig, nil
 }
 
+// simSORIter returns the simulated seconds per iteration of DefaultProblem
+// on a p×p grid and an n×n process mesh — one solve to convergence,
+// divided by its iterations, as timeNativeSORIter measures it — and the
+// iteration count.
+func simSORIter(m *balance.Machine, p, n int) (float64, int, error) {
+	_, iters, secs, err := sor.SimSolve(m, n, sor.DefaultProblem(p))
+	if err != nil {
+		return 0, 0, err
+	}
+	return secs / float64(iters), iters, nil
+}
+
 // timeNativeSORIter measures native per-iteration time for a p×p grid on
 // an n×n process mesh.
 func timeNativeSORIter(p, n int) (float64, error) {
 	pr := sor.DefaultProblem(p)
-	fac, err := newSORFacility(n*n + 1)
+	fac, err := mpf.New(mpf.WithMaxProcesses(n*n+1), mpf.WithMaxLNVCs(256), mpf.WithBlocksPerProcess(4096))
 	if err != nil {
 		return 0, err
 	}
-	defer fac.f.Shutdown()
+	defer fac.Shutdown()
 	start := time.Now()
-	_, iters, err := sor.SolveMPF(fac.f, n, pr)
+	_, iters, err := sor.SolveMPF(fac, n, pr)
 	if err != nil {
 		return 0, err
 	}

@@ -23,10 +23,11 @@ func SimBase(m *balance.Machine, msgLen, rounds int) (float64, error) {
 	k.Spawn("base", func(p *sim.Proc) {
 		s := f.OpenSend(p, "base")
 		r := f.OpenReceive(p, "base", simmpf.FCFS)
+		buf := make([]byte, msgLen)
 		start := p.Now()
 		for i := 0; i < rounds; i++ {
-			f.Send(p, s, msgLen)
-			f.Receive(p, r)
+			f.Send(p, s, buf)
+			f.Receive(p, r, buf)
 		}
 		elapsed = p.Now() - start
 	})
@@ -79,8 +80,9 @@ func simFanout(m *balance.Machine, msgLen, nRecv, msgs int, proto simmpf.Protoco
 			if proto == simmpf.FCFS {
 				want = fcfsShare[i]
 			}
+			buf := make([]byte, msgLen)
 			for j := 0; j < want; j++ {
-				f.Receive(p, c)
+				f.Receive(p, c, buf)
 			}
 			f.CloseReceive(p, c)
 		})
@@ -88,8 +90,9 @@ func simFanout(m *balance.Machine, msgLen, nRecv, msgs int, proto simmpf.Protoco
 	k.Spawn("sender", func(p *sim.Proc) {
 		p.Advance(1e-6)
 		s := f.OpenSend(p, "fan")
+		buf := make([]byte, msgLen)
 		for i := 0; i < msgs; i++ {
-			f.Send(p, s, msgLen)
+			f.Send(p, s, buf)
 		}
 		f.CloseSend(p, s)
 	})
@@ -153,9 +156,10 @@ func SimRandom(m *balance.Machine, msgLen, nProcs, msgsPerProc int) (float64, er
 					outs[d] = f.OpenSend(p, inbox(d))
 				}
 			}
+			buf := make([]byte, msgLen)
 			drain := func() {
 				for f.Check(p, in) {
-					f.Receive(p, in)
+					f.Receive(p, in, buf)
 				}
 			}
 			barrier(p)
@@ -164,7 +168,7 @@ func SimRandom(m *balance.Machine, msgLen, nProcs, msgsPerProc int) (float64, er
 				if d >= w {
 					d++
 				}
-				f.Send(p, outs[d], msgLen)
+				f.Send(p, outs[d], buf)
 				drain()
 			}
 			barrier(p)

@@ -7,17 +7,19 @@
 // cost model, internal/simmpf the protocol) to regenerate the paper's
 // figures at their original absolute scale.
 //
-// The kernel is process-oriented: each simulated process is a goroutine,
-// but exactly one runs at any instant — the kernel hands control to the
-// process at the head of the event queue and waits for it to yield
-// (Advance, block on a Mutex/Cond, or finish). Ties in simulated time
-// break by event insertion order, so a given program produces the same
-// trace every run, which the reproduction tests rely on.
+// The kernel is process-oriented: each simulated process is a coroutine
+// (iter.Pull), so exactly one runs at any instant — the kernel hands
+// control to the process at the head of the event queue and takes it
+// back when the process yields (Advance, block on a Mutex/Cond, or
+// finish). Ties in simulated time break by event insertion order, so a
+// given program produces the same trace every run, which the
+// reproduction tests rely on.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 )
@@ -32,7 +34,6 @@ type Kernel struct {
 	seq    int64
 	rng    *rand.Rand
 	procs  []*Proc
-	yield  chan struct{}
 	halted bool
 }
 
@@ -61,10 +62,7 @@ func (h *eventHeap) pushEvent(e event) { heap.Push(h, e) }
 // NewKernel creates a kernel with the given RNG seed; the same seed and
 // program yield the same trace.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the simulated clock.
@@ -77,12 +75,14 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Proc is one simulated process.
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	resume chan struct{}
-	state  procState
-	body   func(*Proc)
+	k     *Kernel
+	id    int
+	name  string
+	state procState
+	// resume runs the process until it next yields or finishes; yield
+	// hands control back to the kernel.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 }
 
 type procState uint8
@@ -109,13 +109,14 @@ func (p *Proc) Now() Time { return p.k.now }
 // Spawn registers a process whose body starts at the current simulated
 // time. Must be called before Run or from within a running process.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		id:     len(k.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		body:   body,
-	}
+	p := &Proc{k: k, id: len(k.procs), name: name}
+	// A process still blocked when Run ends is never resumed again; its
+	// coroutine is left suspended, as a deadlock leaves it.
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		body(p)
+		p.state = stateDone
+	})
 	k.procs = append(k.procs, p)
 	k.schedule(p, k.now)
 	return p
@@ -145,7 +146,7 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		p.state = stateRunning
-		k.dispatch(p)
+		p.resume()
 	}
 	var stuck []string
 	for _, p := range k.procs {
@@ -160,29 +161,10 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// dispatch transfers control to p and waits for it to yield.
-func (k *Kernel) dispatch(p *Proc) {
-	if p.body != nil {
-		// First activation: start the goroutine.
-		body := p.body
-		p.body = nil
-		go func() {
-			<-p.resume
-			body(p)
-			p.state = stateDone
-			k.yield <- struct{}{}
-		}()
-	}
-	p.resume <- struct{}{}
-	<-k.yield
-}
-
-// pause yields control to the kernel and blocks the goroutine until the
-// kernel resumes this process.
+// pause yields control to the kernel until it resumes this process.
 func (p *Proc) pause(next procState) {
 	p.state = next
-	p.k.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	p.state = stateRunning
 }
 
@@ -195,7 +177,15 @@ func (p *Proc) Advance(d Time) {
 	if d == 0 {
 		return
 	}
-	p.k.schedule(p, p.k.now+d)
+	t := p.k.now + d
+	if p.k.pq.Len() == 0 || t < p.k.pq.peek().t {
+		// The kernel would pop this wakeup next: take it without the
+		// round trip. Ties still go through the queue, where earlier
+		// arrivals run first.
+		p.k.now = t
+		return
+	}
+	p.k.schedule(p, t)
 	p.pause(stateReady)
 }
 

@@ -73,6 +73,33 @@ func TestTieBreakBySpawnOrder(t *testing.T) {
 	}
 }
 
+// TestAdvanceOrder holds Advance's two paths to the queue's order: a
+// wakeup that ties a queued event runs after it, and one strictly before
+// every queued event runs next, without a turn through the queue.
+func TestAdvanceOrder(t *testing.T) {
+	k := NewKernel(0)
+	var trace []string
+	mark := func(p *Proc) { trace = append(trace, fmt.Sprintf("%s@%g", p.Name(), p.Now())) }
+	k.Spawn("a", func(p *Proc) {
+		p.Advance(1) // b is queued at 0
+		mark(p)
+		p.Advance(0.5) // b is queued at 1
+		mark(p)
+	})
+	k.Spawn("b", func(p *Proc) {
+		p.Advance(1) // ties a at 1: a goes first
+		mark(p)
+		p.Advance(0.25) // before a at 1.5
+		mark(p)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(trace, " "), "a@1 b@1 b@1.25 a@1.5"; got != want {
+		t.Errorf("trace %q, want %q", got, want)
+	}
+}
+
 func TestAdvanceNegativePanics(t *testing.T) {
 	k := NewKernel(0)
 	var recovered bool

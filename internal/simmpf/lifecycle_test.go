@@ -13,7 +13,7 @@ func TestCircuitDeletedAndRecreated(t *testing.T) {
 	var secondGen *Circuit
 	k.Spawn("p", func(p *sim.Proc) {
 		s := f.OpenSend(p, "cycle")
-		f.Send(p, s, 8)
+		f.Send(p, s, make([]byte, 8))
 		f.CloseSend(p, s) // last connection: circuit dies, message dropped
 
 		s2 := f.OpenSend(p, "cycle")
@@ -25,8 +25,8 @@ func TestCircuitDeletedAndRecreated(t *testing.T) {
 		if f.Check(p, r) {
 			t.Error("message survived circuit deletion")
 		}
-		f.Send(p, s2, 4)
-		if n := f.Receive(p, r); n != 4 {
+		f.Send(p, s2, make([]byte, 4))
+		if n := f.Receive(p, r, make([]byte, 4096)); n != 4 {
 			t.Errorf("fresh circuit delivered %d bytes", n)
 		}
 		f.CloseSend(p, s2)
@@ -71,7 +71,7 @@ func TestSendWithoutConnectionPanics(t *testing.T) {
 				recovered = true
 			}
 		}()
-		f.Send(p, s, 4)
+		f.Send(p, s, make([]byte, 4))
 	})
 	_ = k.Run()
 	if !recovered {
@@ -87,7 +87,7 @@ func TestCloseReceiveLastFCFSReleasesHoard(t *testing.T) {
 		// its copies of all five messages.
 		c := f.OpenReceive(p, "h", Broadcast)
 		for i := 0; i < 5; i++ {
-			f.Receive(p, c)
+			f.Receive(p, c, make([]byte, 4096))
 		}
 	})
 	k.Spawn("p", func(p *sim.Proc) {
@@ -95,7 +95,7 @@ func TestCloseReceiveLastFCFSReleasesHoard(t *testing.T) {
 		s := f.OpenSend(p, "h")
 		fcfs := f.OpenReceive(p, "h", FCFS)
 		for i := 0; i < 5; i++ {
-			f.Send(p, s, 8)
+			f.Send(p, s, make([]byte, 8))
 		}
 		// Wait until the broadcast receiver has drained everything.
 		p.Advance(1)
@@ -121,10 +121,10 @@ func TestMaxQueuedHighWater(t *testing.T) {
 		c = s
 		r := f.OpenReceive(p, "hw", FCFS)
 		for i := 0; i < 7; i++ {
-			f.Send(p, s, 4)
+			f.Send(p, s, make([]byte, 4))
 		}
 		for i := 0; i < 7; i++ {
-			f.Receive(p, r)
+			f.Receive(p, r, make([]byte, 4096))
 		}
 	})
 	if err := k.Run(); err != nil {

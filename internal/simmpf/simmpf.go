@@ -4,8 +4,9 @@
 // internal/core is the real, concurrent MPF; this package is its timing
 // twin. It executes the same LNVC semantics — FCFS and BROADCAST
 // receivers, shared and private head pointers, message retention and
-// reclamation — but instead of moving bytes it advances a simulated
-// clock by the calibrated cost of each step: fixed per-primitive
+// reclamation — and carries every payload, which simmpf_test.go's
+// differential test holds to core's, receive by receive. Each step
+// advances a simulated clock by its calibrated cost: fixed per-primitive
 // overhead, per-byte and per-block copy time (inflated by the paging
 // factor when the workload oversubscribes the machine's 16 MB), and
 // descriptor updates performed while holding the LNVC's FCFS lock, which
@@ -45,8 +46,8 @@ type Facility struct {
 	pagingFactor float64
 
 	// Aggregate counters.
-	sends, receives uint64
-	bytesDelivered  uint64
+	sends, receives           uint64
+	bytesSent, bytesDelivered uint64
 }
 
 // New creates a simulated facility on kernel k with machine model m.
@@ -69,14 +70,17 @@ func (f *Facility) SetWorkload(nProcs int, regionBytes float64) {
 // PagingFactor returns the copy-cost multiplier currently in force.
 func (f *Facility) PagingFactor() float64 { return f.pagingFactor }
 
+// Sent returns total messages and payload bytes sent.
+func (f *Facility) Sent() (msgs, bytes uint64) { return f.sends, f.bytesSent }
+
 // Delivered returns total messages and payload bytes delivered to
 // receivers.
 func (f *Facility) Delivered() (msgs, bytes uint64) { return f.receives, f.bytesDelivered }
 
-// message is a queued simulated message. Only its length is real.
+// message is a queued simulated message.
 type message struct {
 	seq        uint64
-	length     int
+	payload    []byte
 	pending    int
 	fcfsNeeded bool
 	pins       int
@@ -107,9 +111,6 @@ type Circuit struct {
 
 	maxQueued int
 }
-
-// Name returns the circuit name.
-func (c *Circuit) Name() string { return c.name }
 
 // MaxQueued returns the high-water mark of the circuit's FIFO length.
 func (c *Circuit) MaxQueued() int { return c.maxQueued }
@@ -221,19 +222,19 @@ func (c *Circuit) deleteIfDeadLocked() {
 	}
 }
 
-// Send transfers an n-byte message to the circuit: fixed overhead and
-// the buffer→blocks copy happen outside the lock; the enqueue happens
+// Send transfers a copy of buf to the circuit: fixed overhead and the
+// buffer→blocks copy happen outside the lock; the enqueue happens
 // inside it.
-func (f *Facility) Send(p *sim.Proc, c *Circuit, n int) {
+func (f *Facility) Send(p *sim.Proc, c *Circuit, buf []byte) {
 	if !c.sends[p.ID()] {
 		panic(fmt.Sprintf("simmpf: %q send without connection on %q", p.Name(), c.name))
 	}
 	p.Advance(f.m.OpFixed)
-	p.Advance(f.pagingFactor * f.m.CopyTime(n))
+	p.Advance(f.pagingFactor * f.m.CopyTime(len(buf)))
 
 	c.mu.Lock(p)
 	p.Advance(f.m.LockOverhead + f.m.DescUpdate)
-	m := &message{seq: c.nextSeq, length: n, pending: c.nBcast, fcfsNeeded: true}
+	m := &message{seq: c.nextSeq, payload: append([]byte(nil), buf...), pending: c.nBcast, fcfsNeeded: true}
 	c.nextSeq++
 	c.queue = append(c.queue, m)
 	if len(c.queue) > c.maxQueued {
@@ -247,11 +248,14 @@ func (f *Facility) Send(p *sim.Proc, c *Circuit, n int) {
 	c.cond.Broadcast(p)
 	c.mu.Unlock(p)
 	f.sends++
+	f.bytesSent += uint64(len(buf))
 }
 
-// Receive blocks until a message is available for p's connection, pays
-// the blocks→buffer copy, and returns the message length.
-func (f *Facility) Receive(p *sim.Proc, c *Circuit) int {
+// Receive blocks until a message is available for p's connection,
+// copies its payload into buf, pays for the blocks→buffer copy and
+// returns the number of bytes copied: min(message length, len(buf)), as
+// internal/core's Receive.
+func (f *Facility) Receive(p *sim.Proc, c *Circuit, buf []byte) int {
 	p.Advance(f.m.OpFixed)
 	c.mu.Lock(p)
 	p.Advance(f.m.LockOverhead)
@@ -282,7 +286,8 @@ func (f *Facility) Receive(p *sim.Proc, c *Circuit) int {
 	m.pins++
 	c.mu.Unlock(p)
 
-	p.Advance(f.pagingFactor * f.m.CopyTime(m.length))
+	n := copy(buf, m.payload)
+	p.Advance(f.pagingFactor * f.m.CopyTime(n))
 
 	c.mu.Lock(p)
 	p.Advance(f.m.LockOverhead)
@@ -291,8 +296,8 @@ func (f *Facility) Receive(p *sim.Proc, c *Circuit) int {
 	c.mu.Unlock(p)
 
 	f.receives++
-	f.bytesDelivered += uint64(m.length)
-	return m.length
+	f.bytesDelivered += uint64(n)
+	return n
 }
 
 // Check reports whether a message is available for p's connection,

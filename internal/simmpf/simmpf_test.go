@@ -30,8 +30,8 @@ func TestLoopbackRoundCost(t *testing.T) {
 			s := f.OpenSend(p, "loop")
 			r := f.OpenReceive(p, "loop", FCFS)
 			start := p.Now()
-			f.Send(p, s, 1024)
-			n := f.Receive(p, r)
+			f.Send(p, s, make([]byte, 1024))
+			n := f.Receive(p, r, make([]byte, 4096))
 			if n != 1024 {
 				t.Errorf("received %d bytes", n)
 			}
@@ -55,8 +55,8 @@ func TestBaseAsymptoteNear25KBps(t *testing.T) {
 			r := f.OpenReceive(p, "loop", FCFS)
 			start := p.Now()
 			for i := 0; i < rounds; i++ {
-				f.Send(p, s, msgLen)
-				f.Receive(p, r)
+				f.Send(p, s, make([]byte, msgLen))
+				f.Receive(p, r, make([]byte, 4096))
 			}
 			thr = float64(msgLen*rounds) / (p.Now() - start)
 		})
@@ -73,7 +73,7 @@ func TestFCFSDeliveryExactlyOnce(t *testing.T) {
 		k.Spawn("sender", func(p *sim.Proc) {
 			s := f.OpenSend(p, "work")
 			for i := 0; i < nMsgs; i++ {
-				f.Send(p, s, 16)
+				f.Send(p, s, make([]byte, 16))
 			}
 			f.CloseSend(p, s)
 		})
@@ -82,7 +82,7 @@ func TestFCFSDeliveryExactlyOnce(t *testing.T) {
 			k.Spawn(fmt.Sprintf("recv%d", i), func(p *sim.Proc) {
 				c := f.OpenReceive(p, "work", FCFS)
 				for j := 0; j < nMsgs/nRecv; j++ {
-					f.Receive(p, c)
+					f.Receive(p, c, make([]byte, 4096))
 					counts[idx]++
 				}
 				f.CloseReceive(p, c)
@@ -110,7 +110,7 @@ func TestBroadcastAllReceiversSeeAll(t *testing.T) {
 			k.Spawn(fmt.Sprintf("recv%d", i), func(p *sim.Proc) {
 				c := f.OpenReceive(p, "news", Broadcast)
 				for j := 0; j < nMsgs; j++ {
-					if n := f.Receive(p, c); n != 128 {
+					if n := f.Receive(p, c, make([]byte, 4096)); n != 128 {
 						t.Errorf("length %d", n)
 					}
 					got[idx]++
@@ -122,7 +122,7 @@ func TestBroadcastAllReceiversSeeAll(t *testing.T) {
 			p.Advance(0.001) // let receivers open first
 			s := f.OpenSend(p, "news")
 			for i := 0; i < nMsgs; i++ {
-				f.Send(p, s, 128)
+				f.Send(p, s, make([]byte, 128))
 			}
 			f.CloseSend(p, s)
 		})
@@ -150,7 +150,7 @@ func TestBroadcastConcurrencyBeatsSerial(t *testing.T) {
 			k.Spawn(fmt.Sprintf("r%d", i), func(p *sim.Proc) {
 				c := f.OpenReceive(p, "b", Broadcast)
 				for j := 0; j < nMsgs; j++ {
-					f.Receive(p, c)
+					f.Receive(p, c, make([]byte, 4096))
 				}
 				f.CloseReceive(p, c)
 			})
@@ -159,7 +159,7 @@ func TestBroadcastConcurrencyBeatsSerial(t *testing.T) {
 			p.Advance(0.001)
 			s := f.OpenSend(p, "b")
 			for i := 0; i < nMsgs; i++ {
-				f.Send(p, s, 1024)
+				f.Send(p, s, make([]byte, 1024))
 			}
 			f.CloseSend(p, s)
 		})
@@ -188,10 +188,10 @@ func TestLockContentionGrowsWithReceivers(t *testing.T) {
 			s := f.OpenSend(p, "w")
 			circuit = s
 			for i := 0; i < nMsgs; i++ {
-				f.Send(p, s, 16)
+				f.Send(p, s, make([]byte, 16))
 			}
 			for i := 0; i < nRecv; i++ {
-				f.Send(p, s, 0) // poison per receiver
+				f.Send(p, s, make([]byte, 0)) // poison per receiver
 			}
 			f.CloseSend(p, s)
 		})
@@ -199,7 +199,7 @@ func TestLockContentionGrowsWithReceivers(t *testing.T) {
 			k.Spawn(fmt.Sprintf("r%d", i), func(p *sim.Proc) {
 				c := f.OpenReceive(p, "w", FCFS)
 				for {
-					if n := f.Receive(p, c); n == 0 {
+					if n := f.Receive(p, c, make([]byte, 4096)); n == 0 {
 						break
 					}
 				}
@@ -227,8 +227,8 @@ func TestPagingFactorScalesCopies(t *testing.T) {
 			s := f.OpenSend(p, "x")
 			r := f.OpenReceive(p, "x", FCFS)
 			for i := 0; i < 20; i++ {
-				f.Send(p, s, 1024)
-				f.Receive(p, r)
+				f.Send(p, s, make([]byte, 1024))
+				f.Receive(p, r, make([]byte, 4096))
 			}
 		})
 		if err := k.Run(); err != nil {
@@ -250,14 +250,14 @@ func TestRetainedBacklogFirstBroadcastJoiner(t *testing.T) {
 		k.Spawn("s", func(p *sim.Proc) {
 			s := f.OpenSend(p, "bk")
 			for i := 0; i < 3; i++ {
-				f.Send(p, s, 8)
+				f.Send(p, s, make([]byte, 8))
 			}
 		})
 		k.Spawn("r", func(p *sim.Proc) {
 			p.Advance(1) // join after the sends
 			c := f.OpenReceive(p, "bk", Broadcast)
 			for i := 0; i < 3; i++ {
-				if n := f.Receive(p, c); n != 8 {
+				if n := f.Receive(p, c, make([]byte, 4096)); n != 8 {
 					t.Errorf("backlog message %d: length %d", i, n)
 				}
 			}
@@ -275,14 +275,14 @@ func TestBroadcastOnlyCircuitReclaims(t *testing.T) {
 			c := f.OpenReceive(p, "bo", Broadcast)
 			q = c
 			for i := 0; i < 50; i++ {
-				f.Receive(p, c)
+				f.Receive(p, c, make([]byte, 4096))
 			}
 		})
 		k.Spawn("s", func(p *sim.Proc) {
 			p.Advance(0.001)
 			s := f.OpenSend(p, "bo")
 			for i := 0; i < 50; i++ {
-				f.Send(p, s, 64)
+				f.Send(p, s, make([]byte, 64))
 			}
 		})
 	})
@@ -299,7 +299,7 @@ func TestCloseReceiveReleasesClaims(t *testing.T) {
 			q = s
 			r1 := f.OpenReceive(p, "vex", Broadcast)
 			for i := 0; i < 10; i++ {
-				f.Send(p, s, 32)
+				f.Send(p, s, make([]byte, 32))
 			}
 			// This process read nothing; a second receiver reads all.
 			_ = r1
@@ -331,14 +331,14 @@ func TestDeterministicElapsed(t *testing.T) {
 			k.Spawn(fmt.Sprintf("r%d", i), func(p *sim.Proc) {
 				c := f.OpenReceive(p, "d", FCFS)
 				for j := 0; j < 25; j++ {
-					f.Receive(p, c)
+					f.Receive(p, c, make([]byte, 4096))
 				}
 			})
 		}
 		k.Spawn("s", func(p *sim.Proc) {
 			s := f.OpenSend(p, "d")
 			for i := 0; i < 100; i++ {
-				f.Send(p, s, 64)
+				f.Send(p, s, make([]byte, 64))
 			}
 		})
 		if err := k.Run(); err != nil {
@@ -365,7 +365,7 @@ func TestCheckNonBlocking(t *testing.T) {
 			if p.Now()-before > 0.001 {
 				t.Errorf("check took %g s", p.Now()-before)
 			}
-			f.Send(p, s, 4)
+			f.Send(p, s, make([]byte, 4))
 			if !f.Check(p, r) {
 				t.Error("message not visible")
 			}
@@ -379,14 +379,14 @@ func TestMixedProtocolDelivery(t *testing.T) {
 		k.Spawn("bcast", func(p *sim.Proc) {
 			c := f.OpenReceive(p, "mx", Broadcast)
 			for i := 0; i < 10; i++ {
-				f.Receive(p, c)
+				f.Receive(p, c, make([]byte, 4096))
 				bcastGot++
 			}
 		})
 		k.Spawn("fcfs", func(p *sim.Proc) {
 			c := f.OpenReceive(p, "mx", FCFS)
 			for i := 0; i < 10; i++ {
-				f.Receive(p, c)
+				f.Receive(p, c, make([]byte, 4096))
 				fcfsGot++
 			}
 		})
@@ -394,7 +394,7 @@ func TestMixedProtocolDelivery(t *testing.T) {
 			p.Advance(0.001)
 			s := f.OpenSend(p, "mx")
 			for i := 0; i < 10; i++ {
-				f.Send(p, s, 16)
+				f.Send(p, s, make([]byte, 16))
 			}
 		})
 	})
@@ -416,7 +416,7 @@ func TestSendThroughputIndependentOfReceiverCount(t *testing.T) {
 			k.Spawn(fmt.Sprintf("r%d", i), func(p *sim.Proc) {
 				c := f.OpenReceive(p, "t", Broadcast)
 				for j := 0; j < nMsgs; j++ {
-					f.Receive(p, c)
+					f.Receive(p, c, make([]byte, 4096))
 				}
 			})
 		}
@@ -425,7 +425,7 @@ func TestSendThroughputIndependentOfReceiverCount(t *testing.T) {
 			s := f.OpenSend(p, "t")
 			start := p.Now()
 			for i := 0; i < nMsgs; i++ {
-				f.Send(p, s, 1024)
+				f.Send(p, s, make([]byte, 1024))
 			}
 			sendDone = p.Now() - start
 		})
