@@ -13,7 +13,8 @@
 // Beyond the paper, the facility shards its circuit name registry so
 // opens and closes on distinct circuits never contend (DESIGN.md §4),
 // runs every send through one admit/publish path and every receive
-// through one claim/unpin path (DESIGN.md §6), multiplexes thousands of
+// through one claim path, one circuit-lock hold per message end
+// (DESIGN.md §6), multiplexes thousands of
 // circuits per goroutine through an event-driven Selector with
 // per-circuit wakeups (DESIGN.md §10), carries a zero-copy payload
 // plane (DESIGN.md §11): contiguous-span block allocation, loaned send

@@ -101,14 +101,31 @@ func (pr *Problem) newGrid() [][]float64 {
 	return g
 }
 
-// update applies one SOR update to point (i, j) of g and returns |Δu|.
-func (pr *Problem) update(g [][]float64, i, j int) float64 {
+// source returns the stencil's constant term h²·F at the interior
+// points [rlo, rhi) × [clo, chi), indexed from (rlo, clo). It does not
+// change between sweeps, so a solver computes it once for the points it
+// owns instead of on every sweep.
+func (pr *Problem) source(rlo, rhi, clo, chi int) [][]float64 {
 	h := pr.h()
-	x, y := float64(i)*h, float64(j)*h
-	gs := (g[i-1][j] + g[i+1][j] + g[i][j-1] + g[i][j+1] - h*h*pr.F(x, y)) / 4
-	delta := pr.Omega * (gs - g[i][j])
-	g[i][j] += delta
-	return math.Abs(delta)
+	src := make([][]float64, rhi-rlo)
+	for i := range src {
+		for j := clo; j < chi; j++ {
+			src[i] = append(src[i], h*h*pr.F(float64(rlo+i)*h, float64(j)*h))
+		}
+	}
+	return src
+}
+
+// relax is the stencil every solver sweeps: one SOR update of the point
+// *u, whose neighbours are up, down, left and right and whose source
+// term is s. It returns the larger of |Δu| and maxDelta.
+func (pr *Problem) relax(u *float64, up, down, left, right, s, maxDelta float64) float64 {
+	delta := pr.Omega * ((up+down+left+right-s)/4 - *u)
+	*u += delta
+	if d := math.Abs(delta); d > maxDelta {
+		return d
+	}
+	return maxDelta
 }
 
 // SolveSequential iterates SOR over the whole grid until convergence and
@@ -118,13 +135,12 @@ func SolveSequential(pr Problem) ([][]float64, int, error) {
 		return nil, 0, err
 	}
 	g := pr.newGrid()
+	src := pr.source(1, pr.P+1, 1, pr.P+1)
 	for iter := 1; iter <= pr.MaxIter; iter++ {
 		maxDelta := 0.0
 		for i := 1; i <= pr.P; i++ {
 			for j := 1; j <= pr.P; j++ {
-				if d := pr.update(g, i, j); d > maxDelta {
-					maxDelta = d
-				}
+				maxDelta = pr.relax(&g[i][j], g[i-1][j], g[i+1][j], g[i][j-1], g[i][j+1], src[i-1][j-1], maxDelta)
 			}
 		}
 		if maxDelta < pr.Tol {
@@ -300,6 +316,7 @@ func sorWorker(p apps.Proc, n int, pr Problem) error {
 	for i := range local {
 		local[i] = make([]float64, width+2)
 	}
+	src := pr.source(rlo, rhi, clo, chi)
 	// Physical boundary values (for blocks on the domain edge).
 	h := pr.h()
 	for li := 0; li < height+2; li++ {
@@ -442,16 +459,8 @@ func sorWorker(p apps.Proc, n int, pr Problem) error {
 		// SOR sweep over the subgrid.
 		maxDelta := 0.0
 		for li := 1; li <= height; li++ {
-			gi := rlo - 1 + li
 			for lj := 1; lj <= width; lj++ {
-				gj := clo - 1 + lj
-				x, y := float64(gi)*h, float64(gj)*h
-				gs := (local[li-1][lj] + local[li+1][lj] + local[li][lj-1] + local[li][lj+1] - h*h*pr.F(x, y)) / 4
-				delta := pr.Omega * (gs - local[li][lj])
-				local[li][lj] += delta
-				if d := math.Abs(delta); d > maxDelta {
-					maxDelta = d
-				}
+				maxDelta = pr.relax(&local[li][lj], local[li-1][lj], local[li+1][lj], local[li][lj-1], local[li][lj+1], src[li-1][lj-1], maxDelta)
 			}
 		}
 		p.Compute(height * width * flopsPerPoint)
@@ -521,7 +530,7 @@ func SolveShared(n int, pr Problem) ([][]float64, int, error) {
 		haloS := make([]float64, width)
 		haloW := make([]float64, height)
 		haloE := make([]float64, height)
-		h := pr.h()
+		src := pr.source(rlo, rhi, clo, chi)
 		for iter := 1; ; iter++ {
 			for j := 0; j < width; j++ {
 				haloN[j] = g[rlo-1][clo+j]
@@ -551,13 +560,7 @@ func SolveShared(n int, pr Problem) ([][]float64, int, error) {
 					if j < chi-1 {
 						right = g[i][j+1]
 					}
-					x, y := float64(i)*h, float64(j)*h
-					gs := (up + down + left + right - h*h*pr.F(x, y)) / 4
-					delta := pr.Omega * (gs - g[i][j])
-					g[i][j] += delta
-					if d := math.Abs(delta); d > maxDelta {
-						maxDelta = d
-					}
+					maxDelta = pr.relax(&g[i][j], up, down, left, right, src[i-rlo][j-clo], maxDelta)
 				}
 			}
 			deltas[w] = maxDelta

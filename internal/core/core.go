@@ -68,16 +68,19 @@
 //
 // Every send primitive — Send, SendLoan+Commit,
 // LoanBatch+CommitAll/CommitN — is "size the demand → admit → a
-// msg.Pool.Build* → publish" (send.go): admit validates the call and the
-// connection and debits credit before the allocation, publish
-// re-validates under the circuit lock, enqueues and wakes receivers
-// once. Every receive primitive that names its circuit — Receive,
-// ReceiveView, their Deadline forms, TryReceive and TryReceiveView — is
-// "waitClaim → read the payload under the pin → unpinAll" (lnvc.go):
-// waitClaim is the only loop that parks on a circuit's condition
-// variable, claimRunLocked the only one that claims a run of messages
-// (the Selector's harvest shares it), and unpinAll the only way a pin
-// is dropped. DESIGN.md §6.
+// msg.Pool.Build* → publish" (send.go): admit validates the call without
+// the circuit lock — it takes it only to debit credit, when credit is
+// configured — and publish validates the connection under the lock,
+// enqueues and wakes receivers once. Every receive primitive that names
+// its circuit — Receive, ReceiveView, their Deadline forms, TryReceive
+// and TryReceiveView — starts with waitClaim (lnvc.go), the only loop
+// that parks on a circuit's condition variable, which returns with the
+// lock held: a copying receive claims, copies out and retires the
+// message in that one hold, and a view claim pins it through
+// claimRunLocked, the only loop that claims a run of messages (the
+// Selector's harvest shares it); unpinAll, when the view is released,
+// is the only way a pin is dropped. Each end of a message thus takes
+// the circuit lock once. DESIGN.md §6.
 package core
 
 import (

@@ -52,12 +52,11 @@ import (
 // demand exceeds the whole budget and so could never be granted.
 var ErrNoCredit = errors.New("mpf: circuit out of credit blocks")
 
-// acquireCredit is the admission check every send makes under the
-// circuit lock: pid must hold a send connection on id, and with credit
-// configured blocks are debited from id's budget, parking on the
-// circuit's condition variable until the budget can cover them
-// (BlockUntilFree) or failing with ErrNoCredit (FailFast). Without
-// credit (CreditBlocks 0) the connection check is all there is. It
+// acquireCredit is the admission check a send makes under the circuit
+// lock when credit is configured (admit skips it otherwise): pid must
+// hold a send connection on id, and blocks are debited from id's budget,
+// parking on the circuit's condition variable until the budget can cover
+// them (BlockUntilFree) or failing with ErrNoCredit (FailFast). It
 // re-validates the connection on entry and on every wake, so a sender
 // parked for credit observes CloseSend, circuit deletion, the departure
 // of the last receiver, and Shutdown promptly. On success it returns the
@@ -78,10 +77,6 @@ func (f *Facility) acquireCredit(l *lnvc, id ID, pid, blocks int) (uint64, error
 		if f.slots[id].Load() != l || l.sends[pid] == nil {
 			l.lock.Unlock()
 			return 0, notConnected("send", id, pid)
-		}
-		if budget <= 0 {
-			l.lock.Unlock()
-			return 0, nil
 		}
 		if blocks > budget {
 			l.lock.Unlock()

@@ -24,14 +24,11 @@ type sendDesc struct {
 // recvDesc is a receive connection. BROADCAST receivers carry their
 // private FIFO head as a sequence number; FCFS receivers use the LNVC's
 // shared head. l is the circuit the descriptor belongs to for life (it
-// recycles through l's free list only). inc counts the descriptor's
-// incarnations — putRecvDesc bumps it — so an unpin that outlived its
-// connection does not count on the next one.
+// recycles through l's free list only).
 type recvDesc struct {
 	l       *lnvc
 	pid     int
 	proto   Protocol
-	inc     uint32
 	headSeq uint64 // BROADCAST only: next sequence this receiver consumes
 	_       [32]byte
 	rx      recvCounts
@@ -118,8 +115,7 @@ type lnvc struct {
 // goneTraffic is the traffic of a descriptor's departed connections:
 // closed is this incarnation's, folded in by CloseSend/CloseReceive; past
 // is every earlier incarnation's, folded in by reset. Written under the
-// circuit lock, on close and on the rare unpin that outlives its
-// connection — never per message.
+// circuit lock, on close and recycling — never per message.
 type goneTraffic struct {
 	closed, past traffic
 }
@@ -217,17 +213,15 @@ func (l *lnvc) getRecvDesc(pid int, proto Protocol, head uint64) *recvDesc {
 	if n := len(l.recvFree); n > 0 {
 		d := l.recvFree[n-1]
 		l.recvFree = l.recvFree[:n-1]
-		*d = recvDesc{l: l, pid: pid, proto: proto, inc: d.inc, headSeq: head}
+		*d = recvDesc{l: l, pid: pid, proto: proto, headSeq: head}
 		return d
 	}
 	return &recvDesc{l: l, pid: pid, proto: proto, headSeq: head}
 }
 
-// putRecvDesc is putSendDesc for a receive connection; the incarnation
-// bump disowns any pins the connection still holds.
+// putRecvDesc is putSendDesc for a receive connection.
 func (l *lnvc) putRecvDesc(d *recvDesc) {
 	l.gone.closed.rx.add(&d.rx)
-	d.inc++
 	l.recvFree = append(l.recvFree, d)
 }
 
@@ -433,9 +427,9 @@ func (f *Facility) close(pid int, id ID, detach func(*lnvc) error) error {
 	dead := err == nil && l.connections() == 0
 	if dead {
 		// Collect unread messages for discarding outside the LNVC lock.
-		// A message some receiver still holds pinned — a copy in flight
-		// or a held View — must survive the circuit: it is orphaned and
-		// the last unpin releases it (§5's revised reclamation rule).
+		// A message some receiver still holds pinned as a View must
+		// survive the circuit: it is orphaned and the last unpin
+		// releases it (§5's revised reclamation rule).
 		l.queue.Walk(func(m, _ *msg.Message) bool {
 			dropped++
 			if m.Pins > 0 {
@@ -524,20 +518,26 @@ func (f *Facility) TryReceive(pid int, id ID, buf []byte) (int, bool, error) {
 }
 
 // receive is the copying receive behind Receive, ReceiveDeadline and
-// TryReceive: claim one message, copy it out, unpin. ok is false when
-// park is false and nothing was deliverable.
+// TryReceive: one lock hold claims the message, copies it out and
+// retires it. ok is false when park is false and nothing was
+// deliverable.
 func (f *Facility) receive(pid int, id ID, buf []byte, park bool, deadline time.Time) (int, bool, error) {
-	var one [1]*msg.Message
-	rc, claimed, err := f.waitClaim(pid, id, park, false, deadline, one[:])
-	if err != nil || claimed == 0 {
+	l, d, m, err := f.waitClaim(pid, id, park, deadline)
+	if m == nil {
 		return 0, false, err
 	}
-	// The second of the paper's two copies — blocks → user buffer —
-	// happens outside the lock, under the pin, so BROADCAST receivers
-	// proceed concurrently.
-	n := f.pool.Extract(one[0], buf)
-	rc.recvCounts = recvCounts{msgs: 1, bytes: uint64(n), copiesOut: 1}
-	f.unpinAll(rc.d.l, one[:], &rc)
+	// The second of the paper's two copies — blocks → user buffer — is
+	// made under the claim's hold, so the message needs no pin, and the
+	// reclaim scan that frees it runs in the same hold: the receiver's
+	// free is nested in a hold it takes anyway instead of racing the
+	// sender's allocation for the arena lock after it (DESIGN.md §6).
+	l.claimLocked(d, m)
+	n := f.pool.Extract(m, buf)
+	d.rx.msgs++
+	d.rx.bytes += uint64(n)
+	d.rx.copiesOut++
+	f.reclaimLocked(l)
+	l.lock.Unlock()
 	return n, true, nil
 }
 
@@ -560,27 +560,24 @@ func (f *Facility) lockRecv(pid int, id ID) (*lnvc, *recvDesc, error) {
 	return l, d, nil
 }
 
-// waitClaim is the one way a receive primitive takes messages off a
-// circuit it names: it waits until a message is deliverable to pid's
-// connection on id, then claims and pins up to len(out) of them — as
-// many as are deliverable, never waiting for more than the first —
-// under the one lock hold, and returns them in out together with a
-// receipt naming the connection they were claimed through. The caller
-// owns one pin per claimed message and must balance them with unpinAll
-// once done reading the payloads. A view claim is counted here, under
-// the hold; a copying one (view false) fills in the receipt and hands it
-// to its unpinAll, which is when its byte count exists. With park false it
-// never waits and may claim nothing; otherwise it parks on the circuit's
-// condition variable — the only place anything does — until an enqueue,
-// a close (ErrNotConnected), Shutdown (ErrShutdown) or the deadline,
-// when one is set (ErrTimeout).
-func (f *Facility) waitClaim(pid int, id ID, park, view bool, deadline time.Time, out []*msg.Message) (receipt, int, error) {
+// waitClaim is the one wait of the receive primitives that name their
+// circuit: it resolves pid's connection on id and waits until a message
+// is deliverable to it, then returns with the circuit lock held and m,
+// that message, not yet claimed — the caller claims it (receive copies
+// it out and retires it, receiveView pins it) and unlocks. A claim that
+// had to park is counted here. With park false it never waits and m may
+// be nil; otherwise it parks on the circuit's condition variable — the
+// only place anything does — until an enqueue, a close
+// (ErrNotConnected), Shutdown (ErrShutdown) or the deadline, when one is
+// set (ErrTimeout). The lock is held on return exactly when m is not
+// nil.
+func (f *Facility) waitClaim(pid int, id ID, park bool, deadline time.Time) (*lnvc, *recvDesc, *msg.Message, error) {
 	if f.stopped.Load() {
-		return receipt{}, 0, ErrShutdown
+		return nil, nil, nil, ErrShutdown
 	}
 	l, d, err := f.lockRecv(pid, id)
 	if err != nil {
-		return receipt{}, 0, err
+		return nil, nil, nil, err
 	}
 	var timedOut *bool
 	if park && !deadline.IsZero() {
@@ -599,7 +596,6 @@ func (f *Facility) waitClaim(pid int, id ID, park, view bool, deadline time.Time
 		defer timer.Stop()
 	}
 	waited := false
-	var m *msg.Message
 	for {
 		var err error
 		if f.stopped.Load() {
@@ -609,43 +605,33 @@ func (f *Facility) waitClaim(pid int, id ID, park, view bool, deadline time.Time
 			// goroutine) while this receive was parked; the close path
 			// broadcast the condition so we see it promptly.
 			err = notConnected("receive", id, pid)
-		} else if m = l.availableLocked(d); m != nil || !park {
-			break
+		} else if m := l.availableLocked(d); m != nil {
+			if waited {
+				d.rx.waits++
+			}
+			return l, d, m, nil
+		} else if !park {
+			l.lock.Unlock()
+			return nil, nil, nil, nil
 		} else if timedOut != nil && (*timedOut || !time.Now().Before(deadline)) {
 			err = ErrTimeout
 		}
 		if err != nil {
 			l.lock.Unlock()
-			return receipt{}, 0, err
+			return nil, nil, nil, err
 		}
 		waited = true
 		l.cond.Wait()
 	}
-	if waited {
-		d.rx.waits++
-	}
-	run, bytes, _ := l.claimRunLocked(d, m, out[:0], len(out))
-	if view {
-		n := uint64(len(run))
-		d.rx.msgs += n
-		d.rx.bytes += bytes
-		d.rx.views += n
-	}
-	rc := receipt{d: d, inc: d.inc}
-	l.lock.Unlock()
-	return rc, len(run), nil
 }
 
 // claimLocked consumes m for receiver d — for FCFS the claim (advancing
 // the shared head and its cursor) must happen under the lock or two FCFS
 // receivers could take the same message; for BROADCAST it advances the
-// private head and releases the Pending reference — and pins it. m must
-// be the message availableLocked(d) returns (in a claim loop, the
-// successor of the one d claimed last). The pin is what keeps the
-// blocks alive while the holder reads them outside the lock, whether
-// for the paper's receive copy or for a held View; a pinned message is
-// never recycled (reclaimLocked skips it, the close path orphans it to
-// the pin holders instead of releasing it).
+// private head and releases the Pending reference. m must be the message
+// availableLocked(d) returns (in a claim loop, the successor of the one
+// d claimed last). A copying receive reads and retires m before the lock
+// drops; a view pins it first (claimRunLocked).
 func (l *lnvc) claimLocked(d *recvDesc, m *msg.Message) {
 	if d.proto == FCFS {
 		m.FCFSNeeded = false
@@ -655,55 +641,39 @@ func (l *lnvc) claimLocked(d *recvDesc, m *msg.Message) {
 		d.headSeq = m.Seq + 1
 		m.Pending--
 	}
-	m.Pins++
 }
 
-// claimRunLocked claims for d up to budget of the messages deliverable
-// to it, oldest first, appending them to run; m is the first of them,
-// what availableLocked(d) returned, bytes is the claimed payloads' total
-// length and more reports whether deliverable messages remain. Once d
-// has claimed a message the next deliverable one is its successor in the
-// queue under either protocol, so the loop follows Next instead of
-// asking availableLocked again.
+// claimRunLocked claims for d, as pinned views, up to budget of the
+// messages deliverable to it, oldest first, appending them to run; m is
+// the first of them, what availableLocked(d) returned, bytes is the
+// claimed payloads' total length and more reports whether deliverable
+// messages remain. Once d has claimed a message the next deliverable one
+// is its successor in the queue under either protocol, so the loop
+// follows Next instead of asking availableLocked again. The pin keeps
+// the blocks alive while the holder reads them outside the lock; a
+// pinned message is never recycled (reclaimLocked skips it, the close
+// path orphans it to the pin holders instead of releasing it).
 func (l *lnvc) claimRunLocked(d *recvDesc, m *msg.Message, run []*msg.Message, budget int) (_ []*msg.Message, bytes uint64, more bool) {
 	for ; m != nil && budget > 0; m, budget = m.Next, budget-1 {
 		l.claimLocked(d, m)
+		m.Pins++
 		bytes += uint64(m.Length)
 		run = append(run, m)
 	}
 	return run, bytes, m != nil
 }
 
-// receipt is what a copying receive hands unpinAll to count: the
-// connection, and the incarnation of it, the messages were claimed
-// through (waitClaim fills these in), and what was moved under the pins.
-type receipt struct {
-	d   *recvDesc
-	inc uint32
-	recvCounts
-}
-
-// unpinAll drops the pins claimLocked took on ms, all claimed from l:
-// one lock acquisition, one reclaim scan. A copying receive passes its
-// receipt, which is counted on the connection under this hold — or on
-// the circuit's closed group when the connection has closed meanwhile —
-// and a view, counted when it was claimed, passes nil. For a message
-// still owned by its circuit the unpin may make it reclaimable, so the
-// scan runs; an orphan — dropped from a deleted circuit while pinned —
-// is released by its last pin holder, outside the lock (it is in no
-// queue; l may even have been recycled for another circuit, which is
-// safe because only the message's own fields, the descriptor's counters
-// and the pool are touched).
-func (f *Facility) unpinAll(l *lnvc, ms []*msg.Message, r *receipt) {
+// unpinAll drops the pins claimRunLocked took on the views' messages ms,
+// all claimed from l: one lock acquisition, one reclaim scan. For a
+// message still owned by its circuit the unpin may make it reclaimable,
+// so the scan runs; an orphan — dropped from a deleted circuit while
+// pinned — is released by its last pin holder, outside the lock (it is
+// in no queue; l may even have been recycled for another circuit, which
+// is safe because only the message's own fields and the pool are
+// touched).
+func (f *Facility) unpinAll(l *lnvc, ms []*msg.Message) {
 	var orphans []*msg.Message
 	l.lock.Lock()
-	if r != nil {
-		if r.d.inc == r.inc {
-			r.d.rx.add(&r.recvCounts)
-		} else {
-			l.gone.closed.rx.add(&r.recvCounts)
-		}
-	}
 	anyLive := false
 	for _, m := range ms {
 		m.Pins--
@@ -831,10 +801,9 @@ type Info struct {
 	CreditUsed int
 	// Gauges read off the queue and the waiter list under the lock:
 	// PinnedMsgs is the number of queued messages some receiver holds
-	// pinned (a copy in flight or a live View), OldestSeq the sequence of
-	// the oldest queued message (NextSeq when the queue is empty), and
-	// ParkedWaiters the Selector registrations an enqueue here would
-	// wake.
+	// pinned as a live View, OldestSeq the sequence of the oldest queued
+	// message (NextSeq when the queue is empty), and ParkedWaiters the
+	// Selector registrations an enqueue here would wake.
 	PinnedMsgs    int
 	OldestSeq     uint64
 	ParkedWaiters int

@@ -14,10 +14,12 @@ import (
 // blocks in place) and in how many messages share the fixed costs. Each
 // is "size the demand → admit → msg.Pool.Build* → publish":
 //
-//   - admit validates the call and the connection before the (possibly
-//     blocking) allocation, so an unconnected sender fails fast, and with
-//     credit configured debits the whole demand in the same lock hold,
-//     parking there — holding no lock — until the budget covers it.
+//   - admit validates the call and resolves the circuit without its
+//     lock. With credit configured it takes the lock once, to check the
+//     connection and debit the whole demand, parking there — holding no
+//     lock — until the budget covers it; without credit the connection
+//     is checked only by publish, so an unconnected sender allocates
+//     before it fails.
 //   - The build allocates every payload chain in one arena transaction,
 //     outside the circuit lock, which is what lets BROADCAST receivers
 //     and other senders proceed while a payload is produced (the
@@ -61,8 +63,11 @@ func (f *Facility) admit(pid int, id ID, blocks, bytes int) (admission, error) {
 	if err != nil {
 		return admission{}, err
 	}
-	gen, err := f.acquireCredit(l, id, pid, blocks)
-	return admission{l: l, id: id, pid: pid, blocks: blocks, gen: gen}, err
+	a := admission{l: l, id: id, pid: pid, blocks: blocks}
+	if f.cfg.CreditBlocks > 0 {
+		a.gen, err = f.acquireCredit(l, id, pid, blocks)
+	}
+	return a, err
 }
 
 // unbuilt undoes an admission whose allocation failed.

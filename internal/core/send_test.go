@@ -65,7 +65,10 @@ func statsDelta(after, before Stats) Stats {
 // its publication, each returns the same class of error, moves the same
 // counters apart from its own ledger entry, leaves the credit ledger
 // and the arena as it found them, and wakes the circuit's receivers
-// exactly once when — and only when — it enqueued something.
+// exactly once when — and only when — it enqueued something. Without
+// credit admit takes no lock, so a sender whose connection is gone
+// allocates before publish turns it away: it meets the arena's policy
+// first.
 func TestSendPathsAgree(t *testing.T) {
 	const (
 		size   = 100 // two 60-byte blocks
@@ -89,7 +92,8 @@ func TestSendPathsAgree(t *testing.T) {
 	}
 	// whileBuilding runs the send with the arena hogged, waits until it
 	// has parked inside its build — after admit, before publish — runs
-	// event, and lets the build proceed.
+	// event, and lets the build proceed. A send that admit refuses
+	// returns without parking, and event does not run.
 	whileBuilding := func(e *env, p sendPath, event func()) error {
 		e.t.Helper()
 		hog(e)
@@ -97,7 +101,12 @@ func TestSendPathsAgree(t *testing.T) {
 		errc := make(chan error, 1)
 		go func() { errc <- p.send(e.f, sender, e.id, size) }()
 		for e.f.arena.Stats().AllocBlocks == parks {
-			time.Sleep(100 * time.Microsecond)
+			select {
+			case err := <-errc:
+				unhog(e)
+				return err
+			case <-time.After(100 * time.Microsecond):
+			}
 		}
 		event()
 		unhog(e)
@@ -109,14 +118,27 @@ func TestSendPathsAgree(t *testing.T) {
 			return nil
 		}
 	}
+	// closeSend closes the sender's connection on a circuit its receiver
+	// keeps alive.
+	closeSend := func(e *env) {
+		if err := e.f.CloseSend(sender, e.id); err != nil {
+			e.t.Fatal(err)
+		}
+	}
 	scenarios := []struct {
 		name    string
 		policy  SendPolicy
 		credit0 bool // meaningful without a credit budget too
 		want    error
-		run     func(e *env, p sendPath) error
+		// uncredited is the error without a credit budget, when it
+		// differs from want.
+		uncredited error
+		// setup, if set, runs before the counters and the wakes are
+		// read.
+		setup func(e *env)
+		run   func(e *env, p sendPath) error
 	}{
-		{"happy path", BlockUntilFree, true, nil, func(e *env, p sendPath) error {
+		{"happy path", BlockUntilFree, true, nil, nil, nil, func(e *env, p sendPath) error {
 			got := make(chan int, 1)
 			go func() {
 				n, _ := e.f.Receive(rcvr, e.id, make([]byte, size))
@@ -134,10 +156,21 @@ func TestSendPathsAgree(t *testing.T) {
 			}
 			return err
 		}},
-		{"sender not connected at admit", BlockUntilFree, true, ErrNotConnected, func(e *env, p sendPath) error {
+		{"sender not connected at admit", BlockUntilFree, true, ErrNotConnected, nil, nil, func(e *env, p sendPath) error {
 			return p.send(e.f, other, e.id, size)
 		}},
-		{"circuit deleted and descriptor recycled between admit and publish", BlockUntilFree, true, ErrNotConnected, func(e *env, p sendPath) error {
+		{"after CloseSend on a live circuit", BlockUntilFree, true, ErrNotConnected, nil, closeSend, func(e *env, p sendPath) error {
+			return p.send(e.f, sender, e.id, size)
+		}},
+		{"after CloseSend, FailFast with the arena full", FailFast, true, ErrNotConnected, ErrNoMemory, closeSend, func(e *env, p sendPath) error {
+			hog(e)
+			defer unhog(e)
+			return p.send(e.f, sender, e.id, size)
+		}},
+		{"after CloseSend, Shutdown while the build waits", BlockUntilFree, true, ErrNotConnected, ErrShutdown, closeSend, func(e *env, p sendPath) error {
+			return whileBuilding(e, p, e.f.Shutdown)
+		}},
+		{"circuit deleted and descriptor recycled between admit and publish", BlockUntilFree, true, ErrNotConnected, nil, nil, func(e *env, p sendPath) error {
 			l := e.f.slots[e.id].Load()
 			err := whileBuilding(e, p, func() {
 				if err := e.f.CloseSend(sender, e.id); err != nil {
@@ -161,18 +194,18 @@ func TestSendPathsAgree(t *testing.T) {
 			}
 			return err
 		}},
-		{"Shutdown between admit and publish", BlockUntilFree, true, ErrShutdown, func(e *env, p sendPath) error {
+		{"Shutdown between admit and publish", BlockUntilFree, true, ErrShutdown, nil, nil, func(e *env, p sendPath) error {
 			return whileBuilding(e, p, e.f.Shutdown)
 		}},
-		{"FailFast with the arena full", FailFast, true, ErrNoMemory, func(e *env, p sendPath) error {
+		{"FailFast with the arena full", FailFast, true, ErrNoMemory, nil, nil, func(e *env, p sendPath) error {
 			hog(e)
 			defer unhog(e)
 			return p.send(e.f, sender, e.id, size)
 		}},
-		{"message larger than the region", BlockUntilFree, true, ErrMessageTooBig, func(e *env, p sendPath) error {
+		{"message larger than the region", BlockUntilFree, true, ErrMessageTooBig, nil, nil, func(e *env, p sendPath) error {
 			return p.send(e.f, sender, e.id, e.f.arena.NumBlocks()*e.f.arena.PayloadSize()+1)
 		}},
-		{"message larger than the credit budget", BlockUntilFree, false, ErrNoCredit, func(e *env, p sendPath) error {
+		{"message larger than the credit budget", BlockUntilFree, false, ErrNoCredit, nil, nil, func(e *env, p sendPath) error {
 			return p.send(e.f, sender, e.id, 16*e.f.arena.PayloadSize()+1)
 		}},
 	}
@@ -180,6 +213,10 @@ func TestSendPathsAgree(t *testing.T) {
 		for _, sc := range scenarios {
 			if credit == 0 && !sc.credit0 {
 				continue // without a budget this is the happy path
+			}
+			want := sc.want
+			if credit == 0 && sc.uncredited != nil {
+				want = sc.uncredited
 			}
 			var ref Stats
 			for i, p := range sendPaths {
@@ -198,6 +235,10 @@ func TestSendPathsAgree(t *testing.T) {
 					if _, err := f.OpenReceive(rcvr, name, FCFS); err != nil {
 						t.Fatal(err)
 					}
+					e := &env{t: t, f: f, id: id}
+					if sc.setup != nil {
+						sc.setup(e)
+					}
 					// A waiter-list entry that only this test reads: a wake
 					// of the circuit's receivers leaves id on its ready list.
 					wakes := &Selector{regs: map[ID]*selReg{id: {}}}
@@ -207,16 +248,15 @@ func TestSendPathsAgree(t *testing.T) {
 					l.addWaiterLocked(wakes)
 					l.lock.Unlock()
 					before := f.Stats()
-					e := &env{t: t, f: f, id: id}
 
 					err = sc.run(e, p)
 
-					if !errors.Is(err, sc.want) {
-						t.Errorf("error %v, want %v", err, sc.want)
+					if !errors.Is(err, want) {
+						t.Errorf("error %v, want %v", err, want)
 					}
 					delta, led := splitLedger(statsDelta(f.Stats(), before))
 					wantLed, wantWakes := pathLedger{}, 0
-					if sc.want == nil {
+					if want == nil {
 						wantLed, wantWakes = p.ledger, 1
 						if delta.Sends != 1 || delta.BytesSent != size {
 							t.Errorf("Sends +%d, BytesSent +%d, want +1, +%d", delta.Sends, delta.BytesSent, size)
@@ -227,7 +267,7 @@ func TestSendPathsAgree(t *testing.T) {
 					}
 					// A close or a Shutdown also wakes the waiter lists;
 					// count sends only.
-					if delta.Closes == 0 && sc.want != ErrShutdown {
+					if delta.Closes == 0 && want != ErrShutdown {
 						if got := len(wakes.ready); got != wantWakes {
 							t.Errorf("%d receiver wakes, want %d", got, wantWakes)
 						}

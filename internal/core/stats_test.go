@@ -474,11 +474,17 @@ func facilityBytes(f *Facility) []byte {
 // accounting rides on the connection": 10 000 rounds of each plane, with
 // nobody parking, leave every byte of the Facility struct — the header
 // words, the registry words, the rare-event cell — exactly as it was.
-// With counters in the Facility (the parent commit) this fails by
-// construction: a Send + Receive did six atomic adds there. The circuit
-// lock is still taken exactly four times per Send + Receive and the
-// arena lock as often as before: the change removes line crossings, not
-// transactions.
+// With counters in the Facility this failed by construction: a Send +
+// Receive did six atomic adds there.
+//
+// Each leg's circuit and arena lock acquisitions are pinned too. An
+// uncredited send takes the circuit lock once, in publish, and a
+// copying receive once, claiming, copying out and retiring the message
+// in one hold: a Send + Receive is 2 circuit locks and 2 arena locks
+// (allocate, free), and a Send fanned out to one FCFS and one BROADCAST
+// copying receiver 3 circuit locks. A loan + view adds the view's
+// Release; a batch of 4 + harvest + ReleaseViews takes each lock once
+// per step, whatever the batch.
 //
 // The second half is the allow-list. The two copy escape hatches hold no
 // lock, so they count on a facility-wide line of their own, and that
@@ -494,6 +500,13 @@ func TestNoFacilityWideWritePerMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fan, _ := f.OpenSend(0, "fan")
+	if _, err := f.OpenReceive(2, "fan", FCFS); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.OpenReceive(3, "fan", Broadcast); err != nil {
+		t.Fatal(err)
+	}
 	sel, err := f.NewSelector(1)
 	if err != nil {
 		t.Fatal(err)
@@ -505,55 +518,64 @@ func TestNoFacilityWideWritePerMessage(t *testing.T) {
 	const rounds = 10000
 	payload := make([]byte, 64)
 	buf := make([]byte, 64)
-	l := f.slots[sid].Load()
+
+	// leg runs round rounds times and checks the circuit lock of the
+	// circuit id and the arena lock were each taken the wanted number of
+	// times per round.
+	leg := func(name string, id ID, circuitLocks, arenaLocks uint64, round func()) {
+		t.Helper()
+		l := f.slots[id].Load()
+		circuit0, _ := l.lock.Stats()
+		arena0, _ := f.arena.LockStats()
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+		circuit1, _ := l.lock.Stats()
+		arena1, _ := f.arena.LockStats()
+		if got := circuit1 - circuit0; got != circuitLocks*rounds {
+			t.Errorf("%s: %d circuit lock acquisitions in %d rounds, want %d each", name, got, rounds, circuitLocks)
+		}
+		if got := arena1 - arena0; got != arenaLocks*rounds {
+			t.Errorf("%s: %d arena lock acquisitions in %d rounds, want %d each", name, got, rounds, arenaLocks)
+		}
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	before := facilityBytes(f)
-	circuit0, _ := l.lock.Stats()
-	arena0, _ := f.arena.LockStats()
-	for i := 0; i < rounds; i++ {
-		if err := f.Send(0, sid, payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Receive(1, rid, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	circuit1, _ := l.lock.Stats()
-	arena1, _ := f.arena.LockStats()
-	if got := circuit1 - circuit0; got != 4*rounds {
-		t.Errorf("%d circuit lock acquisitions for %d Send+Receive, want 4 each", got, rounds)
-	}
-	if got := arena1 - arena0; got != 2*rounds {
-		t.Errorf("%d arena lock acquisitions for %d Send+Receive, want 2 each", got, rounds)
-	}
-	for i := 0; i < rounds; i++ {
+	leg("Send+Receive", sid, 2, 2, func() {
+		must(f.Send(0, sid, payload))
+		_, err := f.Receive(1, rid, buf)
+		must(err)
+	})
+	leg("Send+Receive FCFS+Receive BROADCAST", fan, 3, 2, func() {
+		must(f.Send(0, fan, payload))
+		_, err := f.Receive(2, fan, buf)
+		must(err)
+		_, err = f.Receive(3, fan, buf)
+		must(err)
+	})
+	leg("SendLoan+Commit+ReceiveView+Release", sid, 3, 2, func() {
 		ln, err := f.SendLoan(0, sid, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ln.Commit(); err != nil {
-			t.Fatal(err)
-		}
+		must(err)
+		must(ln.Commit())
 		v, err := f.ReceiveView(1, rid)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(err)
 		v.Release()
-	}
-	for i := 0; i < rounds; i++ {
+	})
+	leg("LoanBatch(4)+CommitAll+HarvestViews+ReleaseViews", sid, 3, 2, func() {
 		lb, err := f.LoanBatch(0, sid, []int{64, 64, 64, 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lb.CommitAll(); err != nil {
-			t.Fatal(err)
-		}
+		must(err)
+		must(lb.CommitAll())
 		vs, err := sel.HarvestViews(8)
 		if err != nil || len(vs) != 4 {
 			t.Fatalf("harvest: %d views, %v", len(vs), err)
 		}
 		ReleaseViews(vs)
-	}
+	})
 	if after := facilityBytes(f); !bytes.Equal(before, after) {
 		for i := range before {
 			if before[i] != after[i] {
@@ -561,7 +583,7 @@ func TestNoFacilityWideWritePerMessage(t *testing.T) {
 			}
 		}
 	}
-	if st := f.Stats(); st.Sends != 6*rounds || st.Receives != 6*rounds {
+	if st := f.Stats(); st.Sends != 7*rounds || st.Receives != 8*rounds {
 		t.Fatalf("the traffic was not counted: %+v", st)
 	}
 

@@ -5,8 +5,9 @@ package core
 // a circuit's lock owns everything it has to update. So do the counters
 // here. Every count that moves per message or per batch is a plain word
 // on the connection that caused it — sendDesc.tx, recvDesc.rx — bumped
-// inside a circuit-lock hold the path already takes (publish, waitClaim,
-// unpinAll, a harvest round's per-circuit hold, checkReceive). Nothing
+// inside a circuit-lock hold the path already takes (publish, the claim
+// hold of receive and receiveView, a harvest round's per-circuit hold,
+// checkReceive). Nothing
 // facility-wide is written per message; Facility.Stats adds the words up
 // when asked, one circuit lock at a time. The two copy escape hatches
 // that hold no lock (View.CopyTo, a CopyFrom-filled loan that is never
@@ -37,9 +38,9 @@ func (c *sendCounts) add(o *sendCounts) {
 }
 
 // recvCounts is the traffic of one receive connection: exactly one cache
-// line. View claims are counted where they are made (waitClaim, a
-// harvest round); a copying receive is counted by the unpinAll that ends
-// it, because its byte count exists only after the copy.
+// line. Every claim is counted under the hold that makes it — a copying
+// receive after its copy, in the same hold, which is where its byte
+// count exists.
 type recvCounts struct {
 	msgs, bytes uint64
 	copiesOut   uint64 // Receive, TryReceive

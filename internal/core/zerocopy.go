@@ -200,12 +200,17 @@ func (f *Facility) TryReceiveView(pid int, id ID) (*View, bool, error) {
 // receiveView claims one message as a View; the view is nil when park
 // is false and nothing was deliverable.
 func (f *Facility) receiveView(pid int, id ID, park bool, deadline time.Time) (*View, error) {
-	var one [1]*msg.Message
-	rc, claimed, err := f.waitClaim(pid, id, park, true, deadline, one[:])
-	if err != nil || claimed == 0 {
+	l, d, m, err := f.waitClaim(pid, id, park, deadline)
+	if m == nil {
 		return nil, err
 	}
-	return &View{f: f, l: rc.d.l, m: one[0], id: id}, nil
+	var one [1]*msg.Message
+	_, bytes, _ := l.claimRunLocked(d, m, one[:0], 1)
+	d.rx.msgs++
+	d.rx.bytes += bytes
+	d.rx.views++
+	l.lock.Unlock()
+	return &View{f: f, l: l, m: m, id: id}, nil
 }
 
 func viewBytes(v *View) int {
@@ -289,7 +294,7 @@ func (v *View) Release() {
 	}
 	v.released = true
 	one := [1]*msg.Message{v.m}
-	v.f.unpinAll(v.l, one[:], nil)
+	v.f.unpinAll(v.l, one[:])
 }
 
 // ReleaseViews releases every view in vs under batched unpinning: one
@@ -313,7 +318,7 @@ func ReleaseViews(vs []*View) {
 		}
 		v.released = true
 		if n > 0 && (v.l != l || n == len(buf)) {
-			f.unpinAll(l, buf[:n], nil)
+			f.unpinAll(l, buf[:n])
 			n = 0
 		}
 		l, f = v.l, v.f
@@ -321,7 +326,7 @@ func ReleaseViews(vs []*View) {
 		n++
 	}
 	if n > 0 {
-		f.unpinAll(l, buf[:n], nil)
+		f.unpinAll(l, buf[:n])
 	}
 }
 

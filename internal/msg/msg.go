@@ -64,17 +64,17 @@ type Message struct {
 	// capacity checks already use so that debit and grant can never
 	// disagree about a message's cost.
 	Blocks int
-	// Pins counts receivers currently reading the payload outside the
-	// LNVC lock — a transient copy (Extract) or a held zero-copy View.
-	// A pinned message must not be reclaimed: broadcast receivers
-	// release their Pending claim before reading (so other receivers
-	// can proceed) but the blocks must survive until the last pin
-	// drops. Manipulated under the LNVC lock.
+	// Pins counts the zero-copy Views currently holding the message,
+	// read outside the LNVC lock. (A copying receive extracts under the
+	// lock and takes no pin.) A pinned message must not be reclaimed:
+	// a broadcast view releases its Pending claim when it is taken, but
+	// the blocks must survive until the last pin drops. Manipulated
+	// under the LNVC lock.
 	Pins int
 	// Orphan marks a pinned message whose circuit was deleted before
-	// the pins drained: the close path cannot release it, so ownership
-	// passes to the pin holders and the last unpin releases it (see
-	// core's unpin). Set under the LNVC lock.
+	// its views were released: the close path cannot release it, so
+	// ownership passes to the view holders and the last unpin releases
+	// it (core's unpinAll). Set under the LNVC lock.
 	Orphan bool
 }
 
