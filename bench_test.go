@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/apps/gauss"
 	"repro/internal/apps/sor"
 	"repro/internal/bench"
@@ -20,7 +21,8 @@ import (
 )
 
 // BenchmarkFig3Base measures loop-back throughput versus message length
-// (paper Figure 3). The per-op bytes/sec appears as the B/s metric.
+// (paper Figure 3): the base program, b.N rounds. The per-op bytes/sec
+// appears as the B/s metric.
 func BenchmarkFig3Base(b *testing.B) {
 	for _, msgLen := range []int{16, 128, 512, 1024, 2048} {
 		b.Run(fmt.Sprintf("len=%d", msgLen), func(b *testing.B) {
@@ -29,132 +31,63 @@ func BenchmarkFig3Base(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer fac.Shutdown()
-			p, _ := fac.Process(0)
-			s, err := p.OpenSend("base")
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, err := p.OpenReceive("base", mpf.FCFS)
-			if err != nil {
-				b.Fatal(err)
-			}
-			payload := make([]byte, msgLen)
-			buf := make([]byte, msgLen)
 			b.SetBytes(int64(msgLen))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Send(payload); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := r.Receive(buf); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := bench.Base(apps.Native(fac), msgLen, b.N); err != nil {
+				b.Fatal(err)
 			}
 		})
 	}
 }
 
-// fanoutBench measures one sender fanning out to nRecv receivers with
-// the given protocol; each b.N iteration is one message through the
-// circuit (Figures 4 and 5).
-func fanoutBench(b *testing.B, proto mpf.Protocol, msgLen, nRecv int) {
-	fac, err := mpf.New(mpf.WithMaxProcesses(nRecv+1), mpf.WithBlocksPerProcess(2048))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer fac.Shutdown()
-	ready := make(chan struct{}, nRecv)
-	done := make(chan struct{})
-	for i := 1; i <= nRecv; i++ {
-		go func(pid int) {
-			p, _ := fac.Process(pid)
-			r, err := p.OpenReceive("fan", proto)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			defer r.Close()
-			ready <- struct{}{}
-			buf := make([]byte, msgLen)
-			for {
-				n, err := r.Receive(buf)
+// fanout runs the fan-out program with proto: one sender, nRecv
+// receivers, b.N messages per receiver as Figures 4 and 5 size it. The
+// B/s metric counts delivered bytes, which under BROADCAST are nRecv
+// copies of each message.
+func fanout(b *testing.B, proto mpf.Protocol) {
+	for _, msgLen := range []int{16, 128, 1024} {
+		for _, nRecv := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("len=%d/recv=%d", msgLen, nRecv), func(b *testing.B) {
+				fac, err := mpf.New(mpf.WithMaxProcesses(nRecv+1), mpf.WithBlocksPerProcess(2048))
 				if err != nil {
-					return // shutdown
+					b.Fatal(err)
 				}
-				if n == 1 && buf[0] == 0xFF {
-					done <- struct{}{}
-					return
+				defer fac.Shutdown()
+				n, err := bench.Fanout(apps.Native(fac), proto, msgLen, nRecv, b.N*nRecv)
+				if err != nil {
+					b.Fatal(err)
 				}
-			}
-		}(i)
-	}
-	for i := 0; i < nRecv; i++ {
-		<-ready
-	}
-	p, _ := fac.Process(0)
-	s, err := p.OpenSend("fan")
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, msgLen)
-	b.SetBytes(int64(msgLen))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Send(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	nPoison := nRecv
-	if proto == mpf.Broadcast {
-		nPoison = 1
-	}
-	for i := 0; i < nPoison; i++ {
-		if err := s.Send([]byte{0xFF}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < nRecv; i++ {
-		<-done
-	}
-}
-
-// BenchmarkFig4FCFS measures send throughput with N FCFS receivers
-// (paper Figure 4).
-func BenchmarkFig4FCFS(b *testing.B) {
-	for _, msgLen := range []int{16, 128, 1024} {
-		for _, nRecv := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("len=%d/recv=%d", msgLen, nRecv), func(b *testing.B) {
-				fanoutBench(b, mpf.FCFS, msgLen, nRecv)
+				b.SetBytes(int64(n / b.N))
 			})
 		}
 	}
 }
 
-// BenchmarkFig5Broadcast measures send throughput with N BROADCAST
-// receivers (paper Figure 5); delivered bytes are N× the reported B/s.
-func BenchmarkFig5Broadcast(b *testing.B) {
-	for _, msgLen := range []int{16, 128, 1024} {
-		for _, nRecv := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("len=%d/recv=%d", msgLen, nRecv), func(b *testing.B) {
-				fanoutBench(b, mpf.Broadcast, msgLen, nRecv)
-			})
-		}
-	}
-}
+// BenchmarkFig4FCFS measures throughput with N FCFS receivers (paper
+// Figure 4).
+func BenchmarkFig4FCFS(b *testing.B) { fanout(b, mpf.FCFS) }
+
+// BenchmarkFig5Broadcast measures delivered throughput with N BROADCAST
+// receivers (paper Figure 5).
+func BenchmarkFig5Broadcast(b *testing.B) { fanout(b, mpf.Broadcast) }
 
 // BenchmarkFig6Random runs the fully-connected random benchmark (paper
 // Figure 6); each iteration is one complete exchange of
-// 20 messages/process.
+// 20 messages/process on a fresh facility.
 func BenchmarkFig6Random(b *testing.B) {
 	for _, msgLen := range []int{8, 256, 1024} {
 		for _, nProcs := range []int{4, 8, 16} {
 			b.Run(fmt.Sprintf("len=%d/procs=%d", msgLen, nProcs), func(b *testing.B) {
 				b.SetBytes(int64(msgLen * nProcs * 20))
 				for i := 0; i < b.N; i++ {
-					if _, err := bench.NativeRandom(msgLen, nProcs, 20, int64(i)); err != nil {
+					fac, err := mpf.New(mpf.WithMaxProcesses(nProcs), mpf.WithMaxLNVCs(nProcs+2),
+						mpf.WithBlocksPerProcess(2048), mpf.WithFailFastSend())
+					if err != nil {
 						b.Fatal(err)
 					}
+					if _, err := bench.Random(apps.Native(fac), msgLen, nProcs, 20); err != nil {
+						b.Fatal(err)
+					}
+					fac.Shutdown()
 				}
 			})
 		}
@@ -223,37 +156,10 @@ func BenchmarkFig8SOR(b *testing.B) {
 	}
 }
 
-// Ablations. BenchmarkAblationGeneralLNVC is the one-to-one transfer
-// through the general facility that the paper's §5 proposes restricted
-// schemes to beat; the schemes themselves are modelled on the simulated
-// machine (mpfbench -ablate schemes).
-
-func BenchmarkAblationGeneralLNVC(b *testing.B) {
-	for _, msgLen := range []int{16, 1024} {
-		b.Run(fmt.Sprintf("len=%d", msgLen), func(b *testing.B) {
-			fac, err := mpf.New(mpf.WithMaxProcesses(1), mpf.WithBlocksPerProcess(1024))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer fac.Shutdown()
-			p, _ := fac.Process(0)
-			s, _ := p.OpenSend("one2one")
-			r, _ := p.OpenReceive("one2one", mpf.FCFS)
-			payload := make([]byte, msgLen)
-			buf := make([]byte, msgLen)
-			b.SetBytes(int64(msgLen))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Send(payload); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := r.Receive(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// Ablations. The restricted schemes of the paper's §5 are modelled on
+// the simulated machine (mpfbench -ablate schemes); their baseline, the
+// one-to-one transfer through the general facility, is
+// BenchmarkFig3Base.
 
 // BenchmarkAblationBlockSize sweeps the message block size — the knob
 // behind Figure 3's shape. The paper ran with 10-byte blocks, which is

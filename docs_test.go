@@ -596,11 +596,11 @@ func diffNames(got, want []string) (added, missing []string) {
 
 // TestSizeRatchet holds the repository to its size budgets: DESIGN.md's
 // line count, the size of each CHANGES.md entry from firstRatchetedPR
-// on, and the code lines — non-blank, non-comment lines of non-test Go files — of
-// internal/core, mpf, and internal/apps (every package under it)
-// together with internal/simmpf. A change that must exceed a budget
-// raises it here, in its own diff, and says why in CHANGES.md. The
-// planted cases hold the checks themselves.
+// on, and the code lines — non-blank, non-comment lines of non-test Go
+// files — of internal/core, mpf, and internal/apps (every package under
+// it) together with internal/simmpf and internal/bench. A change that
+// must exceed a budget raises it here, in its own diff, and says why in
+// CHANGES.md. The planted cases hold the checks themselves.
 func TestSizeRatchet(t *testing.T) {
 	const designLines, entryBytes, firstRatchetedPR = 1432, 1536, 48
 	budgets := []struct {
@@ -609,7 +609,7 @@ func TestSizeRatchet(t *testing.T) {
 	}{
 		{[]string{"internal/core"}, 2084},
 		{[]string{"mpf"}, 1073},
-		{[]string{"internal/apps", "internal/simmpf"}, 1400},
+		{[]string{"internal/apps", "internal/simmpf", "internal/bench"}, 1979},
 	}
 	t.Run("planted", func(t *testing.T) {
 		src := "package x\n\n// A comment.\nfunc f() {\n\t// Another.\n\treturn\n}\n"

@@ -1,18 +1,21 @@
-// Package apps is the process interface the paper's two applications
-// (internal/apps/gauss and internal/apps/sor) are written against, and
-// its two backends. Each application's protocol is written once, as a
-// function of a Proc. Native runs it on a real mpf.Facility, one
-// goroutine per process; Simulated runs the same function on the
-// simulated Balance 21000 (internal/simmpf on internal/sim), where
-// Compute advances the process's clock by the machine's floating-point
-// cost. Messages carry their payloads on both, so a simulated run
-// computes — and its caller can check — the same answer as a native one.
+// Package apps is the process interface the paper's programs are
+// written against — its two applications (internal/apps/gauss and
+// internal/apps/sor) and its four synthetic benchmarks (internal/bench)
+// — and its two backends. Each program is written once, as a function
+// of a Proc. Native runs it on a real mpf.Facility, one goroutine per
+// process; Simulated runs the same function on the simulated Balance
+// 21000 (internal/simmpf on internal/sim), where Compute advances the
+// process's clock by the machine's floating-point cost. Messages carry
+// their payloads on both, so a simulated run computes — and its caller
+// can check — the same answer as a native one.
 package apps
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/balance"
+	"repro/internal/proc"
 	"repro/internal/sim"
 	"repro/internal/simmpf"
 	"repro/mpf"
@@ -26,6 +29,13 @@ type Proc interface {
 	// Compute accounts for flops floating-point operations the process
 	// has just performed.
 	Compute(flops int)
+	// Barrier returns once every process of the Run has called it. It
+	// costs no simulated time.
+	Barrier()
+	// Rand is the process's random stream: natively its own, seeded
+	// 1+pid; simulated, the kernel's single stream, which every process
+	// draws from in turn.
+	Rand() *rand.Rand
 }
 
 // SendConn is an open send connection.
@@ -35,9 +45,11 @@ type SendConn interface {
 }
 
 // RecvConn is an open receive connection. Receive copies the next
-// message into buf and returns the number of bytes copied.
+// message into buf and returns the number of bytes copied; Check reports
+// whether one is waiting (the paper's check_receive).
 type RecvConn interface {
 	Receive(buf []byte) (int, error)
+	Check() (bool, error)
 	Close() error
 }
 
@@ -54,12 +66,29 @@ func Native(fac *mpf.Facility) Runner { return native{fac} }
 type native struct{ fac *mpf.Facility }
 
 func (r native) Run(n int, body func(Proc) error) error {
-	return r.fac.Run(n, func(p *mpf.Process) error { return body(nativeProc{p}) })
+	bar, err := proc.NewBarrier(n)
+	if err != nil {
+		return err
+	}
+	return r.fac.Run(n, func(p *mpf.Process) error { return body(&nativeProc{Process: p, bar: bar}) })
 }
 
-type nativeProc struct{ *mpf.Process }
+type nativeProc struct {
+	*mpf.Process
+	bar *proc.Barrier
+	rng *rand.Rand
+}
 
-func (p nativeProc) OpenSend(name string) (SendConn, error) {
+func (p *nativeProc) Barrier() { p.bar.Wait() }
+
+func (p *nativeProc) Rand() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(int64(1 + p.PID())))
+	}
+	return p.rng
+}
+
+func (p *nativeProc) OpenSend(name string) (SendConn, error) {
 	s, err := p.Process.OpenSend(name)
 	if err != nil {
 		return nil, err
@@ -67,7 +96,7 @@ func (p nativeProc) OpenSend(name string) (SendConn, error) {
 	return s, nil
 }
 
-func (p nativeProc) OpenReceive(name string, proto mpf.Protocol) (RecvConn, error) {
+func (p *nativeProc) OpenReceive(name string, proto mpf.Protocol) (RecvConn, error) {
 	r, err := p.Process.OpenReceive(name, proto)
 	if err != nil {
 		return nil, err
@@ -75,19 +104,21 @@ func (p nativeProc) OpenReceive(name string, proto mpf.Protocol) (RecvConn, erro
 	return r, nil
 }
 
-func (nativeProc) Compute(int) {}
+func (*nativeProc) Compute(int) {}
 
 // Sim is a Runner on the simulated machine: one simmpf.Facility on a
 // fresh sim.Kernel, good for one Run.
 type Sim struct {
-	m *balance.Machine
-	k *sim.Kernel
-	f *simmpf.Facility
+	m   *balance.Machine
+	k   *sim.Kernel
+	f   *simmpf.Facility
+	bar *sim.Barrier
 }
 
-// Simulated returns a Sim modelling machine m.
+// Simulated returns a Sim modelling machine m. The kernel's stream,
+// which only Proc.Rand draws from, is seeded 7.
 func Simulated(m *balance.Machine) *Sim {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel(7)
 	return &Sim{m: m, k: k, f: simmpf.New(k, m)}
 }
 
@@ -97,6 +128,10 @@ func Simulated(m *balance.Machine) *Sim {
 // an error. (A process that fails usually strands its peers, so its own
 // error is the one worth reporting.)
 func (s *Sim) Run(n int, body func(Proc) error) error {
+	if n < 1 {
+		return fmt.Errorf("apps: Run of %d processes", n)
+	}
+	s.bar = sim.NewBarrier(s.k, n, 0, 0)
 	errs := make([]error, n)
 	for pid := range n {
 		s.k.Spawn(fmt.Sprintf("pid%d", pid), func(p *sim.Proc) {
@@ -137,6 +172,10 @@ func (p simProc) OpenReceive(name string, proto mpf.Protocol) (RecvConn, error) 
 
 func (p simProc) Compute(flops int) { p.p.Advance(p.s.m.FlopsTime(flops)) }
 
+func (p simProc) Barrier() { p.s.bar.Wait(p.p) }
+
+func (p simProc) Rand() *rand.Rand { return p.s.k.Rand() }
+
 type simSend struct {
 	f *simmpf.Facility
 	p *sim.Proc
@@ -153,4 +192,5 @@ type simRecv struct {
 }
 
 func (c simRecv) Receive(buf []byte) (int, error) { return c.f.Receive(c.p, c.c, buf), nil }
+func (c simRecv) Check() (bool, error)            { return c.f.Check(c.p, c.c), nil }
 func (c simRecv) Close() error                    { c.f.CloseReceive(c.p, c.c); return nil }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/apps/gauss"
 	"repro/internal/apps/sor"
 	"repro/internal/stats"
+	"repro/mpf"
 )
 
 // Ablation figures: sensitivity studies on the simulated machine that
@@ -51,7 +52,7 @@ func AblationBlockSize(cfg Config) (*stats.Figure, error) {
 		mm := *m // copy: the sweep must not mutate the shared model
 		mm.BlockPayload = blockPayload
 		for _, l := range ablationLengths {
-			thr, err := SimBase(&mm, l, rounds)
+			thr, err := Config{Machine: &mm}.base(l, rounds)
 			if err != nil {
 				return nil, fmt.Errorf("block ablation len=%d: %w", l, err)
 			}
@@ -141,7 +142,7 @@ func AblationLockCost(cfg Config) (*stats.Figure, error) {
 		mm := *m
 		mm.LockOverhead = m.LockOverhead * scale
 		for _, n := range receivers {
-			thr, err := SimFCFS(&mm, 16, n, msgs*n)
+			thr, err := Config{Machine: &mm}.fanout(mpf.FCFS, 16, n, msgs*n)
 			if err != nil {
 				return nil, fmt.Errorf("lock ablation n=%d: %w", n, err)
 			}

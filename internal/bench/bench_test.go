@@ -5,17 +5,20 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/balance"
+	"repro/internal/apps"
+	"repro/mpf"
 )
 
 // These tests validate both substrates against the paper's qualitative
-// results: absolute values for the simulated runners (paper scale),
-// shapes only for native (host dependent). Quick configs keep runtimes
+// results: absolute values for the simulated runs (paper scale), shapes
+// only for native ones (host dependent). Quick configs keep runtimes
 // test-friendly.
 
+// sim and native run one benchmark cell on each substrate.
+var sim, native = Config{Mode: Simulated}, Config{Mode: Native}
+
 func TestSimBaseMatchesPaperScale(t *testing.T) {
-	m := balance.Balance21000()
-	thr, err := SimBase(m, 2048, 30)
+	thr, err := sim.base(2048, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +26,7 @@ func TestSimBaseMatchesPaperScale(t *testing.T) {
 	if thr < 20000 || thr > 27000 {
 		t.Fatalf("2048-byte base throughput = %.0f, want ≈25,000", thr)
 	}
-	small, err := SimBase(m, 16, 30)
+	small, err := sim.base(16, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +36,7 @@ func TestSimBaseMatchesPaperScale(t *testing.T) {
 }
 
 func TestSimFCFSMatchesPaperScale(t *testing.T) {
-	m := balance.Balance21000()
-	thr, err := SimFCFS(m, 1024, 8, 64)
+	thr, err := sim.fanout(mpf.FCFS, 1024, 8, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +49,11 @@ func TestSimFCFSMatchesPaperScale(t *testing.T) {
 func TestSimFCFSSmallMessagesDecline(t *testing.T) {
 	// Figure 4: 16-byte throughput decreases as receivers are added
 	// (lock contention).
-	m := balance.Balance21000()
-	t1, err := SimFCFS(m, 16, 1, 64)
+	t1, err := sim.fanout(mpf.FCFS, 16, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t16, err := SimFCFS(m, 16, 16, 64)
+	t16, err := sim.fanout(mpf.FCFS, 16, 16, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +63,7 @@ func TestSimFCFSSmallMessagesDecline(t *testing.T) {
 }
 
 func TestSimBroadcastMatchesPaperScale(t *testing.T) {
-	m := balance.Balance21000()
-	thr, err := SimBroadcast(m, 1024, 16, 64)
+	thr, err := sim.fanout(mpf.Broadcast, 1024, 16, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSimBroadcastMatchesPaperScale(t *testing.T) {
 		t.Fatalf("broadcast 1024B×16 = %.0f bytes/s, want ≈687,245", thr)
 	}
 	// And it grows with receivers.
-	thr4, err := SimBroadcast(m, 1024, 4, 64)
+	thr4, err := sim.fanout(mpf.Broadcast, 1024, 4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,11 @@ func TestSimBroadcastMatchesPaperScale(t *testing.T) {
 }
 
 func TestSimBroadcastBeatsFCFSAggregate(t *testing.T) {
-	m := balance.Balance21000()
-	b, err := SimBroadcast(m, 1024, 8, 48)
+	b, err := sim.fanout(mpf.Broadcast, 1024, 8, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := SimFCFS(m, 1024, 8, 48)
+	f, err := sim.fanout(mpf.FCFS, 1024, 8, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,16 +98,15 @@ func TestSimBroadcastBeatsFCFSAggregate(t *testing.T) {
 func TestSimRandomPagingKnee(t *testing.T) {
 	// Figure 6: at 1024 bytes, throughput declines beyond ≈10 processes
 	// because of paging; 64-byte messages never page within 20.
-	m := balance.Balance21000()
-	t8, err := SimRandom(m, 1024, 8, 12)
+	t8, err := sim.random(1024, 8, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t10, err := SimRandom(m, 1024, 10, 12)
+	t10, err := sim.random(1024, 10, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t16, err := SimRandom(m, 1024, 16, 12)
+	t16, err := sim.random(1024, 16, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +117,11 @@ func TestSimRandomPagingKnee(t *testing.T) {
 		t.Fatalf("1024B: 16 procs (%.0f) not below 10 (%.0f) — paging knee missing", t16, t10)
 	}
 	// 64-byte curve keeps rising.
-	s8, err := SimRandom(m, 64, 8, 12)
+	s8, err := sim.random(64, 8, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s16, err := SimRandom(m, 64, 16, 12)
+	s16, err := sim.random(64, 16, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +131,11 @@ func TestSimRandomPagingKnee(t *testing.T) {
 }
 
 func TestSimRandomLargerMessagesFaster(t *testing.T) {
-	m := balance.Balance21000()
-	small, err := SimRandom(m, 8, 6, 12)
+	small, err := sim.random(8, 6, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := SimRandom(m, 256, 6, 12)
+	big, err := sim.random(256, 6, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +145,11 @@ func TestSimRandomLargerMessagesFaster(t *testing.T) {
 }
 
 func TestNativeBaseMonotoneInLength(t *testing.T) {
-	small, err := NativeBase(16, 300)
+	small, err := native.base(16, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := NativeBase(2048, 300)
+	big, err := native.base(2048, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +159,7 @@ func TestNativeBaseMonotoneInLength(t *testing.T) {
 }
 
 func TestNativeFCFSRuns(t *testing.T) {
-	thr, err := NativeFCFS(128, 4, 200)
+	thr, err := native.fanout(mpf.FCFS, 128, 4, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +169,11 @@ func TestNativeFCFSRuns(t *testing.T) {
 }
 
 func TestNativeBroadcastDeliversNFold(t *testing.T) {
-	f1, err := NativeBroadcast(1024, 1, 200)
+	f1, err := native.fanout(mpf.Broadcast, 1024, 1, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f8, err := NativeBroadcast(1024, 8, 200)
+	f8, err := native.fanout(mpf.Broadcast, 1024, 8, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +195,7 @@ func TestNativeBroadcastDeliversNFold(t *testing.T) {
 }
 
 func TestNativeRandomRuns(t *testing.T) {
-	thr, err := NativeRandom(256, 6, 50, 42)
+	thr, err := native.random(256, 6, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,26 +204,33 @@ func TestNativeRandomRuns(t *testing.T) {
 	}
 }
 
+// TestValidationErrors holds each program to refuse arguments it cannot
+// run before it reaches its runner, whichever backend that is.
 func TestValidationErrors(t *testing.T) {
-	m := balance.Balance21000()
-	if _, err := NativeBase(-1, 1); err == nil {
-		t.Error("NativeBase negative length accepted")
+	r := refuse{t}
+	if _, err := Base(r, -1, 1); err == nil {
+		t.Error("Base negative length accepted")
 	}
-	if _, err := NativeFCFS(0, 1, 1); err == nil {
-		t.Error("NativeFCFS zero length accepted")
+	if _, err := Base(r, 8, 0); err == nil {
+		t.Error("Base zero rounds accepted")
 	}
-	if _, err := NativeRandom(8, 1, 1, 0); err == nil {
-		t.Error("NativeRandom one process accepted")
+	if _, err := Fanout(r, mpf.FCFS, 0, 1, 1); err == nil {
+		t.Error("Fanout zero length accepted")
 	}
-	if _, err := SimBase(m, 8, 0); err == nil {
-		t.Error("SimBase zero rounds accepted")
+	if _, err := Fanout(r, mpf.FCFS, 8, 10, 5); err == nil {
+		t.Error("FCFS fanout with more receivers than messages accepted")
 	}
-	if _, err := SimFCFS(m, 8, 10, 5); err == nil {
-		t.Error("SimFCFS more receivers than messages accepted")
+	if _, err := Random(r, 8, 1, 1); err == nil {
+		t.Error("Random one process accepted")
 	}
-	if _, err := SimRandom(m, 8, 1, 1); err == nil {
-		t.Error("SimRandom one process accepted")
-	}
+}
+
+// refuse is a Runner that fails its test if a program runs on it.
+type refuse struct{ t *testing.T }
+
+func (r refuse) Run(n int, _ func(apps.Proc) error) error {
+	r.t.Errorf("invalid arguments reached Run(%d)", n)
+	return nil
 }
 
 func TestFig3SimulatedShape(t *testing.T) {

@@ -3,8 +3,8 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/balance"
 	"repro/internal/stats"
+	"repro/mpf"
 )
 
 // The simulated substrate is the reproduction's evidence; it must be
@@ -32,12 +32,11 @@ func TestSimulatedFiguresDeterministic(t *testing.T) {
 }
 
 func TestSimRandomDeterministic(t *testing.T) {
-	m := balance.Balance21000()
-	a, err := SimRandom(m, 256, 8, 12)
+	a, err := sim.random(256, 8, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimRandom(m, 256, 8, 12)
+	b, err := sim.random(256, 8, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,16 +48,15 @@ func TestSimRandomDeterministic(t *testing.T) {
 // Pin the headline numbers `mpfbench -fig 3` and `mpfbench -fig 5 -mode
 // simulated` print, with slack for intentional recalibration (fail = the
 // paper-scale calibration moved).
-func TestHeadlineNumbersMatchExperimentsDoc(t *testing.T) {
-	m := balance.Balance21000()
-	base, err := SimBase(m, 2048, 200)
+func TestHeadlineNumbersMatchMpfbench(t *testing.T) {
+	base, err := sim.base(2048, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base < 23000 || base > 25500 {
 		t.Errorf("Fig3 asymptote drifted to %.0f; mpfbench -fig 3 -mode simulated prints 24,234 at 2048 bytes", base)
 	}
-	bcast, err := SimBroadcast(m, 1024, 16, 48*16)
+	bcast, err := sim.fanout(mpf.Broadcast, 1024, 16, 48*16)
 	if err != nil {
 		t.Fatal(err)
 	}

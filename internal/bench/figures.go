@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/apps/gauss"
 	"repro/internal/apps/sor"
 	"repro/internal/balance"
+	"repro/internal/simmpf"
 	"repro/internal/stats"
 	"repro/mpf"
 )
@@ -16,11 +18,11 @@ import (
 type Mode uint8
 
 const (
-	// Simulated replays the protocol on the Balance 21000 model; values
+	// Simulated runs the programs on the Balance 21000 model; values
 	// land at the paper's absolute scale.
 	Simulated Mode = iota
-	// Native runs the real implementation on goroutines; shapes should
-	// match the paper, absolute values reflect the host machine.
+	// Native runs them on the real implementation, on goroutines; shapes
+	// should match the paper, absolute values reflect the host machine.
 	Native
 )
 
@@ -43,18 +45,110 @@ type Config struct {
 	Machine *balance.Machine
 }
 
-func (c *Config) machine() *balance.Machine {
+func (c Config) machine() *balance.Machine {
 	if c.Machine != nil {
 		return c.Machine
 	}
 	return balance.Balance21000()
 }
 
-func (c *Config) scale(full, quick int) int {
+func (c Config) scale(full, quick int) int {
 	if c.Quick {
 		return quick
 	}
 	return full
+}
+
+// nativeReps is how many times a native cell runs; it reports the
+// median, since one run on a shared host can land anywhere.
+const nativeReps = 3
+
+// medianSeconds calls timed nativeReps times and returns the median of
+// the seconds it reports.
+func medianSeconds(timed func() (float64, error)) (float64, error) {
+	times := make([]float64, nativeReps)
+	for i := range times {
+		t, err := timed()
+		if err != nil {
+			return 0, err
+		}
+		times[i] = t
+	}
+	return stats.Median(times), nil
+}
+
+// throughput runs program on c's substrate and returns the bytes it
+// delivered per second: of simulated time in one run on c's machine,
+// whose memory picture workload, if not nil, sets before the run
+// (simmpf.Facility.SetWorkload); natively, of the median wall time
+// around the program over runs on fresh facilities built with opts.
+func (c Config) throughput(opts []mpf.Option, workload func(*simmpf.Facility),
+	program func(apps.Runner) (int, error)) (float64, error) {
+	if c.Mode == Simulated {
+		s := apps.Simulated(c.machine())
+		if workload != nil {
+			workload(s.Facility())
+		}
+		n, err := program(s)
+		if err != nil {
+			return 0, err
+		}
+		return float64(n) / s.Seconds(), nil
+	}
+	var n int
+	secs, err := medianSeconds(func() (float64, error) {
+		fac, err := mpf.New(opts...)
+		if err != nil {
+			return 0, err
+		}
+		defer fac.Shutdown()
+		start := time.Now()
+		n, err = program(apps.Native(fac))
+		return time.Since(start).Seconds(), err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return float64(n) / secs, nil
+}
+
+// base, fanout and random are one cell of Figures 3, 4–5 and 6: the
+// program's throughput on c's substrate, natively on a facility sized
+// for it.
+func (c Config) base(msgLen, rounds int) (float64, error) {
+	opts := []mpf.Option{mpf.WithMaxProcesses(1), mpf.WithMaxLNVCs(2),
+		mpf.WithBlocksPerProcess(blocksFor(msgLen, 8))}
+	return c.throughput(opts, nil, func(r apps.Runner) (int, error) { return Base(r, msgLen, rounds) })
+}
+
+func (c Config) fanout(proto mpf.Protocol, msgLen, nRecv, msgs int) (float64, error) {
+	opts := []mpf.Option{mpf.WithMaxProcesses(nRecv + 1), mpf.WithMaxLNVCs(4),
+		mpf.WithBlocksPerProcess(blocksFor(msgLen, 64))}
+	return c.throughput(opts, nil, func(r apps.Runner) (int, error) { return Fanout(r, proto, msgLen, nRecv, msgs) })
+}
+
+// randomRegionMsgsPerProc is the region sizing the simulated random
+// benchmark assumes: the paper's init() pre-allocates for the worst
+// case, so the mapped region grows with both process count and message
+// size — the memory pressure behind Figure 6's paging knee. Natively
+// the region holds 96 messages per process, and a send that finds it
+// full fails, to be retried, rather than block.
+const randomRegionMsgsPerProc = 600
+
+func (c Config) random(msgLen, nProcs, msgsPerProc int) (float64, error) {
+	opts := []mpf.Option{mpf.WithMaxProcesses(nProcs), mpf.WithMaxLNVCs(nProcs + 2),
+		mpf.WithBlocksPerProcess(blocksFor(msgLen, 96)), mpf.WithFailFastSend()}
+	workload := func(f *simmpf.Facility) {
+		f.SetWorkload(nProcs, float64(nProcs*randomRegionMsgsPerProc*msgLen))
+	}
+	return c.throughput(opts, workload, func(r apps.Runner) (int, error) { return Random(r, msgLen, nProcs, msgsPerProc) })
+}
+
+// blocksFor sizes WithBlocksPerProcess so that `inflight` messages of
+// msgLen bytes fit per process under the default 64-byte blocks.
+func blocksFor(msgLen, inflight int) int {
+	perMsg := (msgLen + 59) / 60 // 64-byte blocks, 60 payload
+	return max(perMsg*inflight, 256)
 }
 
 // Fig3 regenerates "Figure 3: Base Benchmark — Throughput vs. Message
@@ -69,15 +163,7 @@ func Fig3(cfg Config) (*stats.Figure, error) {
 	}
 	rounds := cfg.scale(200, 30)
 	for _, l := range lengths {
-		var (
-			thr float64
-			err error
-		)
-		if cfg.Mode == Native {
-			thr, err = NativeBase(l, rounds)
-		} else {
-			thr, err = SimBase(cfg.machine(), l, rounds)
-		}
+		thr, err := cfg.base(l, rounds)
 		if err != nil {
 			return nil, fmt.Errorf("fig3 len=%d: %w", l, err)
 		}
@@ -87,9 +173,8 @@ func Fig3(cfg Config) (*stats.Figure, error) {
 }
 
 // fanoutFigure drives Fig4 and Fig5 (same axes, different protocol).
-func fanoutFigure(cfg Config, title string,
-	run func(msgLen, nRecv, msgs int) (float64, error)) (*stats.Figure, error) {
-	fig := stats.NewFigure(title, "receivers", "bytes/sec")
+func fanoutFigure(cfg Config, title string, proto mpf.Protocol) (*stats.Figure, error) {
+	fig := stats.NewFigure(title+" ("+cfg.Mode.String()+")", "receivers", "bytes/sec")
 	receivers := []int{1, 2, 4, 8, 12, 16}
 	if cfg.Quick {
 		receivers = []int{1, 4, 8}
@@ -97,8 +182,8 @@ func fanoutFigure(cfg Config, title string,
 	for _, msgLen := range []int{16, 128, 1024} {
 		s := fig.AddSeries(fmt.Sprintf("%d byte", msgLen))
 		for _, n := range receivers {
-			msgs := cfg.scale(48, 16) * n // keep per-receiver work fixed
-			thr, err := run(msgLen, n, msgs)
+			msgs := cfg.scale(48, 16) * n // a fixed share per FCFS receiver; BROADCAST ones take all
+			thr, err := cfg.fanout(proto, msgLen, n, msgs)
 			if err != nil {
 				return nil, fmt.Errorf("%s len=%d n=%d: %w", title, msgLen, n, err)
 			}
@@ -111,23 +196,13 @@ func fanoutFigure(cfg Config, title string,
 // Fig4 regenerates "Figure 4: Fcfs Benchmark — Throughput vs Receiving
 // Processes".
 func Fig4(cfg Config) (*stats.Figure, error) {
-	title := "Figure 4: Fcfs Benchmark — Throughput vs Receiving Processes (" + cfg.Mode.String() + ")"
-	if cfg.Mode == Native {
-		return fanoutFigure(cfg, title, NativeFCFS)
-	}
-	m := cfg.machine()
-	return fanoutFigure(cfg, title, func(l, n, k int) (float64, error) { return SimFCFS(m, l, n, k) })
+	return fanoutFigure(cfg, "Figure 4: Fcfs Benchmark — Throughput vs Receiving Processes", mpf.FCFS)
 }
 
 // Fig5 regenerates "Figure 5: Broadcast Benchmark — Throughput vs
 // Receiving Processes".
 func Fig5(cfg Config) (*stats.Figure, error) {
-	title := "Figure 5: Broadcast Benchmark — Throughput vs Receiving Processes (" + cfg.Mode.String() + ")"
-	if cfg.Mode == Native {
-		return fanoutFigure(cfg, title, NativeBroadcast)
-	}
-	m := cfg.machine()
-	return fanoutFigure(cfg, title, func(l, n, k int) (float64, error) { return SimBroadcast(m, l, n, k) })
+	return fanoutFigure(cfg, "Figure 5: Broadcast Benchmark — Throughput vs Receiving Processes", mpf.Broadcast)
 }
 
 // Fig6 regenerates "Figure 6: Random Benchmark — Throughput vs
@@ -145,15 +220,7 @@ func Fig6(cfg Config) (*stats.Figure, error) {
 	for _, msgLen := range lengths {
 		s := fig.AddSeries(fmt.Sprintf("%d byte", msgLen))
 		for _, n := range procs {
-			var (
-				thr float64
-				err error
-			)
-			if cfg.Mode == Native {
-				thr, err = NativeRandom(msgLen, n, msgsPerProc, 1)
-			} else {
-				thr, err = SimRandom(cfg.machine(), msgLen, n, msgsPerProc)
-			}
+			thr, err := cfg.random(msgLen, n, msgsPerProc)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 len=%d n=%d: %w", msgLen, n, err)
 			}
@@ -203,11 +270,10 @@ func Fig7(cfg Config) (*stats.Figure, error) {
 	return fig, nil
 }
 
-// timeNativeGauss times one native solve; workers == 0 selects the
-// sequential baseline. The median of three runs reduces scheduler noise.
+// timeNativeGauss times a native solve; workers == 0 selects the
+// sequential baseline.
 func timeNativeGauss(a [][]float64, b []float64, workers int) (float64, error) {
-	var times []float64
-	for rep := 0; rep < 3; rep++ {
+	return medianSeconds(func() (float64, error) {
 		start := time.Now()
 		var err error
 		if workers == 0 {
@@ -220,12 +286,8 @@ func timeNativeGauss(a [][]float64, b []float64, workers int) (float64, error) {
 				fac.Shutdown()
 			}
 		}
-		if err != nil {
-			return 0, err
-		}
-		times = append(times, time.Since(start).Seconds())
-	}
-	return stats.Median(times), nil
+		return time.Since(start).Seconds(), err
+	})
 }
 
 // Fig8 regenerates "Figure 8: Poisson Elliptic PDE Solver with SOR
@@ -281,18 +343,20 @@ func simSORIter(m *balance.Machine, p, n int) (float64, int, error) {
 // an n×n process mesh.
 func timeNativeSORIter(p, n int) (float64, error) {
 	pr := sor.DefaultProblem(p)
-	fac, err := mpf.New(mpf.WithMaxProcesses(n*n+1), mpf.WithMaxLNVCs(256), mpf.WithBlocksPerProcess(4096))
-	if err != nil {
-		return 0, err
-	}
-	defer fac.Shutdown()
-	start := time.Now()
-	_, iters, err := sor.SolveMPF(fac, n, pr)
-	if err != nil {
-		return 0, err
-	}
-	if iters < 1 {
-		return 0, fmt.Errorf("bench: SOR reported %d iterations", iters)
-	}
-	return time.Since(start).Seconds() / float64(iters), nil
+	return medianSeconds(func() (float64, error) {
+		fac, err := mpf.New(mpf.WithMaxProcesses(n*n+1), mpf.WithMaxLNVCs(256), mpf.WithBlocksPerProcess(4096))
+		if err != nil {
+			return 0, err
+		}
+		defer fac.Shutdown()
+		start := time.Now()
+		_, iters, err := sor.SolveMPF(fac, n, pr)
+		if err != nil {
+			return 0, err
+		}
+		if iters < 1 {
+			return 0, fmt.Errorf("bench: SOR reported %d iterations", iters)
+		}
+		return time.Since(start).Seconds() / float64(iters), nil
+	})
 }
