@@ -609,7 +609,7 @@ func TestSizeRatchet(t *testing.T) {
 	}{
 		{[]string{"internal/core"}, 2084},
 		{[]string{"mpf"}, 1073},
-		{[]string{"internal/apps", "internal/simmpf", "internal/bench"}, 1979},
+		{[]string{"internal/apps", "internal/simmpf", "internal/bench"}, 1839},
 	}
 	t.Run("planted", func(t *testing.T) {
 		src := "package x\n\n// A comment.\nfunc f() {\n\t// Another.\n\treturn\n}\n"

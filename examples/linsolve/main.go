@@ -56,7 +56,7 @@ func main() {
 		"MPF message passing:", tMPF, gauss.Residual(a, b, xMPF), tSeq.Seconds()/tMPF.Seconds())
 
 	start = time.Now()
-	xShared, err := gauss.SolveShared(*workers, a, b)
+	xShared, err := gauss.SolveShared(fac, *workers, a, b)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,10 +4,11 @@
 // — and its two backends. Each program is written once, as a function
 // of a Proc. Native runs it on a real mpf.Facility, one goroutine per
 // process; Simulated runs the same function on the simulated Balance
-// 21000 (internal/simmpf on internal/sim), where Compute advances the
-// process's clock by the machine's floating-point cost. Messages carry
-// their payloads on both, so a simulated run computes — and its caller
-// can check — the same answer as a native one.
+// 21000 (internal/simmpf on internal/sim), where Compute, Copy and
+// Barrier advance the process's clock by the machine's floating-point,
+// copy and lock costs. Messages carry their payloads on both, so a
+// simulated run computes — and its caller can check — the same answer
+// as a native one.
 package apps
 
 import (
@@ -29,8 +30,11 @@ type Proc interface {
 	// Compute accounts for flops floating-point operations the process
 	// has just performed.
 	Compute(flops int)
-	// Barrier returns once every process of the Run has called it. It
-	// costs no simulated time.
+	// Copy accounts for a plain memory copy of bytes the process has
+	// just made out of shared memory.
+	Copy(bytes int)
+	// Barrier returns once every process of the Run has called it.
+	// Simulated, each arrival and each wakeup costs one lock.
 	Barrier()
 	// Rand is the process's random stream: natively its own, seeded
 	// 1+pid; simulated, the kernel's single stream, which every process
@@ -59,8 +63,8 @@ type Runner interface {
 	Run(n int, body func(Proc) error) error
 }
 
-// Native returns a Runner over fac's Facility.Run. Compute is free
-// there: the arithmetic itself is the cost.
+// Native returns a Runner over fac's Facility.Run. Compute and Copy are
+// free there: the arithmetic and the copy themselves are the cost.
 func Native(fac *mpf.Facility) Runner { return native{fac} }
 
 type native struct{ fac *mpf.Facility }
@@ -105,6 +109,7 @@ func (p *nativeProc) OpenReceive(name string, proto mpf.Protocol) (RecvConn, err
 }
 
 func (*nativeProc) Compute(int) {}
+func (*nativeProc) Copy(int)    {}
 
 // Sim is a Runner on the simulated machine: one simmpf.Facility on a
 // fresh sim.Kernel, good for one Run.
@@ -131,7 +136,7 @@ func (s *Sim) Run(n int, body func(Proc) error) error {
 	if n < 1 {
 		return fmt.Errorf("apps: Run of %d processes", n)
 	}
-	s.bar = sim.NewBarrier(s.k, n, 0, 0)
+	s.bar = sim.NewBarrier(s.k, n, s.m.LockOverhead, s.m.LockOverhead)
 	errs := make([]error, n)
 	for pid := range n {
 		s.k.Spawn(fmt.Sprintf("pid%d", pid), func(p *sim.Proc) {
@@ -171,6 +176,8 @@ func (p simProc) OpenReceive(name string, proto mpf.Protocol) (RecvConn, error) 
 }
 
 func (p simProc) Compute(flops int) { p.p.Advance(p.s.m.FlopsTime(flops)) }
+
+func (p simProc) Copy(bytes int) { p.p.Advance(float64(bytes) * p.s.m.CopyPerByte) }
 
 func (p simProc) Barrier() { p.s.bar.Wait(p.p) }
 

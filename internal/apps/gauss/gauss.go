@@ -2,21 +2,23 @@
 // Gauss-Jordan algorithm with partial pivoting for solving linear
 // systems (paper §4, Figure 7).
 //
-// Three implementations share one algorithm:
+// Three solvers share one algorithm, each written once as a program on
+// an apps.Runner:
 //
-//   - SolveSequential: the single-thread baseline speedups are measured
-//     against.
-//   - SolveMPF: the message-passing version, structured exactly as the
+//   - RunSequential: the single-process baseline speedups are measured
+//     against; SolveSequential is the same elimination as a plain call.
+//   - RunMPF: the message-passing version, structured exactly as the
 //     paper describes — the matrix is partitioned into equal groups of
 //     contiguous rows, one per worker; each iteration every worker sends
 //     its local pivot candidate to an arbiter process over an FCFS
 //     circuit, the arbiter announces the winner on a broadcast circuit,
 //     the winner broadcasts the pivot row, and all workers sweep.
-//     SimSolve runs the same processes on the simulated Balance 21000
-//     (sim.go).
-//   - SolveShared: the same partitioning using shared memory and a
+//   - RunShared: the same partitioning using shared memory and a
 //     barrier instead of messages — the cross-paradigm comparison the
 //     paper's introduction motivates.
+//
+// SolveMPF and SolveShared run a program on a real facility; SimSolve
+// and SimSolveShared (sim.go) run it on the simulated Balance 21000.
 //
 // Rows are never physically exchanged: pivoting marks rows as used, so a
 // "pivot row" is any unmarked row holding the column maximum. After n
@@ -29,10 +31,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/apps"
-	"repro/internal/proc"
 	"repro/internal/wire"
 	"repro/mpf"
 )
@@ -83,6 +83,22 @@ func augment(a [][]float64, b []float64) ([][]float64, error) {
 // SolveSequential solves Ax = b by Gauss-Jordan elimination with partial
 // pivoting, without mutating its arguments.
 func SolveSequential(a [][]float64, b []float64) ([]float64, error) {
+	return sequential(a, b, func(int) {})
+}
+
+// RunSequential runs SolveSequential as a one-process program on r,
+// which accounts for its arithmetic.
+func RunSequential(r apps.Runner, a [][]float64, b []float64) (x []float64, err error) {
+	err = r.Run(1, func(p apps.Proc) (err error) {
+		x, err = sequential(a, b, p.Compute)
+		return err
+	})
+	return x, err
+}
+
+// sequential is the elimination both run, reporting its floating-point
+// operations to compute.
+func sequential(a [][]float64, b []float64, compute func(flops int)) ([]float64, error) {
 	m, err := augment(a, b)
 	if err != nil {
 		return nil, err
@@ -92,6 +108,7 @@ func SolveSequential(a [][]float64, b []float64) ([]float64, error) {
 	pivotCol := make([]int, n) // row -> its pivot column
 	for k := 0; k < n; k++ {
 		// Partial pivoting: the largest |A[i][k]| over unmarked rows.
+		compute(n - k)
 		best, bestRow := 0.0, -1
 		for i := 0; i < n; i++ {
 			if !marked[i] && math.Abs(m[i][k]) > best {
@@ -102,6 +119,7 @@ func SolveSequential(a [][]float64, b []float64) ([]float64, error) {
 			return nil, ErrSingular
 		}
 		sweep(m, k, bestRow, m[bestRow])
+		compute((n - 1) * (n + 1 - k) * flopsPerUpdate)
 		marked[bestRow] = true
 		pivotCol[bestRow] = k
 	}
@@ -110,18 +128,20 @@ func SolveSequential(a [][]float64, b []float64) ([]float64, error) {
 		c := pivotCol[r]
 		x[c] = m[r][n] / m[r][c]
 	}
+	compute(n) // the divisions
 	return x, nil
 }
 
-// sweep eliminates column k from every row of rows except the pivot row,
-// using pivotRow (which must have pivotRow[k] != 0). Rows already marked
-// are swept too — that is what makes this Jordan rather than plain
+// sweep eliminates column k from every row of rows except rows[pivot] —
+// pivot is out of range when rows does not hold the pivot row — using
+// pivotRow (which must have pivotRow[k] != 0). Rows already marked are
+// swept too — that is what makes this Jordan rather than plain
 // Gaussian elimination.
-func sweep(rows [][]float64, k, pivotGlobalRow int, pivotRow []float64) {
+func sweep(rows [][]float64, k, pivot int, pivotRow []float64) {
 	n := len(pivotRow) - 1
 	pv := pivotRow[k]
 	for i, row := range rows {
-		if i == pivotGlobalRow {
+		if i == pivot {
 			continue
 		}
 		f := row[k] / pv
@@ -161,11 +181,12 @@ const flopsPerUpdate = 2
 // allow at least workers+1 processes. The matrix partition follows the
 // paper: equal-sized groups of contiguous rows.
 func SolveMPF(fac *mpf.Facility, workers int, a [][]float64, b []float64) ([]float64, error) {
-	return solve(apps.Native(fac), workers, a, b)
+	return RunMPF(apps.Native(fac), workers, a, b)
 }
 
-// solve runs the arbiter and the workers on r.
-func solve(r apps.Runner, workers int, a [][]float64, b []float64) ([]float64, error) {
+// RunMPF is the message-passing program: the arbiter and the workers on
+// r.
+func RunMPF(r apps.Runner, workers int, a [][]float64, b []float64) ([]float64, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("gauss: %d workers", workers)
 	}
@@ -362,19 +383,7 @@ func worker(p apps.Proc, workers, n int, full [][]float64) error {
 
 		// Sweep all local rows except a locally held pivot row over
 		// columns k..n.
-		pv := pivotRow[k]
-		for i, row := range rows {
-			if lo+i == globalRow {
-				continue
-			}
-			f := row[k] / pv
-			if f == 0 {
-				continue
-			}
-			for j := k; j <= n; j++ {
-				row[j] -= f * pivotRow[j]
-			}
-		}
+		sweep(rows, k, globalRow-lo, pivotRow)
 		rowsToSweep := len(rows)
 		if globalRow >= lo && globalRow < hi {
 			rowsToSweep--
@@ -399,10 +408,18 @@ func worker(p apps.Proc, workers, n int, full [][]float64) error {
 	return nil
 }
 
-// SolveShared solves Ax = b with the shared-memory analogue: the same
-// row partition, but pivot selection through a shared candidate array
-// and barriers instead of circuits.
-func SolveShared(workers int, a [][]float64, b []float64) ([]float64, error) {
+// SolveShared solves Ax = b with RunShared on fac, which must allow
+// `workers` processes.
+func SolveShared(fac *mpf.Facility, workers int, a [][]float64, b []float64) ([]float64, error) {
+	return RunShared(apps.Native(fac), workers, a, b)
+}
+
+// RunShared is the shared-memory analogue of RunMPF: the same row
+// partition and the same arithmetic, but pivot selection through a
+// shared candidate array and barriers instead of circuits, with worker
+// 0 as arbiter, and the pivot row read in place — no broadcast copy,
+// the paradigm's whole advantage.
+func RunShared(r apps.Runner, workers int, a [][]float64, b []float64) ([]float64, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("gauss: %d workers", workers)
 	}
@@ -414,25 +431,19 @@ func SolveShared(workers int, a [][]float64, b []float64) ([]float64, error) {
 	if workers > n {
 		workers = n
 	}
-	bar, err := proc.NewBarrier(workers)
-	if err != nil {
-		return nil, err
-	}
 	cands := make([]wire.PivotCand, workers)
 	var winner wire.PivotCand
 	var singular bool
 	marked := make([]bool, n)
 	pivotCol := make([]int, n)
 	x := make([]float64, n)
-	var xMu sync.Mutex
 
-	g, err := proc.NewGroup(workers)
-	if err != nil {
-		return nil, err
-	}
-	err = g.Run(func(w int) error {
+	err = r.Run(workers, func(p apps.Proc) error {
+		w := p.PID()
 		lo, hi := partition(n, workers, w)
+		unmarked := hi - lo
 		for k := 0; k < n; k++ {
+			p.Compute(unmarked) // the local search, one compare a row
 			c := wire.PivotCand{Worker: uint32(w)}
 			for i := lo; i < hi; i++ {
 				if !marked[i] && math.Abs(m[i][k]) > math.Abs(c.Value) {
@@ -441,8 +452,9 @@ func SolveShared(workers int, a [][]float64, b []float64) ([]float64, error) {
 				}
 			}
 			cands[w] = c
-			bar.Wait()
+			p.Barrier()
 			if w == 0 { // worker 0 plays arbiter
+				p.Compute(workers)
 				best, bestAbs := wire.PivotCand{}, 0.0
 				for _, c := range cands {
 					if abs := math.Abs(c.Value); abs > bestAbs {
@@ -457,32 +469,24 @@ func SolveShared(workers int, a [][]float64, b []float64) ([]float64, error) {
 					pivotCol[best.Row] = k
 				}
 			}
-			bar.Wait()
+			p.Barrier()
 			if singular {
 				return ErrSingular
 			}
-			pivotRow := m[winner.Row]
-			pv := pivotRow[k]
-			for i := lo; i < hi; i++ {
-				if i == int(winner.Row) {
-					continue
-				}
-				f := m[i][k] / pv
-				if f == 0 {
-					continue
-				}
-				for j := k; j <= n; j++ {
-					m[i][j] -= f * pivotRow[j]
-				}
+			row, swept := int(winner.Row), hi-lo
+			if row >= lo && row < hi {
+				unmarked--
+				swept--
 			}
-			bar.Wait()
+			sweep(m[lo:hi], k, row-lo, m[row])
+			p.Compute(swept * (n + 1 - k) * flopsPerUpdate)
+			p.Barrier()
 		}
-		xMu.Lock()
-		for r := lo; r < hi; r++ {
-			c := pivotCol[r]
-			x[c] = m[r][n] / m[r][c]
+		for i := lo; i < hi; i++ {
+			c := pivotCol[i]
+			x[c] = m[i][n] / m[i][c]
 		}
-		xMu.Unlock()
+		p.Compute(hi - lo) // the divisions
 		return nil
 	})
 	if err != nil {

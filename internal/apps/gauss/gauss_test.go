@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/apps"
 	"repro/internal/balance"
 	"repro/mpf"
 )
@@ -154,7 +155,7 @@ func TestSharedMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := SolveShared(workers, a, b)
+			got, err := SolveShared(newFacility(t, workers), workers, a, b)
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 			}
@@ -170,7 +171,7 @@ func TestSharedMatchesSequential(t *testing.T) {
 func TestSharedSingular(t *testing.T) {
 	a := [][]float64{{1, 1}, {2, 2}}
 	b := []float64{1, 2}
-	if _, err := SolveShared(2, a, b); !errors.Is(err, ErrSingular) {
+	if _, err := SolveShared(newFacility(t, 2), 2, a, b); !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -195,20 +196,6 @@ func TestPartitionCoversAllRows(t *testing.T) {
 	}
 }
 
-func TestOwnerOfConsistentWithPartition(t *testing.T) {
-	for _, n := range []int{5, 16, 33} {
-		for _, p := range []int{1, 3, 7} {
-			for row := 0; row < n; row++ {
-				w := ownerOf(n, p, row)
-				lo, hi := partition(n, p, w)
-				if row < lo || row >= hi {
-					t.Fatalf("ownerOf(%d,%d,%d) = %d but range [%d,%d)", n, p, row, w, lo, hi)
-				}
-			}
-		}
-	}
-}
-
 // Property: the solver inverts NewSystem for random sizes and seeds.
 func TestQuickSolveResidual(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
@@ -226,6 +213,17 @@ func TestQuickSolveResidual(t *testing.T) {
 	}
 }
 
+// seqTime returns RunSequential's simulated seconds on NewSystem(n).
+func seqTime(t *testing.T, m *balance.Machine, n int) float64 {
+	t.Helper()
+	a, b := NewSystem(n, rand.New(rand.NewSource(int64(n))))
+	s := apps.Simulated(m)
+	if _, err := RunSequential(s, a, b); err != nil {
+		t.Fatal(err)
+	}
+	return s.Seconds()
+}
+
 // simTime returns SimSolve's simulated seconds on NewSystem(n).
 func simTime(t *testing.T, m *balance.Machine, n, workers int) float64 {
 	t.Helper()
@@ -239,7 +237,7 @@ func simTime(t *testing.T, m *balance.Machine, n, workers int) float64 {
 
 func TestSimTimesReasonable(t *testing.T) {
 	m := balance.Balance21000()
-	seq := SimSeqTime(m, 32)
+	seq := seqTime(t, m, 32)
 	if seq <= 0 {
 		t.Fatal("non-positive sequential time")
 	}
@@ -260,7 +258,7 @@ func TestSimSpeedupGrowsWithMatrixSize(t *testing.T) {
 	// effective use of more processors.
 	m := balance.Balance21000()
 	speedup := func(n, workers int) float64 {
-		return SimSeqTime(m, n) / simTime(t, m, n, workers)
+		return seqTime(t, m, n) / simTime(t, m, n, workers)
 	}
 	s32 := speedup(32, 16)
 	s96 := speedup(96, 16)

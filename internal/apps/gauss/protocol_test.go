@@ -1,6 +1,7 @@
 package gauss
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -46,7 +47,7 @@ func TestMessageCountMatchesProtocol(t *testing.T) {
 		}
 
 		s := apps.Simulated(balance.Balance21000())
-		simX, err := solve(s, cfg.workers, a, b)
+		simX, err := RunMPF(s, cfg.workers, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,6 +80,79 @@ func TestMessageCountMatchesProtocol(t *testing.T) {
 				t.Errorf("n=%d W=%d %s: sends, receives, bytes sent, bytes received = %v, want %v",
 					cfg.n, cfg.workers, got.backend, got.counts, want)
 			}
+		}
+	}
+}
+
+// TestSharedMatchesAcrossBackends holds the shared-memory program to
+// one answer on both backends, bit for bit, and to the same error on a
+// singular system.
+func TestSharedMatchesAcrossBackends(t *testing.T) {
+	const n, workers = 17, 3
+	a, b := NewSystem(n, rand.New(rand.NewSource(n)))
+	fac, err := mpf.New(mpf.WithMaxProcesses(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fac.Shutdown()
+	x, err := SolveShared(fac, workers, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simX, _, err := SimSolveShared(balance.Balance21000(), workers, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(simX, x) {
+		t.Errorf("simulated solution differs from native:\n%v\n%v", simX, x)
+	}
+
+	a = [][]float64{{1, 2, 3}, {2, 4, 6}, {1, 1, 1}}
+	b = []float64{1, 2, 3}
+	if _, err := SolveShared(fac, workers, a, b); !errors.Is(err, ErrSingular) {
+		t.Errorf("native err = %v, want ErrSingular", err)
+	}
+	if _, _, err := SimSolveShared(balance.Balance21000(), workers, a, b); !errors.Is(err, ErrSingular) {
+		t.Errorf("simulated err = %v, want ErrSingular", err)
+	}
+}
+
+// TestSimSecondsMatchFormula pins the sequential and shared-memory
+// programs' simulated seconds to the closed-form model they replaced —
+// per iteration a search over the unmarked rows, worker 0's reduction,
+// the sweep, a lock per barrier arrival and wakeup, and the final
+// divisions — whose values, printed at full precision, are the
+// literals.
+func TestSimSecondsMatchFormula(t *testing.T) {
+	m := balance.Balance21000()
+	for _, c := range []struct {
+		n, workers int // workers 0: the sequential program
+		want       float64
+	}{
+		{32, 0, 5.292},
+		{96, 0, 136.14480000000003},
+		{32, 1, 5.301599999999989},
+		{32, 4, 1.4246500000000155},
+		{48, 7, 2.7378000000000067},
+		{96, 16, 9.205499999999747},
+	} {
+		a, b := NewSystem(c.n, rand.New(rand.NewSource(int64(c.n))))
+		s := apps.Simulated(m)
+		var x []float64
+		var err error
+		if c.workers == 0 {
+			x, err = RunSequential(s, a, b)
+		} else {
+			x, err = RunShared(s, c.workers, a, b)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Seconds(); got != c.want {
+			t.Errorf("n=%d workers=%d: %v simulated seconds, want %v", c.n, c.workers, got, c.want)
+		}
+		if r := Residual(a, b, x); r > 1e-12 {
+			t.Errorf("n=%d workers=%d: residual %g", c.n, c.workers, r)
 		}
 	}
 }

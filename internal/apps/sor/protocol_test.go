@@ -1,6 +1,7 @@
 package sor
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestMessageCountMatchesProtocol(t *testing.T) {
 		}
 
 		s := apps.Simulated(balance.Balance21000())
-		simG, simIters, err := solve(s, cfg.n, pr)
+		simG, simIters, err := RunMPF(s, cfg.n, pr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,6 +81,66 @@ func TestMessageCountMatchesProtocol(t *testing.T) {
 				t.Errorf("p=%d n=%d iters=%d %s: sends, receives, bytes sent, bytes received = %v, want %v",
 					cfg.p, cfg.n, iters, got.backend, got.counts, want)
 			}
+		}
+	}
+}
+
+// TestSharedMatchesAcrossBackends holds the shared-memory program to
+// one grid in as many iterations on both backends, bit for bit, and to
+// the same error when it cannot converge.
+func TestSharedMatchesAcrossBackends(t *testing.T) {
+	const n = 3
+	fac, err := mpf.New(mpf.WithMaxProcesses(n * n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fac.Shutdown()
+	pr := DefaultProblem(9)
+	g, iters, err := SolveShared(fac, n, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simG, simIters, _, err := SimSolveShared(balance.Balance21000(), n, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if simIters != iters || !slices.EqualFunc(simG, g, slices.Equal) {
+		t.Errorf("simulated solve (%d iterations) differs from native (%d)", simIters, iters)
+	}
+
+	pr.MaxIter, pr.Tol = 2, 1e-15
+	if _, _, err := SolveShared(fac, n, pr); !errors.Is(err, ErrDiverged) {
+		t.Errorf("native err = %v, want ErrDiverged", err)
+	}
+	if _, _, _, err := SimSolveShared(balance.Balance21000(), n, pr); !errors.Is(err, ErrDiverged) {
+		t.Errorf("simulated err = %v, want ErrDiverged", err)
+	}
+}
+
+// TestSimSecondsMatchFormula pins the shared-memory program's simulated
+// seconds per iteration to the closed-form model it replaced — per
+// iteration a copy of the halo cells other blocks own, the sweep,
+// worker 0's reduction and a lock per barrier arrival and wakeup —
+// whose values, printed at full precision, are the literals. The
+// iteration counts are the message-passing solve's.
+func TestSimSecondsMatchFormula(t *testing.T) {
+	m := balance.Balance21000()
+	for _, c := range []struct {
+		p, n, iters int
+		want        float64
+	}{
+		{9, 1, 79, 0.07319999999999974},
+		{9, 3, 115, 0.012210000000000228},
+		{17, 2, 271, 0.075610000000002},
+		{33, 4, 860, 0.08046000000000411},
+	} {
+		_, iters, secs, err := SimSolveShared(m, c.n, DefaultProblem(c.p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := secs / float64(iters); iters != c.iters || got != c.want {
+			t.Errorf("p=%d n=%d: %d iterations of %v simulated seconds, want %d of %v",
+				c.p, c.n, iters, got, c.iters, c.want)
 		}
 	}
 }

@@ -14,9 +14,12 @@
 //
 // Computation per iteration is proportional to subgrid area and
 // communication to subgrid perimeter, so the computation/communication
-// ratio is adjusted by varying N — the knob Figure 8 sweeps. SolveMPF
-// runs the processes on a real facility, SimSolve (sim.go) on the
-// simulated Balance 21000.
+// ratio is adjusted by varying N — the knob Figure 8 sweeps.
+//
+// The message-passing program (RunMPF) and its shared-memory analogue
+// (RunShared) are each written once against an apps.Runner. SolveMPF
+// and SolveShared run them on a real facility, SimSolve and
+// SimSolveShared (sim.go) on the simulated Balance 21000.
 package sor
 
 import (
@@ -25,7 +28,6 @@ import (
 	"math"
 
 	"repro/internal/apps"
-	"repro/internal/proc"
 	"repro/internal/wire"
 	"repro/mpf"
 )
@@ -180,11 +182,12 @@ const flopsPerPoint = 6
 // all communicating through fac (which must allow N²+1 processes). It
 // returns the assembled grid and the iteration count.
 func SolveMPF(fac *mpf.Facility, n int, pr Problem) ([][]float64, int, error) {
-	return solve(apps.Native(fac), n, pr)
+	return RunMPF(apps.Native(fac), n, pr)
 }
 
-// solve runs the monitor and the N×N workers on r.
-func solve(r apps.Runner, n int, pr Problem) ([][]float64, int, error) {
+// RunMPF is the message-passing program: the monitor and the N×N
+// workers on r.
+func RunMPF(r apps.Runner, n int, pr Problem) ([][]float64, int, error) {
 	if err := pr.validate(); err != nil {
 		return nil, 0, err
 	}
@@ -492,10 +495,17 @@ func sorWorker(p apps.Proc, n int, pr Problem) error {
 	return res.Send(out)
 }
 
-// SolveShared is the shared-memory analogue: the same N×N block
+// SolveShared solves pr with RunShared on fac, which must allow N²
+// processes.
+func SolveShared(fac *mpf.Facility, n int, pr Problem) ([][]float64, int, error) {
+	return RunShared(apps.Native(fac), n, pr)
+}
+
+// RunShared is the shared-memory analogue of RunMPF: the same N×N block
 // decomposition over one shared grid, with barriers replacing halo
-// exchange and the monitor.
-func SolveShared(n int, pr Problem) ([][]float64, int, error) {
+// messages and the monitor. It returns the grid and the iteration
+// count.
+func RunShared(r apps.Runner, n int, pr Problem) ([][]float64, int, error) {
 	if err := pr.validate(); err != nil {
 		return nil, 0, err
 	}
@@ -504,19 +514,12 @@ func SolveShared(n int, pr Problem) ([][]float64, int, error) {
 	}
 	workers := n * n
 	g := pr.newGrid()
-	bar, err := proc.NewBarrier(workers)
-	if err != nil {
-		return nil, 0, err
-	}
 	deltas := make([]float64, workers)
 	stop := false
 	iters := 0
 
-	grp, err := proc.NewGroup(workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	err = grp.Run(func(w int) error {
+	err := r.Run(workers, func(p apps.Proc) error {
+		w := p.PID()
 		bi, bj := w/n, w%n
 		rlo, rhi := blockRange(pr.P, n, bi)
 		clo, chi := blockRange(pr.P, n, bj)
@@ -530,6 +533,9 @@ func SolveShared(n int, pr Problem) ([][]float64, int, error) {
 		haloS := make([]float64, width)
 		haloW := make([]float64, height)
 		haloE := make([]float64, height)
+		// Copy is charged for the halo cells a neighbouring block owns,
+		// not for the fixed boundary, which never changes.
+		shared := width*inner(bi, n) + height*inner(bj, n)
 		src := pr.source(rlo, rhi, clo, chi)
 		for iter := 1; ; iter++ {
 			for j := 0; j < width; j++ {
@@ -540,7 +546,8 @@ func SolveShared(n int, pr Problem) ([][]float64, int, error) {
 				haloW[i] = g[rlo+i][clo-1]
 				haloE[i] = g[rlo+i][chi]
 			}
-			bar.Wait()
+			p.Copy(shared * wire.Float64Size)
+			p.Barrier()
 			maxDelta := 0.0
 			for i := rlo; i < rhi; i++ {
 				for j := clo; j < chi; j++ {
@@ -563,9 +570,11 @@ func SolveShared(n int, pr Problem) ([][]float64, int, error) {
 					maxDelta = pr.relax(&g[i][j], up, down, left, right, src[i-rlo][j-clo], maxDelta)
 				}
 			}
+			p.Compute(height * width * flopsPerPoint)
 			deltas[w] = maxDelta
-			bar.Wait()
+			p.Barrier()
 			if w == 0 {
+				p.Compute(workers) // the max reduction
 				global := 0.0
 				for _, d := range deltas {
 					if d > global {
@@ -575,7 +584,7 @@ func SolveShared(n int, pr Problem) ([][]float64, int, error) {
 				stop = global < pr.Tol || iter >= pr.MaxIter
 				iters = iter
 			}
-			bar.Wait()
+			p.Barrier()
 			if stop {
 				if iter >= pr.MaxIter && deltas[w] >= pr.Tol {
 					return ErrDiverged
@@ -588,6 +597,18 @@ func SolveShared(n int, pr Problem) ([][]float64, int, error) {
 		return nil, iters, err
 	}
 	return g, iters, nil
+}
+
+// inner returns how many of the two ends of block b of n, along one
+// axis, face another block rather than the fixed boundary.
+func inner(b, n int) (sides int) {
+	if b > 0 {
+		sides++
+	}
+	if b < n-1 {
+		sides++
+	}
+	return sides
 }
 
 // MaxError returns max |g - Analytic| over the interior, the

@@ -77,7 +77,7 @@ func TestValidation(t *testing.T) {
 	if _, _, err := SolveMPF(fac, 100, pr); err == nil {
 		t.Fatal("more processes than grid points accepted")
 	}
-	if _, _, err := SolveShared(0, pr); err == nil {
+	if _, _, err := SolveShared(nil, 0, pr); err == nil {
 		t.Fatal("shared n=0 accepted")
 	}
 }
@@ -89,10 +89,10 @@ func TestDivergenceDetected(t *testing.T) {
 	if _, _, err := SolveSequential(pr); !errors.Is(err, ErrDiverged) {
 		t.Fatalf("err = %v, want ErrDiverged", err)
 	}
-	if _, _, err := SolveShared(2, pr); !errors.Is(err, ErrDiverged) {
+	fac := newFacility(t, 5)
+	if _, _, err := SolveShared(fac, 2, pr); !errors.Is(err, ErrDiverged) {
 		t.Fatalf("shared err = %v, want ErrDiverged", err)
 	}
-	fac := newFacility(t, 5)
 	if _, _, err := SolveMPF(fac, 2, pr); !errors.Is(err, ErrDiverged) {
 		t.Fatalf("mpf err = %v, want ErrDiverged", err)
 	}
@@ -154,7 +154,7 @@ func TestSharedMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, _, err := SolveShared(cfg.n, pr)
+		par, _, err := SolveShared(newFacility(t, cfg.n*cfg.n), cfg.n, pr)
 		if err != nil {
 			t.Fatalf("p=%d n=%d: %v", cfg.p, cfg.n, err)
 		}

@@ -65,10 +65,11 @@ func AblationBlockSize(cfg Config) (*stats.Figure, error) {
 // AblationParadigm answers the paper's closing research question — "the
 // effect of the parallel programming paradigm (message passing or
 // shared memory) on application performance" — on the Balance model:
-// both applications, both paradigms, speedup against the same
-// sequential baseline.
+// both applications, both paradigms, each solved to the end.
+// Gauss-Jordan speedups are against the sequential solver, SOR's
+// per-iteration ones against the one-process MPF solve.
 func AblationParadigm(cfg Config) (*stats.Figure, error) {
-	m := cfg.machine()
+	sim := Config{Machine: cfg.Machine} // simulated, whatever cfg.Mode
 	fig := stats.NewFigure("Ablation (paper §5): message passing vs shared memory (simulated)",
 		"processes", "speedup")
 
@@ -82,14 +83,17 @@ func AblationParadigm(cfg Config) (*stats.Figure, error) {
 	}
 	mpfS := fig.AddSeries(fmt.Sprintf("gauss %d MPF", gaussN))
 	shmS := fig.AddSeries(fmt.Sprintf("gauss %d shared", gaussN))
-	seq := gauss.SimSeqTime(m, gaussN)
 	a, b := gauss.NewSystem(gaussN, rand.New(rand.NewSource(int64(gaussN))))
+	seq, err := sim.gaussSequential(a, b)
+	if err != nil {
+		return nil, err
+	}
 	for _, p := range procs {
-		_, tm, err := gauss.SimSolve(m, p, a, b)
+		tm, err := sim.gaussParallel(gauss.RunMPF, p, a, b)
 		if err != nil {
 			return nil, err
 		}
-		ts, err := gauss.SimSharedTime(m, gaussN, p)
+		ts, err := sim.gaussParallel(gauss.RunShared, p, a, b)
 		if err != nil {
 			return nil, err
 		}
@@ -97,25 +101,22 @@ func AblationParadigm(cfg Config) (*stats.Figure, error) {
 		shmS.Add(p, seq/ts)
 	}
 
-	// SOR at a fixed grid, swept over mesh dimension (4/9/16 procs); the
-	// shared-memory leg runs as many iterations as the message-passing
-	// solve took to converge. The two legs are not timed alike: the MPF
-	// leg is a whole solve over its iterations, so it carries its
-	// start-up and the gather of the result blocks, while the shared leg
-	// is steady-state iterations with neither.
+	// SOR at a fixed grid, swept over mesh dimension (1/4/9/16 procs).
+	// The MPF leg's solve carries its start-up and the gather of the
+	// result blocks, which the shared leg has not.
 	sorP := 33
 	mpfSor := fig.AddSeries(fmt.Sprintf("sor %d MPF", sorP))
 	shmSor := fig.AddSeries(fmt.Sprintf("sor %d shared", sorP))
 	var base float64
 	for _, n := range []int{1, 2, 3, 4} {
-		tm, iters, err := simSORIter(m, sorP, n)
+		tm, err := sim.sorIter(sor.RunMPF, sorP, n)
 		if err != nil {
 			return nil, err
 		}
 		if n == 1 {
 			base = tm
 		}
-		ts, err := sor.SimSharedIterTime(m, sorP, n, iters)
+		ts, err := sim.sorIter(sor.RunShared, sorP, n)
 		if err != nil {
 			return nil, err
 		}

@@ -1,17 +1,12 @@
 package bench
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/apps/gauss"
 	"repro/internal/balance"
 )
-
-// balanceGaussShared forwards to the app package; kept as a helper so
-// the validation test reads uniformly.
-func balanceGaussShared(m *balance.Machine, n, workers int) (float64, error) {
-	return gauss.SimSharedTime(m, n, workers)
-}
 
 func TestAblationSchemesOrdering(t *testing.T) {
 	fig := AblationSchemes(Config{})
@@ -126,12 +121,15 @@ func TestAblationParadigmSharedWins(t *testing.T) {
 	}
 }
 
+// TestSimSharedValidation holds the paradigm ablation's shared-memory
+// leg to refuse what it cannot solve.
 func TestSimSharedValidation(t *testing.T) {
 	m := balance.Balance21000()
-	if _, err := balanceGaussShared(m, 0, 2); err == nil {
+	if _, _, err := gauss.SimSolveShared(m, 2, nil, nil); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := balanceGaussShared(m, 8, 0); err == nil {
+	a, b := gauss.NewSystem(8, rand.New(rand.NewSource(8)))
+	if _, _, err := gauss.SimSolveShared(m, 0, a, b); err == nil {
 		t.Fatal("workers=0 accepted")
 	}
 }

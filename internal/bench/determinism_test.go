@@ -54,13 +54,13 @@ func TestHeadlineNumbersMatchMpfbench(t *testing.T) {
 		t.Fatal(err)
 	}
 	if base < 23000 || base > 25500 {
-		t.Errorf("Fig3 asymptote drifted to %.0f; mpfbench -fig 3 -mode simulated prints 24,234 at 2048 bytes", base)
+		t.Errorf("Fig3 asymptote drifted to %.0f; mpfbench -fig 3 -mode simulated prints 24,233.1 at 2048 bytes", base)
 	}
 	bcast, err := sim.fanout(mpf.Broadcast, 1024, 16, 48*16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bcast < 700000 || bcast > 800000 {
-		t.Errorf("Fig5 peak drifted to %.0f; mpfbench -fig 5 -mode simulated prints 748,773 at 16 receivers", bcast)
+		t.Errorf("Fig5 peak drifted to %.0f; mpfbench -fig 5 -mode simulated prints 748,746 at 16 receivers", bcast)
 	}
 }

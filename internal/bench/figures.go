@@ -63,48 +63,47 @@ func (c Config) scale(full, quick int) int {
 // median, since one run on a shared host can land anywhere.
 const nativeReps = 3
 
-// medianSeconds calls timed nativeReps times and returns the median of
-// the seconds it reports.
-func medianSeconds(timed func() (float64, error)) (float64, error) {
-	times := make([]float64, nativeReps)
-	for i := range times {
-		t, err := timed()
-		if err != nil {
-			return 0, err
-		}
-		times[i] = t
-	}
-	return stats.Median(times), nil
-}
-
-// throughput runs program on c's substrate and returns the bytes it
-// delivered per second: of simulated time in one run on c's machine,
-// whose memory picture workload, if not nil, sets before the run
-// (simmpf.Facility.SetWorkload); natively, of the median wall time
-// around the program over runs on fresh facilities built with opts.
-func (c Config) throughput(opts []mpf.Option, workload func(*simmpf.Facility),
-	program func(apps.Runner) (int, error)) (float64, error) {
+// seconds runs program on c's substrate and returns the seconds it
+// took: of simulated time in one run on c's machine, whose memory
+// picture workload, if not nil, sets before the run
+// (simmpf.Facility.SetWorkload); natively, the median wall time around
+// the program over nativeReps runs, each on a fresh facility built with
+// opts before the clock starts and shut down after it stops.
+func (c Config) seconds(opts []mpf.Option, workload func(*simmpf.Facility),
+	program func(apps.Runner) error) (float64, error) {
 	if c.Mode == Simulated {
 		s := apps.Simulated(c.machine())
 		if workload != nil {
 			workload(s.Facility())
 		}
-		n, err := program(s)
-		if err != nil {
-			return 0, err
-		}
-		return float64(n) / s.Seconds(), nil
+		err := program(s)
+		return s.Seconds(), err
 	}
-	var n int
-	secs, err := medianSeconds(func() (float64, error) {
+	times := make([]float64, nativeReps)
+	for i := range times {
 		fac, err := mpf.New(opts...)
 		if err != nil {
 			return 0, err
 		}
-		defer fac.Shutdown()
 		start := time.Now()
-		n, err = program(apps.Native(fac))
-		return time.Since(start).Seconds(), err
+		err = program(apps.Native(fac))
+		times[i] = time.Since(start).Seconds()
+		fac.Shutdown()
+		if err != nil {
+			return 0, err
+		}
+	}
+	return stats.Median(times), nil
+}
+
+// throughput runs program as seconds does and returns the bytes it
+// delivered per second.
+func (c Config) throughput(opts []mpf.Option, workload func(*simmpf.Facility),
+	program func(apps.Runner) (int, error)) (float64, error) {
+	var n int
+	secs, err := c.seconds(opts, workload, func(r apps.Runner) (err error) {
+		n, err = program(r)
+		return err
 	})
 	if err != nil {
 		return 0, err
@@ -243,24 +242,12 @@ func Fig7(cfg Config) (*stats.Figure, error) {
 	for _, n := range sizes {
 		s := fig.AddSeries(fmt.Sprintf("%dx%d matrix", n, n))
 		a, b := gauss.NewSystem(n, rand.New(rand.NewSource(int64(n))))
-		m := cfg.machine()
-		seq := gauss.SimSeqTime(m, n)
-		if cfg.Mode == Native {
-			var err error
-			if seq, err = timeNativeGauss(a, b, 0); err != nil {
-				return nil, err
-			}
+		seq, err := cfg.gaussSequential(a, b)
+		if err != nil {
+			return nil, err
 		}
 		for _, p := range procs {
-			var (
-				pt  float64
-				err error
-			)
-			if cfg.Mode == Native {
-				pt, err = timeNativeGauss(a, b, p)
-			} else {
-				_, pt, err = gauss.SimSolve(m, p, a, b)
-			}
+			pt, err := cfg.gaussParallel(gauss.RunMPF, p, a, b)
 			if err != nil {
 				return nil, fmt.Errorf("fig7 n=%d p=%d: %w", n, p, err)
 			}
@@ -270,24 +257,39 @@ func Fig7(cfg Config) (*stats.Figure, error) {
 	return fig, nil
 }
 
-// timeNativeGauss times a native solve; workers == 0 selects the
-// sequential baseline.
-func timeNativeGauss(a [][]float64, b []float64, workers int) (float64, error) {
-	return medianSeconds(func() (float64, error) {
-		start := time.Now()
-		var err error
-		if workers == 0 {
-			_, err = gauss.SolveSequential(a, b)
-		} else {
-			var fac *mpf.Facility
-			fac, err = mpf.New(mpf.WithMaxProcesses(workers+1), mpf.WithMaxLNVCs(16), mpf.WithBlocksPerProcess(2048))
-			if err == nil {
-				_, err = gauss.SolveMPF(fac, workers, a, b)
-				fac.Shutdown()
-			}
-		}
-		return time.Since(start).Seconds(), err
+// gaussSequential, gaussParallel and sorIter are one cell of Figures 7
+// and 8 and of the paradigm ablation: the seconds a solver takes on c's
+// substrate — the one-process Gauss-Jordan baseline, a parallel one
+// (gauss.RunMPF or gauss.RunShared) with workers processes, or an SOR
+// solver (sor.RunMPF or sor.RunShared) on an n×n mesh, per iteration —
+// natively on a facility sized for it.
+func (c Config) gaussSequential(a [][]float64, b []float64) (float64, error) {
+	return c.seconds([]mpf.Option{mpf.WithMaxProcesses(1)}, nil, func(r apps.Runner) error {
+		_, err := gauss.RunSequential(r, a, b)
+		return err
 	})
+}
+
+func (c Config) gaussParallel(solver func(apps.Runner, int, [][]float64, []float64) ([]float64, error),
+	workers int, a [][]float64, b []float64) (float64, error) {
+	opts := []mpf.Option{mpf.WithMaxProcesses(workers + 1), mpf.WithMaxLNVCs(16), mpf.WithBlocksPerProcess(2048)}
+	return c.seconds(opts, nil, func(r apps.Runner) error {
+		_, err := solver(r, workers, a, b)
+		return err
+	})
+}
+
+func (c Config) sorIter(solver func(apps.Runner, int, sor.Problem) ([][]float64, int, error), p, n int) (float64, error) {
+	opts := []mpf.Option{mpf.WithMaxProcesses(n*n + 1), mpf.WithMaxLNVCs(256), mpf.WithBlocksPerProcess(4096)}
+	var iters int
+	secs, err := c.seconds(opts, nil, func(r apps.Runner) (err error) {
+		_, iters, err = solver(r, n, sor.DefaultProblem(p))
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return secs / float64(iters), nil
 }
 
 // Fig8 regenerates "Figure 8: Poisson Elliptic PDE Solver with SOR
@@ -304,15 +306,7 @@ func Fig8(cfg Config) (*stats.Figure, error) {
 	for _, p := range grids {
 		times := &stats.Series{Label: fmt.Sprintf("%dx%d problem", p, p)}
 		for _, n := range dims {
-			var (
-				t   float64
-				err error
-			)
-			if cfg.Mode == Simulated {
-				t, _, err = simSORIter(cfg.machine(), p, n)
-			} else {
-				t, err = timeNativeSORIter(p, n)
-			}
+			t, err := cfg.sorIter(sor.RunMPF, p, n)
 			if err != nil {
 				return nil, fmt.Errorf("fig8 p=%d n=%d: %w", p, n, err)
 			}
@@ -325,38 +319,4 @@ func Fig8(cfg Config) (*stats.Figure, error) {
 		fig.Series = append(fig.Series, sp)
 	}
 	return fig, nil
-}
-
-// simSORIter returns the simulated seconds per iteration of DefaultProblem
-// on a p×p grid and an n×n process mesh — one solve to convergence,
-// divided by its iterations, as timeNativeSORIter measures it — and the
-// iteration count.
-func simSORIter(m *balance.Machine, p, n int) (float64, int, error) {
-	_, iters, secs, err := sor.SimSolve(m, n, sor.DefaultProblem(p))
-	if err != nil {
-		return 0, 0, err
-	}
-	return secs / float64(iters), iters, nil
-}
-
-// timeNativeSORIter measures native per-iteration time for a p×p grid on
-// an n×n process mesh.
-func timeNativeSORIter(p, n int) (float64, error) {
-	pr := sor.DefaultProblem(p)
-	return medianSeconds(func() (float64, error) {
-		fac, err := mpf.New(mpf.WithMaxProcesses(n*n+1), mpf.WithMaxLNVCs(256), mpf.WithBlocksPerProcess(4096))
-		if err != nil {
-			return 0, err
-		}
-		defer fac.Shutdown()
-		start := time.Now()
-		_, iters, err := sor.SolveMPF(fac, n, pr)
-		if err != nil {
-			return 0, err
-		}
-		if iters < 1 {
-			return 0, fmt.Errorf("bench: SOR reported %d iterations", iters)
-		}
-		return time.Since(start).Seconds() / float64(iters), nil
-	})
 }

@@ -76,52 +76,6 @@ func TestSignalWakesFIFO(t *testing.T) {
 	}
 }
 
-func TestResourceIdleGapsReduceUtilization(t *testing.T) {
-	k := NewKernel(0)
-	r := NewResource("bus", 10)
-	k.Spawn("p", func(p *Proc) {
-		r.Use(p, 10) // busy 0..1
-		p.Advance(1) // idle 1..2
-		r.Use(p, 10) // busy 2..3
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if u := r.Utilization(k.Now()); math.Abs(u-2.0/3.0) > 1e-9 {
-		t.Fatalf("utilization = %g, want 2/3", u)
-	}
-	if r.Utilization(0) != 0 {
-		t.Fatal("utilization at t=0 must be 0")
-	}
-}
-
-func TestResourceRejectsBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-rate resource accepted")
-		}
-	}()
-	NewResource("bad", 0)
-}
-
-func TestResourceNegativeUsePanics(t *testing.T) {
-	k := NewKernel(0)
-	r := NewResource("r", 1)
-	recovered := false
-	k.Spawn("p", func(p *Proc) {
-		defer func() {
-			if recover() != nil {
-				recovered = true
-			}
-		}()
-		r.Use(p, -1)
-	})
-	_ = k.Run()
-	if !recovered {
-		t.Fatal("negative use did not panic")
-	}
-}
-
 func TestProcAccessors(t *testing.T) {
 	k := NewKernel(3)
 	k.Spawn("named", func(p *Proc) {

@@ -189,13 +189,6 @@ func (p *Proc) Advance(d Time) {
 	p.pause(stateReady)
 }
 
-// Yield reschedules the process at the current time, letting any other
-// process scheduled at the same instant run first.
-func (p *Proc) Yield() {
-	p.k.schedule(p, p.k.now)
-	p.pause(stateReady)
-}
-
 // block parks the process with no scheduled wakeup; another process must
 // call unblock.
 func (p *Proc) block() {
@@ -365,55 +358,4 @@ func (b *Barrier) Wait(p *Proc) {
 		b.cond.Wait(p)
 	}
 	b.mu.Unlock(p)
-}
-
-// Resource is a single-server FCFS station with a fixed service rate in
-// units/second — the shared bus. Use blocks for queueing plus service
-// time.
-type Resource struct {
-	name     string
-	rate     float64 // units per second
-	freeAt   Time    // earliest time the server is free
-	busyTime Time
-	served   uint64
-}
-
-// NewResource creates a resource served at rate units/second.
-func NewResource(name string, rate float64) *Resource {
-	if rate <= 0 {
-		panic(fmt.Sprintf("sim: resource %q with non-positive rate %g", name, rate))
-	}
-	return &Resource{name: name, rate: rate}
-}
-
-// Use consumes amount units of the resource: the process waits for the
-// server, holds it for amount/rate seconds, and returns at completion.
-func (r *Resource) Use(p *Proc, amount float64) {
-	if amount < 0 {
-		panic(fmt.Sprintf("sim: %q using negative amount of %q", p.name, r.name))
-	}
-	if amount == 0 {
-		return
-	}
-	start := p.Now()
-	if r.freeAt > start {
-		start = r.freeAt
-	}
-	service := amount / r.rate
-	r.freeAt = start + service
-	r.busyTime += service
-	p.k.schedule(p, r.freeAt)
-	p.pause(stateReady)
-}
-
-// Utilization returns the fraction of [0, now] the server was busy.
-func (r *Resource) Utilization(now Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	u := r.busyTime / now
-	if u > 1 {
-		u = 1
-	}
-	return u
 }

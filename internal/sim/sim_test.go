@@ -267,42 +267,6 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestResourceSerializesAndTimes(t *testing.T) {
-	k := NewKernel(0)
-	bus := NewResource("bus", 100) // 100 units/sec
-	var done [2]Time
-	for i := 0; i < 2; i++ {
-		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			bus.Use(p, 50) // 0.5s of service each
-			done[p.ID()] = p.Now()
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// FCFS single server: completions at 0.5 and 1.0.
-	if math.Abs(done[0]-0.5) > 1e-9 || math.Abs(done[1]-1.0) > 1e-9 {
-		t.Fatalf("done = %v", done)
-	}
-	if u := bus.Utilization(k.Now()); math.Abs(u-1.0) > 1e-9 {
-		t.Fatalf("utilization = %g, want 1.0", u)
-	}
-}
-
-func TestResourceZeroAmountFree(t *testing.T) {
-	k := NewKernel(0)
-	r := NewResource("r", 10)
-	k.Spawn("p", func(p *Proc) {
-		r.Use(p, 0)
-		if p.Now() != 0 {
-			t.Errorf("zero use advanced time to %g", p.Now())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSpawnFromRunningProcess(t *testing.T) {
 	k := NewKernel(0)
 	var childRan bool
@@ -321,25 +285,6 @@ func TestSpawnFromRunningProcess(t *testing.T) {
 	}
 	if !childRan {
 		t.Fatal("child never ran")
-	}
-}
-
-func TestYieldRoundRobinsSameInstant(t *testing.T) {
-	k := NewKernel(0)
-	var log []string
-	k.Spawn("a", func(p *Proc) {
-		log = append(log, "a1")
-		p.Yield()
-		log = append(log, "a2")
-	})
-	k.Spawn("b", func(p *Proc) {
-		log = append(log, "b1")
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(log, ","); got != "a1,b1,a2" {
-		t.Fatalf("log = %s", got)
 	}
 }
 
