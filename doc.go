@@ -10,13 +10,11 @@
 // cmd/mpfbench. How fast the facility is on a given host is measured
 // by the repository benchmark, benchmark/ (bash benchmark/run.sh).
 //
-// Beyond the paper, the facility shards its circuit name registry so
-// opens and closes on distinct circuits never contend (DESIGN.md §4),
-// runs every send through one admit/publish path and every receive
-// through one claim path, one circuit-lock hold per message end
-// (DESIGN.md §6), multiplexes thousands of
-// circuits per goroutine through an event-driven Selector with
-// per-circuit wakeups (DESIGN.md §10), carries a zero-copy payload
+// Beyond the paper, the facility runs every send through one
+// admit/publish path and every receive through one claim path, one
+// circuit-lock hold per message end (DESIGN.md §6), multiplexes
+// thousands of circuits per goroutine through an event-driven Selector
+// with per-circuit wakeups (DESIGN.md §10), carries a zero-copy payload
 // plane (DESIGN.md §11): contiguous-span block allocation, loaned send
 // buffers written in place (SendConn.Loan) and pinned receive views
 // read in place (RecvConn.ReceiveView), which make the paper's two

@@ -17,8 +17,11 @@
 //     barrier instead of messages — the cross-paradigm comparison the
 //     paper's introduction motivates.
 //
-// SolveMPF and SolveShared run a program on a real facility; SimSolve
-// and SimSolveShared (sim.go) run it on the simulated Balance 21000.
+// SolveMPF and SolveShared run a program on a real facility; given
+// apps.Simulated(m), it runs on the simulated Balance 21000, where each
+// process's arithmetic costs m's software floating point and a barrier
+// one lock per arrival and wakeup: paper Figure 7 ("Speedup vs.
+// Processes", one curve per matrix size) and the paradigm ablation.
 //
 // Rows are never physically exchanged: pivoting marks rows as used, so a
 // "pivot row" is any unmarked row holding the column maximum. After n

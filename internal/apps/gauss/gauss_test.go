@@ -127,7 +127,7 @@ func TestMPFSingular(t *testing.T) {
 	}
 	// On the simulated clock every process ends on the abort: a process
 	// left blocked would be the kernel's deadlock error instead.
-	if _, _, err := SimSolve(balance.Balance21000(), 2, a, b); !errors.Is(err, ErrSingular) {
+	if _, err := RunMPF(apps.Simulated(balance.Balance21000()), 2, a, b); !errors.Is(err, ErrSingular) {
 		t.Fatalf("simulated err = %v, want ErrSingular", err)
 	}
 }
@@ -224,15 +224,15 @@ func seqTime(t *testing.T, m *balance.Machine, n int) float64 {
 	return s.Seconds()
 }
 
-// simTime returns SimSolve's simulated seconds on NewSystem(n).
+// simTime returns RunMPF's simulated seconds on NewSystem(n).
 func simTime(t *testing.T, m *balance.Machine, n, workers int) float64 {
 	t.Helper()
 	a, b := NewSystem(n, rand.New(rand.NewSource(int64(n))))
-	_, secs, err := SimSolve(m, workers, a, b)
-	if err != nil {
+	s := apps.Simulated(m)
+	if _, err := RunMPF(s, workers, a, b); err != nil {
 		t.Fatal(err)
 	}
-	return secs
+	return s.Seconds()
 }
 
 func TestSimTimesReasonable(t *testing.T) {
@@ -269,11 +269,11 @@ func TestSimSpeedupGrowsWithMatrixSize(t *testing.T) {
 
 func TestSimValidation(t *testing.T) {
 	m := balance.Balance21000()
-	if _, _, err := SimSolve(m, 4, nil, nil); err == nil {
+	if _, err := RunMPF(apps.Simulated(m), 4, nil, nil); err == nil {
 		t.Fatal("n=0 accepted")
 	}
 	a, b := NewSystem(8, rand.New(rand.NewSource(8)))
-	if _, _, err := SimSolve(m, 0, a, b); err == nil {
+	if _, err := RunMPF(apps.Simulated(m), 0, a, b); err == nil {
 		t.Fatal("workers=0 accepted")
 	}
 }

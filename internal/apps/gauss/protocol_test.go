@@ -99,7 +99,7 @@ func TestSharedMatchesAcrossBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simX, _, err := SimSolveShared(balance.Balance21000(), workers, a, b)
+	simX, err := RunShared(apps.Simulated(balance.Balance21000()), workers, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSharedMatchesAcrossBackends(t *testing.T) {
 	if _, err := SolveShared(fac, workers, a, b); !errors.Is(err, ErrSingular) {
 		t.Errorf("native err = %v, want ErrSingular", err)
 	}
-	if _, _, err := SimSolveShared(balance.Balance21000(), workers, a, b); !errors.Is(err, ErrSingular) {
+	if _, err := RunShared(apps.Simulated(balance.Balance21000()), workers, a, b); !errors.Is(err, ErrSingular) {
 		t.Errorf("simulated err = %v, want ErrSingular", err)
 	}
 }

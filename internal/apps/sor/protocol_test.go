@@ -100,7 +100,7 @@ func TestSharedMatchesAcrossBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simG, simIters, _, err := SimSolveShared(balance.Balance21000(), n, pr)
+	simG, simIters, err := RunShared(apps.Simulated(balance.Balance21000()), n, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSharedMatchesAcrossBackends(t *testing.T) {
 	if _, _, err := SolveShared(fac, n, pr); !errors.Is(err, ErrDiverged) {
 		t.Errorf("native err = %v, want ErrDiverged", err)
 	}
-	if _, _, _, err := SimSolveShared(balance.Balance21000(), n, pr); !errors.Is(err, ErrDiverged) {
+	if _, _, err := RunShared(apps.Simulated(balance.Balance21000()), n, pr); !errors.Is(err, ErrDiverged) {
 		t.Errorf("simulated err = %v, want ErrDiverged", err)
 	}
 }
@@ -134,11 +134,12 @@ func TestSimSecondsMatchFormula(t *testing.T) {
 		{17, 2, 271, 0.075610000000002},
 		{33, 4, 860, 0.08046000000000411},
 	} {
-		_, iters, secs, err := SimSolveShared(m, c.n, DefaultProblem(c.p))
+		s := apps.Simulated(m)
+		_, iters, err := RunShared(s, c.n, DefaultProblem(c.p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := secs / float64(iters); iters != c.iters || got != c.want {
+		if got := s.Seconds() / float64(iters); iters != c.iters || got != c.want {
 			t.Errorf("p=%d n=%d: %d iterations of %v simulated seconds, want %d of %v",
 				c.p, c.n, iters, got, c.iters, c.want)
 		}

@@ -18,8 +18,14 @@
 //
 // The message-passing program (RunMPF) and its shared-memory analogue
 // (RunShared) are each written once against an apps.Runner. SolveMPF
-// and SolveShared run them on a real facility, SimSolve and
-// SimSolveShared (sim.go) on the simulated Balance 21000.
+// and SolveShared run them on a real facility; on apps.Simulated(m)
+// they run on the simulated Balance 21000, where each process's
+// arithmetic costs m's software floating point, a halo copy m's copy
+// cost and a barrier one lock per arrival and wakeup. Figure 8 ("Per
+// Iteration Speedup vs. Dimension (N)") plots per-iteration speedup
+// relative to the 4-process solver (N=2) — the paper had no sequential
+// solver to compare against — so its caller divides a solve's
+// simulated seconds by its iterations.
 package sor
 
 import (

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/balance"
 	"repro/mpf"
 )
@@ -98,7 +99,7 @@ func TestDivergenceDetected(t *testing.T) {
 	}
 	// On the simulated clock every process ends on the abort: a process
 	// left blocked would be the kernel's deadlock error instead.
-	if _, _, _, err := SimSolve(balance.Balance21000(), 2, pr); !errors.Is(err, ErrDiverged) {
+	if _, _, err := RunMPF(apps.Simulated(balance.Balance21000()), 2, pr); !errors.Is(err, ErrDiverged) {
 		t.Fatalf("simulated err = %v, want ErrDiverged", err)
 	}
 }
@@ -186,19 +187,20 @@ func TestBlockRangeCoversInterior(t *testing.T) {
 // iterations, and two tests read the same ones.
 var simIterTimes = map[[2]int]float64{}
 
-// simIterTime returns SimSolve's simulated seconds per iteration for
+// simIterTime returns RunMPF's simulated seconds per iteration for
 // DefaultProblem(p) on an n×n mesh of the Balance 21000.
 func simIterTime(t *testing.T, p, n int) float64 {
 	t.Helper()
 	if secs, ok := simIterTimes[[2]int{p, n}]; ok {
 		return secs
 	}
-	_, iters, secs, err := SimSolve(balance.Balance21000(), n, DefaultProblem(p))
+	s := apps.Simulated(balance.Balance21000())
+	_, iters, err := RunMPF(s, n, DefaultProblem(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	simIterTimes[[2]int{p, n}] = secs / float64(iters)
-	return secs / float64(iters)
+	simIterTimes[[2]int{p, n}] = s.Seconds() / float64(iters)
+	return s.Seconds() / float64(iters)
 }
 
 func TestSimIterTimeScales(t *testing.T) {
@@ -229,13 +231,13 @@ func TestSimSmallGridScalesWorse(t *testing.T) {
 
 func TestSimValidation(t *testing.T) {
 	m := balance.Balance21000()
-	if _, _, _, err := SimSolve(m, 2, DefaultProblem(0)); err == nil {
+	if _, _, err := RunMPF(apps.Simulated(m), 2, DefaultProblem(0)); err == nil {
 		t.Fatal("p=0 accepted")
 	}
-	if _, _, _, err := SimSolve(m, 0, DefaultProblem(9)); err == nil {
+	if _, _, err := RunMPF(apps.Simulated(m), 0, DefaultProblem(9)); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, _, _, err := SimSolve(m, 9, DefaultProblem(4)); err == nil {
+	if _, _, err := RunMPF(apps.Simulated(m), 9, DefaultProblem(4)); err == nil {
 		t.Fatal("n>p accepted")
 	}
 }

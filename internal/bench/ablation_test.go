@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/apps/gauss"
 	"repro/internal/balance"
 )
@@ -125,11 +126,11 @@ func TestAblationParadigmSharedWins(t *testing.T) {
 // leg to refuse what it cannot solve.
 func TestSimSharedValidation(t *testing.T) {
 	m := balance.Balance21000()
-	if _, _, err := gauss.SimSolveShared(m, 2, nil, nil); err == nil {
+	if _, err := gauss.RunShared(apps.Simulated(m), 2, nil, nil); err == nil {
 		t.Fatal("n=0 accepted")
 	}
 	a, b := gauss.NewSystem(8, rand.New(rand.NewSource(8)))
-	if _, _, err := gauss.SimSolveShared(m, 0, a, b); err == nil {
+	if _, err := gauss.RunShared(apps.Simulated(m), 0, a, b); err == nil {
 		t.Fatal("workers=0 accepted")
 	}
 }

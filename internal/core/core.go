@@ -231,9 +231,8 @@ type Stats struct {
 	MuxWakeups  uint64
 	MuxSpurious uint64
 	MuxHandoffs uint64
-	// RegistryAcquisitions and RegistryContended total the per-shard
-	// registry lock counters (see Facility.RegistryStats for the
-	// per-shard breakdown).
+	// RegistryAcquisitions and RegistryContended are the registry
+	// lock's counters (Facility.RegistryStats).
 	RegistryAcquisitions uint64
 	RegistryContended    uint64
 	// The zero-copy plane's ledger. PayloadCopiesIn counts send-side
@@ -340,26 +339,24 @@ type Facility struct {
 	arena *shm.Arena
 	pool  *msg.Pool
 
-	// The sharded name registry (see registry.go). Names hash across
-	// shards; each shard guards its slice of the name map and its
-	// descriptor free list with its own reader/writer lock.
 	// Send/Receive/Check translate an ID to a descriptor with a single
-	// atomic load of slots — no registry lock at all. Lock order:
-	// DESIGN.md §16.
-	shards []registryShard
-	slots  []atomic.Pointer[lnvc] // indexed by ID
+	// atomic load of slots — no registry lock at all.
+	slots []atomic.Pointer[lnvc] // indexed by ID
 
 	stop    chan struct{}
 	stopped atomic.Bool
 	_       [60]byte
 
-	// Written while the facility runs, by opens and closes only. descs
-	// lists every LNVC descriptor ever created, append-only under
-	// idLock: what Stats sums over.
-	idLock  spinlock.TAS
-	freeIDs []ID
-	descs   []*lnvc
-	_       [56]byte
+	// The registry (registry.go), written while the facility runs by
+	// opens and closes only, all under reg. descs lists every LNVC
+	// descriptor ever created, append-only: what Stats sums over. Lock
+	// order: DESIGN.md §16.
+	reg      spinlock.RW
+	names    map[string]ID
+	lnvcFree []*lnvc // recycled descriptors, each keeping its ID
+	freeIDs  []ID    // IDs no descriptor has taken yet
+	descs    []*lnvc
+	_        [56]byte
 
 	// The rare-event cell starts on a line of its own.
 	stats statsCell
@@ -394,16 +391,12 @@ func Init(cfg Config) (*Facility, error) {
 		return nil, err
 	}
 	f := &Facility{
-		cfg:    cfg,
-		arena:  arena,
-		pool:   msg.NewPool(arena, 0),
-		shards: make([]registryShard, registryShards),
-		slots:  make([]atomic.Pointer[lnvc], cfg.MaxLNVCs),
-		stop:   make(chan struct{}),
-	}
-	perShard := cfg.MaxLNVCs/registryShards + 1
-	for i := range f.shards {
-		f.shards[i].names = make(map[string]ID, perShard)
+		cfg:   cfg,
+		arena: arena,
+		pool:  msg.NewPool(arena, 0),
+		slots: make([]atomic.Pointer[lnvc], cfg.MaxLNVCs),
+		stop:  make(chan struct{}),
+		names: make(map[string]ID, cfg.MaxLNVCs),
 	}
 	f.freeIDs = make([]ID, 0, cfg.MaxLNVCs)
 	for id := cfg.MaxLNVCs - 1; id >= 0; id-- {
@@ -483,25 +476,4 @@ func (f *Facility) lookup(id ID) (*lnvc, error) {
 		return nil, fmt.Errorf("%w: id %d", ErrBadLNVC, id)
 	}
 	return l, nil
-}
-
-// LNVCByName returns the ID bound to name, for introspection.
-func (f *Facility) LNVCByName(name string) (ID, bool) {
-	s := &f.shards[f.shardIndex(name)]
-	s.lock.RLock()
-	defer s.lock.RUnlock()
-	id, ok := s.names[name]
-	return id, ok
-}
-
-// LNVCCount returns the number of live LNVCs.
-func (f *Facility) LNVCCount() int {
-	n := 0
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.lock.RLock()
-		n += len(s.names)
-		s.lock.RUnlock()
-	}
-	return n
 }

@@ -31,18 +31,6 @@ func apart(aEnd, bStart uintptr) bool { return bStart >= aEnd+cacheLine-8 }
 func lineOf(off uintptr) uintptr { return off / cacheLine }
 
 func TestHotWordLayout(t *testing.T) {
-	// Registry shards sit adjacent in one slice: the shard lock must
-	// own its line and the whole shard must be a line multiple, or
-	// neighbouring shards' locks land on one line.
-	var rs registryShard
-	if got := unsafe.Sizeof(rs); got%cacheLine != 0 {
-		t.Errorf("registryShard is %d bytes, want a multiple of %d", got, cacheLine)
-	}
-	if sameLine(unsafe.Offsetof(rs.lock), unsafe.Sizeof(rs.lock), unsafe.Offsetof(rs.names), 8) {
-		t.Errorf("registryShard lock (at %d) shares a line with names (at %d)",
-			unsafe.Offsetof(rs.lock), unsafe.Offsetof(rs.names))
-	}
-
 	// The circuit lock is the facility's hottest word; the fields
 	// after it are walked while it is held by others.
 	var l lnvc
@@ -143,15 +131,15 @@ func TestHotWordLayout(t *testing.T) {
 	hdrEnd := unsafe.Offsetof(f.stopped) + unsafe.Sizeof(f.stopped)
 	for name, off := range map[string]uintptr{
 		"cfg": unsafe.Offsetof(f.cfg), "arena": unsafe.Offsetof(f.arena), "pool": unsafe.Offsetof(f.pool),
-		"shards": unsafe.Offsetof(f.shards), "slots": unsafe.Offsetof(f.slots),
-		"stop": unsafe.Offsetof(f.stop), "stopped": unsafe.Offsetof(f.stopped),
+		"slots": unsafe.Offsetof(f.slots),
+		"stop":  unsafe.Offsetof(f.stop), "stopped": unsafe.Offsetof(f.stopped),
 	} {
 		if off >= hdrEnd {
 			t.Errorf("Facility.%s (at %d) is outside the header, which ends at %d", name, off, hdrEnd)
 		}
 	}
-	if !apart(hdrEnd, unsafe.Offsetof(f.idLock)) {
-		t.Errorf("Facility header (ends at %d) can share a line with idLock (at %d)", hdrEnd, unsafe.Offsetof(f.idLock))
+	if !apart(hdrEnd, unsafe.Offsetof(f.reg)) {
+		t.Errorf("Facility header (ends at %d) can share a line with reg (at %d)", hdrEnd, unsafe.Offsetof(f.reg))
 	}
 	regEnd := unsafe.Offsetof(f.descs) + unsafe.Sizeof(f.descs)
 	if !apart(regEnd, unsafe.Offsetof(f.stats)) {

@@ -35,9 +35,9 @@ type recvDesc struct {
 }
 
 // lnvc is an LNVC descriptor (paper Figure 2). All mutable fields are
-// guarded by lock; name is additionally written only under the owning
-// shard's write lock (reset), which is what lets the close path read it
-// under that same shard lock.
+// guarded by lock; name is additionally written only under the registry's
+// write lock (reset), which is what lets the close path read it under
+// that same lock.
 //
 // The struct is six cache lines, laid out by who writes what (DESIGN.md
 // §16). At 384 bytes it falls in an allocator size class whose objects
@@ -50,17 +50,12 @@ type lnvc struct {
 	// words, which only reset writes. A peer taking the lock must not
 	// invalidate the lines the holder is working on below.
 	name string
-	id   ID
-	// shard is the registry shard this descriptor belongs to. It is
-	// immutable: descriptors recycle only through their own shard's
-	// free list, so every name this descriptor ever carries hashes
-	// here.
-	shard uint32
-	lock  spinlock.TAS
+	id   ID // bound for life (registry.go)
+	lock spinlock.TAS
 	// gen counts descriptor incarnations: reset bumps it, and selectors
 	// compare it so a registration on a dead circuit can never be
-	// satisfied by a new circuit that recycled both the descriptor and
-	// the id (the ABA the registry free lists would otherwise permit).
+	// satisfied by the next circuit, which recycles both the descriptor
+	// and its id (the ABA the registry free list would otherwise permit).
 	gen uint64
 	_   [8]byte
 
@@ -120,11 +115,10 @@ type goneTraffic struct {
 	closed, past traffic
 }
 
-func newLNVC(name string, id ID, shard uint32) *lnvc {
+func newLNVC(name string, id ID) *lnvc {
 	l := &lnvc{
 		name:  name,
 		id:    id,
-		shard: shard,
 		sends: make(map[int]*sendDesc),
 		recvs: make(map[int]*recvDesc),
 		gone:  new(goneTraffic),
@@ -134,9 +128,8 @@ func newLNVC(name string, id ID, shard uint32) *lnvc {
 }
 
 // reset prepares a recycled descriptor for reuse.
-func (l *lnvc) reset(name string, id ID) {
+func (l *lnvc) reset(name string) {
 	l.name = name
-	l.id = id
 	l.dropQueueLocked()
 	clear(l.sends)
 	clear(l.recvs)
@@ -279,9 +272,7 @@ func (f *Facility) OpenReceive(pid int, name string, proto Protocol) (ID, error)
 }
 
 // open is the shared find-or-create path for both open primitives.
-// attach runs under both the shard's write lock and the LNVC lock. Only
-// the shard that name hashes to is locked, so opens on circuits in
-// different shards proceed concurrently.
+// attach runs under both the registry's write lock and the LNVC lock.
 func (f *Facility) open(pid int, name string, attach func(*lnvc) error) (ID, error) {
 	if err := f.checkPID(pid); err != nil {
 		return -1, err
@@ -292,35 +283,30 @@ func (f *Facility) open(pid int, name string, attach func(*lnvc) error) (ID, err
 	if f.stopped.Load() {
 		return -1, ErrShutdown
 	}
-	si := f.shardIndex(name)
-	s := &f.shards[si]
-	s.lock.Lock()
-	defer s.lock.Unlock()
+	f.reg.Lock()
+	defer f.reg.Unlock()
 
-	id, exists := s.names[name]
+	id, exists := f.names[name]
 	var l *lnvc
 	if exists {
 		l = f.slots[id].Load()
+	} else if n := len(f.lnvcFree); n > 0 {
+		l = f.lnvcFree[n-1]
+		f.lnvcFree = f.lnvcFree[:n-1]
+		id = l.id
+		// reset mutates fields that stale holders of this descriptor (a
+		// Send that looked its ID up just before deletion) read under
+		// the LNVC lock, so it needs that lock too.
+		l.lock.Lock()
+		l.reset(name)
+		l.lock.Unlock()
+	} else if n := len(f.freeIDs); n > 0 {
+		id = f.freeIDs[n-1]
+		f.freeIDs = f.freeIDs[:n-1]
+		l = newLNVC(name, id)
+		f.descs = append(f.descs, l)
 	} else {
-		var ok bool
-		id, ok = f.allocID()
-		if !ok {
-			return -1, fmt.Errorf("%w (max %d)", ErrTooManyLNVCs, f.cfg.MaxLNVCs)
-		}
-		if n := len(s.lnvcFree); n > 0 {
-			l = s.lnvcFree[n-1]
-			s.lnvcFree = s.lnvcFree[:n-1]
-			// reset mutates fields that stale holders of this
-			// descriptor (a Send that looked its old ID up just before
-			// deletion) read under the LNVC lock, so it needs that
-			// lock too.
-			l.lock.Lock()
-			l.reset(name, id)
-			l.lock.Unlock()
-		} else {
-			l = newLNVC(name, id, si)
-			f.adopt(l)
-		}
+		return -1, fmt.Errorf("%w (max %d)", ErrTooManyLNVCs, f.cfg.MaxLNVCs)
 	}
 
 	l.lock.Lock()
@@ -328,13 +314,12 @@ func (f *Facility) open(pid int, name string, attach func(*lnvc) error) (ID, err
 	l.lock.Unlock()
 	if err != nil {
 		if !exists {
-			s.lnvcFree = append(s.lnvcFree, l)
-			f.freeID(id)
+			f.lnvcFree = append(f.lnvcFree, l)
 		}
 		return -1, err
 	}
 	if !exists {
-		s.names[name] = id
+		f.names[name] = id
 		f.slots[id].Store(l)
 		f.stats.lnvcsCreated.Add(1)
 	}
@@ -390,26 +375,18 @@ func (f *Facility) CloseReceive(pid int, id ID) error {
 	return err
 }
 
-// close is the shared teardown path. detach runs under the descriptor's
-// shard lock and the LNVC lock; if it leaves the LNVC with no
-// connections, the LNVC is deleted. The descriptor-to-shard binding is
-// immutable (descriptors recycle within one shard), so the initial
-// lock-free slot load can never direct us to the wrong shard; the
-// re-check under the shard lock catches a circuit deleted — and possibly
-// recycled — between the load and the lock.
+// close is the shared teardown path. detach runs under the registry's
+// write lock and the LNVC lock; if it leaves the LNVC with no
+// connections, the LNVC is deleted.
 func (f *Facility) close(pid int, id ID, detach func(*lnvc) error) error {
 	if err := f.checkPID(pid); err != nil {
 		return err
 	}
+	f.reg.Lock()
 	l, err := f.lookup(id)
 	if err != nil {
+		f.reg.Unlock()
 		return err
-	}
-	s := &f.shards[l.shard]
-	s.lock.Lock()
-	if f.slots[id].Load() != l {
-		s.lock.Unlock()
-		return fmt.Errorf("%w: id %d", ErrBadLNVC, id)
 	}
 	l.lock.Lock()
 	err = detach(l)
@@ -448,19 +425,18 @@ func (f *Facility) close(pid int, id ID, detach func(*lnvc) error) error {
 	}
 	l.lock.Unlock()
 	if err != nil {
-		s.lock.Unlock()
+		f.reg.Unlock()
 		return err
 	}
 	f.stats.closes.Add(1)
 	if dead {
-		delete(s.names, l.name)
+		delete(f.names, l.name)
 		f.slots[id].Store(nil)
-		s.lnvcFree = append(s.lnvcFree, l)
-		f.freeID(id)
+		f.lnvcFree = append(f.lnvcFree, l)
 		f.stats.lnvcsDeleted.Add(1)
 		f.stats.messagesDropped.Add(uint64(dropped))
 	}
-	s.lock.Unlock()
+	f.reg.Unlock()
 	f.pool.ReleaseBatch(drop)
 	return nil
 }

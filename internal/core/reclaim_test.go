@@ -256,8 +256,8 @@ func TestOrphanReleasedAfterDescriptorReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := f.Arena().FreeBlocks()
-	// Descriptors recycle within their name's shard: both circuits
-	// carry the one name.
+	// The registry's free list is LIFO: the second circuit, under the
+	// same name, takes the first one's descriptor.
 	const name = "orphan"
 	sid, _ := f.OpenSend(0, name)
 	rid, _ := f.OpenReceive(1, name, FCFS)

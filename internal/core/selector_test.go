@@ -359,66 +359,76 @@ func TestSelectorLevelTriggeredPartialDrain(t *testing.T) {
 }
 
 // TestSelectorWaiterRecycleABA pins the generation check on waiter
-// removal: a selector registered on a circuit whose descriptor *and*
-// a different id are recycled to a new circuit — which the same
-// selector then Adds — must not have the new registration's waiter
-// entry stripped when the stale registration is removed.
+// removal. A deleted circuit's descriptor goes back to the registry
+// with its id, and the next circuit takes both, whatever its name, so
+// a selector's registration on the dead circuit and its registration on
+// the successor name one descriptor under one id and differ only in
+// generation. Dropping the stale registration must not strip the live
+// one's waiter entry.
 func TestSelectorWaiterRecycleABA(t *testing.T) {
 	f, err := Init(Config{MaxLNVCs: 8, MaxProcesses: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Shutdown()
-	// Two names in different shards: freeing both descriptors and both
-	// ids, then reopening in the first shard, re-pairs that shard's
-	// descriptor with the *other* name's id (descriptor free lists are
-	// per-shard, the id pool is global, both LIFO).
-	nameA := "aba-a"
-	nameB := ""
-	for i := 0; ; i++ {
-		cand := fmt.Sprintf("aba-b%d", i)
-		if f.shardIndex(cand) != f.shardIndex(nameA) {
-			nameB = cand
-			break
-		}
-	}
-	ra, err := f.OpenReceive(1, nameA, FCFS)
+	ra, err := f.OpenReceive(1, "aba-a", FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := f.OpenReceive(1, nameB, FCFS)
+	rb, err := f.OpenReceive(1, "aba-b", FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
+	da, db := f.slots[ra].Load(), f.slots[rb].Load()
 	s, _ := f.NewSelector(1)
 	defer s.Close()
 	if err := s.Add(ra); err != nil {
 		t.Fatal(err)
 	}
-	// Kill both circuits (descriptor of nameA and both ids freed),
-	// then reopen in nameA's shard: same descriptor, different id.
+	stale := s.regs[ra]
+
+	// The lockstep: each deletion frees one id, and each creation takes
+	// the last freed descriptor back with its own id — here under a
+	// different name, in the reverse order of the deletions.
+	free := f.FreeIDCount()
 	if err := f.CloseReceive(1, ra); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.CloseReceive(1, rb); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := f.OpenReceive(1, nameA, FCFS)
+	if got := f.FreeIDCount(); got != free+2 {
+		t.Fatalf("%d ids free after two deletions, want %d", got, free+2)
+	}
+	rc, err := f.OpenReceive(1, "aba-c", FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc == ra {
-		t.Skipf("recycling did not cross ids (got %d again); layout changed", rc)
-	}
-	if err := s.Add(rc); err != nil {
+	rd, err := f.OpenReceive(1, "aba-a", FCFS)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Removing the stale registration (old id, same descriptor) must
-	// not strip the new registration's waiter entry.
-	if err := s.Remove(ra); err != nil && !errors.Is(err, ErrNotConnected) {
+	if rc != rb || f.slots[rc].Load() != db || rd != ra || f.slots[rd].Load() != da {
+		t.Fatalf("successors got ids %d, %d; want %d and %d with their own descriptors", rc, rd, rb, ra)
+	}
+	if da.gen != stale.gen+1 {
+		t.Fatalf("recycled descriptor at generation %d, want %d", da.gen, stale.gen+1)
+	}
+
+	// Adding the successor replaces the stale registration and drops its
+	// waiter entry; dropping it once more, as a late Remove or dropReg
+	// would, must leave the live entry in place.
+	if err := s.Add(rd); err != nil {
 		t.Fatal(err)
 	}
-	sid, err := f.OpenSend(0, nameA)
+	s.unregister(stale)
+	da.lock.Lock()
+	n := len(da.waiters)
+	da.lock.Unlock()
+	if n != 1 {
+		t.Fatalf("recycled descriptor has %d waiter entries, want the live registration's one", n)
+	}
+	sid, err := f.OpenSend(0, "aba-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,8 +439,8 @@ func TestSelectorWaiterRecycleABA(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wakeup lost after stale-registration removal: %v", err)
 	}
-	if len(ready) != 1 || ready[0] != rc {
-		t.Fatalf("ready = %v, want [%d]", ready, rc)
+	if len(ready) != 1 || ready[0] != rd {
+		t.Fatalf("ready = %v, want [%d]", ready, rd)
 	}
 }
 

@@ -179,8 +179,8 @@ func TestSendPathsAgree(t *testing.T) {
 				if err := e.f.CloseReceive(rcvr, e.id); err != nil {
 					e.t.Fatal(err)
 				}
-				// The same name, so the same shard; LIFO free lists: the
-				// next circuit gets the dead one's descriptor and its id.
+				// The registry's free list is LIFO: the next circuit gets
+				// the dead one's descriptor and its id.
 				id, err := e.f.OpenSend(other, name)
 				if err != nil {
 					e.t.Fatal(err)

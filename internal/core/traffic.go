@@ -88,34 +88,24 @@ func (l *lnvc) trafficLocked(t *traffic) {
 	}
 }
 
-// adopt records a freshly created descriptor so that Stats can find it
-// for the rest of the facility's life (descriptors are recycled, never
-// freed).
-func (f *Facility) adopt(l *lnvc) {
-	f.idLock.Lock()
-	f.descs = append(f.descs, l)
-	f.idLock.Unlock()
-}
-
 // Stats returns a snapshot of the facility's operation counters: the
-// rare-event cell, the registry lock totals (per-shard breakdown via
-// RegistryStats), and the per-connection traffic words summed over every
-// LNVC descriptor the facility has created — one circuit lock at a time,
-// never two together, so a concurrent reader sees each field monotonic
-// but not the fields of one instant. CreditsHeld is derived the same way:
+// rare-event cell, the registry lock's counters, and the per-connection
+// traffic words summed over every LNVC descriptor the facility has
+// created — one circuit lock at a time, never two together, so a
+// concurrent reader sees each field monotonic but not the fields of one
+// instant. CreditsHeld is derived the same way:
 // the sum of the circuits' outstanding debits.
 func (f *Facility) Stats() Stats {
 	st := f.stats.snapshot()
-	for _, rs := range f.RegistryStats() {
-		st.RegistryAcquisitions += rs.Acquisitions
-		st.RegistryContended += rs.Contended
-	}
+	// The counters are read before the read lock below, which they
+	// would otherwise count.
+	st.RegistryAcquisitions, st.RegistryContended = f.reg.Stats()
 
-	// descs is append-only, so the prefix read here stays valid after the
-	// leaf lock drops.
-	f.idLock.Lock()
+	// descs is append-only (descriptors are recycled, never freed), so
+	// the prefix read here stays valid after the lock drops.
+	f.reg.RLock()
 	descs := f.descs
-	f.idLock.Unlock()
+	f.reg.RUnlock()
 	var t traffic
 	held := 0
 	for _, l := range descs {

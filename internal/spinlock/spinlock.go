@@ -1,6 +1,6 @@
 // Package spinlock provides the facility's mutual exclusion: TAS, the
-// lock on every circuit, the arena's free pool and the registry's leaf
-// words, and RW, the registry shards' reader/writer lock.
+// lock on every circuit, the arena's free pool and each Selector, and
+// RW, the circuit name registry's reader/writer lock.
 //
 // The Sequent Balance 21000 that hosted the original MPF exposed "atomic
 // lock memory", bus-snooped bytes with an atomic test-and-set, and MPF

@@ -101,8 +101,8 @@ func TestRWRUnlockNotHeldPanics(t *testing.T) {
 
 // TestLockSizes holds TAS at 24 bytes and RW, which carries the same two
 // counters over a larger mutex, at 40: TAS sits in the circuit
-// descriptor's first line, the arena and the selector, RW in every
-// registry shard, and the layouts of all of them are measured in bytes.
+// descriptor's first line, the arena and the selector, RW in the
+// Facility's registry words, and the layouts of all of them are measured in bytes.
 func TestLockSizes(t *testing.T) {
 	if got := unsafe.Sizeof(TAS{}); got != 24 {
 		t.Errorf("TAS is %d bytes, want 24", got)

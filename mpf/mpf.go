@@ -92,7 +92,7 @@ type ID = core.ID
 // Stats aggregates facility-wide operation counters.
 type Stats = core.Stats
 
-// LockStat is one registry shard's lock-acquisition counters.
+// LockStat is the registry lock's acquisition counters.
 type LockStat = core.LockStat
 
 // Tracer observes every primitive invocation; see package
@@ -194,9 +194,9 @@ func (f *Facility) Shutdown() { f.c.Shutdown() }
 // circuit lock at a time: read Stats between phases, not per message.
 func (f *Facility) Stats() Stats { return f.c.Stats() }
 
-// RegistryStats returns per-shard lock acquisition counters for the
-// circuit name registry; index i describes shard i. An idle shard shows
-// zero acquisitions; a fought-over one shows a high contended fraction.
+// RegistryStats returns the acquisition counters of the circuit name
+// registry's one lock, as a one-element slice. A high contended
+// fraction means opens and closes are fighting over it.
 func (f *Facility) RegistryStats() []LockStat { return f.c.RegistryStats() }
 
 // MaxProcesses returns the configured process limit.
