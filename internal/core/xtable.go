@@ -5,8 +5,8 @@ package core
 // are Go structs full of pointers and cannot leave the serving
 // process, so the process boundary gets its own table — a small,
 // fixed-layout structure inside the segment that records, per attached
-// peer process: an ownership state word, an attach generation, the
-// peer's pid, and the segment offsets of its two SPSC descriptor rings
+// peer process: an ownership state word with its attach generation and
+// the peer's pid, followed by two SPSC descriptor rings per slot
 // (down = parent→child, up = child→parent). Everything in it is
 // offsets and atomic words; no Go pointer crosses the boundary.
 //
@@ -28,15 +28,20 @@ package core
 //	            CAS that names both the state AND the incarnation it
 //	            applies to
 //	       +8  pid      attached peer's pid (informational)
-//	       +16 downOff  segment offset of the parent→child ring
-//	       +24 upOff    segment offset of the child→parent ring
-//	+…   the rings themselves, two per slot
+//	       +16…+63      free
+//	+64·(nSlots+1)  the rings, down then up for slot 0, then slot 1, …
+//
+// No ring offset is stored: every process derives ring i's base from
+// (base, nSlots, ringCap) alone (ringBase), so no word a peer can write
+// decides which memory the server formats or pushes into. The formatting
+// process binds every ring once, in InitSegTable, and uses those
+// handles for the table's life; a peer binds its own slot's pair.
 //
 // Slot claiming is one CAS on the state word, so peers may attach and
 // detach concurrently with each other and with the serving facility's
 // allocator traffic — TestSegmentAttachChurnRace drives exactly that.
 //
-// Crash robustness (table version 2) rides on the packed generation:
+// Crash robustness rides on the packed generation:
 // a reaper that decides slot i's owner died marks it dead with
 // MarkDead(i, gen) — a CAS from (attached|gen) to (dead|gen) that can
 // only ever hit the incarnation the reaper observed. If the owner
@@ -68,17 +73,15 @@ const (
 
 const (
 	segTableMagic = 0x5458504D // "MPXT"
-	// segTableVersion 2: the slot state word packs the cumulative
-	// attach generation into its high 24 bits (it used to live in a
-	// separate word), making dead-peer marking a single ABA-safe CAS.
-	segTableVersion = 2
+	// segTableVersion 3: ring offsets are derived, no longer stored in
+	// the slot (version 2 packed the attach generation into the state
+	// word, making dead-peer marking a single ABA-safe CAS).
+	segTableVersion = 3
 	segTableHdr     = 64
 	segSlotBytes    = 64
 
 	slotOffState = 0
 	slotOffPid   = 8
-	slotOffDown  = 16
-	slotOffUp    = 24
 
 	// slotStateMask isolates the state from the packed word; the attach
 	// generation occupies the remaining 24 bits (wrap-around after 16M
@@ -106,11 +109,18 @@ type SegTable struct {
 	base    int64
 	nSlots  int
 	ringCap int
-	gen     uint64
+	rings   []*shm.XRing // the formatter's handles, down and up per slot; nil in a peer
 }
 
 // segRingSpace is one ring's 64-aligned footprint.
 func segRingSpace(ringCap int) int64 { return shm.AlignUp(shm.RingBytes(ringCap)) }
+
+// ringBase is where ring j of a table lives — slot j/2's down ring for
+// even j, its up ring for odd j: after the header and the slots, one
+// 64-aligned footprint each. The one source of ring geometry.
+func ringBase(base int64, nSlots, ringCap, j int) int64 {
+	return base + segTableHdr + int64(nSlots)*segSlotBytes + int64(j)*segRingSpace(ringCap)
+}
 
 // SegTableBytes returns the full table footprint — header, slots and
 // both rings of every slot — for segment layout planning.
@@ -131,21 +141,12 @@ func InitSegTable(seg *shm.Segment, base int64, nSlots, ringCap int, generation 
 		return nil, fmt.Errorf("mpf: segment table of %d bytes at %d exceeds segment of %d",
 			SegTableBytes(nSlots, ringCap), base, seg.Size())
 	}
-	t := &SegTable{seg: seg, base: base, nSlots: nSlots, ringCap: ringCap, gen: generation}
-	ringsBase := base + segTableHdr + int64(nSlots)*segSlotBytes
-	for i := 0; i < nSlots; i++ {
-		down := ringsBase + int64(i)*2*segRingSpace(ringCap)
-		up := down + segRingSpace(ringCap)
-		if _, err := shm.InitRing(seg, down, ringCap); err != nil {
+	t := &SegTable{seg: seg, base: base, nSlots: nSlots, ringCap: ringCap, rings: make([]*shm.XRing, 2*nSlots)}
+	for j := range t.rings {
+		var err error
+		if t.rings[j], err = shm.InitRing(seg, ringBase(base, nSlots, ringCap, j), ringCap); err != nil {
 			return nil, err
 		}
-		if _, err := shm.InitRing(seg, up, ringCap); err != nil {
-			return nil, err
-		}
-		slot := t.slotBase(i)
-		seg.Atomic64(slot + slotOffDown).Store(uint64(down))
-		seg.Atomic64(slot + slotOffUp).Store(uint64(up))
-		seg.Atomic32(slot + slotOffState).Store(SlotFree)
 	}
 	seg.Atomic64(base + 8).Store(generation)
 	seg.Atomic32(base + 16).Store(uint32(nSlots))
@@ -176,11 +177,12 @@ func AttachSegTable(seg *shm.Segment, base int64, generation uint64) (*SegTable,
 	}
 	nSlots := int(seg.Atomic32(base + 16).Load())
 	ringCap := int(seg.Atomic32(base + 20).Load())
-	if nSlots < 1 || nSlots > 1<<16 || base+SegTableBytes(nSlots, ringCap) > seg.Size() {
+	if nSlots < 1 || nSlots > 1<<16 || ringCap < 2 || ringCap&(ringCap-1) != 0 ||
+		base+SegTableBytes(nSlots, ringCap) > seg.Size() {
 		return nil, fmt.Errorf("mpf: segment table at %d has corrupt geometry (%d slots, ring cap %d)",
 			base, nSlots, ringCap)
 	}
-	return &SegTable{seg: seg, base: base, nSlots: nSlots, ringCap: ringCap, gen: generation}, nil
+	return &SegTable{seg: seg, base: base, nSlots: nSlots, ringCap: ringCap}, nil
 }
 
 func (t *SegTable) slotBase(i int) int64 { return t.base + segTableHdr + int64(i)*segSlotBytes }
@@ -196,9 +198,6 @@ func (t *SegTable) NSlots() int { return t.nSlots }
 
 // RingCap returns the per-direction ring capacity in records.
 func (t *SegTable) RingCap() int { return t.ringCap }
-
-// Generation returns the protocol generation the table was stamped with.
-func (t *SegTable) Generation() uint64 { return t.gen }
 
 // Claim takes ownership of slot i for a peer with the given pid: one
 // CAS from free or detached to attached, bumping the slot's attach
@@ -290,13 +289,6 @@ func (t *SegTable) SlotState(i int) uint32 {
 	return t.seg.Atomic32(t.slotBase(i)+slotOffState).Load() & slotStateMask
 }
 
-// SlotGen returns slot i's current attach generation — bumped by every
-// Claim, preserved across detach, death and reclamation.
-func (t *SegTable) SlotGen(i int) uint32 {
-	t.checkSlot(i)
-	return t.seg.Atomic32(t.slotBase(i)+slotOffState).Load() >> slotGenShift
-}
-
 // SlotStateGen reads state and generation from the one atomic word —
 // the consistent snapshot reapers base a MarkDead decision on.
 func (t *SegTable) SlotStateGen(i int) (state, gen uint32) {
@@ -311,19 +303,18 @@ func (t *SegTable) SlotPid(i int) uint32 {
 	return t.seg.Atomic32(t.slotBase(i) + slotOffPid).Load()
 }
 
-// Attaches returns slot i's cumulative attach count (its generation).
-func (t *SegTable) Attaches(i int) uint32 { return t.SlotGen(i) }
-
-// DownRing attaches to slot i's parent→child descriptor ring.
-func (t *SegTable) DownRing(i int) (*shm.XRing, error) {
+// Rings returns slot i's descriptor rings: down (parent→child) and up
+// (child→parent). The formatting table returns the handles InitSegTable
+// made, the same pair for the table's life, so their waiter counters
+// only grow; a peer table binds a fresh pair at the derived offsets —
+// a child does so once, for its own slot, at attach.
+func (t *SegTable) Rings(i int) (down, up *shm.XRing) {
 	t.checkSlot(i)
-	return shm.AttachRing(t.seg, int64(t.seg.Atomic64(t.slotBase(i)+slotOffDown).Load()))
-}
-
-// UpRing attaches to slot i's child→parent descriptor ring.
-func (t *SegTable) UpRing(i int) (*shm.XRing, error) {
-	t.checkSlot(i)
-	return shm.AttachRing(t.seg, int64(t.seg.Atomic64(t.slotBase(i)+slotOffUp).Load()))
+	if t.rings != nil {
+		return t.rings[2*i], t.rings[2*i+1]
+	}
+	return shm.RingAt(t.seg, ringBase(t.base, t.nSlots, t.ringCap, 2*i), t.ringCap),
+		shm.RingAt(t.seg, ringBase(t.base, t.nSlots, t.ringCap, 2*i+1), t.ringCap)
 }
 
 // ReformatRings re-initialises both of slot i's rings in place —
@@ -331,13 +322,8 @@ func (t *SegTable) UpRing(i int) (*shm.XRing, error) {
 // reclamation step that guarantees a slot's next claimant starts from
 // clean rings whatever its dead predecessor left queued. Only safe
 // while the slot is held dead (no live peer owns either ring end).
-func (t *SegTable) ReformatRings(i int) error {
-	t.checkSlot(i)
-	down := int64(t.seg.Atomic64(t.slotBase(i) + slotOffDown).Load())
-	up := int64(t.seg.Atomic64(t.slotBase(i) + slotOffUp).Load())
-	if _, err := shm.InitRing(t.seg, down, t.ringCap); err != nil {
-		return err
-	}
-	_, err := shm.InitRing(t.seg, up, t.ringCap)
-	return err
+func (t *SegTable) ReformatRings(i int) {
+	down, up := t.Rings(i)
+	down.Reset()
+	up.Reset()
 }

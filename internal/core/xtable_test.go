@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,13 +31,19 @@ func TestSegTableClaimDetach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if peer.NSlots() != 3 || peer.RingCap() != 8 || peer.Generation() != 7 {
-		t.Fatalf("attached table reads %d slots, ring cap %d, gen %d",
-			peer.NSlots(), peer.RingCap(), peer.Generation())
+	if peer.NSlots() != 3 || peer.RingCap() != 8 {
+		t.Fatalf("attached table reads %d slots, ring cap %d", peer.NSlots(), peer.RingCap())
 	}
 	if _, err := AttachSegTable(seg, 64, 8); !errors.Is(err, ErrGenerationMismatch) {
 		t.Fatalf("stale generation attach: %v", err)
 	}
+	// A version-2 table stored its ring offsets in the slots; a peer
+	// that derives them must refuse it rather than misread it.
+	seg.Atomic32(64 + 4).Store(2)
+	if _, err := AttachSegTable(seg, 64, 7); err == nil || !strings.Contains(err.Error(), "version 2, want 3") {
+		t.Fatalf("attach to a version-2 table: %v", err)
+	}
+	seg.Atomic32(64 + 4).Store(segTableVersion)
 	if _, err := AttachSegTable(seg, 128, 7); err == nil {
 		t.Fatal("attach to non-table offset succeeded")
 	}
@@ -62,19 +69,13 @@ func TestSegTableClaimDetach(t *testing.T) {
 	if err := tab.Claim(1, 77); err != nil {
 		t.Fatalf("reclaim of detached slot: %v", err)
 	}
-	if tab.Attaches(1) != 2 {
-		t.Fatalf("slot 1 attach count %d, want 2", tab.Attaches(1))
+	if _, gen := tab.SlotStateGen(1); gen != 2 {
+		t.Fatalf("slot 1 attach count %d, want 2", gen)
 	}
 
 	// The claimed slot's rings are live in both handles.
-	down, err := tab.DownRing(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peerDown, err := peer.DownRing(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	down, _ := tab.Rings(1)
+	peerDown, _ := peer.Rings(1)
 	if err := down.PushBatch([]shm.Record{{Off: 640, Len: 33, Tag: 2}}, time.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +125,7 @@ func TestSegTableDeadSlotGeneration(t *testing.T) {
 	}
 
 	// Reclamation completes: rings reformatted, slot freed.
-	if err := tab.ReformatRings(0); err != nil {
-		t.Fatal(err)
-	}
+	tab.ReformatRings(0)
 	if tab.FreeSlot(0, gen1+1) {
 		t.Fatal("FreeSlot with wrong generation succeeded")
 	}
@@ -159,8 +158,8 @@ func TestSegTableDeadSlotGeneration(t *testing.T) {
 	if tab.MarkDead(0, gen2) {
 		t.Fatal("MarkDead of detached slot succeeded")
 	}
-	if tab.Attaches(0) != 2 {
-		t.Fatalf("attach count %d, want 2", tab.Attaches(0))
+	if _, gen := tab.SlotStateGen(0); gen != 2 {
+		t.Fatalf("attach count %d, want 2", gen)
 	}
 }
 
@@ -201,9 +200,7 @@ func TestPeerDeathChurnRace(t *testing.T) {
 				if !tab.MarkDead(slot, gen) {
 					continue // stale: the incarnation already moved on
 				}
-				if err := tab.ReformatRings(slot); err != nil {
-					t.Error(err)
-				}
+				tab.ReformatRings(slot)
 				if !tab.FreeSlot(slot, gen) {
 					t.Errorf("FreeSlot(%d, %d) failed on a slot we marked dead", slot, gen)
 				}
@@ -229,12 +226,8 @@ func TestPeerDeathChurnRace(t *testing.T) {
 					time.Sleep(100 * time.Microsecond)
 					continue
 				}
-				gen := peer.SlotGen(slot)
-				up, err := peer.UpRing(slot)
-				if err != nil {
-					t.Error(err)
-					return
-				}
+				_, gen := peer.SlotStateGen(slot)
+				_, up := peer.Rings(slot)
 				// Traffic, then either a clean detach or a "crash":
 				// walk away and let the reaper find the corpse.
 				up.TryPush(shm.Record{Off: int64(c*1000 + r), Tag: uint16(c)})
@@ -254,9 +247,7 @@ func TestPeerDeathChurnRace(t *testing.T) {
 		case d := <-deaths:
 			slot, gen := int(d[0]), d[1]
 			if tab.MarkDead(slot, gen) {
-				if err := tab.ReformatRings(slot); err != nil {
-					t.Error(err)
-				}
+				tab.ReformatRings(slot)
 				tab.FreeSlot(slot, gen)
 			}
 		default:
@@ -331,14 +322,7 @@ func TestSegmentAttachChurnRace(t *testing.T) {
 		}
 	}()
 	for i := 0; i < nSlots; i++ {
-		up, err := tab.UpRing(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		down, err := tab.DownRing(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+		down, up := tab.Rings(i)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -381,13 +365,7 @@ func TestSegmentAttachChurnRace(t *testing.T) {
 					time.Sleep(100 * time.Microsecond)
 					continue
 				}
-				up, err1 := peer.UpRing(slot)
-				down, err2 := peer.DownRing(slot)
-				if err1 != nil || err2 != nil {
-					t.Errorf("child %d rings: %v %v", c, err1, err2)
-					peer.Detach(slot)
-					return
-				}
+				down, up := peer.Rings(slot)
 				want := shm.Record{Off: int64(c*1000 + r), Len: int32(r), Tag: uint16(c)}
 				if err := up.PushBatch([]shm.Record{want}, time.Now().Add(5*time.Second)); err != nil {
 					t.Errorf("child %d push: %v", c, err)

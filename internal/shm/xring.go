@@ -85,7 +85,7 @@ func RingBytes(capacity int) int64 {
 
 // XRing is a process-local handle onto an in-segment SPSC ring. Each
 // side creates its own handle (InitRing in the segment's creator,
-// AttachRing everywhere else).
+// AttachRing or RingAt everywhere else).
 type XRing struct {
 	seg  *Segment
 	base int64
@@ -108,12 +108,34 @@ func InitRing(seg *Segment, base int64, capacity int) (*XRing, error) {
 		return nil, fmt.Errorf("shm: ring of %d records at %d exceeds segment of %d bytes",
 			capacity, base, seg.Size())
 	}
-	seg.Atomic32(base + ringOffCap).Store(uint32(capacity))
-	seg.Atomic32(base + ringOffTail).Store(0)
-	seg.Atomic32(base + ringOffHead).Store(0)
-	seg.Atomic32(base + ringOffClosed).Store(0)
-	seg.Atomic32(base + ringOffMagic).Store(ringMagic)
-	return AttachRing(seg, base)
+	r := RingAt(seg, base, capacity)
+	r.Reset()
+	return r, nil
+}
+
+// Reset formats the ring in place under its handle: capacity and magic
+// stamped, indices zeroed, closed flag cleared, so queued records are
+// unreachable. Only safe while neither end is in use.
+func (r *XRing) Reset() {
+	r.seg.Atomic32(r.base + ringOffCap).Store(r.mask + 1)
+	r.seg.Atomic32(r.base + ringOffTail).Store(0)
+	r.seg.Atomic32(r.base + ringOffHead).Store(0)
+	r.seg.Atomic32(r.base + ringOffClosed).Store(0)
+	r.seg.Atomic32(r.base + ringOffMagic).Store(ringMagic)
+}
+
+// RingAt binds a handle to the ring of the given capacity (a power of
+// two) at base without reading the ring's header: for a process that
+// derives ring geometry instead of reading it from words a peer can
+// write. The caller guarantees the ring lies inside the segment.
+func RingAt(seg *Segment, base int64, capacity int) *XRing {
+	return &XRing{
+		seg:  seg,
+		base: base,
+		mask: uint32(capacity) - 1,
+		data: NotifyAt(seg, base+ringOffData),
+		spc:  NotifyAt(seg, base+ringOffSpace),
+	}
 }
 
 // AttachRing binds a handle to a ring previously formatted by
@@ -130,13 +152,7 @@ func AttachRing(seg *Segment, base int64) (*XRing, error) {
 	if capacity < 2 || capacity&(capacity-1) != 0 || base+RingBytes(int(capacity)) > seg.Size() {
 		return nil, fmt.Errorf("shm: ring at %d has corrupt capacity %d", base, capacity)
 	}
-	return &XRing{
-		seg:  seg,
-		base: base,
-		mask: capacity - 1,
-		data: NotifyAt(seg, base+ringOffData),
-		spc:  NotifyAt(seg, base+ringOffSpace),
-	}, nil
+	return RingAt(seg, base, int(capacity)), nil
 }
 
 // Cap returns the ring capacity in records.

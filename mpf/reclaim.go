@@ -7,9 +7,11 @@ package mpf
 // bridge holds pinned, and (under WithCredit) the credit blocks
 // debited for its in-flight messages. Because the serving process owns
 // the allocator and every descriptor (children are raw segment peers),
-// all of that state is reachable from the parent — the blast radius of
-// a child crash is bounded by construction, and reclamation is a
-// parent-side walk:
+// all of that state is reachable from the parent, and reclamation is a
+// parent-side walk over the server's own ring handles — no ring offset
+// is read from the segment, so a dead child's slot words cannot aim the
+// walk at another slot (DESIGN.md §17 lists the segment words the
+// server still trusts):
 //
 //	mark the slot dead (generation-bound CAS — a recycled pid can
 //	  never get a live newcomer reclaimed)
@@ -32,7 +34,6 @@ package mpf
 // restarts crashed children into their reclaimed slots with backoff.
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -82,33 +83,14 @@ func (s *ProcServer) ReclaimSlot(slot int, gen uint32) (ReclaimReport, bool) {
 	conn := b.conn
 	b.conn = bridgeConn{}
 	b.mu.Unlock()
-	down, up := conn.down, conn.up
-
-	// The bridge may never have opened (death before first traffic);
-	// the rings always exist in the table.
-	var err error
-	if down == nil {
-		if down, err = s.table.DownRing(slot); err != nil {
-			down = nil
-		}
-	}
-	if up == nil {
-		if up, err = s.table.UpRing(slot); err != nil {
-			up = nil
-		}
-	}
 
 	// Close first: any bridge goroutine parked on a ring wakes with
 	// ErrRingClosed right now instead of waiting out its deadline, and
 	// no new record can land while we drain.
-	if down != nil {
-		down.Close()
-	}
-	if up != nil {
-		up.Close()
-	}
-	rep.Views += drainDead(down, gen)
-	rep.Views += drainDead(up, gen)
+	down, up := s.table.Rings(slot)
+	down.Close()
+	up.Close()
+	rep.Views += drainDead(down, gen) + drainDead(up, gen)
 
 	// Closing the bridge's circuit connections runs the facility's own
 	// teardown: queued messages are discarded through the normal
@@ -116,7 +98,7 @@ func (s *ProcServer) ReclaimSlot(slot int, gen uint32) (ReclaimReport, bool) {
 	// orphan-restored. Snapshot the ledger first so the refund is
 	// attributable to this death.
 	if conn.recv != nil {
-		if info, ok := s.fac.Circuit(fmt.Sprintf("xproc-%d", slot)); ok {
+		if info, err := s.fac.c.LNVCInfo(conn.recv.ID()); err == nil {
 			rep.Credits = uint64(info.CreditUsed)
 			rep.Views += uint64(info.QueuedMsgs)
 		}
@@ -125,12 +107,7 @@ func (s *ProcServer) ReclaimSlot(slot int, gen uint32) (ReclaimReport, bool) {
 
 	// Fresh rings for the next claimant, then — and only then — the
 	// slot itself returns to the pool.
-	if err := s.table.ReformatRings(slot); err != nil {
-		// The slot stays dead: better a permanently lost slot than a
-		// claimant on corrupt rings. This cannot happen short of a
-		// corrupted table header.
-		return rep, false
-	}
+	s.table.ReformatRings(slot)
 	if !s.table.FreeSlot(slot, gen) {
 		return rep, false
 	}
@@ -143,9 +120,6 @@ func (s *ProcServer) ReclaimSlot(slot int, gen uint32) (ReclaimReport, bool) {
 // payload-bearing records (VIEW and LOAN kinds — the in-flight windows
 // the dead peer will never consume).
 func drainDead(r *shm.XRing, gen uint32) uint64 {
-	if r == nil {
-		return 0
-	}
 	var n uint64
 	for {
 		rec, ok, err := r.TryPop()

@@ -55,16 +55,18 @@ package mpf
 // message is a window of one: LOAN or VIEW, then FILLED or ACK, the
 // same records in the same order a stop-and-wait bridge exchanges.
 //
-// Nothing a peer can write is trusted: ring indices further apart than
-// the capacity (shm.ErrRingCorrupt) and replies of the wrong kind or
-// for the wrong window declare the peer dead — the bridge reclaims the
-// slot itself and returns ErrPeerDead. On every failure each chunk in
-// flight is resolved exactly once (AbortAll, ReleaseViews) before the
-// call returns. A failure that is the call's own — a checksum that does
-// not verify, a payload in more than one span — is not the peer's
-// death: the loop stops issuing and matches replies until its window is
-// empty before it returns the failure, so the slot stays attached and
-// the next call finds the rings as a finished call leaves them.
+// Nothing a peer can write steers the bridge: ring offsets are derived
+// from the table's geometry and bound once (SegTable.Rings), and ring
+// indices further apart than the capacity (shm.ErrRingCorrupt) and
+// replies of the wrong kind or for the wrong window declare the peer
+// dead — the bridge reclaims the slot itself and returns ErrPeerDead.
+// On every failure each chunk in flight is resolved exactly once
+// (AbortAll, ReleaseViews) before the call returns. A failure that is
+// the call's own — a checksum that does not verify, a payload in more
+// than one span — is not the peer's death: the loop stops issuing and
+// matches replies until its window is empty before it returns the
+// failure, so the slot stays attached and the next call finds the
+// rings as a finished call leaves them.
 //
 // What a call costs is the ring hop and the circuit. The two byte loops
 // of the verification protocol, xsum and fillPattern, run as
@@ -188,14 +190,13 @@ type bridgeState struct {
 }
 
 // bridgeConn is one incarnation's bridge: both ends of the loop-back
-// circuit, the selector the receive end is harvested through, the ring
-// handles and the attach generation they were bound to.
+// circuit, the selector the receive end is harvested through and the
+// attach generation they were bound to. The slot's rings are the
+// table's, bound once for the server's life (SegTable.Rings).
 type bridgeConn struct {
 	send *SendConn
 	recv *RecvConn
 	sel  *Selector
-	down *shm.XRing
-	up   *shm.XRing
 	gen  uint32
 }
 
@@ -308,8 +309,8 @@ func (s *ProcServer) SpawnEnv(n int, bin string, args []string, envFor func(i in
 	return g, nil
 }
 
-// bridge lazily opens slot i's facility connections, the selector the
-// receive end is harvested through and the ring handles, first waiting
+// bridge lazily opens slot i's facility connections and the selector
+// the receive end is harvested through, first waiting
 // (bounded) for a peer to claim the slot so the bridge
 // binds to a definite attach generation. Bridge pid i+1 holds both
 // ends of circuit "xproc-i": the loop-back shape means every payload
@@ -348,11 +349,6 @@ func (s *ProcServer) bridge(slot int) (bridgeConn, error) {
 	if c.recv, err = p.OpenReceive(name, FCFS); err == nil {
 		if c.sel, err = p.NewSelector(); err == nil {
 			err = c.sel.Add(c.recv)
-		}
-	}
-	if err == nil {
-		if c.down, err = s.table.DownRing(slot); err == nil {
-			c.up, err = s.table.UpRing(slot)
 		}
 	}
 	if err != nil {
@@ -652,6 +648,7 @@ func (s *ProcServer) runBridge(slot, msgs, size int, up bool) (done int, err err
 		return 0, err
 	}
 	abort := s.slotAbort(slot, b.gen)
+	tx, rx := s.table.Rings(slot) // records go out on the down ring, replies come back on up
 	w := s.window(msgs, size)
 	per := w / ((w + maxChunk - 1) / maxChunk) // W in the fewest equal chunks of at most maxChunk
 	var ns [maxChunk]int
@@ -697,7 +694,7 @@ func (s *ProcServer) runBridge(slot, msgs, size int, up bool) (done int, err err
 				c.drop() // never pushed: nothing will answer it
 				continue
 			}
-			if err := pushWait(b.down, c.recs, abort); err != nil {
+			if err := pushWait(tx, c.recs, abort); err != nil {
 				c.drop()
 				return done, err
 			}
@@ -710,9 +707,9 @@ func (s *ProcServer) runBridge(slot, msgs, size int, up bool) (done int, err err
 		// at least one once it is full or everything is issued.
 		var n int
 		if room {
-			n, err = b.up.PopBatch(replies[:])
+			n, err = rx.PopBatch(replies[:])
 		} else {
-			n, err = popWait(b.up, replies[:], abort)
+			n, err = popWait(rx, replies[:], abort)
 		}
 		if err != nil {
 			return done, err
@@ -829,10 +826,12 @@ func (b bridgeConn) land(c *chunk, slot int) error {
 	return nil
 }
 
-// RingWaitStats sums the waiter counters of every bridge's ring
-// handles: spin polls, kernel futex sleeps, and wake syscalls issued
-// on the serving side. The cross-process benchmark records these per
-// message — a waiter protocol regressing to busy-spin shows up here.
+// RingWaitStats sums the waiter counters of the server's ring handles,
+// every slot's two: spin polls, kernel futex sleeps, and wake syscalls
+// issued on the serving side. The handles live as long as the server,
+// so the sums never decrease, across reclaims too. The cross-process
+// benchmark records these per message — a waiter protocol regressing
+// to busy-spin shows up here.
 func (s *ProcServer) RingWaitStats() shm.WaitStats {
 	var total shm.WaitStats
 	add := func(w shm.WaitStats) {
@@ -841,16 +840,11 @@ func (s *ProcServer) RingWaitStats() shm.WaitStats {
 		total.Wakes += w.Wakes
 	}
 	for i := range s.bridges {
-		b := &s.bridges[i]
-		b.mu.Lock()
-		down, up := b.conn.down, b.conn.up
-		b.mu.Unlock()
-		for _, r := range []*shm.XRing{down, up} {
-			if r != nil {
-				data, space := r.WaitStats()
-				add(data)
-				add(space)
-			}
+		down, up := s.table.Rings(i)
+		for _, r := range [...]*shm.XRing{down, up} {
+			data, space := r.WaitStats()
+			add(data)
+			add(space)
 		}
 	}
 	return total
@@ -862,7 +856,8 @@ func (s *ProcServer) FinishSlot(slot int) error {
 	if err != nil {
 		return err
 	}
-	err = pushWait(b.down, []shm.Record{{Tag: xtag(XTagDone, b.gen)}}, s.slotAbort(slot, b.gen))
+	down, _ := s.table.Rings(slot)
+	err = pushWait(down, []shm.Record{{Tag: xtag(XTagDone, b.gen)}}, s.slotAbort(slot, b.gen))
 	return s.peerErr(err, slot, b.gen)
 }
 
@@ -909,7 +904,7 @@ func AttachProc() (*ProcClient, error) {
 // AttachProcConn attaches over an explicit unix socket: receive the
 // segment fd and handshake (deadline-bounded — a dead parent surfaces
 // as ErrHandshakeTimeout), map the segment, verify the table
-// generation, claim the assigned slot, open the rings.
+// generation, claim the assigned slot, bind its rings.
 func AttachProcConn(conn *net.UnixConn) (*ProcClient, error) {
 	seg, h, err := shm.RecvSegment(conn)
 	if err != nil {
@@ -928,14 +923,7 @@ func AttachProcConn(conn *net.UnixConn) (*ProcClient, error) {
 	}
 	faultpoint.Hit("child-claim")
 	c := &ProcClient{seg: seg, table: table, h: h, slot: int(h.Slot), gen: gen, ppid: os.Getppid()}
-	if c.down, err = table.DownRing(c.slot); err == nil {
-		c.up, err = table.UpRing(c.slot)
-	}
-	if err != nil {
-		table.Detach(c.slot)
-		seg.Close()
-		return nil, err
-	}
+	c.down, c.up = table.Rings(c.slot)
 	return c, nil
 }
 

@@ -3,6 +3,7 @@
 package mpf
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -251,10 +252,7 @@ func TestBridgeDiscardsStaleGeneration(t *testing.T) {
 		Options:  []Option{WithBlockSize(128), WithBlocksPerProcess(512)},
 	})
 	cl := attachPeer(t, srv, 0)
-	up, err := srv.Table().UpRing(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, up := srv.Table().Rings(0)
 	stale := []shm.Record{
 		{Tag: xtag(XTagAck, cl.Gen()+1), Word: 7},
 		{Off: 1 << 40, Len: -3, Tag: xtag(XTagFilled, cl.Gen()+255)},
@@ -277,23 +275,23 @@ func TestBridgeDiscardsStaleGeneration(t *testing.T) {
 	}
 }
 
-// ringWords finds the slot-0 rings' index words the way a hostile peer
-// would: any process mapping the segment can scan it for the ring
-// magic. Rings are laid out down then up; tail is at +64, head at +128
+// ringBases finds the first n rings the way a hostile peer would: any
+// process mapping the segment can scan it for the ring magic. Rings are
+// laid out down then up, slot by slot; tail is at +64, head at +128
 // (the layout comment in internal/shm/xring.go).
-func ringWords(t *testing.T, seg *shm.Segment) (downHead, upTail int64) {
+func ringBases(t *testing.T, seg *shm.Segment, n int) []int64 {
 	t.Helper()
 	const magic = 0x4D505253
 	var bases []int64
-	for off := int64(0); off+512 <= seg.Size() && len(bases) < 2; off += 64 {
+	for off := int64(0); off+512 <= seg.Size() && len(bases) < n; off += 64 {
 		if seg.Atomic32(off).Load() == magic {
 			bases = append(bases, off)
 		}
 	}
-	if len(bases) < 2 {
-		t.Fatalf("found %d rings in the segment, want 2", len(bases))
+	if len(bases) < n {
+		t.Fatalf("found %d rings in the segment, want %d", len(bases), n)
 	}
-	return bases[0] + 128, bases[1] + 64
+	return bases
 }
 
 // TestBridgeScribblingPeer is the hostile child: attached and claimed
@@ -357,8 +355,8 @@ func TestBridgeScribblingPeer(t *testing.T) {
 			for cl.down.Len() != 32 { // the window is out and the bridge parked
 				time.Sleep(time.Millisecond)
 			}
-			downHead, upTail := ringWords(t, cl.seg)
-			sc.hostile(t, cl, cl.seg.Atomic32(downHead), cl.seg.Atomic32(upTail))
+			bases := ringBases(t, cl.seg, 2)
+			sc.hostile(t, cl, cl.seg.Atomic32(bases[0]+128), cl.seg.Atomic32(bases[1]+64))
 
 			select {
 			case r := <-bridged:
@@ -385,6 +383,142 @@ func TestBridgeScribblingPeer(t *testing.T) {
 			quiescent(t, srv, free)
 		})
 	}
+}
+
+// TestBridgeScribbledSlotWords is a child that writes into the words of
+// its own table slot past the state word, +8..+63, aiming each at a
+// bystander: slot 1's down ring, then slot 1's own slot. Table version
+// 2 kept the slot's ring offsets at +16 and +24 and read them back at
+// every bridge open and every reclaim, so the bridge pushed into the
+// bystander's ring and the reclaim formatted a ring over its slot.
+// Offsets are derived now: a bridge call moves records only through
+// the scribbler's own rings, a reclaim touches nothing of slot 1's —
+// its slot words and both rings compare equal byte for byte — and the
+// allocator's free pool is intact.
+func TestBridgeScribbledSlotWords(t *testing.T) {
+	for _, aim := range []string{"bridge", "reclaim"} {
+		t.Run(aim, func(t *testing.T) {
+			srv := serveOrSkip(t, ServeConfig{
+				Children: 2,
+				RingCap:  8,
+				Options:  []Option{WithBlockSize(128), WithBlocksPerProcess(256)},
+			})
+			seg := srv.Segment()
+			slot0 := srv.tableOff + 64 // the table header is 64 bytes, a slot 64
+			slot1 := slot0 + 64
+			bystander := attachPeer(t, srv, 1)
+			if ok, err := bystander.up.TryPush(shm.Record{Off: 1, Len: 2, Tag: 3, Word: 4}); !ok || err != nil {
+				t.Fatalf("bystander push: %v, %v", ok, err)
+			}
+			cl := attachPeer(t, srv, 0)
+			served := make(chan error, 1)
+			go func() { served <- cl.Serve() }()
+			bases := ringBases(t, seg, 4) // slot 0 down and up, slot 1 down and up
+			snapshot := func() []byte {
+				b := append([]byte(nil), seg.At(slot1, 64)...)
+				b = append(b, seg.At(bases[2], shm.RingBytes(8))...)
+				return append(b, seg.At(bases[3], shm.RingBytes(8))...)
+			}
+			before := snapshot()
+
+			target := uint64(bases[2])
+			if aim == "reclaim" {
+				target = uint64(slot1)
+			}
+			for off := int64(8); off < 64; off += 8 {
+				seg.Atomic64(slot0 + off).Store(target)
+			}
+			if aim == "bridge" {
+				select {
+				case r := <-goBridge(func() (int, error) { return srv.BridgeDown(0, 1, 64) }):
+					if r.err != nil || r.n != 1 {
+						t.Fatalf("bridge call past scribbled slot words: %d round trips, %v", r.n, r.err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("bridge call past scribbled slot words hung")
+				}
+				if err := srv.FinishSlot(0); err != nil {
+					t.Fatal(err)
+				}
+				if err := <-served; err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if _, ok := srv.ReclaimSlot(0, cl.Gen()); !ok {
+					t.Fatal("ReclaimSlot refused the scribbler's incarnation")
+				}
+				if err := <-served; !errors.Is(err, ErrPeerDead) && !errors.Is(err, shm.ErrRingClosed) {
+					t.Fatalf("the reclaimed worker returned %v, want ErrPeerDead or ErrRingClosed", err)
+				}
+				if st := srv.Table().SlotState(0); st != core.SlotFree {
+					t.Fatalf("slot 0 state %d after the reclaim, want free", st)
+				}
+			}
+
+			if st, gen := srv.Table().SlotStateGen(1); st != core.SlotAttached || gen != bystander.Gen() {
+				t.Fatalf("bystander slot reads state %d gen %d, want attached gen %d", st, gen, bystander.Gen())
+			}
+			if after := snapshot(); !bytes.Equal(after, before) {
+				t.Fatalf("the bystander's slot words or rings changed:\n%x\n%x", before, after)
+			}
+			if err := srv.Facility().Core().Arena().CheckFreeList(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestBridgeRingWaitStatsMonotonic holds RingWaitStats to what the
+// benchmark assumes when it subtracts two readings: no counter goes
+// down — not across a reclaim, and not across the next incarnation's
+// traffic.
+func TestBridgeRingWaitStatsMonotonic(t *testing.T) {
+	srv := serveOrSkip(t, ServeConfig{
+		Children: 1,
+		RingCap:  64,
+		Options:  []Option{WithBlockSize(128), WithBlocksPerProcess(512)},
+	})
+	var last shm.WaitStats
+	check := func(when string) {
+		t.Helper()
+		ws := srv.RingWaitStats()
+		if ws.Polls < last.Polls || ws.Sleeps < last.Sleeps || ws.Wakes < last.Wakes {
+			t.Fatalf("%s: ring wait counters went from %+v to %+v", when, last, ws)
+		}
+		last = ws
+	}
+
+	// The peer starts serving only once the bridge's records are out, so
+	// the bridge has waited for replies — and counted it — before the
+	// reclaim.
+	cl := attachPeer(t, srv, 0)
+	bridged := goBridge(func() (int, error) { return srv.BridgeDown(0, 64, 256) })
+	for cl.down.Len() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(5 * time.Millisecond)
+	served := make(chan error, 1)
+	go func() { served <- cl.Serve() }()
+	if r := <-bridged; r.err != nil || r.n != 64 {
+		t.Fatalf("first incarnation: %d round trips, %v", r.n, r.err)
+	}
+	check("after the first incarnation's traffic")
+	if last == (shm.WaitStats{}) {
+		t.Fatal("a bridge call that waited for its replies counted no wait")
+	}
+
+	if _, ok := srv.ReclaimSlot(0, cl.Gen()); !ok {
+		t.Fatal("ReclaimSlot refused the incarnation")
+	}
+	if err := <-served; err == nil {
+		t.Fatal("the reclaimed worker returned no error")
+	}
+	check("after the reclaim")
+
+	finish := attachWorker(t, srv, 0)
+	bridgeBoth(t, srv, 0, 64, 256)
+	finish()
+	check("after the next incarnation's traffic")
 }
 
 // TestBridgePeerKilledMidWindow kills a real child at an armed fault
@@ -436,10 +570,7 @@ func TestBridgePeerKilledMidWindow(t *testing.T) {
 			case <-time.After(20 * time.Second):
 				t.Fatal("the armed child never crashed")
 			}
-			down, err := srv.Table().DownRing(0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			down, _ := srv.Table().Rings(0)
 			for deadline := time.Now().Add(20 * time.Second); down.Len() != 48; {
 				if time.Now().After(deadline) {
 					t.Fatalf("%d records in the down ring, want the 48 the child never took", down.Len())
@@ -612,7 +743,7 @@ func TestBridgeVerifyFailureDrainsWindow(t *testing.T) {
 	if st := srv.Table().SlotState(0); st != core.SlotAttached {
 		t.Fatalf("slot state %d after a verification failure, want attached", st)
 	}
-	if up, _ := srv.Table().UpRing(0); up.Len() != 0 || cl.down.Len() != 0 {
+	if _, up := srv.Table().Rings(0); up.Len() != 0 || cl.down.Len() != 0 {
 		t.Fatalf("%d replies and %d records left in the rings by the failed call", up.Len(), cl.down.Len())
 	}
 	quiescent(t, srv, free)
