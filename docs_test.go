@@ -602,13 +602,13 @@ func diffNames(got, want []string) (added, missing []string) {
 // must exceed a budget raises it here, in its own diff, and says why in
 // CHANGES.md. The planted cases hold the checks themselves.
 func TestSizeRatchet(t *testing.T) {
-	const designLines, entryBytes, firstRatchetedPR = 1417, 1536, 48
+	const designLines, entryBytes, firstRatchetedPR = 1415, 1536, 48
 	budgets := []struct {
 		trees []string
 		lines int
 	}{
-		{[]string{"internal/core"}, 1997},
-		{[]string{"mpf"}, 1034},
+		{[]string{"internal/core"}, 1991},
+		{[]string{"mpf"}, 986},
 		{[]string{"internal/apps", "internal/simmpf", "internal/bench"}, 1809},
 	}
 	t.Run("planted", func(t *testing.T) {

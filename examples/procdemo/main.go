@@ -236,9 +236,8 @@ func runChaos(children, msgs, size int) error {
 	var deaths, respawns int
 	var mu sync.Mutex
 	sup := srv.Supervise(group, mpf.SuperviseConfig{
-		Respawn:       2,
-		Backoff:       2 * time.Millisecond,
-		ProbeInterval: 25 * time.Millisecond,
+		Respawn: 2,
+		Backoff: 2 * time.Millisecond,
 		// Replacements attach in worker mode but without the fault spec:
 		// re-arming the same crash point would kill them identically.
 		RespawnEnv: func(int, int) []string { return []string{"MPF_PROCDEMO_CHILD=1"} },

@@ -160,8 +160,10 @@ type Config struct {
 	// shared region, exactly as in the paper's init.
 	MaxLNVCs     int
 	MaxProcesses int
-	// BlockSize is the message block size in bytes including the 4-byte
-	// link word. The paper's experiments used 10-byte blocks; the
+	// BlockSize is the message block size in bytes including the 4
+	// bytes the paper's layout charges for a link word (reserved before
+	// each payload; the link lives in the arena's heap table, never in
+	// the region). The paper's experiments used 10-byte blocks; the
 	// default here is 64. Figure 3's per-block overhead is directly
 	// controlled by this knob. Payloads start on block boundaries, so
 	// a multiple of 64 puts every payload on a cache line.

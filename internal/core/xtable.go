@@ -5,8 +5,8 @@ package core
 // are Go structs full of pointers and cannot leave the serving
 // process, so the process boundary gets its own table — a small,
 // fixed-layout structure inside the segment that records, per attached
-// peer process: an ownership state word with its attach generation and
-// the peer's pid, followed by two SPSC descriptor rings per slot
+// peer process: an ownership state word with its attach generation,
+// followed by two SPSC descriptor rings per slot
 // (down = parent→child, up = child→parent). Everything in it is
 // offsets and atomic words; no Go pointer crosses the boundary.
 //
@@ -27,8 +27,7 @@ package core
 //	            the high 24 bits — one word, so every transition is one
 //	            CAS that names both the state AND the incarnation it
 //	            applies to
-//	       +8  pid      attached peer's pid (informational)
-//	       +16…+63      free
+//	       +8…+63       free
 //	+64·(nSlots+1)  the rings, down then up for slot 0, then slot 1, …
 //
 // No ring offset is stored: every process derives ring i's base from
@@ -46,9 +45,11 @@ package core
 // MarkDead(i, gen) — a CAS from (attached|gen) to (dead|gen) that can
 // only ever hit the incarnation the reaper observed. If the owner
 // detached and a new peer claimed the slot in the meantime, the
-// generation moved and the CAS fails harmlessly: a recycled OS pid can
-// never get a live newcomer reclaimed out from under it. Dead slots
-// refuse Claim until the reclaimer finishes tearing down the
+// generation moved and the CAS fails harmlessly: a stale death can
+// never get a live newcomer reclaimed out from under it. The table
+// records no pid: which peer died is the server's knowledge (the exits
+// its exec group waits on), not a word the peer could rewrite. Dead
+// slots refuse Claim until the reclaimer finishes tearing down the
 // incarnation's in-flight state and releases the slot with
 // FreeSlot(i, gen).
 
@@ -73,15 +74,15 @@ const (
 
 const (
 	segTableMagic = 0x5458504D // "MPXT"
-	// segTableVersion 3: ring offsets are derived, no longer stored in
-	// the slot (version 2 packed the attach generation into the state
-	// word, making dead-peer marking a single ABA-safe CAS).
-	segTableVersion = 3
+	// segTableVersion 4: the slot stores no pid (version 3 derived the
+	// ring offsets instead of storing them; version 2 packed the attach
+	// generation into the state word, making dead-peer marking a single
+	// ABA-safe CAS).
+	segTableVersion = 4
 	segTableHdr     = 64
 	segSlotBytes    = 64
 
 	slotOffState = 0
-	slotOffPid   = 8
 
 	// slotStateMask isolates the state from the packed word; the attach
 	// generation occupies the remaining 24 bits (wrap-around after 16M
@@ -199,19 +200,19 @@ func (t *SegTable) NSlots() int { return t.nSlots }
 // RingCap returns the per-direction ring capacity in records.
 func (t *SegTable) RingCap() int { return t.ringCap }
 
-// Claim takes ownership of slot i for a peer with the given pid: one
-// CAS from free or detached to attached, bumping the slot's attach
-// generation in the same word. A slot already attached is refused;
-// a dead slot is refused with ErrSlotDead until reclamation frees it.
-func (t *SegTable) Claim(i int, pid uint32) error {
-	_, err := t.ClaimGen(i, pid)
+// Claim takes ownership of slot i: one CAS from free or detached to
+// attached, bumping the slot's attach generation in the same word. A
+// slot already attached is refused; a dead slot is refused with
+// ErrSlotDead until reclamation frees it.
+func (t *SegTable) Claim(i int) error {
+	_, err := t.ClaimGen(i)
 	return err
 }
 
 // ClaimGen is Claim returning the attach generation the claim was
 // stamped with — the number peers bake into in-flight ring-record tags
 // so records from a dead previous incarnation can be told apart.
-func (t *SegTable) ClaimGen(i int, pid uint32) (uint32, error) {
+func (t *SegTable) ClaimGen(i int) (uint32, error) {
 	t.checkSlot(i)
 	state := t.seg.Atomic32(t.slotBase(i) + slotOffState)
 	for {
@@ -224,19 +225,18 @@ func (t *SegTable) ClaimGen(i int, pid uint32) (uint32, error) {
 		}
 		gen := (w>>slotGenShift + 1) & (1<<24 - 1)
 		if state.CompareAndSwap(w, SlotAttached|gen<<slotGenShift) {
-			t.seg.Atomic32(t.slotBase(i) + slotOffPid).Store(pid)
 			return gen, nil
 		}
 	}
 }
 
 // ClaimAny claims the first available slot, returning its index.
-func (t *SegTable) ClaimAny(pid uint32) (int, error) {
+func (t *SegTable) ClaimAny() (int, error) {
 	for i := 0; i < t.nSlots; i++ {
 		if s := t.SlotState(i); s == SlotAttached || s == SlotDead {
 			continue
 		}
-		if err := t.Claim(i, pid); err == nil {
+		if err := t.Claim(i); err == nil {
 			return i, nil
 		}
 	}
@@ -265,9 +265,8 @@ func (t *SegTable) Detach(i int) {
 // MarkDead transitions slot i from attached to dead — but only the
 // incarnation the caller observed: the CAS binds both state and attach
 // generation, so if the owner detached and somebody else claimed the
-// slot (possibly with the dead owner's recycled pid), the generation
-// moved and the marking fails. Returns whether the slot is now dead by
-// this call.
+// slot, the generation moved and the marking fails. Returns whether
+// the slot is now dead by this call.
 func (t *SegTable) MarkDead(i int, gen uint32) bool {
 	t.checkSlot(i)
 	return t.seg.Atomic32(t.slotBase(i)+slotOffState).
@@ -295,12 +294,6 @@ func (t *SegTable) SlotStateGen(i int) (state, gen uint32) {
 	t.checkSlot(i)
 	w := t.seg.Atomic32(t.slotBase(i) + slotOffState).Load()
 	return w & slotStateMask, w >> slotGenShift
-}
-
-// SlotPid returns the pid recorded by the slot's most recent Claim.
-func (t *SegTable) SlotPid(i int) uint32 {
-	t.checkSlot(i)
-	return t.seg.Atomic32(t.slotBase(i) + slotOffPid).Load()
 }
 
 // Rings returns slot i's descriptor rings: down (parent→child) and up

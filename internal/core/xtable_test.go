@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -37,27 +38,30 @@ func TestSegTableClaimDetach(t *testing.T) {
 	if _, err := AttachSegTable(seg, 64, 8); !errors.Is(err, ErrGenerationMismatch) {
 		t.Fatalf("stale generation attach: %v", err)
 	}
-	// A version-2 table stored its ring offsets in the slots; a peer
-	// that derives them must refuse it rather than misread it.
-	seg.Atomic32(64 + 4).Store(2)
-	if _, err := AttachSegTable(seg, 64, 7); err == nil || !strings.Contains(err.Error(), "version 2, want 3") {
-		t.Fatalf("attach to a version-2 table: %v", err)
+	// A version-3 table stored its owner's pid in the slot, a version-2
+	// one its ring offsets; a peer of this layout must refuse both
+	// rather than misread them.
+	for _, v := range []uint32{2, 3} {
+		seg.Atomic32(64 + 4).Store(v)
+		if _, err := AttachSegTable(seg, 64, 7); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d, want 4", v)) {
+			t.Fatalf("attach to a version-%d table: %v", v, err)
+		}
 	}
 	seg.Atomic32(64 + 4).Store(segTableVersion)
 	if _, err := AttachSegTable(seg, 128, 7); err == nil {
 		t.Fatal("attach to non-table offset succeeded")
 	}
 
-	if err := peer.Claim(1, 1234); err != nil {
+	if err := peer.Claim(1); err != nil {
 		t.Fatal(err)
 	}
-	if tab.SlotState(1) != SlotAttached || tab.SlotPid(1) != 1234 {
-		t.Fatalf("slot 1 state %d pid %d after claim", tab.SlotState(1), tab.SlotPid(1))
+	if tab.SlotState(1) != SlotAttached {
+		t.Fatalf("slot 1 state %d after claim", tab.SlotState(1))
 	}
-	if err := tab.Claim(1, 99); err == nil {
+	if err := tab.Claim(1); err == nil {
 		t.Fatal("double claim succeeded")
 	}
-	i, err := tab.ClaimAny(42)
+	i, err := tab.ClaimAny()
 	if err != nil || i == 1 {
 		t.Fatalf("ClaimAny = %d, %v", i, err)
 	}
@@ -66,7 +70,7 @@ func TestSegTableClaimDetach(t *testing.T) {
 		t.Fatalf("slot 1 state %d after detach", tab.SlotState(1))
 	}
 	// Detached slots are reclaimable; the attach counter keeps history.
-	if err := tab.Claim(1, 77); err != nil {
+	if err := tab.Claim(1); err != nil {
 		t.Fatalf("reclaim of detached slot: %v", err)
 	}
 	if _, gen := tab.SlotStateGen(1); gen != 2 {
@@ -85,23 +89,21 @@ func TestSegTableClaimDetach(t *testing.T) {
 	}
 }
 
-// TestSegTableDeadSlotGeneration is the pid-reuse story: a reaper that
-// observed incarnation G of a slot must not be able to kill incarnation
-// G+1, even when the OS recycled the dead owner's pid onto the new
-// claimant. The generation is packed into the state word, so MarkDead
-// with a stale generation is a failed CAS, not a misfire.
+// TestSegTableDeadSlotGeneration is the stale-death story: a reaper
+// that observed incarnation G of a slot must not be able to kill
+// incarnation G+1. The generation is packed into the state word, so
+// MarkDead with a stale generation is a failed CAS, not a misfire.
 func TestSegTableDeadSlotGeneration(t *testing.T) {
 	_, tab := tableSegment(t, 2, 8, 0)
 
-	gen1, err := tab.ClaimGen(0, 4321)
+	gen1, err := tab.ClaimGen(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Owner dies without detaching; the old incarnation detaches...
-	// no — it vanishes. A new peer with the *recycled pid* grabs the
-	// slot only after a detach; while attached the claim is refused.
-	if err := tab.Claim(0, 4321); err == nil {
+	// The owner vanishes without detaching; while the slot reads
+	// attached a new claim is refused.
+	if err := tab.Claim(0); err == nil {
 		t.Fatal("claim of attached slot succeeded")
 	}
 
@@ -117,10 +119,10 @@ func TestSegTableDeadSlotGeneration(t *testing.T) {
 		t.Fatal("MarkDead succeeded twice for one generation")
 	}
 	// Dead slots refuse claims until reclamation frees them.
-	if err := tab.Claim(0, 9); !errors.Is(err, ErrSlotDead) {
+	if err := tab.Claim(0); !errors.Is(err, ErrSlotDead) {
 		t.Fatalf("claim of dead slot: %v", err)
 	}
-	if i, err := tab.ClaimAny(9); err == nil && i == 0 {
+	if i, err := tab.ClaimAny(); err == nil && i == 0 {
 		t.Fatal("ClaimAny handed out a dead slot")
 	}
 
@@ -136,9 +138,9 @@ func TestSegTableDeadSlotGeneration(t *testing.T) {
 		t.Fatalf("slot state %d after FreeSlot", s)
 	}
 
-	// New peer — same recycled pid — claims the freed slot. The
-	// generation moved, so the old reaper's view is dead forever.
-	gen2, err := tab.ClaimGen(0, 4321)
+	// A new peer claims the freed slot. The generation moved, so the
+	// old reaper's view is dead forever.
+	gen2, err := tab.ClaimGen(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +223,7 @@ func TestPeerDeathChurnRace(t *testing.T) {
 				return
 			}
 			for r := 0; r < rounds; r++ {
-				slot, err := peer.ClaimAny(uint32(c))
+				slot, err := peer.ClaimAny()
 				if err != nil {
 					time.Sleep(100 * time.Microsecond)
 					continue
@@ -259,7 +261,7 @@ func TestPeerDeathChurnRace(t *testing.T) {
 				if s := tab.SlotState(i); s == SlotAttached || s == SlotDead {
 					t.Fatalf("slot %d state %d after churn with deaths", i, s)
 				}
-				if err := tab.Claim(i, 1); err != nil {
+				if err := tab.Claim(i); err != nil {
 					t.Fatalf("slot %d not claimable after churn: %v", i, err)
 				}
 				tab.Detach(i)
@@ -360,7 +362,7 @@ func TestSegmentAttachChurnRace(t *testing.T) {
 				return
 			}
 			for r := 0; r < rounds; r++ {
-				slot, err := peer.ClaimAny(uint32(c))
+				slot, err := peer.ClaimAny()
 				if err != nil {
 					time.Sleep(100 * time.Microsecond)
 					continue

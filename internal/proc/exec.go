@@ -16,8 +16,9 @@ package proc
 // the kernel does, without stealing the join from ExecGroup.Wait.
 // Respawn replaces a dead child in place — same binary, same rank,
 // fresh socketpair — which is what the mpf supervisor builds restart
-// policies out of. Alive (kill(pid, 0)) covers peers the parent did
-// not spawn and therefore cannot Wait on.
+// policies out of. The exits Wait observes are the only liveness signal
+// the package offers: a pid probe cannot tell a dead child from a
+// recycled pid.
 //
 // The exec machinery is portable Go (os/exec, net.FileConn); only the
 // segment that usually travels over the socket is Linux-gated. On

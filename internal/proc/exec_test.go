@@ -126,8 +126,8 @@ func TestExecGroupDeathWatchAndRespawn(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("death never observed")
 	}
-	if Alive(g.Child(1).Pid()) != true {
-		t.Fatal("live child probes dead")
+	if g.Child(1).Exited() {
+		t.Fatal("live child reads exited")
 	}
 
 	// Respawn rank 0 as an echo child and run a round trip through it.
@@ -158,8 +158,8 @@ func TestExecGroupDeathWatchAndRespawn(t *testing.T) {
 	if err := g.Wait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if Alive(nc.Pid()) {
-		t.Fatal("joined child still probes alive")
+	if !nc.Exited() {
+		t.Fatal("joined child does not read exited")
 	}
 }
 

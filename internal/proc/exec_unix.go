@@ -19,17 +19,3 @@ func unixSocketpair() (parent, child *os.File, err error) {
 	syscall.CloseOnExec(fds[1])
 	return os.NewFile(uintptr(fds[0]), "mpf-sock-parent"), os.NewFile(uintptr(fds[1]), "mpf-sock-child"), nil
 }
-
-// Alive reports whether a process with the given pid exists, via the
-// classic kill(pid, 0) probe (EPERM still means alive). This is the
-// liveness check for segment peers the caller did not spawn and so
-// cannot Wait on. Note the inherent race: a recycled pid probes alive —
-// which is why slot reclamation is keyed on the attach generation, not
-// the pid.
-func Alive(pid int) bool {
-	if pid <= 0 {
-		return false
-	}
-	err := syscall.Kill(pid, 0)
-	return err == nil || err == syscall.EPERM
-}

@@ -16,7 +16,3 @@ var errNoSocketpair = errors.New("proc: exec groups unsupported on windows")
 func unixSocketpair() (parent, child *os.File, err error) {
 	return nil, nil, errNoSocketpair
 }
-
-// Alive is unsupported on Windows (no kill(pid, 0)); report not-alive
-// so reapers fail toward reclamation rather than leaking slots.
-func Alive(pid int) bool { return false }

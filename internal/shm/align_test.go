@@ -2,6 +2,7 @@ package shm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,8 +11,8 @@ import (
 )
 
 // The layout rule (package comment): an element's payload starts on its
-// block boundary, its link word is the last word of the slot before it,
-// and the region base is 64-byte aligned. These tests hold the rule on
+// block boundary, its reserved link word is the last word of the slot
+// before it (the link itself lives beside the bitmap), and the region base is 64-byte aligned. These tests hold the rule on
 // every backing, with and without multi-block spans; the benchmark at
 // the end is the copy matrix that found why it matters.
 
@@ -138,12 +139,14 @@ func TestPayloadAlignment(t *testing.T) {
 	}
 }
 
-// TestPayloadLinkDisjoint is the property the layout rests on: no link
-// word — an element's own or a neighbour's — shares a byte with any
-// payload. Every live element's payload is filled to capacity with a
-// pattern of its own; links are rewritten and neighbours freed and
-// reallocated around it; no payload byte may change and every chain must
-// still walk. With spans=false every other block is held throughout, so
+// TestPayloadLinkDisjoint is the property the layout rests on: no
+// reserved link word — an element's own or a neighbour's — shares a byte
+// with any payload, and no chain walk reads one. Every live element's
+// payload is filled to capacity with a pattern of its own; garbage is
+// written into every element's region word [off-4, off), where a peer
+// process can reach it, and neighbours are freed and reallocated around
+// it; no payload byte may change and every chain must still walk, read
+// and free. With spans=false every other block is held throughout, so
 // that every element is a single block, as on the paper's linked free
 // list.
 func TestPayloadLinkDisjoint(t *testing.T) {
@@ -184,16 +187,22 @@ func TestPayloadLinkDisjoint(t *testing.T) {
 						adopt(head)
 					}
 				}
-				verify := func(when string, links bool) {
+				verify := func(when string) {
 					t.Helper()
 					for _, c := range live {
-						if links && !slices.Equal(elements(a, c.elems[0]), c.elems) {
+						if !slices.Equal(elements(a, c.elems[0]), c.elems) {
 							t.Fatalf("%s: chain at %d walks %v, want %v", when, c.elems[0], elements(a, c.elems[0]), c.elems)
 						}
+						var want []byte
 						for i, off := range c.elems {
 							if !bytes.Equal(a.SegPayload(off), c.want[i]) {
 								t.Fatalf("%s: payload of element %d changed", when, off)
 							}
+							want = append(want, c.want[i]...)
+						}
+						got := make([]byte, len(want))
+						if n := a.ReadChain(c.elems[0], len(want), got); n != len(want) || !bytes.Equal(got, want) {
+							t.Fatalf("%s: chain at %d reads %d bytes, not its payload", when, c.elems[0], n)
 						}
 					}
 				}
@@ -217,28 +226,17 @@ func TestPayloadLinkDisjoint(t *testing.T) {
 				}
 				a.FreeChains(holes)
 				fillRegion()
-				verify("after the fill", true)
+				verify("after the fill")
 
 				for round := 0; round < 4; round++ {
-					// Point every link at the region's last block (all four
-					// bytes of the word change), then put it back.
-					last := int32(a.NumBlocks() * bs)
+					// Scribble every element's region link word as a peer
+					// could: an offset far outside the region.
 					for _, c := range live {
 						for _, off := range c.elems {
-							a.setLink(off, last)
+							binary.LittleEndian.PutUint32(a.mem[off-4:off], 0x7fff0000)
 						}
 					}
-					verify("with every link rewritten", false)
-					for _, c := range live {
-						for i, off := range c.elems {
-							next := NilOffset
-							if i+1 < len(c.elems) {
-								next = c.elems[i+1]
-							}
-							a.setLink(off, next)
-						}
-					}
-					verify("with every link restored", true)
+					verify("with every link word scribbled")
 
 					// Free every other chain and fill the holes again.
 					kept := live[:0]
@@ -250,9 +248,9 @@ func TestPayloadLinkDisjoint(t *testing.T) {
 						}
 					}
 					live = kept
-					verify("after freeing neighbours", true)
+					verify("after freeing neighbours")
 					fillRegion()
-					verify("after reallocating neighbours", true)
+					verify("after reallocating neighbours")
 				}
 
 				for _, c := range live {

@@ -13,11 +13,11 @@
 //     for pointers into a mapped region — offsets survive being mapped at
 //     different addresses in different processes, which is exactly why the
 //     original used them);
-//   - chains of elements linked by one 4-byte link word each.
+//   - chains of elements, each charged one 4-byte link word.
 //
 // What it does not keep is the paper's free list. Free blocks are bits in
 // a *bitmap*, and a payload is placed, whenever fragmentation permits, in
-// one run of physically adjacent blocks — a span — carrying a single link
+// one run of physically adjacent blocks — a span — charged a single link
 // word. A multi-kilobyte message then occupies one contiguous,
 // line-aligned byte range instead of a chain of 60-byte fragments, which
 // is what lets the zero-copy plane (msg.View, core.SendLoan/ReceiveView)
@@ -28,25 +28,26 @@
 // figures run on.
 //
 // The one layout rule: the chain element at offset off (a span of k
-// blocks) keeps its link word in [off-4, off) — the last word of the slot
-// before it; the first block's lands in the burnt block 0 — and its
-// payload is [off, off+k*blockSize-4). The region base is 64-byte
-// aligned, so every payload starts on a block boundary and, for block
-// sizes that are multiples of 64 (the default), on a cache line. That is
-// what the structural copies need: go1.24's memmove sends a copy of 2 KiB
-// or more whose destination is 16-aligned to REP MOVSQ, which runs at a
-// sixth of its speed when the source sits at 4 mod 8 — where every
-// payload sat while the link word led the block (see alignedCopy for the
-// same hazard from the caller's side). A block still costs 4 bytes of
-// link, so PayloadSize, BlocksFor and the span length rule are what they
-// were; peers in other processes are handed payload offsets and never
-// read link words.
+// blocks) has the payload [off, off+k*blockSize-4). The 4 bytes before
+// it, [off-4, off) — the last word of the slot before; the first block's
+// lands in the burnt block 0 — are the element's link word in the
+// paper's block accounting, but nothing reads or writes them: the link
+// itself is next[idx], a table in this process's heap beside the bitmap,
+// so no word a peer can reach decides where a chain walk or a free goes.
+// The region base is 64-byte aligned, so every payload starts on a block
+// boundary and, for block sizes that are multiples of 64 (the default),
+// on a cache line. That is what the structural copies need: go1.24's
+// memmove sends a copy of 2 KiB or more whose destination is 16-aligned
+// to REP MOVSQ, which runs at a sixth of its speed when the source sits
+// at 4 mod 8 — where every payload sat while the link word led the
+// block (see alignedCopy for the same hazard from the caller's side). A
+// block still costs its 4 reserved bytes, so PayloadSize, BlocksFor and
+// the span length rule are what they were.
 //
 // The arena is safe for concurrent use.
 package shm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -76,22 +77,29 @@ type Arena struct {
 	mem       []byte
 	blockSize int32
 	nBlocks   int32
+	// perBlock is ⌈2⁶⁴/blockSize⌉, so blockIndex divides with one
+	// multiply: exact for every non-negative int32 offset (Lemire, Kaser
+	// and Kurz, "Faster remainder by direct computation", 2019). A chain
+	// walk takes a block index per element.
+	perBlock uint64
 
 	mu    spinlock.TAS
 	nFree int32
 
 	// The free bitmap: bit i set means block i (at offset
 	// (i+1)*blockSize) is free, so runs of physically adjacent free
-	// blocks can be found. spanLen[i] records, for an allocated span
-	// starting at block i, how many blocks it covers — the metadata
-	// FreeChain and SegPayload need, kept at the side because the span's
-	// interior has no per-block link words. lowFree is a lower bound on
-	// the lowest free block index (no free bit exists below it); every
-	// scan starts there and tightens it, so allocations do not re-walk a
-	// long-lived allocated prefix while holding the lock. Frees lower it
-	// again.
+	// blocks can be found. spanLen[i] and next[i] record, for an
+	// allocated span starting at block i, how many blocks it covers and
+	// the offset of the chain's next element — the metadata FreeChain
+	// and SegPayload need, kept at the side where no peer can write it.
+	// next[i] belongs to the chain's owner between allocation and free,
+	// like the span's bytes. lowFree is a lower bound on the lowest free
+	// block index (no free bit exists below it); every scan starts there
+	// and tightens it, so allocations do not re-walk a long-lived
+	// allocated prefix while holding the lock. Frees lower it again.
 	freeBits []uint64
 	spanLen  []int32
+	next     []int32
 	lowFree  int32
 
 	// wake is the channel lockWithFree's waiters sleep on, and waiters
@@ -116,9 +124,10 @@ type Stats struct {
 
 // Config sizes an Arena.
 type Config struct {
-	// BlockSize is the size of each block in bytes, including the 4-byte
-	// link word (kept in the slot's last word; the payload starts on the
-	// block boundary). The paper's experiments used 10.
+	// BlockSize is the size of each block in bytes, including the 4
+	// bytes of link word the paper's layout charges it (reserved in the
+	// slot's last word and never read; the payload starts on the block
+	// boundary). The paper's experiments used 10.
 	BlockSize int
 	// NumBlocks is the number of blocks in the region.
 	NumBlocks int
@@ -174,8 +183,8 @@ func New(cfg Config) (*Arena, error) {
 // boundary (AlignUp) so payloads are line-aligned.
 //
 // Only the block *bytes* live in mem. The allocator's own state — the
-// free bitmap, span lengths, the lock, waiter bookkeeping — stays
-// in this process's heap: the arena has exactly one allocating owner
+// free bitmap, span lengths, chain links, the lock, waiter bookkeeping —
+// stays in this process's heap: the arena has exactly one allocating owner
 // (the serving parent), and attached peers only dereference offsets
 // they were handed over a ring. See DESIGN.md §15 for why the
 // single-allocator model is the right cut.
@@ -189,9 +198,11 @@ func NewAt(cfg Config, mem []byte) (*Arena, error) {
 	a := &Arena{
 		mem:       mem,
 		blockSize: int32(cfg.BlockSize),
+		perBlock:  ^uint64(0)/uint64(cfg.BlockSize) + 1,
 		nBlocks:   int32(cfg.NumBlocks),
 		freeBits:  make([]uint64, (cfg.NumBlocks+63)/64),
 		spanLen:   make([]int32, cfg.NumBlocks),
+		next:      make([]int32, cfg.NumBlocks),
 		nFree:     int32(cfg.NumBlocks),
 	}
 	a.wake = make(chan struct{})
@@ -248,21 +259,19 @@ func (a *Arena) LockStats() (acquisitions, contended uint64) {
 	return a.mu.Stats()
 }
 
-// The link word of the element at off is the last word of the slot
-// before it (block 0, burnt for NilOffset, takes the first block's), so
-// the payload owns the block boundary. See the package comment.
-func (a *Arena) setLink(off, next int32) {
-	binary.LittleEndian.PutUint32(a.mem[off-4:off], uint32(next))
-}
+// The link of the element at off lives in next, never in the region
+// (see the package comment).
+func (a *Arena) setLink(off, next int32) { a.next[a.blockIndex(off)] = next }
 
-func (a *Arena) link(off int32) int32 {
-	return int32(binary.LittleEndian.Uint32(a.mem[off-4 : off]))
-}
+func (a *Arena) link(off int32) int32 { return a.next[a.blockIndex(off)] }
 
 // offsetOf converts a block index to its arena offset; blockIndex is the
 // inverse. Block 0 lives at offset blockSize (offset 0 is NilOffset).
-func (a *Arena) offsetOf(idx int32) int32   { return (idx + 1) * a.blockSize }
-func (a *Arena) blockIndex(off int32) int32 { return off/a.blockSize - 1 }
+func (a *Arena) offsetOf(idx int32) int32 { return (idx + 1) * a.blockSize }
+func (a *Arena) blockIndex(off int32) int32 {
+	q, _ := bits.Mul64(a.perBlock, uint64(off))
+	return int32(q) - 1
+}
 
 // BlockIndex returns the index in [0, NumBlocks) of the block at offset
 // off: how a table kept beside the region, one entry per block, is
@@ -388,7 +397,7 @@ func (a *Arena) freeSpanLocked(off int32) {
 }
 
 // spanBlocksFor returns the blocks one contiguous span needs for n
-// payload bytes: the span carries a single 4-byte link word however
+// payload bytes: the span is charged a single 4-byte link word however
 // many blocks it covers.
 func (a *Arena) spanBlocksFor(n int) int32 {
 	if n <= 0 {
@@ -591,8 +600,8 @@ func (a *Arena) FreeChain(head int32) {
 // calls. NilOffset entries are skipped, so callers can pass message
 // heads verbatim.
 func (a *Arena) FreeChains(heads []int32) {
-	// Collect every chain's element offsets outside the lock (the link
-	// words are owned by the caller until the release); the stack buffer
+	// Collect every chain's element offsets outside the lock (the links
+	// are owned by the caller until the release); the stack buffer
 	// covers typical batches without a heap allocation.
 	var offsBuf [32]int32
 	offs := offsBuf[:0]
@@ -619,7 +628,7 @@ func (a *Arena) Next(off int32) int32 {
 }
 
 // SegPayload returns the payload bytes of the chain element at off: the
-// whole span's, behind one 4-byte link word however many blocks the span
+// whole span's, less one 4-byte link word however many blocks the span
 // covers. The returned slice aliases the arena; the caller owns the
 // element. This is the segment accessor msg.View iterates.
 func (a *Arena) SegPayload(off int32) []byte {

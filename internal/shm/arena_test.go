@@ -99,6 +99,27 @@ func TestOffsetsDistinctAndAligned(t *testing.T) {
 	}
 }
 
+// TestBlockIndexDivides holds blockIndex's multiply to the division it
+// replaces, for block sizes from the minimum up and offsets across the
+// whole int32 range, block boundaries and their neighbours included.
+func TestBlockIndexDivides(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, bs := range []int{MinBlockSize, 6, 7, 10, 48, 64, 100, 4096, 65537, 1<<20 + 3} {
+		a := mustArena(t, bs, 1)
+		offs := []int32{0, 1, int32(bs) - 1, 1<<31 - 1, 1<<31 - 1 - int32((1<<31-1)%bs)}
+		for i := 0; i < 10000; i++ {
+			offs = append(offs, rng.Int31())
+		}
+		for _, off := range offs {
+			for _, o := range []int32{off, max(off-1, 0)} {
+				if got, want := a.blockIndex(o), o/int32(bs)-1; got != want {
+					t.Fatalf("block size %d: blockIndex(%d) = %d, want %d", bs, o, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestChainWriteRead(t *testing.T) {
 	a := mustArena(t, 16, 64) // 12-byte payloads
 	msg := make([]byte, 100)

@@ -47,6 +47,38 @@ func TestCrashReclamation(t *testing.T) {
 		r.deaths, r.respawns, r.stats.ReclaimedViews, r.stats.ReclaimedCredits)
 }
 
+// TestCrashScribbledSlotWords is a spawned child that writes 1 into
+// every word of its slot past the state word — table version 3 kept
+// its pid at +8 — and exits while attached. Which child held the slot
+// is the server's knowledge, not the slot's: the supervisor reclaims
+// it within 3 s and reports the pid the exec group spawned.
+func TestCrashScribbledSlotWords(t *testing.T) {
+	srv := serveOrSkip(t, ServeConfig{Children: 1, RingCap: 8})
+	group, err := srv.Spawn(1, os.Args[0], nil, []string{workerEnv + "=" + scribbleSlotWords})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer group.Kill()
+	deaths := make(chan ReclaimReport, 1)
+	sup := srv.Supervise(group, SuperviseConfig{OnDeath: func(r ReclaimReport) { deaths <- r }})
+	defer sup.Stop()
+
+	select {
+	case r := <-deaths:
+		if pid := group.Child(0).Pid(); r.Slot != 0 || r.Pid != uint32(pid) {
+			t.Fatalf("reclaimed slot %d pid %d, want slot 0 pid %d", r.Slot, r.Pid, pid)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatalf("the scribbler's exit was not reclaimed within 3 s (slot state %d)", srv.Table().SlotState(0))
+	}
+	if st := srv.Table().SlotState(0); st != core.SlotFree {
+		t.Fatalf("slot 0 state %d after the reclaim, want free", st)
+	}
+	if n := srv.Facility().Stats().PeerDeaths; n != 1 {
+		t.Fatalf("PeerDeaths = %d, want 1", n)
+	}
+}
+
 // TestCrashVictimSpecs: the victim fault specs must parse (a typo here
 // would make every victim fail attach with a spec error instead of
 // crashing at its point) and cover more than one protocol stage.
@@ -121,9 +153,8 @@ func runCrash(t *testing.T, children, victims, msgsPerChild, size int) crashResu
 		res crashResult
 	)
 	sup := srv.Supervise(group, SuperviseConfig{
-		Respawn:       2,
-		Backoff:       2 * time.Millisecond,
-		ProbeInterval: 25 * time.Millisecond,
+		Respawn: 2,
+		Backoff: 2 * time.Millisecond,
 		// Replacements get the worker environment but NOT the victim's
 		// fault spec: a respawn that re-armed the same crash point would
 		// die identically, forever.

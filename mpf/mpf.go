@@ -128,8 +128,9 @@ func WithMaxLNVCs(n int) Option { return func(c *core.Config) { c.MaxLNVCs = n }
 // region (default 32).
 func WithMaxProcesses(n int) Option { return func(c *core.Config) { c.MaxProcesses = n } }
 
-// WithBlockSize sets the message block size in bytes, including the
-// 4-byte link word (default 64; the paper's experiments used 10).
+// WithBlockSize sets the message block size in bytes, including the 4
+// bytes reserved for the paper's link word, which nothing reads
+// (default 64; the paper's experiments used 10).
 // Smaller blocks raise per-byte overhead exactly as in paper Figure 3.
 // Payloads start on block boundaries: at a multiple of 64 every
 // View.Bytes and Loan.Bytes window is cache-line aligned.

@@ -13,7 +13,8 @@ package mpf
 // walk at another slot (DESIGN.md §17 lists the segment words the
 // server still trusts):
 //
-//	mark the slot dead (generation-bound CAS — a recycled pid can
+//	read the bridge circuit's queued messages and credit
+//	→ mark the slot dead (generation-bound CAS — a stale death can
 //	  never get a live newcomer reclaimed)
 //	→ close the rings (wakes any bridge op parked on the corpse)
 //	→ drain both rings, discarding the dead generation's records
@@ -27,11 +28,12 @@ package mpf
 // survives the reclaim, and the slot is freed last so no new claimant
 // can arrive while its rings still hold a dead incarnation's records.
 //
-// Supervise drives ReclaimSlot from two detection paths: child exits
-// observed via proc.ExecGroup.WatchDeaths (immediate), and a periodic
-// kill(pid, 0) probe of slot owners for peers the parent did not spawn
-// (or whose exits it somehow missed). With a respawn budget it then
-// restarts crashed children into their reclaimed slots with backoff.
+// Supervise drives the reclaim from one detection path: the child exits
+// its exec group already waits on (proc.ExecGroup.WatchDeaths). Which
+// child held a slot is the server's own knowledge — it handed child i
+// slot i — so no word a child can write decides whether its slot is
+// reclaimed. With a respawn budget it then restarts crashed children
+// into their reclaimed slots with backoff.
 
 import (
 	"sync"
@@ -47,13 +49,17 @@ type ReclaimReport struct {
 	Slot int
 	// Gen is the attach generation that was reclaimed.
 	Gen uint32
-	// Pid is the pid the dead incarnation had claimed the slot with.
+	// Pid is the exited child's pid when the supervisor reclaimed the
+	// slot; 0 for a reclaim the caller started (ReclaimSlot).
 	Pid uint32
 	// Views counts in-flight payload records discarded from the rings
-	// (VIEW/LOAN windows the dead child would have consumed) plus
-	// queued circuit messages restored by closing the bridge receiver.
+	// (VIEW/LOAN windows the dead child would have consumed) plus the
+	// messages queued on the bridge's circuit as the reclaim began.
 	Views uint64
-	// Credits counts credit blocks refunded to the circuit ledger.
+	// Credits counts the credit blocks the bridge's circuit held as the
+	// reclaim began, all of which the reclaim returns to the ledger.
+	// They are read before the slot is marked dead: a bridge call parked
+	// on the corpse wakes at the mark and refunds what it held itself.
 	Credits uint64
 	// Elapsed is death-detection-to-slot-free latency.
 	Elapsed time.Duration
@@ -69,18 +75,32 @@ type ReclaimReport struct {
 // facility's PeerDeaths/ReclaimedViews/ReclaimedCredits/ReclaimLatency
 // counters and the peer_reclaim trace op record the event.
 func (s *ProcServer) ReclaimSlot(slot int, gen uint32) (ReclaimReport, bool) {
-	start := time.Now()
-	pid := s.table.SlotPid(slot)
-	if !s.table.MarkDead(slot, gen) {
-		return ReclaimReport{}, false
-	}
-	rep := ReclaimReport{Slot: slot, Gen: gen, Pid: pid}
+	return s.reclaim(slot, gen, 0)
+}
 
-	// Detach the bridge state so future bridge() calls bind to the next
-	// incarnation; the snapshot is ours to tear down.
+// reclaim is ReclaimSlot reporting pid as the dead peer's.
+func (s *ProcServer) reclaim(slot int, gen uint32, pid int) (ReclaimReport, bool) {
+	start := time.Now()
+	rep := ReclaimReport{Slot: slot, Gen: gen, Pid: uint32(pid)}
+
+	// Snapshot the circuit's ledger while the bridge is still parked on
+	// the live-looking slot, so the refund is attributable to this
+	// death; then mark the slot dead and detach the bridge state, so
+	// future bridge() calls bind to the next incarnation. The snapshot
+	// is ours to tear down.
 	b := &s.bridges[slot]
 	b.mu.Lock()
 	conn := b.conn
+	if conn.recv != nil {
+		if info, err := s.fac.c.LNVCInfo(conn.recv.ID()); err == nil {
+			rep.Credits = uint64(info.CreditUsed)
+			rep.Views = uint64(info.QueuedMsgs)
+		}
+	}
+	if !s.table.MarkDead(slot, gen) {
+		b.mu.Unlock()
+		return ReclaimReport{}, false
+	}
 	b.conn = bridgeConn{}
 	b.mu.Unlock()
 
@@ -95,14 +115,7 @@ func (s *ProcServer) ReclaimSlot(slot int, gen uint32) (ReclaimReport, bool) {
 	// Closing the bridge's circuit connections runs the facility's own
 	// teardown: queued messages are discarded through the normal
 	// reclaim path (restoring their blocks and credit), pinned state is
-	// orphan-restored. Snapshot the ledger first so the refund is
-	// attributable to this death.
-	if conn.recv != nil {
-		if info, err := s.fac.c.LNVCInfo(conn.recv.ID()); err == nil {
-			rep.Credits = uint64(info.CreditUsed)
-			rep.Views += uint64(info.QueuedMsgs)
-		}
-	}
+	// orphan-restored.
 	conn.closeCircuit()
 
 	// Fresh rings for the next claimant, then — and only then — the
@@ -112,7 +125,7 @@ func (s *ProcServer) ReclaimSlot(slot int, gen uint32) (ReclaimReport, bool) {
 		return rep, false
 	}
 	rep.Elapsed = time.Since(start)
-	s.fac.c.NotePeerReclaim(int(pid), rep.Views, rep.Credits, rep.Elapsed)
+	s.fac.c.NotePeerReclaim(pid, rep.Views, rep.Credits, rep.Elapsed)
 	return rep, true
 }
 
@@ -145,10 +158,6 @@ type SuperviseConfig struct {
 	// Backoff is the delay before the first respawn of a slot, doubling
 	// on each subsequent respawn of the same slot (default 10ms).
 	Backoff time.Duration
-	// ProbeInterval is the period of the kill(pid, 0) liveness sweep
-	// over attached slots (default 100ms; 0 keeps the default, negative
-	// disables the sweep, leaving only exit-driven reaping).
-	ProbeInterval time.Duration
 	// RespawnEnv, when non-nil, supplies the extra environment for the
 	// attempt'th respawn of slot (attempt counts from 1). Nil inherits
 	// the group's per-child environment — note that re-arming the same
@@ -161,8 +170,8 @@ type SuperviseConfig struct {
 	OnRespawn func(slot, attempt int)
 }
 
-// Supervisor watches an exec group's children (and the table's slots)
-// for deaths, reclaims dead incarnations, and optionally respawns.
+// Supervisor watches an exec group's children for deaths, reclaims
+// dead incarnations, and optionally respawns.
 type Supervisor struct {
 	s   *ProcServer
 	g   *proc.ExecGroup
@@ -175,19 +184,14 @@ type Supervisor struct {
 	stopped  bool
 	stopC    chan struct{}
 	watchOff func()
-	wg       sync.WaitGroup
 }
 
-// Supervise starts a supervisor over the group's children. g may be
-// nil for a probe-only reaper (peers the server did not spawn): then
-// only the periodic liveness sweep runs and nothing is ever respawned.
-// Stop the supervisor before closing the server.
+// Supervise starts a supervisor over the group's children, whose
+// slots are their ranks (Spawn). Stop the supervisor before closing
+// the server.
 func (s *ProcServer) Supervise(g *proc.ExecGroup, cfg SuperviseConfig) *Supervisor {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 10 * time.Millisecond
-	}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = 100 * time.Millisecond
 	}
 	sup := &Supervisor{
 		s:        s,
@@ -196,18 +200,12 @@ func (s *ProcServer) Supervise(g *proc.ExecGroup, cfg SuperviseConfig) *Supervis
 		attempts: make(map[int]int),
 		stopC:    make(chan struct{}),
 	}
-	if g != nil {
-		sup.watchOff = g.WatchDeaths(func(ch *proc.Child) { sup.onChildExit(ch) })
-	}
-	if cfg.ProbeInterval > 0 {
-		sup.wg.Add(1)
-		go sup.probeLoop()
-	}
+	sup.watchOff = g.WatchDeaths(sup.onChildExit)
 	return sup
 }
 
-// Stop halts death watching, probing and respawning. Already-running
-// reclaims complete.
+// Stop halts death watching and respawning. Already-running reclaims
+// complete.
 func (sup *Supervisor) Stop() {
 	sup.mu.Lock()
 	if sup.stopped {
@@ -217,26 +215,24 @@ func (sup *Supervisor) Stop() {
 	sup.stopped = true
 	sup.mu.Unlock()
 	close(sup.stopC)
-	if sup.watchOff != nil {
-		sup.watchOff()
-	}
-	sup.wg.Wait()
+	sup.watchOff()
 }
 
-// onChildExit handles an observed child exit: if the child's slot is
-// still attached under the child's pid, its incarnation is reclaimed,
-// and the child is respawned if budget remains. A clean exit after
-// detach reclaims nothing (the slot is already detached) and does not
-// consume respawn budget.
+// onChildExit handles an observed child exit: if the exited child is
+// still the group's incarnation at its rank — the only process handed
+// that slot while it lived — and the slot is attached, the attached
+// incarnation is reclaimed, and the child is respawned if budget
+// remains. A clean exit after detach reclaims nothing (the slot is
+// already detached) and does not consume respawn budget.
 func (sup *Supervisor) onChildExit(ch *proc.Child) {
 	slot := ch.Index
 	st, gen := sup.s.table.SlotStateGen(slot)
 	crashed := ch.Err() != nil
-	if st == core.SlotAttached && sup.s.table.SlotPid(slot) == uint32(ch.Pid()) {
+	if st == core.SlotAttached && sup.g.Child(slot) == ch {
 		// Died while attached: mid-claim, mid-traffic, or just before
 		// detach. Generation-bound, so if this races a detach+reclaim
-		// by a new peer the CAS inside ReclaimSlot fails harmlessly.
-		if rep, ok := sup.s.ReclaimSlot(slot, gen); ok {
+		// by a new peer the CAS inside reclaim fails harmlessly.
+		if rep, ok := sup.s.reclaim(slot, gen, ch.Pid()); ok {
 			crashed = true
 			if sup.cfg.OnDeath != nil {
 				sup.cfg.OnDeath(rep)
@@ -252,7 +248,7 @@ func (sup *Supervisor) onChildExit(ch *proc.Child) {
 // respawn restarts a crashed child into its (reclaimed) slot if budget
 // remains, with per-slot exponential backoff.
 func (sup *Supervisor) respawn(slot int) {
-	if sup.g == nil || sup.cfg.Respawn <= 0 {
+	if sup.cfg.Respawn <= 0 {
 		return
 	}
 	sup.mu.Lock()
@@ -285,48 +281,5 @@ func (sup *Supervisor) respawn(slot int) {
 	}
 	if sup.cfg.OnRespawn != nil {
 		sup.cfg.OnRespawn(slot, attempt)
-	}
-}
-
-// probeLoop is the kill(pid, 0) sweep: any attached slot whose
-// recorded owner pid is gone on two consecutive sweeps is reclaimed.
-// The confirmation sweep closes the claim-time window in which a
-// slot's state word is already attached but its pid field still holds
-// the previous (possibly dead) owner's pid.
-func (sup *Supervisor) probeLoop() {
-	defer sup.wg.Done()
-	ticker := time.NewTicker(sup.cfg.ProbeInterval)
-	defer ticker.Stop()
-	suspects := make(map[int][2]uint32) // slot → (gen, pid) from the last sweep
-	for {
-		select {
-		case <-sup.stopC:
-			return
-		case <-ticker.C:
-		}
-		for slot := 0; slot < sup.s.table.NSlots(); slot++ {
-			st, gen := sup.s.table.SlotStateGen(slot)
-			if st != core.SlotAttached {
-				delete(suspects, slot)
-				continue
-			}
-			pid := sup.s.table.SlotPid(slot)
-			if proc.Alive(int(pid)) {
-				delete(suspects, slot)
-				continue
-			}
-			prev, suspected := suspects[slot]
-			suspects[slot] = [2]uint32{gen, pid}
-			if !suspected || prev != [2]uint32{gen, pid} {
-				continue // first sighting: confirm on the next sweep
-			}
-			delete(suspects, slot)
-			if rep, ok := sup.s.ReclaimSlot(slot, gen); ok {
-				if sup.cfg.OnDeath != nil {
-					sup.cfg.OnDeath(rep)
-				}
-				sup.respawn(slot)
-			}
-		}
 	}
 }

@@ -916,7 +916,7 @@ func AttachProcConn(conn *net.UnixConn) (*ProcClient, error) {
 		seg.Close()
 		return nil, err
 	}
-	gen, err := table.ClaimGen(int(h.Slot), uint32(os.Getpid()))
+	gen, err := table.ClaimGen(int(h.Slot))
 	if err != nil {
 		seg.Close()
 		return nil, err

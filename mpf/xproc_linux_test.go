@@ -261,54 +261,3 @@ func TestProcReclaimSlot(t *testing.T) {
 		t.Fatalf("ledger not quiescent after second incarnation: %d held", st.CreditsHeld)
 	}
 }
-
-// TestProcSupervisorProbe covers the liveness sweep for peers the
-// server did not spawn: a slot claimed under a pid that does not exist
-// is confirmed dead over two sweeps and reclaimed; a slot owned by a
-// live pid (this test process) is left alone.
-func TestProcSupervisorProbe(t *testing.T) {
-	srv, err := ServeProc(ServeConfig{Children: 2, RingCap: 8})
-	if errors.Is(err, ErrNoSharedBackend) {
-		t.Skip("no shared backend")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// Slot 0: owner is this (live) process. Slot 1: a pid that cannot
-	// exist (beyond any kernel.pid_max).
-	if err := srv.Table().Claim(0, uint32(os.Getpid())); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Table().Claim(1, 1<<31-7); err != nil {
-		t.Fatal(err)
-	}
-
-	deaths := make(chan ReclaimReport, 4)
-	sup := srv.Supervise(nil, SuperviseConfig{
-		ProbeInterval: 5 * time.Millisecond,
-		OnDeath:       func(r ReclaimReport) { deaths <- r },
-	})
-	defer sup.Stop()
-
-	select {
-	case r := <-deaths:
-		if r.Slot != 1 {
-			t.Fatalf("probe reclaimed slot %d, want 1", r.Slot)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("probe never reclaimed the dead-pid slot")
-	}
-	if s := srv.Table().SlotState(1); s != core.SlotFree {
-		t.Fatalf("slot 1 state %d after probe reclaim", s)
-	}
-	// Give the sweep a few more rounds: the live slot must survive.
-	time.Sleep(50 * time.Millisecond)
-	if s := srv.Table().SlotState(0); s != core.SlotAttached {
-		t.Fatalf("live-owner slot reclaimed (state %d)", s)
-	}
-	if n := srv.Facility().Stats().PeerDeaths; n != 1 {
-		t.Fatalf("PeerDeaths = %d, want 1", n)
-	}
-}

@@ -4,6 +4,7 @@ package mpf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -24,25 +25,38 @@ import (
 
 const workerEnv = "MPF_TEST_XPROC_WORKER"
 
+// scribbleSlotWords is the workerEnv mode of a child that attaches,
+// writes 1 into every word of its slot past the state word, and exits
+// 86 without detaching (TestCrashScribbledSlotWords).
+const scribbleSlotWords = "scribble-slot"
+
 // TestMain doubles the test binary as the cross-process worker, the
 // re-exec trick of the benchmark: the crash tests
 // need a peer that is a real process, because an armed crash point
 // exits the process that hits it.
 func TestMain(m *testing.M) {
-	if os.Getenv(workerEnv) != "" {
-		cl, err := AttachProc()
-		if err == nil {
-			if err = cl.Serve(); err == nil {
-				err = cl.Close()
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		os.Exit(0)
+	mode := os.Getenv(workerEnv)
+	if mode == "" {
+		os.Exit(m.Run())
 	}
-	os.Exit(m.Run())
+	cl, err := AttachProc()
+	if err == nil && mode == scribbleSlotWords {
+		slot := cl.h.TableOff + 64 + int64(cl.slot)*64 // a 64-byte header, 64-byte slots
+		for off := int64(8); off < 64; off += 4 {
+			cl.seg.Atomic32(slot + off).Store(1)
+		}
+		os.Exit(86)
+	}
+	if err == nil {
+		if err = cl.Serve(); err == nil {
+			err = cl.Close()
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	os.Exit(0)
 }
 
 func serveOrSkip(t *testing.T, sc ServeConfig) *ProcServer {
@@ -465,6 +479,63 @@ func TestBridgeScribbledSlotWords(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestBridgeScribbledLinkWords is a child that writes an offset far
+// outside the region into the 4 bytes before each VIEW payload it acks
+// — the word the arena once kept the chain's link in. The bridge's
+// release must follow the server's own links: the call verifies every
+// message, every block comes back, the free pool is intact, and the
+// server closes.
+func TestBridgeScribbledLinkWords(t *testing.T) {
+	srv := serveOrSkip(t, ServeConfig{
+		Children: 1,
+		RingCap:  64,
+		Options:  []Option{WithBlockSize(128), WithBlocksPerProcess(512)},
+	})
+	const msgs, size = 8, 256
+	free := srv.Facility().Core().Arena().FreeBlocks()
+	cl := attachPeer(t, srv, 0)
+	acked := make(chan error, 1)
+	go func() {
+		var run [maxChunk]shm.Record
+		for done := 0; done < msgs; {
+			n, err := popWait(cl.down, run[:], cl.abort)
+			if err != nil {
+				acked <- err
+				return
+			}
+			for i := range run[:n] {
+				binary.LittleEndian.PutUint32(cl.seg.At(run[i].Off-4, 4), 0x7fff0000)
+				run[i].Tag = xtag(XTagAck, cl.Gen())
+			}
+			if err := pushWait(cl.up, run[:n], cl.abort); err != nil {
+				acked <- err
+				return
+			}
+			done += n
+		}
+		acked <- nil
+	}()
+
+	if n, err := srv.BridgeDown(0, msgs, size); err != nil || n != msgs {
+		t.Fatalf("bridge past scribbled link words: %d round trips, %v", n, err)
+	}
+	if err := <-acked; err != nil {
+		t.Fatal(err)
+	}
+	quiescent(t, srv, free)
+	if err := srv.Facility().Core().Arena().CheckFreeList(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-goBridge(func() (int, error) { return 0, srv.Close() }):
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("server close hung")
 	}
 }
 
