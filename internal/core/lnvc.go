@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/shm"
 	"repro/internal/spinlock"
 )
 
@@ -744,8 +745,16 @@ func (f *Facility) reclaimLocked(l *lnvc) {
 	// is safe (it ranks below the LNVC lock, DESIGN.md §16). The whole
 	// scan's victims go back in one free-pool transaction — a batched
 	// receive's reclaim costs one arena lock acquisition however many
-	// messages it retired.
-	f.pool.ReleaseBatch(victims)
+	// messages it retired. A lone victim that empties the queue is a
+	// closed loop's: its span waits in the circuit's recycle slot for the
+	// next send, which takes it back with no arena lock (DESIGN.md §2).
+	// Mid-stream the sender allocates from the bitmap anyway, and
+	// parking spans there measured slower.
+	slot := shm.NoSlot
+	if l.queue.Len() == 0 {
+		slot = int(l.id)
+	}
+	f.pool.ReleaseIn(slot, victims)
 	// The victims' blocks are back in the region: return their accounted
 	// demand to the circuit's credit budget and wake any senders parked
 	// for it — one grant for the whole scan.

@@ -18,15 +18,6 @@ package core
 // and Facility.RegistryStats read. Where reg ranks among the facility's
 // locks is stated once, in DESIGN.md §16.
 
-// FreeIDCount reports how many LNVC identifiers are currently unused —
-// MaxLNVCs minus live circuits when no descriptor has leaked. Tests use
-// it to assert leak-freedom after churn.
-func (f *Facility) FreeIDCount() int {
-	f.reg.RLock()
-	defer f.reg.RUnlock()
-	return len(f.freeIDs) + len(f.lnvcFree)
-}
-
 // LNVCByName returns the ID bound to name, for introspection.
 func (f *Facility) LNVCByName(name string) (ID, bool) {
 	f.reg.RLock()

@@ -162,7 +162,7 @@ func (f *Facility) send(pid int, id ID, buf []byte) error {
 		return err
 	}
 	// The first of the paper's two copies: user buffer into blocks.
-	m, err := f.pool.Build(pid, buf, f.cfg.SendPolicy == BlockUntilFree, f.stop)
+	m, err := f.pool.BuildIn(int(id), pid, buf, f.cfg.SendPolicy == BlockUntilFree, f.stop)
 	if err != nil {
 		return f.unbuilt(a, err)
 	}

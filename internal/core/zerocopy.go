@@ -75,7 +75,7 @@ func (f *Facility) sendLoan(pid int, id ID, n int) (*Loan, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := f.pool.BuildLoan(pid, n, f.cfg.SendPolicy == BlockUntilFree, f.stop)
+	m, err := f.pool.BuildLoanIn(int(id), pid, n, f.cfg.SendPolicy == BlockUntilFree, f.stop)
 	if err != nil {
 		return nil, f.unbuilt(a, err)
 	}

@@ -86,11 +86,13 @@ type Message struct {
 // No channel, lock or atomic guards the table, because whoever owns a
 // block owns its entry: the entry is touched only between the allocation
 // that returned the block as a chain's head and the free of that chain,
-// and the arena lock that orders the block's hand-over from one owner to
-// the next orders the entry's with it. The one rule this imposes is the
-// release order — finish with the header first, free the chain last
-// (Release, ReleaseBatch): a header written after its chain went back to
-// the arena may already be the next message's.
+// and what orders the block's hand-over from one owner to the next
+// orders the entry's with it — the arena lock, or, for a chain that
+// passes through a circuit's recycle slot (BuildIn, ReleaseIn), the
+// slot's CAS on each side. The one rule this imposes is the release
+// order — finish with the header first, free the chain last (Release,
+// ReleaseBatch, ReleaseIn): a header written after its chain went back
+// to the arena may already be the next message's.
 //
 // Memory: 8 bytes per region block for the table, plus one header per
 // head position ever used — at most one per block, in practice the few
@@ -117,7 +119,15 @@ func (p *Pool) Arena() *shm.Arena { return p.arena }
 // until enough blocks are free (stop aborts); otherwise exhaustion
 // returns shm.ErrOutOfBlocks.
 func (p *Pool) Build(sender int, buf []byte, wait bool, stop <-chan struct{}) (*Message, error) {
-	m, err := p.BuildLoan(sender, len(buf), wait, stop)
+	return p.BuildIn(shm.NoSlot, sender, buf, wait, stop)
+}
+
+// BuildIn is Build for a send on the circuit that owns the arena's
+// recycle slot slot: a chain the circuit's last retirement parked
+// there, of the span length buf needs, is taken back without the arena
+// lock (shm.Arena.AllocPayloadIn).
+func (p *Pool) BuildIn(slot, sender int, buf []byte, wait bool, stop <-chan struct{}) (*Message, error) {
+	m, err := p.BuildLoanIn(slot, sender, len(buf), wait, stop)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +140,12 @@ func (p *Pool) Build(sender int, buf []byte, wait bool, stop <-chan struct{}) (*
 // primitive. The caller writes the payload in place through View(m)
 // (core.Loan does) and the structural send copy never happens.
 func (p *Pool) BuildLoan(sender, n int, wait bool, stop <-chan struct{}) (*Message, error) {
-	head, tail, err := p.arena.AllocPayload(n, wait, stop)
+	return p.BuildLoanIn(shm.NoSlot, sender, n, wait, stop)
+}
+
+// BuildLoanIn is BuildLoan taking its chain as BuildIn does.
+func (p *Pool) BuildLoanIn(slot, sender, n int, wait bool, stop <-chan struct{}) (*Message, error) {
+	head, tail, err := p.arena.AllocPayloadIn(slot, n, wait, stop)
 	if err != nil {
 		return nil, err
 	}
@@ -228,6 +243,20 @@ func (p *Pool) ReleaseBatch(ms []*Message) {
 		heads[i] = unbind(m)
 	}
 	p.arena.FreeChains(heads)
+}
+
+// ReleaseIn is ReleaseBatch for messages retired from the circuit that
+// owns recycle slot slot. A lone message's chain is offered to the slot
+// (shm.Arena.FreeChainIn), which keeps it for the circuit's next send
+// if it is one span; a batch keeps ReleaseBatch's one transaction.
+func (p *Pool) ReleaseIn(slot int, ms []*Message) {
+	if len(ms) != 1 {
+		p.ReleaseBatch(ms)
+		return
+	}
+	if head := unbind(ms[0]); head != shm.NilOffset {
+		p.arena.FreeChainIn(slot, head)
+	}
 }
 
 // bind returns the header of the freshly allocated chain head…tail, set

@@ -51,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/spinlock"
@@ -72,16 +73,26 @@ var ErrOutOfBlocks = errors.New("shm: out of message blocks")
 // admits.
 const MinBlockSize = 5
 
+// NoSlot is the recycle slot of no circuit: AllocPayloadIn and
+// FreeChainIn given it are AllocPayload and FreeChain.
+const NoSlot = -1
+
 // Arena is a shared region divided into fixed-size blocks.
 type Arena struct {
 	mem       []byte
 	blockSize int32
 	nBlocks   int32
-	// perBlock is ⌈2⁶⁴/blockSize⌉, so blockIndex divides with one
-	// multiply: exact for every non-negative int32 offset (Lemire, Kaser
-	// and Kurz, "Faster remainder by direct computation", 2019). A chain
-	// walk takes a block index per element.
-	perBlock uint64
+	// perBlock and perPayload divide by the block size and the payload
+	// size with one multiply each: a chain walk takes a block index per
+	// element, and every send sizes its demand.
+	perBlock, perPayload recip
+
+	// slots are the recycle slots, one per circuit (Config.Slots), and
+	// parked is raised while an allocation sleeps for blocks: the two
+	// halves of the rule that no block parked in a slot strands an
+	// allocation (lockWithFree, FreeChainIn).
+	slots  []recycleSlot
+	parked atomic.Bool
 
 	mu    spinlock.TAS
 	nFree int32
@@ -112,6 +123,36 @@ type Arena struct {
 	stats Stats
 }
 
+// recip is ⌈2⁶³/d⌉ for a divisor 1 ≤ d ≤ 2³¹: div(x) is ⌊x/d⌋ with one
+// multiply, exact for every x < 2³² (Lemire, Kaser and Kurz, "Faster
+// remainder by direct computation", 2019: the error term x·(recip·d −
+// 2⁶³) stays below 2⁶³). 2⁶³ rather than 2⁶⁴ keeps d = 1, the payload of
+// a MinBlockSize block, in range.
+type recip uint64
+
+func recipOf(d int32) recip { return recip((1<<63-1)/uint64(d) + 1) }
+
+func (r recip) div(x uint64) uint64 {
+	hi, lo := bits.Mul64(uint64(r), x)
+	return hi<<1 | lo>>63
+}
+
+// A recycleSlot holds at most one chain: a single span that its
+// circuit's last retirement parked there for the circuit's next send
+// (FreeChainIn, AllocPayloadIn). The arena owns it. Its blocks stay
+// allocated in the bitmap but count as free (FreeBlocks), and an
+// allocation short of blocks takes every parked chain back
+// (drainSlotsLocked). It holds no segment word. Each slot has a cache
+// line to itself: the slot array is a multiple of 64 bytes long, and
+// the allocator starts such objects on line boundaries.
+type recycleSlot struct {
+	// chain is the parked span, head<<32 | blocks, or 0 when empty.
+	chain atomic.Uint64
+	// reuses counts sends that took the parked chain back.
+	reuses atomic.Uint64
+	_      [48]byte
+}
+
 // Stats counts allocator activity. Read it via Arena.Stats.
 type Stats struct {
 	Allocs      uint64 // blocks allocated
@@ -120,6 +161,10 @@ type Stats struct {
 	AllocBlocks uint64 // times an allocation blocked waiting for frees
 	Wakes       uint64 // frees that woke blocked allocations; never above AllocBlocks
 	HighWater   int32  // maximum simultaneously-allocated blocks
+	// SlotReuses counts allocations served from a recycle slot, without
+	// the lock. A span parked in a slot stays counted in Allocs; Frees
+	// counts it when a drain returns it to the bitmap.
+	SlotReuses uint64
 }
 
 // Config sizes an Arena.
@@ -134,6 +179,10 @@ type Config struct {
 	// Deprecated: Spans is ignored. The span bitmap is the arena's only
 	// layout; the field remains so that existing literals still compile.
 	Spans bool
+	// Slots is the number of recycle slots, numbered from 0: one per
+	// circuit, so that a closed loop's message reuses the span its last
+	// retirement freed (AllocPayloadIn, FreeChainIn).
+	Slots int
 }
 
 // SizeFor estimates the arena configuration for a facility with the given
@@ -154,7 +203,7 @@ func SizeFor(maxLNVCs, maxProcs, blockSize, msgBlocksPerProc int) Config {
 	if n < 64 {
 		n = 64
 	}
-	return Config{BlockSize: blockSize, NumBlocks: n}
+	return Config{BlockSize: blockSize, NumBlocks: n, Slots: maxLNVCs}
 }
 
 // Bytes returns the region size the configuration occupies — what a
@@ -196,14 +245,16 @@ func NewAt(cfg Config, mem []byte) (*Arena, error) {
 		return nil, fmt.Errorf("shm: arena region is %d bytes, config needs %d", len(mem), cfg.Bytes())
 	}
 	a := &Arena{
-		mem:       mem,
-		blockSize: int32(cfg.BlockSize),
-		perBlock:  ^uint64(0)/uint64(cfg.BlockSize) + 1,
-		nBlocks:   int32(cfg.NumBlocks),
-		freeBits:  make([]uint64, (cfg.NumBlocks+63)/64),
-		spanLen:   make([]int32, cfg.NumBlocks),
-		next:      make([]int32, cfg.NumBlocks),
-		nFree:     int32(cfg.NumBlocks),
+		mem:        mem,
+		blockSize:  int32(cfg.BlockSize),
+		perBlock:   recipOf(int32(cfg.BlockSize)),
+		perPayload: recipOf(int32(cfg.BlockSize) - 4),
+		nBlocks:    int32(cfg.NumBlocks),
+		slots:      make([]recycleSlot, max(cfg.Slots, 0)),
+		freeBits:   make([]uint64, (cfg.NumBlocks+63)/64),
+		spanLen:    make([]int32, cfg.NumBlocks),
+		next:       make([]int32, cfg.NumBlocks),
+		nFree:      int32(cfg.NumBlocks),
 	}
 	a.wake = make(chan struct{})
 	a.flipRunLocked(0, a.nBlocks, true)
@@ -233,28 +284,38 @@ func (a *Arena) PayloadSize() int { return int(a.blockSize) - 4 }
 // NumBlocks returns the total number of blocks in the region.
 func (a *Arena) NumBlocks() int { return int(a.nBlocks) }
 
-// FreeBlocks returns the current number of free blocks.
+// FreeBlocks returns the current number of free blocks, those parked in
+// recycle slots included: they are taken back before any allocation
+// fails or waits.
 func (a *Arena) FreeBlocks() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return int(a.nFree)
+	n := int(a.nFree)
+	for i := range a.slots {
+		n += int(int32(a.slots[i].chain.Load()))
+	}
+	return n
 }
 
 // Stats returns a snapshot of allocator statistics.
 func (a *Arena) Stats() Stats {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stats
+	st := a.stats
+	a.mu.Unlock()
+	for i := range a.slots {
+		st.SlotReuses += a.slots[i].reuses.Load()
+	}
+	return st
 }
 
 // LockStats reports the free-pool lock's traffic: total acquisitions
 // and the subset whose first attempt found the lock held. This is the
 // number the batched payload plane amortises — a LoanBatch of k
 // messages costs one acquisition here where k single loans cost k —
-// and what core's TestBatchedPlaneArenaLocks counts. Reading it takes
-// no lock, so snapshots can bracket a measured interval without
-// perturbing it (note that FreeBlocks and Stats each cost one
-// acquisition).
+// and what core's TestBatchedPlaneArenaLocks counts. The read waits
+// out a holder and is not itself counted, so snapshots can bracket a
+// measured interval without perturbing it (FreeBlocks and Stats each
+// count one acquisition).
 func (a *Arena) LockStats() (acquisitions, contended uint64) {
 	return a.mu.Stats()
 }
@@ -269,8 +330,7 @@ func (a *Arena) link(off int32) int32 { return a.next[a.blockIndex(off)] }
 // inverse. Block 0 lives at offset blockSize (offset 0 is NilOffset).
 func (a *Arena) offsetOf(idx int32) int32 { return (idx + 1) * a.blockSize }
 func (a *Arena) blockIndex(off int32) int32 {
-	q, _ := bits.Mul64(a.perBlock, uint64(off))
-	return int32(q) - 1
+	return int32(a.perBlock.div(uint64(off))) - 1
 }
 
 // BlockIndex returns the index in [0, NumBlocks) of the block at offset
@@ -398,12 +458,13 @@ func (a *Arena) freeSpanLocked(off int32) {
 
 // spanBlocksFor returns the blocks one contiguous span needs for n
 // payload bytes: the span is charged a single 4-byte link word however
-// many blocks it covers.
+// many blocks it covers. n must fit the region, as a payload whose
+// demand was admitted does.
 func (a *Arena) spanBlocksFor(n int) int32 {
 	if n <= 0 {
 		return 1
 	}
-	return int32((n + 4 + int(a.blockSize) - 1) / int(a.blockSize))
+	return int32(a.perBlock.div(uint64(n) + uint64(a.blockSize) + 3))
 }
 
 // spanChainLocked builds a chain holding payload bytes from free runs:
@@ -458,6 +519,16 @@ func (a *Arena) spanChainLocked(payload int) (head, tail int32) {
 // sleepers on the current channel: a sleeping waiter's channel is the
 // current one and the next free closes it, and one park costs one
 // channel however many frees arrive before the woken waiter runs.
+//
+// Recycle slots: blocks parked in them are free, so a short allocation
+// takes every parked chain back (drainSlotsLocked) before it fails or
+// sleeps. One that may sleep first raises parked, and keeps it raised
+// for as long as any waiter is registered. A deposit made after the
+// drain passed its slot then sees the flag and frees its chain through
+// the lock, which wakes the waiter (FreeChainIn): the flag's store
+// precedes the drain's loads, the deposit's CAS precedes its load of the
+// flag, and the atomics are sequentially consistent, so either the
+// drain finds the chain or the deposit finds the flag.
 func (a *Arena) lockWithFree(demand int, wait bool, stop <-chan struct{}) error {
 	if demand > int(a.nBlocks) {
 		return fmt.Errorf("shm: allocation of %d blocks exceeds region of %d: %w",
@@ -466,6 +537,15 @@ func (a *Arena) lockWithFree(demand int, wait bool, stop <-chan struct{}) error 
 	a.mu.Lock()
 	for {
 		if int(a.nFree) >= demand {
+			return nil
+		}
+		if wait {
+			a.parked.Store(true)
+		}
+		if a.drainSlotsLocked() && int(a.nFree) >= demand {
+			if a.waiters == 0 {
+				a.parked.Store(false)
+			}
 			return nil
 		}
 		if !wait {
@@ -487,10 +567,34 @@ func (a *Arena) lockWithFree(demand int, wait bool, stop <-chan struct{}) error 
 			if ch == a.wake {
 				a.waiters--
 			}
+			if a.waiters == 0 {
+				a.parked.Store(false)
+			}
 			a.mu.Unlock()
 			return ErrOutOfBlocks
 		}
 	}
+}
+
+// drainSlotsLocked returns every chain parked in a recycle slot to the
+// bitmap and reports whether there was one. Blocks it frees beyond the
+// caller's demand may fit a registered waiter, so it wakes them.
+func (a *Arena) drainSlotsLocked() bool {
+	drained := false
+	for i := range a.slots {
+		s := &a.slots[i]
+		if s.chain.Load() == 0 {
+			continue
+		}
+		if w := s.chain.Swap(0); w != 0 {
+			a.freeSpanLocked(int32(w >> 32))
+			drained = true
+		}
+	}
+	if drained && a.waiters > 0 {
+		close(a.rewakeLocked())
+	}
+	return drained
 }
 
 // offsetPairs returns two n-element result slices carved from one
@@ -518,6 +622,29 @@ func (a *Arena) AllocPayload(n int, wait bool, stop <-chan struct{}) (head, tail
 	head, tail = a.spanChainLocked(n)
 	a.mu.Unlock()
 	return head, tail, nil
+}
+
+// AllocPayloadIn is AllocPayload for a send on the circuit that owns
+// recycle slot slot: when the slot holds a span of exactly the length
+// an n-byte payload gets, one CAS takes it back, without the lock —
+// the closed loop's path, fed by the circuit's FreeChainIn. Otherwise,
+// or given NoSlot, it is AllocPayload.
+func (a *Arena) AllocPayloadIn(slot, n int, wait bool, stop <-chan struct{}) (head, tail int32, err error) {
+	if slot != NoSlot && n >= 0 {
+		s := &a.slots[slot]
+		// A span of k blocks holds k*blockSize-4 bytes, the one link word
+		// charged, and is the span n bytes get when one block fewer would
+		// not hold them.
+		if w := s.chain.Load(); w != 0 {
+			capacity := int(int32(w))*int(a.blockSize) - 4
+			if n <= capacity && n > capacity-int(a.blockSize) && s.chain.CompareAndSwap(w, 0) {
+				s.reuses.Add(1)
+				head = int32(w >> 32)
+				return head, head, nil
+			}
+		}
+	}
+	return a.AllocPayload(n, wait, stop)
 }
 
 // AllocPayloads is the batch form of AllocPayload: one chain per payload
@@ -573,16 +700,25 @@ func (a *Arena) AllocPayloadsInto(ns []int, heads, tails []int32, wait bool, sto
 // every free after the first while a woken waiter is on its way back to
 // the lock — is a plain unlock and allocates nothing.
 func (a *Arena) wakeAndUnlock() {
-	if a.waiters > 0 {
-		old := a.wake
-		a.wake = make(chan struct{})
-		a.waiters = 0
-		a.stats.Wakes++
+	if a.waiters == 0 {
 		a.mu.Unlock()
-		close(old)
 		return
 	}
+	old := a.rewakeLocked()
+	a.parked.Store(false)
 	a.mu.Unlock()
+	close(old)
+}
+
+// rewakeLocked replaces the wake channel and zeroes the count of the
+// waiters registered on the old one, which it returns for the caller to
+// close: every one of them retries.
+func (a *Arena) rewakeLocked() chan struct{} {
+	old := a.wake
+	a.wake = make(chan struct{})
+	a.waiters = 0
+	a.stats.Wakes++
+	return old
 }
 
 // FreeChain returns a chain (as built by AllocPayload or message
@@ -590,6 +726,28 @@ func (a *Arena) wakeAndUnlock() {
 // full span of blocks. It is FreeChains for a single chain.
 func (a *Arena) FreeChain(head int32) {
 	a.FreeChains([]int32{head})
+}
+
+// FreeChainIn is FreeChain for a chain retired from the circuit that
+// owns recycle slot slot: a single-span chain is parked in the slot,
+// with one CAS and without the lock, for the circuit's next
+// AllocPayloadIn, when the slot is empty. Any other chain, a full slot
+// or NoSlot takes FreeChain's path, and so does a parked chain that
+// finds an allocation waiting for blocks (see lockWithFree).
+func (a *Arena) FreeChainIn(slot int, head int32) {
+	if slot != NoSlot {
+		a.checkOffset(head)
+		idx, s := a.blockIndex(head), &a.slots[slot]
+		// A full slot is seen by a load, not a failed CAS: a stream's
+		// retirements find it full 62 times in 64.
+		if a.next[idx] == NilOffset && s.chain.Load() == 0 {
+			w := uint64(head)<<32 | uint64(a.spanLen[idx])
+			if s.chain.CompareAndSwap(0, w) && (!a.parked.Load() || !s.chain.CompareAndSwap(w, 0)) {
+				return // parked, or already taken back by a send or a drain
+			}
+		}
+	}
+	a.FreeChain(head)
 }
 
 // FreeChains returns a whole batch of chains to the free pool in a
@@ -644,7 +802,7 @@ func (a *Arena) SegPayload(off int32) []byte {
 // shared region are memory corruption; failing loudly is the only sane
 // policy.
 func (a *Arena) checkOffset(off int32) {
-	if off < a.blockSize || off >= int32(len(a.mem)) || off%a.blockSize != 0 {
+	if off < a.blockSize || off >= int32(len(a.mem)) || int32(a.perBlock.div(uint64(off)))*a.blockSize != off {
 		panic(fmt.Sprintf("shm: invalid block offset %d (block size %d, region %d)", off, a.blockSize, len(a.mem)))
 	}
 }
@@ -656,8 +814,11 @@ func (a *Arena) BlocksFor(n int) int {
 	if n <= 0 {
 		return 1
 	}
-	p := a.PayloadSize()
-	return (n + p - 1) / p
+	p := int(a.blockSize) - 4
+	if uint64(n) >= 1<<31 { // beyond any region, and beyond recip's range
+		return (n + p - 1) / p
+	}
+	return int(a.perPayload.div(uint64(n + p - 1)))
 }
 
 // WriteChain copies buf into the chain starting at head, returning the
@@ -724,26 +885,6 @@ func (a *Arena) ReadChain(head int32, length int, buf []byte) int {
 		off = a.Next(off)
 	}
 	return read
-}
-
-// ChainLen walks a chain and returns its element count (segments, not
-// blocks). Intended for tests and invariant checks.
-func (a *Arena) ChainLen(head int32) int {
-	n := 0
-	for off := head; off != NilOffset; off = a.Next(off) {
-		n++
-	}
-	return n
-}
-
-// ChainBlocks walks a chain and returns the number of region blocks its
-// spans occupy. Intended for tests and invariant checks.
-func (a *Arena) ChainBlocks(head int32) int {
-	n := int32(0)
-	for off := head; off != NilOffset; off = a.Next(off) {
-		n += a.spanLen[a.blockIndex(off)]
-	}
-	return int(n)
 }
 
 // CheckFreeList verifies free-pool integrity: the bitmap marks no block

@@ -120,6 +120,55 @@ func TestBlockIndexDivides(t *testing.T) {
 	}
 }
 
+// TestBlocksForDivides holds the multiplies in BlocksFor, spanBlocksFor
+// and checkOffset to the divisions they replace, for every block size
+// from the minimum — a 1-byte payload, whose reciprocal 2⁶⁴ would not
+// fit — to 4096: payload lengths around each of the first block
+// boundaries and up to the int32 range, and offsets on and beside the
+// first block boundaries.
+func TestBlocksForDivides(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for bs := MinBlockSize; bs <= 4096; bs++ {
+		a := mustArena(t, bs, 4)
+		p := bs - 4
+		ns := []int{0, 1, 2, 3, 1<<31 - 1, 1<<31 - 2, 1<<31 - 1 - (1<<31-1)%p, 1 << 31, 1 << 40}
+		for k := 1; k <= 4; k++ {
+			for d := -1; d <= 1; d++ {
+				ns = append(ns, k*p+d, k*bs-4+d)
+			}
+		}
+		for range 64 {
+			ns = append(ns, int(rng.Int31()))
+		}
+		for _, n := range ns {
+			if got, want := a.BlocksFor(n), (n+p-1)/p; n > 0 && got != want {
+				t.Fatalf("block size %d: BlocksFor(%d) = %d, want %d", bs, n, got, want)
+			}
+			if n <= 0 || n >= 1<<31-bs {
+				continue // spanBlocksFor's n fits the region
+			}
+			if got, want := a.spanBlocksFor(n), int32((n+4+bs-1)/bs); got != want {
+				t.Fatalf("block size %d: spanBlocksFor(%d) = %d, want %d", bs, n, got, want)
+			}
+		}
+		for k := int32(0); k <= 5; k++ {
+			for d := int32(-1); d <= 1; d++ {
+				off := k*int32(bs) + d
+				valid := off >= int32(bs) && off < int32(len(a.mem)) && off%int32(bs) == 0
+				if got := !panics(func() { a.checkOffset(off) }); got != valid {
+					t.Fatalf("block size %d: checkOffset(%d) accepts it %v, want %v", bs, off, got, valid)
+				}
+			}
+		}
+	}
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
 func TestChainWriteRead(t *testing.T) {
 	a := mustArena(t, 16, 64) // 12-byte payloads
 	msg := make([]byte, 100)

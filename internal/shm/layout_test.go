@@ -1,6 +1,9 @@
 package shm
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // The in-segment layout contract: the ring header's words are hammered
 // from two processes, so each protocol word — and each half of a
@@ -42,5 +45,23 @@ func TestRingHeaderLayout(t *testing.T) {
 	}
 	if ringHdrBytes%64 != 0 {
 		t.Errorf("ringHdrBytes = %d, want a 64-byte multiple so records start line-aligned", ringHdrBytes)
+	}
+}
+
+// TestRecycleSlotsOwnLines: each recycle slot is one line, and the
+// array starts on a line, so a slot's CAS never invalidates another
+// circuit's slot or any arena word.
+func TestRecycleSlotsOwnLines(t *testing.T) {
+	if got := unsafe.Sizeof(recycleSlot{}); got != 64 {
+		t.Fatalf("recycleSlot is %d bytes, want 64", got)
+	}
+	for _, n := range []int{1, 3, 16, 100, 1024} {
+		a, err := New(Config{BlockSize: 64, NumBlocks: 64, Slots: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if addr := uintptr(unsafe.Pointer(&a.slots[0])); addr%64 != 0 {
+			t.Errorf("%d slots start at %#x, off a cache line", n, addr)
+		}
 	}
 }

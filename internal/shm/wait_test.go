@@ -182,10 +182,10 @@ func TestAbortRacingAWakeStrandsNoWaiter(t *testing.T) {
 	stop := make(chan struct{})
 	aborted := park(stop)
 	a.mu.Lock()
-	_, contended := a.LockStats()
+	contended := a.mu.Contended()
 	close(stop)
 	for {
-		if _, c := a.LockStats(); c > contended {
+		if c := a.mu.Contended(); c > contended {
 			break // the aborting allocation waits behind this hold
 		}
 		time.Sleep(100 * time.Microsecond)
@@ -318,4 +318,90 @@ func (a *Arena) waitersNow() int32 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.waiters
+}
+
+// TestSlotNeverStrandsAnAllocation: blocks parked in recycle slots are
+// free. Closed loops leave a chain in each of their slots; then a
+// FailFast allocation that fits only with those blocks succeeds, and a
+// waiting one that needs every block completes once the last live
+// chain, retired into its slot after the allocation parked, comes back.
+// Without lockWithFree's drain the first fails and the second sleeps on
+// chains no free will return; without the deposit's look at the parked
+// flag the second sleeps on the last chain.
+func TestSlotNeverStrandsAnAllocation(t *testing.T) {
+	const slots, rounds, nBlocks = 4, 1000, 32
+	a, err := New(Config{BlockSize: 64, NumBlocks: nBlocks, Slots: slots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Loop s sends s+1 blocks' worth at a time through slot s, 10 of the
+	// 32 blocks in all, so no allocation is short and every round after
+	// the first reuses the slot.
+	loops := func() {
+		var wg sync.WaitGroup
+		for s := range slots {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range rounds {
+					head, _, err := a.AllocPayloadIn(s, (s+1)*a.PayloadSize(), false, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					a.FreeChainIn(s, head)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	whole := nBlocks * a.PayloadSize()
+	check := func(stage string) {
+		t.Helper()
+		if free := a.FreeBlocks(); free != nBlocks {
+			t.Fatalf("%s: %d blocks free, want %d", stage, free, nBlocks)
+		}
+		if err := a.CheckFreeList(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
+
+	loops()
+	check("chains parked")
+	if got := a.Stats().SlotReuses; got != slots*(rounds-1) {
+		t.Fatalf("%d slot reuses, want %d", got, slots*(rounds-1))
+	}
+	head, _, err := a.AllocPayload(whole, false, nil)
+	if err != nil {
+		t.Fatalf("FailFast allocation of every block, 10 of them parked in slots: %v", err)
+	}
+	a.FreeChain(head)
+	check("FailFast")
+
+	loops()
+	live, _, err := a.AllocPayloadIn(0, a.PayloadSize(), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		head, _, err := a.AllocPayload(whole, true, nil)
+		if err == nil {
+			a.FreeChain(head)
+		}
+		done <- err
+	}()
+	for a.Stats().AllocBlocks == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	a.FreeChainIn(0, live)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an allocation of every block sleeps while the blocks sit in recycle slots")
+	}
+	check("wait")
 }

@@ -138,23 +138,6 @@ func RingAt(seg *Segment, base int64, capacity int) *XRing {
 	}
 }
 
-// AttachRing binds a handle to a ring previously formatted by
-// InitRing — possibly in another process's mapping of the same
-// segment.
-func AttachRing(seg *Segment, base int64) (*XRing, error) {
-	if base < 0 || base%64 != 0 || base+ringHdrBytes > seg.Size() {
-		return nil, fmt.Errorf("shm: ring base %d invalid for segment of %d bytes", base, seg.Size())
-	}
-	if seg.Atomic32(base+ringOffMagic).Load() != ringMagic {
-		return nil, fmt.Errorf("shm: no ring at segment offset %d", base)
-	}
-	capacity := seg.Atomic32(base + ringOffCap).Load()
-	if capacity < 2 || capacity&(capacity-1) != 0 || base+RingBytes(int(capacity)) > seg.Size() {
-		return nil, fmt.Errorf("shm: ring at %d has corrupt capacity %d", base, capacity)
-	}
-	return RingAt(seg, base, int(capacity)), nil
-}
-
 // Cap returns the ring capacity in records.
 func (r *XRing) Cap() int { return int(r.mask + 1) }
 

@@ -56,26 +56,19 @@ func TestContendedLockParks(t *testing.T) {
 			close(acquired)
 			l.Unlock()
 		}()
-		holdFor(t, func() bool { _, c := l.Stats(); return c > 0 }, l.Unlock, acquired)
+		holdFor(t, func() bool { return l.Contended() > 0 }, l.Unlock, acquired)
 	})
 	t.Run("RW", func(t *testing.T) {
-		// RW keeps no counters: the reader says it is about to wait.
+		// RW counts a contended RLock before it parks, and its Stats
+		// take no lock.
 		var l RW
 		l.Lock()
-		arrived, acquired := make(chan struct{}), make(chan struct{})
+		acquired := make(chan struct{})
 		go func() {
-			close(arrived)
 			l.RLock()
 			close(acquired)
 			l.RUnlock()
 		}()
-		holdFor(t, func() bool {
-			select {
-			case <-arrived:
-				return true
-			default:
-				return false
-			}
-		}, l.Unlock, acquired)
+		holdFor(t, func() bool { _, c := l.Stats(); return c > 0 }, l.Unlock, acquired)
 	})
 }

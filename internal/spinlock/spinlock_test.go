@@ -118,9 +118,10 @@ func TestTASStats(t *testing.T) {
 	l.Unlock()
 	l.Lock()
 	l.Unlock()
-	acq, _ := l.Stats()
-	if acq != 2 {
-		t.Fatalf("acquisitions = %d, want 2", acq)
+	for range 2 { // a Stats read is not an acquisition
+		if acq, _ := l.Stats(); acq != 2 {
+			t.Fatalf("acquisitions = %d, want 2", acq)
+		}
 	}
 }
 

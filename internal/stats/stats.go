@@ -175,8 +175,7 @@ func truncate(s string, n int) string {
 // Speedup converts a series of execution times into a speedup series
 // relative to the time at baseX: speedup(x) = T(baseX)/T(x) * scale.
 // The paper's Figure 8 uses baseX = 2 (the 4-process solver) with
-// scale 1; Figure 7 uses a separately measured sequential time, handled
-// by SpeedupVs.
+// scale 1.
 func Speedup(times *Series, baseX int, scale float64) (*Series, error) {
 	base, ok := times.Y(baseX)
 	if !ok || base <= 0 {
@@ -188,22 +187,6 @@ func Speedup(times *Series, baseX int, scale float64) (*Series, error) {
 			return nil, fmt.Errorf("stats: non-positive time %g at x=%d", p.Y, p.X)
 		}
 		out.Add(p.X, base/p.Y*scale)
-	}
-	return out, nil
-}
-
-// SpeedupVs converts execution times into speedups against a fixed
-// sequential time.
-func SpeedupVs(times *Series, seqTime float64) (*Series, error) {
-	if seqTime <= 0 {
-		return nil, fmt.Errorf("stats: non-positive sequential time %g", seqTime)
-	}
-	out := &Series{Label: times.Label}
-	for _, p := range times.Points {
-		if p.Y <= 0 {
-			return nil, fmt.Errorf("stats: non-positive time %g at x=%d", p.Y, p.X)
-		}
-		out.Add(p.X, seqTime/p.Y)
 	}
 	return out, nil
 }
