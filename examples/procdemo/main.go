@@ -8,11 +8,12 @@
 // hands each one the segment's file descriptor over an inherited unix
 // socket, along with a versioned handshake describing the layout
 // (offsets of the descriptor table and arena, block geometry, protocol
-// generation). Each child maps the same physical pages at its own base
-// address, claims a descriptor-table slot, and speaks to the parent
-// only through two in-segment SPSC rings whose 16-byte records carry
-// segment offsets; waiting on either side is a futex word inside the
-// segment — no pipe, no socket, no copy on the payload path.
+// generation, the slot and its incarnation). Each child maps the same
+// physical pages at its own base address, binds its slot's rings, and
+// speaks to the parent only through two in-segment SPSC rings whose
+// 16-byte records carry segment offsets; waiting on either side is a
+// futex word inside the segment — no pipe, no socket, no copy on the
+// payload path.
 //
 // Two phases per child, both zero-copy end to end and both moving a
 // window of records in chunks of up to 16 (mpf/xproc.go):
@@ -28,8 +29,9 @@
 //
 // The run exits nonzero unless: every round trip verified, the copy
 // ledger shows zero payload copies (and every message on the batched
-// loan/view planes), every child exited cleanly and detached its
-// slot, and the final segment unmap returned no error. CI's
+// loan/view planes), every child exited cleanly after echoing its done
+// record and its slot ended free, and the final segment unmap returned
+// no error. CI's
 // cross-process smoke leg runs exactly this binary.
 //
 // With -chaos the demo becomes a crash drill: two of the children are
@@ -96,7 +98,7 @@ func runChild() {
 	if err := cl.Close(); err != nil {
 		log.Fatalf("procdemo child: unmap: %v", err)
 	}
-	fmt.Printf("  child (slot %d, pid %d): %d payloads verified in place, detached cleanly\n",
+	fmt.Printf("  child (slot %d, pid %d): %d payloads verified in place, finished cleanly\n",
 		cl.Slot(), os.Getpid(), served)
 }
 
@@ -157,11 +159,11 @@ func runParent(children, msgs, size int) error {
 	}
 	elapsed := time.Since(start)
 
-	// Every slot must have been detached by its child's clean exit.
+	// Every slot's incarnation must have been ended by FinishSlot.
 	for slot := 0; slot < children; slot++ {
-		if s := srv.Table().SlotState(slot); s != core.SlotDetached {
+		if s := srv.Table().SlotState(slot); s != core.SlotFree {
 			srv.Close()
-			return fmt.Errorf("slot %d in state %d after child exit, want detached", slot, s)
+			return fmt.Errorf("slot %d in state %d after child exit, want free", slot, s)
 		}
 	}
 
@@ -291,7 +293,7 @@ func runChaos(children, msgs, size int) error {
 		return fmt.Errorf("%d deaths reclaimed, want %d", deaths, victims)
 	}
 	for slot := 0; slot < children; slot++ {
-		if s := srv.Table().SlotState(slot); s != core.SlotDetached && s != core.SlotFree {
+		if s := srv.Table().SlotState(slot); s != core.SlotFree {
 			srv.Close()
 			return fmt.Errorf("slot %d in state %d after the drill, not reusable", slot, s)
 		}

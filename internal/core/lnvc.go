@@ -577,10 +577,11 @@ func (f *Facility) waitClaim(pid int, id ID, park bool, deadline time.Time) (*ln
 		var err error
 		if f.stopped.Load() {
 			err = ErrShutdown
-		} else if l.recvs[pid] != d {
+		} else if waited && l.recvs[pid] != d {
 			// The connection was closed (CloseReceive from another
 			// goroutine) while this receive was parked; the close path
-			// broadcast the condition so we see it promptly.
+			// broadcast the condition so we see it promptly. Before the
+			// first park lockRecv has just found d in the same hold.
 			err = notConnected("receive", id, pid)
 		} else if m := l.availableLocked(d); m != nil {
 			if waited {

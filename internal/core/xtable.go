@@ -4,9 +4,9 @@ package core
 // descriptors inside the mapped region; this port's LNVC descriptors
 // are Go structs full of pointers and cannot leave the serving
 // process, so the process boundary gets its own table — a small,
-// fixed-layout structure inside the segment that records, per attached
-// peer process: an ownership state word with its attach generation,
-// followed by two SPSC descriptor rings per slot
+// fixed-layout structure inside the segment that holds, per peer
+// process: a state word naming the slot's incarnation, followed by two
+// SPSC descriptor rings per slot
 // (down = parent→child, up = child→parent). Everything in it is
 // offsets and atomic words; no Go pointer crosses the boundary.
 //
@@ -22,11 +22,9 @@ package core
 //	+8   generation (uint64)
 //	+16  nSlots, ringCap (uint32 each)
 //	+64  slot 0, +128 slot 1, … (64 bytes per slot):
-//	       +0  state    free(0)/attached(1)/detached(2)/dead(3) in the
-//	            low byte, the slot's cumulative attach generation in
-//	            the high 24 bits — one word, so every transition is one
-//	            CAS that names both the state AND the incarnation it
-//	            applies to
+//	       +0  state    free(0)/attached(1) in the low byte, the
+//	            slot's incarnation in the high 24 bits — one word, so a
+//	            peer reads both in one load
 //	       +8…+63       free
 //	+64·(nSlots+1)  the rings, down then up for slot 0, then slot 1, …
 //
@@ -36,22 +34,14 @@ package core
 // process binds every ring once, in InitSegTable, and uses those
 // handles for the table's life; a peer binds its own slot's pair.
 //
-// Slot claiming is one CAS on the state word, so peers may attach and
-// detach concurrently with each other and with the serving facility's
-// allocator traffic — TestSegmentAttachChurnRace drives exactly that.
-//
-// Crash robustness rides on the packed generation:
-// a reaper that decides slot i's owner died marks it dead with
-// MarkDead(i, gen) — a CAS from (attached|gen) to (dead|gen) that can
-// only ever hit the incarnation the reaper observed. If the owner
-// detached and a new peer claimed the slot in the meantime, the
-// generation moved and the CAS fails harmlessly: a stale death can
-// never get a live newcomer reclaimed out from under it. The table
-// records no pid: which peer died is the server's knowledge (the exits
-// its exec group waits on), not a word the peer could rewrite. Dead
-// slots refuse Claim until the reclaimer finishes tearing down the
-// incarnation's in-flight state and releases the slot with
-// FreeSlot(i, gen).
+// The slot state word is a notice from the server to the slot's peer,
+// one store per change (SetSlot): the server begins an incarnation by
+// writing attached|gen before the handshake that hands gen to the peer,
+// and ends it by writing free|gen. The peer reads it to learn that its
+// incarnation is over; nothing in the server reads it back, so a peer
+// that writes into it changes only what it tells itself. Which
+// incarnation is live, and when it ends, is the server's own record
+// (mpf's bridgeState), not a word in the segment.
 
 import (
 	"errors"
@@ -60,33 +50,27 @@ import (
 	"repro/internal/shm"
 )
 
-// Slot states (the low byte of the slot state word), CAS-transitioned
-// free→attached→{detached,dead}→…; dead→free is the reclaimer's
-// transition, everything else may claim free or detached slots.
+// Slot states (the low byte of the slot state word).
 const (
 	SlotFree     uint32 = 0
 	SlotAttached uint32 = 1
-	SlotDetached uint32 = 2
-	// SlotDead marks a slot whose owner was declared dead by a reaper;
-	// it refuses claims until reclamation completes (FreeSlot).
-	SlotDead uint32 = 3
 )
 
 const (
 	segTableMagic = 0x5458504D // "MPXT"
-	// segTableVersion 4: the slot stores no pid (version 3 derived the
-	// ring offsets instead of storing them; version 2 packed the attach
-	// generation into the state word, making dead-peer marking a single
-	// ABA-safe CAS).
-	segTableVersion = 4
+	// segTableVersion 5: the server alone writes the slot state word and
+	// has no detached or dead state (version 4 stored no pid; version 3
+	// derived the ring offsets instead of storing them; version 2 packed
+	// the attach generation into the state word).
+	segTableVersion = 5
 	segTableHdr     = 64
 	segSlotBytes    = 64
 
 	slotOffState = 0
 
-	// slotStateMask isolates the state from the packed word; the attach
-	// generation occupies the remaining 24 bits (wrap-around after 16M
-	// attaches of one slot is acceptable ABA exposure).
+	// slotStateMask isolates the state from the packed word; the
+	// incarnation occupies the remaining 24 bits (wrap-around after 16M
+	// incarnations of one slot is acceptable ABA exposure).
 	slotStateMask = 0xFF
 	slotGenShift  = 8
 )
@@ -95,13 +79,6 @@ const (
 // generation that does not match the table's — a stale handshake
 // against a recycled or restarted segment.
 var ErrGenerationMismatch = errors.New("mpf: segment table generation mismatch")
-
-// ErrNoFreeSlot is returned by ClaimAny when every slot is attached.
-var ErrNoFreeSlot = errors.New("mpf: no free segment table slot")
-
-// ErrSlotDead is returned by Claim when the slot is held mid-reclaim:
-// its previous owner died and the reclaimer has not freed it yet.
-var ErrSlotDead = errors.New("mpf: segment table slot held by dead-peer reclamation")
 
 // SegTable is a process-local handle onto the in-segment table. Every
 // attached process holds its own handle over its own mapping.
@@ -200,86 +177,12 @@ func (t *SegTable) NSlots() int { return t.nSlots }
 // RingCap returns the per-direction ring capacity in records.
 func (t *SegTable) RingCap() int { return t.ringCap }
 
-// Claim takes ownership of slot i: one CAS from free or detached to
-// attached, bumping the slot's attach generation in the same word. A
-// slot already attached is refused; a dead slot is refused with
-// ErrSlotDead until reclamation frees it.
-func (t *SegTable) Claim(i int) error {
-	_, err := t.ClaimGen(i)
-	return err
-}
-
-// ClaimGen is Claim returning the attach generation the claim was
-// stamped with — the number peers bake into in-flight ring-record tags
-// so records from a dead previous incarnation can be told apart.
-func (t *SegTable) ClaimGen(i int) (uint32, error) {
+// SetSlot stores state and gen into slot i's state word, one store:
+// the server's notice to the slot's peer that incarnation gen has begun
+// (SlotAttached) or ended (SlotFree).
+func (t *SegTable) SetSlot(i int, state, gen uint32) {
 	t.checkSlot(i)
-	state := t.seg.Atomic32(t.slotBase(i) + slotOffState)
-	for {
-		w := state.Load()
-		switch w & slotStateMask {
-		case SlotAttached:
-			return 0, fmt.Errorf("mpf: segment table slot %d already attached", i)
-		case SlotDead:
-			return 0, fmt.Errorf("mpf: segment table slot %d: %w", i, ErrSlotDead)
-		}
-		gen := (w>>slotGenShift + 1) & (1<<24 - 1)
-		if state.CompareAndSwap(w, SlotAttached|gen<<slotGenShift) {
-			return gen, nil
-		}
-	}
-}
-
-// ClaimAny claims the first available slot, returning its index.
-func (t *SegTable) ClaimAny() (int, error) {
-	for i := 0; i < t.nSlots; i++ {
-		if s := t.SlotState(i); s == SlotAttached || s == SlotDead {
-			continue
-		}
-		if err := t.Claim(i); err == nil {
-			return i, nil
-		}
-	}
-	return -1, ErrNoFreeSlot
-}
-
-// Detach releases slot i: one CAS from attached to detached preserving
-// the generation. The slot's rings stay formatted (indices and queued
-// records intact), so a future peer can claim the slot again. A slot
-// already marked dead is left alone — a reaper got there first and the
-// reclaimer owns the teardown; the late detach must not resurrect it.
-func (t *SegTable) Detach(i int) {
-	t.checkSlot(i)
-	state := t.seg.Atomic32(t.slotBase(i) + slotOffState)
-	for {
-		w := state.Load()
-		if w&slotStateMask != SlotAttached {
-			return
-		}
-		if state.CompareAndSwap(w, w&^slotStateMask|SlotDetached) {
-			return
-		}
-	}
-}
-
-// MarkDead transitions slot i from attached to dead — but only the
-// incarnation the caller observed: the CAS binds both state and attach
-// generation, so if the owner detached and somebody else claimed the
-// slot, the generation moved and the marking fails. Returns whether
-// the slot is now dead by this call.
-func (t *SegTable) MarkDead(i int, gen uint32) bool {
-	t.checkSlot(i)
-	return t.seg.Atomic32(t.slotBase(i)+slotOffState).
-		CompareAndSwap(SlotAttached|gen<<slotGenShift, SlotDead|gen<<slotGenShift)
-}
-
-// FreeSlot releases a dead slot back to free once reclamation is done,
-// again bound to the generation MarkDead named. Returns whether the
-// release happened.
-func (t *SegTable) FreeSlot(i int, gen uint32) bool {
-	t.checkSlot(i)
-	return t.seg.Atomic32(t.slotBase(i)+slotOffState).
-		CompareAndSwap(SlotDead|gen<<slotGenShift, SlotFree|gen<<slotGenShift)
+	t.seg.Atomic32(t.slotBase(i) + slotOffState).Store(state | gen<<slotGenShift)
 }
 
 // SlotState returns slot i's current ownership state.
@@ -289,7 +192,7 @@ func (t *SegTable) SlotState(i int) uint32 {
 }
 
 // SlotStateGen reads state and generation from the one atomic word —
-// the consistent snapshot reapers base a MarkDead decision on.
+// how a peer learns whether its incarnation is still the slot's.
 func (t *SegTable) SlotStateGen(i int) (state, gen uint32) {
 	t.checkSlot(i)
 	w := t.seg.Atomic32(t.slotBase(i) + slotOffState).Load()
@@ -312,9 +215,9 @@ func (t *SegTable) Rings(i int) (down, up *shm.XRing) {
 
 // ReformatRings re-initialises both of slot i's rings in place —
 // indices zeroed, closed flag cleared, stale records unreachable. The
-// reclamation step that guarantees a slot's next claimant starts from
-// clean rings whatever its dead predecessor left queued. Only safe
-// while the slot is held dead (no live peer owns either ring end).
+// teardown step that guarantees a slot's next incarnation starts from
+// clean rings whatever its predecessor left queued. Only safe between
+// incarnations (no live peer owns either ring end).
 func (t *SegTable) ReformatRings(i int) {
 	down, up := t.Rings(i)
 	down.Reset()

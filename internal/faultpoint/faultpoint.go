@@ -1,6 +1,6 @@
 // Package faultpoint provides named, runtime-armed fault injection
 // points for crash-robustness testing. A fault point is a call site —
-// faultpoint.Hit("child-claim") — placed at a protocol step whose
+// faultpoint.Hit("child-attach") — placed at a protocol step whose
 // failure the system must tolerate. With nothing armed the call is a
 // single atomic bool load and a return: cheap enough to leave compiled
 // into production paths permanently, so the code CI crashes is exactly
@@ -10,13 +10,13 @@
 // MPF_FAULTPOINTS environment variable, which is how a chaos harness
 // arms crash points in some children of an exec group and not others:
 //
-//	MPF_FAULTPOINTS=child-claim:crash          crash on first hit
+//	MPF_FAULTPOINTS=child-attach:crash         crash on first hit
 //	MPF_FAULTPOINTS=child-ack:crash@40         crash on the 40th hit
 //	MPF_FAULTPOINTS=child-fill:delay=5ms       sleep 5ms on every hit
 //	MPF_FAULTPOINTS=a:crash@3,b:delay=1ms      several points
 //
 // A crash is os.Exit(out-of-band code 86), not a panic: no deferred
-// cleanup, no detach, no unmap — the closest a test can get to a real
+// cleanup, no done echo, no unmap — the closest a test can get to a real
 // SIGKILL'd peer while still being triggerable at an exact protocol
 // step.
 package faultpoint

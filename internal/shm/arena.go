@@ -324,8 +324,6 @@ func (a *Arena) LockStats() (acquisitions, contended uint64) {
 // (see the package comment).
 func (a *Arena) setLink(off, next int32) { a.next[a.blockIndex(off)] = next }
 
-func (a *Arena) link(off int32) int32 { return a.next[a.blockIndex(off)] }
-
 // offsetOf converts a block index to its arena offset; blockIndex is the
 // inverse. Block 0 lives at offset blockSize (offset 0 is NilOffset).
 func (a *Arena) offsetOf(idx int32) int32 { return (idx + 1) * a.blockSize }
@@ -736,8 +734,7 @@ func (a *Arena) FreeChain(head int32) {
 // finds an allocation waiting for blocks (see lockWithFree).
 func (a *Arena) FreeChainIn(slot int, head int32) {
 	if slot != NoSlot {
-		a.checkOffset(head)
-		idx, s := a.blockIndex(head), &a.slots[slot]
+		idx, s := a.checkOffset(head), &a.slots[slot]
 		// A full slot is seen by a load, not a failed CAS: a stream's
 		// retirements find it full 62 times in 64.
 		if a.next[idx] == NilOffset && s.chain.Load() == 0 {
@@ -764,9 +761,10 @@ func (a *Arena) FreeChains(heads []int32) {
 	var offsBuf [32]int32
 	offs := offsBuf[:0]
 	for _, head := range heads {
-		for off := head; off != NilOffset; off = a.link(off) {
-			a.checkOffset(off)
+		for off := head; off != NilOffset; {
+			i := a.checkOffset(off)
 			offs = append(offs, off)
+			off = a.next[i]
 		}
 	}
 	if len(offs) == 0 {
@@ -780,31 +778,39 @@ func (a *Arena) FreeChains(heads []int32) {
 }
 
 // Next returns the element following off in a chain, or NilOffset.
-func (a *Arena) Next(off int32) int32 {
-	a.checkOffset(off)
-	return a.link(off)
-}
+func (a *Arena) Next(off int32) int32 { return a.next[a.checkOffset(off)] }
 
 // SegPayload returns the payload bytes of the chain element at off: the
 // whole span's, less one 4-byte link word however many blocks the span
 // covers. The returned slice aliases the arena; the caller owns the
 // element. This is the segment accessor msg.View iterates.
 func (a *Arena) SegPayload(off int32) []byte {
-	a.checkOffset(off)
-	k := a.spanLen[a.blockIndex(off)]
+	p, _ := a.element(off)
+	return p
+}
+
+// element is SegPayload and Next behind one validation of off, one
+// division: the chain element's payload and its successor's offset.
+// ReadChain and WriteChain walk chains with it.
+func (a *Arena) element(off int32) ([]byte, int32) {
+	i := a.checkOffset(off)
+	k := a.spanLen[i]
 	if k < 1 {
 		panic(fmt.Sprintf("shm: SegPayload of unallocated span at offset %d", off))
 	}
-	return a.mem[off : off+k*a.blockSize-4]
+	return a.mem[off : off+k*a.blockSize-4], a.next[i]
 }
 
-// checkOffset panics if off is not a valid block offset. Offset bugs in a
-// shared region are memory corruption; failing loudly is the only sane
-// policy.
-func (a *Arena) checkOffset(off int32) {
-	if off < a.blockSize || off >= int32(len(a.mem)) || int32(a.perBlock.div(uint64(off)))*a.blockSize != off {
-		panic(fmt.Sprintf("shm: invalid block offset %d (block size %d, region %d)", off, a.blockSize, len(a.mem)))
+// checkOffset panics if off is not a valid block offset, and returns its
+// block index otherwise. Offset bugs in a shared region are memory
+// corruption; failing loudly is the only sane policy.
+func (a *Arena) checkOffset(off int32) int32 {
+	if off >= a.blockSize && off < int32(len(a.mem)) {
+		if q := int32(a.perBlock.div(uint64(off))); q*a.blockSize == off {
+			return q - 1
+		}
 	}
+	panic(fmt.Sprintf("shm: invalid block offset %d (block size %d, region %d)", off, a.blockSize, len(a.mem)))
 }
 
 // BlocksFor returns the number of blocks needed to hold n payload bytes.
@@ -830,8 +836,9 @@ func (a *Arena) WriteChain(head int32, buf []byte) int {
 		if off == NilOffset {
 			panic("shm: WriteChain ran out of blocks")
 		}
-		written += alignedCopy(a.SegPayload(off), buf[written:])
-		off = a.Next(off)
+		p, next := a.element(off)
+		written += alignedCopy(p, buf[written:])
+		off = next
 	}
 	return written
 }
@@ -876,13 +883,13 @@ func (a *Arena) ReadChain(head int32, length int, buf []byte) int {
 		if off == NilOffset {
 			panic("shm: ReadChain ran out of blocks")
 		}
-		p := a.SegPayload(off)
+		p, next := a.element(off)
 		remain := want - read
 		if remain < len(p) {
 			p = p[:remain]
 		}
 		read += alignedCopy(buf[read:], p)
-		off = a.Next(off)
+		off = next
 	}
 	return read
 }

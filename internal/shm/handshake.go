@@ -5,8 +5,9 @@ package shm
 // with a small fixed-size frame describing the layout: where the
 // descriptor table and the arena start, how the arena is carved
 // (block size, block count, layout flags), which table slot the child
-// should claim, and a protocol generation stamped by the parent at
-// serve time. The generation is the staleness guard: it is also
+// is given and the incarnation of that slot it is (the server's
+// choice, like the slot), and a protocol generation stamped by the
+// parent at serve time. The generation is the staleness guard: it is also
 // written into the segment's table header, and AttachSegTable refuses
 // a mismatch — a child launched against one serve instance cannot
 // attach a recycled or restarted segment whose layout it would
@@ -30,10 +31,12 @@ import (
 // record base. Version 3: the table's slot state word packs the attach
 // generation (table version 2) and ring-record tags carry a generation
 // byte, so a stale binary would misread both — fail at the frame.
-const HandshakeVersion = 3
+// Version 4: the frame carries the slot's incarnation (Gen) and the
+// child no longer claims the slot itself (table version 5).
+const HandshakeVersion = 4
 
 // HandshakeBytes is the fixed wire size of an encoded handshake.
-const HandshakeBytes = 56
+const HandshakeBytes = 60
 
 const handshakeMagic = 0x3146504D // "MPF1"
 
@@ -79,6 +82,10 @@ type Handshake struct {
 	Slot int32
 	// Flags carries HandshakeSpans and future layout bits.
 	Flags uint32
+	// Gen is the incarnation of Slot the server began for this child:
+	// the generation byte of its ring-record tags and the value its
+	// slot state word holds while the incarnation lives.
+	Gen uint32
 }
 
 // Encode serializes h into its fixed HandshakeBytes wire form.
@@ -94,6 +101,7 @@ func (h Handshake) Encode() []byte {
 	binary.LittleEndian.PutUint32(b[44:48], uint32(h.NumBlocks))
 	binary.LittleEndian.PutUint32(b[48:52], uint32(h.Slot))
 	binary.LittleEndian.PutUint32(b[52:56], h.Flags)
+	binary.LittleEndian.PutUint32(b[56:60], h.Gen)
 	return b
 }
 
@@ -118,6 +126,7 @@ func DecodeHandshake(b []byte) (Handshake, error) {
 		NumBlocks:  int32(binary.LittleEndian.Uint32(b[44:48])),
 		Slot:       int32(binary.LittleEndian.Uint32(b[48:52])),
 		Flags:      binary.LittleEndian.Uint32(b[52:56]),
+		Gen:        binary.LittleEndian.Uint32(b[56:60]),
 	}
 	if h.Flags&HandshakeSpans == 0 {
 		return Handshake{}, fmt.Errorf("shm: handshake flags %#x lack the span layout: %w", h.Flags, ErrHandshakeVersion)

@@ -59,6 +59,7 @@ func TestSegmentPassing(t *testing.T) {
 		NumBlocks:  128,
 		Slot:       2,
 		Flags:      HandshakeSpans,
+		Gen:        9,
 	}
 	if err := SendSegment(parent, seg, want); err != nil {
 		t.Fatal(err)

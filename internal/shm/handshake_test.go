@@ -16,6 +16,7 @@ func TestHandshakeRoundtrip(t *testing.T) {
 		NumBlocks:  1024,
 		Slot:       3,
 		Flags:      HandshakeSpans,
+		Gen:        0xABCDEF,
 	}
 	b := h.Encode()
 	if len(b) != HandshakeBytes {

@@ -100,7 +100,8 @@ func TestCrashVictimSpecs(t *testing.T) {
 
 // crashVictimSpec picks the fault point for victim v: the spec cycles
 // through the protocol stages (ack in the down phase, fill in the up
-// phase, the claim itself) and varies the hit count by victim index so
+// phase, the attach itself: the incarnation is live before the child
+// maps the segment) and varies the hit count by victim index so
 // concurrent victims die at different depths into the workload.
 func crashVictimSpec(v, msgs int) string {
 	switch v % 3 {
@@ -109,7 +110,7 @@ func crashVictimSpec(v, msgs int) string {
 	case 1:
 		return fmt.Sprintf("child-fill:crash@%d", 1+(v*11)%max(1, msgs/2))
 	default:
-		return "child-claim:crash"
+		return "child-attach:crash"
 	}
 }
 
@@ -193,7 +194,7 @@ func runCrash(t *testing.T, children, victims, msgsPerChild, size int) crashResu
 	sup.Stop()
 
 	for slot := 0; slot < children; slot++ {
-		if st := srv.Table().SlotState(slot); st != core.SlotFree && st != core.SlotDetached {
+		if st := srv.Table().SlotState(slot); st != core.SlotFree {
 			t.Fatalf("slot %d left in state %d (not reusable)", slot, st)
 		}
 	}
@@ -213,8 +214,8 @@ func runCrash(t *testing.T, children, victims, msgsPerChild, size int) crashResu
 // phase when the peer dies mid-way: the supervisor reclaims the slot
 // and respawns a replacement, the retry binds to the new incarnation,
 // and the phase restarts from its first message. Retries back off
-// briefly because a retry can land in the reclaim's own window (slot
-// marked dead but not yet freed).
+// briefly because a retry can land between the reclaim and the
+// respawn's new incarnation, when a call fails at once.
 func driveCrashSlot(srv *ProcServer, slot, msgs, size int) error {
 	phase := func(name string, f func() error) error {
 		var err error

@@ -1,39 +1,39 @@
 package mpf
 
-// Dead-peer reclamation and the respawn supervisor (DESIGN.md §17).
+// The end of an incarnation, and the respawn supervisor (DESIGN.md
+// §17).
 //
-// A child that dies mid-protocol strands four kinds of state: its
-// table slot, the records queued in its rings, the views/loans its
-// bridge holds pinned, and (under WithCredit) the credit blocks
-// debited for its in-flight messages. Because the serving process owns
-// the allocator and every descriptor (children are raw segment peers),
-// all of that state is reachable from the parent, and reclamation is a
-// parent-side walk over the server's own ring handles — no ring offset
-// is read from the segment, so a dead child's slot words cannot aim the
-// walk at another slot (DESIGN.md §17 lists the segment words the
-// server still trusts):
+// A child that dies mid-protocol strands four kinds of state: its table
+// slot, the records queued in its rings, the views/loans its bridge
+// holds pinned, and (under WithCredit) the credit blocks debited for
+// its in-flight messages. Because the serving process owns the
+// allocator and every descriptor (children are raw segment peers), all
+// of that state is reachable from the parent, and the teardown is a
+// parent-side walk over the server's own ring handles and its own
+// record of the slot (bridgeState) — nothing it reads is a word a child
+// can write. A clean finish ends an incarnation through the same walk
+// (end):
 //
 //	read the bridge circuit's queued messages and credit
-//	→ mark the slot dead (generation-bound CAS — a stale death can
-//	  never get a live newcomer reclaimed)
-//	→ close the rings (wakes any bridge op parked on the corpse)
-//	→ drain both rings, discarding the dead generation's records
+//	→ move the slot's phase to free, so every probe bound to the
+//	  incarnation fires, and post free|gen in the slot word
+//	→ close the rings (wakes any bridge op parked on them)
+//	→ drain both rings, discarding the ended generation's records
 //	→ close the bridge's circuit connections (the facility's
 //	  orphan-restore path releases pinned state and refunds credit)
 //	→ reformat the rings
-//	→ CAS the slot back to free
 //
-// The ordering matters: pins and credit are restored before the rings
-// are reformatted so no record that could still name a pinned window
-// survives the reclaim, and the slot is freed last so no new claimant
-// can arrive while its rings still hold a dead incarnation's records.
+// all under the slot's mutex, so the next incarnation cannot begin
+// until the rings are fresh. Pins and credit are restored before the
+// rings are reformatted, so no record that could still name a pinned
+// window survives.
 //
-// Supervise drives the reclaim from one detection path: the child exits
+// Supervise drives reclaims from one detection path: the child exits
 // its exec group already waits on (proc.ExecGroup.WatchDeaths). Which
 // child held a slot is the server's own knowledge — it handed child i
-// slot i — so no word a child can write decides whether its slot is
-// reclaimed. With a respawn budget it then restarts crashed children
-// into their reclaimed slots with backoff.
+// slot i — and so is whether the slot's incarnation is live. With a
+// respawn budget the supervisor then restarts crashed children into
+// their reclaimed slots with backoff.
 
 import (
 	"sync"
@@ -47,7 +47,7 @@ import (
 // ReclaimReport describes one completed dead-peer reclamation.
 type ReclaimReport struct {
 	Slot int
-	// Gen is the attach generation that was reclaimed.
+	// Gen is the incarnation that was reclaimed.
 	Gen uint32
 	// Pid is the exited child's pid when the supervisor reclaimed the
 	// slot; 0 for a reclaim the caller started (ReclaimSlot).
@@ -58,8 +58,9 @@ type ReclaimReport struct {
 	Views uint64
 	// Credits counts the credit blocks the bridge's circuit held as the
 	// reclaim began, all of which the reclaim returns to the ledger.
-	// They are read before the slot is marked dead: a bridge call parked
-	// on the corpse wakes at the mark and refunds what it held itself.
+	// They are read before the incarnation's phase moves: a bridge call
+	// parked on the corpse wakes at the move and refunds what it held
+	// itself.
 	Credits uint64
 	// Elapsed is death-detection-to-slot-free latency.
 	Elapsed time.Duration
@@ -67,65 +68,55 @@ type ReclaimReport struct {
 
 // ReclaimSlot tears down the named incarnation of a slot after its
 // owner died. The caller supplies the generation it observed when it
-// decided the owner was dead; if the slot has since moved on (owner
-// detached, new peer claimed), the generation-bound CAS fails and
-// ReclaimSlot reports false without touching anything. On success the
-// slot is free again, the rings are freshly formatted, every view the
-// bridge held is released, the credit ledger is refunded, and the
-// facility's PeerDeaths/ReclaimedViews/ReclaimedCredits/ReclaimLatency
-// counters and the peer_reclaim trace op record the event.
+// decided the owner was dead; if that incarnation is not the slot's live
+// one (it already ended, or a newer one began), ReclaimSlot reports
+// false without touching anything. On success the slot is free again,
+// the rings are freshly formatted, every view the bridge held is
+// released, the credit ledger is refunded, and the facility's
+// PeerDeaths/ReclaimedViews/ReclaimedCredits/ReclaimLatency counters
+// and the peer_reclaim trace op record the event.
 func (s *ProcServer) ReclaimSlot(slot int, gen uint32) (ReclaimReport, bool) {
-	return s.reclaim(slot, gen, 0)
+	return s.reclaim(slot, phaseLive, gen, 0)
 }
 
-// reclaim is ReclaimSlot reporting pid as the dead peer's.
-func (s *ProcServer) reclaim(slot int, gen uint32, pid int) (ReclaimReport, bool) {
+// reclaim is end from phase plus the death's report and counters, with
+// pid as the dead peer's.
+func (s *ProcServer) reclaim(slot int, phase, gen uint32, pid int) (ReclaimReport, bool) {
 	start := time.Now()
-	rep := ReclaimReport{Slot: slot, Gen: gen, Pid: uint32(pid)}
-
-	// Snapshot the circuit's ledger while the bridge is still parked on
-	// the live-looking slot, so the refund is attributable to this
-	// death; then mark the slot dead and detach the bridge state, so
-	// future bridge() calls bind to the next incarnation. The snapshot
-	// is ours to tear down.
-	b := &s.bridges[slot]
-	b.mu.Lock()
-	conn := b.conn
-	if conn.recv != nil {
-		if info, err := s.fac.c.LNVCInfo(conn.recv.ID()); err == nil {
-			rep.Credits = uint64(info.CreditUsed)
-			rep.Views = uint64(info.QueuedMsgs)
-		}
-	}
-	if !s.table.MarkDead(slot, gen) {
-		b.mu.Unlock()
+	rep, ok := s.end(slot, phase, gen)
+	if !ok {
 		return ReclaimReport{}, false
 	}
-	b.conn = bridgeConn{}
-	b.mu.Unlock()
+	rep.Slot, rep.Gen, rep.Pid, rep.Elapsed = slot, gen, uint32(pid), time.Since(start)
+	s.fac.c.NotePeerReclaim(pid, rep.Views, rep.Credits, rep.Elapsed)
+	return rep, true
+}
 
-	// Close first: any bridge goroutine parked on a ring wakes with
-	// ErrRingClosed right now instead of waiting out its deadline, and
-	// no new record can land while we drain.
+// end is the one teardown of an incarnation, for a death and for a
+// finish (the walk in the file comment). It acts only on incarnation
+// gen of slot in phase from, reporting false otherwise. The ledger is
+// read before the phase moves: a bridge call parked on the incarnation
+// wakes at the move and refunds what it held itself. The report's Views
+// and Credits are filled in; the rest is reclaim's.
+func (s *ProcServer) end(slot int, from, gen uint32) (rep ReclaimReport, ok bool) {
+	b := &s.bridges[slot]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state.Load() != from|gen<<genShift {
+		return rep, false
+	}
+	c := b.conn
+	if info, err := s.fac.c.LNVCInfo(c.recv.ID()); err == nil {
+		rep.Credits, rep.Views = uint64(info.CreditUsed), uint64(info.QueuedMsgs)
+	}
+	b.state.Store(phaseFree | gen<<genShift)
+	s.table.SetSlot(slot, core.SlotFree, gen)
 	down, up := s.table.Rings(slot)
 	down.Close()
 	up.Close()
 	rep.Views += drainDead(down, gen) + drainDead(up, gen)
-
-	// Closing the bridge's circuit connections runs the facility's own
-	// teardown: queued messages are discarded through the normal
-	// reclaim path (restoring their blocks and credit), pinned state is
-	// orphan-restored.
-	conn.closeCircuit()
-
-	// Fresh rings for the next claimant, then — and only then — the
-	// slot itself returns to the pool.
+	c.closeCircuit()
 	s.table.ReformatRings(slot)
-	if !s.table.FreeSlot(slot, gen) {
-		return rep, false
-	}
-	rep.Elapsed = time.Since(start)
-	s.fac.c.NotePeerReclaim(pid, rep.Views, rep.Credits, rep.Elapsed)
 	return rep, true
 }
 
@@ -139,11 +130,7 @@ func drainDead(r *shm.XRing, gen uint32) uint64 {
 		if err != nil || !ok {
 			return n
 		}
-		if xtagGen(rec.Tag) != uint8(gen) {
-			continue
-		}
-		switch xtagKind(rec.Tag) {
-		case XTagView, XTagLoan:
+		if k := xtagKind(rec.Tag); xtagGen(rec.Tag) == uint8(gen) && (k == XTagView || k == XTagLoan) {
 			n++
 		}
 	}
@@ -220,29 +207,28 @@ func (sup *Supervisor) Stop() {
 
 // onChildExit handles an observed child exit: if the exited child is
 // still the group's incarnation at its rank — the only process handed
-// that slot while it lived — and the slot is attached, the attached
-// incarnation is reclaimed, and the child is respawned if budget
-// remains. A clean exit after detach reclaims nothing (the slot is
-// already detached) and does not consume respawn budget.
+// that slot while it lived — and the server's record shows the slot's
+// incarnation live, that incarnation is reclaimed, and the child is
+// respawned if budget remains. A clean exit after FinishSlot finds the
+// slot finishing or free, reclaims nothing and does not consume
+// respawn budget.
 func (sup *Supervisor) onChildExit(ch *proc.Child) {
 	slot := ch.Index
-	st, gen := sup.s.table.SlotStateGen(slot)
 	crashed := ch.Err() != nil
-	if st == core.SlotAttached && sup.g.Child(slot) == ch {
-		// Died while attached: mid-claim, mid-traffic, or just before
-		// detach. Generation-bound, so if this races a detach+reclaim
-		// by a new peer the CAS inside reclaim fails harmlessly.
-		if rep, ok := sup.s.reclaim(slot, gen, ch.Pid()); ok {
+	if w := sup.s.bridges[slot].state.Load(); w&phaseMask == phaseLive && sup.g.Child(slot) == ch {
+		// Died while live: before mapping, mid-traffic, or before the
+		// done record. Bound to the generation read here, so a reclaim
+		// that loses a race with another end does nothing.
+		if rep, ok := sup.s.reclaim(slot, phaseLive, w>>genShift, ch.Pid()); ok {
 			crashed = true
 			if sup.cfg.OnDeath != nil {
 				sup.cfg.OnDeath(rep)
 			}
 		}
 	}
-	if !crashed {
-		return
+	if crashed {
+		sup.respawn(slot)
 	}
-	sup.respawn(slot)
 }
 
 // respawn restarts a crashed child into its (reclaimed) slot if budget

@@ -6,12 +6,12 @@ package mpf
 // facility over an arena carved out of a memfd segment (ServeProc).
 // Child processes receive the segment fd and a layout handshake over
 // an inherited unix socket (AttachProc), map the same physical pages
-// at their own base address, claim a descriptor-table slot, and from
-// then on speak only through in-segment SPSC rings whose records carry
-// segment offsets. Payload bytes are written and read in place in the
-// shared mapping — the copy ledger stays at zero across the process
-// boundary, which examples/procdemo and the CI cross-process leg
-// assert.
+// at their own base address, bind the rings of the table slot the
+// handshake names, and from then on speak only through in-segment SPSC
+// rings whose records carry segment offsets. Payload bytes are written
+// and read in place in the shared mapping — the copy ledger stays at
+// zero across the process boundary, which examples/procdemo and the CI
+// cross-process leg assert.
 //
 // The division of labour (DESIGN.md §15): the server owns the arena
 // allocator and every LNVC descriptor; children are raw segment peers.
@@ -56,10 +56,13 @@ package mpf
 // same records in the same order a stop-and-wait bridge exchanges.
 //
 // Nothing a peer can write steers the bridge: ring offsets are derived
-// from the table's geometry and bound once (SegTable.Rings), and ring
-// indices further apart than the capacity (shm.ErrRingCorrupt) and
-// replies of the wrong kind or for the wrong window declare the peer
-// dead — the bridge reclaims the slot itself and returns ErrPeerDead.
+// from the table's geometry and bound once (SegTable.Rings); which
+// incarnation of a slot is live is the server's own record
+// (bridgeState), never read back from the segment; and ring indices
+// further apart than the capacity (shm.ErrRingCorrupt), a ring closed
+// under a live incarnation and replies of the wrong kind or for the
+// wrong window declare the peer dead — the bridge reclaims the slot
+// itself and returns ErrPeerDead.
 // On every failure each chunk in flight is resolved exactly once
 // (AbortAll, ReleaseViews) before the call returns. A failure that is
 // the call's own — a checksum that does not verify, a payload in more
@@ -77,16 +80,20 @@ package mpf
 // answers within a chunk's time is met polling, with no syscall on
 // either side.
 //
-// Crash robustness (DESIGN.md §17): every ring record's Tag carries
-// the slot's attach generation in its high byte, so records from a
-// dead incarnation are recognisably stale and are discarded instead of
-// corrupting the next claimant's protocol. Bridge ring waits carry an
-// abort probe against the slot's state word (a reaped peer surfaces as
-// ErrPeerDead, not a 30-second hang), and the child's worker loop
-// aborts when its parent process disappears. The reaper/reclaimer
-// lives in reclaim.go; the fault points threaded through the child
-// path (child-attach, child-claim, child-ack, child-fill) are what the
-// chaos harness arms to kill children at exact protocol steps.
+// Incarnations (DESIGN.md §17): the server alone begins one
+// (SendSegmentTo: bump the slot's generation, open its circuit, post
+// attached|gen in the slot word, hand gen to the child in the
+// handshake) and ends one (end in reclaim.go, for a clean finish and a
+// death alike). Every ring record's Tag carries the generation in its
+// high byte, so records of an ended incarnation are recognisably stale
+// and are discarded instead of corrupting the next one's protocol.
+// Bridge ring waits carry an abort probe against the server's record
+// of the slot (an ended incarnation surfaces as ErrPeerDead, not a
+// 30-second hang); the child's worker loop aborts when its parent
+// process disappears or the slot word says its incarnation ended. The
+// fault points threaded through the child path (child-attach,
+// child-ack, child-fill) are what the chaos harness arms to kill
+// children at exact protocol steps.
 
 import (
 	"encoding/binary"
@@ -95,6 +102,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -119,7 +127,8 @@ const (
 	// XTagFilled reports a LOAN filled in place; Word is the checksum
 	// the child computed over what it wrote.
 	XTagFilled uint16 = 4
-	// XTagDone tells the child to detach and exit.
+	// XTagDone tells the child to go; the child echoes it as its last
+	// record.
 	XTagDone uint16 = 5
 )
 
@@ -178,21 +187,34 @@ type ProcServer struct {
 	bridges  []bridgeState
 }
 
-// bridgeState is one slot's server-side bridge. The mutex serialises
-// lazy open (bridge) against teardown (ReclaimSlot); the traffic loops
-// work on a value snapshot of conn so a concurrent reclaim can reset
-// the state without racing them. It ranks above every facility lock
-// (DESIGN.md §16): bridge opens the loop-back circuit, its selector and
-// the registration while holding it.
+// bridgeState is one slot's record of its incarnations, kept in the
+// server's heap: the only thing that decides whether a bridge call, a
+// finish or a reclaim acts. state packs the phase in its low byte and
+// the incarnation's generation in the high 24 bits, so a ring-wait
+// probe reads both in one load. The mutex serialises begin, the phase
+// moves of bridge and the teardown (end); the traffic loops work on a
+// value snapshot of conn. It ranks above every facility lock (DESIGN.md
+// §16): begin opens the loop-back circuit, its selector and the
+// registration while holding it, and end closes them.
 type bridgeState struct {
-	mu   sync.Mutex
-	conn bridgeConn // zero until opened, and again once reclaimed
+	mu    sync.Mutex
+	state atomic.Uint32
+	conn  bridgeConn // the last incarnation's, closed once it has ended
 }
+
+// An incarnation's phases, the low byte of bridgeState.state.
+const (
+	phaseFree      = 0 // none begun, or the last one ended
+	phaseLive      = 1 // begun by SendSegmentTo: bridge calls run
+	phaseFinishing = 2 // FinishSlot has told the child to go
+	phaseMask      = 0xFF
+	genShift       = 8
+)
 
 // bridgeConn is one incarnation's bridge: both ends of the loop-back
 // circuit, the selector the receive end is harvested through and the
-// attach generation they were bound to. The slot's rings are the
-// table's, bound once for the server's life (SegTable.Rings).
+// generation they belong to. The slot's rings are the table's, bound
+// once for the server's life (SegTable.Rings).
 type bridgeConn struct {
 	send *SendConn
 	recv *RecvConn
@@ -261,8 +283,8 @@ func (s *ProcServer) Segment() *shm.Segment { return s.seg }
 // Table exposes the in-segment descriptor table.
 func (s *ProcServer) Table() *core.SegTable { return s.table }
 
-// Handshake builds the attach frame for the given slot; SendSegment
-// stamps the segment size.
+// Handshake builds the attach frame for the given slot; SendSegmentTo
+// adds the incarnation and SendSegment the segment size.
 func (s *ProcServer) Handshake(slot int) shm.Handshake {
 	return shm.Handshake{
 		Generation: s.gen,
@@ -275,11 +297,23 @@ func (s *ProcServer) Handshake(slot int) shm.Handshake {
 	}
 }
 
-// SendSegmentTo runs the server half of the attach handshake for slot
-// over an arbitrary unix socket — the hook the in-process tests use;
-// Spawn does this over each child's inherited socket.
+// SendSegmentTo begins an incarnation of slot and hands it to the peer
+// at the other end of conn, an arbitrary unix socket: Spawn, SpawnEnv
+// and the supervisor's respawns call it over each child's inherited
+// socket, the in-process tests over a socket pair. It refuses a slot
+// whose last incarnation has not ended.
 func (s *ProcServer) SendSegmentTo(conn *net.UnixConn, slot int) error {
-	return shm.SendSegment(conn, s.seg, s.Handshake(slot))
+	gen, err := s.begin(slot)
+	if err != nil {
+		return err
+	}
+	h := s.Handshake(slot)
+	h.Gen = gen
+	if err := shm.SendSegment(conn, s.seg, h); err != nil {
+		s.end(slot, phaseLive, gen)
+		return err
+	}
+	return nil
 }
 
 // Spawn execs n children of bin (one table slot each) and performs the
@@ -309,54 +343,55 @@ func (s *ProcServer) SpawnEnv(n int, bin string, args []string, envFor func(i in
 	return g, nil
 }
 
-// bridge lazily opens slot i's facility connections and the selector
-// the receive end is harvested through, first waiting
-// (bounded) for a peer to claim the slot so the bridge
-// binds to a definite attach generation. Bridge pid i+1 holds both
-// ends of circuit "xproc-i": the loop-back shape means every payload
-// crosses the circuit queue exactly once in each phase.
-func (s *ProcServer) bridge(slot int) (bridgeConn, error) {
+// begin starts slot's next incarnation: it bumps the generation (24
+// bits, wrapping), opens circuit "xproc-N" — both ends held by bridge
+// pid N+1, so every payload crosses the circuit queue exactly once in
+// each phase — and the selector its receive end is harvested through,
+// and posts attached|gen in the slot word, the child's notice. The
+// circuit is open before the child has mapped the segment.
+func (s *ProcServer) begin(slot int) (uint32, error) {
 	b := &s.bridges[slot]
 	b.mu.Lock()
-	c := b.conn
-	b.mu.Unlock()
-	if c.send != nil {
-		return c, nil
-	}
-
-	// Wait for the peer to claim the slot: the generation the bridge
-	// captures must be the incarnation it will talk to, not a guess
-	// made before the child arrived.
-	gen, err := s.waitClaim(slot, xprocDeadline)
-	if err != nil {
-		return bridgeConn{}, err
-	}
-
-	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.conn.send != nil { // raced with another opener
-		return b.conn, nil
+	w := b.state.Load()
+	if w&phaseMask != phaseFree {
+		return 0, fmt.Errorf("mpf: slot %d: incarnation %d has not ended", slot, w>>genShift)
 	}
 	p, err := s.fac.Process(slot + 1)
 	if err != nil {
-		return bridgeConn{}, err
+		return 0, err
 	}
 	name := fmt.Sprintf("xproc-%d", slot)
-	c = bridgeConn{gen: gen}
-	if c.send, err = p.OpenSend(name); err != nil {
-		return bridgeConn{}, err
-	}
-	if c.recv, err = p.OpenReceive(name, FCFS); err == nil {
-		if c.sel, err = p.NewSelector(); err == nil {
-			err = c.sel.Add(c.recv)
+	c := bridgeConn{gen: (w>>genShift + 1) & (1<<24 - 1)}
+	if c.send, err = p.OpenSend(name); err == nil {
+		if c.recv, err = p.OpenReceive(name, FCFS); err == nil {
+			if c.sel, err = p.NewSelector(); err == nil {
+				err = c.sel.Add(c.recv)
+			}
 		}
 	}
 	if err != nil {
 		c.closeCircuit()
-		return bridgeConn{}, err
+		return 0, err
 	}
 	b.conn = c
-	return c, nil
+	b.state.Store(phaseLive | c.gen<<genShift)
+	s.table.SetSlot(slot, core.SlotAttached, c.gen)
+	return c.gen, nil
+}
+
+// bridge returns slot's live incarnation, moving it to phase to
+// (phaseLive for a bridge call, phaseFinishing for FinishSlot), or
+// fails at once with ErrPeerDead when no incarnation is live.
+func (s *ProcServer) bridge(slot int, to uint32) (bridgeConn, error) {
+	b := &s.bridges[slot]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state.Load()&phaseMask != phaseLive {
+		return bridgeConn{}, fmt.Errorf("mpf: slot %d: no live incarnation: %w", slot, ErrPeerDead)
+	}
+	b.state.Store(to | b.conn.gen<<genShift)
+	return b.conn, nil
 }
 
 // closeCircuit closes whatever of the loop-back circuit is open.
@@ -372,40 +407,14 @@ func (c bridgeConn) closeCircuit() {
 	}
 }
 
-// waitClaim polls slot until a peer holds it attached, returning the
-// attach generation. ErrPeerDead reports a slot that went dead while
-// waiting; ErrTimeout-shaped failure reports nobody ever came. The
-// pause between polls is a sixteenth of the time waited so far, from
-// 20 µs up to 1 ms: a freshly forked child claims 2–5 ms after the
-// first bridge call asks, and a fixed millisecond — or a pause that
-// has doubled its way there by then — adds half of one to the set-up of
-// every bridge.
-func (s *ProcServer) waitClaim(slot int, timeout time.Duration) (uint32, error) {
-	start := time.Now()
-	for {
-		st, gen := s.table.SlotStateGen(slot)
-		switch st {
-		case core.SlotAttached:
-			return gen, nil
-		case core.SlotDead:
-			return 0, fmt.Errorf("mpf: slot %d: %w", slot, ErrPeerDead)
-		}
-		waited := time.Since(start)
-		if waited >= timeout {
-			return 0, fmt.Errorf("mpf: slot %d never claimed within %v", slot, timeout)
-		}
-		time.Sleep(min(max(waited/16, 20*time.Microsecond), time.Millisecond))
-	}
-}
-
 // slotAbort builds the liveness probe for ring waits bound to one
-// incarnation: the moment the slot leaves the attached state or moves
-// to another generation, blocked bridge operations fail with
-// ErrPeerDead instead of waiting out their full deadline.
-func (s *ProcServer) slotAbort(slot int, gen uint32) func() error {
+// incarnation in one phase: one load of the server's own record. The
+// moment the incarnation ends, or FinishSlot takes it off live, blocked
+// operations fail with ErrPeerDead instead of waiting out their full
+// deadline.
+func (s *ProcServer) slotAbort(slot int, phase, gen uint32) func() error {
 	return func() error {
-		st, g := s.table.SlotStateGen(slot)
-		if st != core.SlotAttached || g != gen {
+		if s.bridges[slot].state.Load() != phase|gen<<genShift {
 			return fmt.Errorf("mpf: slot %d gen %d: %w", slot, gen, ErrPeerDead)
 		}
 		return nil
@@ -584,34 +593,28 @@ func popWait(r *shm.XRing, dst []shm.Record, abort func() error) (int, error) {
 // steady state.
 var errFragmented = errors.New("mpf: payload fragmented; use uniform message sizes")
 
-// deadErr folds teardown-shaped failures onto ErrPeerDead when the
-// abort probe confirms the incarnation is gone. A reclaim racing a
-// bridge op can surface as ErrRingClosed (the reclaim closed the ring
-// first) or as a closed-connection error (the reclaim closed the
-// circuit first) depending on the interleaving; callers retrying after
-// a respawn need one error to key on, not three.
-func deadErr(err error, abort func() error) error {
+// peerErr folds a failed call on one incarnation in one phase onto
+// ErrPeerDead when the incarnation has ended: an end racing a bridge op
+// can surface as ErrRingClosed or as a closed-connection error, and
+// callers retrying after a respawn need one error to key on. While the
+// incarnation still lives, ring state that no run of the protocol
+// produces — indices out of bounds, a reply of the wrong kind or for
+// the wrong window, a closed ring (the server closes rings only in end,
+// after the phase has moved) — comes from a peer that is writing
+// garbage: the server declares it dead and reclaims the slot itself,
+// and the caller sees ErrPeerDead as for any other death.
+func (s *ProcServer) peerErr(err error, slot int, phase, gen uint32) error {
 	if err == nil {
 		return nil
 	}
-	if aerr := abort(); aerr != nil {
+	if aerr := s.slotAbort(slot, phase, gen)(); aerr != nil {
 		return aerr
 	}
-	return err
-}
-
-// peerErr is deadErr for a bridge call on one incarnation. Ring state
-// that no run of the protocol produces — indices out of bounds, a
-// reply of the wrong kind or for the wrong window — comes from a peer
-// that is writing garbage: the bridge declares it dead and reclaims
-// the slot itself, and the caller sees ErrPeerDead as for any other
-// death.
-func (s *ProcServer) peerErr(err error, slot int, gen uint32) error {
-	if errors.Is(err, shm.ErrRingCorrupt) {
-		s.ReclaimSlot(slot, gen)
+	if errors.Is(err, shm.ErrRingCorrupt) || errors.Is(err, shm.ErrRingClosed) {
+		s.reclaim(slot, phase, gen, 0)
 		return fmt.Errorf("mpf: slot %d gen %d: %v: %w", slot, gen, err, ErrPeerDead)
 	}
-	return deadErr(err, s.slotAbort(slot, gen))
+	return err
 }
 
 // BridgeDown runs the down phase for one slot: msgs messages of size
@@ -643,11 +646,11 @@ func (s *ProcServer) BridgeUp(slot, msgs, size int) (int, error) {
 // for the next call on the slot. Ring errors and the abort probe end the
 // call at once, as the peer's death.
 func (s *ProcServer) runBridge(slot, msgs, size int, up bool) (done int, err error) {
-	b, err := s.bridge(slot)
+	b, err := s.bridge(slot, phaseLive)
 	if err != nil {
 		return 0, err
 	}
-	abort := s.slotAbort(slot, b.gen)
+	abort := s.slotAbort(slot, phaseLive, b.gen)
 	tx, rx := s.table.Rings(slot) // records go out on the down ring, replies come back on up
 	w := s.window(msgs, size)
 	per := w / ((w + maxChunk - 1) / maxChunk) // W in the fewest equal chunks of at most maxChunk
@@ -676,7 +679,7 @@ func (s *ProcServer) runBridge(slot, msgs, size int, up bool) (done int, err err
 		if failed != nil && !errors.Is(err, failed) {
 			err = fmt.Errorf("%w (draining the window after: %v)", err, failed)
 		}
-		err = s.peerErr(err, slot, b.gen)
+		err = s.peerErr(err, slot, phaseLive, b.gen)
 	}()
 
 	for issued, inflight := 0, 0; done < msgs && (failed == nil || flying > 0); {
@@ -716,9 +719,9 @@ func (s *ProcServer) runBridge(slot, msgs, size int, up bool) (done int, err err
 		}
 		for _, rec := range replies[:n] {
 			if xtagGen(rec.Tag) != uint8(b.gen) {
-				// A leftover of a reclaimed incarnation (defense in
-				// depth: reclamation reformats the rings, so this takes
-				// a zombie producer racing the reclaim).
+				// A leftover of an ended incarnation (defense in depth:
+				// end reformats the rings, so this takes a zombie
+				// producer racing the teardown).
 				continue
 			}
 			if flying == 0 {
@@ -850,15 +853,32 @@ func (s *ProcServer) RingWaitStats() shm.WaitStats {
 	return total
 }
 
-// FinishSlot tells the child on slot to detach and exit.
+// FinishSlot ends slot's live incarnation cleanly: it takes the slot
+// off live, so any other call on it fails with ErrPeerDead, tells the
+// child to go, waits for the child's echo of the done record, and then
+// runs the teardown a death runs (end) without counting a death. A
+// child that answers anything else, or nothing within xprocDeadline, is
+// reclaimed as dead.
 func (s *ProcServer) FinishSlot(slot int) error {
-	b, err := s.bridge(slot)
+	b, err := s.bridge(slot, phaseFinishing)
 	if err != nil {
 		return err
 	}
-	down, _ := s.table.Rings(slot)
-	err = pushWait(down, []shm.Record{{Tag: xtag(XTagDone, b.gen)}}, s.slotAbort(slot, b.gen))
-	return s.peerErr(err, slot, b.gen)
+	down, up := s.table.Rings(slot)
+	abort := s.slotAbort(slot, phaseFinishing, b.gen)
+	done := shm.Record{Tag: xtag(XTagDone, b.gen)}
+	err = pushWait(down, []shm.Record{done}, abort)
+	for echo := [1]shm.Record{}; err == nil; {
+		if _, err = popWait(up, echo[:], abort); err == nil && xtagGen(echo[0].Tag) == uint8(b.gen) {
+			if echo[0] == done {
+				s.end(slot, phaseFinishing, b.gen)
+				return nil
+			}
+			err = fmt.Errorf("mpf: slot %d: child answered done with %+v: %w", slot, echo[0], shm.ErrRingCorrupt)
+		}
+	}
+	s.reclaim(slot, phaseFinishing, b.gen, 0)
+	return fmt.Errorf("mpf: slot %d gen %d: %v: %w", slot, b.gen, err, ErrPeerDead)
 }
 
 // Close shuts the facility down and unmaps the segment. The returned
@@ -870,9 +890,10 @@ func (s *ProcServer) Close() error {
 }
 
 // ProcClient is a child process's attachment: the mapped segment, the
-// claimed table slot, and its two rings. It deliberately has no
-// facility — children are raw segment peers; the serving process owns
-// every descriptor and the allocator (DESIGN.md §15).
+// table slot and incarnation the server gave it, and its two rings. It
+// deliberately has no facility — children are raw segment peers; the
+// serving process owns every descriptor and the allocator (DESIGN.md
+// §15).
 type ProcClient struct {
 	seg    *shm.Segment
 	table  *core.SegTable
@@ -904,7 +925,9 @@ func AttachProc() (*ProcClient, error) {
 // AttachProcConn attaches over an explicit unix socket: receive the
 // segment fd and handshake (deadline-bounded — a dead parent surfaces
 // as ErrHandshakeTimeout), map the segment, verify the table
-// generation, claim the assigned slot, bind its rings.
+// generation and bind the rings of the slot the handshake names. The
+// child writes nothing to the table: the slot and its incarnation are
+// the server's, and arrive in the frame.
 func AttachProcConn(conn *net.UnixConn) (*ProcClient, error) {
 	seg, h, err := shm.RecvSegment(conn)
 	if err != nil {
@@ -916,21 +939,16 @@ func AttachProcConn(conn *net.UnixConn) (*ProcClient, error) {
 		seg.Close()
 		return nil, err
 	}
-	gen, err := table.ClaimGen(int(h.Slot))
-	if err != nil {
-		seg.Close()
-		return nil, err
-	}
-	faultpoint.Hit("child-claim")
-	c := &ProcClient{seg: seg, table: table, h: h, slot: int(h.Slot), gen: gen, ppid: os.Getppid()}
+	c := &ProcClient{seg: seg, table: table, h: h, slot: int(h.Slot), gen: h.Gen, ppid: os.Getppid()}
 	c.down, c.up = table.Rings(c.slot)
 	return c, nil
 }
 
-// Slot returns the claimed table slot.
+// Slot returns the table slot the server gave this client.
 func (c *ProcClient) Slot() int { return c.slot }
 
-// Gen returns the attach generation this client claimed the slot with.
+// Gen returns the incarnation of the slot the server began for this
+// client.
 func (c *ProcClient) Gen() uint32 { return c.gen }
 
 // Served returns the number of payload records processed by Serve.
@@ -938,8 +956,8 @@ func (c *ProcClient) Served() int { return c.served }
 
 // abort is the child-side liveness probe: the worker stops waiting the
 // moment its parent process dies (getppid changes as init adopts the
-// orphan) or its slot is no longer this incarnation's (a reaper
-// mistakenly — or a chaos test deliberately — reclaimed it).
+// orphan) or the slot word, the server's notice, says its incarnation
+// has ended (the server reclaimed it).
 func (c *ProcClient) abort() error {
 	if os.Getppid() != c.ppid {
 		return fmt.Errorf("mpf: slot %d worker orphaned: %w", c.slot, ErrPeerDead)
@@ -968,11 +986,10 @@ func (c *ProcClient) payload(rec shm.Record) ([]byte, error) {
 // arrives. The worker takes what is queued, up to maxChunk records, in
 // one ring pop and answers the run with one ring push; every reply
 // echoes the window it answers, which is how the bridge matches it.
-// Records tagged with a different attach generation are discarded
-// (stale leftovers of a dead predecessor). It returns after detaching
-// the slot; the caller still owns Close.
+// Records tagged with another generation are discarded (stale leftovers
+// of an ended predecessor). DONE is answered with its own echo, the
+// last record the worker pushes; the caller still owns Close.
 func (c *ProcClient) Serve() error {
-	defer c.table.Detach(c.slot)
 	var in, out [maxChunk]shm.Record
 	for {
 		n, err := popWait(c.down, in[:], c.abort)
@@ -986,7 +1003,7 @@ func (c *ProcClient) Serve() error {
 			}
 			kind := xtagKind(rec.Tag)
 			if kind == XTagDone {
-				finished = true
+				replies, finished = append(replies, rec), true
 				break
 			}
 			if kind != XTagView && kind != XTagLoan {
@@ -1015,6 +1032,7 @@ func (c *ProcClient) Serve() error {
 		}
 		c.served += len(replies)
 		if finished {
+			c.served-- // the echo of DONE
 			return nil
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func xprocPair(t *testing.T) (*net.UnixConn, *net.UnixConn) {
 }
 
 // TestProcServeAttachRoundTrip runs the full cross-process protocol —
-// fd passing, independent mapping, slot claim, both bridge phases —
+// fd passing, independent mapping, the slot's incarnation, both bridge phases —
 // inside one test process. The attached client maps the memfd a second
 // time at a different base address, so offset resolution is exercised
 // exactly as it is between real processes.
@@ -67,7 +68,7 @@ func TestProcServeAttachRoundTrip(t *testing.T) {
 		}
 		clients[slot] = cl
 		if cl.Slot() != slot {
-			t.Fatalf("client claimed slot %d, want %d", cl.Slot(), slot)
+			t.Fatalf("client given slot %d, want %d", cl.Slot(), slot)
 		}
 		wg.Add(1)
 		go func() {
@@ -95,8 +96,8 @@ func TestProcServeAttachRoundTrip(t *testing.T) {
 		if cl.Served() != 2*msgs {
 			t.Fatalf("slot %d served %d records, want %d", slot, cl.Served(), 2*msgs)
 		}
-		if s := srv.Table().SlotState(slot); s != core.SlotDetached {
-			t.Fatalf("slot %d state %d after Serve, want detached", slot, s)
+		if s := srv.Table().SlotState(slot); s != core.SlotFree {
+			t.Fatalf("slot %d state %d after FinishSlot, want free", slot, s)
 		}
 		if err := cl.Close(); err != nil {
 			t.Fatalf("client %d close: %v", slot, err)
@@ -144,7 +145,7 @@ func TestProcAttachStaleGeneration(t *testing.T) {
 
 // TestProcReclaimSlot kills a child (in spirit) mid-round-trip: the
 // "child" pops a VIEW record and then vanishes without acking or
-// detaching. The bridge is parked waiting for the acks with its window
+// finishing. The bridge is parked waiting for the acks with its window
 // of views pinned and credit debited; ReclaimSlot must unpark it with
 // ErrPeerDead,
 // restore every pin and credit block, reformat the rings and free the
@@ -185,7 +186,7 @@ func TestProcReclaimSlot(t *testing.T) {
 		bridgeErr <- err
 	}()
 
-	// The child consumes the record... and dies. No ack, no detach.
+	// The child consumes the record... and dies. No ack, no done echo.
 	down, _ := srv.Table().Rings(0)
 	for {
 		if _, ok, err := down.TryPop(); err != nil || ok {
@@ -259,5 +260,109 @@ func TestProcReclaimSlot(t *testing.T) {
 	}
 	if st := srv.Facility().Stats(); st.CreditsHeld != 0 {
 		t.Fatalf("ledger not quiescent after second incarnation: %d held", st.CreditsHeld)
+	}
+}
+
+// TestPeerDeathChurnRace churns incarnations on every slot at once:
+// in-process peers are begun with SendSegmentTo, bridged, and either
+// finished with FinishSlot or "killed" — their death handed to a reaper
+// goroutine that calls ReclaimSlot while the slot's bridge call is in
+// flight, and hands it every death a second time, by then stale. The
+// begin of the next incarnation races that reaper. Every death must be
+// reclaimed exactly once, the stale ones refused; every slot must end
+// free, no credit held and the arena intact. Run under -race in CI.
+func TestPeerDeathChurnRace(t *testing.T) {
+	const nSlots, rounds = 4, 12
+	srv := serveOrSkip(t, ServeConfig{
+		Children: nSlots,
+		RingCap:  8,
+		Options:  []Option{WithBlockSize(128), WithBlocksPerProcess(256), WithCredit(32)},
+	})
+	arena := srv.Facility().Core().Arena()
+	free := arena.FreeBlocks()
+	type pair struct{ parent, child *net.UnixConn }
+	pairs := make([][rounds]pair, nSlots)
+	for slot := range pairs {
+		for r := range pairs[slot] {
+			pairs[slot][r].parent, pairs[slot][r].child = xprocPair(t)
+		}
+	}
+
+	deaths := make(chan ReclaimReport, 2*nSlots*rounds)
+	var reclaimed, died atomic.Int64
+	reaped := make(chan struct{})
+	go func() {
+		defer close(reaped)
+		for d := range deaths {
+			if _, ok := srv.ReclaimSlot(d.Slot, d.Gen); ok {
+				reclaimed.Add(1)
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for slot := 0; slot < nSlots; slot++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				// The last incarnation's reclaim may still be queued.
+				for srv.SendSegmentTo(pairs[slot][r].parent, slot) != nil {
+					time.Sleep(100 * time.Microsecond)
+				}
+				cl, err := AttachProcConn(pairs[slot][r].child)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				served := make(chan error, 1)
+				go func() { served <- cl.Serve() }()
+				if (slot+r)%3 == 0 {
+					died.Add(1)
+					death := ReclaimReport{Slot: slot, Gen: cl.Gen()}
+					deaths <- death
+					if _, err := srv.BridgeDown(slot, 20, 200); err != nil && !errors.Is(err, ErrPeerDead) {
+						t.Errorf("slot %d: a call racing the reclaim: %v", slot, err)
+					}
+					if err := <-served; err == nil {
+						t.Errorf("slot %d: the reclaimed worker returned no error", slot)
+					}
+					deaths <- death // stale by now
+				} else {
+					if n, err := srv.BridgeDown(slot, 20, 200); err != nil || n != 20 {
+						t.Errorf("slot %d down: %d, %v", slot, n, err)
+					}
+					if n, err := srv.BridgeUp(slot, 20, 200); err != nil || n != 20 {
+						t.Errorf("slot %d up: %d, %v", slot, n, err)
+					}
+					if err := srv.FinishSlot(slot); err != nil {
+						t.Errorf("slot %d finish: %v", slot, err)
+					}
+					if err := <-served; err != nil {
+						t.Errorf("slot %d worker: %v", slot, err)
+					}
+				}
+				cl.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	close(deaths)
+	<-reaped
+
+	if got, want := reclaimed.Load(), died.Load(); got != want {
+		t.Fatalf("%d reclaims for %d deaths", got, want)
+	}
+	if n := srv.Facility().Stats().PeerDeaths; n != uint64(died.Load()) {
+		t.Fatalf("PeerDeaths = %d, want %d", n, died.Load())
+	}
+	for slot := 0; slot < nSlots; slot++ {
+		if st := srv.Table().SlotState(slot); st != core.SlotFree {
+			t.Fatalf("slot %d state %d after the churn, want free", slot, st)
+		}
+	}
+	quiescent(t, srv, free)
+	if err := arena.CheckFreeList(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -27,7 +27,7 @@ const workerEnv = "MPF_TEST_XPROC_WORKER"
 
 // scribbleSlotWords is the workerEnv mode of a child that attaches,
 // writes 1 into every word of its slot past the state word, and exits
-// 86 without detaching (TestCrashScribbledSlotWords).
+// 86 without finishing (TestCrashScribbledSlotWords).
 const scribbleSlotWords = "scribble-slot"
 
 // TestMain doubles the test binary as the cross-process worker, the
@@ -409,6 +409,13 @@ func TestBridgeScribblingPeer(t *testing.T) {
 // the scribbler's own rings, a reclaim touches nothing of slot 1's —
 // its slot words and both rings compare equal byte for byte — and the
 // allocator's free pool is intact.
+//
+// The "state" cases forge the state word itself: dead (3, the state
+// version 4 had), another generation, free. Version 4's reclaim was a
+// CAS from that word, so each forgery made ReclaimSlot refuse and left
+// the slot stranded. The word is the server's notice to the child now,
+// and the server reads nothing of it: the reclaim succeeds, and the
+// next incarnation is bridged in full.
 func TestBridgeScribbledSlotWords(t *testing.T) {
 	for _, aim := range []string{"bridge", "reclaim"} {
 		t.Run(aim, func(t *testing.T) {
@@ -478,6 +485,103 @@ func TestBridgeScribbledSlotWords(t *testing.T) {
 			if err := srv.Facility().Core().Arena().CheckFreeList(); err != nil {
 				t.Fatal(err)
 			}
+		})
+	}
+	forgeries := []struct {
+		name  string
+		forge func(gen uint32) uint32
+	}{
+		{"dead", func(gen uint32) uint32 { return 3 | gen<<8 }},
+		{"other gen", func(gen uint32) uint32 { return core.SlotAttached | (gen+5)<<8 }},
+		{"free", func(gen uint32) uint32 { return core.SlotFree | gen<<8 }},
+	}
+	for _, f := range forgeries {
+		t.Run("state "+f.name, func(t *testing.T) {
+			srv := serveOrSkip(t, ServeConfig{
+				Children: 1,
+				RingCap:  8,
+				Options:  []Option{WithBlockSize(128), WithBlocksPerProcess(256)},
+			})
+			free := srv.Facility().Core().Arena().FreeBlocks()
+			cl := attachPeer(t, srv, 0)
+			cl.seg.Atomic32(srv.tableOff + 64).Store(f.forge(cl.Gen())) // slot 0's state word
+			if _, ok := srv.ReclaimSlot(0, cl.Gen()); !ok {
+				t.Fatal("ReclaimSlot refused the incarnation whose peer forged its slot word")
+			}
+			finish := attachWorker(t, srv, 0)
+			bridgeBoth(t, srv, 0, 40, 200)
+			finish()
+			quiescent(t, srv, free)
+		})
+	}
+}
+
+// TestBridgeReclaimAfterCleanDetach runs three incarnations of one slot
+// back to back, each finished cleanly and the next begun on the same
+// slot. Version 4 bound a bridge once and kept it until a reclaim, so the
+// second incarnation's first call failed with ErrPeerDead against the
+// first one's generation. Every cycle must bridge in full, and no clean
+// finish may count as a death.
+func TestBridgeReclaimAfterCleanDetach(t *testing.T) {
+	srv := serveOrSkip(t, ServeConfig{
+		Children: 1,
+		RingCap:  64,
+		Options:  []Option{WithBlockSize(128), WithBlocksPerProcess(512), WithCredit(64)},
+	})
+	free := srv.Facility().Core().Arena().FreeBlocks()
+	for cycle := 0; cycle < 3; cycle++ {
+		finish := attachWorker(t, srv, 0)
+		bridgeBoth(t, srv, 0, 100, 300)
+		finish()
+		quiescent(t, srv, free)
+	}
+	if st := srv.Table().SlotState(0); st != core.SlotFree {
+		t.Fatalf("slot state %d after the last FinishSlot, want free", st)
+	}
+	if n := srv.Facility().Stats().PeerDeaths; n != 0 {
+		t.Fatalf("PeerDeaths = %d after three clean finishes, want 0", n)
+	}
+	if _, err := srv.BridgeDown(0, 1, 64); !errors.Is(err, ErrPeerDead) {
+		t.Fatalf("a call on a finished slot: %v, want ErrPeerDead at once", err)
+	}
+}
+
+// TestBridgePeerClosedRing is a child that sets the closed flag of one
+// of its slot's rings: the down ring the server pushes into, or the up
+// ring the server pops. The server closes a slot's rings only once the
+// incarnation has ended, so a closed ring under a live one is the
+// peer's doing: the call returns ErrPeerDead, the server has reclaimed
+// the slot, and the slot serves a successor. Version 4 returned
+// ErrRingClosed from every call and reclaimed nothing.
+func TestBridgePeerClosedRing(t *testing.T) {
+	for _, ring := range []string{"down", "up"} {
+		t.Run(ring, func(t *testing.T) {
+			srv := serveOrSkip(t, ServeConfig{
+				Children: 1,
+				RingCap:  64,
+				Options:  []Option{WithBlockSize(128), WithBlocksPerProcess(512), WithCredit(64)},
+			})
+			free := srv.Facility().Core().Arena().FreeBlocks()
+			cl := attachPeer(t, srv, 0)
+			if ring == "down" {
+				cl.down.Close()
+			} else {
+				cl.up.Close()
+			}
+			if n, err := srv.BridgeDown(0, 10, 256); !errors.Is(err, ErrPeerDead) || n != 0 {
+				t.Fatalf("bridge past a ring the peer closed: %d round trips, %v; want 0, ErrPeerDead", n, err)
+			}
+			if n := srv.Facility().Stats().PeerDeaths; n != 1 {
+				t.Fatalf("PeerDeaths = %d, want 1", n)
+			}
+			if st := srv.Table().SlotState(0); st != core.SlotFree {
+				t.Fatalf("slot state %d, want free", st)
+			}
+			quiescent(t, srv, free)
+			finish := attachWorker(t, srv, 0)
+			bridgeBoth(t, srv, 0, 40, 256)
+			finish()
+			quiescent(t, srv, free)
 		})
 	}
 }
@@ -782,7 +886,7 @@ func TestBridgeVerifyFailureDrainsWindow(t *testing.T) {
 				rec := &recs[i]
 				switch xtagKind(rec.Tag) {
 				case XTagDone:
-					served <- cl.up.PushBatch(recs[:i], far)
+					served <- cl.up.PushBatch(recs[:i+1], far) // the answers before DONE, and its echo
 					return
 				case XTagView:
 					rec.Tag = xtag(XTagAck, cl.Gen())
